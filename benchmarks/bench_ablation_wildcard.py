@@ -16,10 +16,10 @@ from repro.report.experiments import ExperimentResult, run_figure2
 
 def test_ablation_wildcard_counting(benchmark, longitudinal_bundle, artifact_dir):
     ablated = benchmark.pedantic(
-        run_figure2, args=(longitudinal_bundle,),
+        run_figure2, args=(longitudinal_bundle.series,),
         kwargs={"require_explicit": False}, rounds=1, iterations=1,
     )
-    explicit = run_figure2(longitudinal_bundle, require_explicit=True)
+    explicit = run_figure2(longitudinal_bundle.series, require_explicit=True)
 
     result = ExperimentResult(
         "ablation_wildcard",

@@ -13,7 +13,7 @@ from repro.report.experiments import run_figure2
 
 def test_figure2_full_disallow_trend(benchmark, longitudinal_bundle, artifact_dir):
     result = benchmark.pedantic(
-        run_figure2, args=(longitudinal_bundle,), rounds=1, iterations=1
+        run_figure2, args=(longitudinal_bundle.series,), rounds=1, iterations=1
     )
     save_artifact(artifact_dir, result)
     print(result.text)

@@ -12,7 +12,7 @@ from repro.report.experiments import run_figure3
 
 def test_figure3_per_agent_trend(benchmark, longitudinal_bundle, artifact_dir):
     result = benchmark.pedantic(
-        run_figure3, args=(longitudinal_bundle,), rounds=1, iterations=1
+        run_figure3, args=(longitudinal_bundle.series,), rounds=1, iterations=1
     )
     save_artifact(artifact_dir, result)
     print(result.text)

@@ -15,7 +15,7 @@ from repro.report.experiments import run_figure4
 
 def test_figure4_allows_and_removals(benchmark, longitudinal_bundle, artifact_dir):
     result = benchmark.pedantic(
-        run_figure4, args=(longitudinal_bundle,), rounds=1, iterations=1
+        run_figure4, args=(longitudinal_bundle.series,), rounds=1, iterations=1
     )
     save_artifact(artifact_dir, result)
     print(result.text)

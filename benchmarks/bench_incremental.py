@@ -1,6 +1,6 @@
 """Benchmark: cold-start vs warm-incremental battery reproduction.
 
-Times the full 16-experiment battery twice against one persistent
+Times the full experiment battery twice against one persistent
 incremental store: a cold run over a fresh world store (everything
 computes, everything is recorded), then a warm run over another fresh
 world store (everything assembles from the store; no world is built).
@@ -17,7 +17,7 @@ cold/warm pair and their speedup for the ``scripts/bench.py`` gate
 import json
 import time
 
-from repro.report.orchestrator import run_all
+from repro.report.orchestrator import EXPERIMENT_REGISTRY, run_all
 from repro.web.worldstore import WorldStore
 
 from conftest import BENCH_CONFIG, OUTPUT_DIR
@@ -41,7 +41,7 @@ def test_cold_start_reproduce(tmp_path_factory, record_timing):
     )
     cold_seconds = time.perf_counter() - start
     record_timing(COLD_KEY, cold_seconds)
-    assert len(report.results) == 16
+    assert len(report.results) == len(EXPERIMENT_REGISTRY)
     assert all(v == "run:first" for v in report.incremental.values())
     _STATE["root"] = root
     _STATE["cold_seconds"] = cold_seconds

@@ -90,12 +90,11 @@ def test_disabled_telemetry_overhead_on_figure2(longitudinal_bundle, artifact_di
     cold = SnapshotSeries(
         snapshots=series.snapshots,
         stable_domains=series.stable_domains,
-        analysis_domains=series.analysis_domains,
+        tiers=series.tiers,
         cache=PolicyCache(compiled=CompiledPolicyCache()),
     )
-    top5k = {site.domain for site in longitudinal_bundle.population.stable_top5k}
     start = time.perf_counter()
-    rows = full_disallow_trend(cold, top5k)
+    rows = full_disallow_trend(cold)
     fig2_seconds = time.perf_counter() - start
     assert rows[-1][1] > 0  # the run really ran
 

@@ -23,12 +23,12 @@ import os
 import time
 import tracemalloc
 
-from repro.measure.longitudinal import collect_shard_archives
-from repro.measure.streaming import (
-    streaming_allow_and_removal_trend,
-    streaming_coverage_table,
-    streaming_full_disallow_trend,
-    streaming_per_agent_trend,
+from repro.measure.longitudinal import (
+    allow_and_removal_trend,
+    collect_shard_archives,
+    full_disallow_trend,
+    per_agent_trend,
+    snapshot_coverage_table,
 )
 from repro.web.archive import ArchiveSet
 from repro.web.population import (
@@ -66,11 +66,11 @@ _STATE = {}
 
 
 def _aggregate(archive):
-    """The full streaming figure battery over one open archive."""
-    streaming_full_disallow_trend(archive)
-    streaming_per_agent_trend(archive)
-    streaming_allow_and_removal_trend(archive)
-    streaming_coverage_table(archive)
+    """The figure battery over one open archive, shard by shard."""
+    full_disallow_trend(archive)
+    per_agent_trend(archive)
+    allow_and_removal_trend(archive)
+    snapshot_coverage_table(archive)
 
 
 def test_per_stratum_pipeline(tmp_path_factory, record_timing):

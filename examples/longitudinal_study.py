@@ -37,7 +37,7 @@ def main() -> None:
           f"{len(bundle.series.analysis_domains)}\n")
 
     for runner in (run_table3, run_figure2, run_figure3, run_figure4):
-        result = runner(bundle)
+        result = runner(bundle.series)
         print(result.text)
         print()
 

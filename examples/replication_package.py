@@ -60,17 +60,16 @@ def main() -> None:
     # -- reload and re-analyze -------------------------------------------------
     with snap_path.open() as source:
         reloaded = load_snapshots(source)
-    top5k = {site.domain for site in population.stable_top5k}
-    original = full_disallow_trend(series, top5k)
+    original = full_disallow_trend(series)
 
-    from repro.measure.longitudinal import SnapshotSeries, stable_with_robots
+    from repro.measure.longitudinal import SnapshotSeries
 
     reseries = SnapshotSeries(
         snapshots=reloaded,
         stable_domains=series.stable_domains,
-        analysis_domains=stable_with_robots(reloaded, series.stable_domains),
+        tiers=series.tiers,
     )
-    recomputed = full_disallow_trend(reseries, top5k)
+    recomputed = full_disallow_trend(reseries)
     assert recomputed == original, "reloaded corpus must reproduce the trend"
     print("figure-2 trend reproduced exactly from the exported corpus")
 

@@ -8,7 +8,9 @@ last :data:`BASELINE_WINDOW` ``history`` entries in
 ``benchmarks/output/BENCH_RESULTS.json`` -- and fails when any bench
 regressed beyond the threshold.  The median absorbs one-off noisy
 runs: a single slow (or fast) entry cannot move the gate the way a
-last-run-only comparison would.
+last-run-only comparison would.  Finally it checks every row of
+:data:`BUDGETS`, the overhead ceilings and speedup floors the benches
+write under ``benchmarks/output/``.
 
 Usage::
 
@@ -26,42 +28,50 @@ import os
 import pathlib
 import subprocess
 import sys
+from typing import NamedTuple
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
-RESULTS = REPO / "benchmarks" / "output" / "BENCH_RESULTS.json"
-OBS_OVERHEAD = REPO / "benchmarks" / "output" / "OBS_OVERHEAD.json"
-CHAOS_OVERHEAD = REPO / "benchmarks" / "output" / "CHAOS_OVERHEAD.json"
-LIVE_OVERHEAD = REPO / "benchmarks" / "output" / "LIVE_OVERHEAD.json"
-LOG_OVERHEAD = REPO / "benchmarks" / "output" / "LOG_OVERHEAD.json"
-BEHAVIORAL_OVERHEAD = REPO / "benchmarks" / "output" / "BEHAVIORAL_OVERHEAD.json"
-INCREMENTAL = REPO / "benchmarks" / "output" / "INCREMENTAL.json"
-SCALE = REPO / "benchmarks" / "output" / "SCALE.json"
+OUTPUT = REPO / "benchmarks" / "output"
+RESULTS = OUTPUT / "BENCH_RESULTS.json"
 
-#: Telemetry's disabled fast path may imply at most this much slowdown
-#: on the Figure 2 pipeline (percent; see bench_obs_overhead.py).
-OBS_OVERHEAD_BUDGET_PCT = 1.0
 
-#: An armed transient fault plan may imply at most this much slowdown
-#: on the snapshot pipeline (percent; see bench_chaos_overhead.py).
-CHAOS_OVERHEAD_BUDGET_PCT = 1.0
+class Budget(NamedTuple):
+    """One gated number in a bench's output file under ``OUTPUT``.
 
-#: An installed live telemetry pipeline (scrape + export per month
-#: tick) may imply at most this much slowdown on the Figure 2 pipeline
-#: (percent; see bench_live_overhead.py).
-LIVE_OVERHEAD_BUDGET_PCT = 1.0
+    ``direction`` is ``"max"`` (the value may not exceed ``bound``) or
+    ``"min"`` (it may not fall below it).  A row with ``min_cpus`` only
+    gates when the file's ``cpu_count`` -- the recording host's -- is at
+    least that: a single-core host cannot show parallel speedup.
+    """
 
-#: An installed wide-event log sink may imply at most this much
-#: slowdown on the collection crawl (percent; see bench_logstore.py).
-LOG_OVERHEAD_BUDGET_PCT = 1.0
+    file: str
+    key: str
+    bound: float
+    direction: str
+    label: str
+    min_cpus: int = 0
 
-#: An armed behavioral policy's assess/observe hooks may imply at most
-#: this much slowdown on a cold reproduction battery (percent; see
-#: bench_behavioral.py).
-BEHAVIORAL_OVERHEAD_BUDGET_PCT = 1.0
 
-#: A warm incremental battery must beat the cold run by at least this
-#: factor (see bench_incremental.py).
-INCREMENTAL_MIN_SPEEDUP = 3.0
+#: Every budget the gate enforces, one row each.
+BUDGETS = (
+    Budget("OBS_OVERHEAD.json", "implied_overhead_pct", 1.0, "max",
+           "disabled telemetry, % of figure2 (bench_obs_overhead)"),
+    Budget("CHAOS_OVERHEAD.json", "implied_overhead_pct", 1.0, "max",
+           "armed fault plan, % of the snapshot pipeline (bench_chaos_overhead)"),
+    Budget("LIVE_OVERHEAD.json", "implied_overhead_pct", 1.0, "max",
+           "installed live pipeline, % of figure2 (bench_live_overhead)"),
+    Budget("LOG_OVERHEAD.json", "implied_overhead_pct", 1.0, "max",
+           "installed log sink, % of the collection crawl (bench_logstore)"),
+    Budget("BEHAVIORAL_OVERHEAD.json", "implied_overhead_pct", 1.0, "max",
+           "armed behavioral policy, % of a cold battery (bench_behavioral)"),
+    Budget("INCREMENTAL.json", "speedup", 3.0, "min",
+           "warm incremental battery speedup over cold (bench_incremental)"),
+    Budget("SCALE.json", "memory_ratio", 2.0, "max",
+           "aggregation memory top-100k/top-10k (bench_scale_strata)"),
+    Budget("SCALE.json", "worker_efficiency", 0.7, "min",
+           "shard-crawl efficiency at 4 workers (bench_scale_strata)",
+           min_cpus=4),
+)
 
 #: History entries folded into the rolling-median baseline.
 BASELINE_WINDOW = 5
@@ -174,15 +184,7 @@ def main() -> int:
         print(f"  {nodeid:<{width}}  {now:8.3f}s  "
               f"(baseline {prev:.3f}s, {delta:+.0%}){flag}")
 
-    obs_ok = _check_obs_overhead()
-    chaos_ok = _check_chaos_overhead()
-    live_ok = _check_live_overhead()
-    log_ok = _check_log_overhead()
-    behavioral_ok = _check_behavioral_overhead()
-    incremental_ok = _check_incremental()
-    scale_ok = _check_scale()
-    overhead_ok = (obs_ok and chaos_ok and live_ok and log_ok
-                   and behavioral_ok and incremental_ok and scale_ok)
+    budgets_ok = check_budgets()
 
     if regressions:
         print(f"\n{len(regressions)} bench(es) regressed more than "
@@ -190,176 +192,45 @@ def main() -> int:
         for nodeid, prev, now, delta in regressions:
             print(f"  {nodeid}: {prev:.3f}s -> {now:.3f}s ({delta:+.0%})")
         return 1
-    if not overhead_ok:
+    if not budgets_ok:
         return 1
     print("\nno perf regressions")
     return 0
 
 
-def _check_obs_overhead() -> bool:
-    """Gate the telemetry disabled-path budget from OBS_OVERHEAD.json."""
-    if not OBS_OVERHEAD.exists():
-        return True  # bench deselected this run; nothing to check
-    try:
-        payload = json.loads(OBS_OVERHEAD.read_text())
-    except (ValueError, OSError):
-        print(f"warning: unreadable {OBS_OVERHEAD}")
-        return True
-    implied = payload.get("implied_overhead_pct")
-    if implied is None:
-        return True
-    print(f"\n== telemetry overhead ==\n  implied disabled-path cost on "
-          f"figure2: {implied:.3f}% (budget {OBS_OVERHEAD_BUDGET_PCT:.1f}%)")
-    if implied > OBS_OVERHEAD_BUDGET_PCT:
-        print("  <-- OVER BUDGET")
-        return False
-    return True
+def check_budgets(output_dir: pathlib.Path = OUTPUT) -> bool:
+    """Print one line per :data:`BUDGETS` row; False when any row fails.
 
-
-def _check_incremental() -> bool:
-    """Gate the warm-incremental speedup floor from INCREMENTAL.json."""
-    if not INCREMENTAL.exists():
-        return True  # bench deselected this run; nothing to check
-    try:
-        payload = json.loads(INCREMENTAL.read_text())
-    except (ValueError, OSError):
-        print(f"warning: unreadable {INCREMENTAL}")
-        return True
-    speedup = payload.get("speedup")
-    if speedup is None:
-        return True
-    cold = payload.get("cold_seconds", 0.0)
-    warm = payload.get("warm_seconds", 0.0)
-    print(f"\n== incremental reproduction ==\n  warm battery {warm:.3f}s vs "
-          f"cold {cold:.3f}s: {speedup:.1f}x speedup "
-          f"(floor {INCREMENTAL_MIN_SPEEDUP:.1f}x)")
-    if speedup < INCREMENTAL_MIN_SPEEDUP:
-        print("  <-- UNDER FLOOR")
-        return False
-    return True
-
-
-def _check_scale() -> bool:
-    """Gate the strata scale budgets from SCALE.json.
-
-    The memory-flatness ratio is always enforced; the shard-crawl
-    worker-efficiency floor only when the recording host had enough
-    cores for parallel speedup to be physically possible.
+    An absent file is skipped: its bench did not run.  A file that
+    exists but cannot be read, or lacks the row's key, fails the gate,
+    because a gate that cannot run counts as a regression.
     """
-    if not SCALE.exists():
-        return True  # bench deselected this run; nothing to check
-    try:
-        payload = json.loads(SCALE.read_text())
-    except (ValueError, OSError):
-        print(f"warning: unreadable {SCALE}")
-        return True
-    ratio = payload.get("memory_ratio")
-    if ratio is None:
-        return True
-    budget = payload.get("memory_budget_ratio", 2.0)
-    efficiency = payload.get("worker_efficiency")
-    floor = payload.get("efficiency_floor", 0.7)
-    workers = payload.get("efficiency_workers", 4)
-    cpu_count = payload.get("cpu_count", 1)
-    print(f"\n== strata scale ==\n  streaming aggregation memory "
-          f"top-100k/top-10k: {ratio:.2f}x (budget {budget:.1f}x)")
+    print("\n== budgets ==")
     ok = True
-    if ratio > budget:
-        print("  <-- OVER BUDGET")
-        ok = False
-    if efficiency is not None:
-        gated = cpu_count >= workers
-        note = "" if gated else f"; not gated on {cpu_count} cpu(s)"
-        print(f"  shard-crawl efficiency at {workers} workers: "
-              f"{efficiency:.2f} (floor {floor}{note})")
-        if gated and efficiency < floor:
-            print("  <-- UNDER FLOOR")
+    for budget in BUDGETS:
+        path = output_dir / budget.file
+        if not path.exists():
+            print(f"  {budget.label}: skipped, no {budget.file}")
+            continue
+        try:
+            payload = json.loads(path.read_text())
+            value = float(payload[budget.key])
+            cpus = int(payload["cpu_count"]) if budget.min_cpus else 0
+        except (OSError, ValueError, TypeError, KeyError) as exc:
+            print(f"  {budget.label}: cannot read {budget.key!r} from "
+                  f"{path}: {exc!r}  <-- GATE FAILED")
             ok = False
+            continue
+        line = f"  {budget.label}: {value:.3f} ({budget.direction} {budget.bound:g})"
+        if cpus < budget.min_cpus:
+            print(f"{line}; not gated on {cpus} cpu(s)")
+            continue
+        if value > budget.bound if budget.direction == "max" else value < budget.bound:
+            print(f"{line}  <-- OUT OF BUDGET")
+            ok = False
+        else:
+            print(line)
     return ok
-
-
-def _check_live_overhead() -> bool:
-    """Gate the live-pipeline month-tick budget from LIVE_OVERHEAD.json."""
-    if not LIVE_OVERHEAD.exists():
-        return True  # bench deselected this run; nothing to check
-    try:
-        payload = json.loads(LIVE_OVERHEAD.read_text())
-    except (ValueError, OSError):
-        print(f"warning: unreadable {LIVE_OVERHEAD}")
-        return True
-    implied = payload.get("implied_overhead_pct")
-    if implied is None:
-        return True
-    print(f"\n== live telemetry overhead ==\n  implied installed-pipeline "
-          f"cost on figure2: {implied:.3f}% "
-          f"(budget {LIVE_OVERHEAD_BUDGET_PCT:.1f}%)")
-    if implied > LIVE_OVERHEAD_BUDGET_PCT:
-        print("  <-- OVER BUDGET")
-        return False
-    return True
-
-
-def _check_log_overhead() -> bool:
-    """Gate the installed-sink budget from LOG_OVERHEAD.json."""
-    if not LOG_OVERHEAD.exists():
-        return True  # bench deselected this run; nothing to check
-    try:
-        payload = json.loads(LOG_OVERHEAD.read_text())
-    except (ValueError, OSError):
-        print(f"warning: unreadable {LOG_OVERHEAD}")
-        return True
-    implied = payload.get("implied_overhead_pct")
-    if implied is None:
-        return True
-    print(f"\n== wide-event log overhead ==\n  implied installed-sink "
-          f"cost on the collection crawl: {implied:.3f}% "
-          f"(budget {LOG_OVERHEAD_BUDGET_PCT:.1f}%)")
-    if implied > LOG_OVERHEAD_BUDGET_PCT:
-        print("  <-- OVER BUDGET")
-        return False
-    return True
-
-
-def _check_behavioral_overhead() -> bool:
-    """Gate the armed-policy budget from BEHAVIORAL_OVERHEAD.json."""
-    if not BEHAVIORAL_OVERHEAD.exists():
-        return True  # bench deselected this run; nothing to check
-    try:
-        payload = json.loads(BEHAVIORAL_OVERHEAD.read_text())
-    except (ValueError, OSError):
-        print(f"warning: unreadable {BEHAVIORAL_OVERHEAD}")
-        return True
-    implied = payload.get("implied_overhead_pct")
-    if implied is None:
-        return True
-    print(f"\n== behavioral plane overhead ==\n  implied armed-policy "
-          f"cost on a cold battery: {implied:.3f}% "
-          f"(budget {BEHAVIORAL_OVERHEAD_BUDGET_PCT:.1f}%)")
-    if implied > BEHAVIORAL_OVERHEAD_BUDGET_PCT:
-        print("  <-- OVER BUDGET")
-        return False
-    return True
-
-
-def _check_chaos_overhead() -> bool:
-    """Gate the chaos steady-state budget from CHAOS_OVERHEAD.json."""
-    if not CHAOS_OVERHEAD.exists():
-        return True  # bench deselected this run; nothing to check
-    try:
-        payload = json.loads(CHAOS_OVERHEAD.read_text())
-    except (ValueError, OSError):
-        print(f"warning: unreadable {CHAOS_OVERHEAD}")
-        return True
-    implied = payload.get("implied_overhead_pct")
-    if implied is None:
-        return True
-    print(f"\n== chaos overhead ==\n  implied armed-plan cost on the "
-          f"snapshot pipeline: {implied:.3f}% "
-          f"(budget {CHAOS_OVERHEAD_BUDGET_PCT:.1f}%)")
-    if implied > CHAOS_OVERHEAD_BUDGET_PCT:
-        print("  <-- OVER BUDGET")
-        return False
-    return True
 
 
 if __name__ == "__main__":

@@ -160,18 +160,10 @@ class Snapshot:
     #: snapshots assembled by hand); excluded from equality so healed
     #: snapshots compare equal to fault-free ones.
     error_budget: Optional[ErrorBudget] = field(default=None, compare=False)
-    #: Lazily-built O(1) index of www-variant-resolved records, so the
-    #: analysis layer's per-figure per-domain lookups stop probing
-    #: variant keys on every call.  Rebuilt whenever ``records`` grows
-    #: or shrinks; callers that replace records in place must call
-    #: :meth:`invalidate_index`.
-    _resolved: Optional[Dict[str, Optional[SiteRecord]]] = field(
-        default=None, repr=False, compare=False
-    )
-    _resolved_size: int = field(default=-1, repr=False, compare=False)
 
-    def _resolve(self, domain: str) -> Optional[SiteRecord]:
-        """Variant-probing lookup (the pre-index slow path)."""
+    def record_for(self, domain: str) -> Optional[SiteRecord]:
+        """The record for *domain*, trying "www." variants like the
+        paper's coverage-improvement step (Appendix B.1)."""
         record = self.records.get(domain)
         if record is not None and (record.ok or record.missing):
             return record
@@ -182,23 +174,6 @@ class Snapshot:
         if alt is not None and (alt.ok or alt.missing):
             return alt
         return record
-
-    def invalidate_index(self) -> None:
-        """Drop the variant index (call after mutating ``records``)."""
-        self._resolved = None
-        self._resolved_size = -1
-
-    def record_for(self, domain: str) -> Optional[SiteRecord]:
-        """The record for *domain*, trying "www." variants like the
-        paper's coverage-improvement step (Appendix B.1)."""
-        if self._resolved is None or self._resolved_size != len(self.records):
-            self._resolved = {d: self._resolve(d) for d in self.records}
-            self._resolved_size = len(self.records)
-        try:
-            return self._resolved[domain]
-        except KeyError:
-            # Domains never crawled still get the variant fallback.
-            return self._resolve(domain)
 
     def intern_bodies(self, pool: Dict[str, str]) -> None:
         """Deduplicate robots.txt bodies against a shared *pool*.
@@ -216,7 +191,6 @@ class Snapshot:
             canonical = pool.setdefault(text, text)
             if canonical is not text:
                 self.records[domain] = replace(record, robots_txt=canonical)
-        self.invalidate_index()
 
     def sites_with_robots(self) -> List[str]:
         """Domains with a successfully retrieved robots.txt."""
@@ -339,7 +313,6 @@ class SnapshotCrawler:
                     if record.error is not None:
                         still.append(domain)
                 errored = still
-            snap.invalidate_index()
         by_kind: Dict[str, int] = {}
         for domain in errored:
             error = snap.records[domain].error or "unknown"

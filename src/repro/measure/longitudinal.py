@@ -3,9 +3,9 @@
 Pipeline: take a web population, run the Common-Crawl-style snapshotter
 over the 15 snapshot specs (optionally in parallel -- each spec builds
 an independent network, so snapshots are embarrassingly parallel),
-filter to the Stable-with-robots set (the paper's "Stable Top 100K":
-ranked every month *and* a robots.txt in every snapshot), then compute
-the statistics behind Figures 2-4 and Tables 3-4:
+keep the Stable-with-robots set (the paper's "Stable Top 100K": ranked
+every month *and* a robots.txt in every snapshot), then compute the
+statistics behind Figures 2-4 and Tables 3-4:
 
 * per-snapshot % of sites fully disallowing >= 1 AI user agent, split
   by Top-5K tier (Figure 2),
@@ -15,12 +15,17 @@ the statistics behind Figures 2-4 and Tables 3-4:
   (Table 4),
 * snapshot coverage statistics (Table 3).
 
-Performance architecture: robots.txt bodies are interned across the
-series, every aggregation groups domains by **unique body** and
-classifies each (body, agent) problem exactly once through the series'
-content-addressed :class:`~repro.measure.cache.PolicyCache`, instead of
-re-parsing identical text per domain per snapshot per figure.  All
-outputs are bit-identical to the per-domain re-parsing formulation.
+One engine, two sources.  Every statistic is computed shard by shard
+over the :class:`~repro.web.archive.ShardReader` surface: an
+:class:`~repro.web.archive.ArchiveSet` supplies its on-disk shards, and
+an in-memory :class:`SnapshotSeries` presents itself as a one-shard
+archive (:class:`SeriesShard`).  :class:`ShardAnalysis` resolves each
+shard's records and applies the analysis-set rule; every figure is then
+a tally over ``(body ref, count)`` that classifies each distinct body
+once through a content-addressed
+:class:`~repro.measure.cache.PolicyCache` -- the series' own
+``series.cache``, or a shard-private cache per archive shard so
+streaming memory stays O(shard).
 """
 
 from __future__ import annotations
@@ -29,13 +34,13 @@ import multiprocessing
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..agents.darkvisitors import AI_USER_AGENT_TOKENS
 from ..core.classify import RestrictionLevel
+from ..core.compiled import CompiledPolicyCache
 from ..crawlers.commoncrawl import (
     SNAPSHOT_SPECS,
-    SiteRecord,
     Snapshot,
     SnapshotCrawler,
     SnapshotSpec,
@@ -50,7 +55,7 @@ from ..obs.metrics import metrics_enabled, shared_registry, snapshot_delta
 from ..obs.series import shared_series
 from ..obs.series import snapshot_delta as series_delta
 from ..obs.trace import adopt_current_span, current_span, span
-from ..web.archive import ShardWriter, merge_error_budgets
+from ..web.archive import ArchiveSet, ShardReader, ShardWriter
 from ..web.population import WebPopulation
 from ..web.sharding import (
     partition_domains,
@@ -62,10 +67,12 @@ from .cache import PolicyCache
 
 __all__ = [
     "SnapshotSeries",
+    "SeriesShard",
+    "ShardAnalysis",
     "collect_snapshots",
     "collect_shard_archives",
     "delta_fetch_plan",
-    "stable_with_robots",
+    "analysis_domains",
     "full_disallow_trend",
     "per_agent_trend",
     "allow_and_removal_trend",
@@ -85,6 +92,9 @@ FIGURE3_AGENTS = [
     "PerplexityBot",
 ]
 
+#: Either source the aggregations accept.
+Source = Union["SnapshotSeries", ArchiveSet]
+
 
 @dataclass
 class SnapshotSeries:
@@ -93,53 +103,80 @@ class SnapshotSeries:
     Attributes:
         snapshots: One :class:`Snapshot` per spec, in time order.
         stable_domains: Domains of the population's stable set.
-        analysis_domains: Stable domains with a robots.txt in *every*
-            snapshot -- the paper's Stable Top 100K analogue.
+        tiers: Per stable domain, its population tier (``"top5k"`` or
+            ``"other"``) -- the column an archive stores per site.
         cache: Content-addressed classification cache shared by every
             aggregation over this series.
+        analysis: The series viewed as a one-shard archive and resolved
+            by :class:`ShardAnalysis` (built once, at construction).
+        analysis_domains: Stable domains with a robots.txt in *every*
+            snapshot -- the paper's Stable Top 100K analogue.
     """
 
     snapshots: List[Snapshot]
     stable_domains: List[str]
-    analysis_domains: List[str]
+    tiers: List[str]
     cache: PolicyCache = field(default_factory=PolicyCache, repr=False, compare=False)
-    _body_rows: Dict[str, List[Optional[str]]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
+    analysis: "ShardAnalysis" = field(init=False, repr=False, compare=False)
+    analysis_domains: List[str] = field(init=False)
 
-    def robots_for(self, domain: str, snapshot: Snapshot) -> Optional[str]:
-        """robots.txt content for *domain* in *snapshot* (www fallback)."""
-        record = snapshot.record_for(domain)
-        if record is None or not record.ok:
-            return None
-        return record.robots_txt
+    def __post_init__(self) -> None:
+        self.analysis = ShardAnalysis(SeriesShard(self))
+        self.analysis_domains = analysis_domains(self)
 
-    def analysis_bodies(self, snapshot: Snapshot) -> List[Optional[str]]:
-        """Per-domain robots bodies aligned with ``analysis_domains``.
+    @property
+    def specs(self) -> List[SnapshotSpec]:
+        return self.analysis.reader.specs
 
-        Computed once per snapshot and memoized; bodies are interned, so
-        the row is a list of shared references, not text copies.
-        """
-        key = snapshot.spec.snapshot_id
-        row = self._body_rows.get(key)
-        if row is None:
-            row = [self.robots_for(d, snapshot) for d in self.analysis_domains]
-            self._body_rows[key] = row
-        return row
 
-    def analysis_body_counts(
-        self, snapshot: Snapshot
-    ) -> List[Tuple[Optional[str], int]]:
-        """``(unique body, domain count)`` groups over the analysis set.
+class SeriesShard:
+    """A :class:`SnapshotSeries` presented as a one-shard archive.
 
-        Aggregations that only need per-snapshot rates iterate these
-        groups instead of per-domain rows: each distinct body is then
-        classified once regardless of how many domains serve it.
-        """
-        counts: Dict[Optional[str], int] = {}
-        for body in self.analysis_bodies(snapshot):
-            counts[body] = counts.get(body, 0) + 1
-        return list(counts.items())
+    Offers the :class:`~repro.web.archive.ShardReader` surface the
+    aggregations read.  Rank is the stable-list position, the tier
+    column comes from the series, and body references index the
+    series' interned bodies, so each distinct body gets one reference.
+    """
+
+    def __init__(self, series: SnapshotSeries):
+        self.domains = series.stable_domains
+        self.n_domains = len(self.domains)
+        self.ranks = range(self.n_domains)
+        self.tiers = bytes(tier == "top5k" for tier in series.tiers)
+        self.specs = [snapshot.spec for snapshot in series.snapshots]
+        self._bodies: List[str] = []
+        self._statuses: List[List[int]] = []
+        self._body_refs: List[List[int]] = []
+        refs: Dict[str, int] = {}
+        for snapshot in series.snapshots:
+            statuses: List[int] = []
+            body_refs: List[int] = []
+            for domain in self.domains:
+                record = snapshot.records.get(domain)
+                text = None if record is None else record.robots_txt
+                statuses.append(0 if record is None else record.status)
+                if text is None:
+                    body_refs.append(-1)
+                    continue
+                ref = refs.get(text)
+                if ref is None:
+                    ref = refs[text] = len(self._bodies)
+                    self._bodies.append(text)
+                body_refs.append(ref)
+            self._statuses.append(statuses)
+            self._body_refs.append(body_refs)
+
+    def statuses(self, spec_index: int) -> List[int]:
+        return self._statuses[spec_index]
+
+    def body_refs(self, spec_index: int) -> List[int]:
+        return self._body_refs[spec_index]
+
+    def body_text(self, ref: int) -> str:
+        return self._bodies[ref]
+
+    def domain_index(self) -> Dict[str, int]:
+        return {domain: i for i, domain in enumerate(self.domains)}
 
 
 def delta_fetch_plan(
@@ -212,8 +249,6 @@ def collect_snapshots(
     specs: Sequence[SnapshotSpec] = tuple(SNAPSHOT_SPECS),
     workers: Optional[int] = None,
     delta: Optional[bool] = None,
-    shards: Optional[int] = None,
-    mode: str = "auto",
 ) -> SnapshotSeries:
     """Run the snapshot crawler over the population's stable set.
 
@@ -234,22 +269,10 @@ def collect_snapshots(
             :class:`~repro.net.chaos.FaultPlan` forces a full crawl even
             when ``delta=True``, because injected faults break the
             purity argument that makes carry-forward safe.
-        shards: Switch to shard-partitioned collection: sites are
-            partitioned by :func:`repro.web.sharding.shard_of` and each
-            worker crawls *every* spec for one shard (``0`` sizes the
-            shard count automatically, ``None`` keeps the classic
-            spec-parallel path).  Every record is a pure function of
-            ``(site, month)``, so any shards x workers x mode
-            combination assembles a byte-identical series.
-        mode: Sharded execution mode (``"auto"``/``"serial"``/
-            ``"thread"``/``"process"``); ignored on the classic path.
+
+    For the shard-partitioned crawl, see :func:`collect_shard_archives`.
     """
     specs = list(specs)
-    if shards is not None:
-        return _collect_sharded(
-            population, specs, workers=workers, delta=delta,
-            shards=shards, mode=mode,
-        )
     domains = [site.domain for site in population.stable]
     use_delta = _use_delta(specs, delta)
     plan = (
@@ -331,17 +354,17 @@ def collect_snapshots(
     for snapshot in snapshots:
         snapshot.intern_bodies(body_pool)
 
-    analysis = stable_with_robots(snapshots, domains)
     return SnapshotSeries(
-        snapshots=snapshots, stable_domains=domains, analysis_domains=analysis
+        snapshots=snapshots,
+        stable_domains=domains,
+        tiers=[site.tier for site in population.stable],
     )
 
 
-#: Ambient state for sharded collection workers: ``(population, specs,
-#: parts, use_delta, ship_telemetry, keep_records, archive)`` where
-#: *archive* is ``None`` or ``(root, n_shards, config_digest)``.  Set by
-#: :func:`_run_shard_collection` before a fork pool spawns so children
-#: inherit the population instead of re-pickling it per shard.
+#: Ambient state for shard-archive collection workers: ``(population,
+#: specs, parts, use_delta, ship_telemetry, root, config_digest)``.  Set
+#: by :func:`collect_shard_archives` before a fork pool spawns so
+#: children inherit the population instead of re-pickling it per shard.
 _COLLECT_CONTEXT: Optional[tuple] = None
 
 
@@ -353,7 +376,7 @@ def _crawl_shard(
 ) -> List[Snapshot]:
     """Crawl every spec for one shard's sites (full per-shard snapshots).
 
-    The engine is the classic collection loop restricted to a site
+    The engine is :func:`collect_snapshots`' loop restricted to a site
     subset: per-spec fetch plan, a fresh :class:`Network` per spec,
     shard-local carry-forward.  Because every record is a pure function
     of ``(site, month)`` -- chaos faults included, they key on
@@ -397,17 +420,16 @@ def _crawl_shard(
 
 
 def _collect_shard(index: int):
-    """Worker entry: crawl shard *index* against the ambient context.
+    """Worker entry: crawl shard *index* and commit its archive directory.
 
-    Returns ``(snapshots_or_budgets, metrics_delta, series_delta,
-    log_delta)``.  In process mode the worker ships its telemetry and
-    wide-event deltas (the fork child's registry and log sink are
-    copies); with ``keep_records=False`` (archive mode) only the
-    per-spec error budgets travel back, not the records.
+    Returns ``(metrics_delta, series_delta, log_delta)``.  Only process
+    mode fills them in: the fork child's registry and log sink are
+    copies, while serial and thread workers write straight into the
+    parent's.
     """
     context = _COLLECT_CONTEXT
     assert context is not None, "sharded collection must set the context"
-    population, specs, parts, use_delta, ship, keep_records, archive = context
+    population, specs, parts, use_delta, ship, root, config_digest = context
     registry = shared_registry()
     series = shared_series()
     sink = active_log_sink()
@@ -415,56 +437,58 @@ def _collect_shard(index: int):
         before = registry.snapshot()
         series_before = series.snapshot()
         sink_marks = sink.marks() if sink is not None else None
+    sites = parts[index]
     # One wide-event stream per shard: the shard crawls all specs
     # sequentially in one worker, so the stream is single-writer.
     with log_stream(f"collect-shard:{index:04d}"):
-        snapshots = _crawl_shard(population, specs, parts[index], use_delta)
-    if archive is not None:
-        root, n_shards, config_digest = archive
-        sites = parts[index]
-        writer = ShardWriter(root, index, n_shards, config_digest)
-        writer.set_sites(
-            [site.domain for site in sites],
-            [site.rank for site in sites],
-            [site.tier for site in sites],
-        )
-        for snapshot in snapshots:
-            writer.add_snapshot(
-                snapshot.spec, snapshot.records, snapshot.error_budget
-            )
-        writer.commit()
-    payload = (
-        snapshots
-        if keep_records
-        else [snapshot.error_budget for snapshot in snapshots]
+        snapshots = _crawl_shard(population, specs, sites, use_delta)
+    writer = ShardWriter(root, index, len(parts), config_digest)
+    writer.set_sites(
+        [site.domain for site in sites],
+        [site.rank for site in sites],
+        [site.tier for site in sites],
     )
+    for snapshot in snapshots:
+        writer.add_snapshot(snapshot.spec, snapshot.records, snapshot.error_budget)
+    writer.commit()
     if not ship:
-        return payload, None, None, None
+        return None, None, None
     return (
-        payload,
         snapshot_delta(registry.snapshot(), before),
         series_delta(series.snapshot(), series_before),
         sink.delta(sink_marks) if sink_marks is not None else None,
     )
 
 
-def _run_shard_collection(
+def collect_shard_archives(
     population: WebPopulation,
-    specs: List[SnapshotSpec],
-    shards: int,
-    workers: Optional[int],
-    mode: str,
-    delta: Optional[bool],
-    keep_records: bool,
-    archive: Optional[Tuple[str, int, str]] = None,
-) -> Tuple[List[object], List[List["SimSite"]]]:
-    """Fan the shard crawl out and fold telemetry back in.
+    root: Union[str, Path],
+    specs: Sequence[SnapshotSpec] = tuple(SNAPSHOT_SPECS),
+    shards: int = 0,
+    workers: Optional[int] = None,
+    mode: str = "auto",
+    delta: Optional[bool] = None,
+    config_digest: str = "",
+) -> Path:
+    """Crawl the population straight into a columnar shard archive.
 
-    Returns each shard's payload (snapshots or budgets, shard order)
-    plus the partition itself, which the caller needs to map domains
-    back to shards.
+    Sites are partitioned by :func:`repro.web.sharding.shard_of`; each
+    worker crawls *every* spec for one shard (``shards=0`` sizes the
+    shard count automatically) and commits a
+    :class:`~repro.web.archive.ShardWriter` directory under *root*.
+    Records never accumulate in the parent, so peak memory is
+    O(largest shard) regardless of population size.  Every record is a
+    pure function of ``(site, month)``, so any shards x workers x mode
+    combination archives the records an unsharded
+    :func:`collect_snapshots` crawls.  The aggregations in this module
+    then consume the archive shard by shard.
+
+    Returns *root*; open the result with
+    :class:`repro.web.archive.ArchiveSet`.
     """
     global _COLLECT_CONTEXT
+    root = Path(root)
+    specs = list(specs)
     sites = list(population.stable)
     n_workers = max(1, workers or 1)
     n_shards = shard_count_for(len(sites), shards if shards > 0 else None)
@@ -474,11 +498,9 @@ def _run_shard_collection(
     record_shard_balance(parts, stage="collect")
     resolved = resolve_shard_mode(mode, min(n_workers, n_shards))
     use_delta = _use_delta(specs, delta)
-    if archive is not None:
-        archive = (archive[0], n_shards, archive[2])
     _COLLECT_CONTEXT = (
         population, specs, parts, use_delta,
-        resolved == "process", keep_records, archive,
+        resolved == "process", root, config_digest,
     )
     try:
         indices = range(n_shards)
@@ -510,201 +532,263 @@ def _run_shard_collection(
     registry = shared_registry()
     series = shared_series()
     sink = active_log_sink()
-    payloads: List[object] = []
-    for payload, delta_snapshot, sdelta, log_delta in outputs:
+    for delta_snapshot, sdelta, log_delta in outputs:
         if delta_snapshot is not None:
             registry.merge(delta_snapshot)
         if sdelta is not None:
             series.merge(sdelta)
         if log_delta is not None and sink is not None:
             sink.merge(log_delta)
-        payloads.append(payload)
-    return payloads, parts
-
-
-def _collect_sharded(
-    population: WebPopulation,
-    specs: List[SnapshotSpec],
-    workers: Optional[int],
-    delta: Optional[bool],
-    shards: int,
-    mode: str,
-) -> SnapshotSeries:
-    """Shard-partitioned in-memory collection (bit-identical assembly)."""
-    domains = [site.domain for site in population.stable]
-    shard_snapshots, _ = _run_shard_collection(
-        population, specs, shards=shards, workers=workers, mode=mode,
-        delta=delta, keep_records=True,
-    )
-    snapshots: List[Snapshot] = []
-    for spec_index, spec in enumerate(specs):
-        combined: Dict[str, SiteRecord] = {}
-        budgets = []
-        for per_shard in shard_snapshots:
-            shard_snapshot = per_shard[spec_index]
-            combined.update(shard_snapshot.records)
-            budgets.append(shard_snapshot.error_budget)
-        # Lay records down in canonical stable order so iteration
-        # matches an unsharded crawl exactly.
-        snapshots.append(
-            Snapshot(
-                spec=spec,
-                records={domain: combined[domain] for domain in domains},
-                error_budget=merge_error_budgets(budgets),
-            )
-        )
-    body_pool: Dict[str, str] = {}
-    for snapshot in snapshots:
-        snapshot.intern_bodies(body_pool)
-    analysis = stable_with_robots(snapshots, domains)
-    return SnapshotSeries(
-        snapshots=snapshots, stable_domains=domains, analysis_domains=analysis
-    )
-
-
-def collect_shard_archives(
-    population: WebPopulation,
-    root: Union[str, Path],
-    specs: Sequence[SnapshotSpec] = tuple(SNAPSHOT_SPECS),
-    shards: int = 0,
-    workers: Optional[int] = None,
-    mode: str = "auto",
-    delta: Optional[bool] = None,
-    config_digest: str = "",
-) -> Path:
-    """Crawl the population straight into a columnar shard archive.
-
-    The write-only twin of sharded :func:`collect_snapshots`: each
-    worker crawls its shard and commits a
-    :class:`~repro.web.archive.ShardWriter` directory under *root*;
-    records never accumulate in the parent, so peak memory is
-    O(largest shard) regardless of population size.  Streaming
-    aggregations (:mod:`repro.measure.streaming`) then consume the
-    archive shard by shard.
-
-    Returns *root*; open the result with
-    :class:`repro.web.archive.ArchiveSet`.
-    """
-    root = Path(root)
-    _run_shard_collection(
-        population, list(specs), shards=shards, workers=workers, mode=mode,
-        delta=delta, keep_records=False,
-        archive=(str(root), 0, config_digest),
-    )
     return root
 
 
-def stable_with_robots(
-    snapshots: Sequence[Snapshot], domains: Sequence[str]
-) -> List[str]:
-    """Domains with a successfully fetched robots.txt in every snapshot."""
-    keep: List[str] = []
-    for domain in domains:
-        ok_everywhere = True
-        for snapshot in snapshots:
-            record = snapshot.record_for(domain)
-            if record is None or not record.ok:
-                ok_everywhere = False
-                break
-        if ok_everywhere:
-            keep.append(domain)
-    return keep
+class ShardAnalysis:
+    """One shard's records resolved the way the analysis layer sees them.
+
+    Applies the "www."-variant record fallback (Appendix B.1) to every
+    ``(spec, domain)`` cell -- variants co-shard by construction
+    (:func:`repro.web.sharding.shard_of` normalizes the host), so
+    resolution never leaves the shard -- then splits the shard's rows
+    into the analysis set (a usable robots.txt in every spec, the
+    stable-with-robots rule) and the rest.  This is the only place the
+    analysis-set rule lives.
+
+    Attributes:
+        reader: The underlying :class:`ShardReader` or
+            :class:`SeriesShard`.
+        analysis_rows: Shard-local row indices in the analysis set.
+        eff_bodies: Per spec, the effective body reference per analysis
+            row (resolution applied; always ``>= 0`` for analysis rows).
+        ok_counts: Per spec, resolved rows with a fetched robots.txt.
+        present_counts: Per spec, resolved rows that are ok *or*
+            affirmatively missing (404) -- Table 3's "sites" column.
+    """
+
+    def __init__(self, reader: Union[ShardReader, SeriesShard]):
+        self.reader = reader
+        n = reader.n_domains
+        specs = reader.specs
+        variant = self._variant_rows(reader)
+        per_spec_eff: List[List[int]] = []
+        self.ok_counts: List[int] = []
+        self.present_counts: List[int] = []
+        analysis_mask = [True] * n
+        for spec_index in range(len(specs)):
+            statuses = reader.statuses(spec_index)
+            body_refs = reader.body_refs(spec_index)
+
+            def usable(row: int) -> bool:
+                status = statuses[row]
+                return (status == 200 and body_refs[row] >= 0) or status == 404
+
+            effective: List[int] = []
+            ok_count = 0
+            present = 0
+            for row in range(n):
+                resolved = row
+                if not usable(row):
+                    alt = variant[row]
+                    if alt >= 0 and usable(alt):
+                        resolved = alt
+                effective.append(
+                    body_refs[resolved] if statuses[resolved] == 200 else -1
+                )
+                if statuses[resolved] == 200 and body_refs[resolved] >= 0:
+                    ok_count += 1
+                    present += 1
+                elif statuses[resolved] == 404:
+                    present += 1
+                    analysis_mask[row] = False
+                else:
+                    analysis_mask[row] = False
+            per_spec_eff.append(effective)
+            self.ok_counts.append(ok_count)
+            self.present_counts.append(present)
+        self.analysis_rows: List[int] = [
+            row for row in range(n) if analysis_mask[row]
+        ]
+        self.eff_bodies: List[List[int]] = [
+            [effective[row] for row in self.analysis_rows]
+            for effective in per_spec_eff
+        ]
+
+    @staticmethod
+    def _variant_rows(reader: Union[ShardReader, SeriesShard]) -> List[int]:
+        """Per row, the shard-local row of its "www." variant (-1: none)."""
+        index = reader.domain_index()
+        variant: List[int] = []
+        for domain in reader.domains:
+            if domain.startswith("www."):
+                alt = index.get(domain[4:], -1)
+            else:
+                alt = index.get("www." + domain, -1)
+            variant.append(alt)
+        return variant
+
+    def body_counts(self, spec_index: int) -> Dict[int, int]:
+        """``{body ref: analysis domains serving it}`` for one spec."""
+        counts: Dict[int, int] = {}
+        for ref in self.eff_bodies[spec_index]:
+            counts[ref] = counts.get(ref, 0) + 1
+        return counts
+
+
+def _shards(
+    source: Source, store=None
+) -> Iterator[Tuple[ShardAnalysis, PolicyCache]]:
+    """Each shard of *source* with the cache that classifies its bodies.
+
+    A series is one shard classified through ``series.cache`` (the
+    process-shared compiled cache, with whatever store the caller
+    attached); *store* applies to archive sources only, and passing one
+    with a series raises :class:`ValueError` -- attach it through
+    ``series.cache.attach_store`` instead.  An archive yields its shards
+    in order, each with a shard-private cache, NOT the process-shared
+    one: the shared cache is content-addressed over every body it ever
+    sees, which would grow resident compiled policies (and their source
+    text) with the archive, not the shard.
+    Dropping the cache and the reader's decoded bodies after each shard
+    is what keeps streaming memory O(shard); *store* (an
+    :class:`~repro.web.archive.ArchiveBodyStore` or
+    :class:`~repro.measure.incremental.IncrementalStore`) carries body
+    verdicts across shards and runs.
+    """
+    if isinstance(source, SnapshotSeries):
+        if store is not None:
+            raise ValueError("attach a store to a series via series.cache")
+        yield source.analysis, source.cache
+        return
+    for reader in source.readers:
+        cache = PolicyCache(compiled=CompiledPolicyCache())
+        if store is not None:
+            cache.attach_store(store)
+        yield ShardAnalysis(reader), cache
+        reader.drop_body_cache()
+
+
+def analysis_domains(source: Source) -> List[str]:
+    """The analysis set (the stable-with-robots rule applied by
+    :class:`ShardAnalysis`) in global rank order."""
+    found: List[Tuple[int, str]] = []
+    for view, _ in _shards(source):
+        reader = view.reader
+        found.extend(
+            (reader.ranks[row], reader.domains[row]) for row in view.analysis_rows
+        )
+    found.sort()
+    return [domain for _, domain in found]
 
 
 def full_disallow_trend(
-    series: SnapshotSeries,
-    top5k_domains: Set[str],
+    source: Source,
     agents: Sequence[str] = tuple(AI_USER_AGENT_TOKENS),
     require_explicit: bool = True,
+    store=None,
 ) -> List[Tuple[str, float, float]]:
-    """Figure 2: % of sites fully disallowing >= 1 AI UA per snapshot.
+    """Figure 2: % of sites fully disallowing >= 1 AI UA per snapshot,
+    split by the source's Top-5K tier column.
 
     Returns rows ``(snapshot_id, pct_top5k, pct_other)`` in time order,
     percentages in [0, 100].
     """
-    in_top = [d in top5k_domains for d in series.analysis_domains]
-    n_top = sum(in_top)
-    n_other = len(series.analysis_domains) - n_top
-    cache = series.cache
-    rows: List[Tuple[str, float, float]] = []
-    with span(
-        "measure.full_disallow_trend",
-        n_sites=len(series.analysis_domains),
-        n_agents=len(agents),
-    ):
-        for snapshot in series.snapshots:
-            # Group domains by unique body within each tier, then
-            # classify each distinct body once.
-            tier_counts: Tuple[Dict[Optional[str], int], Dict[Optional[str], int]] = (
-                {},
-                {},
-            )
-            for body, is_top in zip(series.analysis_bodies(snapshot), in_top):
-                counts = tier_counts[0] if is_top else tier_counts[1]
-                counts[body] = counts.get(body, 0) + 1
-
-            def tier_hits(counts: Dict[Optional[str], int]) -> int:
-                return sum(
-                    count
-                    for body, count in counts.items()
-                    if body is not None
-                    and cache.fully_disallows_any(
-                        body, agents, require_explicit=require_explicit
+    specs = source.specs
+    agents = tuple(agents)
+    hits = [[0, 0] for _ in specs]
+    sizes = [0, 0]
+    with span("measure.full_disallow_trend", n_agents=len(agents)):
+        for view, cache in _shards(source, store):
+            reader = view.reader
+            tier_of = [0 if reader.tiers[row] else 1 for row in view.analysis_rows]
+            for row_tier in tier_of:
+                sizes[row_tier] += 1
+            verdict: Dict[int, bool] = {}
+            for spec_index in range(len(specs)):
+                shard_hits = [0, 0]
+                for ref, row_tier in zip(view.eff_bodies[spec_index], tier_of):
+                    flag = verdict.get(ref)
+                    if flag is None:
+                        flag = cache.fully_disallows_any(
+                            reader.body_text(ref),
+                            agents,
+                            require_explicit=require_explicit,
+                        )
+                        verdict[ref] = flag
+                    if flag:
+                        shard_hits[row_tier] += 1
+                hits[spec_index][0] += shard_hits[0]
+                hits[spec_index][1] += shard_hits[1]
+                if metrics_enabled():
+                    month = specs[spec_index].month_index
+                    registry = shared_series()
+                    registry.add(
+                        "measure.sites_full_disallow", month, shard_hits[0],
+                        tier="top5k",
                     )
-                )
-
-            hits_top = tier_hits(tier_counts[0])
-            hits_other = tier_hits(tier_counts[1])
-            if metrics_enabled():
-                month = snapshot.spec.month_index
-                series_registry = shared_series()
-                series_registry.add(
-                    "measure.sites_full_disallow", month, hits_top, tier="top5k"
-                )
-                series_registry.add(
-                    "measure.sites_full_disallow", month, hits_other, tier="other"
-                )
-            rows.append(
-                (
-                    snapshot.spec.snapshot_id,
-                    100.0 * hits_top / n_top if n_top else 0.0,
-                    100.0 * hits_other / n_other if n_other else 0.0,
-                )
-            )
-    return rows
+                    registry.add(
+                        "measure.sites_full_disallow", month, shard_hits[1],
+                        tier="other",
+                    )
+    n_top, n_other = sizes
+    return [
+        (
+            spec.snapshot_id,
+            100.0 * hits[spec_index][0] / n_top if n_top else 0.0,
+            100.0 * hits[spec_index][1] / n_other if n_other else 0.0,
+        )
+        for spec_index, spec in enumerate(specs)
+    ]
 
 
 def per_agent_trend(
-    series: SnapshotSeries,
+    source: Source,
     agents: Sequence[str] = tuple(FIGURE3_AGENTS),
+    store=None,
 ) -> Dict[str, List[Tuple[str, float]]]:
     """Figure 3: per-agent % of sites partially or fully disallowing.
 
     Returns, per agent, rows ``(snapshot_id, pct)`` over the analysis
     set.
     """
-    out: Dict[str, List[Tuple[str, float]]] = {agent: [] for agent in agents}
-    population = series.analysis_domains
-    cache = series.cache
-    for snapshot in series.snapshots:
-        groups = series.analysis_body_counts(snapshot)
-        for agent in agents:
-            hits = 0
-            for body, count in groups:
-                if body is None:
-                    continue
-                if cache.classification(body, agent).level.disallows:
-                    hits += count
-            if metrics_enabled():
-                shared_series().add(
-                    "measure.sites_disallowing",
-                    snapshot.spec.month_index,
-                    hits,
-                    agent=agent,
-                )
-            pct = 100.0 * hits / len(population) if population else 0.0
-            out[agent].append((snapshot.spec.snapshot_id, pct))
-    return out
+    specs = source.specs
+    agents = list(agents)
+    hits = {agent: [0] * len(specs) for agent in agents}
+    n_analysis = 0
+    for view, cache in _shards(source, store):
+        reader = view.reader
+        n_analysis += len(view.analysis_rows)
+        verdict: Dict[Tuple[int, str], bool] = {}
+        for spec_index in range(len(specs)):
+            counts = view.body_counts(spec_index)
+            for agent in agents:
+                agent_hits = 0
+                for ref, count in counts.items():
+                    key = (ref, agent)
+                    flag = verdict.get(key)
+                    if flag is None:
+                        flag = cache.classification(
+                            reader.body_text(ref), agent
+                        ).level.disallows
+                        verdict[key] = flag
+                    if flag:
+                        agent_hits += count
+                hits[agent][spec_index] += agent_hits
+                if metrics_enabled():
+                    shared_series().add(
+                        "measure.sites_disallowing",
+                        specs[spec_index].month_index,
+                        agent_hits,
+                        agent=agent,
+                    )
+    return {
+        agent: [
+            (
+                spec.snapshot_id,
+                100.0 * hits[agent][spec_index] / n_analysis if n_analysis else 0.0,
+            )
+            for spec_index, spec in enumerate(specs)
+        ]
+        for agent in agents
+    }
 
 
 @dataclass
@@ -727,88 +811,105 @@ class AllowRemovalTrend:
 
 
 def allow_and_removal_trend(
-    series: SnapshotSeries,
+    source: Source,
     agents: Sequence[str] = tuple(AI_USER_AGENT_TOKENS),
     removal_agent: str = "GPTBot",
+    store=None,
 ) -> AllowRemovalTrend:
-    """Figure 4: explicit allows over time and removals per period."""
-    trend = AllowRemovalTrend()
-    cache = series.cache
+    """Figure 4: explicit allows over time, removals per period, and
+    removal domains in first-observed order."""
+    specs = source.specs
+    agents = tuple(agents)
+    allow_counts = [0] * len(specs)
+    removal_counts = [0] * len(specs)
+    #: ``(first spec index with a removal, global rank, domain)``.
+    removal_events: List[Tuple[int, int, str]] = []
+    for view, cache in _shards(source, store):
+        reader = view.reader
+        allow_verdict: Dict[int, bool] = {}
+        full_verdict: Dict[int, bool] = {}
 
-    previous_restricted: Set[str] = set()
-    first = True
-    for snapshot in series.snapshots:
-        allows = 0
-        restricted_now: Set[str] = set()
-        removed_now = 0
-        # Counting passes run over unique bodies; the restricted *set*
-        # needs domain identities, so it walks the aligned body row.
-        # Bodies repeat across snapshots (most sites never change), so
-        # the any-agent sweep memoizes per distinct body inside the
-        # series' cache -- persistently, when a store is attached.
-        for body, count in series.analysis_body_counts(snapshot):
-            if body is None:
-                continue
-            if cache.allows_any(body, agents):
-                allows += count
-        bodies = series.analysis_bodies(snapshot)
-        for domain, body in zip(series.analysis_domains, bodies):
-            if body is None:
-                continue
-            if cache.classification(body, removal_agent).level is RestrictionLevel.FULL:
-                restricted_now.add(domain)
-        if not first:
-            for domain in series.analysis_domains:
-                if domain in previous_restricted and domain not in restricted_now:
-                    removed_now += 1
-                    trend.removal_domains.setdefault(
-                        domain, snapshot.spec.snapshot_id
-                    )
-        trend.explicit_allow_counts.append((snapshot.spec.snapshot_id, allows))
-        trend.removals_per_period.append(
-            (snapshot.spec.snapshot_id, 0 if first else removed_now)
+        def is_full(ref: int) -> bool:
+            flag = full_verdict.get(ref)
+            if flag is None:
+                flag = (
+                    cache.classification(reader.body_text(ref), removal_agent).level
+                    is RestrictionLevel.FULL
+                )
+                full_verdict[ref] = flag
+            return flag
+
+        previous_restricted: Optional[List[bool]] = None
+        first_removal: Dict[int, int] = {}
+        for spec_index in range(len(specs)):
+            for ref, count in view.body_counts(spec_index).items():
+                flag = allow_verdict.get(ref)
+                if flag is None:
+                    flag = cache.allows_any(reader.body_text(ref), agents)
+                    allow_verdict[ref] = flag
+                if flag:
+                    allow_counts[spec_index] += count
+            restricted_now = [is_full(ref) for ref in view.eff_bodies[spec_index]]
+            if previous_restricted is not None:
+                for position, row in enumerate(view.analysis_rows):
+                    if previous_restricted[position] and not restricted_now[position]:
+                        removal_counts[spec_index] += 1
+                        first_removal.setdefault(row, spec_index)
+            previous_restricted = restricted_now
+        removal_events.extend(
+            (spec_index, reader.ranks[row], reader.domains[row])
+            for row, spec_index in first_removal.items()
         )
-        previous_restricted = restricted_now
-        first = False
+    trend = AllowRemovalTrend()
+    for spec_index, spec in enumerate(specs):
+        trend.explicit_allow_counts.append((spec.snapshot_id, allow_counts[spec_index]))
+        trend.removals_per_period.append((spec.snapshot_id, removal_counts[spec_index]))
+    # Removal domains render snapshot-outer / rank-inner; sorting the
+    # shard-local events on (spec, rank) gives that insertion order.
+    removal_events.sort()
+    for spec_index, _, domain in removal_events:
+        trend.removal_domains.setdefault(domain, specs[spec_index].snapshot_id)
     return trend
 
 
 def first_allow_table(
-    series: SnapshotSeries, agent: str = "GPTBot"
+    source: Source, agent: str = "GPTBot", store=None
 ) -> List[Tuple[str, str]]:
     """Table 4: domains explicitly allowing *agent*, with the first
-    snapshot where the allow was observed."""
-    rows: List[Tuple[str, str]] = []
-    seen: Set[str] = set()
-    cache = series.cache
-    for snapshot in series.snapshots:
-        bodies = series.analysis_bodies(snapshot)
-        for domain, body in zip(series.analysis_domains, bodies):
-            if domain in seen:
-                continue
-            if body is not None and cache.explicitly_allows(body, agent):
-                rows.append((domain, snapshot.spec.snapshot_id))
-                seen.add(domain)
-    return rows
+    snapshot where the allow was observed (snapshot-outer, rank-inner
+    order)."""
+    specs = source.specs
+    events: List[Tuple[int, int, str]] = []
+    for view, cache in _shards(source, store):
+        reader = view.reader
+        verdict: Dict[int, bool] = {}
+        for position, row in enumerate(view.analysis_rows):
+            for spec_index in range(len(specs)):
+                ref = view.eff_bodies[spec_index][position]
+                flag = verdict.get(ref)
+                if flag is None:
+                    flag = cache.explicitly_allows(reader.body_text(ref), agent)
+                    verdict[ref] = flag
+                if flag:
+                    events.append((spec_index, reader.ranks[row], reader.domains[row]))
+                    break
+    events.sort()
+    return [(domain, specs[spec_index].snapshot_id) for spec_index, _, domain in events]
 
 
-def snapshot_coverage_table(series: SnapshotSeries) -> List[Tuple[str, str, int, int]]:
+def snapshot_coverage_table(source: Source) -> List[Tuple[str, str, int, int]]:
     """Table 3: per snapshot, sites present and sites with robots.txt.
 
     Returns rows ``(snapshot_id, label, n_sites, n_with_robots)``.
     """
-    rows = []
-    for snapshot in series.snapshots:
-        n_sites = sum(
-            1
-            for domain in series.stable_domains
-            if (record := snapshot.record_for(domain)) is not None
-            and (record.ok or record.missing)
-        )
-        n_robots = sum(
-            1
-            for domain in series.stable_domains
-            if (record := snapshot.record_for(domain)) is not None and record.ok
-        )
-        rows.append((snapshot.spec.snapshot_id, snapshot.spec.label, n_sites, n_robots))
-    return rows
+    specs = source.specs
+    n_sites = [0] * len(specs)
+    n_robots = [0] * len(specs)
+    for view, _ in _shards(source):
+        for spec_index in range(len(specs)):
+            n_sites[spec_index] += view.present_counts[spec_index]
+            n_robots[spec_index] += view.ok_counts[spec_index]
+    return [
+        (spec.snapshot_id, spec.label, n_sites[spec_index], n_robots[spec_index])
+        for spec_index, spec in enumerate(specs)
+    ]

@@ -47,7 +47,9 @@ from ..measure.cache import PolicyCache
 from ..measure.longitudinal import (
     FIGURE3_AGENTS,
     SnapshotSeries,
+    Source,
     allow_and_removal_trend,
+    analysis_domains,
     collect_snapshots,
     first_allow_table,
     full_disallow_trend,
@@ -238,8 +240,20 @@ def build_longitudinal_bundle(
     return LongitudinalBundle(population=population, series=series)
 
 
-def _figure2_result(rows, n_analysis: int) -> ExperimentResult:
-    """Render Figure 2 from its trend rows (shared by both backends)."""
+def run_figure2(
+    source: Source, require_explicit: bool = True, store=None
+) -> ExperimentResult:
+    """Figure 2: % fully disallowing >= 1 AI UA, Top-5K vs the rest.
+
+    *source* is a bundle's :class:`SnapshotSeries` or an open
+    :class:`~repro.web.archive.ArchiveSet`; both render identically
+    for the same world.  *store* backs an archive's shard caches with
+    persistent per-body facts; a series takes its store through
+    ``series.cache.attach_store`` instead.
+    """
+    rows = full_disallow_trend(
+        source, require_explicit=require_explicit, store=store
+    )
     series = {
         "top5k": [(sid, pct) for sid, pct, _ in rows],
         "other": [(sid, pct) for sid, _, pct in rows],
@@ -259,22 +273,15 @@ def _figure2_result(rows, n_analysis: int) -> ExperimentResult:
         "final_top5k_pct": rows[-1][1],
         "final_other_pct": rows[-1][2],
         "initial_other_pct": rows[0][2],
-        "n_analysis_sites": float(n_analysis),
+        "n_analysis_sites": float(len(analysis_domains(source))),
     }
     return ExperimentResult("figure2", "Full-disallow trend (Figure 2)", text, metrics)
 
 
-def run_figure2(bundle: LongitudinalBundle, require_explicit: bool = True) -> ExperimentResult:
-    """Figure 2: % fully disallowing >= 1 AI UA, Top-5K vs the rest."""
-    top5k = {s.domain for s in bundle.population.stable_top5k}
-    rows = full_disallow_trend(
-        bundle.series, top5k, require_explicit=require_explicit
-    )
-    return _figure2_result(rows, len(bundle.series.analysis_domains))
-
-
-def _figure3_result(trends) -> ExperimentResult:
-    """Render Figure 3 from its per-agent trends."""
+def run_figure3(source: Source, store=None) -> ExperimentResult:
+    """Figure 3: per-agent partial-or-full disallow trend (*source* and
+    *store* as in :func:`run_figure2`)."""
+    trends = per_agent_trend(source, store=store)
     series = {agent: list(points) for agent, points in trends.items()}
     snapshot_ids = [sid for sid, _ in next(iter(series.values()))]
     rows = []
@@ -295,13 +302,11 @@ def _figure3_result(trends) -> ExperimentResult:
     return ExperimentResult("figure3", "Per-agent disallow trend (Figure 3)", text, metrics)
 
 
-def run_figure3(bundle: LongitudinalBundle) -> ExperimentResult:
-    """Figure 3: per-agent partial-or-full disallow trend."""
-    return _figure3_result(per_agent_trend(bundle.series))
-
-
-def _figure4_result(trend, table4, n_analysis: int) -> ExperimentResult:
-    """Render Figure 4 + Table 4 from the trend and first-allow rows."""
+def run_figure4(source: Source, store=None) -> ExperimentResult:
+    """Figure 4 + Table 4: explicit allows, removals, first-allow list
+    (*source* and *store* as in :func:`run_figure2`)."""
+    trend = allow_and_removal_trend(source, store=store)
+    table4 = first_allow_table(source, store=store)
     series = {
         "explicit_allows": [(sid, float(n)) for sid, n in trend.explicit_allow_counts],
         "removals": [(sid, float(n)) for sid, n in trend.removals_per_period],
@@ -329,7 +334,7 @@ def _figure4_result(trend, table4, n_analysis: int) -> ExperimentResult:
     total_removals = sum(n for _, n in trend.removals_per_period)
     # Normalize by the analysis population (the paper's 484 removers and
     # 79 allowers are counts over its 40,455 analysis sites).
-    n_analysis = max(n_analysis, 1)
+    n_analysis = max(len(analysis_domains(source)), 1)
     metrics = {
         "final_explicit_allows": float(trend.explicit_allow_counts[-1][1]),
         "total_removals": float(total_removals),
@@ -340,15 +345,10 @@ def _figure4_result(trend, table4, n_analysis: int) -> ExperimentResult:
     return ExperimentResult("figure4", "Explicit allows & removals (Figure 4, Table 4)", text, metrics)
 
 
-def run_figure4(bundle: LongitudinalBundle) -> ExperimentResult:
-    """Figure 4 + Table 4: explicit allows, removals, first-allow list."""
-    trend = allow_and_removal_trend(bundle.series)
-    table4 = first_allow_table(bundle.series)
-    return _figure4_result(trend, table4, len(bundle.series.analysis_domains))
-
-
-def _table3_result(rows) -> ExperimentResult:
-    """Render Table 3 from its coverage rows."""
+def run_table3(source: Source) -> ExperimentResult:
+    """Table 3: snapshot coverage statistics (*source* as in
+    :func:`run_figure2`)."""
+    rows = snapshot_coverage_table(source)
     text = render_table(
         ["snapshot", "months", "# sites", "# with robots.txt"],
         rows,
@@ -360,62 +360,6 @@ def _table3_result(rows) -> ExperimentResult:
         "max_sites": float(max(r[2] for r in rows)),
     }
     return ExperimentResult("table3", "Snapshot coverage (Table 3)", text, metrics)
-
-
-def run_table3(bundle: LongitudinalBundle) -> ExperimentResult:
-    """Table 3: snapshot coverage statistics."""
-    return _table3_result(snapshot_coverage_table(bundle.series))
-
-
-# ----------------------------------------------- streaming (shard archive) ----
-
-
-def run_figure2_streaming(
-    archive, require_explicit: bool = True, store=None
-) -> ExperimentResult:
-    """Figure 2 computed shard-by-shard from a columnar archive.
-
-    Identical output to :func:`run_figure2` over the same world; peak
-    memory stays O(largest shard) regardless of archive size.
-    """
-    from ..measure.streaming import (
-        streaming_analysis_domains,
-        streaming_full_disallow_trend,
-    )
-
-    rows = streaming_full_disallow_trend(
-        archive, require_explicit=require_explicit, store=store
-    )
-    return _figure2_result(rows, len(streaming_analysis_domains(archive)))
-
-
-def run_figure3_streaming(archive, store=None) -> ExperimentResult:
-    """Figure 3 computed shard-by-shard from a columnar archive."""
-    from ..measure.streaming import streaming_per_agent_trend
-
-    return _figure3_result(streaming_per_agent_trend(archive, store=store))
-
-
-def run_figure4_streaming(archive, store=None) -> ExperimentResult:
-    """Figure 4 + Table 4 computed shard-by-shard from an archive."""
-    from ..measure.streaming import (
-        streaming_allow_and_removal_trend,
-        streaming_analysis_domains,
-        streaming_first_allow_table,
-    )
-
-    trend = streaming_allow_and_removal_trend(archive, store=store)
-    table4 = streaming_first_allow_table(archive, store=store)
-    return _figure4_result(
-        trend, table4, len(streaming_analysis_domains(archive))
-    )
-
-
-def run_table3_streaming(archive) -> ExperimentResult:
-    """Table 3 computed shard-by-shard from a columnar archive."""
-    from ..measure.streaming import streaming_coverage_table
-
-    return _table3_result(streaming_coverage_table(archive))
 
 
 # ---------------------------------------------------------------- Table 2 ----
@@ -810,26 +754,29 @@ def run_change_taxonomy(bundle: LongitudinalBundle) -> ExperimentResult:
     from ..core.diff import ChangeKind, classify_change
 
     # Group consecutive-snapshot transitions by unique (before, after)
-    # body pair and classify each distinct pair exactly once.  Bodies
-    # are interned across the series, so the dominant case -- no edit
-    # between snapshots -- collapses to one identical-pair entry per
-    # body, and identical text is NO_CHANGE by definition (an empty
-    # semantic diff) without running the differ at all.  The tallies
-    # are identical to the per-domain per-transition formulation.
-    series = bundle.series
-    pair_counts: Dict[Tuple[Optional[str], Optional[str]], int] = {}
-    body_rows = [series.analysis_bodies(snapshot) for snapshot in series.snapshots]
-    for previous_row, current_row in zip(body_rows, body_rows[1:]):
+    # body-ref pair and classify each distinct pair exactly once.  Each
+    # distinct body has one ref in the series' shard view, so the
+    # dominant case -- no edit between snapshots -- collapses to one
+    # identical-pair entry per body, and identical text is NO_CHANGE by
+    # definition (an empty semantic diff) without running the differ at
+    # all.  The tallies are identical to the per-domain per-transition
+    # formulation.
+    view = bundle.series.analysis
+    body_text = view.reader.body_text
+    pair_counts: Dict[Tuple[int, int], int] = {}
+    for previous_row, current_row in zip(view.eff_bodies, view.eff_bodies[1:]):
         for pair in zip(previous_row, current_row):
             pair_counts[pair] = pair_counts.get(pair, 0) + 1
 
     counts: Dict[ChangeKind, int] = {kind: 0 for kind in ChangeKind}
     transitions = 0
-    for (previous_text, text), n in pair_counts.items():
-        if previous_text == text:
+    for (previous_ref, ref), n in pair_counts.items():
+        if previous_ref == ref:
             kind = ChangeKind.NO_CHANGE
         else:
-            kind = classify_change(previous_text, text, AI_USER_AGENT_TOKENS)
+            kind = classify_change(
+                body_text(previous_ref), body_text(ref), AI_USER_AGENT_TOKENS
+            )
         if kind is not ChangeKind.NO_CHANGE:
             transitions += n
         counts[kind] += n
@@ -906,14 +853,14 @@ def run_ext_adoption_by_category(bundle: LongitudinalBundle) -> ExperimentResult
     rates per category over the analysis population.
     """
     series = bundle.series
-    final = series.snapshots[-1]
+    view = series.analysis
     by_category: Dict[str, List[int]] = {}
-    for domain in series.analysis_domains:
+    for domain, ref in zip(series.analysis_domains, view.eff_bodies[-1]):
         site = bundle.population.by_domain[domain]
-        text = series.robots_for(domain, final)
         hit = int(
-            text is not None
-            and series.cache.fully_disallows_any(text, AI_USER_AGENT_TOKENS)
+            series.cache.fully_disallows_any(
+                view.reader.body_text(ref), AI_USER_AGENT_TOKENS
+            )
         )
         by_category.setdefault(site.category, []).append(hit)
     from .stats import proportion_summary

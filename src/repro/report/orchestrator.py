@@ -117,14 +117,14 @@ EXPERIMENT_REGISTRY: Tuple[ExperimentSpec, ...] = (
                    params=(("seed", 42), ("months", 6), ("n_apps", 2000))),
     ExperimentSpec("figure2", "figure2", "Full-disallow trend (Figure 2)",
                    WORLD_BUNDLE,
-                   lambda bundle, **kw: exp.run_figure2(bundle, **kw),
+                   lambda bundle, **kw: exp.run_figure2(bundle.series, **kw),
                    params=(("require_explicit", True),)),
     ExperimentSpec("figure3", "figure3", "Per-agent disallow trend (Figure 3)",
-                   WORLD_BUNDLE, exp.run_figure3),
+                   WORLD_BUNDLE, lambda bundle: exp.run_figure3(bundle.series)),
     ExperimentSpec("figure4", "figure4", "Explicit allows & removals (Figure 4)",
-                   WORLD_BUNDLE, exp.run_figure4),
+                   WORLD_BUNDLE, lambda bundle: exp.run_figure4(bundle.series)),
     ExperimentSpec("table3", "table3", "Snapshot coverage (Table 3)",
-                   WORLD_BUNDLE, exp.run_table3),
+                   WORLD_BUNDLE, lambda bundle: exp.run_table3(bundle.series)),
     ExperimentSpec("table2", "table2", "Artist hosting providers (Table 2)",
                    WORLD_NONE, lambda: exp.run_table2_artists()),
     ExperimentSpec("sec62", "sec62", "Active blocking prevalence (Section 6.2)",
@@ -441,17 +441,6 @@ def _resolve_mode(mode: str, workers: int) -> str:
     return "thread"
 
 
-#: The streaming battery a strata run executes per stratum, in report
-#: order.  Each runner consumes an open ArchiveSet (plus its body-facts
-#: store) instead of an in-memory bundle.
-_STRATA_RUNNERS: Tuple[Tuple[str, Callable[..., ExperimentResult]], ...] = (
-    ("figure2", lambda archive, body: exp.run_figure2_streaming(archive, store=body)),
-    ("figure3", lambda archive, body: exp.run_figure3_streaming(archive, store=body)),
-    ("figure4", lambda archive, body: exp.run_figure4_streaming(archive, store=body)),
-    ("table3", lambda archive, body: exp.run_table3_streaming(archive)),
-)
-
-
 def run_strata(
     strata: Sequence[str],
     config: Optional[PopulationConfig] = None,
@@ -464,13 +453,14 @@ def run_strata(
     live: Optional["_obs_live.LiveTelemetry"] = None,
     profile: Union[None, bool, Profiler] = None,
 ) -> RunReport:
-    """Run the streaming figure battery over one or more top-k strata.
+    """Run the Section 3 figure battery over one or more top-k strata.
 
     For each named stratum (see
     :data:`~repro.web.tranco.STRATUM_SIZES`) this crawls -- or reopens,
     when a matching archive already sits under *archive_dir* -- the
-    sharded columnar archive for the stratum's scaled config, then
-    computes Figures 2-4 and Table 3 by streaming shard-by-shard.  Peak
+    sharded columnar archive for the stratum's scaled config, then hands
+    it to the Figure 2-4 and Table 3 runners that :func:`run_all` feeds
+    with ``bundle.series``; they aggregate it shard by shard.  Peak
     aggregation memory is O(largest shard), not O(stratum), so growing
     the stratum 10x does not grow resident analysis state 10x.
 
@@ -547,13 +537,18 @@ def run_strata(
                     )
                     try:
                         body = archive.body_store()
-                        for key, runner in _STRATA_RUNNERS:
+                        for key, runner, kwargs in (
+                            ("figure2", exp.run_figure2, {"store": body}),
+                            ("figure3", exp.run_figure3, {"store": body}),
+                            ("figure4", exp.run_figure4, {"store": body}),
+                            ("table3", exp.run_table3, {}),
+                        ):
                             run_key = f"{key}@{stratum}"
                             exp_span = span(
                                 f"experiment:{run_key}", key=key, stratum=stratum
                             )
                             with exp_span:
-                                result = runner(archive, body)
+                                result = runner(archive, **kwargs)
                             report.timings_seconds[run_key] = getattr(
                                 exp_span, "duration_seconds", 0.0
                             )
@@ -664,11 +659,11 @@ def run_all(
             one experiment's parameter invalidates exactly that
             experiment.
         strata: When given, delegate to :func:`run_strata`: run the
-            streaming figure battery over these top-k strata instead of
-            the registry battery.  *shards*/*archive_dir* apply, *mode*
-            and *workers* steer the shard crawl, and the incremental /
-            chaos machinery is refused (archives have their own warm
-            path).
+            Section 3 figure battery over the archives of these top-k
+            strata instead of the registry battery.  *shards*/
+            *archive_dir* apply, *mode* and *workers* steer the shard
+            crawl, and the incremental / chaos machinery is refused
+            (archives have their own warm path).
         shards: Shard count for strata archives (0 = automatic).
         archive_dir: Root directory for per-stratum archives.
         live: A :class:`~repro.obs.live.LiveTelemetry` pipeline

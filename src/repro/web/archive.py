@@ -27,10 +27,9 @@ write from parallel shard workers, and streamable at O(shard) memory:
   internals.
 
 Readers reconstruct bit-identical :class:`~repro.crawlers.commoncrawl.
-Snapshot` objects (``ArchiveSet.snapshots()``), but the scale plane's
-streaming aggregations (:mod:`repro.measure.streaming`) iterate the
-columns shard by shard instead, so memory stays flat as the site count
-grows.
+Snapshot` objects (``ArchiveSet.snapshots()``), but the Section 3
+aggregations (:mod:`repro.measure.longitudinal`) iterate the columns
+shard by shard instead, so memory stays flat as the site count grows.
 """
 
 from __future__ import annotations
@@ -643,8 +642,8 @@ class ArchiveSet:
 
         Materializes every record (O(sites) memory) -- the
         compatibility path for consumers that want
-        :class:`SnapshotSeries` semantics.  Streaming aggregations
-        should iterate shards instead.
+        :class:`SnapshotSeries` semantics.  The aggregations iterate
+        shards instead.
         """
         order = self._canonical_order()
         snapshots: List[Snapshot] = []

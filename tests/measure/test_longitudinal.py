@@ -10,10 +10,11 @@ from repro.measure.longitudinal import (
     full_disallow_trend,
     per_agent_trend,
     snapshot_coverage_table,
-    stable_with_robots,
 )
 from repro.web.events import DATA_DEALS, GPTBOT_ANNOUNCEMENT
 from repro.web.population import PopulationConfig, build_web_population
+
+from . import oracle
 
 CONFIG = PopulationConfig(
     universe_size=900, list_size=600, top5k_cut=80, audit_size=150, seed=5
@@ -41,7 +42,7 @@ class TestSeriesConstruction:
         _, series = world
         for domain in series.analysis_domains[:25]:
             for snapshot in series.snapshots:
-                assert series.robots_for(domain, snapshot) is not None
+                assert snapshot.record_for(domain).ok
 
     def test_flaky_sites_filtered_out(self, world):
         population, series = world
@@ -57,9 +58,8 @@ class TestSeriesConstruction:
 
 class TestFigure2Trend:
     def test_trend_shape(self, world):
-        population, series = world
-        top5k = {s.domain for s in population.stable_top5k}
-        rows = full_disallow_trend(series, top5k)
+        _, series = world
+        rows = full_disallow_trend(series)
         assert len(rows) == 15
         first_other = rows[0][2]
         last_other = rows[-1][2]
@@ -73,16 +73,21 @@ class TestFigure2Trend:
         assert rows[-1][2] >= pre[2]
 
     def test_top5k_above_other_at_end(self, world):
-        population, series = world
-        top5k = {s.domain for s in population.stable_top5k}
-        rows = full_disallow_trend(series, top5k)
+        _, series = world
+        rows = full_disallow_trend(series)
         assert rows[-1][1] > rows[-1][2]
 
-    def test_wildcard_ablation_inflates_rates(self, world):
+    def test_tiers_come_from_the_population(self, world):
         population, series = world
         top5k = {s.domain for s in population.stable_top5k}
-        explicit = full_disallow_trend(series, top5k, require_explicit=True)
-        ablated = full_disallow_trend(series, top5k, require_explicit=False)
+        assert [d in top5k for d in series.stable_domains] == [
+            tier == "top5k" for tier in series.tiers
+        ]
+
+    def test_wildcard_ablation_inflates_rates(self, world):
+        _, series = world
+        explicit = full_disallow_trend(series, require_explicit=True)
+        ablated = full_disallow_trend(series, require_explicit=False)
         assert ablated[-1][2] > explicit[-1][2]
 
 
@@ -170,5 +175,4 @@ class TestTable3:
 class TestStableWithRobots:
     def test_direct(self, world):
         _, series = world
-        recomputed = stable_with_robots(series.snapshots, series.stable_domains)
-        assert recomputed == series.analysis_domains
+        assert series.analysis_domains == oracle.analysis_domains(series)

@@ -24,6 +24,12 @@ CONFIG = PopulationConfig(
 AGENTS = ["GPTBot", "CCBot", "anthropic-ai", "ChatGPT-User", "Bytespider"]
 
 
+def _robots(snapshot, domain):
+    """The robots.txt one domain serves in one snapshot (www fallback)."""
+    record = snapshot.record_for(domain)
+    return record.robots_txt if record is not None and record.ok else None
+
+
 @pytest.fixture(scope="module")
 def world():
     population = build_web_population(CONFIG)
@@ -37,7 +43,7 @@ class TestCacheAgreesWithUncachedPath:
         cache = PolicyCache()
         for snapshot in series.snapshots:
             for domain in series.stable_domains:
-                text = series.robots_for(domain, snapshot)
+                text = _robots(snapshot, domain)
                 for agent in AGENTS:
                     for require_explicit in (True, False):
                         cached = cache.classification(
@@ -67,7 +73,7 @@ class TestCacheAgreesWithUncachedPath:
         cache = PolicyCache()
         final = series.snapshots[-1]
         for domain in series.analysis_domains:
-            text = series.robots_for(domain, final)
+            text = _robots(final, domain)
             for require_explicit in (True, False):
                 assert cache.fully_disallows_any(
                     text, AGENTS, require_explicit=require_explicit
@@ -80,7 +86,7 @@ class TestCacheAgreesWithUncachedPath:
         cache = PolicyCache()
         for snapshot in series.snapshots[-3:]:
             for domain in series.analysis_domains:
-                text = series.robots_for(domain, snapshot)
+                text = _robots(snapshot, domain)
                 expected = (
                     explicitly_allows(RobotsPolicy(text), "GPTBot")
                     if text is not None
@@ -116,6 +122,14 @@ class TestSeriesBodyInterning:
 
     def test_body_counts_cover_analysis_set(self, world):
         _, series = world
-        for snapshot in series.snapshots:
-            counts = series.analysis_body_counts(snapshot)
-            assert sum(count for _, count in counts) == len(series.analysis_domains)
+        view = series.analysis
+        for spec_index, snapshot in enumerate(series.snapshots):
+            counts = view.body_counts(spec_index)
+            assert sum(counts.values()) == len(series.analysis_domains)
+            # One reference per distinct body: the shard view is built
+            # from the series' interned bodies.
+            bodies = {view.reader.body_text(ref) for ref in counts}
+            assert len(bodies) == len(counts)
+            assert bodies == {
+                _robots(snapshot, domain) for domain in series.analysis_domains
+            }

@@ -1,16 +1,19 @@
-"""Streaming aggregations must be byte-identical to the in-memory ones.
+"""The aggregation engine against a per-domain oracle, on both sources.
 
-The streaming plane iterates shard archives (O(shard) resident state)
-instead of materialized SiteRecords; every Figure 2-4 / Table 3 output
-must match the classic SnapshotSeries computation exactly, including
-ordering-sensitive payloads (removal-domain insertion order, the Table
-4 row order).
+Figures 2-4 and Tables 3-4 have one implementation: the per-shard
+functions in :mod:`repro.measure.longitudinal`, fed either an in-memory
+:class:`SnapshotSeries` (a one-shard archive view) or a sharded
+:class:`ArchiveSet` streamed shard by shard.  Every output must equal
+the naive per-domain oracle in :mod:`tests.measure.oracle` on both
+sources, including the ordering-sensitive payloads (removal-domain
+insertion order, the Table 4 row order).
 """
 
 import pytest
 
 from repro.measure.longitudinal import (
     allow_and_removal_trend,
+    analysis_domains,
     collect_shard_archives,
     collect_snapshots,
     first_allow_table,
@@ -18,19 +21,13 @@ from repro.measure.longitudinal import (
     per_agent_trend,
     snapshot_coverage_table,
 )
-from repro.measure.streaming import (
-    streaming_allow_and_removal_trend,
-    streaming_analysis_domains,
-    streaming_coverage_table,
-    streaming_first_allow_table,
-    streaming_full_disallow_trend,
-    streaming_per_agent_trend,
-)
 from repro.web.archive import ArchiveSet
 from repro.web.population import PopulationConfig, build_web_population
 
+from . import oracle
+
 CONFIG = PopulationConfig(
-    universe_size=450, list_size=300, top5k_cut=40, audit_size=80, seed=7
+    universe_size=260, list_size=170, top5k_cut=30, audit_size=40, seed=11
 )
 
 
@@ -41,85 +38,135 @@ def world(tmp_path_factory):
     root = tmp_path_factory.mktemp("archive")
     collect_shard_archives(population, root, shards=3, workers=1)
     archive = ArchiveSet.open(root)
+    assert len(archive.readers) == 3
     yield population, series, archive
     archive.close()
 
 
+@pytest.fixture(scope="module")
+def expected(world):
+    """The oracle's answers, computed once per module (it is slow by
+    design: every cell is parsed and classified afresh)."""
+    _, series, _ = world
+    return {
+        "analysis": oracle.analysis_domains(series),
+        "figure2": oracle.full_disallow_trend(series),
+        "figure2_wildcard": oracle.full_disallow_trend(series, require_explicit=False),
+        "figure3": oracle.per_agent_trend(series),
+        "figure4": oracle.allow_and_removal_trend(series),
+        "table4": oracle.first_allow_table(series),
+        "table3": oracle.snapshot_coverage_table(series),
+    }
+
+
+def _sources(world):
+    _, series, archive = world
+    return {"series": series, "archive": archive}
+
+
 class TestStreamingParity:
-    def test_analysis_domains_identical(self, world):
+    def test_analysis_domains_identical(self, world, expected):
         _, series, archive = world
-        assert streaming_analysis_domains(archive) == series.analysis_domains
+        assert len(expected["analysis"]) > 0
+        assert series.analysis_domains == expected["analysis"]
+        for name, source in _sources(world).items():
+            assert analysis_domains(source) == expected["analysis"], name
         assert archive.stable_domains() == series.stable_domains
 
-    def test_figure2_rows_identical(self, world):
-        population, series, archive = world
-        top5k = {s.domain for s in population.stable_top5k}
-        assert streaming_full_disallow_trend(archive) == full_disallow_trend(
-            series, top5k
-        )
-        assert streaming_full_disallow_trend(
-            archive, require_explicit=False
-        ) == full_disallow_trend(series, top5k, require_explicit=False)
+    def test_figure2_rows_identical(self, world, expected):
+        # The ablation really differs, so the flag is exercised.
+        assert expected["figure2_wildcard"] != expected["figure2"]
+        for name, source in _sources(world).items():
+            assert full_disallow_trend(source) == expected["figure2"], name
+            assert full_disallow_trend(
+                source, require_explicit=False
+            ) == expected["figure2_wildcard"], name
 
-    def test_figure3_trends_identical(self, world):
-        _, series, archive = world
-        assert streaming_per_agent_trend(archive) == per_agent_trend(series)
+    def test_figure3_trends_identical(self, world, expected):
+        for name, source in _sources(world).items():
+            assert per_agent_trend(source) == expected["figure3"], name
 
-    def test_figure4_trend_identical_including_order(self, world):
-        _, series, archive = world
-        classic = allow_and_removal_trend(series)
-        streamed = streaming_allow_and_removal_trend(archive)
-        assert streamed.explicit_allow_counts == classic.explicit_allow_counts
-        assert streamed.removals_per_period == classic.removals_per_period
-        # Dict equality AND iteration order: the paper artifact renders
-        # removal domains in first-removal order.
-        assert list(streamed.removal_domains.items()) == list(
-            classic.removal_domains.items()
-        )
+    def test_figure4_trend_identical_including_order(self, world, expected):
+        allows, removals, removal_domains = expected["figure4"]
+        assert removal_domains, "the world must exercise removals"
+        for name, source in _sources(world).items():
+            trend = allow_and_removal_trend(source)
+            assert trend.explicit_allow_counts == allows, name
+            assert trend.removals_per_period == removals, name
+            # Dict equality AND iteration order: the paper artifact
+            # renders removal domains in first-removal order.
+            assert list(trend.removal_domains.items()) == removal_domains, name
 
-    def test_table4_rows_identical(self, world):
-        _, series, archive = world
-        assert streaming_first_allow_table(archive) == first_allow_table(series)
+    def test_table4_rows_identical(self, world, expected):
+        assert expected["table4"], "the world must exercise explicit allows"
+        for name, source in _sources(world).items():
+            assert first_allow_table(source) == expected["table4"], name
 
-    def test_table3_rows_identical(self, world):
-        _, series, archive = world
-        assert streaming_coverage_table(archive) == snapshot_coverage_table(series)
+    def test_table3_rows_identical(self, world, expected):
+        for name, source in _sources(world).items():
+            assert snapshot_coverage_table(source) == expected["table3"], name
 
-    def test_body_store_backend_changes_nothing(self, world):
-        population, series, archive = world
+    def test_body_store_backend_changes_nothing(self, world, expected):
+        _, _, archive = world
         store = archive.body_store()
-        cold = streaming_full_disallow_trend(archive, store=store)
+        cold = full_disallow_trend(archive, store=store)
         store.flush()
-        # A second pass answers from the persisted per-body facts.
-        warm = streaming_full_disallow_trend(archive, store=store)
-        top5k = {s.domain for s in population.stable_top5k}
-        assert cold == warm == full_disallow_trend(series, top5k)
         assert store.fact_count() > 0
+        # A second pass over a reopened store answers every body from
+        # the persisted facts and computes nothing.
+        warm_store = _CountingStore(archive.body_store())
+        warm = full_disallow_trend(archive, store=warm_store)
+        assert cold == warm == expected["figure2"]
+        assert warm_store.hits > 0 and warm_store.puts == 0
+
+    def test_series_refuses_a_store_argument(self, world):
+        # A series takes its store through series.cache; silently
+        # dropping one passed here would hide a caller's mistake.
+        _, series, archive = world
+        with pytest.raises(ValueError):
+            full_disallow_trend(series, store=archive.body_store())
+
+
+class _CountingStore:
+    """A body-facts store that counts persisted answers and writes."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.hits = 0
+        self.puts = 0
+
+    def _count(self, value):
+        self.hits += value is not None
+        return value
+
+    def get_classification(self, *args):
+        return self._count(self.inner.get_classification(*args))
+
+    def get_flag(self, *args):
+        return self._count(self.inner.get_flag(*args))
+
+    def put_classification(self, *args):
+        self.puts += 1
+        self.inner.put_classification(*args)
+
+    def put_flag(self, *args):
+        self.puts += 1
+        self.inner.put_flag(*args)
 
 
 class TestStreamingRunners:
     def test_experiment_results_identical(self, world):
         from repro.report.experiments import (
-            LongitudinalBundle,
             run_figure2,
-            run_figure2_streaming,
             run_figure3,
-            run_figure3_streaming,
             run_figure4,
-            run_figure4_streaming,
             run_table3,
-            run_table3_streaming,
         )
 
-        population, series, archive = world
-        bundle = LongitudinalBundle(population=population, series=series)
-        pairs = [
-            (run_figure2(bundle), run_figure2_streaming(archive)),
-            (run_figure3(bundle), run_figure3_streaming(archive)),
-            (run_figure4(bundle), run_figure4_streaming(archive)),
-            (run_table3(bundle), run_table3_streaming(archive)),
-        ]
-        for classic, streamed in pairs:
-            assert streamed.text == classic.text
-            assert streamed.metrics == classic.metrics
-            assert streamed.experiment_id == classic.experiment_id
+        _, series, archive = world
+        for runner in (run_figure2, run_figure3, run_figure4, run_table3):
+            in_memory = runner(series)
+            streamed = runner(archive)
+            assert streamed.text == in_memory.text
+            assert streamed.metrics == in_memory.metrics
+            assert streamed.experiment_id == in_memory.experiment_id

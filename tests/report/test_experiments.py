@@ -45,24 +45,24 @@ def population():
 
 class TestLongitudinalRunners:
     def test_figure2_structure(self, bundle):
-        result = run_figure2(bundle)
+        result = run_figure2(bundle.series)
         assert result.experiment_id == "figure2"
         assert "Figure 2" in result.text and "CSV:" in result.text
         assert {"final_top5k_pct", "final_other_pct"} <= set(result.metrics)
 
     def test_figure3_structure(self, bundle):
-        result = run_figure3(bundle)
+        result = run_figure3(bundle.series)
         assert result.experiment_id == "figure3"
         assert "GPTBot" in result.text
         assert "final_GPTBot" in result.metrics
 
     def test_figure4_structure(self, bundle):
-        result = run_figure4(bundle)
+        result = run_figure4(bundle.series)
         assert "Table 4" in result.text
         assert result.metrics["total_removals"] >= 0
 
     def test_table3_structure(self, bundle):
-        result = run_table3(bundle)
+        result = run_table3(bundle.series)
         assert result.metrics["n_snapshots"] == 15
 
     def test_change_taxonomy_structure(self, bundle):

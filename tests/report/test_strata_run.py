@@ -1,7 +1,7 @@
-"""Strata runs: archive-backed streaming battery via the orchestrator.
+"""Strata runs: the Section 3 battery over archives via the orchestrator.
 
 ``run_strata`` crawls (or reopens) one sharded columnar archive per
-stratum and computes the streaming figure battery from it; ``run_all``
+stratum and hands it to the Figure 2-4 / Table 3 runners; ``run_all``
 delegates when ``strata=`` is given and refuses the combinations that
 make no sense for archives (incremental stores, fault plans).
 """
@@ -107,18 +107,22 @@ class TestRunAllDelegation:
 
 class TestStreamingMatchesClassic:
     def test_stratum_figures_match_in_memory_battery(self, first_run):
-        """The archive-backed figure2 equals the classic bundle run
-        over the same stratum config (modulo the stratum-suffixed id)."""
-        from repro.report.experiments import build_longitudinal_bundle, run_figure2
+        """Each archive-backed result equals the same runner over the
+        in-memory series of the same stratum config (modulo the
+        stratum-suffixed id)."""
+        from repro.report import experiments as exp
         from repro.web.population import stratum_config
 
         report, _, store = first_run
-        bundle = build_longitudinal_bundle(
+        bundle = exp.build_longitudinal_bundle(
             stratum_config("top-10k", BASE), store=store
         )
-        classic = run_figure2(bundle)
-        streamed = next(
-            r for r in report.results if r.experiment_id == "figure2@top-10k"
-        )
-        assert streamed.text == classic.text
-        assert streamed.metrics == classic.metrics
+        for runner in (exp.run_figure2, exp.run_figure3, exp.run_figure4,
+                       exp.run_table3):
+            in_memory = runner(bundle.series)
+            streamed = next(
+                r for r in report.results
+                if r.experiment_id == f"{in_memory.experiment_id}@top-10k"
+            )
+            assert streamed.text == in_memory.text
+            assert streamed.metrics == in_memory.metrics

@@ -2,7 +2,7 @@
 
 Every per-site sampler is keyed ``(seed, domain)``, so any shard count
 x worker count x execution mode must produce byte-identical worlds and
-snapshot series.  These tests pin the assignment function's invariants
+snapshot archives.  These tests pin the assignment function's invariants
 (determinism, www-variant co-residency) and the end-to-end identity for
 both the population build and the sharded snapshot crawl, plus the
 ``shard.sites`` balance metrics the scale plane reports.
@@ -13,8 +13,13 @@ import json
 
 import pytest
 
-from repro.measure.longitudinal import collect_snapshots
+from repro.measure.longitudinal import (
+    analysis_domains,
+    collect_shard_archives,
+    collect_snapshots,
+)
 from repro.obs.metrics import shared_registry
+from repro.web.archive import ArchiveSet
 from repro.web.population import PopulationConfig, build_web_population
 from repro.web.sharding import (
     SITES_PER_SHARD,
@@ -99,7 +104,7 @@ def _world_digest(population) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _series_digest(series) -> str:
+def _series_digest(snapshots) -> str:
     payload = [
         [
             snap.spec.snapshot_id,
@@ -107,7 +112,7 @@ def _series_digest(series) -> str:
              for r in snap.records.values()],
             snap.error_budget.n_sites if snap.error_budget else None,
         ]
-        for snap in series.snapshots
+        for snap in snapshots
     ]
     blob = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
@@ -152,32 +157,44 @@ class TestShardedBuildIdentity:
 
 
 class TestShardedCollectIdentity:
+    """The sharded crawl writes an archive; reassembled, it must equal
+    an unsharded :func:`collect_snapshots` record for record."""
+
     @pytest.fixture(scope="class")
-    def classic(self, baseline):
+    def unsharded(self, baseline):
         return collect_snapshots(baseline, workers=1)
 
-    def test_sharded_serial_collect_identical(self, baseline, classic):
-        sharded = collect_snapshots(baseline, shards=3, workers=1)
-        assert _series_digest(sharded) == _series_digest(classic)
+    @staticmethod
+    def _archived(population, root, **kwargs):
+        collect_shard_archives(population, root, **kwargs)
+        with ArchiveSet.open(root) as archive:
+            return archive.snapshots(), analysis_domains(archive)
 
-    def test_sharded_threaded_collect_identical(self, baseline, classic):
-        sharded = collect_snapshots(baseline, shards=4, workers=2, mode="thread")
-        assert _series_digest(sharded) == _series_digest(classic)
-        assert sharded.stable_domains == classic.stable_domains
-        assert sharded.analysis_domains == classic.analysis_domains
+    def test_sharded_serial_collect_identical(self, baseline, unsharded, tmp_path):
+        snapshots, _ = self._archived(baseline, tmp_path, shards=3, workers=1)
+        assert _series_digest(snapshots) == _series_digest(unsharded.snapshots)
 
-    def test_sharded_forked_collect_identical(self, baseline, classic):
+    def test_sharded_threaded_collect_identical(self, baseline, unsharded, tmp_path):
+        snapshots, analysis = self._archived(
+            baseline, tmp_path, shards=4, workers=2, mode="thread"
+        )
+        assert _series_digest(snapshots) == _series_digest(unsharded.snapshots)
+        assert analysis == unsharded.analysis_domains
+
+    def test_sharded_forked_collect_identical(self, baseline, unsharded, tmp_path):
         import multiprocessing
 
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("no fork start method on this platform")
-        sharded = collect_snapshots(baseline, shards=2, workers=2, mode="process")
-        assert _series_digest(sharded) == _series_digest(classic)
+        snapshots, _ = self._archived(
+            baseline, tmp_path, shards=2, workers=2, mode="process"
+        )
+        assert _series_digest(snapshots) == _series_digest(unsharded.snapshots)
 
-    def test_collect_emits_shard_balance_counters(self, baseline):
+    def test_collect_emits_shard_balance_counters(self, baseline, tmp_path):
         registry = shared_registry()
         before = registry.counter_totals("shard.sites")
-        collect_snapshots(baseline, shards=3, workers=1)
+        collect_shard_archives(baseline, tmp_path, shards=3, workers=1)
         after = registry.counter_totals("shard.sites")
         grown = {
             key: after.get(key, 0) - before.get(key, 0)

@@ -190,5 +190,5 @@ class TestCacheHitEqualsFreshBuild:
     def test_experiment_texts_bit_identical(self, store):
         cached = build_longitudinal_bundle(SMALL, store=store)
         fresh = build_longitudinal_bundle(SMALL)
-        assert run_figure2(cached).text == run_figure2(fresh).text
-        assert run_table3(cached).text == run_table3(fresh).text
+        assert run_figure2(cached.series).text == run_figure2(fresh.series).text
+        assert run_table3(cached.series).text == run_table3(fresh.series).text
