@@ -37,6 +37,7 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..agents.darkvisitors import AI_USER_AGENT_TOKENS
+from ..columnar import prepare_shard_set
 from ..core.classify import RestrictionLevel
 from ..core.compiled import CompiledPolicyCache
 from ..crawlers.commoncrawl import (
@@ -483,6 +484,10 @@ def collect_shard_archives(
     :func:`collect_snapshots` crawls.  The aggregations in this module
     then consume the archive shard by shard.
 
+    A previous archive under *root* is retired before any shard is
+    written (:func:`~repro.columnar.prepare_shard_set`), so an
+    interrupted crawl leaves an archive that refuses to open.
+
     Returns *root*; open the result with
     :class:`repro.web.archive.ArchiveSet`.
     """
@@ -496,6 +501,7 @@ def collect_shard_archives(
         sites, n_shards, key=(site.domain for site in sites)
     )
     record_shard_balance(parts, stage="collect")
+    prepare_shard_set(root, n_shards)
     resolved = resolve_shard_mode(mode, min(n_workers, n_shards))
     use_delta = _use_delta(specs, delta)
     _COLLECT_CONTEXT = (

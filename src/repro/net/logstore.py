@@ -4,12 +4,13 @@ The Section 5 testbed decides crawler compliance entirely from server
 access logs, but until now every request was summarized down to
 counters/series before anything durable existed.  This module persists
 the raw request plane: every simulated request becomes one fixed-width
-columnar record in a per-shard archive that mirrors the
-:mod:`repro.web.archive` layout -- id-interned hosts/paths/agent
-labels, a content-addressed User-Agent table, little-endian column
-blocks, atomic manifest-last commits pinned by a schema fingerprint and
-the population config digest, mmap readers, and one-line
-:class:`LogStoreError` failures.
+columnar record in a per-shard store.  The shard container is the one
+the snapshot archive uses (:mod:`repro.columnar`): id-interned
+hosts/paths/agent labels, a content-addressed User-Agent table,
+little-endian column blocks, atomic manifest-last commits pinned by a
+schema fingerprint and the population config digest, mmap readers, and
+one-line :class:`LogStoreError` failures.  This module owns the schema,
+the record layout, and the sink that feeds it.
 
 Determinism contract (the same one METRICS.json/SERIES.json honor):
 the committed archive is **byte-identical across serial/thread/fork
@@ -33,18 +34,26 @@ from __future__ import annotations
 
 import hashlib
 import json
-import mmap
-import os
-import struct
 import threading
 from array import array
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Union
 
-from ..obs.metrics import metrics_enabled, shared_registry
-from ..web.archive import array_to_le_bytes, le_bytes_to_array, shard_dir_name
-from ..web.sharding import shard_count_for, shard_of
+from ..columnar import (
+    BlobReader,
+    BlobTable,
+    Interner,
+    MappedFile,
+    ShardFormat,
+    array_to_le_bytes,
+    le_bytes_to_array,
+    prepare_shard_set,
+    shard_count_for,
+    shard_dir_name,
+    shard_of,
+    table_bytes,
+)
 from .accesslog import clock_ticks
 
 __all__ = [
@@ -85,7 +94,6 @@ LOGSTORE_SCHEMA_FINGERPRINT = hashlib.sha256(
     json.dumps(_SCHEMA, sort_keys=True, separators=(",", ":")).encode("utf-8")
 ).hexdigest()
 
-_MANIFEST = "manifest.json"
 _HOSTS = "hosts.txt"
 _PATHS = "paths.txt"
 _AGENTS = "agents.txt"
@@ -95,14 +103,6 @@ _UAS = "uas.bin"
 _UA_IDX = "uas.idx"
 _UA_SHA = "uas.sha"
 _RECORDS = "records.bin"
-
-#: Data files whose byte sizes the manifest pins (truncation check).
-_DATA_FILES = (
-    _HOSTS, _PATHS, _AGENTS, _OUTCOMES, _CATEGORIES,
-    _UAS, _UA_IDX, _UA_SHA, _RECORDS,
-)
-
-_UA_IDX_ENTRY = struct.Struct("<QI")
 
 #: Column name -> array typecode, in on-disk block order.
 _COLUMNS = (
@@ -132,6 +132,19 @@ _EV_CATEGORY, _EV_MONTH, _EV_STATUS, _EV_TICKS, _EV_ROBOTS = 5, 6, 7, 8, 9
 class LogStoreError(Exception):
     """A one-line, operator-facing log-store failure (corrupt, truncated,
     missing, or schema-stale data); the message names the path."""
+
+
+_FORMAT = ShardFormat(
+    noun="log store",
+    adjective="log-store",
+    error=LogStoreError,
+    fingerprint=LOGSTORE_SCHEMA_FINGERPRINT,
+    data_files=(
+        _HOSTS, _PATHS, _AGENTS, _OUTCOMES, _CATEGORIES,
+        _UAS, _UA_IDX, _UA_SHA, _RECORDS,
+    ),
+    counter="logstore.bytes_written",
+)
 
 
 class LogRecord(NamedTuple):
@@ -265,11 +278,15 @@ class LogSink:
         config_digest: str = "",
         n_shards: Optional[int] = None,
     ) -> Path:
-        """Write the archive under *root*; returns the root directory.
+        """Write the store under *root*; returns the root directory.
 
         Shard count defaults to the same host-count geometry the
         snapshot archive uses (:func:`shard_count_for`), so a log store
-        and a snapshot archive of the same world agree on shape.
+        and a snapshot archive of the same world agree on shape.  A
+        previous commit under *root* is retired before the first shard
+        is written (:func:`~repro.columnar.prepare_shard_set`), so an
+        interrupted commit refuses to open instead of mixing old and
+        new shards.
         """
         root = Path(root)
         ordered = self.ordered_events()
@@ -283,36 +300,13 @@ class LogSink:
         ]
         for seq, event in enumerate(ordered):
             writers[shard_by_host[event[_EV_HOST]]].add(seq, event)
-        root.mkdir(parents=True, exist_ok=True)
+        prepare_shard_set(root, n_shards)
         for writer in writers:
             writer.commit()
         return root
 
 
 # -- writing -------------------------------------------------------------------
-
-
-class _Interner:
-    """First-reference-order string table with a reference-width cap."""
-
-    def __init__(self, what: str, cap: int):
-        self.values: List[str] = []
-        self._index: Dict[str, int] = {}
-        self._what = what
-        self._cap = cap
-
-    def ref(self, value: str) -> int:
-        ref = self._index.get(value)
-        if ref is None:
-            ref = len(self.values)
-            if ref > self._cap:
-                raise LogStoreError(
-                    f"too many distinct {self._what} for the log-store "
-                    f"schema (cap {self._cap + 1})"
-                )
-            self._index[value] = ref
-            self.values.append(value)
-        return ref
 
 
 class ShardLogWriter:
@@ -329,28 +323,15 @@ class ShardLogWriter:
         self.shard_id = shard_id
         self.n_shards = n_shards
         self.config_digest = config_digest
-        self._hosts = _Interner("hosts", 0xFFFFFFFF)
-        self._paths = _Interner("paths", 0xFFFFFFFF)
-        self._agents = _Interner("agent labels", 0xFFFF)
-        self._outcomes = _Interner("outcomes", 0xFF)
-        self._categories = _Interner("site categories", 0xFF)
-        self._ua_blobs: List[bytes] = []
-        self._ua_digests: List[str] = []
-        self._ua_index: Dict[str, int] = {}
+        self._hosts = Interner(_FORMAT, "hosts", 0xFFFFFFFF)
+        self._paths = Interner(_FORMAT, "paths", 0xFFFFFFFF)
+        self._agents = Interner(_FORMAT, "agent labels", 0xFFFF)
+        self._outcomes = Interner(_FORMAT, "outcomes", 0xFF)
+        self._categories = Interner(_FORMAT, "site categories", 0xFF)
+        self._uas = BlobTable()
         self._columns: Dict[str, array] = {
             name: array(code) for name, code in _COLUMNS
         }
-
-    def _ua_ref(self, user_agent: str) -> int:
-        """Content-addressed UA table: each distinct UA stored once."""
-        ref = self._ua_index.get(user_agent)
-        if ref is None:
-            blob = user_agent.encode("utf-8")
-            ref = len(self._ua_blobs)
-            self._ua_index[user_agent] = ref
-            self._ua_blobs.append(blob)
-            self._ua_digests.append(hashlib.sha256(blob).hexdigest())
-        return ref
 
     def add(self, seq: int, event: tuple) -> None:
         """Append one event (sink tuple layout) with global seq *seq*."""
@@ -359,7 +340,7 @@ class ShardLogWriter:
         cols["seq"].append(seq)
         cols["host_ref"].append(self._hosts.ref(event[_EV_HOST]))
         cols["path_ref"].append(self._paths.ref(event[_EV_PATH]))
-        cols["ua_ref"].append(self._ua_ref(event[_EV_UA]))
+        cols["ua_ref"].append(self._uas.ref(event[_EV_UA]))
         cols["agent_ref"].append(self._agents.ref(event[_EV_AGENT]))
         cols["status"].append(event[_EV_STATUS])
         cols["month"].append(event[_EV_MONTH])
@@ -375,45 +356,22 @@ class ShardLogWriter:
 
     def commit(self) -> Path:
         """Write every file, manifest last; returns the shard directory."""
-        directory = self.root / shard_dir_name(self.shard_id)
-        directory.mkdir(parents=True, exist_ok=True)
-        # A leftover manifest from a previous commit must not make a
-        # half-overwritten shard openable: drop it before touching data.
-        manifest_path = directory / _MANIFEST
-        try:
-            manifest_path.unlink()
-        except FileNotFoundError:
-            pass
-
-        def table_blob(values: List[str]) -> bytes:
-            return ("\n".join(values) + "\n" if values else "").encode("utf-8")
-
-        blobs: Dict[str, bytes] = {}
-        blobs[_HOSTS] = table_blob(self._hosts.values)
-        blobs[_PATHS] = table_blob(self._paths.values)
-        blobs[_AGENTS] = table_blob(self._agents.values)
-        blobs[_OUTCOMES] = table_blob(self._outcomes.values)
-        blobs[_CATEGORIES] = table_blob(self._categories.values)
-        blobs[_UAS] = b"".join(self._ua_blobs)
-        index = bytearray()
-        offset = 0
-        for blob in self._ua_blobs:
-            index += _UA_IDX_ENTRY.pack(offset, len(blob))
-            offset += len(blob)
-        blobs[_UA_IDX] = bytes(index)
-        blobs[_UA_SHA] = (
-            "\n".join(self._ua_digests) + "\n" if self._ua_digests else ""
-        ).encode("ascii")
+        uas, ua_index, ua_digests = self._uas.files()
         records = bytearray()
         for name, _ in _COLUMNS:
             records += array_to_le_bytes(self._columns[name])
-        blobs[_RECORDS] = bytes(records)
-
-        for name, blob in blobs.items():
-            (directory / name).write_bytes(blob)
-
+        blobs = {
+            _HOSTS: table_bytes(self._hosts.values),
+            _PATHS: table_bytes(self._paths.values),
+            _AGENTS: table_bytes(self._agents.values),
+            _OUTCOMES: table_bytes(self._outcomes.values),
+            _CATEGORIES: table_bytes(self._categories.values),
+            _UAS: uas,
+            _UA_IDX: ua_index,
+            _UA_SHA: ua_digests,
+            _RECORDS: bytes(records),
+        }
         manifest = {
-            "schema_fingerprint": LOGSTORE_SCHEMA_FINGERPRINT,
             "config_digest": self.config_digest,
             "shard_id": self.shard_id,
             "n_shards": self.n_shards,
@@ -423,20 +381,11 @@ class ShardLogWriter:
             "n_agents": len(self._agents.values),
             "n_outcomes": len(self._outcomes.values),
             "n_categories": len(self._categories.values),
-            "n_uas": len(self._ua_blobs),
-            "sizes": {name: len(blobs[name]) for name in _DATA_FILES},
+            "n_uas": len(self._uas.blobs),
         }
-        tmp = manifest_path.with_name(_MANIFEST + ".tmp")
-        manifest_blob = (
-            json.dumps(manifest, sort_keys=True, separators=(",", ":")) + "\n"
-        ).encode("utf-8")
-        tmp.write_bytes(manifest_blob)
-        os.replace(tmp, manifest_path)
-
-        if metrics_enabled():
-            total = sum(len(blob) for blob in blobs.values()) + len(manifest_blob)
-            shared_registry().counter("logstore.bytes_written").inc(total)
-        return directory
+        return _FORMAT.commit(
+            self.root / shard_dir_name(self.shard_id), blobs, manifest
+        )
 
 
 # -- reading -------------------------------------------------------------------
@@ -447,98 +396,38 @@ class LogShardReader:
 
     def __init__(self, directory: Union[str, Path]):
         self.directory = Path(directory)
-        manifest_path = self.directory / _MANIFEST
-        try:
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise LogStoreError(
-                f"not a log-store shard (no manifest): {self.directory}"
-            ) from None
-        except (OSError, ValueError) as exc:
-            raise LogStoreError(
-                f"corrupt log-store manifest: {manifest_path}: {exc}"
-            ) from None
-        fingerprint = manifest.get("schema_fingerprint")
-        if fingerprint != LOGSTORE_SCHEMA_FINGERPRINT:
-            raise LogStoreError(
-                f"stale log-store schema (rebuild the log store): "
-                f"{self.directory}"
-            )
+        manifest, self.data_bytes = _FORMAT.read_manifest(self.directory)
         self.shard_id = int(manifest["shard_id"])
         self.n_shards = int(manifest["n_shards"])
         self.config_digest = manifest.get("config_digest", "")
         self.n_records = int(manifest["n_records"])
         self.n_uas = int(manifest["n_uas"])
-        sizes = manifest.get("sizes", {})
-        self.data_bytes = 0
-        for name in _DATA_FILES:
-            path = self.directory / name
-            try:
-                actual = path.stat().st_size
-            except OSError:
-                raise LogStoreError(f"missing log-store column: {path}") from None
-            expected = sizes.get(name)
-            if expected is not None and actual != expected:
-                raise LogStoreError(
-                    f"truncated log-store column ({actual} bytes, manifest "
-                    f"says {expected}): {path}"
-                )
-            self.data_bytes += actual
-        if sizes.get(_RECORDS) != self.n_records * _RECORD_BYTES:
+        records_bytes = manifest.get("sizes", {}).get(_RECORDS)
+        if records_bytes != self.n_records * _RECORD_BYTES:
             raise LogStoreError(
-                f"inconsistent record geometry ({sizes.get(_RECORDS)} bytes "
+                f"inconsistent record geometry ({records_bytes} bytes "
                 f"for {self.n_records} records): {self.directory / _RECORDS}"
             )
 
         def table(name: str, count_key: str) -> List[str]:
-            rows = (self.directory / name).read_text(encoding="utf-8").splitlines()
-            expected_rows = int(manifest[count_key])
-            if len(rows) != expected_rows:
-                raise LogStoreError(
-                    f"string table holds {len(rows)} rows, manifest says "
-                    f"{expected_rows}: {self.directory / name}"
-                )
-            return rows
+            return _FORMAT.read_table(self.directory, name, int(manifest[count_key]))
 
         self.hosts = table(_HOSTS, "n_hosts")
         self.paths = table(_PATHS, "n_paths")
         self.agents = table(_AGENTS, "n_agents")
         self.outcomes = table(_OUTCOMES, "n_outcomes")
         self.categories = table(_CATEGORIES, "n_categories")
-        idx_blob = (self.directory / _UA_IDX).read_bytes()
-        self._ua_offsets: List[Tuple[int, int]] = [
-            _UA_IDX_ENTRY.unpack_from(idx_blob, i * _UA_IDX_ENTRY.size)
-            for i in range(self.n_uas)
-        ]
-        sha_text = (self.directory / _UA_SHA).read_text(encoding="ascii")
-        self.ua_digests: List[str] = sha_text.splitlines()
-
-        self._records_file = open(self.directory / _RECORDS, "rb")
-        self._uas_file = open(self.directory / _UAS, "rb")
-        self._records_map = self._mmap(self._records_file)
-        self._uas_map = self._mmap(self._uas_file)
+        self._uas = BlobReader(
+            _FORMAT, self.directory, (_UAS, _UA_IDX, _UA_SHA), self.n_uas, "UA table"
+        )
+        self.ua_digests: List[str] = self._uas.digests
+        self._records = MappedFile(self.directory / _RECORDS)
         self._decoded: Dict[str, array] = {}
-        self._ua_texts: Dict[int, str] = {}
-
-    @staticmethod
-    def _mmap(handle) -> Optional[mmap.mmap]:
-        try:
-            return mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-        except ValueError:
-            return None  # zero-length file; accessors slice b"" instead
 
     def close(self) -> None:
         """Release the mapped files (safe to call more than once)."""
-        for attr in ("_records_map", "_uas_map"):
-            mapped = getattr(self, attr, None)
-            if mapped is not None:
-                mapped.close()
-                setattr(self, attr, None)
-        for attr in ("_records_file", "_uas_file"):
-            handle = getattr(self, attr, None)
-            if handle is not None:
-                handle.close()
-                setattr(self, attr, None)
+        self._records.close()
+        self._uas.close()
 
     def __enter__(self) -> "LogShardReader":
         return self
@@ -550,14 +439,11 @@ class LogShardReader:
         """One decoded column (memoized per reader)."""
         decoded = self._decoded.get(name)
         if decoded is None:
-            buffer = self._records_map if self._records_map is not None else b""
             offset = 0
             for col_name, code in _COLUMNS:
                 width = _COLUMN_WIDTHS[code] * self.n_records
                 if col_name == name:
-                    decoded = le_bytes_to_array(
-                        code, bytes(buffer[offset:offset + width])
-                    )
+                    decoded = le_bytes_to_array(code, self._records.read(offset, width))
                     break
                 offset += width
             else:
@@ -567,18 +453,7 @@ class LogShardReader:
 
     def ua_text(self, ref: int) -> str:
         """User-Agent string *ref* (memoized per reader)."""
-        text = self._ua_texts.get(ref)
-        if text is None:
-            offset, length = self._ua_offsets[ref]
-            buffer = self._uas_map if self._uas_map is not None else b""
-            try:
-                text = bytes(buffer[offset:offset + length]).decode("utf-8")
-            except UnicodeDecodeError:
-                raise LogStoreError(
-                    f"corrupt UA table at ref {ref}: {self.directory / _UAS}"
-                ) from None
-            self._ua_texts[ref] = text
-        return text
+        return self._uas.text(ref)
 
     def records(self) -> Iterator[LogRecord]:
         """Decoded rows in stored (global-seq ascending) order."""
@@ -639,39 +514,7 @@ class LogStore:
     def open(cls, root: Union[str, Path]) -> "LogStore":
         """Open and cross-validate every shard under *root*."""
         root = Path(root)
-        shard_dirs = sorted(
-            path for path in root.glob("shard-*") if path.is_dir()
-        )
-        if not shard_dirs:
-            raise LogStoreError(f"not a log store (no shards): {root}")
-        readers: List[LogShardReader] = []
-        try:
-            for directory in shard_dirs:
-                readers.append(LogShardReader(directory))
-            n_shards = readers[0].n_shards
-            digest = readers[0].config_digest
-            ids = sorted(reader.shard_id for reader in readers)
-            if ids != list(range(n_shards)):
-                raise LogStoreError(
-                    f"incomplete log store (shards {ids}, expected "
-                    f"0..{n_shards - 1}): {root}"
-                )
-            for reader in readers:
-                if reader.n_shards != n_shards:
-                    raise LogStoreError(
-                        f"inconsistent shard geometry ({reader.n_shards} vs "
-                        f"{n_shards}): {reader.directory}"
-                    )
-                if reader.config_digest != digest:
-                    raise LogStoreError(
-                        f"mixed config digests in log store: {reader.directory}"
-                    )
-        except Exception:
-            for reader in readers:
-                reader.close()
-            raise
-        readers.sort(key=lambda reader: reader.shard_id)
-        return cls(root, readers)
+        return cls(root, _FORMAT.open_set(root, LogShardReader))
 
     @property
     def n_shards(self) -> int:

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Tuple, Union
 
+from ..columnar import atomic_write
 from .metrics import metrics_enabled, shared_registry
 
 if TYPE_CHECKING:  # annotation-only: keeps the proxy->obs import acyclic
@@ -154,13 +154,6 @@ def write_features(store: LogStore, path: Union[str, Path]) -> Path:
         "n_records": store.n_records,
         "features": extract_features(store),
     }
-    # Atomic like every other artifact writer (archive manifests, log
-    # store commits): create the parent, stage a sibling tmp file, then
-    # rename into place so readers never see a torn FEATURES.json.
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-    os.replace(tmp, path)
+    atomic_write(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return path

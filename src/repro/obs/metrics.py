@@ -38,6 +38,8 @@ import threading
 from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from ..columnar import atomic_write
+
 __all__ = [
     "Counter",
     "Gauge",
@@ -480,10 +482,7 @@ def snapshot_delta(
 def export_metrics(path, registry: Optional["MetricsRegistry"] = None) -> None:
     """Write *registry* (default: the shared one) as JSON to *path*."""
     registry = registry if registry is not None else shared_registry()
-    payload = registry.to_json()
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=False)
-        handle.write("\n")
+    atomic_write(path, json.dumps(registry.to_json(), indent=2, sort_keys=False) + "\n")
 
 
 _SHARED_REGISTRY = MetricsRegistry()

@@ -38,6 +38,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Union
 
+from ..columnar import atomic_write
+
 __all__ = [
     "PROFILE_SCHEMA_VERSION",
     "PhaseProfile",
@@ -191,9 +193,7 @@ class Profiler:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         path = directory / "PROFILE.json"
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_json(), handle, indent=2, sort_keys=False)
-            handle.write("\n")
+        atomic_write(path, json.dumps(self.to_json(), indent=2, sort_keys=False) + "\n")
         return path
 
     def summary_lines(self) -> List[str]:

@@ -37,6 +37,7 @@ import json
 import threading
 from typing import Dict, Optional, Tuple, Union
 
+from ..columnar import atomic_write
 from . import metrics as _metrics
 from .metrics import InstrumentKey, _make_key, render_key
 
@@ -252,10 +253,7 @@ def snapshot_delta(after: SeriesSnapshot, before: SeriesSnapshot) -> SeriesSnaps
 def export_series(path, registry: Optional["SeriesRegistry"] = None) -> None:
     """Write *registry* (default: the shared one) as JSON to *path*."""
     registry = registry if registry is not None else shared_series()
-    payload = registry.to_json()
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    atomic_write(path, json.dumps(registry.to_json(), indent=2, sort_keys=True) + "\n")
 
 
 _SHARED_SERIES = SeriesRegistry()

@@ -41,6 +41,8 @@ import time
 from contextvars import ContextVar
 from typing import Dict, List, Optional
 
+from ..columnar import atomic_write
+
 __all__ = [
     "Span",
     "Tracer",
@@ -346,9 +348,9 @@ def adopt_current_span(parent: Optional[Span]) -> None:
 
 def write_trace(path, records: List[Dict[str, object]]) -> None:
     """Write span *records* as JSONL to *path*."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
+    atomic_write(
+        path, "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
+    )
 
 
 _TRACER = Tracer()

@@ -16,16 +16,23 @@ The assignment is a pure function of the domain: ``sha256`` of the
 * **Variant co-residency.**  ``example.com`` and ``www.example.com``
   hash to the same shard, so the analysis layer's "www."-variant
   record fallback (Appendix B.1) never has to look outside one shard.
+
+The assignment and the default shard count live in
+:mod:`repro.columnar`, which the log store partitions hosts with too;
+this module adds the fan-out around them.
 """
 
 from __future__ import annotations
 
-import hashlib
 import multiprocessing
 import os
 from typing import Dict, Iterable, List, Optional, Sequence, TypeVar
 
+from ..columnar import SITES_PER_SHARD, normalize_host, shard_count_for, shard_of
+
 __all__ = [
+    "SITES_PER_SHARD",
+    "normalize_host",
     "shard_of",
     "shard_count_for",
     "partition_domains",
@@ -34,51 +41,6 @@ __all__ = [
 ]
 
 T = TypeVar("T")
-
-#: Target sites per shard when the caller does not pick a shard count:
-#: small enough that one shard's records and unique bodies stay cheap,
-#: large enough that per-shard overhead (worker spawn, archive files)
-#: amortizes.
-SITES_PER_SHARD = 512
-
-
-def normalize_host(domain: str) -> str:
-    """The shard-assignment key for *domain* (case- and www-insensitive).
-
-    Stripping a leading ``"www."`` keeps variant pairs in one shard,
-    which is what makes the www-fallback record lookup shard-local.
-    """
-    host = domain.lower()
-    if host.startswith("www."):
-        host = host[4:]
-    return host
-
-
-def shard_of(domain: str, n_shards: int) -> int:
-    """The shard index for *domain* under *n_shards* shards.
-
-    >>> shard_of("example.com", 1)
-    0
-    >>> shard_of("example.com", 8) == shard_of("www.example.com", 8)
-    True
-    """
-    if n_shards <= 1:
-        return 0
-    digest = hashlib.sha256(normalize_host(domain).encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big") % n_shards
-
-
-def shard_count_for(n_sites: int, shards: Optional[int] = None) -> int:
-    """Resolve a shard count: explicit, or sized for *n_sites*.
-
-    ``None``/``0`` picks ``ceil(n_sites / SITES_PER_SHARD)`` so
-    per-shard size stays roughly constant as the population grows --
-    the knob behind flat-memory streaming.
-    """
-    if shards is not None and shards > 0:
-        return shards
-    return max(1, -(-n_sites // SITES_PER_SHARD))
-
 
 def partition_domains(
     domains: Sequence[T],

@@ -85,7 +85,7 @@ class TestSchemaHygiene:
         reloaded = IncrementalStore(root)
         assert reloaded.schema_invalidated
         assert reloaded.get_flag("full_any", "a" * 64, "k") is None
-        assert reloaded.body_entry_count() == 0
+        assert reloaded.fact_count() == 0
 
     def test_corrupt_files_load_as_empty(self, tmp_path):
         root = tmp_path / "cache"

@@ -159,6 +159,21 @@ def test_commit_writes_empty_shards_for_complete_id_set(tmp_path):
         assert store.n_records == 1
 
 
+def test_recommit_with_fewer_shards_drops_stale_shards(tmp_path):
+    sink = LogSink()
+    with log_stream("unit"):
+        for index in range(10):
+            _emit(sink, f"s{index}.example")
+    root = sink.commit(tmp_path / "logs", n_shards=4)
+    sink.commit(root, n_shards=2)
+    assert [p.name for p in sorted(root.glob("shard-*"))] == [
+        "shard-0000", "shard-0001"
+    ]
+    with LogStore.open(root) as store:
+        assert store.n_shards == 2
+        assert store.n_records == 10
+
+
 def test_empty_sink_commit_yields_openable_empty_store(tmp_path):
     LogSink().commit(tmp_path / "logs")
     with LogStore.open(tmp_path / "logs") as store:
@@ -242,7 +257,7 @@ def test_mixed_config_digests_are_rejected(tmp_path):
     for shard_id, digest in ((0, "aaaa"), (1, "bbbb")):
         writer = ShardLogWriter(root, shard_id, 2, config_digest=digest)
         writer.commit()
-    with pytest.raises(LogStoreError, match="mixed config digests"):
+    with pytest.raises(LogStoreError, match="different world"):
         LogStore.open(root)
 
 

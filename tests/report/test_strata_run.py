@@ -70,6 +70,22 @@ class TestRunStrata:
             r.metrics for r in report.results
         ]
 
+    def test_recrawl_with_fewer_shards_drops_stale_shards(self, tmp_path):
+        store = WorldStore()
+        run_strata(STRATA, config=BASE, shards=3, archive_dir=tmp_path, store=store)
+        other = PopulationConfig(
+            universe_size=450, list_size=300, top5k_cut=40, audit_size=80, seed=8
+        )
+        report = run_strata(
+            STRATA, config=other, shards=2, archive_dir=tmp_path, store=store
+        )
+        assert len(report.results) == 4
+        root = tmp_path / "top-10k"
+        assert [p.name for p in sorted(root.glob("shard-*"))] == [
+            "shard-0000", "shard-0001"
+        ]
+        assert (root / "facts.json").exists()
+
     def test_unknown_stratum_is_a_keyerror(self, tmp_path):
         with pytest.raises(KeyError, match="unknown stratum"):
             run_strata(["top-5k"], config=BASE, archive_dir=tmp_path)

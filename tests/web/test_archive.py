@@ -110,7 +110,7 @@ class TestRoundTrip:
 
 class TestDamage:
     def test_missing_root_is_one_line(self, tmp_path):
-        with pytest.raises(ArchiveError, match="no shard archives under"):
+        with pytest.raises(ArchiveError, match="not a snapshot archive"):
             ArchiveSet.open(tmp_path / "nowhere")
 
     def test_truncated_column_is_one_line(self, archive_root):
@@ -122,13 +122,13 @@ class TestDamage:
     def test_corrupt_manifest_is_one_line(self, archive_root):
         manifest = archive_root / shard_dir_name(1) / "manifest.json"
         manifest.write_text("{not json", encoding="utf-8")
-        with pytest.raises(ArchiveError, match="corrupt shard manifest"):
+        with pytest.raises(ArchiveError, match="corrupt archive manifest"):
             ArchiveSet.open(archive_root)
 
     def test_missing_shard_is_one_line(self, archive_root):
         manifest = archive_root / shard_dir_name(1) / "manifest.json"
         manifest.unlink()
-        with pytest.raises(ArchiveError, match="not a shard archive"):
+        with pytest.raises(ArchiveError, match="no manifest"):
             ArchiveSet.open(archive_root)
 
     def test_stale_schema_is_one_line(self, archive_root):
@@ -184,23 +184,6 @@ class TestBodyStore:
         store.put_flag("full_any", digest, "k", True)
         store.flush()
         assert ArchiveBodyStore(tmp_path).get_flag("full_any", digest, "k") is True
-
-    def test_ingest_from_incremental_store(self, tmp_path):
-        from repro.core.classify import classify
-        from repro.measure.incremental import IncrementalStore
-
-        inc = IncrementalStore(tmp_path / "cache")
-        digest = "f" * 64
-        inc.put_classification(
-            digest, "GPTBot", True, classify(ROBOTS_A, "GPTBot", require_explicit=True)
-        )
-        inc.flush()
-        store = ArchiveBodyStore(tmp_path / "arch")
-        adopted = store.ingest_incremental(tmp_path / "cache")
-        assert adopted >= 1
-        assert store.get_classification(digest, "GPTBot", True) is not None
-        # Re-ingest adopts nothing new.
-        assert store.ingest_incremental(tmp_path / "cache") == 0
 
     def test_satisfies_policy_cache_store_interface(self, tmp_path):
         from repro.measure.cache import PolicyCache
