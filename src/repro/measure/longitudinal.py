@@ -30,8 +30,6 @@ streaming memory stays O(shard).
 
 from __future__ import annotations
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
@@ -40,6 +38,7 @@ from ..agents.darkvisitors import AI_USER_AGENT_TOKENS
 from ..columnar import prepare_shard_set
 from ..core.classify import RestrictionLevel
 from ..core.compiled import CompiledPolicyCache
+from ..fanout import fan_out, resolve_mode
 from ..crawlers.commoncrawl import (
     SNAPSHOT_SPECS,
     Snapshot,
@@ -48,22 +47,15 @@ from ..crawlers.commoncrawl import (
     carry_forward_snapshot,
 )
 from ..net import chaos
-from ..net.accesslog import active_log_sink
 from ..net.logstore import log_stream
 from ..net.transport import Network
 from ..obs import live as _live
-from ..obs.metrics import metrics_enabled, shared_registry, snapshot_delta
+from ..obs.metrics import metrics_enabled
 from ..obs.series import shared_series
-from ..obs.series import snapshot_delta as series_delta
-from ..obs.trace import adopt_current_span, current_span, span
+from ..obs.trace import span
 from ..web.archive import ArchiveSet, ShardReader, ShardWriter
 from ..web.population import WebPopulation
-from ..web.sharding import (
-    partition_domains,
-    record_shard_balance,
-    resolve_shard_mode,
-    shard_count_for,
-)
+from ..web.sharding import partition_domains, record_shard_balance, shard_count_for
 from .cache import PolicyCache
 
 __all__ = [
@@ -245,6 +237,52 @@ def _use_delta(specs: Sequence[SnapshotSpec], delta: Optional[bool]) -> bool:
     return use
 
 
+def _crawl_spec(
+    population: WebPopulation, spec: SnapshotSpec, fetch_sites: List["SimSite"]
+) -> Snapshot:
+    """Crawl one spec's fetch subset: the step both collectors share.
+
+    A fresh :class:`Network` materializes the sites at the spec's month
+    and the CCBot client fetches their robots.txt.  The span carries
+    both clocks: wall time plus the simulated month the snapshot
+    pertains to (the logical clock).
+    """
+    with span(
+        "collect_snapshot",
+        logical=spec.month_index,
+        snapshot=spec.snapshot_id,
+        n_domains=len(fetch_sites),
+    ):
+        network = Network()
+        population.materialize(network, month=spec.month_index, sites=fetch_sites)
+        crawler = SnapshotCrawler(network)
+        snapshot = crawler.snapshot(spec, [site.domain for site in fetch_sites])
+        network.publish_request_histogram()
+    if metrics_enabled():
+        # In a full crawl every site counts as refetched, so the series
+        # doubles as a live view of how much work delta collection
+        # avoids month over month.  Per-shard counts sum into the same
+        # per-month points, so sharded totals match unsharded ones.
+        shared_series().add(
+            "delta.sites_refetched", spec.month_index, len(fetch_sites)
+        )
+    return snapshot
+
+
+def _carry_forward(snapshots: List[Snapshot], domains: List[str]) -> List[Snapshot]:
+    """Full snapshots, in spec order, from a delta crawl's fetches.
+
+    Each month's records dict lays down every domain in canonical
+    order, taking the freshly fetched record when the site was in the
+    plan and the previous assembled month's record otherwise, so
+    insertion order matches a full crawl exactly.
+    """
+    assembled = [snapshots[0]]
+    for fetched in snapshots[1:]:
+        assembled.append(carry_forward_snapshot(fetched, assembled[-1], domains))
+    return assembled
+
+
 def collect_snapshots(
     population: WebPopulation,
     specs: Sequence[SnapshotSpec] = tuple(SNAPSHOT_SPECS),
@@ -257,10 +295,10 @@ def collect_snapshots(
     and crawls every stable site's robots.txt with the CCBot client.
 
     Args:
-        workers: Number of snapshots to crawl concurrently.  Each spec
-            builds its own independent :class:`Network`, so snapshots
-            parallelize without shared mutable state; results are
-            assembled in spec order, making the output bit-identical
+        workers: Number of snapshots to crawl concurrently, on threads.
+            Each spec builds its own independent :class:`Network`, so
+            snapshots parallelize without shared mutable state; results
+            are assembled in spec order, making the output bit-identical
             for any worker count (``None``/``1`` = sequential).
         delta: Diff-aware collection: refetch only sites whose robots
             state changed since the previous spec and carry every other
@@ -276,77 +314,31 @@ def collect_snapshots(
     specs = list(specs)
     domains = [site.domain for site in population.stable]
     use_delta = _use_delta(specs, delta)
-    plan = (
-        delta_fetch_plan(population, specs)
-        if use_delta
-        else [list(population.stable) for _ in specs]
-    )
+    plan = _site_fetch_plan(list(population.stable), specs, use_delta)
+    tasks = list(zip(specs, plan))
 
-    def collect_one(task: Tuple[SnapshotSpec, List["SimSite"]]) -> Snapshot:
-        spec, fetch_sites = task
-        # The span carries both clocks: wall time plus the simulated
-        # month the snapshot pertains to (the logical clock).  The named
-        # wide-event stream makes the crawl's log records land in the
-        # same archive position for any worker count.
-        with log_stream(f"collect:{spec.snapshot_id}"), span(
-            "collect_snapshot",
-            logical=spec.month_index,
-            snapshot=spec.snapshot_id,
-            n_domains=len(fetch_sites),
-        ):
-            network = Network()
-            population.materialize(network, month=spec.month_index, sites=fetch_sites)
-            crawler = SnapshotCrawler(network)
-            snapshot = crawler.snapshot(spec, [site.domain for site in fetch_sites])
-            network.publish_request_histogram()
-        if metrics_enabled():
-            # In a full crawl every site counts as refetched, so the
-            # series doubles as a live view of how much work delta
-            # collection avoids month over month.
-            shared_series().add(
-                "delta.sites_refetched", spec.month_index, len(fetch_sites)
-            )
+    def collect_one(index: int) -> Snapshot:
+        spec, fetch_sites = tasks[index]
+        # The named wide-event stream makes the crawl's log records
+        # land in the same archive position for any worker count.
+        with log_stream(f"collect:{spec.snapshot_id}"):
+            snapshot = _crawl_spec(population, spec, fetch_sites)
         # The batch pipeline's simulated-month clock drives the live
         # telemetry plane: one scrape as each month's snapshot lands.
         # Costs a single None check when no pipeline is installed.
         _live.month_tick(spec.month_index)
         return snapshot
 
-    tasks = list(zip(specs, plan))
     with span(
         "collect_snapshots",
         n_specs=len(specs),
         workers=workers or 1,
         delta=use_delta,
     ):
-        if workers is None or workers <= 1 or len(specs) <= 1:
-            snapshots = [collect_one(task) for task in tasks]
-        else:
-            with ThreadPoolExecutor(
-                max_workers=min(workers, len(specs)),
-                # Worker threads start with an empty span context;
-                # adopt the collection span so per-snapshot spans stay
-                # its children rather than becoming roots.
-                initializer=adopt_current_span,
-                initargs=(current_span(),),
-            ) as pool:
-                # executor.map preserves spec order regardless of
-                # completion order, so parallelism cannot reorder the
-                # series.
-                snapshots = list(pool.map(collect_one, tasks))
-
+        # Month ticks must scrape in this process, so threads only.
+        snapshots = fan_out(collect_one, len(tasks), workers, mode="thread")
     if use_delta:
-        # Assemble full snapshots in spec order: each month's records
-        # dict lays down every stable domain in canonical order, taking
-        # the freshly fetched record when the site was in the plan and
-        # the previous assembled month's record otherwise.  Insertion
-        # order therefore matches a full crawl exactly.
-        assembled: List[Snapshot] = [snapshots[0]]
-        for fetched in snapshots[1:]:
-            assembled.append(
-                carry_forward_snapshot(fetched, assembled[-1], domains)
-            )
-        snapshots = assembled
+        snapshots = _carry_forward(snapshots, domains)
 
     # Intern robots bodies across the whole series: fifteen snapshots of
     # a mostly-unchanged population collapse to one string per distinct
@@ -359,105 +351,6 @@ def collect_snapshots(
         snapshots=snapshots,
         stable_domains=domains,
         tiers=[site.tier for site in population.stable],
-    )
-
-
-#: Ambient state for shard-archive collection workers: ``(population,
-#: specs, parts, use_delta, ship_telemetry, root, config_digest)``.  Set
-#: by :func:`collect_shard_archives` before a fork pool spawns so
-#: children inherit the population instead of re-pickling it per shard.
-_COLLECT_CONTEXT: Optional[tuple] = None
-
-
-def _crawl_shard(
-    population: WebPopulation,
-    specs: Sequence[SnapshotSpec],
-    sites: List["SimSite"],
-    use_delta: bool,
-) -> List[Snapshot]:
-    """Crawl every spec for one shard's sites (full per-shard snapshots).
-
-    The engine is :func:`collect_snapshots`' loop restricted to a site
-    subset: per-spec fetch plan, a fresh :class:`Network` per spec,
-    shard-local carry-forward.  Because every record is a pure function
-    of ``(site, month)`` -- chaos faults included, they key on
-    ``(rule, host)`` counters -- the union of shard crawls equals an
-    unsharded crawl record for record.
-    """
-    domains = [site.domain for site in sites]
-    plan = _site_fetch_plan(sites, specs, use_delta)
-    snapshots: List[Snapshot] = []
-    for spec, fetch_sites in zip(specs, plan):
-        with span(
-            "collect_snapshot",
-            logical=spec.month_index,
-            snapshot=spec.snapshot_id,
-            n_domains=len(fetch_sites),
-        ):
-            network = Network()
-            population.materialize(
-                network, month=spec.month_index, sites=fetch_sites
-            )
-            crawler = SnapshotCrawler(network)
-            snapshot = crawler.snapshot(
-                spec, [site.domain for site in fetch_sites]
-            )
-            network.publish_request_histogram()
-        if metrics_enabled():
-            # Per-shard refetch counts sum into the same per-month
-            # series points, so sharded totals match unsharded ones.
-            shared_series().add(
-                "delta.sites_refetched", spec.month_index, len(fetch_sites)
-            )
-        snapshots.append(snapshot)
-    if use_delta:
-        assembled = [snapshots[0]]
-        for fetched in snapshots[1:]:
-            assembled.append(
-                carry_forward_snapshot(fetched, assembled[-1], domains)
-            )
-        snapshots = assembled
-    return snapshots
-
-
-def _collect_shard(index: int):
-    """Worker entry: crawl shard *index* and commit its archive directory.
-
-    Returns ``(metrics_delta, series_delta, log_delta)``.  Only process
-    mode fills them in: the fork child's registry and log sink are
-    copies, while serial and thread workers write straight into the
-    parent's.
-    """
-    context = _COLLECT_CONTEXT
-    assert context is not None, "sharded collection must set the context"
-    population, specs, parts, use_delta, ship, root, config_digest = context
-    registry = shared_registry()
-    series = shared_series()
-    sink = active_log_sink()
-    if ship:
-        before = registry.snapshot()
-        series_before = series.snapshot()
-        sink_marks = sink.marks() if sink is not None else None
-    sites = parts[index]
-    # One wide-event stream per shard: the shard crawls all specs
-    # sequentially in one worker, so the stream is single-writer.
-    with log_stream(f"collect-shard:{index:04d}"):
-        snapshots = _crawl_shard(population, specs, sites, use_delta)
-    writer = ShardWriter(root, index, len(parts), config_digest)
-    writer.set_sites(
-        [site.domain for site in sites],
-        [site.rank for site in sites],
-        [site.tier for site in sites],
-    )
-    for snapshot in snapshots:
-        writer.add_snapshot(snapshot.spec, snapshot.records, snapshot.error_budget)
-    writer.commit()
-    if not ship:
-        return None, None, None
-    return (
-        snapshot_delta(registry.snapshot(), before),
-        series_delta(series.snapshot(), series_before),
-        sink.delta(sink_marks) if sink_marks is not None else None,
     )
 
 
@@ -474,12 +367,13 @@ def collect_shard_archives(
     """Crawl the population straight into a columnar shard archive.
 
     Sites are partitioned by :func:`repro.web.sharding.shard_of`; each
-    worker crawls *every* spec for one shard (``shards=0`` sizes the
-    shard count automatically) and commits a
-    :class:`~repro.web.archive.ShardWriter` directory under *root*.
-    Records never accumulate in the parent, so peak memory is
+    unit of :func:`repro.fanout.fan_out` crawls *every* spec for one
+    shard (``shards=0`` sizes the shard count automatically) and
+    commits a :class:`~repro.web.archive.ShardWriter` directory under
+    *root*.  Records never accumulate in the parent, so peak memory is
     O(largest shard) regardless of population size.  Every record is a
-    pure function of ``(site, month)``, so any shards x workers x mode
+    pure function of ``(site, month)`` -- chaos faults included, they
+    key on ``(rule, host)`` counters -- so any shards x workers x mode
     combination archives the records an unsharded
     :func:`collect_snapshots` crawls.  The aggregations in this module
     then consume the archive shard by shard.
@@ -491,60 +385,59 @@ def collect_shard_archives(
     Returns *root*; open the result with
     :class:`repro.web.archive.ArchiveSet`.
     """
-    global _COLLECT_CONTEXT
     root = Path(root)
     specs = list(specs)
     sites = list(population.stable)
     n_workers = max(1, workers or 1)
     n_shards = shard_count_for(len(sites), shards if shards > 0 else None)
+    # Resolve (and validate) the mode before the old archive is retired.
+    resolved = resolve_mode(mode, min(n_workers, n_shards))
     parts = partition_domains(
         sites, n_shards, key=(site.domain for site in sites)
     )
     record_shard_balance(parts, stage="collect")
     prepare_shard_set(root, n_shards)
-    resolved = resolve_shard_mode(mode, min(n_workers, n_shards))
     use_delta = _use_delta(specs, delta)
-    _COLLECT_CONTEXT = (
-        population, specs, parts, use_delta,
-        resolved == "process", root, config_digest,
-    )
-    try:
-        indices = range(n_shards)
-        with span(
-            "collect_snapshots",
-            n_specs=len(specs),
-            workers=n_workers,
-            delta=use_delta,
-            shards=n_shards,
-            mode=resolved,
-        ):
-            if resolved == "serial":
-                outputs = [_collect_shard(i) for i in indices]
-            elif resolved == "process":
-                context = multiprocessing.get_context("fork")
-                with ProcessPoolExecutor(
-                    max_workers=n_workers, mp_context=context
-                ) as pool:
-                    outputs = list(pool.map(_collect_shard, indices))
-            else:
-                with ThreadPoolExecutor(
-                    max_workers=n_workers,
-                    initializer=adopt_current_span,
-                    initargs=(current_span(),),
-                ) as pool:
-                    outputs = list(pool.map(_collect_shard, indices))
-    finally:
-        _COLLECT_CONTEXT = None
-    registry = shared_registry()
-    series = shared_series()
-    sink = active_log_sink()
-    for delta_snapshot, sdelta, log_delta in outputs:
-        if delta_snapshot is not None:
-            registry.merge(delta_snapshot)
-        if sdelta is not None:
-            series.merge(sdelta)
-        if log_delta is not None and sink is not None:
-            sink.merge(log_delta)
+
+    def collect_shard(index: int) -> None:
+        shard_sites = parts[index]
+        label = f"{index:04d}"
+        # One span per shard numbers its collect_snapshot children
+        # within the shard, so a span id names the same work under any
+        # schedule.  One wide-event stream per shard: the shard crawls
+        # all specs sequentially in one worker, so it is single-writer.
+        with span(f"collect_shard:{label}", shard=index, n_domains=len(shard_sites)):
+            with log_stream(f"collect-shard:{label}"):
+                plan = _site_fetch_plan(shard_sites, specs, use_delta)
+                snapshots = [
+                    _crawl_spec(population, spec, fetch_sites)
+                    for spec, fetch_sites in zip(specs, plan)
+                ]
+            if use_delta:
+                snapshots = _carry_forward(
+                    snapshots, [site.domain for site in shard_sites]
+                )
+            writer = ShardWriter(root, index, n_shards, config_digest)
+            writer.set_sites(
+                [site.domain for site in shard_sites],
+                [site.rank for site in shard_sites],
+                [site.tier for site in shard_sites],
+            )
+            for snapshot in snapshots:
+                writer.add_snapshot(
+                    snapshot.spec, snapshot.records, snapshot.error_budget
+                )
+            writer.commit()
+
+    with span(
+        "collect_snapshots",
+        n_specs=len(specs),
+        workers=n_workers,
+        delta=use_delta,
+        shards=n_shards,
+        mode=resolved,
+    ):
+        fan_out(collect_shard, n_shards, n_workers, resolved)
     return root
 
 

@@ -25,8 +25,9 @@ scheduling at any worker count**.  Two mechanisms deliver it:
   -- scheduling decides only *when* a stream fills, never what the
   committed bytes look like.
 * **Shipped deltas.**  Fork workers cannot write into the parent's
-  sink, so they ship per-stream event deltas (:meth:`LogSink.marks` /
-  :meth:`LogSink.delta`) exactly like metrics deltas, and the parent
+  sink, so :func:`repro.fanout.fan_out` ships each fork-pool unit's
+  per-stream event deltas (:meth:`LogSink.marks` /
+  :meth:`LogSink.delta`) with its metrics deltas, and the parent
   merges them (:meth:`LogSink.merge`) before committing.
 """
 

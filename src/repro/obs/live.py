@@ -9,10 +9,11 @@ instrument paths:
 
 * :class:`TelemetryScraper` periodically snapshots the registries and
   computes **snapshot deltas** with the exact same
-  :func:`~repro.obs.metrics.snapshot_delta` arithmetic fork workers use
-  to ship their activity, so a scrape stream and a batch export can
-  never disagree -- the final scrape's cumulative payload *is* the
-  METRICS.json / SERIES.json payload.
+  :func:`~repro.obs.metrics.snapshot_delta` arithmetic the fan-out
+  (:mod:`repro.fanout`) uses to ship fork units' activity, so a scrape
+  stream and a batch export can never disagree -- the final scrape's
+  cumulative payload *is* the METRICS.json / SERIES.json payload, and
+  both render through the same ``render_snapshot`` functions.
 * :class:`EventBus` is a bounded ring buffer of
   :class:`TelemetryEvent` records with pluggable sinks.  When the
   buffer is full the oldest event is dropped (and counted); a slow or
@@ -182,48 +183,16 @@ class EventBus:
 # scraping: snapshot-delta over the batch registries
 # ---------------------------------------------------------------------------
 
-def _render_metrics_snapshot(snapshot: Dict) -> Dict[str, object]:
-    """Render a registry snapshot as the METRICS.json payload shape."""
-    return {
-        "schema_version": _metrics.METRICS_SCHEMA_VERSION,
-        "counters": {
-            render_key(key): value
-            for key, value in sorted(snapshot["counters"].items())
-        },
-        "gauges": {
-            render_key(key): value
-            for key, value in sorted(snapshot["gauges"].items())
-        },
-        "histograms": {
-            render_key(key): payload
-            for key, payload in sorted(snapshot["histograms"].items())
-        },
-    }
-
-
-def _render_series_snapshot(snapshot: Dict) -> Dict[str, object]:
-    """Render a series snapshot as the SERIES.json payload shape."""
-    rendered: Dict[str, object] = {}
-    for key, points in sorted(snapshot.items()):
-        months = sorted(points)
-        rendered[render_key(key)] = {
-            "months": months,
-            "values": [points[month] for month in months],
-            "total": sum(points[month] for month in months),
-        }
-    return {"schema_version": _series_mod.SERIES_SCHEMA_VERSION, "series": rendered}
-
-
 class TelemetryScraper:
     """Turns registry state into cumulative + delta scrape payloads.
 
     Each :meth:`scrape` takes one consistent snapshot pair, renders the
     cumulative state in the exact export payload shapes, and diffs
     against the previous scrape with the same ``snapshot_delta``
-    arithmetic the fork-pool workers use.  The scrape itself is counted
-    (``live.scrapes``) *before* the snapshot, so the cumulative payload
-    always accounts for its own bookkeeping and the final scrape of a
-    run matches the batch export exactly.
+    arithmetic the fan-out uses for fork-pool units.  The scrape itself
+    is counted (``live.scrapes``) *before* the snapshot, so the
+    cumulative payload always accounts for its own bookkeeping and the
+    final scrape of a run matches the batch export exactly.
     """
 
     def __init__(
@@ -257,8 +226,8 @@ class TelemetryScraper:
             index = self._scrapes
         return {
             "scrape_index": index,
-            "metrics": _render_metrics_snapshot(metrics_after),
-            "series": _render_series_snapshot(series_after),
+            "metrics": _metrics.render_snapshot(metrics_after),
+            "series": _series_mod.render_snapshot(series_after),
             "delta": {
                 "counters": {
                     render_key(key): value

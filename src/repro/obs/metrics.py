@@ -24,7 +24,8 @@ Three instrument kinds, all keyed by ``(name, sorted labels)``:
 Worker support: :meth:`MetricsRegistry.snapshot` produces a picklable
 value tree, :func:`snapshot_delta` subtracts a "before" snapshot from an
 "after" one, and :meth:`MetricsRegistry.merge` folds a snapshot (e.g.
-one shipped back from a fork-pool worker) into the parent registry.
+one a fork-pool unit of :func:`repro.fanout.fan_out` shipped back)
+into the parent registry.
 
 Overhead: every mutation checks a module-global enabled flag first, so
 ``set_metrics_enabled(False)`` reduces each instrument call to a bool
@@ -52,6 +53,7 @@ __all__ = [
     "set_metrics_enabled",
     "shared_registry",
     "snapshot_delta",
+    "render_snapshot",
     "render_key",
     "export_metrics",
 ]
@@ -422,22 +424,28 @@ class MetricsRegistry:
 
     def to_json(self) -> Dict[str, object]:
         """A schema-versioned, JSON-able rendering (sorted string keys)."""
-        snapshot = self.snapshot()
-        return {
-            "schema_version": METRICS_SCHEMA_VERSION,
-            "counters": {
-                render_key(key): value
-                for key, value in sorted(snapshot["counters"].items())
-            },
-            "gauges": {
-                render_key(key): value
-                for key, value in sorted(snapshot["gauges"].items())
-            },
-            "histograms": {
-                render_key(key): payload
-                for key, payload in sorted(snapshot["histograms"].items())
-            },
-        }
+        return render_snapshot(self.snapshot())
+
+
+def render_snapshot(
+    snapshot: Dict[str, Dict[InstrumentKey, object]],
+) -> Dict[str, object]:
+    """Render a registry snapshot as the METRICS.json payload shape."""
+    return {
+        "schema_version": METRICS_SCHEMA_VERSION,
+        "counters": {
+            render_key(key): value
+            for key, value in sorted(snapshot["counters"].items())
+        },
+        "gauges": {
+            render_key(key): value
+            for key, value in sorted(snapshot["gauges"].items())
+        },
+        "histograms": {
+            render_key(key): payload
+            for key, payload in sorted(snapshot["histograms"].items())
+        },
+    }
 
 
 def snapshot_delta(

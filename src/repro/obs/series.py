@@ -20,8 +20,9 @@ Contract, mirroring the metrics layer:
   demands byte-identical ``SERIES.json`` across all three modes.
 * **Worker shipping.**  :meth:`SeriesRegistry.snapshot` /
   :func:`snapshot_delta` / :meth:`SeriesRegistry.merge` compose exactly
-  like the counter protocol: a fork worker snapshots at entry, ships
-  the delta, and the parent merges by per-month addition.
+  like the counter protocol: :func:`repro.fanout.fan_out` snapshots
+  before each fork-pool unit, ships the delta, and the parent merges
+  by per-month addition.
 * **Bounded cardinality.**  A registry refuses to materialize more than
   ``max_series_per_name`` labeled children per series name; overflowing
   label sets collapse into one reserved ``{overflow=true}`` bucket so a
@@ -49,6 +50,7 @@ __all__ = [
     "OVERFLOW_LABELS",
     "shared_series",
     "snapshot_delta",
+    "render_snapshot",
     "export_series",
 ]
 
@@ -219,16 +221,20 @@ class SeriesRegistry:
         the outer mapping uses rendered string keys, so dumping with
         ``sort_keys=True`` is byte-deterministic.
         """
-        snapshot = self.snapshot()
-        rendered: Dict[str, object] = {}
-        for key, points in sorted(snapshot.items()):
-            months = sorted(points)
-            rendered[render_key(key)] = {
-                "months": months,
-                "values": [points[month] for month in months],
-                "total": sum(points[month] for month in months),
-            }
-        return {"schema_version": SERIES_SCHEMA_VERSION, "series": rendered}
+        return render_snapshot(self.snapshot())
+
+
+def render_snapshot(snapshot: SeriesSnapshot) -> Dict[str, object]:
+    """Render a series snapshot as the SERIES.json payload shape."""
+    rendered: Dict[str, object] = {}
+    for key, points in sorted(snapshot.items()):
+        months = sorted(points)
+        rendered[render_key(key)] = {
+            "months": months,
+            "values": [points[month] for month in months],
+            "total": sum(points[month] for month in months),
+        }
+    return {"schema_version": SERIES_SCHEMA_VERSION, "series": rendered}
 
 
 def snapshot_delta(after: SeriesSnapshot, before: SeriesSnapshot) -> SeriesSnapshot:

@@ -25,11 +25,11 @@ Design constraints:
   :func:`span` call returns a shared no-op context manager without
   touching the tracer, so instrumented hot paths cost one global bool
   check (benchmarked <1% in ``benchmarks/bench_obs_overhead.py``).
-* **Worker shipping.**  Fork-pool workers mark the buffer position on
-  entry (:meth:`Tracer.record_count`), run, and ship
-  :meth:`Tracer.records_since` back to the parent, which
-  :meth:`Tracer.absorb`\\ s them -- mirroring the metrics-snapshot
-  delta protocol in :mod:`repro.obs.metrics`.
+* **Worker shipping.**  :func:`repro.fanout.fan_out` marks the buffer
+  position before each fork-pool unit (:meth:`Tracer.record_count`),
+  ships :meth:`Tracer.records_since` back with the unit's metrics,
+  series and log-sink deltas, and the parent :meth:`Tracer.absorb`\\ s
+  them in unit order.
 """
 
 from __future__ import annotations

@@ -26,32 +26,19 @@ timings for the perf trajectory.
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.compiled import shared_policy_cache
+from ..fanout import fan_out, resolve_mode
 from ..net import chaos as _chaos
 from ..obs import live as _obs_live
 from ..obs.profile import Profiler
-from ..obs.metrics import (
-    MetricsRegistry,
-    export_metrics,
-    shared_registry,
-    snapshot_delta,
-)
-from ..obs.series import (
-    SeriesRegistry,
-    export_series,
-    shared_series,
-)
-from ..obs.series import snapshot_delta as series_delta
+from ..obs.metrics import MetricsRegistry, export_metrics, shared_registry
+from ..obs.series import SeriesRegistry, export_series
 from ..obs.trace import (
-    adopt_current_span,
     set_tracing_enabled,
     shared_tracer,
     span,
@@ -59,7 +46,7 @@ from ..obs.trace import (
     write_trace,
 )
 from ..measure.incremental import IncrementalStore, experiment_input_key
-from ..net.accesslog import active_log_sink, set_log_sink
+from ..net.accesslog import set_log_sink
 from ..net.logstore import LogSink, LogStore, log_stream
 from ..web.population import PopulationConfig
 from ..web.worldstore import WorldStore, config_digest, shared_world_store
@@ -299,91 +286,6 @@ class RunReport:
 # -- execution -----------------------------------------------------------------
 
 
-@dataclass
-class _RunContext:
-    """Everything a worker needs; inherited by forked children.
-
-    ``ship`` is True only in process mode: forked children must ship
-    their telemetry (metrics and series snapshot deltas plus the span
-    records they buffered) back to the parent, because their
-    registry/tracer are copies.  Thread and serial workers write
-    straight into the parent's shared instances, so shipping there
-    would double-count.
-    """
-
-    config: Optional[PopulationConfig]
-    store: WorldStore
-    bundle: Optional[LongitudinalBundle]
-    ship: bool = False
-    param_overrides: Dict[str, Dict[str, object]] = field(default_factory=dict)
-
-
-#: Set by :func:`run_all` before any pool spawns so fork-based workers
-#: inherit the built world instead of pickling it.
-_WORKER_CONTEXT: Optional[_RunContext] = None
-
-#: One outcome from :func:`_execute_experiment`: key, span-derived
-#: seconds, result, shipped metrics delta, shipped series delta,
-#: shipped span records, and shipped wide-event delta (the deltas/
-#: records are process mode only).
-_Outcome = Tuple[
-    str,
-    float,
-    ExperimentResult,
-    Optional[Dict[str, object]],
-    Optional[Dict[str, object]],
-    List[Dict[str, object]],
-    Optional[Dict[str, list]],
-]
-
-
-def _execute_experiment(key: str) -> _Outcome:
-    """Run one experiment against the ambient context (worker entry)."""
-    context = _WORKER_CONTEXT
-    assert context is not None, "run_all must establish the context first"
-    spec = _BY_KEY[key]
-    registry = shared_registry()
-    series = shared_series()
-    tracer = shared_tracer()
-    sink = active_log_sink()
-    before = registry.snapshot() if context.ship else None
-    series_before = series.snapshot() if context.ship else None
-    mark = tracer.record_count() if context.ship else 0
-    # A forked child's sink is a pre-fork copy; marks bound the suffix
-    # of events this experiment emits, which is all that ships back.
-    sink_marks = sink.marks() if (context.ship and sink is not None) else None
-    # Distinct span names per experiment keep root ids deterministic
-    # even when parallel workers race on the occurrence counters.
-    params = dict(spec.params)
-    params.update(context.param_overrides.get(key, {}))
-    exp_span = span(f"experiment:{key}", key=key, world=spec.world)
-    # One named wide-event stream per experiment: the stream label --
-    # not the scheduling -- decides where this unit's requests land in
-    # the committed log archive.
-    with log_stream(f"experiment:{key}"), exp_span:
-        if spec.world == WORLD_BUNDLE:
-            result = spec.run(context.bundle, **params)
-        elif spec.world == WORLD_POPULATION:
-            # Every population runner gets its own copy-on-write view:
-            # its mutations (handler registration, attribute edits) live
-            # and die with the view, never in a sibling's world.
-            result = spec.run(
-                context.store.population_view(context.config), **params
-            )
-        else:
-            result = spec.run(**params)
-    seconds = getattr(exp_span, "duration_seconds", 0.0)
-    if not context.ship:
-        return key, seconds, result, None, None, [], None
-    delta = snapshot_delta(registry.snapshot(), before)
-    sdelta = series_delta(series.snapshot(), series_before)
-    log_delta = sink.delta(sink_marks) if sink_marks is not None else None
-    return (
-        key, seconds, result, delta, sdelta,
-        tracer.records_since(mark), log_delta,
-    )
-
-
 def _validated_overrides(
     param_overrides: Optional[Dict[str, Dict[str, object]]],
 ) -> Dict[str, Dict[str, object]]:
@@ -427,18 +329,6 @@ def _restore_live(previous: Optional["_obs_live.LiveTelemetry"]) -> None:
         _obs_live.install(previous)
     else:
         _obs_live.uninstall()
-
-
-def _resolve_mode(mode: str, workers: int) -> str:
-    if workers <= 1:
-        return "serial"
-    if mode != "auto":
-        return mode
-    # Processes only pay off with real cores and a fork start method
-    # (children must inherit the built world, not re-pickle it).
-    if (os.cpu_count() or 1) > 1 and "fork" in multiprocessing.get_all_start_methods():
-        return "process"
-    return "thread"
 
 
 def run_strata(
@@ -612,11 +502,12 @@ def run_all(
 
     Tracing is force-enabled for the duration of the run (and restored
     afterwards): the orchestrator's timings *are* its span tree, so
-    ``run_all`` always produces one.  Every worker's counter increments
-    land in the process-wide registry -- directly in serial/thread
-    mode, via shipped snapshot deltas in process mode -- so counter
-    totals are identical for any ``workers``/``mode`` combination
-    (enforced by ``tests/report/test_orchestrator.py``).
+    ``run_all`` always produces one.  The experiments fan out through
+    :func:`repro.fanout.fan_out`, so every worker's counters, series,
+    spans and wide events land in the process-wide buffers -- directly
+    in serial/thread mode, as shipped deltas in process mode -- and are
+    identical for any ``workers``/``mode`` combination (enforced by
+    ``tests/report/test_orchestrator.py``).
 
     Args:
         config: Population config (None = the paper's default scale).
@@ -627,7 +518,9 @@ def run_all(
         store: World store to draw from (default: the process-wide
             shared store, so repeated invocations hit the cache).
         mode: "auto" (processes when forking onto multiple cores is
-            possible, else threads), "thread", or "process".
+            possible, else threads), "serial", "thread", or "process"
+            (see :func:`repro.fanout.resolve_mode`; anything else raises
+            ``ValueError``).
         collect_workers: Parallelism for the snapshot crawl when the
             bundle has to be built (forwarded to
             :func:`~repro.measure.longitudinal.collect_snapshots`).
@@ -712,7 +605,6 @@ def run_all(
             live=live,
             profile=profile,
         )
-    global _WORKER_CONTEXT
     chaos_preactivated = _chaos.active_plan() is not None
     if fault_plan is not None:
         if isinstance(fault_plan, str):
@@ -783,7 +675,7 @@ def run_all(
 
     specs = [_BY_KEY[k] for k in to_run]
     n_workers = max(1, workers or 1)
-    resolved = _resolve_mode(mode, min(n_workers, len(to_run)))
+    resolved = resolve_mode(mode, min(n_workers, len(to_run)))
 
     tracer = shared_tracer()
     was_tracing = tracing_enabled()
@@ -841,63 +733,43 @@ def run_all(
                 # same cached bundle never touch the store.
                 bundle.series.cache.attach_store(inc)
 
-            _WORKER_CONTEXT = _RunContext(
-                config=config,
-                store=store,
-                bundle=bundle,
-                ship=(resolved == "process"),
-                param_overrides=overrides,
-            )
-            try:
-                if not to_run:
-                    outcomes = []
-                elif resolved == "serial":
-                    # Serial is the only mode where per-experiment CPU
-                    # attribution is truthful, so profile each key as
-                    # its own phase here and the pooled battery as one
-                    # phase below.
-                    outcomes = []
-                    for key in to_run:
-                        with _phase(profiler, f"experiment:{key}", key=key):
-                            outcomes.append(_execute_experiment(key))
-                elif resolved == "process":
-                    context = multiprocessing.get_context("fork")
-                    with _phase(
-                        profiler, "experiments", mode=resolved, workers=n_workers
-                    ), ProcessPoolExecutor(
-                        max_workers=n_workers, mp_context=context
-                    ) as pool:
-                        outcomes = list(pool.map(_execute_experiment, to_run))
-                else:
-                    live_root = total_span if hasattr(total_span, "span_id") else None
-                    with _phase(
-                        profiler, "experiments", mode=resolved, workers=n_workers
-                    ), ThreadPoolExecutor(
-                        max_workers=n_workers,
-                        # Worker threads start with an empty span
-                        # context; adopt the run root so the trace tree
-                        # matches serial/fork execution.
-                        initializer=adopt_current_span,
-                        initargs=(live_root,),
-                    ) as pool:
-                        # map preserves submission order regardless of
-                        # completion order, so parallelism cannot reorder
-                        # or interleave the assembled report.
-                        outcomes = list(pool.map(_execute_experiment, to_run))
-            finally:
-                _WORKER_CONTEXT = None
+            def run_experiment(index: int) -> Tuple[float, ExperimentResult]:
+                key = to_run[index]
+                spec = _BY_KEY[key]
+                params = dict(spec.params)
+                params.update(overrides.get(key, {}))
+                # Distinct span names per experiment keep ids
+                # deterministic under any schedule.
+                exp_span = span(f"experiment:{key}", key=key, world=spec.world)
+                # Serial is the only mode where per-experiment CPU
+                # attribution is truthful, so only it profiles each key
+                # as a phase.  One named wide-event stream per
+                # experiment: the label, not the scheduling, decides
+                # where its requests land in the committed log archive.
+                with _phase(
+                    profiler if resolved == "serial" else None,
+                    f"experiment:{key}",
+                    key=key,
+                ), log_stream(f"experiment:{key}"), exp_span:
+                    if spec.world == WORLD_BUNDLE:
+                        result = spec.run(bundle, **params)
+                    elif spec.world == WORLD_POPULATION:
+                        # Every population runner gets its own
+                        # copy-on-write view: its mutations (handler
+                        # registration, attribute edits) live and die
+                        # with the view, never in a sibling's world.
+                        result = spec.run(store.population_view(config), **params)
+                    else:
+                        result = spec.run(**params)
+                return getattr(exp_span, "duration_seconds", 0.0), result
 
-            # Fold process-mode workers' shipped telemetry into the
-            # parent; serial/thread workers already wrote in place.
-            for _, _, _, delta, sdelta, shipped_spans, log_delta in outcomes:
-                if delta is not None:
-                    registry.merge(delta)
-                if sdelta is not None:
-                    shared_series().merge(sdelta)
-                if shipped_spans:
-                    tracer.absorb(shipped_spans)
-                if log_delta is not None and sink is not None:
-                    sink.merge(log_delta)
+            with _phase(
+                None if resolved == "serial" else profiler,
+                "experiments",
+                mode=resolved,
+                workers=n_workers,
+            ):
+                outcomes = fan_out(run_experiment, len(to_run), n_workers, resolved)
     finally:
         set_tracing_enabled(was_tracing)
         if inc is not None and bundle is not None:
@@ -919,9 +791,7 @@ def run_all(
         incremental=dispositions,
         profiler=profiler,
     )
-    executed: Dict[str, Tuple[float, ExperimentResult]] = {}
-    for key, seconds, result, _, _, _, _ in outcomes:
-        executed[key] = (seconds, result)
+    executed = dict(zip(to_run, outcomes))
     # Assemble in registry order, interleaving freshly executed results
     # with store hits -- indistinguishable downstream from a full run.
     for key in ordered:

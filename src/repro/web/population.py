@@ -17,27 +17,16 @@ the same config always yields the same web.
 
 from __future__ import annotations
 
-import multiprocessing
 import random
 
 from ..util import seeded_rng
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from ..net.transport import Network
-from ..obs.metrics import shared_registry, snapshot_delta
-from ..obs.series import shared_series
-from ..obs.series import snapshot_delta as series_delta
 from ..proxy.cloudflare import CloudflareSettings
 from .events import DATA_DEALS, GPTBOT_ANNOUNCEMENT, MONTHS
 from .evolution import EvolutionParams, OperatorModel
-from .sharding import (
-    partition_domains,
-    record_shard_balance,
-    resolve_shard_mode,
-    shard_count_for,
-)
 from .site import BlockingConfig, SimSite
 from .tranco import RankingModel, stable_sites, stratum_cutoff
 
@@ -170,13 +159,8 @@ def stratum_config(
     )
 
 
-#: One unit of shardable site construction: ``(domain, rank, tier)``.
+#: One unit of per-site construction: ``(domain, rank, tier)``.
 _SiteTask = Tuple[str, int, str]
-
-#: Established by :func:`build_web_population` before a process pool
-#: spawns, so fork workers inherit the config and shard partition
-#: instead of re-pickling them per call.
-_BUILD_CONTEXT: Optional[Tuple[PopulationConfig, List[List[_SiteTask]], bool]] = None
 
 
 def _build_site(config: PopulationConfig, operator: OperatorModel,
@@ -191,101 +175,8 @@ def _build_site(config: PopulationConfig, operator: OperatorModel,
     return site
 
 
-def _build_shard(index: int):
-    """Build one shard's sites against the ambient context (worker entry).
-
-    In process mode the worker additionally ships its telemetry
-    (metrics and series snapshot deltas) back to the parent: the
-    operator model's ``web.robots_changes`` series land in the forked
-    child's registry copy, and totals must match serial execution.
-    """
-    context = _BUILD_CONTEXT
-    assert context is not None, "build_web_population must set the context"
-    config, parts, ship = context
-    registry = shared_registry()
-    series = shared_series()
-    before = registry.snapshot() if ship else None
-    series_before = series.snapshot() if ship else None
-    operator = OperatorModel(params=config.evolution, seed=config.seed)
-    sites = [_build_site(config, operator, task) for task in parts[index]]
-    if not ship:
-        return sites, None, None
-    delta = snapshot_delta(registry.snapshot(), before)
-    sdelta = series_delta(series.snapshot(), series_before)
-    return sites, delta, sdelta
-
-
-def _build_sites(
-    config: PopulationConfig,
-    tasks: List[_SiteTask],
-    shards: Optional[int],
-    workers: Optional[int],
-    mode: str,
-) -> Dict[str, SimSite]:
-    """Run the shardable per-site stage, optionally across workers.
-
-    Every sampler involved is keyed ``(seed, domain)``, so the shard
-    map and the execution mode only decide *where* each site is built:
-    the returned sites are byte-identical for any shard count x worker
-    count x serial/thread/process combination.
-    """
-    global _BUILD_CONTEXT
-    n_workers = max(1, workers or 1)
-    explicit = shards is not None and shards > 0
-    n_shards = shard_count_for(len(tasks), shards) if (explicit or n_workers > 1) else 1
-    parts = partition_domains(tasks, n_shards, key=(t[0] for t in tasks))
-    if n_shards > 1:
-        record_shard_balance(parts, stage="build")
-    resolved = resolve_shard_mode(mode, min(n_workers, n_shards))
-    _BUILD_CONTEXT = (config, parts, resolved == "process")
-    try:
-        indices = range(n_shards)
-        if resolved == "serial":
-            outputs = [_build_shard(i) for i in indices]
-        elif resolved == "process":
-            context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(
-                max_workers=n_workers, mp_context=context
-            ) as pool:
-                outputs = list(pool.map(_build_shard, indices))
-        else:
-            with ThreadPoolExecutor(max_workers=n_workers) as pool:
-                outputs = list(pool.map(_build_shard, indices))
-    finally:
-        _BUILD_CONTEXT = None
-    registry = shared_registry()
-    built: Dict[str, SimSite] = {}
-    for sites, delta, sdelta in outputs:
-        if delta is not None:
-            registry.merge(delta)
-        if sdelta is not None:
-            shared_series().merge(sdelta)
-        for site in sites:
-            built[site.domain] = site
-    return built
-
-
-def build_web_population(
-    config: Optional[PopulationConfig] = None,
-    shards: Optional[int] = None,
-    workers: Optional[int] = None,
-    mode: str = "auto",
-) -> WebPopulation:
-    """Build the simulated web per *config* (see module docstring).
-
-    Args:
-        shards: Partition the per-site construction stage into this
-            many deterministic sha256 shards (``None`` = unsharded
-            unless *workers* asks for parallelism, in which case a
-            size-based default applies).  The shard map never affects
-            the built world -- only which worker builds which site.
-        workers: Worker pool size for the per-site stage (``None``/
-            ``1`` = sequential).  The order-dependent global passes
-            (data deals, explicit allows, audit quotas) always run in
-            the parent, in canonical rank order.
-        mode: "auto" (processes when forking onto multiple cores is
-            possible, else threads), "thread", or "process".
-    """
+def build_web_population(config: Optional[PopulationConfig] = None) -> WebPopulation:
+    """Build the simulated web per *config* (see module docstring)."""
     config = config or PopulationConfig()
     model = RankingModel(
         universe_size=config.universe_size,
@@ -296,10 +187,11 @@ def build_web_population(
     stable_domains = stable_sites(rankings, config.list_size)
     top5k_domains = set(stable_sites(rankings, config.top5k_cut))
 
-    # -- shardable per-site stage: stable sites plus the audit-tier
-    # extras (sites in the final month's top list but not the stable
-    # set).  Both are pure per-(seed, domain) constructions; everything
-    # order-dependent stays below, in the parent.
+    # -- per-site stage: stable sites plus the audit-tier extras (sites
+    # in the final month's top list but not the stable set).  Both are
+    # pure per-(seed, domain) constructions; everything order-dependent
+    # (data deals, explicit allows, audit quotas) follows in canonical
+    # rank order.
     last_month = max(rankings)
     audit_domains = rankings[last_month][: config.audit_size]
     stable_set = set(stable_domains)
@@ -312,9 +204,8 @@ def build_web_population(
         for position, domain in enumerate(audit_domains)
         if domain not in stable_set
     )
-    built = _build_sites(config, tasks, shards, workers, mode)
-
     operator = OperatorModel(params=config.evolution, seed=config.seed)
+    built = {task[0]: _build_site(config, operator, task) for task in tasks}
     sites: List[SimSite] = [built[domain] for domain in stable_domains]
     by_domain: Dict[str, SimSite] = {domain: built[domain] for domain in stable_domains}
 
@@ -375,7 +266,7 @@ def build_web_population(
     for domain in audit_domains:
         site = by_domain.get(domain)
         if site is None:
-            # Built in the sharded stage alongside the stable sites.
+            # Built in the per-site stage alongside the stable sites.
             site = built[domain]
             by_domain[domain] = site
         _assign_audit_attributes(site, config)

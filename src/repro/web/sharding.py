@@ -1,31 +1,30 @@
 """Deterministic shard partitioning for million-site worlds.
 
 Sharding is the unit of parallelism and of memory bounding for the
-scale plane: population build and snapshot collection fan out one
-worker per shard, and the columnar snapshot archive keeps one
-self-contained directory per shard so aggregations can stream shard by
-shard at O(shard) memory.
+scale plane: the archive crawl
+(:func:`~repro.measure.longitudinal.collect_shard_archives`) runs one
+:func:`repro.fanout.fan_out` unit per shard, and the columnar snapshot
+archive keeps one self-contained directory per shard so aggregations
+can stream shard by shard at O(shard) memory.
 
 The assignment is a pure function of the domain: ``sha256`` of the
 "www."-normalized host modulo the shard count.  Two invariants follow:
 
 * **Shard-count independence.**  Every per-site sampler in the world
   model is keyed ``(seed, domain)``, never by shard or worker, so the
-  shard map only decides *where* a site is computed -- any shard count
-  (and any worker count) yields byte-identical worlds and snapshots.
+  shard map only decides *where* a site is crawled -- any shard count
+  (and any worker count) yields byte-identical snapshots.
 * **Variant co-residency.**  ``example.com`` and ``www.example.com``
   hash to the same shard, so the analysis layer's "www."-variant
   record fallback (Appendix B.1) never has to look outside one shard.
 
 The assignment and the default shard count live in
 :mod:`repro.columnar`, which the log store partitions hosts with too;
-this module adds the fan-out around them.
+this module adds the partition and its balance counters around them.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 from typing import Dict, Iterable, List, Optional, Sequence, TypeVar
 
 from ..columnar import SITES_PER_SHARD, normalize_host, shard_count_for, shard_of
@@ -36,7 +35,6 @@ __all__ = [
     "shard_of",
     "shard_count_for",
     "partition_domains",
-    "resolve_shard_mode",
     "record_shard_balance",
 ]
 
@@ -59,23 +57,6 @@ def partition_domains(
         host = keys[index] if keys is not None else item  # type: ignore[assignment]
         parts[shard_of(host, n_shards)].append(item)
     return parts
-
-
-def resolve_shard_mode(mode: str, workers: int) -> str:
-    """Execution mode for a sharded fan-out ("serial"/"thread"/"process").
-
-    Mirrors the orchestrator's policy: processes only when multiple
-    cores and a fork start method are available (children must inherit
-    the population, not re-pickle it), threads otherwise, serial for
-    one worker.
-    """
-    if workers <= 1:
-        return "serial"
-    if mode != "auto":
-        return mode
-    if (os.cpu_count() or 1) > 1 and "fork" in multiprocessing.get_all_start_methods():
-        return "process"
-    return "thread"
 
 
 def record_shard_balance(

@@ -85,6 +85,11 @@ class TestSchedulingIndependence:
         with pytest.raises(KeyError):
             run_all(SMALL, experiments=["nope"], store=store)
 
+    def test_unknown_mode_raises(self, store):
+        with pytest.raises(ValueError, match="auto, serial, thread, process"):
+            run_all(SMALL, workers=2, experiments=["table1"], store=store,
+                    mode="bogus")
+
 
 class TestReport:
     def test_report_json_shape(self, store):

@@ -1,24 +1,29 @@
-"""Sharding must never change what gets built -- only where.
+"""Sharding must never change what gets crawled -- only where.
 
 Every per-site sampler is keyed ``(seed, domain)``, so any shard count
-x worker count x execution mode must produce byte-identical worlds and
-snapshot archives.  These tests pin the assignment function's invariants
-(determinism, www-variant co-residency) and the end-to-end identity for
-both the population build and the sharded snapshot crawl, plus the
-``shard.sites`` balance metrics the scale plane reports.
+x worker count x execution mode must produce byte-identical snapshot
+archives and telemetry.  These tests pin the assignment function's
+invariants (determinism, www-variant co-residency), the end-to-end
+identity of the sharded snapshot crawl, and the ``shard.sites`` balance
+metrics the scale plane reports.
 """
 
 import hashlib
 import json
+import multiprocessing
+from collections import Counter
 
 import pytest
 
+from repro.fanout import resolve_mode
 from repro.measure.longitudinal import (
     analysis_domains,
     collect_shard_archives,
     collect_snapshots,
 )
 from repro.obs.metrics import shared_registry
+from repro.obs.series import shared_series
+from repro.obs.trace import set_tracing_enabled, shared_tracer, tracing_enabled
 from repro.web.archive import ArchiveSet
 from repro.web.population import PopulationConfig, build_web_population
 from repro.web.sharding import (
@@ -26,7 +31,6 @@ from repro.web.sharding import (
     normalize_host,
     partition_domains,
     record_shard_balance,
-    resolve_shard_mode,
     shard_count_for,
     shard_of,
 )
@@ -76,32 +80,9 @@ class TestAssignment:
         assert shard_count_for(10, 4) == 4  # explicit wins
 
     def test_resolve_mode(self):
-        assert resolve_shard_mode("auto", 1) == "serial"
-        assert resolve_shard_mode("thread", 4) == "thread"
-        assert resolve_shard_mode("process", 2) == "process"
-
-
-def _world_digest(population) -> str:
-    def site_row(s):
-        b = s.blocking
-        return [
-            s.domain, s.rank, s.tier, s.category, s.publisher,
-            s.robots_schedule, sorted(s.missing_months),
-            b.cloudflare is not None and [
-                b.cloudflare.block_ai_bots, b.cloudflare.definitely_automated,
-            ],
-            b.cf_custom_confound, b.waf_blocks_anthropic, b.blocks_automation,
-            b.ip_blocks_published_ai, s.meta_noai, s.meta_noimageai,
-        ]
-
-    payload = {
-        "stable": [site_row(s) for s in population.stable],
-        "audit": [site_row(s) for s in population.audit_sites],
-        "top5k": [s.domain for s in population.stable_top5k],
-        "rankings": population.rankings,
-    }
-    blob = json.dumps(payload, sort_keys=True, default=str)
-    return hashlib.sha256(blob.encode()).hexdigest()
+        assert resolve_mode("auto", 1) == "serial"
+        assert resolve_mode("thread", 4) == "thread"
+        assert resolve_mode("process", 2) == "process"
 
 
 def _series_digest(snapshots) -> str:
@@ -121,39 +102,6 @@ def _series_digest(snapshots) -> str:
 @pytest.fixture(scope="module")
 def baseline():
     return build_web_population(CONFIG)
-
-
-class TestShardedBuildIdentity:
-    def test_serial_sharded_build_identical(self, baseline):
-        sharded = build_web_population(CONFIG, shards=3, workers=1)
-        assert _world_digest(sharded) == _world_digest(baseline)
-
-    def test_threaded_sharded_build_identical(self, baseline):
-        sharded = build_web_population(CONFIG, shards=4, workers=2, mode="thread")
-        assert _world_digest(sharded) == _world_digest(baseline)
-
-    def test_forked_sharded_build_identical(self, baseline):
-        import multiprocessing
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("no fork start method on this platform")
-        sharded = build_web_population(CONFIG, shards=2, workers=2, mode="process")
-        assert _world_digest(sharded) == _world_digest(baseline)
-
-    def test_build_emits_shard_balance_counters(self):
-        registry = shared_registry()
-        before = registry.counter_totals("shard.sites")
-        build_web_population(CONFIG, shards=3, workers=1)
-        after = registry.counter_totals("shard.sites")
-        grown = {
-            key: after.get(key, 0) - before.get(key, 0)
-            for key in after
-            if "stage=build" in key and after.get(key, 0) != before.get(key, 0)
-        }
-        # Three shards, and together they cover every constructed site
-        # (the stable set plus the audit extras).
-        assert len(grown) == 3
-        assert sum(grown.values()) > 0
 
 
 class TestShardedCollectIdentity:
@@ -182,14 +130,61 @@ class TestShardedCollectIdentity:
         assert analysis == unsharded.analysis_domains
 
     def test_sharded_forked_collect_identical(self, baseline, unsharded, tmp_path):
-        import multiprocessing
-
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("no fork start method on this platform")
         snapshots, _ = self._archived(
             baseline, tmp_path, shards=2, workers=2, mode="process"
         )
         assert _series_digest(snapshots) == _series_digest(unsharded.snapshots)
+
+    @staticmethod
+    def _traced_collect(population, root, mode):
+        """Span tree and telemetry of one traced three-shard crawl."""
+        registry, series, tracer = shared_registry(), shared_series(), shared_tracer()
+        registry.reset()
+        series.reset()
+        tracer.reset()
+        was_tracing = tracing_enabled()
+        set_tracing_enabled(True)
+        try:
+            collect_shard_archives(population, root, shards=3, workers=3, mode=mode)
+        finally:
+            set_tracing_enabled(was_tracing)
+        spans = Counter(
+            (r["span_id"], r["parent_id"], r["name"], r.get("logical"))
+            for r in tracer.drain()
+        )
+        snap = registry.snapshot()
+        counters = {key: value for key, value in snap["counters"].items() if value}
+        histograms = {
+            key: payload
+            for key, payload in snap["histograms"].items()
+            if payload["count"]
+        }
+        return spans, counters, histograms, series.snapshot()
+
+    def test_traced_collect_identical_across_modes(self, baseline, tmp_path):
+        """Every shard crawls under its own span, and fork children ship
+        their spans home: the trace names the same work in every mode."""
+        modes = ["serial", "thread"]
+        if "fork" in multiprocessing.get_all_start_methods():
+            modes.append("process")
+        runs = {
+            mode: self._traced_collect(baseline, tmp_path / mode, mode)
+            for mode in modes
+        }
+        spans = runs["serial"][0]
+        assert set(spans.values()) == {1}  # every span id is unique
+        assert {name for _, _, name, _ in spans} >= {
+            "collect_snapshots", "collect_shard:0000", "collect_snapshot"
+        }
+        for mode in modes[1:]:
+            assert runs[mode][0] == spans, mode
+            assert runs[mode][1:] == runs["serial"][1:], mode
+
+    def test_unknown_mode_raises(self, baseline, tmp_path):
+        with pytest.raises(ValueError, match="auto, serial, thread, process"):
+            collect_shard_archives(baseline, tmp_path, workers=2, mode="proces")
 
     def test_collect_emits_shard_balance_counters(self, baseline, tmp_path):
         registry = shared_registry()

@@ -10,11 +10,7 @@ import dataclasses
 
 import pytest
 
-from repro.web.population import (
-    PopulationConfig,
-    build_web_population,
-    stratum_config,
-)
+from repro.web.population import PopulationConfig, stratum_config
 from repro.web.tranco import (
     RankingModel,
     STRATUM_SIZES,
@@ -73,21 +69,6 @@ class TestMembership:
         assert stratum_members(rankings, "top-1k", scale=0.02) == stable_sites(
             rankings, stratum_cutoff("top-1k", 0.02)
         )
-
-    def test_membership_independent_of_shard_count(self):
-        """Sharding the build cannot change who is in the stratum."""
-        config = stratum_config(
-            "top-1k",
-            PopulationConfig(
-                universe_size=450, list_size=300, top5k_cut=40, audit_size=80,
-                seed=7,
-            ),
-        )
-        unsharded = build_web_population(config)
-        sharded = build_web_population(config, shards=5, workers=2, mode="thread")
-        assert [s.domain for s in unsharded.stable] == [
-            s.domain for s in sharded.stable
-        ]
 
 
 class TestStratumConfig:
