@@ -5,7 +5,11 @@ open-source robots.txt parser plus the classification wrapper the paper
 builds on top of it (Section 3.1).  Public API:
 
 * :func:`parse` / :class:`ParsedRobots` -- structural parsing.
-* :class:`RobotsPolicy` -- per-agent allow/disallow queries.
+* :class:`RobotsPolicy` -- per-agent allow/disallow queries; each
+  :class:`Rule` compiles its pattern once, and every evaluator (this
+  policy, the legacy parser, the classifier, ai.txt) matches through it.
+* :func:`shared_policy_cache` -- one :class:`RobotsPolicy` per distinct
+  body, content-addressed.
 * :func:`classify` / :class:`RestrictionLevel` -- the paper's four
   restriction categories.
 * :class:`LegacyPolicy` -- the deliberately buggy comparison parser.
@@ -29,18 +33,11 @@ from .classify import (
     explicitly_allows,
     fully_disallows_any,
 )
-from .compiled import (
-    CompiledPolicyCache,
-    CompiledRobots,
-    CompiledRuleSet,
-    compile_rules,
-    evaluate_compiled,
-    shared_policy_cache,
-)
+from .compiled import CompiledPolicyCache, shared_policy_cache
 from .diagnostics import Finding, Severity, has_mistakes, lint
 from .legacy import LegacyPolicy, LegacyQuirks
 from .lexer import Line, LineKind, tokenize
-from .matcher import Rule, Verdict, evaluate, match_priority, normalize_path, pattern_matches
+from .matcher import Rule, Verdict, evaluate, normalize_path
 from .parser import Group, ParsedRobots, parse
 from .policy import AgentRules, RobotsPolicy, extract_product_token
 from .serialize import (
@@ -65,10 +62,6 @@ __all__ = [
     "explicitly_allows",
     "fully_disallows_any",
     "CompiledPolicyCache",
-    "CompiledRobots",
-    "CompiledRuleSet",
-    "compile_rules",
-    "evaluate_compiled",
     "shared_policy_cache",
     "Finding",
     "Severity",
@@ -82,9 +75,7 @@ __all__ = [
     "Rule",
     "Verdict",
     "evaluate",
-    "match_priority",
     "normalize_path",
-    "pattern_matches",
     "Group",
     "ParsedRobots",
     "parse",

@@ -24,7 +24,8 @@ from __future__ import annotations
 import enum
 from typing import Dict, Iterable, Mapping, Optional, Union
 
-from .matcher import Rule, evaluate
+from .matcher import Rule
+from .parser import parse
 from .policy import RobotsPolicy
 
 __all__ = ["MediaCategory", "MEDIA_EXTENSIONS", "AiTxtPolicy", "build_aitxt", "category_for_path"]
@@ -83,15 +84,16 @@ class AiTxtPolicy:
     """
 
     def __init__(self, source: Union[str, bytes]):
-        self._policy = RobotsPolicy(source)
+        parsed = parse(source)
+        # Re-root once, at parse: every query then evaluates the same
+        # rules, each compiled on first use.
+        for group in parsed.groups:
+            group.rules = [self._normalize(rule) for rule in group.rules]
+        self._policy = RobotsPolicy(parsed)
 
     def may_train(self, path: str, agent: str = "*") -> bool:
         """Whether content at *path* may be used for AI training."""
-        rules = [
-            self._normalize(rule)
-            for rule in self._policy.rules_for(agent).rules
-        ]
-        return evaluate(rules, path).allowed
+        return self._policy.verdict(agent, path).allowed
 
     @staticmethod
     def _normalize(rule: Rule) -> Rule:

@@ -28,7 +28,8 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Union
 
-from .matcher import Rule, evaluate, match_priority, pattern_matches
+from .compiled import shared_policy_cache
+from .matcher import Rule, evaluate, normalize_path
 from .policy import RobotsPolicy
 
 __all__ = [
@@ -93,7 +94,7 @@ def _rules_disallow_everything(rules: Iterable[Rule]) -> bool:
             continue
         stripped = rule.path.rstrip("*")
         if stripped in ("", "/"):
-            priority = match_priority(rule.path)
+            priority = rule.pattern.priority
             if blanket_priority is None or priority > blanket_priority:
                 blanket_priority = priority
     if blanket_priority is None:
@@ -101,19 +102,20 @@ def _rules_disallow_everything(rules: Iterable[Rule]) -> bool:
     for rule in rules:
         if not rule.allow or rule.is_empty:
             continue
-        if match_priority(rule.path) >= blanket_priority:
+        if rule.pattern.priority >= blanket_priority:
             return False
     return True
 
 
-def _witness_path(pattern: str) -> Optional[str]:
-    """A concrete path the *pattern* matches, or None when unmatchable.
+def _witness_path(rule: Rule) -> Optional[str]:
+    """A concrete path *rule*'s pattern matches, or None when unmatchable.
 
     Built by anchoring off the ``$`` terminator and replacing each ``*``
     with a literal character.  Patterns that do not start with ``/`` (or
     a wildcard that can absorb the leading slash) never match any
     normalized request path and yield None.
     """
+    pattern = rule.path
     body = pattern[:-1] if pattern.endswith("$") else pattern
     witness = body.replace("*", "x")
     if not witness:
@@ -123,9 +125,16 @@ def _witness_path(pattern: str) -> Optional[str]:
             witness = "/" + body[1:].replace("*", "x")
         else:
             return None
-    if not pattern_matches(pattern, witness):
+    if not rule.pattern.matches(normalize_path(witness)):
         return None
     return witness
+
+
+def _policy(robots_txt: Union[str, bytes, RobotsPolicy]) -> RobotsPolicy:
+    """*robots_txt* as a policy; raw text parses once per distinct body."""
+    if isinstance(robots_txt, RobotsPolicy):
+        return robots_txt
+    return shared_policy_cache().policy(robots_txt)
 
 
 def classify_rules(rules: Iterable[Rule]) -> RestrictionLevel:
@@ -151,7 +160,7 @@ def classify_rules(rules: Iterable[Rule]) -> RestrictionLevel:
     if _rules_disallow_everything(effective):
         return RestrictionLevel.FULL
     for rule in disallows:
-        witness = _witness_path(rule.path)
+        witness = _witness_path(rule)
         if witness is not None and not evaluate(effective, witness).allowed:
             return RestrictionLevel.PARTIAL
     return RestrictionLevel.NO_RESTRICTIONS
@@ -179,11 +188,7 @@ def classify(
     """
     if robots_txt is None:
         return Classification(level=RestrictionLevel.NO_ROBOTS)
-    policy = (
-        robots_txt
-        if isinstance(robots_txt, RobotsPolicy)
-        else RobotsPolicy(robots_txt)
-    )
+    policy = _policy(robots_txt)
     agent_rules = policy.rules_for(user_agent)
     allow = explicitly_allows(policy, user_agent)
     if require_explicit and not agent_rules.explicit:
@@ -208,13 +213,12 @@ def explicitly_allows(
         User-agent: GPTBot
         Allow: /
     """
-    if not isinstance(policy, RobotsPolicy):
-        policy = RobotsPolicy(policy)
-    agent_rules = policy.rules_for(user_agent)
+    agent_rules = _policy(policy).rules_for(user_agent)
     if not agent_rules.explicit:
         return False
     has_root_allow = any(
-        rule.allow and pattern_matches(rule.path, "/") for rule in agent_rules.rules
+        rule.allow and rule.pattern is not None and rule.pattern.matches("/")
+        for rule in agent_rules.rules
     )
     if not has_root_allow:
         return False
@@ -232,11 +236,7 @@ def fully_disallows_any(
     """
     if robots_txt is None:
         return False
-    policy = (
-        robots_txt
-        if isinstance(robots_txt, RobotsPolicy)
-        else RobotsPolicy(robots_txt)
-    )
+    policy = _policy(robots_txt)
     return any(
         classify(policy, agent, require_explicit=require_explicit).level
         is RestrictionLevel.FULL

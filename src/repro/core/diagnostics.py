@@ -14,7 +14,7 @@ import enum
 from dataclasses import dataclass
 from typing import List, Union
 
-from .lexer import LineKind, canonical_directive, tokenize
+from .lexer import LineKind, canonical_directive
 from .parser import parse
 
 __all__ = ["Severity", "Finding", "lint", "has_mistakes"]
@@ -76,11 +76,10 @@ def lint(source: Union[str, bytes]) -> List[Finding]:
     ['path-missing-slash']
     """
     findings: List[Finding] = []
-    lines = tokenize(source)
     parsed = parse(source)
 
     any_directive = False
-    for line in lines:
+    for line in parsed.source_lines:
         if line.is_directive:
             any_directive = True
         if line.kind is LineKind.MALFORMED:

@@ -20,6 +20,13 @@ The legacy bugs, each individually toggleable:
   instead of being ignored (Case 3).
 * ``first_match`` -- rule evaluation uses the pre-RFC first-match
   discipline instead of longest-match.
+
+Only the grouping and agent matching are its own: the first four quirks
+live in :meth:`LegacyPolicy._parse` and :meth:`LegacyPolicy._match_agent`
+(case-sensitive, split on ``/``, no longest-token rule), which share
+almost nothing with :class:`~repro.core.policy.RobotsPolicy`.  Path
+matching goes through the compliant matcher's :class:`Rule` objects,
+so each rule compiles once per policy, not once per query.
 """
 
 from __future__ import annotations

@@ -14,11 +14,15 @@ Rule precedence follows the "longest match" rule used by Google's
 open-source parser: the applicable rule is the one whose pattern is the
 longest, and when an allow and a disallow rule tie in length, the allow
 rule wins (least-restrictive tie break).
+
+Every evaluator reads :attr:`Rule.pattern`, the rule's pattern compiled
+once on first use, so a query normalizes only the request path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 from urllib.parse import quote, unquote
 
@@ -27,8 +31,6 @@ __all__ = [
     "CompiledPattern",
     "compile_pattern",
     "normalize_path",
-    "pattern_matches",
-    "match_priority",
     "evaluate",
     "Verdict",
 ]
@@ -75,13 +77,24 @@ class Rule:
         """An empty pattern matches nothing; ``Disallow:`` means allow all."""
         return self.path == ""
 
+    @cached_property
+    def pattern(self) -> Optional[CompiledPattern]:
+        """The compiled pattern (None when empty), built on first use.
+
+        Cached on the instance, so a rule normalizes its pattern at most
+        once however many queries evaluate it.  Not a field: equality
+        and hashing stay on ``(allow, path, line_number)``.
+        """
+        return compile_pattern(self.path)
+
 
 class CompiledPattern(NamedTuple):
     """A rule pattern normalized and decomposed once, at compile time.
 
     Attributes:
         priority: Length of the full normalized pattern (including a
-            trailing ``$``), i.e. :func:`match_priority` of the source.
+            trailing ``$``); longer patterns are more specific, as in
+            the byte-length priority of Google's matcher.
         anchored: Whether the pattern ended with ``$``.
         pieces: The normalized pattern (sans ``$``) split on ``*``; a
             single-element tuple means the pattern has no wildcards.
@@ -142,33 +155,6 @@ def compile_pattern(pattern: str) -> Optional[CompiledPattern]:
     )
 
 
-def pattern_matches(pattern: str, path: str) -> bool:
-    """Whether a robots.txt *pattern* matches a normalized request *path*.
-
-    Both arguments are normalized internally, so callers may pass raw
-    strings.  Empty patterns match nothing (per RFC an empty ``Disallow``
-    value imposes no restriction).
-
-    >>> pattern_matches("/fish*.php", "/fishheads/catfish.php?id=2")
-    True
-    >>> pattern_matches("/*.php$", "/filename.php/")
-    False
-    """
-    compiled = compile_pattern(pattern)
-    if compiled is None:
-        return False
-    return compiled.matches(normalize_path(path))
-
-
-def match_priority(pattern: str) -> int:
-    """Priority of a matching rule: the length of its normalized pattern.
-
-    Longer patterns are considered more specific.  This mirrors the
-    byte-length priority used by Google's matcher.
-    """
-    return len(normalize_path(pattern))
-
-
 @dataclass(frozen=True)
 class Verdict:
     """Outcome of evaluating a path against a rule set.
@@ -191,14 +177,10 @@ def evaluate(rules: Iterable[Rule], path: str) -> Verdict:
     path = normalize_path(path)
     best: Optional[Tuple[int, Rule]] = None
     for rule in rules:
-        if rule.is_empty:
+        pattern = rule.pattern
+        if pattern is None or not pattern.matches(path):
             continue
-        # Compile (normalize) the pattern exactly once per rule: the
-        # match test and its priority both come from the compiled form.
-        compiled = compile_pattern(rule.path)
-        if compiled is None or not compiled.matches(path):
-            continue
-        priority = compiled.priority
+        priority = pattern.priority
         if best is None:
             best = (priority, rule)
             continue
@@ -221,9 +203,7 @@ def first_match(rules: Sequence[Rule], path: str) -> Verdict:
     """
     path = normalize_path(path)
     for rule in rules:
-        if rule.is_empty:
-            continue
-        compiled = compile_pattern(rule.path)
-        if compiled is not None and compiled.matches(path):
+        pattern = rule.pattern
+        if pattern is not None and pattern.matches(path):
             return Verdict(allowed=rule.allow, rule=rule)
     return Verdict(allowed=True, rule=None)

@@ -16,7 +16,7 @@ are ignored; all matching specific groups are merged, per the RFC's
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from .matcher import Rule, Verdict, evaluate
 from .parser import Group, ParsedRobots, parse
@@ -88,6 +88,11 @@ class RobotsPolicy:
 
     Construct from raw text/bytes, or from an already-parsed
     :class:`~repro.core.parser.ParsedRobots` via :meth:`from_parsed`.
+    Group resolution runs once per distinct user agent (:meth:`rules_for`
+    is memoized) and each rule compiles its pattern once, so repeated
+    queries only normalize the request path.  Answers are fixed at
+    parse, so one policy may be shared across threads: a race on the
+    memo only resolves the same rules twice.
 
     >>> policy = RobotsPolicy("User-agent: GPTBot\\nDisallow: /")
     >>> policy.is_allowed("GPTBot", "/page")
@@ -96,11 +101,18 @@ class RobotsPolicy:
     True
     """
 
+    #: SHA-256 content address of the source body, stamped by
+    #: :class:`~repro.core.compiled.CompiledPolicyCache` (None for
+    #: directly constructed policies, which never pass through a digest
+    #: computation).
+    content_digest: Optional[str] = None
+
     def __init__(self, source: Union[str, bytes, ParsedRobots]):
         if isinstance(source, ParsedRobots):
             self._parsed = source
         else:
             self._parsed = parse(source)
+        self._agent_rules: Dict[str, AgentRules] = {}
 
     @classmethod
     def from_parsed(cls, parsed: ParsedRobots) -> "RobotsPolicy":
@@ -127,8 +139,15 @@ class RobotsPolicy:
         Specific (non-wildcard) matching groups shadow wildcard groups
         entirely; among specific groups, only those with the *longest*
         matching token apply (the RFC's most-specific-match rule), and
-        multiple groups with that token are merged.
+        multiple groups with that token are merged.  Memoized per
+        *user_agent*.
         """
+        cached = self._agent_rules.get(user_agent)
+        if cached is None:
+            cached = self._agent_rules[user_agent] = self._resolve(user_agent)
+        return cached
+
+    def _resolve(self, user_agent: str) -> AgentRules:
         token = extract_product_token(user_agent) or user_agent
         # Some agent names contain characters outside the product-token
         # alphabet ("Kangaroo Bot", "ICC Crawler"); an exact full-string

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..agents.darkvisitors import AI_USER_AGENT_TOKENS
-from ..core.compiled import CompiledRobots, shared_policy_cache
+from ..core.compiled import shared_policy_cache
 from ..core.policy import RobotsPolicy
 from ..net.errors import NetError
 from ..net.http import Headers, Request, Response
@@ -35,8 +35,8 @@ from .profiles import CrawlerProfile, RobotsBehavior
 __all__ = ["CrawlResult", "Crawler"]
 
 #: The synthetic policy for unreachable robots.txt (RFC 9309 2.3.1),
-#: compiled once for the whole fleet.
-_DISALLOW_ALL = CompiledRobots("User-agent: *\nDisallow: /")
+#: parsed once for the whole fleet.
+_DISALLOW_ALL = RobotsPolicy("User-agent: *\nDisallow: /")
 
 #: Tokens that get their own metric label.  Anything else (e.g. the
 #: thousands of synthetic GPT-store app bots) is bucketed under

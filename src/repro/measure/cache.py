@@ -10,7 +10,7 @@ fraction of the number of (domain, snapshot, agent) queries.
 pipelines use -- :func:`~repro.core.classify.classify`,
 :func:`~repro.core.classify.fully_disallows_any`, and
 :func:`~repro.core.classify.explicitly_allows` -- keyed by the
-content-addressed compiled policy (one per unique body, via
+content-addressed policy (one per unique body, via
 :class:`~repro.core.compiled.CompiledPolicyCache`) plus the query
 parameters.  Results are the uncached functions' results, computed once.
 """
@@ -25,12 +25,8 @@ from ..core.classify import (
     classify,
     explicitly_allows,
 )
-from ..core.compiled import (
-    CompiledPolicyCache,
-    CompiledRobots,
-    policy_digest,
-    shared_policy_cache,
-)
+from ..core.compiled import CompiledPolicyCache, policy_digest, shared_policy_cache
+from ..core.policy import RobotsPolicy
 
 if False:  # typing-only; avoids a runtime import cycle
     from .incremental import IncrementalStore
@@ -47,14 +43,14 @@ class PolicyCache:
 
     def __init__(self, compiled: Optional[CompiledPolicyCache] = None):
         self._compiled = compiled if compiled is not None else shared_policy_cache()
-        # Keys hold the compiled policy object itself (identity-hashed),
+        # Keys hold the cached policy object itself (identity-hashed),
         # which both pins it alive and avoids re-hashing body text.
         self._classifications: Dict[
-            Tuple[CompiledRobots, str, bool], Classification
+            Tuple[RobotsPolicy, str, bool], Classification
         ] = {}
-        self._full_any: Dict[Tuple[CompiledRobots, Tuple[str, ...], bool], bool] = {}
-        self._explicit_allow: Dict[Tuple[CompiledRobots, str], bool] = {}
-        self._allow_any: Dict[Tuple[CompiledRobots, Tuple[str, ...]], bool] = {}
+        self._full_any: Dict[Tuple[RobotsPolicy, Tuple[str, ...], bool], bool] = {}
+        self._explicit_allow: Dict[Tuple[RobotsPolicy, str], bool] = {}
+        self._allow_any: Dict[Tuple[RobotsPolicy, Tuple[str, ...]], bool] = {}
         # Plain ints on the hot path; exported as gauges via publish()
         # (memo probe tallies are process-local observations).
         self.hits = 0
@@ -90,7 +86,7 @@ class PolicyCache:
         }
 
     @staticmethod
-    def _digest(policy: CompiledRobots, text: Union[str, bytes]) -> str:
+    def _digest(policy: RobotsPolicy, text: Union[str, bytes]) -> str:
         """The body's content address, reusing the compile-cache stamp."""
         digest = policy.content_digest
         return digest if digest is not None else policy_digest(text)
@@ -113,8 +109,8 @@ class PolicyCache:
             f"{prefix}.hit_rate", stats["hits"] / probes if probes else 0.0
         )
 
-    def policy(self, text: Union[str, bytes]) -> CompiledRobots:
-        """The shared compiled policy for *text* (parsed at most once)."""
+    def policy(self, text: Union[str, bytes]) -> RobotsPolicy:
+        """The shared policy for *text* (parsed at most once)."""
         return self._compiled.policy(text)
 
     def classification(

@@ -10,6 +10,7 @@ from repro.core.classify import (
     explicitly_allows,
     fully_disallows_any,
 )
+from repro.core import policy as policy_module
 from repro.core.matcher import Rule
 
 
@@ -138,6 +139,24 @@ class TestFullyDisallowsAny:
         assert fully_disallows_any(
             "User-agent: *\nDisallow: /", self.AGENTS, require_explicit=False
         )
+
+
+class TestRawTextParsing:
+    def test_same_text_parses_at_most_once(self, monkeypatch):
+        parses = []
+        real = policy_module.parse
+
+        def counting(source):
+            parses.append(source)
+            return real(source)
+
+        monkeypatch.setattr(policy_module, "parse", counting)
+        text = "User-agent: GPTBot\nDisallow: /parsed-once/\n"
+        classify(text, "GPTBot")
+        classify(text, "CCBot")
+        explicitly_allows(text, "GPTBot")
+        fully_disallows_any(text, ["GPTBot", "CCBot"])
+        assert len(parses) <= 1
 
 
 # -- Property-based ---------------------------------------------------------
