@@ -28,7 +28,8 @@ from __future__ import annotations
 import json
 import time
 
-from repro.measure.cache import CompiledPolicyCache, PolicyCache
+from repro.core.compiled import CompiledPolicyCache
+from repro.measure.cache import PolicyCache
 from repro.measure.longitudinal import SnapshotSeries, full_disallow_trend
 from repro.obs.live import EventBus, JsonlSink, TelemetryScraper
 from repro.obs.metrics import MetricsRegistry
@@ -126,7 +127,7 @@ def test_live_plane_overhead_on_figure2(longitudinal_bundle, tmp_path, artifact_
         snapshots=series.snapshots,
         stable_domains=series.stable_domains,
         tiers=series.tiers,
-        cache=PolicyCache(compiled=CompiledPolicyCache()),
+        cache=PolicyCache(compiled=CompiledPolicyCache().policy),
     )
     start = time.perf_counter()
     rows = full_disallow_trend(cold)

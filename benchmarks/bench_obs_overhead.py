@@ -21,7 +21,8 @@ from __future__ import annotations
 import json
 import time
 
-from repro.measure.cache import CompiledPolicyCache, PolicyCache
+from repro.core.compiled import CompiledPolicyCache
+from repro.measure.cache import PolicyCache
 from repro.measure.longitudinal import SnapshotSeries, full_disallow_trend
 from repro.obs.metrics import (
     MetricsRegistry,
@@ -91,7 +92,7 @@ def test_disabled_telemetry_overhead_on_figure2(longitudinal_bundle, artifact_di
         snapshots=series.snapshots,
         stable_domains=series.stable_domains,
         tiers=series.tiers,
-        cache=PolicyCache(compiled=CompiledPolicyCache()),
+        cache=PolicyCache(compiled=CompiledPolicyCache().policy),
     )
     start = time.perf_counter()
     rows = full_disallow_trend(cold)

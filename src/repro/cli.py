@@ -672,8 +672,9 @@ def _print_cache_effectiveness(payload) -> None:
 
     Reads the ``incremental.*`` counters (experiment-level store
     decisions), the ``delta.*`` gauges, and the
-    ``measure.policy_cache.persistent_hits`` gauge (body-level
-    persistent probes) out of a METRICS.json payload.
+    ``measure.policy_cache.persistent_hits`` gauge (verdict rows read
+    from the persistent store, one per body) out of a METRICS.json
+    payload.
     """
     counters = payload.get("counters", {})
     gauges = payload.get("gauges", {})

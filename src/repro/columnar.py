@@ -33,8 +33,9 @@ methods, and uses this module for the container:
 
 :func:`atomic_write` is the program's one tmp-and-rename writer, for
 every file a reader must never see torn.  :class:`BodyFacts` is the
-per-body verdict table that the archive's ``facts.json`` and the
-incremental store's ``bodies.json`` both persist.
+per-body verdict-row table that the archive's ``facts.json`` and the
+incremental store's ``bodies.json`` both persist: one packed row per
+body SHA-256.
 """
 
 from __future__ import annotations
@@ -52,8 +53,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from threading import Lock
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, Type, TypeVar, Union
-
-from .core.classify import Classification, RestrictionLevel
 
 __all__ = [
     "BlobReader",
@@ -455,86 +454,40 @@ class BlobReader:
 
 # -- per-body facts ------------------------------------------------------------
 
-#: Boolean verdict families, one table each.
-_FLAG_KINDS = ("full_any", "explicit_allow", "allow_any")
-
 
 class BodyFacts:
-    """Per-body verdicts keyed by the robots body's SHA-256.
+    """Per-body verdict rows keyed by the robots body's SHA-256.
 
     The store interface :meth:`repro.measure.cache.PolicyCache.attach_store`
-    consumes: classification rows ``[level, explicit, explicit_allow]``
-    under ``"<agent>|<require_explicit>"`` keys, and boolean flags per
-    family (``full_any``, ``explicit_allow``, ``allow_any``).
-    Subclasses persist :meth:`facts_payload` to their own file and pass
-    what they read back to :meth:`load_facts`.  Thread-safe; puts set
-    ``_dirty``.
+    consumes: one packed :class:`~repro.core.classify.VerdictRow` string
+    per body, stored and returned as written (the cache unpacks it and
+    treats a malformed row as a miss).  Subclasses persist
+    :meth:`facts_payload` to their own file and pass what they read
+    back to :meth:`load_facts`.  Thread-safe; puts set ``_dirty``.
     """
 
     def __init__(self) -> None:
         self._lock = Lock()
         self._dirty = False
-        self._classifications: Dict[str, Dict[str, list]] = {}
-        self._flags: Dict[str, Dict[str, Dict[str, bool]]] = {
-            kind: {} for kind in _FLAG_KINDS
-        }
+        self._rows: Dict[str, object] = {}
 
-    def load_facts(self, payload: Mapping[str, object]) -> None:
-        self._classifications = payload.get("classify", {})
-        for kind in _FLAG_KINDS:
-            self._flags[kind] = payload.get(kind, {})
+    def load_facts(self, payload: object) -> None:
+        """Adopt a loaded payload's rows; anything else starts empty."""
+        rows = payload.get("rows") if isinstance(payload, dict) else None
+        self._rows = rows if isinstance(rows, dict) else {}
 
     def facts_payload(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {"classify": self._classifications}
-        for kind in _FLAG_KINDS:
-            payload[kind] = self._flags[kind]
-        return payload
+        return {"rows": self._rows}
 
-    def get_classification(
-        self, body_digest: str, user_agent: str, require_explicit: bool
-    ) -> Optional[Classification]:
-        entry = self._classifications.get(body_digest)
-        if entry is None:
-            return None
-        row = entry.get(f"{user_agent}|{int(require_explicit)}")
-        if row is None:
-            return None
-        level, explicit, explicit_allow = row
-        return Classification(
-            level=RestrictionLevel(level),
-            explicit=bool(explicit),
-            explicit_allow=bool(explicit_allow),
-        )
+    def get_row(self, body_digest: str) -> object:
+        """The value stored for the body as loaded, or None."""
+        return self._rows.get(body_digest)
 
-    def put_classification(
-        self,
-        body_digest: str,
-        user_agent: str,
-        require_explicit: bool,
-        result: Classification,
-    ) -> None:
+    def put_row(self, body_digest: str, packed: str) -> None:
         with self._lock:
-            entry = self._classifications.setdefault(body_digest, {})
-            entry[f"{user_agent}|{int(require_explicit)}"] = [
-                int(result.level),
-                bool(result.explicit),
-                bool(result.explicit_allow),
-            ]
-            self._dirty = True
-
-    def get_flag(self, kind: str, body_digest: str, key: str) -> Optional[bool]:
-        entry = self._flags[kind].get(body_digest)
-        return None if entry is None else entry.get(key)
-
-    def put_flag(self, kind: str, body_digest: str, key: str, value: bool) -> None:
-        with self._lock:
-            self._flags[kind].setdefault(body_digest, {})[key] = bool(value)
+            self._rows[body_digest] = packed
             self._dirty = True
 
     def fact_count(self) -> int:
-        """Distinct stored facts across every family."""
-        return sum(len(rows) for rows in self._classifications.values()) + sum(
-            len(rows)
-            for kind in _FLAG_KINDS
-            for rows in self._flags[kind].values()
-        )
+        """Distinct bodies with a stored row."""
+        return len(self._rows)

@@ -20,14 +20,24 @@ inflate the trend lines.
 The module also detects the *reverse* intent studied in Section 3.4:
 sites whose robots.txt explicitly allows an AI crawler (e.g. an
 ``Allow: /`` group naming GPTBot).
+
+Every Section 3 statistic depends only on how one body classifies for
+each of the 24 AI user agents, so a body's verdicts are computed once,
+into a :class:`VerdictRow`: one explicit-only :class:`Classification`
+per agent of ``AI_USER_AGENT_TOKENS`` plus the body's wildcard level, from
+which every per-agent, any-agent, explicit-allow and
+``require_explicit=False`` answer derives.  A row packs into 25 hex
+digits (:data:`VERDICT_ROW_LAYOUT`), the form the on-disk body-facts
+stores persist under the body's SHA-256.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Union
+from typing import Dict, Iterable, Optional, Tuple, Union
 
+from ..agents.darkvisitors import AI_USER_AGENT_TOKENS
 from .compiled import shared_policy_cache
 from .matcher import Rule, evaluate, normalize_path
 from .policy import RobotsPolicy
@@ -35,12 +45,14 @@ from .policy import RobotsPolicy
 __all__ = [
     "RestrictionLevel",
     "Classification",
+    "NO_ROBOTS_ROW",
+    "VERDICT_ROW_LAYOUT",
+    "VerdictRow",
     "classify",
     "classify_rules",
     "explicitly_allows",
     "fully_disallows_any",
 ]
-
 
 
 class RestrictionLevel(enum.IntEnum):
@@ -242,3 +254,122 @@ def fully_disallows_any(
         is RestrictionLevel.FULL
         for agent in user_agents
     )
+
+
+# -- one verdict row per body --------------------------------------------------
+
+#: The packed row's layout: one cell per AI user agent, in vocabulary
+#: order.  Both on-disk body-facts schemas embed it, so editing the
+#: vocabulary or the digit encoding invalidates every stored row.
+VERDICT_ROW_LAYOUT = {
+    "agents": list(AI_USER_AGENT_TOKENS),
+    "cell": "hex: level | explicit << 2 | explicit_allow << 3",
+    "tail": "hex: wildcard level",
+}
+
+_HEX = "0123456789abcdef"
+_AGENT_INDEX: Dict[str, int] = {
+    agent: i for i, agent in enumerate(AI_USER_AGENT_TOKENS)
+}
+
+#: Every possible cell, indexed by its packed digit: rows share these
+#: sixteen objects instead of holding one per (body, agent).
+_CELLS: Tuple[Classification, ...] = tuple(
+    Classification(
+        level=RestrictionLevel(digit & 3),
+        explicit=bool(digit & 4),
+        explicit_allow=bool(digit & 8),
+    )
+    for digit in range(16)
+)
+
+
+def _digit(cell: Classification) -> int:
+    return int(cell.level) | cell.explicit << 2 | cell.explicit_allow << 3
+
+
+def _agent_index(agent: str) -> int:
+    index = _AGENT_INDEX.get(agent)
+    if index is None:
+        raise ValueError(f"{agent!r} is not in AI_USER_AGENT_TOKENS")
+    return index
+
+
+@dataclass(frozen=True)
+class VerdictRow:
+    """Every verdict the Section 3 statistics read from one body.
+
+    Attributes:
+        cells: Per agent of ``AI_USER_AGENT_TOKENS``, its explicit-only
+            :func:`classify` result.
+        wildcard: The level the ``User-agent: *`` groups alone give,
+            which an agent no group names falls back to when wildcard
+            rules count.
+    """
+
+    cells: Tuple[Classification, ...]
+    wildcard: RestrictionLevel
+
+    @classmethod
+    def of(cls, policy: RobotsPolicy) -> "VerdictRow":
+        """Classify *policy* once per agent, plus its wildcard level.
+
+        No group token matches ``*``, so ``rules_for("*")`` resolves to
+        the merged wildcard rules.
+        """
+        cells = tuple(
+            _CELLS[_digit(classify(policy, agent))] for agent in AI_USER_AGENT_TOKENS
+        )
+        wildcard = classify(policy, "*", require_explicit=False).level
+        return cls(cells, wildcard)
+
+    def classification(
+        self, agent: str, require_explicit: bool = True
+    ) -> Classification:
+        """:func:`classify` for *agent*; raises :class:`ValueError` for an
+        agent outside ``AI_USER_AGENT_TOKENS``."""
+        cell = self.cells[_agent_index(agent)]
+        if require_explicit or cell.explicit:
+            return cell
+        return _CELLS[self.wildcard]
+
+    def disallows_any(self, agents: Iterable[str]) -> bool:
+        """Whether a group naming one of *agents* disallows it anywhere."""
+        return any(self.classification(agent).level.disallows for agent in agents)
+
+    def fully_disallows_any(
+        self, agents: Iterable[str], require_explicit: bool = True
+    ) -> bool:
+        """Whether at least one of *agents* is fully disallowed (Figure 2)."""
+        return any(
+            self.classification(agent, require_explicit).level is RestrictionLevel.FULL
+            for agent in agents
+        )
+
+    def allows_any(self, agents: Iterable[str]) -> bool:
+        """Whether the body explicitly allows at least one of *agents*."""
+        return any(self.cells[_agent_index(agent)].explicit_allow for agent in agents)
+
+    def pack(self) -> str:
+        """One hex digit per cell, then the wildcard level."""
+        return "".join(_HEX[_digit(cell)] for cell in self.cells) + _HEX[self.wildcard]
+
+    @classmethod
+    def unpack(cls, packed: object) -> Optional["VerdictRow"]:
+        """The row :meth:`pack` wrote, or None for anything else."""
+        if not isinstance(packed, str) or len(packed) != len(AI_USER_AGENT_TOKENS) + 1:
+            return None
+        digits = [_HEX.find(char) for char in packed]
+        if -1 in digits or digits[-1] > RestrictionLevel.FULL:
+            return None
+        return cls(
+            tuple(_CELLS[digit] for digit in digits[:-1]),
+            RestrictionLevel(digits[-1]),
+        )
+
+
+#: The row for a site that serves no robots.txt.
+NO_ROBOTS_ROW = VerdictRow(
+    (_CELLS[RestrictionLevel.NO_ROBOTS],) * len(AI_USER_AGENT_TOKENS),
+    RestrictionLevel.NO_ROBOTS,
+)

@@ -12,7 +12,8 @@ pattern once (:attr:`~repro.core.matcher.Rule.pattern`).
 
 A process-wide shared cache (:func:`shared_policy_cache`) serves the
 analysis pipelines (:mod:`repro.measure`), the classifier's raw-text
-inputs (:mod:`repro.core.classify`) and the crawl testbed
+inputs (:mod:`repro.core.classify`), the linter
+(:mod:`repro.core.diagnostics`) and the crawl testbed
 (:mod:`repro.crawlers.engine`), so the same policy object answers for a
 given body everywhere.  Policies are safe to share across threads; the
 cache itself is lock-protected so parallel snapshot collection can use
@@ -78,9 +79,6 @@ class CompiledPolicyCache:
                 return cached
             self.misses += 1
         policy = RobotsPolicy(source)
-        # Stamp the content address: persistent caches key on it, and
-        # stamping here means they never re-hash the body text.
-        policy.content_digest = key
         with self._lock:
             # setdefault: a racing thread may have parsed the same
             # body; both results are equivalent, keep the first.

@@ -14,8 +14,8 @@ import enum
 from dataclasses import dataclass
 from typing import List, Union
 
+from .compiled import shared_policy_cache
 from .lexer import LineKind, canonical_directive
-from .parser import parse
 
 __all__ = ["Severity", "Finding", "lint", "has_mistakes"]
 
@@ -76,7 +76,9 @@ def lint(source: Union[str, bytes]) -> List[Finding]:
     ['path-missing-slash']
     """
     findings: List[Finding] = []
-    parsed = parse(source)
+    # The shared cache's parse: a body linted after it was classified
+    # (sec81 after appb2) parses once.
+    parsed = shared_policy_cache().policy(source).parsed
 
     any_directive = False
     for line in parsed.source_lines:

@@ -101,12 +101,6 @@ class RobotsPolicy:
     True
     """
 
-    #: SHA-256 content address of the source body, stamped by
-    #: :class:`~repro.core.compiled.CompiledPolicyCache` (None for
-    #: directly constructed policies, which never pass through a digest
-    #: computation).
-    content_digest: Optional[str] = None
-
     def __init__(self, source: Union[str, bytes, ParsedRobots]):
         if isinstance(source, ParsedRobots):
             self._parsed = source

@@ -18,13 +18,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..agents.darkvisitors import AI_USER_AGENT_TOKENS
-from ..core.classify import classify
 from ..net.dns import DnsZone, ProviderInfra
 from ..net.errors import NetError
 from ..net.http import Headers, Request
 from ..net.transport import Network
 from ..web.artists import ArtistPopulation
 from ..web.providers import TOP_PROVIDERS, HostingProvider, RobotsControl
+from .cache import PolicyCache
 
 __all__ = ["ProviderRow", "ArtistStudy", "measure_artist_sites", "edit_option_label"]
 
@@ -88,7 +88,7 @@ class ArtistStudy:
         raise KeyError(provider)
 
 
-def _site_disallows_ai(network: Network, host: str) -> bool:
+def _site_disallows_ai(network: Network, host: str, cache: PolicyCache) -> bool:
     """Fetch robots.txt over HTTP and classify against the 24 agents.
 
     The fetch presents as a regular browser: providers that challenge
@@ -109,10 +109,7 @@ def _site_disallows_ai(network: Network, host: str) -> bool:
         return False
     if response.status != 200:
         return False
-    text = response.text
-    return any(
-        classify(text, token).level.disallows for token in AI_USER_AGENT_TOKENS
-    )
+    return cache.row(response.text).disallows_any(AI_USER_AGENT_TOKENS)
 
 
 def _probe_edge_blocking(network: Network, host: str) -> List[str]:
@@ -176,9 +173,13 @@ def measure_artist_sites(
 
     total = len(population.sites)
     rows: List[ProviderRow] = []
+    # One verdict row per distinct body answers every site serving it.
+    cache = PolicyCache()
     for provider in providers:
         hosts = by_provider.get(provider.name, [])
-        n_disallow = sum(1 for host in hosts if _site_disallows_ai(network, host))
+        n_disallow = sum(
+            1 for host in hosts if _site_disallows_ai(network, host, cache)
+        )
         sample_host = hosts[0] if hosts else None
         blocks = _probe_edge_blocking(network, sample_host) if sample_host else []
         challenges = (

@@ -3,24 +3,24 @@
 The reproduction pipeline is referentially transparent end to end: every
 experiment is a pure function of its :class:`PopulationConfig` (via
 ``config_digest``) and declared parameters, and every body-level
-classification is a pure function of the robots.txt bytes (via their
-SHA-256 content address) and the query parameters.  This module turns
-that purity into cross-process reuse: results are memoized on disk
-under those digests, so a warm ``repro reproduce --incremental`` run
-re-derives only what actually changed -- O(changed), not O(all).
+verdict is a pure function of the robots.txt bytes (via their SHA-256
+content address).  This module turns that purity into cross-process
+reuse: results are memoized on disk under those digests, so a warm
+``repro reproduce --incremental`` run re-derives only what actually
+changed -- O(changed), not O(all).
 
 Three layers live in one store directory (default ``.repro-cache``):
 
 * ``meta.json`` -- a schema fingerprint.  Any format change to the
-  store, the classification tuple, or the experiment result shape
-  changes the fingerprint, and a store written by an older layout
-  self-invalidates wholesale on load (stale caches can never leak
-  stale bytes into results).
-* ``bodies.json`` -- per-body classification, full-disallow sweep,
-  explicit-allow, and allow-sweep verdicts keyed by the robots body's
-  SHA-256 (the same content address
-  :class:`~repro.core.compiled.CompiledPolicyCache` uses) plus a
-  digest of the query parameters.
+  store, the verdict-row layout
+  (:data:`~repro.core.classify.VERDICT_ROW_LAYOUT`, agent order
+  included), or the experiment result shape changes the fingerprint,
+  and a store written by an older layout self-invalidates wholesale on
+  load (stale caches can never leak stale bytes into results).
+* ``bodies.json`` -- ``{"rows": {body sha256: packed row}}``: one
+  :class:`~repro.core.classify.VerdictRow` per robots body, keyed by
+  the SHA-256 of its bytes (the content address the snapshot archive's
+  ``bodies.sha`` records).
 * ``experiments.json`` -- finished
   :class:`~repro.report.experiments.ExperimentResult` payloads keyed by
   experiment key, each guarded by the input digest it was computed
@@ -41,6 +41,7 @@ from pathlib import Path
 from typing import Dict, Tuple, Union
 
 from ..columnar import BodyFacts, atomic_write
+from ..core.classify import VERDICT_ROW_LAYOUT
 
 __all__ = [
     "IncrementalStore",
@@ -53,8 +54,7 @@ __all__ = [
 #: then invalidates every existing store automatically.
 _SCHEMA = {
     "store": 1,
-    "classification": ["level", "explicit", "explicit_allow"],
-    "flags": ["full_any", "explicit_allow", "allow_any"],
+    "verdict_row": VERDICT_ROW_LAYOUT,
     "experiment": ["experiment_id", "title", "text", "metrics"],
 }
 

@@ -21,23 +21,23 @@ over the :class:`~repro.web.archive.ShardReader` surface: an
 an in-memory :class:`SnapshotSeries` presents itself as a one-shard
 archive (:class:`SeriesShard`).  :class:`ShardAnalysis` resolves each
 shard's records and applies the analysis-set rule; every figure is then
-a tally over ``(body ref, count)`` that classifies each distinct body
-once through a content-addressed
-:class:`~repro.measure.cache.PolicyCache` -- the series' own
-``series.cache``, or a shard-private cache per archive shard so
-streaming memory stays O(shard).
+a tally over ``(body ref, count)`` that reads each distinct body's
+:class:`~repro.core.classify.VerdictRow` from a content-addressed
+:class:`~repro.measure.cache.PolicyCache`, keyed by the body's SHA-256
+(the archive's ``bodies.sha``, or :meth:`SeriesShard.body_digest`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..agents.darkvisitors import AI_USER_AGENT_TOKENS
 from ..columnar import prepare_shard_set
-from ..core.classify import RestrictionLevel
-from ..core.compiled import CompiledPolicyCache
+from ..core.classify import RestrictionLevel, VerdictRow
+from ..core.compiled import policy_digest
+from ..core.policy import RobotsPolicy
 from ..fanout import fan_out, resolve_mode
 from ..crawlers.commoncrawl import (
     SNAPSHOT_SPECS,
@@ -98,8 +98,8 @@ class SnapshotSeries:
         stable_domains: Domains of the population's stable set.
         tiers: Per stable domain, its population tier (``"top5k"`` or
             ``"other"``) -- the column an archive stores per site.
-        cache: Content-addressed classification cache shared by every
-            aggregation over this series.
+        cache: The verdict rows of this series' bodies, shared by every
+            aggregation over it.
         analysis: The series viewed as a one-shard archive and resolved
             by :class:`ShardAnalysis` (built once, at construction).
         analysis_domains: Stable domains with a robots.txt in *every*
@@ -128,7 +128,8 @@ class SeriesShard:
     Offers the :class:`~repro.web.archive.ShardReader` surface the
     aggregations read.  Rank is the stable-list position, the tier
     column comes from the series, and body references index the
-    series' interned bodies, so each distinct body gets one reference.
+    series' interned bodies, so each distinct body gets one reference
+    and one SHA-256, computed here once per series.
     """
 
     def __init__(self, series: SnapshotSeries):
@@ -158,6 +159,7 @@ class SeriesShard:
                 body_refs.append(ref)
             self._statuses.append(statuses)
             self._body_refs.append(body_refs)
+        self._digests = [policy_digest(text) for text in self._bodies]
 
     def statuses(self, spec_index: int) -> List[int]:
         return self._statuses[spec_index]
@@ -167,6 +169,9 @@ class SeriesShard:
 
     def body_text(self, ref: int) -> str:
         return self._bodies[ref]
+
+    def body_digest(self, ref: int) -> str:
+        return self._digests[ref]
 
     def domain_index(self) -> Dict[str, int]:
         return {domain: i for i, domain in enumerate(self.domains)}
@@ -534,35 +539,39 @@ class ShardAnalysis:
 
 def _shards(
     source: Source, store=None
-) -> Iterator[Tuple[ShardAnalysis, PolicyCache]]:
-    """Each shard of *source* with the cache that classifies its bodies.
+) -> Iterator[Tuple[ShardAnalysis, Callable[[int], VerdictRow]]]:
+    """Each shard of *source* with its body ref -> verdict row lookup.
 
-    A series is one shard classified through ``series.cache`` (the
-    process-shared compiled cache, with whatever store the caller
-    attached); *store* applies to archive sources only, and passing one
-    with a series raises :class:`ValueError` -- attach it through
-    ``series.cache.attach_store`` instead.  An archive yields its shards
-    in order, each with a shard-private cache, NOT the process-shared
-    one: the shared cache is content-addressed over every body it ever
-    sees, which would grow resident compiled policies (and their source
-    text) with the archive, not the shard.
-    Dropping the cache and the reader's decoded bodies after each shard
-    is what keeps streaming memory O(shard); *store* (an
+    A series is one shard whose rows come from ``series.cache`` (parsed
+    through the process-shared policy cache, backed by whatever store
+    the caller attached); *store* applies to archive sources only, and
+    passing one with a series raises :class:`ValueError` -- attach it
+    through ``series.cache.attach_store`` instead.  An archive yields
+    its shards in order over one :class:`PolicyCache` per sweep, keyed
+    by each shard's ``bodies.sha`` and backed by *store* (an
     :class:`~repro.web.archive.ArchiveBodyStore` or
-    :class:`~repro.measure.incremental.IncrementalStore`) carries body
-    verdicts across shards and runs.
+    :class:`~repro.measure.incremental.IncrementalStore`), which it
+    probes before parsing.  Bodies parse into a policy that is dropped
+    once their row is built, and the reader's decoded bodies go after
+    each shard, so resident memory stays O(shard) plus one row per
+    distinct body.
     """
     if isinstance(source, SnapshotSeries):
         if store is not None:
             raise ValueError("attach a store to a series via series.cache")
-        yield source.analysis, source.cache
+        yield source.analysis, _row_lookup(source.analysis.reader, source.cache)
         return
+    cache = PolicyCache(compiled=RobotsPolicy)
+    cache.attach_store(store)
     for reader in source.readers:
-        cache = PolicyCache(compiled=CompiledPolicyCache())
-        if store is not None:
-            cache.attach_store(store)
-        yield ShardAnalysis(reader), cache
+        yield ShardAnalysis(reader), _row_lookup(reader, cache)
         reader.drop_body_cache()
+
+
+def _row_lookup(
+    reader: Union[ShardReader, SeriesShard], cache: PolicyCache
+) -> Callable[[int], VerdictRow]:
+    return lambda ref: cache.row(reader.body_text(ref), reader.body_digest(ref))
 
 
 def analysis_domains(source: Source) -> List[str]:
@@ -595,7 +604,7 @@ def full_disallow_trend(
     hits = [[0, 0] for _ in specs]
     sizes = [0, 0]
     with span("measure.full_disallow_trend", n_agents=len(agents)):
-        for view, cache in _shards(source, store):
+        for view, row_of in _shards(source, store):
             reader = view.reader
             tier_of = [0 if reader.tiers[row] else 1 for row in view.analysis_rows]
             for row_tier in tier_of:
@@ -606,12 +615,9 @@ def full_disallow_trend(
                 for ref, row_tier in zip(view.eff_bodies[spec_index], tier_of):
                     flag = verdict.get(ref)
                     if flag is None:
-                        flag = cache.fully_disallows_any(
-                            reader.body_text(ref),
-                            agents,
-                            require_explicit=require_explicit,
+                        flag = verdict[ref] = row_of(ref).fully_disallows_any(
+                            agents, require_explicit
                         )
-                        verdict[ref] = flag
                     if flag:
                         shard_hits[row_tier] += 1
                 hits[spec_index][0] += shard_hits[0]
@@ -652,8 +658,7 @@ def per_agent_trend(
     agents = list(agents)
     hits = {agent: [0] * len(specs) for agent in agents}
     n_analysis = 0
-    for view, cache in _shards(source, store):
-        reader = view.reader
+    for view, row_of in _shards(source, store):
         n_analysis += len(view.analysis_rows)
         verdict: Dict[Tuple[int, str], bool] = {}
         for spec_index in range(len(specs)):
@@ -664,10 +669,9 @@ def per_agent_trend(
                     key = (ref, agent)
                     flag = verdict.get(key)
                     if flag is None:
-                        flag = cache.classification(
-                            reader.body_text(ref), agent
-                        ).level.disallows
-                        verdict[key] = flag
+                        flag = verdict[key] = (
+                            row_of(ref).classification(agent).level.disallows
+                        )
                     if flag:
                         agent_hits += count
                 hits[agent][spec_index] += agent_hits
@@ -723,7 +727,7 @@ def allow_and_removal_trend(
     removal_counts = [0] * len(specs)
     #: ``(first spec index with a removal, global rank, domain)``.
     removal_events: List[Tuple[int, int, str]] = []
-    for view, cache in _shards(source, store):
+    for view, row_of in _shards(source, store):
         reader = view.reader
         allow_verdict: Dict[int, bool] = {}
         full_verdict: Dict[int, bool] = {}
@@ -731,11 +735,10 @@ def allow_and_removal_trend(
         def is_full(ref: int) -> bool:
             flag = full_verdict.get(ref)
             if flag is None:
-                flag = (
-                    cache.classification(reader.body_text(ref), removal_agent).level
+                flag = full_verdict[ref] = (
+                    row_of(ref).classification(removal_agent).level
                     is RestrictionLevel.FULL
                 )
-                full_verdict[ref] = flag
             return flag
 
         previous_restricted: Optional[List[bool]] = None
@@ -744,8 +747,7 @@ def allow_and_removal_trend(
             for ref, count in view.body_counts(spec_index).items():
                 flag = allow_verdict.get(ref)
                 if flag is None:
-                    flag = cache.allows_any(reader.body_text(ref), agents)
-                    allow_verdict[ref] = flag
+                    flag = allow_verdict[ref] = row_of(ref).allows_any(agents)
                 if flag:
                     allow_counts[spec_index] += count
             restricted_now = [is_full(ref) for ref in view.eff_bodies[spec_index]]
@@ -779,7 +781,7 @@ def first_allow_table(
     order)."""
     specs = source.specs
     events: List[Tuple[int, int, str]] = []
-    for view, cache in _shards(source, store):
+    for view, row_of in _shards(source, store):
         reader = view.reader
         verdict: Dict[int, bool] = {}
         for position, row in enumerate(view.analysis_rows):
@@ -787,8 +789,9 @@ def first_allow_table(
                 ref = view.eff_bodies[spec_index][position]
                 flag = verdict.get(ref)
                 if flag is None:
-                    flag = cache.explicitly_allows(reader.body_text(ref), agent)
-                    verdict[ref] = flag
+                    flag = verdict[ref] = (
+                        row_of(ref).classification(agent).explicit_allow
+                    )
                 if flag:
                     events.append((spec_index, reader.ranks[row], reader.domains[row]))
                     break

@@ -247,8 +247,8 @@ def run_figure2(
 
     *source* is a bundle's :class:`SnapshotSeries` or an open
     :class:`~repro.web.archive.ArchiveSet`; both render identically
-    for the same world.  *store* backs an archive's shard caches with
-    persistent per-body facts; a series takes its store through
+    for the same world.  *store* backs an archive sweep's verdict rows
+    with persistent per-body facts; a series takes its store through
     ``series.cache.attach_store`` instead.
     """
     rows = full_disallow_trend(
@@ -414,10 +414,7 @@ def run_sec62_active_blocking(
     robots_overlap = 0
     for host in survey.blocking_hosts():
         text = population.by_domain[host].robots_at(24)
-        if text and any(
-            cache.classification(text, agent).level.disallows
-            for agent in ("ClaudeBot", "anthropic-ai")
-        ):
+        if text and cache.row(text).disallows_any(("ClaudeBot", "anthropic-ai")):
             robots_overlap += 1
 
     from .stats import proportion_summary
@@ -486,10 +483,7 @@ def run_sec63_cloudflare(
         hits = 0
         for host in hosts:
             text = population.by_domain[host].robots_at(24)
-            if text and any(
-                cache.classification(text, agent).level.disallows
-                for agent in AI_USER_AGENT_TOKENS
-            ):
+            if text and cache.row(text).disallows_any(AI_USER_AGENT_TOKENS):
                 hits += 1
         return 100.0 * hits / len(hosts)
 
@@ -854,14 +848,12 @@ def run_ext_adoption_by_category(bundle: LongitudinalBundle) -> ExperimentResult
     """
     series = bundle.series
     view = series.analysis
+    reader = view.reader
     by_category: Dict[str, List[int]] = {}
     for domain, ref in zip(series.analysis_domains, view.eff_bodies[-1]):
         site = bundle.population.by_domain[domain]
-        hit = int(
-            series.cache.fully_disallows_any(
-                view.reader.body_text(ref), AI_USER_AGENT_TOKENS
-            )
-        )
+        row = series.cache.row(reader.body_text(ref), reader.body_digest(ref))
+        hit = int(row.fully_disallows_any(AI_USER_AGENT_TOKENS))
         by_category.setdefault(site.category, []).append(hit)
     from .stats import proportion_summary
 

@@ -726,9 +726,9 @@ def run_all(
                 elif needs_population:
                     store.population(config)  # warm the substrate up front
             if inc is not None and bundle is not None:
-                # Back the series' classification memo with the
-                # persistent store: invalidated re-runs skip body
-                # verdicts earlier runs already computed.  Detached in
+                # Back the series' verdict rows with the persistent
+                # store: invalidated re-runs skip the bodies earlier
+                # runs already classified.  Detached in
                 # the finally below so non-incremental runs over the
                 # same cached bundle never touch the store.
                 bundle.series.cache.attach_store(inc)

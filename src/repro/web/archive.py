@@ -14,10 +14,13 @@ schema and column layout:
 * **Columnar record storage.**  Per spec, three parallel columns over
   the shard's domains: ``u16`` HTTP status, ``i32`` body reference,
   ``i32`` error reference (10 bytes per record) in ``records.bin``.
-* **Content-addressed bodies, stored once** in ``bodies.bin`` -- the
-  same SHA-256 content address the policy cache and the incremental
-  store key on, which is what lets the archive double as the per-body
-  facts backend (:class:`ArchiveBodyStore`).
+* **Content-addressed bodies, stored once** in ``bodies.bin``, with
+  each body's SHA-256 in ``bodies.sha`` -- the content address the
+  policy cache and the incremental store key verdict rows on, so an
+  aggregation sweep finds a body's row without hashing it, and the
+  archive doubles as the per-body facts backend
+  (:class:`ArchiveBodyStore`, one packed row per body in
+  ``facts.json``).
 
 A shard that was never committed, or whose data files do not match its
 manifest, fails to open with a one-line :class:`ArchiveError`.
@@ -49,6 +52,7 @@ from ..columnar import (
     shard_dir_name,
     table_bytes,
 )
+from ..core.classify import VERDICT_ROW_LAYOUT
 from ..crawlers.commoncrawl import ErrorBudget, SiteRecord, Snapshot, SnapshotSpec
 from ..obs.metrics import shared_registry
 
@@ -69,10 +73,9 @@ _SCHEMA = {
     "record": ["status:u16le", "body_ref:i32le", "error_ref:i32le"],
     "body_index": ["offset:u64le", "length:u32le"],
     "site": ["domain", "rank:u32le", "tier:u8"],
-    # Facts rows mirror repro.measure.incremental's bodies.json layout
-    # exactly, so verdicts move between the two backends unchanged.
-    "classification": ["level", "explicit", "explicit_allow"],
-    "flags": ["full_any", "explicit_allow", "allow_any"],
+    # facts.json rows: the layout repro.measure.incremental's
+    # bodies.json embeds too, so rows move between the two unchanged.
+    "verdict_row": VERDICT_ROW_LAYOUT,
 }
 
 ARCHIVE_SCHEMA_FINGERPRINT = hashlib.sha256(
@@ -535,13 +538,14 @@ class ArchiveSet:
 
 
 class ArchiveBodyStore(BodyFacts):
-    """Per-body classification/flag memos stored with the archive.
+    """Per-body verdict rows stored with the archive.
 
     A :class:`~repro.columnar.BodyFacts` table -- the store interface
     :meth:`repro.measure.cache.PolicyCache.attach_store` consumes, the
     same one :class:`repro.measure.incremental.IncrementalStore`
-    persists -- kept in ``facts.json`` next to the shard directories,
-    one fact per robots body content address.
+    persists -- kept in ``facts.json`` next to the shard directories:
+    ``{"rows": {body sha256: packed row}}`` plus the schema
+    fingerprint.  The shards' ``bodies.sha`` holds the same digests.
     """
 
     def __init__(self, root: Union[str, Path]):
@@ -551,7 +555,10 @@ class ArchiveBodyStore(BodyFacts):
             payload = json.loads(self.facts_path.read_text(encoding="utf-8"))
         except (OSError, ValueError):
             return
-        if payload.get("schema_fingerprint") == ARCHIVE_SCHEMA_FINGERPRINT:
+        if (
+            isinstance(payload, dict)
+            and payload.get("schema_fingerprint") == ARCHIVE_SCHEMA_FINGERPRINT
+        ):
             self.load_facts(payload)  # a stale layout starts empty
 
     @property

@@ -1,6 +1,11 @@
 """Tests for repro.core.diagnostics."""
 
+import itertools
+
+from repro.core import diagnostics, policy
 from repro.core.diagnostics import Severity, has_mistakes, lint
+
+_FRESH = itertools.count()
 
 
 def codes(source):
@@ -53,6 +58,26 @@ class TestLint:
         text = "Disallow: nope\nUser-agent: *\nBadDir: x\nDisallow: alsonope"
         numbers = [f.line_number for f in lint(text)]
         assert numbers == sorted(numbers)
+
+    def test_linting_one_text_twice_parses_it_once(self, monkeypatch):
+        parsed = []
+        real = policy.parse
+
+        def counting(source):
+            parsed.append(source)
+            return real(source)
+
+        # Every parse path lint could take: the shared policy cache's
+        # RobotsPolicy, or a module-level parse of its own.
+        monkeypatch.setattr(policy, "parse", counting)
+        monkeypatch.setattr(diagnostics, "parse", counting, raising=False)
+        # A text no other test has put in the process-wide cache.
+        text = f"# parse-once probe {next(_FRESH)}\nUser-agent: *\nDisallow: x/\n"
+        first = lint(text)
+        second = lint(text)
+        assert [f.code for f in first] == ["path-missing-slash"]
+        assert second == first
+        assert parsed == [text]
 
 
 class TestHasMistakes:

@@ -1,21 +1,32 @@
-"""Property-style check: cached classification == uncached classification.
+"""Property-style check: a verdict row answers like uncached classification.
 
 Over a seeded population's full snapshot series, every (domain,
 snapshot, agent) triple must classify identically through the
-content-addressed :class:`~repro.measure.cache.PolicyCache` and through
-the uncached :func:`~repro.core.classify.classify` /
+content-addressed :class:`~repro.measure.cache.PolicyCache` rows and
+through the uncached :func:`~repro.core.classify.classify` /
 :class:`~repro.core.policy.RobotsPolicy` path -- including domains
 whose records are non-200 (403/0 transport errors) and missing-robots
-(404) sites.
+(404) sites.  A differential test holds :class:`VerdictRow` itself to
+the uncached functions over every distinct body.
 """
 
 import pytest
 
-from repro.core.classify import classify, explicitly_allows, fully_disallows_any
+from repro.agents.darkvisitors import AI_USER_AGENT_TOKENS as ROW_AGENTS
+from repro.core.classify import (
+    NO_ROBOTS_ROW,
+    VerdictRow,
+    classify,
+    explicitly_allows,
+    fully_disallows_any,
+)
+from repro.core.compiled import policy_digest
 from repro.core.policy import RobotsPolicy
 from repro.measure.cache import PolicyCache
 from repro.measure.longitudinal import collect_snapshots
 from repro.web.population import PopulationConfig, build_web_population
+
+from ..core.test_compiled import ROBOTS_SAMPLES
 
 CONFIG = PopulationConfig(
     universe_size=450, list_size=300, top5k_cut=40, audit_size=80, seed=11
@@ -46,8 +57,8 @@ class TestCacheAgreesWithUncachedPath:
                 text = _robots(snapshot, domain)
                 for agent in AGENTS:
                     for require_explicit in (True, False):
-                        cached = cache.classification(
-                            text, agent, require_explicit=require_explicit
+                        cached = cache.row(text).classification(
+                            agent, require_explicit=require_explicit
                         )
                         uncached = classify(
                             text, agent, require_explicit=require_explicit
@@ -75,8 +86,8 @@ class TestCacheAgreesWithUncachedPath:
         for domain in series.analysis_domains:
             text = _robots(final, domain)
             for require_explicit in (True, False):
-                assert cache.fully_disallows_any(
-                    text, AGENTS, require_explicit=require_explicit
+                assert cache.row(text).fully_disallows_any(
+                    AGENTS, require_explicit=require_explicit
                 ) == fully_disallows_any(
                     text, AGENTS, require_explicit=require_explicit
                 )
@@ -92,21 +103,134 @@ class TestCacheAgreesWithUncachedPath:
                     if text is not None
                     else False
                 )
-                assert cache.explicitly_allows(text, "GPTBot") == expected
+                row = cache.row(text)
+                assert row.classification("GPTBot").explicit_allow == expected
+                assert row.allows_any(["GPTBot"]) == expected
 
     def test_none_text_means_no_robots(self):
         cache = PolicyCache()
-        assert cache.classification(None, "GPTBot").level.name == "NO_ROBOTS"
-        assert cache.fully_disallows_any(None, AGENTS) is False
-        assert cache.explicitly_allows(None, "GPTBot") is False
+        row = cache.row(None)
+        assert row is NO_ROBOTS_ROW
+        assert row.classification("GPTBot").level.name == "NO_ROBOTS"
+        assert row.fully_disallows_any(AGENTS) is False
+        assert row.classification("GPTBot").explicit_allow is False
+        assert row.allows_any(AGENTS) is False
+        assert cache.stats["entries"] == 0
 
     def test_memoization_returns_stable_objects(self):
         cache = PolicyCache()
         text = "User-agent: GPTBot\nDisallow: /\n"
-        first = cache.classification(text, "GPTBot")
-        second = cache.classification(text, "GPTBot")
+        first = cache.row(text)
+        second = cache.row(text)
         assert first is second
-        assert cache.policy(text) is cache.policy(text)
+        # A caller-supplied digest finds the same row.
+        assert cache.row(text, policy_digest(text)) is first
+        assert cache.stats == {
+            "hits": 2, "misses": 1, "persistent_hits": 0, "entries": 1
+        }
+
+    def test_agent_outside_the_vocabulary_raises(self):
+        row = PolicyCache().row("User-agent: *\nDisallow: /\n")
+        with pytest.raises(ValueError):
+            row.classification("SomeOtherBot")
+        with pytest.raises(ValueError):
+            row.allows_any(["SomeOtherBot"])
+
+
+def _distinct_bodies(series):
+    return sorted(
+        {
+            record.robots_txt
+            for snapshot in series.snapshots
+            for record in snapshot.records.values()
+            if record.robots_txt is not None
+        }
+    )
+
+
+class TestVerdictRowDifferential:
+    """A row equals the uncached functions it replaces, for every agent
+    of the vocabulary and both ``require_explicit`` values."""
+
+    def _check(self, text):
+        policy = RobotsPolicy(text)
+        row = VerdictRow.of(policy)
+        for agent in ROW_AGENTS:
+            for require_explicit in (True, False):
+                assert row.classification(agent, require_explicit) == classify(
+                    policy, agent, require_explicit=require_explicit
+                ), (text, agent, require_explicit)
+            assert row.allows_any([agent]) == explicitly_allows(policy, agent)
+            assert row.disallows_any([agent]) == (
+                classify(policy, agent).level.disallows
+            )
+        for require_explicit in (True, False):
+            assert row.fully_disallows_any(
+                ROW_AGENTS, require_explicit
+            ) == fully_disallows_any(policy, ROW_AGENTS, require_explicit)
+            for agent in ROW_AGENTS:
+                assert row.fully_disallows_any([agent], require_explicit) == (
+                    fully_disallows_any(policy, [agent], require_explicit)
+                )
+        assert row.allows_any(ROW_AGENTS) == any(
+            explicitly_allows(policy, agent) for agent in ROW_AGENTS
+        )
+        assert row.disallows_any(ROW_AGENTS) == any(
+            classify(policy, agent).level.disallows for agent in ROW_AGENTS
+        )
+        assert VerdictRow.unpack(row.pack()) == row
+
+    @pytest.mark.parametrize("text", ROBOTS_SAMPLES)
+    def test_samples(self, text):
+        self._check(text)
+
+    def test_every_distinct_body_of_the_world(self, world):
+        _, series = world
+        bodies = _distinct_bodies(series)
+        assert len(bodies) > 50
+        for text in bodies:
+            self._check(text)
+
+    def test_the_world_exercises_every_cell_kind(self, world):
+        """Explicit, wildcard-only, allow and full cells all occur, so
+        the differential test above is not vacuous for any of them."""
+        _, series = world
+        rows = [VerdictRow.of(RobotsPolicy(text)) for text in _distinct_bodies(series)]
+        cells = {cell for row in rows for cell in row.cells}
+        assert any(cell.explicit and cell.level.name == "FULL" for cell in cells)
+        assert any(cell.explicit_allow for cell in cells)
+        assert any(not cell.explicit for cell in cells)
+        assert any(row.wildcard.name == "FULL" for row in rows)
+
+    def test_no_robots_row_equals_classify_none(self):
+        for agent in ROW_AGENTS:
+            for require_explicit in (True, False):
+                assert NO_ROBOTS_ROW.classification(agent, require_explicit) == (
+                    classify(None, agent, require_explicit=require_explicit)
+                )
+        assert NO_ROBOTS_ROW.fully_disallows_any(ROW_AGENTS) is False
+        assert NO_ROBOTS_ROW.allows_any(ROW_AGENTS) is False
+        assert NO_ROBOTS_ROW.disallows_any(ROW_AGENTS) is False
+        assert VerdictRow.unpack(NO_ROBOTS_ROW.pack()) == NO_ROBOTS_ROW
+
+    @pytest.mark.parametrize(
+        "packed",
+        [
+            None,
+            3,
+            ["1"] * 25,
+            "",
+            "1" * 24,
+            "1" * 26,
+            "1" * 24 + "4",  # wildcard digit outside 0-3
+            "1" * 24 + "f",
+            "g" + "1" * 24,
+            "+" + "1" * 24,
+            "\u0663" + "1" * 24,  # a non-ASCII decimal digit
+        ],
+    )
+    def test_unpack_rejects_anything_pack_does_not_write(self, packed):
+        assert VerdictRow.unpack(packed) is None
 
 
 class TestSeriesBodyInterning:

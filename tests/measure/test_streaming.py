@@ -9,8 +9,11 @@ sources, including the ordering-sensitive payloads (removal-domain
 insertion order, the Table 4 row order).
 """
 
+from collections import Counter
+
 import pytest
 
+from repro.core import policy
 from repro.measure.longitudinal import (
     allow_and_removal_trend,
     analysis_domains,
@@ -21,7 +24,7 @@ from repro.measure.longitudinal import (
     per_agent_trend,
     snapshot_coverage_table,
 )
-from repro.web.archive import ArchiveSet
+from repro.web.archive import ArchiveBodyStore, ArchiveSet
 from repro.web.population import PopulationConfig, build_web_population
 
 from . import oracle
@@ -127,31 +130,64 @@ class TestStreamingParity:
             full_disallow_trend(series, store=archive.body_store())
 
 
+class TestParseOnce:
+    """An archive sweep parses a body only when no row for it is known."""
+
+    @pytest.fixture
+    def parsed(self, monkeypatch):
+        calls = []
+        real = policy.parse
+
+        def counting(source):
+            calls.append(source)
+            return real(source)
+
+        monkeypatch.setattr(policy, "parse", counting)
+        return calls
+
+    @staticmethod
+    def _sweep_all(archive, store):
+        full_disallow_trend(archive, store=store)
+        per_agent_trend(archive, store=store)
+        allow_and_removal_trend(archive, store=store)
+        first_allow_table(archive, store=store)
+
+    def test_each_distinct_body_parses_at_most_once(self, world, tmp_path, parsed):
+        _, _, archive = world
+        self._sweep_all(archive, ArchiveBodyStore(tmp_path))
+        distinct = {
+            digest for reader in archive.readers for digest in reader.body_digests
+        }
+        assert parsed, "the sweeps must classify something"
+        assert max(Counter(parsed).values()) == 1
+        assert len(parsed) <= len(distinct)
+
+    def test_sweeps_over_a_flushed_store_parse_nothing(self, world, tmp_path, parsed):
+        _, _, archive = world
+        store = ArchiveBodyStore(tmp_path)
+        full_disallow_trend(archive, store=store)
+        store.flush()
+        parsed.clear()
+        self._sweep_all(archive, ArchiveBodyStore(tmp_path))
+        assert parsed == []
+
+
 class _CountingStore:
-    """A body-facts store that counts persisted answers and writes."""
+    """A body-facts store that counts persisted rows and writes."""
 
     def __init__(self, inner):
         self.inner = inner
         self.hits = 0
         self.puts = 0
 
-    def _count(self, value):
+    def get_row(self, digest):
+        value = self.inner.get_row(digest)
         self.hits += value is not None
         return value
 
-    def get_classification(self, *args):
-        return self._count(self.inner.get_classification(*args))
-
-    def get_flag(self, *args):
-        return self._count(self.inner.get_flag(*args))
-
-    def put_classification(self, *args):
+    def put_row(self, digest, packed):
         self.puts += 1
-        self.inner.put_classification(*args)
-
-    def put_flag(self, *args):
-        self.puts += 1
-        self.inner.put_flag(*args)
+        self.inner.put_row(digest, packed)
 
 
 class TestStreamingRunners:

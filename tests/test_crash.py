@@ -27,7 +27,8 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.core.classify import classify
+from repro.core.classify import VerdictRow
+from repro.core.policy import RobotsPolicy
 from repro.measure.incremental import IncrementalStore
 from repro.measure.longitudinal import collect_shard_archives
 from repro.net.logstore import LogSink, LogStore, LogStoreError, log_stream
@@ -180,18 +181,11 @@ _BODY_DIGESTS = [hashlib.sha256(body.encode("utf-8")).hexdigest() for body in _B
 
 def _put_facts(store, index):
     body, digest = _BODIES[index], _BODY_DIGESTS[index]
-    store.put_classification(
-        digest, "GPTBot", True, classify(body, "GPTBot", require_explicit=True)
-    )
-    store.put_flag("full_any", digest, "GPTBot|1", index == 0)
+    store.put_row(digest, VerdictRow.of(RobotsPolicy(body)).pack())
 
 
 def _facts(store):
-    return [
-        (store.get_classification(digest, "GPTBot", True),
-         store.get_flag("full_any", digest, "GPTBot|1"))
-        for digest in _BODY_DIGESTS
-    ]
+    return [store.get_row(digest) for digest in _BODY_DIGESTS]
 
 
 def _archive_facts_commit(index):

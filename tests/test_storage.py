@@ -4,12 +4,16 @@ The snapshot archive and the log store are read back by later runs
 and by other tools, so every byte they write is part of their format.
 The digests below were recorded from a fixed small archive (with a
 ``facts.json``) and a fixed log store; any change to either layout
-must change its schema fingerprint too.
+must change its schema fingerprint too.  The incremental store's
+fingerprint is pinned with them: its ``bodies.json`` rows share the
+archive's verdict-row layout.
 """
 
 import hashlib
 
-from repro.core.classify import classify
+from repro.core.classify import VerdictRow
+from repro.core.policy import RobotsPolicy
+from repro.measure.incremental import SCHEMA_FINGERPRINT as INCREMENTAL_SCHEMA_FINGERPRINT
 from repro.net.logstore import LOGSTORE_SCHEMA_FINGERPRINT, LogSink, log_stream
 from repro.web.archive import ARCHIVE_SCHEMA_FINGERPRINT, ArchiveBodyStore
 
@@ -28,10 +32,7 @@ def _pinned_archive(root):
     _write_shards(root)
     store = ArchiveBodyStore(root)
     digest = hashlib.sha256(ROBOTS_A.encode("utf-8")).hexdigest()
-    store.put_classification(
-        digest, "GPTBot", True, classify(ROBOTS_A, "GPTBot", require_explicit=True)
-    )
-    store.put_flag("full_any", digest, "GPTBot|1", True)
+    store.put_row(digest, VerdictRow.of(RobotsPolicy(ROBOTS_A)).pack())
     store.flush()
     return root
 
@@ -52,12 +53,12 @@ def _pinned_log_store(root):
 
 
 ARCHIVE_DIGESTS = {
-    "facts.json": "e4e49c6c85ffad01b849061665648cc8beafe6156b960507285f62dbc55aff92",
+    "facts.json": "a213be5446ed7b704e0862684a0ba130b2dad6f2f5df9fbf0622ee06de894ffc",
     "shard-0000/bodies.bin": "28193bdd982586677464a248a320aeffeb73097c7666d21b553cbb34d4a707b3",
     "shard-0000/bodies.idx": "fe64368e536d470e8393feb9c026144b2b38aca648884ad5039aa7aa1246b4a4",
     "shard-0000/bodies.sha": "55bf48b705955e7201b6529212b3c5189da6a35024d7c779b4e19bbd4266e7c0",
     "shard-0000/domains.txt": "d3fbde5ab39fef20cca5cd40fb9be1920ee9f9527902f58708b41541cc65f4fc",
-    "shard-0000/manifest.json": "11177dbceaf95fe8019ac49f4ba5a16527bdb4b484e9ba6b62adf1c919a7549c",
+    "shard-0000/manifest.json": "4c3bad60ba7e1a764b61592640427dcd55cf19d58df72652d3405e3dfe4e8379",
     "shard-0000/ranks.bin": "ad5dc1478de06a4c2728ea528bd9361a4b945e92a414bf4d180cedaaeaa5f4cc",
     "shard-0000/records.bin": "5f600facbff742c60e27fac49d766e60b093efcec5f571cff5f02931cc0d3243",
     "shard-0000/tiers.bin": "fb50dc0717ff266cf9baf82b1ce7a1c2ef6d9247859680b11a19fb7077f5f222",
@@ -65,7 +66,7 @@ ARCHIVE_DIGESTS = {
     "shard-0001/bodies.idx": "c62ae518127bc10178301668aaa15885b6304986e840ca05ad9a0748ef6b9eae",
     "shard-0001/bodies.sha": "1d58991ad2f55225c3a439e152bee3636fa14a96e166e7a73ac8f90727bb5a80",
     "shard-0001/domains.txt": "90330d0251d85f763c71d17261590a7584ebf03c5b7efbd66ef372124cf38f26",
-    "shard-0001/manifest.json": "db03cf71eb4dca11b83e99c4c1d1e5c3ccb7718491a1d33a1842deea0ff9156e",
+    "shard-0001/manifest.json": "49ee9209302e76836be5db5cbafd04f4a4cc5ea474115f68f5e59b7c1b657eb2",
     "shard-0001/ranks.bin": "50ac472466c102b9f97990af92e6c7acc1e76efbfd9b10904c4e2cfd533b0ca8",
     "shard-0001/records.bin": "09506fe668c753f4c6a93a4bf9c06894841264fb1c0c828e32da646db22c31ee",
     "shard-0001/tiers.bin": "47dc540c94ceb704a23875c11273e16bb0b8a87aed84de911f2133568115f254",
@@ -97,7 +98,10 @@ LOG_STORE_DIGESTS = {
 
 def test_schema_fingerprints_are_pinned():
     assert ARCHIVE_SCHEMA_FINGERPRINT == (
-        "ae35b0bccdef3a770223a9dad870e69e396931283fe2198342abb41007b84d53"
+        "bd024d94e0a5325dcef409d87687fd4093df9b8303f11163af4899b97a52dfae"
+    )
+    assert INCREMENTAL_SCHEMA_FINGERPRINT == (
+        "b62e0666adcdda16c98e6acf0f5fb8be3ab663441b6e2621307b97786dcdebb9"
     )
     assert LOGSTORE_SCHEMA_FINGERPRINT == (
         "4836791d988d7ce29b80e3d0b815c42bcb5a93c1fd27bd5a33f816a042a90307"

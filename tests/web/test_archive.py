@@ -11,8 +11,13 @@ import json
 
 import pytest
 
+from repro.core.classify import VerdictRow, classify
+from repro.core.compiled import policy_digest
+from repro.core.policy import RobotsPolicy
 from repro.crawlers.commoncrawl import ErrorBudget, SiteRecord, SnapshotSpec
+from repro.measure.cache import PolicyCache
 from repro.web.archive import (
+    ARCHIVE_SCHEMA_FINGERPRINT,
     ArchiveBodyStore,
     ArchiveError,
     ArchiveSet,
@@ -161,18 +166,20 @@ class TestDamage:
             ArchiveSet.open(root)
 
 
+def _row(text):
+    return VerdictRow.of(RobotsPolicy(text))
+
+
 class TestBodyStore:
     def test_classification_round_trip(self, tmp_path):
         store = ArchiveBodyStore(tmp_path)
         digest = "d" * 64
-        assert store.get_classification(digest, "GPTBot", True) is None
-        from repro.core.classify import classify
-
+        assert store.get_row(digest) is None
         verdict = classify(ROBOTS_A, "GPTBot", require_explicit=True)
-        store.put_classification(digest, "GPTBot", True, verdict)
+        store.put_row(digest, _row(ROBOTS_A).pack())
         store.flush()
         again = ArchiveBodyStore(tmp_path)
-        got = again.get_classification(digest, "GPTBot", True)
+        got = VerdictRow.unpack(again.get_row(digest)).classification("GPTBot")
         assert got.level == verdict.level
         assert got.explicit == verdict.explicit
         assert got.explicit_allow == verdict.explicit_allow
@@ -180,21 +187,55 @@ class TestBodyStore:
     def test_flag_round_trip(self, tmp_path):
         store = ArchiveBodyStore(tmp_path)
         digest = "e" * 64
-        assert store.get_flag("full_any", digest, "k") is None
-        store.put_flag("full_any", digest, "k", True)
+        assert store.get_row(digest) is None
+        store.put_row(digest, _row(ROBOTS_A).pack())
         store.flush()
-        assert ArchiveBodyStore(tmp_path).get_flag("full_any", digest, "k") is True
+        row = VerdictRow.unpack(ArchiveBodyStore(tmp_path).get_row(digest))
+        assert row.fully_disallows_any(["GPTBot"]) is True
+        assert row.allows_any(["GPTBot"]) is False
 
     def test_satisfies_policy_cache_store_interface(self, tmp_path):
-        from repro.measure.cache import PolicyCache
-
         cache = PolicyCache()
-        cache.attach_store(ArchiveBodyStore(tmp_path))
-        assert cache.fully_disallows_any(ROBOTS_A, ["GPTBot"], require_explicit=True)
-        # A fresh cache over the same backend reuses the persisted fact.
+        store = ArchiveBodyStore(tmp_path)
+        cache.attach_store(store)
+        assert cache.row(ROBOTS_A).fully_disallows_any(["GPTBot"], require_explicit=True)
+        store.flush()
+        # A fresh cache over the same backend reuses the persisted row.
         fresh = PolicyCache()
         fresh.attach_store(ArchiveBodyStore(tmp_path))
-        assert fresh.fully_disallows_any(ROBOTS_A, ["GPTBot"], require_explicit=True)
+        assert fresh.row(ROBOTS_A).fully_disallows_any(["GPTBot"], require_explicit=True)
+        assert fresh.stats["persistent_hits"] == 1
+        assert fresh.stats["misses"] == 0
+
+    @pytest.mark.parametrize(
+        "bad", [[3, True], "1" * 24 + "7", "yes", "Z" * 25, 1.5]
+    )
+    def test_malformed_stored_row_is_a_miss_and_is_rewritten(self, tmp_path, bad):
+        digest = policy_digest(ROBOTS_A)
+        (tmp_path / "facts.json").write_text(
+            json.dumps(
+                {
+                    "rows": {digest: bad},
+                    "schema_fingerprint": ARCHIVE_SCHEMA_FINGERPRINT,
+                }
+            )
+        )
+        store = ArchiveBodyStore(tmp_path)
+        assert store.fact_count() == 1
+        cache = PolicyCache()
+        cache.attach_store(store)
+        assert cache.row(ROBOTS_A) == _row(ROBOTS_A)
+        assert cache.stats["persistent_hits"] == 0
+        store.flush()
+        rows = json.loads((tmp_path / "facts.json").read_text())["rows"]
+        assert rows == {digest: _row(ROBOTS_A).pack()}
+
+    @pytest.mark.parametrize("payload", [[], {"rows": []}, {"rows": "x"}])
+    def test_facts_that_are_not_objects_load_as_empty(self, tmp_path, payload):
+        if isinstance(payload, dict):
+            payload["schema_fingerprint"] = ARCHIVE_SCHEMA_FINGERPRINT
+        (tmp_path / "facts.json").write_text(json.dumps(payload))
+        assert ArchiveBodyStore(tmp_path).fact_count() == 0
 
 
 class TestProbes:
