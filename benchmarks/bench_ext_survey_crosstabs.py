@@ -17,8 +17,9 @@ def test_ext_survey_crosstabs(benchmark, artifact_dir):
     print(result.text)
 
     metrics = result.metrics
-    # The tables exist and the tests ran with 1 dof each.
+    # The tables exist and every test ran with 1 dof and reported a p.
     for name in ("awareness-by-professional", "intent-by-familiarity",
                  "action-by-impact"):
         assert f"{name}_chi2" in metrics
-        assert 0.0 <= metrics.get(f"{name}_p", 0.5) <= 1.0
+        assert 0.0 <= metrics[f"{name}_p"] <= 1.0
+        assert f"{name}: chi2={metrics[f'{name}_chi2']:.2f}, dof=1, p=" in result.text

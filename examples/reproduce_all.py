@@ -69,9 +69,8 @@ def main() -> None:
     build_longitudinal_bundle(config, workers=args.workers, store=store)
     world_seconds = time.perf_counter() - world_start
     # The stored world is frozen and pinned for the life of the run, so
-    # exclude it from cycle tracing: without this, every collection (and
-    # scipy's import, which triggers many) walks millions of dead-weight
-    # substrate objects.
+    # exclude it from cycle tracing: without this, every collection
+    # walks millions of dead-weight substrate objects.
     gc.collect()
     gc.freeze()
     report = run_all(config, workers=args.workers, store=store,

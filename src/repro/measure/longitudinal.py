@@ -250,10 +250,12 @@ def _crawl_spec(
     A fresh :class:`Network` materializes the sites at the spec's month
     and the CCBot client fetches their robots.txt.  The span carries
     both clocks: wall time plus the simulated month the snapshot
-    pertains to (the logical clock).
+    pertains to (the logical clock).  It is named after the spec, so
+    its id does not depend on the order in which concurrent specs
+    start.
     """
     with span(
-        "collect_snapshot",
+        f"collect_snapshot:{spec.snapshot_id}",
         logical=spec.month_index,
         snapshot=spec.snapshot_id,
         n_domains=len(fetch_sites),
@@ -407,10 +409,10 @@ def collect_shard_archives(
     def collect_shard(index: int) -> None:
         shard_sites = parts[index]
         label = f"{index:04d}"
-        # One span per shard numbers its collect_snapshot children
-        # within the shard, so a span id names the same work under any
-        # schedule.  One wide-event stream per shard: the shard crawls
-        # all specs sequentially in one worker, so it is single-writer.
+        # One span per shard scopes its per-spec children to the
+        # shard, so a span id names the same work under any schedule.
+        # One wide-event stream per shard: the shard crawls all specs
+        # sequentially in one worker, so it is single-writer.
         with span(f"collect_shard:{label}", shard=index, n_domains=len(shard_sites)):
             with log_stream(f"collect-shard:{label}"):
                 plan = _site_fetch_plan(shard_sites, specs, use_delta)

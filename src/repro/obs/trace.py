@@ -5,7 +5,7 @@ measurements must carry their provenance as a first-class artifact,
 every heavy stage of the pipeline (world build, snapshot crawls,
 experiment runs) can open a :func:`span`::
 
-    with span("collect_snapshot", snapshot=spec.snapshot_id,
+    with span(f"collect_snapshot:{spec.snapshot_id}",
               logical=spec.month_index):
         ...
 

@@ -5,12 +5,14 @@ staple of measurement-study appendices) is testing *associations*:
 is prior robots.txt awareness associated with professional status?
 does technical familiarity predict adoption intent?  This module builds
 contingency tables from respondent answers and runs chi-square tests of
-independence (via scipy), with a pure-Python fallback statistic so the
-module works without scipy too.
+independence (Pearson's statistic, Yates-corrected when dof = 1),
+computed with the standard library alone so the report does not depend
+on which packages are installed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -91,7 +93,9 @@ class ChiSquareResult:
     Attributes:
         statistic: The chi-square statistic.
         dof: Degrees of freedom.
-        p_value: Two-sided p-value (None when scipy is unavailable).
+        p_value: Upper-tail p-value of the statistic (None only for a
+            degenerate table with fewer than two non-empty rows or
+            columns).
     """
 
     statistic: float
@@ -113,22 +117,44 @@ def chi_square(table: ContingencyTable) -> ChiSquareResult:
     if n_rows < 2 or n_cols < 2:
         return ChiSquareResult(statistic=0.0, dof=0, p_value=None)
 
-    try:
-        from scipy.stats import chi2_contingency
+    row_totals = [sum(row) for row in counts]
+    col_totals = [sum(row[j] for row in counts) for j in range(n_cols)]
+    total = sum(row_totals)
+    dof = (n_rows - 1) * (n_cols - 1)
+    statistic = 0.0
+    for row_total, row in zip(row_totals, counts):
+        for col_total, observed in zip(col_totals, row):
+            expected = row_total * col_total / total
+            if dof == 1:
+                # Yates' correction, clamped: a count moves toward its
+                # expected count by at most 0.5 and never past it.
+                shift = expected - observed
+                observed += math.copysign(min(0.5, abs(shift)), shift)
+            diff = observed - expected
+            statistic += diff * diff / expected
+    return ChiSquareResult(statistic, dof, _chi2_sf(statistic, dof))
 
-        statistic, p_value, dof, _ = chi2_contingency(counts)
-        return ChiSquareResult(float(statistic), int(dof), float(p_value))
-    except ImportError:  # pragma: no cover - scipy present in CI
-        total = sum(sum(row) for row in counts)
-        row_totals = [sum(row) for row in counts]
-        col_totals = [sum(row[j] for row in counts) for j in range(n_cols)]
-        statistic = 0.0
-        for i in range(n_rows):
-            for j in range(n_cols):
-                expected = row_totals[i] * col_totals[j] / total
-                if expected:
-                    statistic += (counts[i][j] - expected) ** 2 / expected
-        return ChiSquareResult(statistic, (n_rows - 1) * (n_cols - 1), None)
+
+def _chi2_sf(x: float, k: int) -> float:
+    """Upper tail P(X >= x) of a chi-square variable with *k* dof.
+
+    The closed form for integer *k*, with y = x / 2: for even *k*,
+    e^-y * sum(y^i / i!) over 0 <= i < k/2; for odd *k*,
+    erfc(sqrt(y)) + e^-y * sum(y^(i - 1/2) / Gamma(i + 1/2)) over
+    1 <= i <= (k - 1) / 2.  Each term is the previous one times
+    y / i (even) or y / (i + 1/2) (odd).
+    """
+    y = x / 2.0
+    if k % 2:
+        tail = math.erfc(math.sqrt(y))
+        term = math.exp(-y) * math.sqrt(y) / math.gamma(1.5)
+        offset = 0.5
+    else:
+        tail, term, offset = 0.0, math.exp(-y), 0.0
+    for i in range(1, k // 2 + 1):
+        tail += term
+        term *= y / (i + offset)
+    return tail
 
 
 # -- canned analyses -------------------------------------------------------------

@@ -1,14 +1,23 @@
 """Parallel snapshot collection must be bit-identical to sequential."""
 
+from collections import Counter
+
 import pytest
 
+import repro.measure.longitudinal as longitudinal
+from repro.crawlers.commoncrawl import SNAPSHOT_SPECS
 from repro.measure.longitudinal import (
     allow_and_removal_trend,
     collect_snapshots,
     full_disallow_trend,
     per_agent_trend,
 )
-from repro.web.population import PopulationConfig, build_web_population
+from repro.obs.trace import set_tracing_enabled, shared_tracer, tracing_enabled
+from repro.web.population import (
+    PopulationConfig,
+    build_web_population,
+    stratum_config,
+)
 
 CONFIG = PopulationConfig(
     universe_size=450, list_size=300, top5k_cut=40, audit_size=80, seed=7
@@ -62,3 +71,38 @@ class TestParallelDeterminism:
         assert default.analysis_domains == sequential.analysis_domains
         for a, b in zip(default.snapshots, sequential.snapshots):
             assert a.records == b.records
+
+
+def _traced_spans(population):
+    """``(span_id, parent_id, name, logical)`` multiset of one crawl."""
+    tracer = shared_tracer()
+    tracer.reset()
+    was_tracing = tracing_enabled()
+    set_tracing_enabled(True)
+    try:
+        collect_snapshots(population)
+    finally:
+        set_tracing_enabled(was_tracing)
+    return Counter(
+        (r["span_id"], r["parent_id"], r["name"], r.get("logical"))
+        for r in tracer.drain()
+    )
+
+
+class TestTraceIdentity:
+    """Concurrent specs start in any order, so no span id may depend on
+    that order."""
+
+    def test_span_ids_independent_of_start_order(self, monkeypatch):
+        population = build_web_population(stratum_config("top-1k"))
+        in_order = _traced_spans(population)
+
+        def reversed_fan_out(unit, n, workers, mode):
+            results = [None] * n
+            for index in reversed(range(n)):
+                results[index] = unit(index)
+            return results
+
+        monkeypatch.setattr(longitudinal, "fan_out", reversed_fan_out)
+        assert _traced_spans(population) == in_order
+        assert sum(in_order.values()) > len(SNAPSHOT_SPECS)

@@ -15,6 +15,7 @@ from collections import Counter
 
 import pytest
 
+from repro.crawlers.commoncrawl import SNAPSHOT_SPECS
 from repro.fanout import resolve_mode
 from repro.measure.longitudinal import (
     analysis_domains,
@@ -175,9 +176,11 @@ class TestShardedCollectIdentity:
         }
         spans = runs["serial"][0]
         assert set(spans.values()) == {1}  # every span id is unique
-        assert {name for _, _, name, _ in spans} >= {
-            "collect_snapshots", "collect_shard:0000", "collect_snapshot"
-        }
+        names = Counter(name for _, _, name, _ in spans)
+        assert names["collect_snapshots"] == 1
+        assert names["collect_shard:0000"] == 1
+        for spec in SNAPSHOT_SPECS:  # each shard crawls every spec
+            assert names[f"collect_snapshot:{spec.snapshot_id}"] == 3, spec
         for mode in modes[1:]:
             assert runs[mode][0] == spans, mode
             assert runs[mode][1:] == runs["serial"][1:], mode
