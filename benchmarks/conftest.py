@@ -77,10 +77,10 @@ def longitudinal_bundle() -> LongitudinalBundle:
 def audit_population():
     """The population whose audit tier Section 6 / 2.2 benches probe.
 
-    A copy-on-write view over the same stored world the longitudinal
-    bundle uses -- bench-local mutations never reach the substrate.
+    The same frozen world the longitudinal bundle holds, not a copy:
+    it rejects every write, so no bench can change what another reads.
     """
-    return shared_world_store().population_view(BENCH_CONFIG)
+    return shared_world_store().population(BENCH_CONFIG)
 
 
 @pytest.fixture(scope="session")

@@ -6,11 +6,10 @@ Run with::
 
 Executes the full battery through the dependency-aware orchestrator
 (:mod:`repro.report.orchestrator`): the simulated world is built once
-in the content-addressed world store and shared -- frozen -- by every
-runner, with copy-on-write views isolating the runners that mutate
-site or network state.  ``--workers N`` fans independent experiments
-out across a worker pool; results are bit-identical for any worker
-count.  Writes ``results/<experiment>.txt`` per experiment, a combined
+in the content-addressed world store and every runner reads that one
+frozen world, which rejects writes.  ``--workers N`` fans independent
+experiments out across a worker pool; results are bit-identical for
+any worker count.  Writes ``results/<experiment>.txt`` per experiment, a combined
 ``results/summary.txt`` with every headline metric (the raw material
 for EXPERIMENTS.md), a machine-readable ``results/TIMINGS.json`` with
 the span-derived wall-clock trajectory, and the run's telemetry:

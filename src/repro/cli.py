@@ -441,13 +441,14 @@ _DISPOSITION_NOTES = {
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
     from .net.logstore import LogStoreError
-    from .report.orchestrator import run_all
+    from .report.orchestrator import run_all, run_strata
     from .web.archive import ArchiveError
 
     incremental = args.incremental or args.explain_invalidation
-    if args.strata and (incremental or args.only or args.param_edits):
+    if args.strata and (incremental or args.only or args.param_edits
+                        or args.log_dir):
         print("repro reproduce: --strata runs the streaming archive battery "
-              "and cannot combine with --only/--incremental/--set",
+              "and cannot combine with --only/--incremental/--set/--log-dir",
               file=sys.stderr)
         return 2
     try:
@@ -458,21 +459,30 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
         print(f"repro reproduce: {exc}", file=sys.stderr)
         return 2
 
+    config = _fast_config() if args.fast else None
     try:
-        report = run_all(
-            config=_fast_config() if args.fast else None,
-            workers=args.workers,
-            experiments=args.only,
-            collect_workers=args.workers,
-            telemetry_dir=args.telemetry_dir,
-            incremental=args.incremental_dir if incremental else None,
-            param_overrides=param_overrides,
-            strata=args.strata,
-            shards=args.shards,
-            archive_dir=args.archive_dir,
-            profile=args.profile,
-            log_dir=args.log_dir,
-        )
+        if args.strata:
+            report = run_strata(
+                args.strata,
+                config=config,
+                workers=args.workers,
+                shards=args.shards,
+                archive_dir=args.archive_dir,
+                telemetry_dir=args.telemetry_dir,
+                profile=args.profile,
+            )
+        else:
+            report = run_all(
+                config=config,
+                workers=args.workers,
+                experiments=args.only,
+                collect_workers=args.workers,
+                telemetry_dir=args.telemetry_dir,
+                incremental=args.incremental_dir if incremental else None,
+                param_overrides=param_overrides,
+                profile=args.profile,
+                log_dir=args.log_dir,
+            )
     except (ArchiveError, LogStoreError) as exc:
         # Archive/log-store problems (truncation, digest mismatch,
         # missing shards) surface as one operator-facing line, never a

@@ -389,21 +389,21 @@ class MetricsRegistry:
         """Fold *other* (a registry or a snapshot) into this registry.
 
         Counters and histograms add; gauges take the incoming value
-        (last write wins).  Instruments unseen locally are created.
+        (last write wins).  Instruments unseen locally are created, even
+        at zero, so an instrument a fork worker created but never
+        touched exists in the parent as it would after a serial run.
         Merging works even while metrics are disabled -- it ships
         already-recorded data rather than recording new data.
         """
         snapshot = other.snapshot() if isinstance(other, MetricsRegistry) else other
         for (name, labels), value in snapshot.get("counters", {}).items():
-            if value:
-                self.counter(name, **dict(labels))._merge(value)
+            self.counter(name, **dict(labels))._merge(value)
         for (name, labels), value in snapshot.get("gauges", {}).items():
             self.gauge(name, **dict(labels))._merge(value)
         for (name, labels), payload in snapshot.get("histograms", {}).items():
-            if payload["count"]:
-                self.histogram(
-                    name, buckets=payload["bounds"], **dict(labels)
-                )._merge(payload)
+            self.histogram(
+                name, buckets=payload["bounds"], **dict(labels)
+            )._merge(payload)
 
     def reset(self) -> None:
         """Zero every instrument **in place**.
@@ -454,22 +454,24 @@ def snapshot_delta(
 ) -> Dict[str, Dict[InstrumentKey, object]]:
     """``after - before`` for two snapshots of the same registry.
 
-    Counters and histogram counts subtract elementwise (zero results
-    are dropped); gauges keep the *after* values.  This is how a forked
-    worker ships only the activity it performed, excluding whatever the
-    parent had already recorded at fork time.
+    Counters and histogram counts subtract elementwise; gauges keep the
+    *after* values.  A zero result is dropped for an instrument that
+    already existed in *before*, and kept for one created since, so the
+    delta also carries instruments created but never touched.  This is
+    how a forked worker ships only the activity it performed, excluding
+    whatever the parent had already recorded at fork time.
     """
+    prior_counters = before.get("counters", {})
     counters: Dict[InstrumentKey, int] = {}
     for key, value in after.get("counters", {}).items():
-        diff = value - before.get("counters", {}).get(key, 0)
-        if diff:
+        diff = value - prior_counters.get(key, 0)
+        if diff or key not in prior_counters:
             counters[key] = diff
     histograms: Dict[InstrumentKey, object] = {}
     for key, payload in after.get("histograms", {}).items():
         prior = before.get("histograms", {}).get(key)
         if prior is None:
-            if payload["count"]:
-                histograms[key] = payload
+            histograms[key] = payload
             continue
         counts = [a - b for a, b in zip(payload["counts"], prior["counts"])]
         count = payload["count"] - prior["count"]

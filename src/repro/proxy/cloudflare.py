@@ -42,7 +42,7 @@ from .rules import Action, RuleSet
 __all__ = ["CloudflareSettings", "CloudflareProxy"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class CloudflareSettings:
     """Per-zone feature toggles.
 

@@ -399,12 +399,8 @@ def run_table2_artists(seed: int = 42, n_artists: int = 1182) -> ExperimentResul
 # ------------------------------------------------------------- Section 6 ----
 
 
-def run_sec62_active_blocking(
-    config: Optional[PopulationConfig] = None,
-    population: Optional[WebPopulation] = None,
-) -> ExperimentResult:
+def run_sec62_active_blocking(population: WebPopulation) -> ExperimentResult:
     """Section 6.2: prevalence of active blocking in the audit tier."""
-    population = population or build_web_population(config or PopulationConfig())
     network = Network()
     population.materialize(network, month=24, sites=population.audit_sites)
     hosts = [s.domain for s in population.audit_sites]
@@ -446,10 +442,7 @@ def _proportion(successes: int, total: int) -> str:
     return proportion_summary(successes, max(total, 1))
 
 
-def run_sec63_cloudflare(
-    config: Optional[PopulationConfig] = None,
-    population: Optional[WebPopulation] = None,
-) -> ExperimentResult:
+def run_sec63_cloudflare(population: WebPopulation) -> ExperimentResult:
     """Section 6.3: grey-box UA coverage + Block-AI-Bots adoption."""
     registry = build_registry()
 
@@ -469,7 +462,6 @@ def run_sec63_cloudflare(
     flipped = infer_blocked_agents(zone_factory, candidates, "own.example")
 
     # Adoption audit over the population's Cloudflare sites.
-    population = population or build_web_population(config or PopulationConfig())
     network = Network()
     population.materialize(network, month=24, sites=population.audit_sites)
     cf_hosts = [s.domain for s in population.audit_sites if s.blocking.on_cloudflare]
@@ -515,12 +507,8 @@ def run_sec63_cloudflare(
     return ExperimentResult("sec63", "Cloudflare Block AI Bots (Section 6.3)", text, metrics)
 
 
-def run_sec22_meta_tags(
-    config: Optional[PopulationConfig] = None,
-    population: Optional[WebPopulation] = None,
-) -> ExperimentResult:
+def run_sec22_meta_tags(population: WebPopulation) -> ExperimentResult:
     """Section 2.2: NoAI meta-tag prevalence in the audit tier."""
-    population = population or build_web_population(config or PopulationConfig())
     network = Network()
     population.materialize(network, month=24, sites=population.audit_sites)
     hosts = [s.domain for s in population.audit_sites]
@@ -609,12 +597,8 @@ def run_survey_tables(seed: int = 42) -> ExperimentResult:
 # -------------------------------------------------------------- App. B.2 ----
 
 
-def run_appb2_parser_comparison(
-    population: Optional[WebPopulation] = None,
-    config: Optional[PopulationConfig] = None,
-) -> ExperimentResult:
+def run_appb2_parser_comparison(population: WebPopulation) -> ExperimentResult:
     """Appendix B.2 / Section 8.1: compliant vs legacy parser disagreement."""
-    population = population or build_web_population(config or PopulationConfig())
     probes = ["/", "/page", "/images/a.png"]
     agents = ["GPTBot", "CCBot", "anthropic-ai", "Claudebot", "randombot"]
     n_sites = 0
@@ -659,12 +643,8 @@ def run_appb2_parser_comparison(
     return ExperimentResult("appb2", "Parser comparison (Appendix B.2)", text, metrics)
 
 
-def run_sec81_mistakes(
-    population: Optional[WebPopulation] = None,
-    config: Optional[PopulationConfig] = None,
-) -> ExperimentResult:
+def run_sec81_mistakes(population: WebPopulation) -> ExperimentResult:
     """Section 8.1: fraction of robots.txt files with author mistakes."""
-    population = population or build_web_population(config or PopulationConfig())
     n_sites = 0
     n_mistakes = 0
     for site in population.stable:

@@ -9,16 +9,15 @@ across a worker pool -- on top of the content-addressed
 * the **longitudinal bundle** (population + fifteen crawled snapshots)
   is built once and shared read-only by the Figure 2-4 / Table 3 /
   extension runners,
-* **audit-population** runners (Sections 6.2/6.3/2.2, Appendix B.2,
-  Section 8.1) each receive their own copy-on-write view of the same
-  frozen population, so one runner's mutations (handler registration,
-  attribute edits) can never surface in a sibling's view,
+* **population** runners (Sections 6.2/6.3/2.2, Appendix B.2,
+  Section 8.1) read the same frozen population the bundle holds; a
+  stored world rejects every write, so no runner can observe another's,
 * **standalone** runners (survey, Table 1/2) need no world at all.
 
 Scheduling never affects results: runners draw everything from seeded
-inputs and isolated views, results are assembled in registry order
-regardless of completion order, and ``workers=1`` vs ``workers=N``
-outputs are bit-identical (enforced by
+inputs and the one immutable world, results are assembled in registry
+order regardless of completion order, and ``workers=1`` vs
+``workers=N`` outputs are bit-identical (enforced by
 ``tests/report/test_orchestrator.py``).  ``run_all`` returns a
 machine-readable :class:`RunReport` with per-experiment wall-clock
 timings for the perf trajectory.
@@ -26,7 +25,7 @@ timings for the perf trajectory.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
+from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -39,7 +38,6 @@ from ..obs.profile import Profiler
 from ..obs.metrics import MetricsRegistry, export_metrics, shared_registry
 from ..obs.series import SeriesRegistry, export_series
 from ..obs.trace import (
-    set_tracing_enabled,
     shared_tracer,
     span,
     tracing_enabled,
@@ -115,22 +113,17 @@ EXPERIMENT_REGISTRY: Tuple[ExperimentSpec, ...] = (
     ExperimentSpec("table2", "table2", "Artist hosting providers (Table 2)",
                    WORLD_NONE, lambda: exp.run_table2_artists()),
     ExperimentSpec("sec62", "sec62", "Active blocking prevalence (Section 6.2)",
-                   WORLD_POPULATION,
-                   lambda population: exp.run_sec62_active_blocking(population=population)),
+                   WORLD_POPULATION, exp.run_sec62_active_blocking),
     ExperimentSpec("sec63", "sec63", "Cloudflare Block AI Bots (Section 6.3)",
-                   WORLD_POPULATION,
-                   lambda population: exp.run_sec63_cloudflare(population=population)),
+                   WORLD_POPULATION, exp.run_sec63_cloudflare),
     ExperimentSpec("sec22", "sec22", "NoAI meta tags (Section 2.2)",
-                   WORLD_POPULATION,
-                   lambda population: exp.run_sec22_meta_tags(population=population)),
+                   WORLD_POPULATION, exp.run_sec22_meta_tags),
     ExperimentSpec("survey", "survey", "Artist survey (Tables 5-8)",
                    WORLD_NONE, lambda: exp.run_survey_tables()),
     ExperimentSpec("appb2", "appb2", "Parser comparison (Appendix B.2)",
-                   WORLD_POPULATION,
-                   lambda population: exp.run_appb2_parser_comparison(population=population)),
+                   WORLD_POPULATION, exp.run_appb2_parser_comparison),
     ExperimentSpec("sec81", "sec81", "robots.txt mistakes (Section 8.1)",
-                   WORLD_POPULATION,
-                   lambda population: exp.run_sec81_mistakes(population=population)),
+                   WORLD_POPULATION, exp.run_sec81_mistakes),
     ExperimentSpec("tables9_12", "tables9_12", "Thematic codebooks (Tables 9-12)",
                    WORLD_NONE, lambda: exp.run_tables9_12_codebooks()),
     ExperimentSpec("crosstabs", "survey_crosstabs", "Survey association tests",
@@ -331,6 +324,31 @@ def _restore_live(previous: Optional["_obs_live.LiveTelemetry"]) -> None:
         _obs_live.uninstall()
 
 
+def _export(
+    report: RunReport,
+    telemetry_dir: Optional[Union[str, Path]],
+    live: Optional["_obs_live.LiveTelemetry"],
+    bundle: Optional[LongitudinalBundle] = None,
+) -> None:
+    """The export tail of a run: publish the cache gauges, take the
+    final live scrape, then write the telemetry and the profile."""
+    if telemetry_dir is not None:
+        # Shared-cache tallies are point-in-time, scheduling-dependent
+        # observations: publish them as gauges right before export.
+        shared_policy_cache().publish()
+        if bundle is not None:
+            bundle.series.cache.publish()
+    if live is not None:
+        # Final scrape after gauge publication and the shipped-delta
+        # merge: the stream's last cumulative payload equals the batch
+        # export byte for byte.
+        live.scrape()
+    if telemetry_dir is not None:
+        report.export_telemetry(telemetry_dir)
+        if report.profiler is not None:
+            report.profiler.export(telemetry_dir)
+
+
 def run_strata(
     strata: Sequence[str],
     config: Optional[PopulationConfig] = None,
@@ -395,17 +413,16 @@ def run_strata(
 
     registry = shared_registry()
     tracer = shared_tracer()
-    was_tracing = tracing_enabled()
-    set_tracing_enabled(True)
     run_mark = tracer.record_count()
     profiler = _resolve_profiler(profile)
-    previous_live = _obs_live.active()
-    if live is not None:
-        _obs_live.install(live)
     report = RunReport(
         workers=max(1, workers or 1), mode="strata", profiler=profiler
     )
-    try:
+    with ExitStack() as planes:
+        planes.enter_context(tracing_enabled())
+        if live is not None:
+            planes.callback(_restore_live, _obs_live.active())
+            _obs_live.install(live)
         total_span = span("run_strata", n_strata=len(strata), shards=shards)
         with total_span:
             for stratum in strata:
@@ -461,21 +478,7 @@ def run_strata(
                     live.scrape()
         report.total_seconds = getattr(total_span, "duration_seconds", 0.0)
         report.spans = tracer.records_since(run_mark)
-    finally:
-        set_tracing_enabled(was_tracing)
-        if live is not None:
-            _restore_live(previous_live)
-
-    if telemetry_dir is not None:
-        shared_policy_cache().publish()
-    if live is not None:
-        # Final scrape after gauge publication: the stream's last
-        # cumulative payload matches the batch export exactly.
-        live.scrape()
-    if telemetry_dir is not None:
-        report.export_telemetry(telemetry_dir, registry)
-        if profiler is not None:
-            profiler.export(telemetry_dir)
+    _export(report, telemetry_dir, live)
     return report
 
 
@@ -491,9 +494,6 @@ def run_all(
     chaos_seed: int = 0,
     incremental: Union[None, bool, str, Path, IncrementalStore] = None,
     param_overrides: Optional[Dict[str, Dict[str, object]]] = None,
-    strata: Optional[Sequence[str]] = None,
-    shards: int = 0,
-    archive_dir: Optional[Union[str, Path]] = None,
     live: Optional["_obs_live.LiveTelemetry"] = None,
     profile: Union[None, bool, Profiler] = None,
     log_dir: Optional[Union[str, Path]] = None,
@@ -551,14 +551,6 @@ def run_all(
             the runner call and the incremental input key, so editing
             one experiment's parameter invalidates exactly that
             experiment.
-        strata: When given, delegate to :func:`run_strata`: run the
-            Section 3 figure battery over the archives of these top-k
-            strata instead of the registry battery.  *shards*/
-            *archive_dir* apply, *mode* and *workers* steer the shard
-            crawl, and the incremental / chaos machinery is refused
-            (archives have their own warm path).
-        shards: Shard count for strata archives (0 = automatic).
-        archive_dir: Root directory for per-stratum archives.
         live: A :class:`~repro.obs.live.LiveTelemetry` pipeline
             installed for the duration of the run.  The snapshot
             collector scrapes it at every simulated-month tick, and the
@@ -586,25 +578,6 @@ def run_all(
         A :class:`RunReport` with results in registry order, the
         span-derived timing trajectory, and the run's span records.
     """
-    if strata is not None:
-        if incremental not in (None, False):
-            raise ValueError("strata runs do not support incremental mode")
-        if fault_plan is not None:
-            raise ValueError("strata runs do not support fault plans")
-        if log_dir is not None:
-            raise ValueError("strata runs do not support a log store")
-        return run_strata(
-            strata,
-            config=config,
-            workers=workers,
-            shards=shards,
-            mode=mode,
-            archive_dir=archive_dir,
-            store=store,
-            telemetry_dir=telemetry_dir,
-            live=live,
-            profile=profile,
-        )
     chaos_preactivated = _chaos.active_plan() is not None
     if fault_plan is not None:
         if isinstance(fault_plan, str):
@@ -678,31 +651,28 @@ def run_all(
     resolved = resolve_mode(mode, min(n_workers, len(to_run)))
 
     tracer = shared_tracer()
-    was_tracing = tracing_enabled()
-    set_tracing_enabled(True)
     run_mark = tracer.record_count()
     bundle: Optional[LongitudinalBundle] = None
     profiler = _resolve_profiler(profile)
-    # Install the live pipeline (like the fault plan: armed for the
-    # whole run) so simulated-month ticks inside the world build reach
-    # it; restored in the finally below.
-    previous_live = _obs_live.active()
-    if live is not None:
-        _obs_live.install(live)
-    # Install the wide-event sink before the world build so collection
-    # traffic is captured too; restored in the finally below.
-    sink: Optional[LogSink] = None
-    previous_sink = None
-    if log_dir is not None:
-        sink = LogSink()
-        previous_sink = set_log_sink(sink)
-    # Arm the fault plan for the entire run: world build, serial and
-    # thread runners see it directly; fork workers inherit the armed
-    # factory, so networks built inside child processes get it too.
-    previous_chaos = _chaos.active_plan()
-    if fault_plan is not None:
-        _chaos.activate(fault_plan, chaos_seed)
-    try:
+    sink = LogSink() if log_dir is not None else None
+    with ExitStack() as planes:
+        planes.enter_context(tracing_enabled())
+        # Install the live pipeline (like the fault plan: armed for the
+        # whole run) so simulated-month ticks inside the world build
+        # reach it.
+        if live is not None:
+            planes.callback(_restore_live, _obs_live.active())
+            _obs_live.install(live)
+        # Install the wide-event sink before the world build so
+        # collection traffic is captured too; the previous sink comes
+        # back when the stack closes.
+        if sink is not None:
+            planes.callback(set_log_sink, set_log_sink(sink))
+        # Arm the fault plan for the entire run: world build, serial and
+        # thread runners see it directly; fork workers inherit the armed
+        # factory, so networks built inside child processes get it too.
+        if fault_plan is not None:
+            planes.enter_context(_chaos.chaos_active(fault_plan, chaos_seed))
         total_span = span(
             "run_all", mode=resolved, workers=n_workers, n_experiments=len(ordered)
         )
@@ -717,21 +687,24 @@ def run_all(
                 if needs_bundle
                 else (WORLD_POPULATION if needs_population else WORLD_NONE)
             )
+            population = None
             world_span = span("world_build", world=world_kind)
             with world_span, _phase(profiler, "world_build", world=world_kind):
                 if needs_bundle:
                     bundle = exp.build_longitudinal_bundle(
                         config, workers=collect_workers, store=store
                     )
+                    population = bundle.population
                 elif needs_population:
-                    store.population(config)  # warm the substrate up front
+                    population = store.population(config)
             if inc is not None and bundle is not None:
                 # Back the series' verdict rows with the persistent
                 # store: invalidated re-runs skip the bodies earlier
-                # runs already classified.  Detached in
-                # the finally below so non-incremental runs over the
-                # same cached bundle never touch the store.
+                # runs already classified.  Detached when the stack
+                # closes so non-incremental runs over the same cached
+                # bundle never touch the store.
                 bundle.series.cache.attach_store(inc)
+                planes.callback(bundle.series.cache.attach_store, None)
 
             def run_experiment(index: int) -> Tuple[float, ExperimentResult]:
                 key = to_run[index]
@@ -754,11 +727,10 @@ def run_all(
                     if spec.world == WORLD_BUNDLE:
                         result = spec.run(bundle, **params)
                     elif spec.world == WORLD_POPULATION:
-                        # Every population runner gets its own
-                        # copy-on-write view: its mutations (handler
-                        # registration, attribute edits) live and die
-                        # with the view, never in a sibling's world.
-                        result = spec.run(store.population_view(config), **params)
+                        # Every population runner reads the one frozen
+                        # world the bundle runners read; it rejects
+                        # writes, so no runner sees another's.
+                        result = spec.run(population, **params)
                     else:
                         result = spec.run(**params)
                 return getattr(exp_span, "duration_seconds", 0.0), result
@@ -770,19 +742,6 @@ def run_all(
                 workers=n_workers,
             ):
                 outcomes = fan_out(run_experiment, len(to_run), n_workers, resolved)
-    finally:
-        set_tracing_enabled(was_tracing)
-        if inc is not None and bundle is not None:
-            bundle.series.cache.attach_store(None)
-        if live is not None:
-            _restore_live(previous_live)
-        if sink is not None:
-            set_log_sink(previous_sink)
-        if fault_plan is not None:
-            if previous_chaos is None:
-                _chaos.deactivate()
-            else:
-                _chaos.activate(*previous_chaos)
 
     report = RunReport(
         workers=n_workers,
@@ -828,21 +787,7 @@ def run_all(
             # the feature vectors it consumed.
             write_verdicts(committed, features_dir / "BEHAVIORAL.json")
 
-    if telemetry_dir is not None:
-        # Shared-cache tallies are point-in-time, scheduling-dependent
-        # observations: publish them as gauges right before export.
-        shared_policy_cache().publish()
-        if bundle is not None:
-            bundle.series.cache.publish()
-    if live is not None:
-        # Final scrape after gauge publication and the shipped-delta
-        # merge: the stream's last cumulative payload equals the batch
-        # export byte for byte.
-        live.scrape()
-    if telemetry_dir is not None:
-        report.export_telemetry(telemetry_dir, registry)
-        if profiler is not None:
-            profiler.export(telemetry_dir)
+    _export(report, telemetry_dir, live, bundle)
     return report
 
 

@@ -25,7 +25,6 @@ from .site import BlockingConfig, SimSite
 from .tranco import RankingModel, stable_sites
 from .worldstore import (
     WorldStore,
-    clone_population,
     config_digest,
     freeze_population,
     shared_world_store,
@@ -63,7 +62,6 @@ __all__ = [
     "RankingModel",
     "stable_sites",
     "WorldStore",
-    "clone_population",
     "config_digest",
     "freeze_population",
     "shared_world_store",

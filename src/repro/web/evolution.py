@@ -238,7 +238,9 @@ class OperatorModel:
             pass  # always present
         elif has_roll < params.p_has_robots + params.p_flaky_robots:
             n_missing = rng.randint(1, 3)
-            site.missing_months = {rng.randint(0, 24) for _ in range(n_missing)}
+            site.missing_months = frozenset(
+                rng.randint(0, 24) for _ in range(n_missing)
+            )
         else:
             # Never serves robots.txt.
             site.set_robots(-1, None)

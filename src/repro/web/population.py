@@ -21,7 +21,7 @@ import random
 
 from ..util import seeded_rng
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..net.transport import Network
 from ..proxy.cloudflare import CloudflareSettings
@@ -86,31 +86,37 @@ class PopulationConfig:
         return self.list_size / 100_000
 
 
-@dataclass
+@dataclass(frozen=True)
 class WebPopulation:
-    """The assembled simulated web."""
+    """The assembled simulated web.
+
+    The builder fills plain lists and dicts;
+    :func:`~repro.web.worldstore.freeze_population` turns them into
+    tuples and read-only mappings for the world store.
+    """
 
     config: PopulationConfig
-    rankings: Dict[int, List[str]]
-    stable: List[SimSite]
-    stable_top5k: List[SimSite]
-    audit_sites: List[SimSite]
-    by_domain: Dict[str, SimSite]
-    deal_domains: Dict[str, List[str]] = field(default_factory=dict)
-    explicit_allow_domains: List[str] = field(default_factory=list)
+    rankings: Mapping[int, Sequence[str]]
+    stable: Sequence[SimSite]
+    stable_top5k: Sequence[SimSite]
+    audit_sites: Sequence[SimSite]
+    by_domain: Mapping[str, SimSite]
+    deal_domains: Mapping[str, Sequence[str]] = field(default_factory=dict)
+    explicit_allow_domains: Sequence[str] = ()
 
     def stable_other(self) -> List[SimSite]:
         """Stable sites outside the Top-5K tier."""
         return [s for s in self.stable if s.tier != "top5k"]
 
     def materialize(
-        self, network: Network, month: int, sites: Optional[List[SimSite]] = None
+        self, network: Network, month: int, sites: Optional[Sequence[SimSite]] = None
     ) -> None:
         """Register handlers for *sites* (default: all stable) at *month*.
 
-        Handlers come from each site's per-robots-state cache (see
-        :meth:`SimSite.build_handler`), so repeated materializations --
-        across snapshots, runners, and world-store views -- reconstruct
+        Only the network is written.  Handlers come from each site's
+        per-robots-state cache (see :meth:`SimSite.build_handler`), so
+        repeated materializations -- across snapshots and across the
+        runners that read one stored world -- reconstruct
         ``Website``/proxy objects only for states never served before.
         """
         network.month = month
@@ -281,7 +287,7 @@ def build_web_population(config: Optional[PopulationConfig] = None) -> WebPopula
             continue
         rng_site = seeded_rng(config.seed, "tailblock", site.domain)
         if rng_site.random() < config.p_tail_blocks_automation:
-            site.blocking.blocks_automation = True
+            site.blocking = replace(site.blocking, blocks_automation=True)
 
     stable_list = [by_domain[d] for d in stable_domains]
     return WebPopulation(
@@ -300,41 +306,41 @@ def _assign_audit_attributes(site: SimSite, config: PopulationConfig) -> None:
     """Sample Section 6 / meta-tag attributes for one audit-tier site."""
     rng = seeded_rng(config.seed, "audit", site.domain)
 
-    blocking = BlockingConfig()
     on_cloudflare = rng.random() < config.p_cloudflare
-    final_robots = site.robots_at(24) or ""
 
-    if not on_cloudflare:
+    # Keyword arguments evaluate left to right, so each constructor
+    # below draws from *rng* in the order its fields are listed.
+    if on_cloudflare:
+        # Block AI Bots enablement is assigned by quota afterwards (see
+        # _assign_block_ai_quota) so the enabler count and its robots.txt
+        # correlation are stable at small audit scales.
+        site.blocking = BlockingConfig(
+            cloudflare=CloudflareSettings(
+                definitely_automated=rng.random() < config.p_cf_definitely_automated
+            ),
+            cf_custom_confound=rng.random() < config.p_cf_confound,
+        )
+    else:
         # Independent automation blocking lives on non-Cloudflare sites
         # (Cloudflare zones rely on the managed features); rescale so
         # the *overall* excluded rate still matches the paper's 15%.
         p_auto = config.p_blocks_automation / max(1.0 - config.p_cloudflare, 1e-9)
-        blocking.blocks_automation = rng.random() < p_auto
 
         # Sites that restrict AI crawlers in robots.txt mostly do NOT
         # also UA-block them (only 35 of 1,433 blockers had robots
         # restrictions): suppress custom WAF blocking for adopters.
+        final_robots = (site.robots_at(24) or "").lower()
         robots_mentions_anthropic = any(
-            token in final_robots.lower() for token in ("claudebot", "anthropic-ai")
+            token in final_robots for token in ("claudebot", "anthropic-ai")
         )
         p_waf = config.p_waf_blocks_anthropic * (
             0.15 if robots_mentions_anthropic else 1.0
         )
-        blocking.waf_blocks_anthropic = rng.random() < p_waf
-        blocking.ip_blocks_published_ai = (
-            rng.random() < config.p_ip_blocks_published_ai
+        site.blocking = BlockingConfig(
+            blocks_automation=rng.random() < p_auto,
+            waf_blocks_anthropic=rng.random() < p_waf,
+            ip_blocks_published_ai=rng.random() < config.p_ip_blocks_published_ai,
         )
-
-    if on_cloudflare:
-        settings = CloudflareSettings()
-        # Block AI Bots enablement is assigned by quota afterwards (see
-        # _assign_block_ai_quota) so the enabler count and its robots.txt
-        # correlation are stable at small audit scales.
-        settings.definitely_automated = rng.random() < config.p_cf_definitely_automated
-        blocking.cloudflare = settings
-        blocking.cf_custom_confound = rng.random() < config.p_cf_confound
-
-    site.blocking = blocking
 
     p_both = config.rate_meta_noimageai
     p_noai_only = config.rate_meta_noai - p_both
@@ -377,4 +383,7 @@ def _assign_block_ai_quota(audit_sites: List[SimSite], config: PopulationConfig)
     chosen = _sample(rng, with_robots, n_with)
     chosen += _sample(rng, without, target - len(chosen))
     for site in chosen:
-        site.blocking.cloudflare.block_ai_bots = True
+        site.blocking = replace(
+            site.blocking,
+            cloudflare=replace(site.blocking.cloudflare, block_ai_bots=True),
+        )

@@ -13,9 +13,8 @@ pipelines interact with it -- over HTTP, not by reading attributes.
 from __future__ import annotations
 
 import bisect
-import copy
 from dataclasses import dataclass, field
-from typing import List, Optional, Set, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
 from ..net.server import Website, render_page
 from ..net.transport import Handler
@@ -40,7 +39,7 @@ _HANDLER_FIELDS = frozenset({"blocking", "meta_noai", "meta_noimageai"})
 _HANDLER_MISS = object()
 
 
-@dataclass
+@dataclass(frozen=True)
 class BlockingConfig:
     """A site's active-blocking posture (evaluated at serve time).
 
@@ -72,17 +71,6 @@ class BlockingConfig:
         """Whether the site is served through Cloudflare."""
         return self.cloudflare is not None
 
-    @property
-    def blocks_anthropic_uas(self) -> bool:
-        """Whether requests with Anthropic UAs are actively blocked."""
-        if self.waf_blocks_anthropic:
-            return True
-        if self.cloudflare is not None and self.cloudflare.block_ai_bots:
-            return True
-        if self.cf_custom_confound:
-            return True
-        return False
-
 
 @dataclass
 class SimSite:
@@ -109,14 +97,17 @@ class SimSite:
     tier: str = "other"
     category: str = "general"
     publisher: Optional[str] = None
-    robots_schedule: List[Tuple[int, Optional[str]]] = field(default_factory=list)
-    missing_months: Set[int] = field(default_factory=set)
+    robots_schedule: Tuple[Tuple[int, Optional[str]], ...] = ()
+    missing_months: FrozenSet[int] = frozenset()
     blocking: BlockingConfig = field(default_factory=BlockingConfig)
     meta_noai: bool = False
     meta_noimageai: bool = False
 
     def __post_init__(self) -> None:
-        self.robots_schedule.sort(key=lambda pair: pair[0])
+        self.robots_schedule = tuple(
+            sorted(self.robots_schedule, key=lambda pair: pair[0])
+        )
+        self.missing_months = frozenset(self.missing_months)
 
     # -- immutability and cache discipline ------------------------------------
 
@@ -125,7 +116,7 @@ class SimSite:
         if state.get("_frozen", False):
             raise AttributeError(
                 f"SimSite {state.get('domain', '?')!r} is frozen; "
-                f"cannot set {name!r} (mutate a world-store view instead)"
+                f"cannot set {name!r}"
             )
         if name in _ROBOTS_FIELDS:
             state.pop("_robots_keys", None)
@@ -143,47 +134,15 @@ class SimSite:
     def freeze(self) -> "SimSite":
         """Make the site immutable: any further field set raises.
 
-        The world store freezes canonical populations so a cached world
-        can never be corrupted by one consumer's mutations.  Lazy caches
-        (robots key array, per-month memo, built handlers) still
-        populate on frozen sites -- they are derived, not state.
+        The world store freezes every population it holds.  The field
+        values are immutable too (a tuple schedule, a frozenset of
+        missing months, a frozen :class:`BlockingConfig`), so no write
+        reaches a stored site.  Lazy caches (robots key array,
+        per-month memo, built handlers) still populate on frozen sites
+        -- they are derived, not state.
         """
         self.__dict__["_frozen"] = True
         return self
-
-    def clone(self) -> "SimSite":
-        """An independently mutable copy sharing immutable payloads.
-
-        The clone shares robots.txt *text* objects, the lazily built
-        robots lookup caches, and the handler cache with its source --
-        all of which stay valid until the clone diverges, at which point
-        :meth:`__setattr__` drops the clone's (and only the clone's)
-        references.  This is the copy-on-write primitive behind world
-        store views.
-        """
-        blocking = copy.copy(self.blocking)
-        if blocking.cloudflare is not None:
-            blocking.cloudflare = copy.copy(blocking.cloudflare)
-        clone = SimSite(
-            domain=self.domain,
-            rank=self.rank,
-            tier=self.tier,
-            category=self.category,
-            publisher=self.publisher,
-            robots_schedule=list(self.robots_schedule),
-            missing_months=set(self.missing_months),
-            blocking=blocking,
-            meta_noai=self.meta_noai,
-            meta_noimageai=self.meta_noimageai,
-        )
-        # Seed the clone's caches from the source: reads share work,
-        # writes rebind fields and thereby detach the shared dicts.
-        state = self.__dict__
-        for cache in ("_robots_keys", "_robots_memo"):
-            if cache in state:
-                clone.__dict__[cache] = state[cache]
-        clone.__dict__["_handler_cache"] = state.setdefault("_handler_cache", {})
-        return clone
 
     # -- robots.txt over time -------------------------------------------------
 
@@ -226,7 +185,7 @@ class SimSite:
         schedule.sort(key=lambda pair: pair[0])
         # Single rebind so the cache-invalidation hook fires exactly
         # once, after the new schedule is fully assembled.
-        self.robots_schedule = schedule
+        self.robots_schedule = tuple(schedule)
 
     def change_months(self) -> List[int]:
         """Months at which the robots.txt changed."""
@@ -273,10 +232,11 @@ class SimSite:
         serving the same text share one handler object, and repeated
         materializations of the same month reuse it outright.  Serving
         is response-stateless (logs and dashboards are append-only and
-        never read back by the population measurements), so a handler
-        can safely serve many networks, runners, and threads.  Rebinding
-        any field the handler depends on invalidates the cache (see
-        :meth:`__setattr__`).
+        never read back by the population measurements), so every
+        runner and thread reading the one stored world shares the
+        handler a site built first.  Rebinding any field the handler
+        depends on (possible only before :meth:`freeze`) invalidates
+        the cache (see :meth:`__setattr__`).
         """
         cache = self.__dict__.setdefault("_handler_cache", {})
         key = self.robots_at(month)

@@ -12,15 +12,13 @@ world into a cached, immutable substrate:
   :class:`~repro.web.population.PopulationConfig` (seed and nested
   evolution parameters included) by canonicalizing the dataclass tree.
 * :class:`WorldStore` memoizes :func:`build_web_population` and
-  snapshot-series collection on that digest.  Canonical worlds are
-  **frozen** (every :class:`~repro.web.site.SimSite` rejects mutation)
-  so a cache hit can never observe another consumer's writes.
-* :meth:`WorldStore.population_view` hands out **copy-on-write views**:
-  per-site clones that share the heavy immutable payloads (robots.txt
-  text, lookup caches, built handlers) until a field is rebound, at
-  which point only the mutated clone detaches.  Runners that assign
-  audit attributes or register handlers mutate their view, never the
-  substrate.
+  snapshot-series collection on that digest.  Every runner reads the
+  one stored world, never a copy.
+* :func:`freeze_population` makes a stored world reject every write: a
+  site field rebind, an edit of its blocking or Cloudflare settings,
+  an edit of its robots.txt schedule or missing months, and an item
+  write into the population's sequences and mappings all raise.  So
+  no consumer can observe another consumer's writes.
 
 Determinism: a world is a pure function of its config (every sampler is
 seeded), so serving one build to many consumers is observationally
@@ -35,7 +33,8 @@ import hashlib
 import itertools
 import json
 import threading
-from typing import Dict, List, Optional, TYPE_CHECKING
+from types import MappingProxyType
+from typing import Dict, Optional, TYPE_CHECKING
 
 from ..obs.metrics import MetricsRegistry, shared_registry
 from .population import PopulationConfig, WebPopulation, build_web_population
@@ -46,7 +45,6 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "config_digest",
     "freeze_population",
-    "clone_population",
     "WorldStore",
     "shared_world_store",
 ]
@@ -91,32 +89,29 @@ def config_digest(config: Optional[PopulationConfig] = None) -> str:
 
 
 def freeze_population(population: WebPopulation) -> WebPopulation:
-    """Freeze every site in *population* (see :meth:`SimSite.freeze`)."""
+    """*population* with every site frozen and every container read-only.
+
+    Each site rejects field writes (see :meth:`SimSite.freeze`); the
+    returned population holds tuples for its lists and read-only
+    mappings for its dicts, and is itself a frozen dataclass.  Site
+    identity is kept: ``stable``, ``stable_top5k``, ``audit_sites`` and
+    ``by_domain`` still share their site objects.
+    """
     for site in population.by_domain.values():
         site.freeze()
-    return population
-
-
-def clone_population(population: WebPopulation) -> WebPopulation:
-    """A copy-on-write view of *population*.
-
-    Every site is replaced by a :meth:`~repro.web.site.SimSite.clone`
-    (mutable, shares immutable payloads and handler caches until it
-    diverges); identity relations between ``stable``, ``stable_top5k``,
-    ``audit_sites``, and ``by_domain`` are preserved through the clone
-    map.  Container fields are fresh objects so list/dict-level edits
-    do not leak either.
-    """
-    clones = {domain: site.clone() for domain, site in population.by_domain.items()}
-    return WebPopulation(
-        config=population.config,
-        rankings={month: list(domains) for month, domains in population.rankings.items()},
-        stable=[clones[s.domain] for s in population.stable],
-        stable_top5k=[clones[s.domain] for s in population.stable_top5k],
-        audit_sites=[clones[s.domain] for s in population.audit_sites],
-        by_domain=clones,
-        deal_domains={k: list(v) for k, v in population.deal_domains.items()},
-        explicit_allow_domains=list(population.explicit_allow_domains),
+    return dataclasses.replace(
+        population,
+        rankings=MappingProxyType(
+            {month: tuple(domains) for month, domains in population.rankings.items()}
+        ),
+        stable=tuple(population.stable),
+        stable_top5k=tuple(population.stable_top5k),
+        audit_sites=tuple(population.audit_sites),
+        by_domain=MappingProxyType(dict(population.by_domain)),
+        deal_domains=MappingProxyType(
+            {name: tuple(domains) for name, domains in population.deal_domains.items()}
+        ),
+        explicit_allow_domains=tuple(population.explicit_allow_domains),
     )
 
 
@@ -165,8 +160,8 @@ class WorldStore:
     def population(self, config: Optional[PopulationConfig] = None) -> WebPopulation:
         """The frozen canonical population for *config* (built once).
 
-        The returned object is immutable; consumers that need to mutate
-        site state must take a :meth:`population_view`.
+        Every caller gets the same object, and it rejects every write
+        (see :func:`freeze_population`).
         """
         key = config_digest(config)
         with self._lock:
@@ -180,12 +175,6 @@ class WorldStore:
             else:
                 self._population_hits.inc()
             return population
-
-    def population_view(
-        self, config: Optional[PopulationConfig] = None
-    ) -> WebPopulation:
-        """A fresh copy-on-write view of the canonical population."""
-        return clone_population(self.population(config))
 
     def series(
         self,
@@ -211,22 +200,6 @@ class WorldStore:
             else:
                 self._series_hits.inc()
             return series
-
-    def stratum_population(
-        self,
-        stratum: str,
-        base: Optional[PopulationConfig] = None,
-    ) -> WebPopulation:
-        """The canonical population for a named top-k *stratum*.
-
-        Derives the stratum's scaled config with
-        :func:`~repro.web.population.stratum_config` and serves it from
-        the same digest-keyed cache as :meth:`population` -- a stratum
-        and the equivalent explicit config share one build.
-        """
-        from .population import stratum_config
-
-        return self.population(stratum_config(stratum, base))
 
     def archive(
         self,
@@ -274,11 +247,6 @@ class WorldStore:
         return ArchiveSet.open(root)
 
     # -- maintenance ----------------------------------------------------------
-
-    def cached_digests(self) -> List[str]:
-        """Digests of the populations currently held."""
-        with self._lock:
-            return sorted(self._populations)
 
     def clear(self) -> None:
         """Drop every cached world (frees the substrate memory)."""

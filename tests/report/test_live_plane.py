@@ -23,7 +23,7 @@ SMALL = PopulationConfig(universe_size=500, list_size=300, top5k_cut=40,
                          audit_size=90, seed=7)
 
 #: Covers the counter-heavy sources (crawler fleet, network, logs,
-#: bundle/world store, population view) -- same slice the batch
+#: bundle/world store, stored population) -- same slice the batch
 #: cross-mode identity tests use.
 SLICE = ["table1", "figure2", "sec62"]
 

@@ -93,7 +93,3 @@ class TestLogArchiveIdentity:
         with LogStore.open(tmp_path / "logs") as committed:
             assert payload["n_records"] == committed.n_records
             assert payload["config_digest"] == committed.config_digest
-
-    def test_strata_runs_reject_log_dir(self, tmp_path):
-        with pytest.raises(ValueError, match="strata"):
-            run_all(SMALL, strata=["top-1k"], log_dir=tmp_path / "logs")

@@ -21,6 +21,7 @@ from repro.report.orchestrator import (
     run_one,
 )
 from repro.web.population import PopulationConfig
+from repro.web.site import SimSite
 from repro.web.worldstore import WorldStore
 
 SMALL = PopulationConfig(
@@ -75,8 +76,9 @@ class TestSchedulingIndependence:
         assert list(report.timings_seconds) == expected
 
     def test_population_runners_repeat_identically(self, store):
-        # Each invocation gets a fresh copy-on-write view, so a prior
-        # run's handler registrations cannot perturb the next.
+        # Both invocations read the one frozen world, and each
+        # registers handlers on its own network, so a prior run cannot
+        # perturb the next.
         first = run_all(SMALL, workers=1, experiments=["sec62"], store=store)
         second = run_all(SMALL, workers=1, experiments=["sec62"], store=store)
         assert first.results[0].text == second.results[0].text
@@ -117,7 +119,7 @@ class TestReport:
 class TestTelemetry:
     #: Covers every counter source: table1 (crawler fleet, testbed
     #: network, access logs), figure2 (bundle/world store), sec62
-    #: (population view).
+    #: (stored population).
     TELEMETRY_SLICE = ["table1", "figure2", "sec62"]
 
     def _run_and_snapshot(self, store, mode, workers, telemetry_dir=None):
@@ -258,3 +260,22 @@ class TestRunOne:
         run_one("table1", config=SMALL, store=store)
         totals = registry.counter_totals("worldstore.population")
         assert sum(v for k, v in totals.items() if "event=miss" in k) == 0
+
+
+class TestOneFrozenWorld:
+    def test_population_runners_construct_no_site(self, store, monkeypatch):
+        """The five population runners read the stored world itself:
+        over a warm store, running them builds not one site."""
+        store.population(SMALL)
+        built = []
+        original = SimSite.__post_init__
+
+        def counting(site):
+            built.append(site.domain)
+            original(site)
+
+        monkeypatch.setattr(SimSite, "__post_init__", counting)
+        keys = ["sec62", "sec63", "sec22", "appb2", "sec81"]
+        report = run_all(SMALL, workers=1, experiments=keys, store=store)
+        assert len(report.results) == len(keys)
+        assert built == []

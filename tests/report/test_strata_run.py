@@ -1,14 +1,12 @@
 """Strata runs: the Section 3 battery over archives via the orchestrator.
 
 ``run_strata`` crawls (or reopens) one sharded columnar archive per
-stratum and hands it to the Figure 2-4 / Table 3 runners; ``run_all``
-delegates when ``strata=`` is given and refuses the combinations that
-make no sense for archives (incremental stores, fault plans).
+stratum and hands it to the Figure 2-4 / Table 3 runners.
 """
 
 import pytest
 
-from repro.report.orchestrator import RunReport, run_all, run_strata
+from repro.report.orchestrator import run_strata
 from repro.web.population import PopulationConfig
 from repro.web.worldstore import WorldStore
 
@@ -89,36 +87,6 @@ class TestRunStrata:
     def test_unknown_stratum_is_a_keyerror(self, tmp_path):
         with pytest.raises(KeyError, match="unknown stratum"):
             run_strata(["top-5k"], config=BASE, archive_dir=tmp_path)
-
-
-class TestRunAllDelegation:
-    def test_run_all_forwards_strata(self, first_run):
-        report, archive_dir, store = first_run
-        delegated = run_all(
-            config=BASE,
-            strata=STRATA,
-            shards=2,
-            archive_dir=archive_dir,
-            store=store,
-        )
-        assert isinstance(delegated, RunReport)
-        assert delegated.mode == "strata"
-        assert [r.experiment_id for r in delegated.results] == [
-            r.experiment_id for r in report.results
-        ]
-        assert [r.text for r in delegated.results] == [
-            r.text for r in report.results
-        ]
-
-    def test_refuses_incremental(self, tmp_path):
-        with pytest.raises(ValueError, match="incremental"):
-            run_all(config=BASE, strata=STRATA, archive_dir=tmp_path,
-                    incremental=True)
-
-    def test_refuses_fault_plans(self, tmp_path):
-        with pytest.raises(ValueError, match="fault plans"):
-            run_all(config=BASE, strata=STRATA, archive_dir=tmp_path,
-                    fault_plan="flaky-resets")
 
 
 class TestStreamingMatchesClassic:

@@ -112,6 +112,27 @@ def test_buffers_match_serial(clean_buffers, mode):
 
 
 @pytest.mark.parametrize("mode", MODES)
+def test_untouched_instruments_reach_the_parent(mode):
+    """A counter and a histogram a unit creates but never records into
+    exist in the parent afterwards, at zero, as after a serial run.
+    The name carries the mode, so no earlier run created these keys."""
+    name = f"fanout.untouched.{mode}"
+
+    def unit(index: int) -> int:
+        registry = shared_registry()
+        registry.counter(name, unit=index)
+        registry.histogram(f"{name}_seconds", unit=index)
+        return index
+
+    fan_out(unit, 4, workers=2, mode=mode)
+    snap = shared_registry().snapshot()
+    for index in range(4):
+        labels = (("unit", str(index)),)
+        assert snap["counters"][(name, labels)] == 0
+        assert snap["histograms"][(f"{name}_seconds", labels)]["count"] == 0
+
+
+@pytest.mark.parametrize("mode", MODES)
 def test_unit_exception_reaches_caller(mode):
     with pytest.raises(ValueError, match="unit 2 failed"):
         fan_out(_failing_unit, 4, workers=2, mode=mode)

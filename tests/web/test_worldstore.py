@@ -1,13 +1,14 @@
 """Tests for the content-addressed world store.
 
 The store's whole contract is: a cached world is observationally
-identical to a fresh build, and a copy-on-write view can never leak a
-mutation back into the substrate (or into a sibling view).  These tests
-pin both halves, plus the digest keying and the site-level fast paths
-(robots_at memoization, handler caching) the store relies on.
+identical to a fresh build, and a stored world rejects every write, so
+no consumer can observe another's.  These tests pin both halves, plus
+the digest keying and the site-level fast paths (robots_at
+memoization, handler caching) the store relies on.
 """
 
 import dataclasses
+import operator
 
 import pytest
 
@@ -19,12 +20,7 @@ from repro.report.experiments import (
 from repro.web.evolution import EvolutionParams
 from repro.web.population import PopulationConfig
 from repro.web.site import SimSite
-from repro.web.worldstore import (
-    WorldStore,
-    clone_population,
-    config_digest,
-    shared_world_store,
-)
+from repro.web.worldstore import WorldStore, config_digest, shared_world_store
 
 SMALL = PopulationConfig(
     universe_size=500, list_size=300, top5k_cut=40, audit_size=90, seed=7
@@ -92,6 +88,28 @@ class TestStoreCaching:
         assert shared_world_store() is shared_world_store()
 
 
+def _cloudflare_site(population):
+    return next(s for s in population.audit_sites if s.blocking.on_cloudflare)
+
+
+#: One write of each kind a consumer could try on a stored world.
+WRITES = {
+    "site_field": lambda p: setattr(p.stable[0], "meta_noai", True),
+    "blocking_field": lambda p: setattr(
+        p.stable[0].blocking, "blocks_automation", True
+    ),
+    "cloudflare_field": lambda p: setattr(
+        _cloudflare_site(p).blocking.cloudflare, "block_ai_bots", True
+    ),
+    "robots_schedule": lambda p: p.stable[0].robots_schedule.append((30, None)),
+    "missing_months": lambda p: p.stable[0].missing_months.add(30),
+    "stable_item": lambda p: operator.setitem(p.stable, 0, p.stable[1]),
+    "by_domain_item": lambda p: operator.setitem(p.by_domain, "new.example", p.stable[0]),
+    "rankings_item": lambda p: operator.setitem(p.rankings[0], 0, "new.example"),
+    "population_field": lambda p: setattr(p, "stable", ()),
+}
+
+
 class TestFrozenSubstrate:
     def test_canonical_sites_reject_mutation(self, store):
         site = store.population(SMALL).stable[0]
@@ -101,52 +119,22 @@ class TestFrozenSubstrate:
         with pytest.raises(AttributeError):
             site.robots_schedule = []
 
+    @pytest.mark.parametrize("write", WRITES.values(), ids=WRITES.keys())
+    def test_stored_world_rejects_every_write(self, store, write):
+        with pytest.raises((AttributeError, TypeError)):
+            write(store.population(SMALL))
+
     def test_freeze_does_not_block_reads(self, store):
         site = store.population(SMALL).stable[0]
         site.robots_at(12)
         site.build_handler(12)
 
-
-class TestCopyOnWriteViews:
-    def test_view_sites_are_mutable_clones(self, store):
-        view = store.population_view(SMALL)
-        site = view.stable[0]
-        assert not site.frozen
-        site.meta_noai = True  # must not raise
-
-    def test_view_mutations_never_reach_the_canonical_world(self, store):
-        canonical = store.population(SMALL)
-        view = store.population_view(SMALL)
-        domain = next(
-            site.domain
-            for site in canonical.audit_sites
-            if not site.blocking.blocks_automation
-        )
-        view.by_domain[domain].blocking.blocks_automation = True
-        view.by_domain[domain].set_robots(0, "User-agent: *\nDisallow: /view-only/")
-        original = canonical.by_domain[domain]
-        assert not original.blocking.blocks_automation
-        assert original.robots_at(0) != "User-agent: *\nDisallow: /view-only/"
-
-    def test_sibling_views_are_isolated_from_each_other(self, store):
-        one = store.population_view(SMALL)
-        two = store.population_view(SMALL)
-        domain = one.stable[0].domain
-        one.by_domain[domain].set_robots(5, "User-agent: GPTBot\nDisallow: /one/")
-        assert two.by_domain[domain].robots_at(5) != "User-agent: GPTBot\nDisallow: /one/"
-
-    def test_view_preserves_identity_relations(self, store):
-        view = store.population_view(SMALL)
-        for site in view.stable_top5k:
-            assert view.by_domain[site.domain] is site
-        for site in view.audit_sites:
-            assert view.by_domain[site.domain] is site
-
-    def test_clone_population_copies_containers(self, store):
-        canonical = store.population(SMALL)
-        view = clone_population(canonical)
-        view.rankings[0].append("injected.example")
-        assert "injected.example" not in canonical.rankings[0]
+    def test_preserves_identity_relations(self, store):
+        population = store.population(SMALL)
+        for site in population.stable_top5k:
+            assert population.by_domain[site.domain] is site
+        for site in population.audit_sites:
+            assert population.by_domain[site.domain] is site
 
 
 class TestSiteFastPaths:
@@ -162,17 +150,6 @@ class TestSiteFastPaths:
         site.set_robots(2, "User-agent: *\nDisallow: /b/")
         after = site.build_handler(3)
         assert after is not before
-
-    def test_clone_shares_then_detaches_handler_cache(self):
-        site = SimSite(domain="cow.example", rank=10)
-        site.set_robots(0, "User-agent: *\nDisallow: /x/")
-        shared = site.build_handler(1)
-        twin = site.clone()
-        assert twin.build_handler(1) is shared
-        twin.set_robots(1, "User-agent: GPTBot\nDisallow: /")
-        assert twin.build_handler(1) is not shared
-        # The original keeps its cached handler untouched.
-        assert site.build_handler(1) is shared
 
     def test_robots_at_agrees_with_linear_scan_after_memoization(self):
         site = SimSite(domain="memo.example", rank=10)
