@@ -77,7 +77,7 @@ def main() -> None:
     print(f"world ready in {world_seconds:.1f}s "
           f"[mode={report.mode}, workers={report.workers}]")
 
-    timings = report.to_json()["experiments"]
+    timings = report.to_timings()["experiments"]
     for entry, result in zip(timings, report.results):
         (RESULTS / f"{result.experiment_id}.txt").write_text(result.text + "\n")
         print(f"  {entry['key']:10s} done in {entry['seconds']:5.1f}s "

@@ -58,8 +58,6 @@ BUDGETS = (
            "disabled telemetry, % of figure2 (bench_obs_overhead)"),
     Budget("CHAOS_OVERHEAD.json", "implied_overhead_pct", 1.0, "max",
            "armed fault plan, % of the snapshot pipeline (bench_chaos_overhead)"),
-    Budget("LIVE_OVERHEAD.json", "implied_overhead_pct", 1.0, "max",
-           "installed live pipeline, % of figure2 (bench_live_overhead)"),
     Budget("LOG_OVERHEAD.json", "implied_overhead_pct", 1.0, "max",
            "installed log sink, % of the collection crawl (bench_logstore)"),
     Budget("BEHAVIORAL_OVERHEAD.json", "implied_overhead_pct", 1.0, "max",

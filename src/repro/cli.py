@@ -221,25 +221,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve_metrics = sub.add_parser(
         "serve-metrics",
-        help="Prometheus /metrics + /healthz over a telemetry export "
-             "or the live in-process registries",
+        help="Prometheus /metrics + /healthz over a telemetry export",
     )
-    serve_metrics.add_argument("telemetry", nargs="?", default=None,
-                               help="telemetry directory with METRICS.json/"
-                                    "SERIES.json to serve statically "
-                                    "(default: scrape the live in-process "
-                                    "registries instead)")
+    serve_metrics.add_argument("telemetry", nargs="?", default="results",
+                               help="telemetry directory containing "
+                                    "METRICS.json and SERIES.json "
+                                    "(default: results)")
     serve_metrics.add_argument("--port", type=int, default=0,
                                help="TCP port (default: 0 = ephemeral)")
     serve_metrics.add_argument("--requests", type=int, default=None,
                                help="exit after N requests "
                                     "(default: run until Ctrl-C)")
-    serve_metrics.add_argument("--interval", type=float, default=5.0,
-                               help="live-mode scrape interval in seconds "
-                                    "(default: 5)")
-    serve_metrics.add_argument("--jsonl", metavar="PATH", default=None,
-                               help="live mode: also append each scrape's "
-                                    "deltas to PATH as OTLP-style JSONL")
 
     alerts_cmd = sub.add_parser(
         "alerts",
@@ -1071,57 +1063,38 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve_metrics(args: argparse.Namespace) -> int:
-    """Prometheus text exposition over HTTP, static or live.
+    """Prometheus text exposition of a telemetry export over HTTP.
 
-    With a telemetry directory: serve its METRICS.json/SERIES.json
-    exactly as written (the rendered counter totals are byte-for-byte
-    the export's).  Without one: scrape the live in-process registries
-    every ``--interval`` seconds and serve the latest cumulative state,
-    optionally streaming each scrape's deltas to ``--jsonl``.
+    Serves the directory's METRICS.json/SERIES.json exactly as written:
+    the rendered counter totals are byte-for-byte the export's.
     """
     import time
     from pathlib import Path
 
+    from .net.realserver import RealHttpServer
     from .obs.analyze import TelemetryError, load_metrics, load_series
-    from .obs.live import JsonlSink, LiveTelemetry, MetricsHTTPServer
+    from .obs.prometheus import MetricsHandler
 
-    live = None
-    if args.telemetry is not None:
-        directory = Path(args.telemetry)
-        try:
-            metrics_payload = load_metrics(directory / "METRICS.json")
-            series_payload = load_series(directory / "SERIES.json")
-        except TelemetryError as exc:
-            print(f"repro serve-metrics: {exc}", file=sys.stderr)
-            return 2
-        source = lambda: (metrics_payload, series_payload)  # noqa: E731
-        health = lambda: {"mode": "static", "telemetry": str(directory)}  # noqa: E731
-        server = MetricsHTTPServer(source, health=health, port=args.port)
-        label = f"static export from {directory}"
-    else:
-        live = LiveTelemetry()
-        if args.jsonl:
-            live.add_sink(JsonlSink(args.jsonl))
-        server = live.serve(port=args.port)
-        live.start(interval_seconds=args.interval)
-        label = f"live registries (scrape every {args.interval:g}s)"
-
-    if live is None:
-        server.start()
-    print(f"serving {label} at {server.url}/metrics "
-          f"(health: {server.url}/healthz)")
+    directory = Path(args.telemetry)
     try:
-        while True:
-            if args.requests is not None and server.request_count >= args.requests:
-                break
-            time.sleep(0.05)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        if live is not None:
-            live.stop()
-        server.stop()
-    print(f"handled {server.request_count} request(s)")
+        handler = MetricsHandler(
+            load_metrics(directory / "METRICS.json"),
+            load_series(directory / "SERIES.json"),
+            health={"mode": "static", "telemetry": str(directory)},
+        )
+    except TelemetryError as exc:
+        print(f"repro serve-metrics: {exc}", file=sys.stderr)
+        return 2
+    with RealHttpServer(handler, port=args.port) as server:
+        url = f"http://{server.address}"
+        print(f"serving static export from {directory} at {url}/metrics "
+              f"(health: {url}/healthz)", flush=True)
+        try:
+            while args.requests is None or handler.requests < args.requests:
+                time.sleep(0.05)
+        except KeyboardInterrupt:
+            pass
+    print(f"handled {handler.requests} request(s)")
     return 0
 
 

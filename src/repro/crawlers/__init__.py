@@ -27,7 +27,6 @@ from .fleet import (
 )
 from .profiles import CrawlerProfile, RobotsBehavior
 from .scheduler import CrawlScheduler, CrawlTask, SchedulerReport
-from .trainer import HarvestItem, HarvestReport, MediaHarvester
 
 __all__ = [
     "GptApp",
@@ -54,7 +53,4 @@ __all__ = [
     "CrawlScheduler",
     "CrawlTask",
     "SchedulerReport",
-    "HarvestItem",
-    "HarvestReport",
-    "MediaHarvester",
 ]

@@ -49,7 +49,6 @@ from ..crawlers.commoncrawl import (
 from ..net import chaos
 from ..net.logstore import log_stream
 from ..net.transport import Network
-from ..obs import live as _live
 from ..obs.metrics import metrics_enabled
 from ..obs.series import shared_series
 from ..obs.trace import span
@@ -329,12 +328,7 @@ def collect_snapshots(
         # The named wide-event stream makes the crawl's log records
         # land in the same archive position for any worker count.
         with log_stream(f"collect:{spec.snapshot_id}"):
-            snapshot = _crawl_spec(population, spec, fetch_sites)
-        # The batch pipeline's simulated-month clock drives the live
-        # telemetry plane: one scrape as each month's snapshot lands.
-        # Costs a single None check when no pipeline is installed.
-        _live.month_tick(spec.month_index)
-        return snapshot
+            return _crawl_spec(population, spec, fetch_sites)
 
     with span(
         "collect_snapshots",

@@ -1,40 +1,38 @@
-"""HTTP substrate: messages, in-memory network, clients, DNS, logs.
+"""HTTP substrate: messages, in-memory network, DNS, logs, faults.
 
 The substrate has two interchangeable transports:
 
 * the in-memory :class:`Network`, used for population-scale sweeps, and
 * :class:`RealHttpServer` / :func:`fetch_real`, which expose the same
-  handlers over genuine localhost TCP for integration tests.
+  handlers over genuine localhost TCP for integration tests,
+  ``repro serve`` and ``repro serve-metrics``.
+
+Server-side, access logs (:mod:`~repro.net.accesslog`) and the
+wide-event log store (:mod:`~repro.net.logstore`) record what arrived;
+:mod:`~repro.net.chaos` injects transport faults.
 """
 
-from .accesslog import AccessLog, LogEntry, format_clf, parse_clf_line
+from .accesslog import AccessLog, LogEntry
 from .chaos import ChaosController, FaultPlan, FaultRule
-from .client import HttpClient
 from .dns import DnsZone, ProviderInfra, Resolution
 from .errors import (
     ConnectionRefused,
     ConnectionReset,
     DNSFailure,
     NetError,
-    RobotsDisallowed,
-    TooManyRedirects,
 )
 from .http import Headers, Request, Response, split_url
 from .realserver import NetworkHandler, RealHttpServer, RemoteNetwork, fetch_real
 from .server import Page, Website, extract_links, render_page
 from .sitemap import SitemapEntry, discover_sitemap_urls, parse_sitemap, render_sitemap, render_sitemap_index
-from .warc import WarcRecord, parse_warc, render_warc, snapshot_to_warc, warc_to_records
 from .transport import Handler, Network
 
 __all__ = [
     "AccessLog",
     "LogEntry",
-    "format_clf",
-    "parse_clf_line",
     "ChaosController",
     "FaultPlan",
     "FaultRule",
-    "HttpClient",
     "DnsZone",
     "ProviderInfra",
     "Resolution",
@@ -42,8 +40,6 @@ __all__ = [
     "ConnectionReset",
     "DNSFailure",
     "NetError",
-    "RobotsDisallowed",
-    "TooManyRedirects",
     "Headers",
     "Request",
     "Response",
@@ -63,9 +59,4 @@ __all__ = [
     "parse_sitemap",
     "render_sitemap",
     "render_sitemap_index",
-    "WarcRecord",
-    "parse_warc",
-    "render_warc",
-    "snapshot_to_warc",
-    "warc_to_records",
 ]

@@ -3,15 +3,13 @@
 The Section 5 testbed decides crawler compliance entirely from server
 logs: which user agents arrived, from which IPs, whether robots.txt was
 fetched before content, and which paths were retrieved.  This module
-provides the log record, an appendable log with the query helpers that
-analysis needs, and Combined-Log-Format rendering/parsing so logs can be
-round-tripped through files like real web-server logs.
+provides the log record and an appendable log with the query helpers
+that analysis needs.
 """
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional
 
 from ..agents.darkvisitors import AI_USER_AGENT_TOKENS
@@ -26,10 +24,6 @@ __all__ = [
     "record_sim_request",
     "set_log_sink",
     "active_log_sink",
-    "format_clf",
-    "parse_clf_line",
-    "ingest_clf_lines",
-    "load_clf_file",
 ]
 
 #: Lowered token -> canonical label, in registry order (first match wins).
@@ -102,8 +96,7 @@ def set_log_sink(sink):
     """Install *sink* as the process-wide wide-event sink.
 
     Returns the previously installed sink (or None) so callers can
-    restore it -- the same install/uninstall discipline the live
-    telemetry pipeline uses.
+    restore it.
     """
     global _LOG_SINK
     previous = _LOG_SINK
@@ -331,8 +324,8 @@ class AccessLog:
 
         With *fill_gaps* (the default) every agent carries an explicit
         zero-count entry for each month inside the log's observed
-        month range, so consumers sampling the rollup -- live
-        telemetry scrapes, dashboards -- see a contiguous axis rather
+        month range, so consumers sampling the rollup -- series
+        exports, dashboards -- see a contiguous axis rather
         than holes that are ambiguous between "no traffic" and "not
         yet sampled".  The unclocked ``-1`` bucket is never filled:
         it marks entries recorded outside any simulated month, not a
@@ -408,115 +401,3 @@ class AccessLog:
                     "accesslog.requests", month, counts["requests"], **labels
                 )
 
-
-def _escape_quoted(value: str) -> str:
-    """Escape a value for a double-quoted CLF field."""
-    return value.replace("\\", "\\\\").replace('"', '\\"')
-
-
-_QUOTED_ESCAPE_RE = re.compile(r"\\(.)")
-
-
-def _unescape_quoted(value: str) -> str:
-    return _QUOTED_ESCAPE_RE.sub(r"\1", value)
-
-
-def format_clf(entry: LogEntry) -> str:
-    """Render an entry in Combined Log Format (fixed dummy date fields).
-
-    Quotes and backslashes inside the User-Agent are escaped so the
-    line stays parseable (real web servers do the same); month-clocked
-    entries carry their simulated month in the timestamp field
-    (``[17 m3]``), which :func:`parse_clf_line` restores.
-
-    >>> line = format_clf(LogEntry(0, "1.2.3.4", "GET", "/", 200, 5, "bot"))
-    >>> line.startswith('1.2.3.4 - - [')
-    True
-    """
-    stamp = str(int(entry.timestamp))
-    if entry.month >= 0:
-        stamp += f" m{entry.month}"
-    return (
-        f'{entry.client_ip} - - [{stamp}] '
-        f'"{entry.method} {entry.path} HTTP/1.1" {entry.status} '
-        f'{entry.body_bytes} "-" "{_escape_quoted(entry.user_agent)}"'
-    )
-
-
-_CLF_RE = re.compile(
-    r'^(?P<ip>\S+) \S+ \S+ \[(?P<ts>[^\]]*)\] '
-    r'"(?P<method>\S+) (?P<path>\S+) [^"]*" (?P<status>\d+) '
-    r'(?P<bytes>\d+|-) "(?:[^"\\]|\\.)*" "(?P<ua>(?:[^"\\]|\\.)*)"$'
-)
-
-
-def parse_clf_line(line: str) -> Optional[LogEntry]:
-    """Parse a Combined-Log-Format line back into a :class:`LogEntry`.
-
-    Returns None for lines that do not match the format.
-    """
-    match = _CLF_RE.match(line.strip())
-    if not match:
-        return None
-    stamp = match.group("ts").split()
-    timestamp = 0.0
-    month = -1
-    if stamp:
-        try:
-            timestamp = float(stamp[0])
-        except ValueError:
-            timestamp = 0.0
-        if len(stamp) > 1 and stamp[1].startswith("m"):
-            try:
-                month = int(stamp[1][1:])
-            except ValueError:
-                month = -1
-    size = match.group("bytes")
-    return LogEntry(
-        timestamp=timestamp,
-        client_ip=match.group("ip"),
-        method=match.group("method"),
-        path=match.group("path"),
-        status=int(match.group("status")),
-        body_bytes=0 if size == "-" else int(size),
-        user_agent=_unescape_quoted(match.group("ua")),
-        month=month,
-    )
-
-
-def ingest_clf_lines(lines) -> "tuple[List[LogEntry], int]":
-    """Parse an iterable of CLF lines; returns ``(entries, skipped)``.
-
-    Blank lines are ignored.  Unparseable lines are *counted*, not
-    silently dropped: the skipped total is returned and accumulated in
-    the ``net.clf_parse_errors`` counter so a bad ingest is visible in
-    the metrics export, not just smaller than expected.
-    """
-    entries: List[LogEntry] = []
-    skipped = 0
-    for line in lines:
-        if not line.strip():
-            continue
-        entry = parse_clf_line(line)
-        if entry is None:
-            skipped += 1
-            continue
-        entries.append(entry)
-    if skipped and metrics_enabled():
-        shared_registry().counter("net.clf_parse_errors").inc(skipped)
-    return entries, skipped
-
-
-def load_clf_file(path) -> "tuple[AccessLog, int]":
-    """Read a CLF file into a fresh :class:`AccessLog`.
-
-    Returns ``(log, skipped)`` where *skipped* counts unparseable lines
-    (also reported through ``net.clf_parse_errors``; see
-    :func:`ingest_clf_lines`).
-    """
-    with open(path, encoding="utf-8") as handle:
-        entries, skipped = ingest_clf_lines(handle)
-    log = AccessLog()
-    for entry in entries:
-        log.append(entry)
-    return log, skipped

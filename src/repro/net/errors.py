@@ -12,8 +12,6 @@ __all__ = [
     "DNSFailure",
     "ConnectionRefused",
     "ConnectionReset",
-    "TooManyRedirects",
-    "RobotsDisallowed",
 ]
 
 
@@ -49,20 +47,3 @@ class ConnectionReset(NetError):
         super().__init__(f"connection reset by {host}")
         self.host = host
 
-
-class TooManyRedirects(NetError):
-    """The client exceeded its redirect budget."""
-
-    def __init__(self, url: str, limit: int):
-        super().__init__(f"more than {limit} redirects fetching {url}")
-        self.url = url
-        self.limit = limit
-
-
-class RobotsDisallowed(NetError):
-    """A polite client refused to fetch a URL its robots policy forbids."""
-
-    def __init__(self, url: str, user_agent: str):
-        super().__init__(f"robots.txt disallows {user_agent} fetching {url}")
-        self.url = url
-        self.user_agent = user_agent

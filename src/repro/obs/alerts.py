@@ -315,8 +315,8 @@ class AlertEngine:
     """Evaluate a rule set against telemetry payloads.
 
     Baseline payloads (for ``drift`` rules) bind at construction, so
-    the same engine instance can evaluate repeatedly -- per CI run or
-    per live scrape -- without re-reading the baseline.
+    the same engine instance can evaluate repeatedly without
+    re-reading the baseline.
     """
 
     def __init__(

@@ -53,7 +53,6 @@ __all__ = [
     "set_metrics_enabled",
     "shared_registry",
     "snapshot_delta",
-    "render_snapshot",
     "render_key",
     "export_metrics",
 ]
@@ -423,29 +422,23 @@ class MetricsRegistry:
     # -- export ---------------------------------------------------------------
 
     def to_json(self) -> Dict[str, object]:
-        """A schema-versioned, JSON-able rendering (sorted string keys)."""
-        return render_snapshot(self.snapshot())
-
-
-def render_snapshot(
-    snapshot: Dict[str, Dict[InstrumentKey, object]],
-) -> Dict[str, object]:
-    """Render a registry snapshot as the METRICS.json payload shape."""
-    return {
-        "schema_version": METRICS_SCHEMA_VERSION,
-        "counters": {
-            render_key(key): value
-            for key, value in sorted(snapshot["counters"].items())
-        },
-        "gauges": {
-            render_key(key): value
-            for key, value in sorted(snapshot["gauges"].items())
-        },
-        "histograms": {
-            render_key(key): payload
-            for key, payload in sorted(snapshot["histograms"].items())
-        },
-    }
+        """The METRICS.json payload: schema-versioned, sorted string keys."""
+        snapshot = self.snapshot()
+        return {
+            "schema_version": METRICS_SCHEMA_VERSION,
+            "counters": {
+                render_key(key): value
+                for key, value in sorted(snapshot["counters"].items())
+            },
+            "gauges": {
+                render_key(key): value
+                for key, value in sorted(snapshot["gauges"].items())
+            },
+            "histograms": {
+                render_key(key): payload
+                for key, payload in sorted(snapshot["histograms"].items())
+            },
+        }
 
 
 def snapshot_delta(

@@ -50,7 +50,6 @@ __all__ = [
     "OVERFLOW_LABELS",
     "shared_series",
     "snapshot_delta",
-    "render_snapshot",
     "export_series",
 ]
 
@@ -221,20 +220,15 @@ class SeriesRegistry:
         the outer mapping uses rendered string keys, so dumping with
         ``sort_keys=True`` is byte-deterministic.
         """
-        return render_snapshot(self.snapshot())
-
-
-def render_snapshot(snapshot: SeriesSnapshot) -> Dict[str, object]:
-    """Render a series snapshot as the SERIES.json payload shape."""
-    rendered: Dict[str, object] = {}
-    for key, points in sorted(snapshot.items()):
-        months = sorted(points)
-        rendered[render_key(key)] = {
-            "months": months,
-            "values": [points[month] for month in months],
-            "total": sum(points[month] for month in months),
-        }
-    return {"schema_version": SERIES_SCHEMA_VERSION, "series": rendered}
+        rendered: Dict[str, object] = {}
+        for key, points in sorted(self.snapshot().items()):
+            months = sorted(points)
+            rendered[render_key(key)] = {
+                "months": months,
+                "values": [points[month] for month in months],
+                "total": sum(points[month] for month in months),
+            }
+        return {"schema_version": SERIES_SCHEMA_VERSION, "series": rendered}
 
 
 def snapshot_delta(after: SeriesSnapshot, before: SeriesSnapshot) -> SeriesSnapshot:

@@ -33,7 +33,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from ..core.compiled import shared_policy_cache
 from ..fanout import fan_out, resolve_mode
 from ..net import chaos as _chaos
-from ..obs import live as _obs_live
 from ..obs.profile import Profiler
 from ..obs.metrics import MetricsRegistry, export_metrics, shared_registry
 from ..obs.series import SeriesRegistry, export_series
@@ -243,10 +242,6 @@ class RunReport:
             payload["incremental"] = dict(self.incremental)
         return payload
 
-    def to_json(self) -> Dict[str, object]:
-        """Alias of :meth:`to_timings` (the historical payload name)."""
-        return self.to_timings()
-
     def export_telemetry(
         self,
         directory: Union[str, Path],
@@ -316,37 +311,23 @@ def _phase(profiler: Optional[Profiler], name: str, **attrs: object):
     return profiler.phase(name, **attrs)
 
 
-def _restore_live(previous: Optional["_obs_live.LiveTelemetry"]) -> None:
-    """Put back whatever pipeline was installed before this run."""
-    if previous is not None:
-        _obs_live.install(previous)
-    else:
-        _obs_live.uninstall()
-
-
 def _export(
     report: RunReport,
     telemetry_dir: Optional[Union[str, Path]],
-    live: Optional["_obs_live.LiveTelemetry"],
     bundle: Optional[LongitudinalBundle] = None,
 ) -> None:
-    """The export tail of a run: publish the cache gauges, take the
-    final live scrape, then write the telemetry and the profile."""
-    if telemetry_dir is not None:
-        # Shared-cache tallies are point-in-time, scheduling-dependent
-        # observations: publish them as gauges right before export.
-        shared_policy_cache().publish()
-        if bundle is not None:
-            bundle.series.cache.publish()
-    if live is not None:
-        # Final scrape after gauge publication and the shipped-delta
-        # merge: the stream's last cumulative payload equals the batch
-        # export byte for byte.
-        live.scrape()
-    if telemetry_dir is not None:
-        report.export_telemetry(telemetry_dir)
-        if report.profiler is not None:
-            report.profiler.export(telemetry_dir)
+    """The export tail of a run: publish the cache gauges, then write
+    the telemetry and the profile."""
+    if telemetry_dir is None:
+        return
+    # Shared-cache tallies are point-in-time, scheduling-dependent
+    # observations: publish them as gauges right before export.
+    shared_policy_cache().publish()
+    if bundle is not None:
+        bundle.series.cache.publish()
+    report.export_telemetry(telemetry_dir)
+    if report.profiler is not None:
+        report.profiler.export(telemetry_dir)
 
 
 def run_strata(
@@ -358,7 +339,6 @@ def run_strata(
     archive_dir: Optional[Union[str, Path]] = None,
     store: Optional[WorldStore] = None,
     telemetry_dir: Optional[Union[str, Path]] = None,
-    live: Optional["_obs_live.LiveTelemetry"] = None,
     profile: Union[None, bool, Profiler] = None,
 ) -> RunReport:
     """Run the Section 3 figure battery over one or more top-k strata.
@@ -387,9 +367,6 @@ def run_strata(
             ``.repro-archives`` under the working directory.
         store: World store for the backing populations.
         telemetry_dir: When given, export METRICS/SERIES/TRACE here.
-        live: A :class:`~repro.obs.live.LiveTelemetry` pipeline to
-            install for the run; it is scraped after each stratum's
-            battery and once more before export.
         profile: ``True`` (or a :class:`~repro.obs.profile.Profiler`)
             samples memory/CPU per stratum; exported as
             ``PROFILE.json`` when *telemetry_dir* is given.
@@ -418,11 +395,7 @@ def run_strata(
     report = RunReport(
         workers=max(1, workers or 1), mode="strata", profiler=profiler
     )
-    with ExitStack() as planes:
-        planes.enter_context(tracing_enabled())
-        if live is not None:
-            planes.callback(_restore_live, _obs_live.active())
-            _obs_live.install(live)
+    with tracing_enabled():
         total_span = span("run_strata", n_strata=len(strata), shards=shards)
         with total_span:
             for stratum in strata:
@@ -474,11 +447,9 @@ def run_strata(
                         archive.publish_probes(registry, stratum=stratum)
                     finally:
                         archive.close()
-                if live is not None:
-                    live.scrape()
         report.total_seconds = getattr(total_span, "duration_seconds", 0.0)
         report.spans = tracer.records_since(run_mark)
-    _export(report, telemetry_dir, live)
+    _export(report, telemetry_dir)
     return report
 
 
@@ -494,7 +465,6 @@ def run_all(
     chaos_seed: int = 0,
     incremental: Union[None, bool, str, Path, IncrementalStore] = None,
     param_overrides: Optional[Dict[str, Dict[str, object]]] = None,
-    live: Optional["_obs_live.LiveTelemetry"] = None,
     profile: Union[None, bool, Profiler] = None,
     log_dir: Optional[Union[str, Path]] = None,
 ) -> RunReport:
@@ -551,12 +521,6 @@ def run_all(
             the runner call and the incremental input key, so editing
             one experiment's parameter invalidates exactly that
             experiment.
-        live: A :class:`~repro.obs.live.LiveTelemetry` pipeline
-            installed for the duration of the run.  The snapshot
-            collector scrapes it at every simulated-month tick, and the
-            orchestrator takes one final scrape right before the
-            telemetry export -- so the stream's last cumulative payload
-            equals METRICS.json / SERIES.json exactly.
         profile: ``True`` (or a :class:`~repro.obs.profile.Profiler`)
             attaches memory/CPU samplers to the run's phases: the world
             build, each experiment in serial mode, or the pooled
@@ -657,12 +621,6 @@ def run_all(
     sink = LogSink() if log_dir is not None else None
     with ExitStack() as planes:
         planes.enter_context(tracing_enabled())
-        # Install the live pipeline (like the fault plan: armed for the
-        # whole run) so simulated-month ticks inside the world build
-        # reach it.
-        if live is not None:
-            planes.callback(_restore_live, _obs_live.active())
-            _obs_live.install(live)
         # Install the wide-event sink before the world build so
         # collection traffic is captured too; the previous sink comes
         # back when the stack closes.
@@ -787,7 +745,7 @@ def run_all(
             # the feature vectors it consumed.
             write_verdicts(committed, features_dir / "BEHAVIORAL.json")
 
-    _export(report, telemetry_dir, live, bundle)
+    _export(report, telemetry_dir, bundle)
     return report
 
 

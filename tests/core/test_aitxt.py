@@ -1,6 +1,4 @@
-"""Tests for the ai.txt protocol and the media harvester."""
-
-import pytest
+"""Tests for the ai.txt protocol."""
 
 from repro.core.aitxt import (
     AiTxtPolicy,
@@ -8,9 +6,6 @@ from repro.core.aitxt import (
     build_aitxt,
     category_for_path,
 )
-from repro.crawlers.trainer import MediaHarvester
-from repro.net.server import Website, render_page
-from repro.net.transport import Network
 
 
 class TestCategoryForPath:
@@ -68,58 +63,3 @@ class TestBuildAitxt:
             for other, allowed in categories.items():
                 if other is not category:
                     assert allowed is False, (category, other)
-
-
-class TestMediaHarvester:
-    def _world(self, aitxt=None):
-        net = Network()
-        site = Website("gallery.example")
-        site.add_page("/", render_page("G"))
-        site.add_page("/art/piece.png", "PNGDATA", content_type="image/png")
-        site.add_page("/essay.txt", "words", content_type="text/plain")
-        if aitxt is not None:
-            site.add_page("/ai.txt", aitxt, content_type="text/plain")
-        net.register(site)
-        return net, site
-
-    URLS = [("gallery.example", "/art/piece.png"), ("gallery.example", "/essay.txt")]
-
-    def test_no_aitxt_downloads_everything(self):
-        net, _ = self._world(None)
-        report = MediaHarvester(net).harvest(self.URLS)
-        assert len(report.downloaded) == 2
-
-    def test_aitxt_image_optout_respected(self):
-        text = build_aitxt({MediaCategory.IMAGES: False}, default_allow=True)
-        net, _ = self._world(text)
-        report = MediaHarvester(net).harvest(self.URLS)
-        downloaded = {item.path for item in report.downloaded}
-        assert downloaded == {"/essay.txt"}
-        assert report.skipped[0].reason == "ai.txt disallows training use"
-
-    def test_realtime_policy_change(self):
-        # The same URL list yields different harvests after the owner
-        # flips ai.txt -- the protocol's real-time property.
-        net, site = self._world(build_aitxt(default_allow=True))
-        harvester = MediaHarvester(net)
-        assert len(harvester.harvest(self.URLS).downloaded) == 2
-        site.add_page(
-            "/ai.txt", build_aitxt(default_allow=False), content_type="text/plain"
-        )
-        assert len(harvester.harvest(self.URLS).downloaded) == 0
-
-    def test_disrespectful_trainer_ignores_aitxt(self):
-        net, _ = self._world(build_aitxt(default_allow=False))
-        report = MediaHarvester(net, respects_aitxt=False).harvest(self.URLS)
-        assert len(report.downloaded) == 2
-        assert all(item.reason == "protocol ignored" for item in report.downloaded)
-
-    def test_missing_media_reported(self):
-        net, _ = self._world(None)
-        report = MediaHarvester(net).harvest([("gallery.example", "/nope.png")])
-        assert not report.downloaded
-        assert "404" in report.skipped[0].reason
-
-    def test_unresolvable_host_reported(self):
-        report = MediaHarvester(Network()).harvest([("ghost.example", "/a.png")])
-        assert not report.downloaded

@@ -1,15 +1,6 @@
 """Tests for repro.net.accesslog."""
 
-import pytest
-
-from repro.net.accesslog import (
-    AccessLog,
-    LogEntry,
-    format_clf,
-    ingest_clf_lines,
-    load_clf_file,
-    parse_clf_line,
-)
+from repro.net.accesslog import AccessLog, LogEntry
 
 
 def entry(path="/", ua="GPTBot/1.1", ip="1.2.3.4", status=200, ts=0.0):
@@ -115,149 +106,6 @@ class TestAccessLog:
             agent="Bytespider",
             site="testbed-wildcard.example",
         ) == 0
-
-
-class TestClfRoundTrip:
-    def test_format_and_parse(self):
-        original = entry("/a/b?q=1", "Mozilla/5.0 (compatible; GPTBot/1.1)", ts=17.0)
-        parsed = parse_clf_line(format_clf(original))
-        assert parsed is not None
-        assert parsed.client_ip == original.client_ip
-        assert parsed.path == original.path
-        assert parsed.status == original.status
-        assert parsed.user_agent == original.user_agent
-        assert parsed.timestamp == 17.0
-
-    def test_parse_garbage_returns_none(self):
-        assert parse_clf_line("not a log line") is None
-
-    def test_parse_dash_size(self):
-        line = '1.2.3.4 - - [0] "GET / HTTP/1.1" 301 - "-" "bot"'
-        parsed = parse_clf_line(line)
-        assert parsed is not None and parsed.body_bytes == 0
-
-    # Canonical lines must survive parse -> format byte-for-byte: the
-    # "-" identd/user/referer fields, escaped quotes and backslashes in
-    # the UA, and the month-stamped timestamp variant all round-trip.
-    @pytest.mark.parametrize("line", [
-        '1.2.3.4 - - [0] "GET / HTTP/1.1" 200 5 "-" "bot"',
-        '1.2.3.4 - - [17 m3] "GET /page HTTP/1.1" 403 0 "-" "GPTBot/1.1"',
-        '9.9.9.9 - - [5] "HEAD /a/b?q=1 HTTP/1.1" 301 12 "-" '
-        '"Mozilla/5.0 (compatible; \\"GPTBot\\"/1.1)"',
-        '10.0.0.1 - - [2 m0] "GET /x HTTP/1.1" 200 1 "-" '
-        '"odd\\\\agent \\"v2\\""',
-        '8.8.8.8 - - [0] "POST /submit HTTP/1.1" 204 0 "-" ""',
-    ])
-    def test_canonical_line_round_trip(self, line):
-        parsed = parse_clf_line(line)
-        assert parsed is not None
-        assert format_clf(parsed) == line
-
-    def test_escaped_ua_parses_to_unescaped_text(self):
-        line = ('1.2.3.4 - - [0] "GET / HTTP/1.1" 200 5 "-" '
-                '"quote \\" and slash \\\\ here"')
-        parsed = parse_clf_line(line)
-        assert parsed is not None
-        assert parsed.user_agent == 'quote " and slash \\ here'
-
-    def test_month_stamp_restored(self):
-        parsed = parse_clf_line(
-            '1.2.3.4 - - [17 m3] "GET / HTTP/1.1" 200 5 "-" "bot"'
-        )
-        assert parsed is not None
-        assert parsed.timestamp == 17.0 and parsed.month == 3
-        # Unstamped lines carry the -1 "never clocked" sentinel.
-        plain = parse_clf_line(
-            '1.2.3.4 - - [17] "GET / HTTP/1.1" 200 5 "-" "bot"'
-        )
-        assert plain is not None and plain.month == -1
-
-    def test_dash_size_normalizes_to_zero_on_format(self):
-        # "-" bytes is the one lossy field: it parses to 0 and formats
-        # back as "0", so the normalized form (not the original line)
-        # is the fixed point.
-        line = '1.2.3.4 - - [0] "GET / HTTP/1.1" 301 - "-" "bot"'
-        normalized = format_clf(parse_clf_line(line))
-        assert ' 301 0 "-" ' in normalized
-        assert format_clf(parse_clf_line(normalized)) == normalized
-
-    def test_truncated_and_malformed_lines_return_none(self):
-        for bad in [
-            '1.2.3.4 - - [0] "GET / HTTP/1.1" 200 5 "-"',       # no UA
-            '1.2.3.4 - - [0] "GET / HTTP/1.1" 200 5 "-" "bot',  # unclosed
-            '1.2.3.4 - - [0] "GET" 200 5 "-" "bot"',            # no path
-            "",
-        ]:
-            assert parse_clf_line(bad) is None
-
-
-class TestClfIngest:
-    LINES = [
-        '1.2.3.4 - - [0] "GET /robots.txt HTTP/1.1" 200 5 "-" "GPTBot/1.1"',
-        "",
-        "   ",
-        "definitely not a log line",
-        '5.6.7.8 - - [1 m0] "GET /page HTTP/1.1" 200 9 "-" "CCBot/2.0"',
-        '--- corrupt ---',
-    ]
-
-    def test_entries_and_skipped_count(self):
-        entries, skipped = ingest_clf_lines(self.LINES)
-        assert [e.path for e in entries] == ["/robots.txt", "/page"]
-        assert skipped == 2  # blank lines are ignored, not skipped
-
-    def test_skipped_feeds_the_parse_error_counter(self):
-        from repro.obs.metrics import shared_registry
-
-        shared_registry().reset()
-        try:
-            ingest_clf_lines(self.LINES)
-            assert shared_registry().counter_value(
-                "net.clf_parse_errors"
-            ) == 2
-        finally:
-            shared_registry().reset()
-
-    def test_clean_ingest_records_no_counter(self):
-        from repro.obs.metrics import shared_registry
-
-        shared_registry().reset()
-        try:
-            entries, skipped = ingest_clf_lines(self.LINES[:1])
-            assert skipped == 0 and len(entries) == 1
-            assert shared_registry().counter_value(
-                "net.clf_parse_errors"
-            ) == 0
-        finally:
-            shared_registry().reset()
-
-    def test_counter_silent_when_metrics_disabled(self):
-        from repro.obs.metrics import metrics_disabled, shared_registry
-
-        shared_registry().reset()
-        try:
-            with metrics_disabled():
-                _, skipped = ingest_clf_lines(self.LINES)
-            assert skipped == 2
-            assert shared_registry().counter_value(
-                "net.clf_parse_errors"
-            ) == 0
-        finally:
-            shared_registry().reset()
-
-    def test_load_clf_file_round_trip(self, tmp_path):
-        from repro.obs.metrics import metrics_disabled
-
-        path = tmp_path / "access.log"
-        path.write_text("\n".join(self.LINES) + "\n", encoding="utf-8")
-        with metrics_disabled():
-            log, skipped = load_clf_file(path)
-        assert skipped == 2
-        assert len(log) == 2
-        assert [e.seq for e in log] == [0, 1]
-        assert log.fetched_robots("GPTBot")
-        months = [e.month for e in log]
-        assert months == [-1, 0]
 
 
 class TestAgentLabel:

@@ -1,13 +1,11 @@
-"""Tests for Website, Network, and HttpClient."""
+"""Tests for Website and Network."""
 
 import pytest
 
-from repro.net.client import HttpClient
 from repro.net.errors import (
     ConnectionRefused,
     ConnectionReset,
     DNSFailure,
-    TooManyRedirects,
 )
 from repro.net.http import Request
 from repro.net.server import Website, extract_links, render_page
@@ -130,63 +128,6 @@ class TestNetwork:
         assert "a.com" not in net
 
 
-class TestHttpClient:
-    def _net(self):
-        net = Network()
-        net.register(make_site("example.com"))
-        return net
-
-    def test_get(self):
-        client = HttpClient(self._net(), user_agent="TestBot/1.0")
-        response = client.get("https://example.com/about")
-        assert response.ok
-        assert response.url == "https://example.com/about"
-
-    def test_user_agent_override(self):
-        net = self._net()
-        client = HttpClient(net, user_agent="Default/1.0")
-        client.get("https://example.com/", user_agent="Special/2.0")
-        site = net.handler_for("example.com")
-        assert site.access_log.user_agents_seen() == ["Special/2.0"]
-
-    def test_redirect_followed(self):
-        net = self._net()
-        apex = Website("example.org")
-        apex.redirect_to_host = "example.com"
-        net.register(apex)
-        response = HttpClient(net).get("https://example.org/about")
-        assert response.ok
-        assert "About" in response.text
-
-    def test_redirect_not_followed_when_disabled(self):
-        net = self._net()
-        apex = Website("example.org")
-        apex.redirect_to_host = "example.com"
-        net.register(apex)
-        response = HttpClient(net, follow_redirects=False).get("https://example.org/x")
-        assert response.status == 301
-
-    def test_redirect_loop_raises(self):
-        net = Network()
-        a = Website("a.com")
-        a.redirect_to_host = "b.com"
-        b = Website("b.com")
-        b.redirect_to_host = "a.com"
-        net.register(a)
-        net.register(b)
-        with pytest.raises(TooManyRedirects):
-            HttpClient(net, max_redirects=3).get("https://a.com/")
-
-    def test_get_robots_txt_helper(self):
-        net = self._net()
-        net.handler_for("example.com").set_robots_txt("User-agent: *\nDisallow:")
-        assert HttpClient(net).get_robots_txt("example.com").ok
-
-    def test_head(self):
-        response = HttpClient(self._net()).head("https://example.com/")
-        assert response.ok and response.content_length == 0
-
-
 class TestFlakyInjectionAndRetries:
     def _net(self):
         net = Network()
@@ -200,160 +141,3 @@ class TestFlakyInjectionAndRetries:
             with pytest.raises(ConnectionReset):
                 net.request(Request(host="example.com"))
         assert net.request(Request(host="example.com")).ok
-
-    def test_client_retries_through_transient_failures(self):
-        net = self._net()
-        net.inject_flaky("example.com", failures=2)
-        client = HttpClient(net, retries=3)
-        assert client.get("https://example.com/about").ok
-
-    def test_client_gives_up_when_retries_exhausted(self):
-        net = self._net()
-        net.inject_flaky("example.com", failures=5)
-        client = HttpClient(net, retries=1)
-        with pytest.raises(ConnectionReset):
-            client.get("https://example.com/")
-
-    def test_dns_failure_not_retried(self):
-        from repro.net.errors import DNSFailure
-
-        client = HttpClient(Network(), retries=5)
-        with pytest.raises(DNSFailure):
-            client.get("https://ghost.example/")
-
-
-class TestBackoff:
-    def _net(self):
-        net = Network()
-        net.register(make_site("example.com"))
-        return net
-
-    def test_backoff_consumes_expected_simulated_time(self):
-        net = self._net()
-        net.inject_flaky("example.com", failures=3)
-        client = HttpClient(net, retries=3, backoff_base=1.0, backoff_jitter=0.0)
-        assert client.get("https://example.com/about").ok
-        # Three retries: 1 + 2 + 4 simulated seconds, exactly.
-        assert net.now == 7.0
-        assert client.retry_seconds == 7.0
-
-    def test_backoff_capped(self):
-        net = self._net()
-        net.inject_flaky("example.com", failures=4)
-        client = HttpClient(
-            net, retries=4, backoff_base=1.0, backoff_cap=2.0, backoff_jitter=0.0
-        )
-        assert client.get("https://example.com/").ok
-        # 1 + 2 + 2 + 2: the cap clamps every delay past the second.
-        assert net.now == 7.0
-
-    def test_jitter_is_deterministic(self):
-        request = Request(host="example.com", path="/a")
-        a = HttpClient(self._net(), jitter_seed=5)
-        b = HttpClient(self._net(), jitter_seed=5)
-        c = HttpClient(self._net(), jitter_seed=6)
-        assert a.backoff_delay(1, request) == b.backoff_delay(1, request)
-        assert a.backoff_delay(1, request) != c.backoff_delay(1, request)
-
-    def test_jitter_bounded_by_fraction(self):
-        client = HttpClient(self._net(), backoff_base=1.0, backoff_jitter=0.1)
-        for attempt in (1, 2, 3):
-            base = min(1.0 * 2 ** (attempt - 1), client.backoff_cap)
-            delay = client.backoff_delay(
-                attempt, Request(host="example.com", path="/x")
-            )
-            assert base <= delay <= base * 1.1
-
-    def test_retry_time_budget_gives_up_early(self):
-        net = self._net()
-        net.inject_flaky("example.com", failures=10)
-        client = HttpClient(
-            net,
-            retries=10,
-            backoff_base=1.0,
-            backoff_jitter=0.0,
-            retry_time_budget=3.0,
-        )
-        with pytest.raises(ConnectionReset):
-            client.get("https://example.com/")
-        # 1 + 2 fit the 3s budget; the third delay (4s) would not.
-        assert net.now == 3.0
-
-    def test_retries_counted_in_registry(self):
-        from repro.obs.metrics import shared_registry
-
-        before = shared_registry().counter_value("net.client_retries")
-        net = self._net()
-        net.inject_flaky("example.com", failures=2)
-        HttpClient(net, retries=3).get("https://example.com/")
-        assert shared_registry().counter_value("net.client_retries") == before + 2
-
-
-class TestProtocolRelativeRedirect:
-    def test_protocol_relative_location_switches_host(self):
-        net = Network()
-        net.register(make_site("other.example"))
-        apex = Website("start.example")
-        apex.add_page("/", "x")
-        net.register(apex)
-
-        class _Hop:
-            host = "hop.example"
-
-            def handle(self, request):
-                from repro.net.http import Headers, Response
-
-                return Response(
-                    status=301,
-                    headers=Headers({"Location": "//other.example/about"}),
-                )
-
-        net.register(_Hop())
-        response = HttpClient(net).get("https://hop.example/")
-        assert response.ok
-        assert "About" in response.text
-        assert response.url == "https://other.example/about"
-
-    def test_protocol_relative_keeps_request_scheme(self):
-        net = Network()
-        net.register(make_site("other.example"))
-
-        class _Hop:
-            host = "hop.example"
-
-            def handle(self, request):
-                from repro.net.http import Headers, Response
-
-                return Response(
-                    status=302,
-                    headers=Headers({"Location": "//other.example/"}),
-                )
-
-        net.register(_Hop())
-        response = HttpClient(net).get("http://hop.example/")
-        assert response.url.startswith("http://other.example/")
-
-    def test_single_slash_location_still_resolves_locally(self):
-        net = Network()
-        net.register(make_site("example.com"))
-
-        class _Hop:
-            host = "hop.example"
-
-            def handle(self, request):
-                from repro.net.http import Headers, Response
-
-                return Response(
-                    status=301, headers=Headers({"Location": "/about"})
-                )
-
-        net.register(_Hop())
-        # One leading slash is a local path on the *current* host; the
-        # hop site has no /about, so the redirect 404s there rather
-        # than jumping hosts.
-        response = HttpClient(net).get("https://example.com/")
-        assert response.ok
-        hop = HttpClient(net, max_redirects=1)
-        with pytest.raises(TooManyRedirects):
-            # /about on hop.example redirects forever back to itself.
-            hop.get("https://hop.example/")

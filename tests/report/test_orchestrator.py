@@ -97,7 +97,7 @@ class TestReport:
     def test_report_json_shape(self, store):
         report = run_all(SMALL, workers=2, experiments=["table1", "figure2"],
                          store=store, mode="thread")
-        payload = report.to_json()
+        payload = report.to_timings()
         assert payload["schema_version"] == 1
         assert payload["mode"] == "thread"
         assert payload["workers"] == 2
@@ -239,10 +239,6 @@ class TestTelemetry:
             json.loads(line) for line in trace_path.read_text().splitlines()
         ]
         assert [r["name"] for r in records] == [r["name"] for r in report.spans]
-
-    def test_to_timings_is_the_to_json_payload(self, store):
-        report = run_all(SMALL, workers=1, experiments=["table1"], store=store)
-        assert report.to_timings() == report.to_json()
 
 
 class TestRunOne:

@@ -46,7 +46,7 @@ def test_over_budget_fails(bench, tmp_path, capsys):
 
 
 def test_corrupt_file_fails(bench, tmp_path, capsys):
-    _write(tmp_path, "LIVE_OVERHEAD.json", '{"implied_overhead_pct": 0.')
+    _write(tmp_path, "CHAOS_OVERHEAD.json", '{"implied_overhead_pct": 0.')
     assert not bench.check_budgets(tmp_path)
     assert "GATE FAILED" in capsys.readouterr().out
 

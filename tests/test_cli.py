@@ -449,6 +449,15 @@ class TestServeMetrics:
         assert "missing telemetry artifact" in err
         assert "Traceback" not in err
 
+    def test_directory_defaults_to_results(self, tmp_path, monkeypatch, capsys):
+        # Like stats, dashboard and alerts: no argument reads ./results.
+        monkeypatch.chdir(tmp_path)
+        assert main(["serve-metrics", "--requests", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "missing telemetry artifact: results/METRICS.json" in err
+        assert "Traceback" not in err
+
 
 class TestAlerts:
     """The SLO gate command: exit 1 firing, 0 clean, 2 operator error."""
