@@ -5,17 +5,17 @@ and every simulated request then ships one wide event (host, path, UA,
 agent label, outcome, category, month, status, clock ticks, robots
 flag).  The contract (see DESIGN.md, "Request-plane wide events") is
 that the emit rides on a request dispatch that is orders of magnitude
-heavier -- robots evaluation, page lookup, access-log append -- so the
-installed sink costs under 1% of the measured request plane.  The
-uninstalled path is one module-global ``None`` check per request and is
-not measured here.
+heavier -- robots evaluation, page lookup, response building -- so the
+installed sink costs under 1% of the measured request plane.
 
 This bench quantifies the claim and records it in
 ``benchmarks/output/LOG_OVERHEAD.json`` (gated by ``scripts/bench.py``):
 
-* the per-emit cost of one installed-sink wide event, charged against
-  the wall clock of the real crawl that ships those events (a full
-  longitudinal collection over a fresh world),
+* the per-emit cost of one installed-sink wide event -- what
+  :meth:`~repro.net.accesslog.AccessLog.append`, the one call that
+  records a request, costs with a sink over what it costs without --
+  charged against the wall clock of the real crawl that ships those
+  events (a full longitudinal collection over a fresh world),
 * commit throughput (records/second into the sharded columnar
   archive), and
 * query latency over the committed store (full-scan timelines).
@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import time
 
-from repro.net.accesslog import record_sim_request, set_log_sink
+from repro.net.accesslog import AccessLog, LogEntry, set_log_sink
 from repro.net.logstore import LogSink, LogStore
 from repro.obs.logql import timelines
 from repro.obs.metrics import set_metrics_enabled
@@ -46,17 +46,37 @@ _AGENTS = ["GPTBot", "CCBot", "ClaudeBot", "Bytespider"]
 _PATHS = ["/", "/about", "/gallery/piece-%d.html", "/robots.txt"]
 
 
-def _emit_one(index: int) -> None:
-    record_sim_request(
-        f"Mozilla/5.0 (compatible; {_AGENTS[index % 4]}/1.0)",
-        "served",
-        "art",
-        index % 15,
-        host=f"site-{index % 50}.example",
-        path=_PATHS[index % 4] % index if "%" in _PATHS[index % 4] else _PATHS[index % 4],
-        status=200,
-        ticks=index,
-    )
+def _entries(n: int) -> list:
+    """*n* simulated requests, built ahead of any timed loop."""
+    entries = []
+    for index in range(n):
+        path = _PATHS[index % 4]
+        entries.append(
+            LogEntry(
+                timestamp=index / 1000.0,
+                client_ip="198.51.100.7",
+                path=path % index if "%" in path else path,
+                status=200,
+                user_agent=f"Mozilla/5.0 (compatible; {_AGENTS[index % 4]}/1.0)",
+                host=f"site-{index % 50}.example",
+                month=index % 15,
+                outcome="served",
+                category="art",
+            )
+        )
+    return entries
+
+
+def _seconds_per_append(entries: list) -> float:
+    """Best-of-``N_BATCHES`` seconds per :meth:`AccessLog.append`."""
+    batches = []
+    for _ in range(N_BATCHES):
+        log = AccessLog()
+        start = time.perf_counter()
+        for entry in entries:
+            log.append(entry)
+        batches.append((time.perf_counter() - start) / len(entries))
+    return min(batches)
 
 
 def _per_emit_seconds() -> float:
@@ -65,25 +85,13 @@ def _per_emit_seconds() -> float:
     Metrics stay disabled so the measured delta is the sink path alone
     (the series/counter adds are a separate, already-gated budget).
     """
+    entries = _entries(N_EMITS)
     set_metrics_enabled(False)
     previous = set_log_sink(None)
     try:
-        batches = []
-        for _ in range(N_BATCHES):
-            start = time.perf_counter()
-            for index in range(N_EMITS):
-                _emit_one(index)
-            batches.append((time.perf_counter() - start) / N_EMITS)
-        baseline = min(batches)  # the no-sink early return
-
+        baseline = _seconds_per_append(entries)
         set_log_sink(LogSink())
-        batches = []
-        for _ in range(N_BATCHES):
-            start = time.perf_counter()
-            for index in range(N_EMITS):
-                _emit_one(index)
-            batches.append((time.perf_counter() - start) / N_EMITS)
-        installed = min(batches)
+        installed = _seconds_per_append(entries)
     finally:
         set_log_sink(previous)
         set_metrics_enabled(True)
@@ -117,12 +125,14 @@ def _instrumented_collection() -> tuple:
 
 
 def _filled_sink() -> LogSink:
+    entries = _entries(N_RECORDS)
     sink = LogSink()
+    log = AccessLog()
     previous = set_log_sink(sink)
     set_metrics_enabled(False)
     try:
-        for index in range(N_RECORDS):
-            _emit_one(index)
+        for entry in entries:
+            log.append(entry)
     finally:
         set_log_sink(previous)
         set_metrics_enabled(True)

@@ -1050,7 +1050,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     site = Website.from_directory(args.directory)
     with RealHttpServer(site, port=args.port) as server:
         print(f"serving {args.directory} at http://{server.address}/ "
-              f"({len(site.pages)} pages)")
+              f"({len(site.pages)} pages)", flush=True)
         try:
             while True:
                 if args.requests is not None and len(site.access_log) >= args.requests:

@@ -58,11 +58,6 @@ class Testbed:
     wildcard_site: Website
     per_agent_site: Website
 
-    def clear_logs(self) -> None:
-        """Reset both sites' access logs."""
-        self.wildcard_site.access_log.clear()
-        self.per_agent_site.access_log.clear()
-
 
 def build_testbed(agent_tokens: Sequence[str], network: Optional[Network] = None) -> Testbed:
     """Create the two testbed sites (Section 5.1's experiment setup)."""

@@ -7,8 +7,9 @@ The substrate has two interchangeable transports:
   handlers over genuine localhost TCP for integration tests,
   ``repro serve`` and ``repro serve-metrics``.
 
-Server-side, access logs (:mod:`~repro.net.accesslog`) and the
-wide-event log store (:mod:`~repro.net.logstore`) record what arrived;
+Server-side, each host's access log (:mod:`~repro.net.accesslog`)
+records every request once; its appends feed the ``sim.requests``
+series and the wide-event log store (:mod:`~repro.net.logstore`).
 :mod:`~repro.net.chaos` injects transport faults.
 """
 

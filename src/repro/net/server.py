@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
 from ..obs.metrics import metrics_enabled, shared_registry
-from .accesslog import AccessLog, LogEntry, clock_ticks, record_sim_request
+from .accesslog import AccessLog, LogEntry
 from .http import Headers, Request, Response
 from .transport import current_month
 
@@ -106,6 +106,8 @@ class Website:
         self.host = host
         self.pages: Dict[str, Page] = {}
         self._robots_txt: Optional[str] = None
+        #: The host's one request log; proxies in front of this site
+        #: adopt it, so every request lands here once.
         self.access_log = AccessLog()
         #: When set, every request is answered with a 301 to the same
         #: path on this host (e.g. apex -> www).  Common Crawl's crawler
@@ -176,30 +178,19 @@ class Website:
     def handle(self, request: Request) -> Response:
         """Serve one request and log it."""
         response = self._respond(request)
-        month = current_month()
         if metrics_enabled() and request.path_only == "/robots.txt":
             _count_robots_serve(response.status)
-        record_sim_request(
-            request.user_agent,
-            "served" if response.status < 400 else "not_found",
-            self.category,
-            month,
-            host=self.host,
-            path=request.path,
-            status=response.status,
-            ticks=clock_ticks(self.now),
-        )
         self.access_log.append(
             LogEntry(
                 timestamp=self.now,
                 client_ip=request.client_ip,
-                method=request.method,
                 path=request.path,
                 status=response.status,
-                body_bytes=response.content_length,
                 user_agent=request.user_agent,
                 host=self.host,
-                month=month,
+                month=current_month(),
+                outcome="served" if response.status < 400 else "not_found",
+                category=self.category,
             )
         )
         return response

@@ -408,11 +408,10 @@ def dashboard_matrix(
 ) -> Dict[str, Dict[int, Dict[str, int]]]:
     """Fold ``sim.requests`` series into an agent-by-month rollup.
 
-    Returns ``{agent: {month: {"requests", "blocked", "challenged"}}}``
-    -- the same nested shape as
-    :meth:`repro.net.accesslog.AccessLog.monthly_summary`, so one
-    renderer serves both.  *category* (a ``site_category`` label value)
-    restricts the rollup to that site cohort.
+    Returns ``{agent: {month: {"requests", "blocked", "challenged"}}}``,
+    the matrix ``repro dashboard`` renders.  *category* (a
+    ``site_category`` label value) restricts the rollup to that site
+    cohort.
     """
     matrix: Dict[str, Dict[int, Dict[str, int]]] = {}
     for rendered, entry in series_payload.get("series", {}).items():

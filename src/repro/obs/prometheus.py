@@ -85,9 +85,8 @@ def render_prometheus(
     keep their name, histograms expand to cumulative ``_bucket`` /
     ``_sum`` / ``_count`` samples, and month-series become
     ``<name>_monthly`` counter families with one sample per month
-    carrying a ``month`` label (the ``_monthly`` suffix keeps a name
-    that exists both as a counter and a series -- e.g.
-    ``accesslog.requests`` -- from colliding).
+    carrying a ``month`` label (the ``_monthly`` suffix keeps a series
+    from colliding with a counter of the same name).
     """
     lines: List[str] = []
     typed: Dict[str, str] = {}

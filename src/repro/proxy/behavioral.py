@@ -9,13 +9,14 @@ compliance Kim et al. 2025 document.  This module closes ROADMAP
 item 3 on top of the PR-9 feature substrate:
 
 * :class:`BehavioralScorer` turns one per-(agent, host) feature vector
-  -- the exact vocabulary :func:`repro.obs.features.extract_features`
-  emits -- into a :class:`BehavioralVerdict` via deterministic integer
-  signal weights and thresholds (no float accumulation, no RNG at
-  score time, so verdicts are byte-identical across scheduling modes).
-* :class:`BehavioralWindow` maintains the same feature vocabulary over
-  a sliding window of the most recent requests, fed online from the
-  proxy's :class:`~repro.net.accesslog.AccessLog` entries.
+  -- the exact vocabulary :func:`repro.obs.features.traffic_features`
+  computes -- into a :class:`BehavioralVerdict` via deterministic
+  integer signal weights and thresholds (no float accumulation, no RNG
+  at score time, so verdicts are byte-identical across scheduling
+  modes).
+* :class:`BehavioralWindow` keeps a sliding window of the most recent
+  requests, fed online with each request's final status by the proxy,
+  and computes its features with that same function.
 * :class:`BehavioralPolicy` keys windows by ``(agent label, host)``,
   grants each pair a seeded grace allowance (jittered per pair so every
   pair does not flip verdicts on the same request index), caches
@@ -44,7 +45,7 @@ from typing import TYPE_CHECKING, Deque, Dict, Mapping, Optional, Tuple, Union
 
 from ..columnar import atomic_write
 from ..net.accesslog import LogEntry, agent_label, clock_ticks
-from ..obs.features import _ROUND, _entropy_bits, _percentile, extract_features
+from ..obs.features import extract_features, traffic_features
 from ..obs.metrics import metrics_enabled
 from ..obs.series import shared_series
 
@@ -210,24 +211,17 @@ class BehavioralWindow:
     lose its discipline credit when the robots fetch ages out.
     """
 
-    __slots__ = ("size", "total", "_events", "_robots_ever", "_ordered",
-                 "_last_ticks")
+    __slots__ = ("size", "total", "_events", "_robots_ever")
 
     def __init__(self, size: int):
         self.size = size
         #: Lifetime observation count (grace + rescore bookkeeping).
         self.total = 0
-        # Events: (ticks, path, user_agent, is_error, is_robots,
-        # after_robots) -- after_robots stamped at arrival so evicting
-        # the robots fetch itself cannot rewrite history.
+        # Events in the :func:`~repro.obs.features.traffic_features`
+        # shape, after_robots stamped at arrival so evicting the robots
+        # fetch itself cannot rewrite history.
         self._events: Deque[tuple] = deque()
         self._robots_ever = False
-        # Proxy feeds arrive on a monotonic simulated clock, so events
-        # are normally already tick-ordered; track it so the hot
-        # signal pass can skip sorting (and telescope the gap sum),
-        # falling back to a sort only if a caller feeds disorder.
-        self._ordered = True
-        self._last_ticks = 0
 
     def add(
         self,
@@ -242,13 +236,6 @@ class BehavioralWindow:
         if is_robots:
             self._robots_ever = True
         events = self._events
-        if events:
-            if ticks < self._last_ticks:
-                self._ordered = False
-            else:
-                self._last_ticks = ticks
-        else:
-            self._last_ticks = ticks
         events.append(
             (ticks, path, user_agent, is_error, is_robots,
              self._robots_ever and not is_robots)
@@ -259,94 +246,20 @@ class BehavioralWindow:
     def __len__(self) -> int:
         return len(self._events)
 
-    def signal_features(self) -> Dict[str, object]:
-        """The scorer's inputs only: one fused pass, no percentile.
-
-        Every key it returns carries the same value :meth:`features`
-        would (the scorer never reads ``gap_p95_ticks``, the one field
-        skipped here).  While events arrived in clock order -- the
-        proxy feed always does -- the sorted-gap sum telescopes to the
-        window's tick span, so no sorting happens on the hot path.
-        """
-        events = self._events
-        n = len(events)
-        paths: Dict[str, int] = {}
-        uas = set()
-        errors = 0
-        content = 0
-        content_after = 0
-        for _, path, ua, is_error, is_robots, after_robots in events:
-            paths[path] = paths.get(path, 0) + 1
-            uas.add(ua)
-            if is_error:
-                errors += 1
-            if not is_robots:
-                content += 1
-                if after_robots:
-                    content_after += 1
-        if n > 1:
-            if self._ordered:
-                span = events[-1][0] - events[0][0]
-            else:
-                ticks = sorted(event[0] for event in events)
-                span = ticks[-1] - ticks[0]
-            gap_mean = round(span / (n - 1), _ROUND)
-        else:
-            gap_mean = 0.0
-        return {
-            "requests": n,
-            "gap_mean_ticks": gap_mean,
-            "path_entropy_bits": round(_entropy_bits(paths), _ROUND),
-            "robots_before_content": (
-                round(content_after / content, _ROUND) if content else 0.0
-            ),
-            "error_ratio": round(errors / n, _ROUND) if n else 0.0,
-            "ua_churn": len(uas),
-        }
-
     def features(self) -> Dict[str, object]:
         """The window's snapshot in the FEATURES.json vocabulary."""
-        events = self._events
-        n = len(events)
-        ticks = sorted(event[0] for event in events)
-        gaps = sorted(ticks[i] - ticks[i - 1] for i in range(1, n))
-        paths: Dict[str, int] = {}
-        uas = set()
-        errors = 0
-        content = 0
-        content_after = 0
-        for _, path, ua, is_error, is_robots, after_robots in events:
-            paths[path] = paths.get(path, 0) + 1
-            uas.add(ua)
-            if is_error:
-                errors += 1
-            if not is_robots:
-                content += 1
-                if after_robots:
-                    content_after += 1
-        return {
-            "requests": n,
-            "gap_mean_ticks": (
-                round(sum(gaps) / len(gaps), _ROUND) if gaps else 0.0
-            ),
-            "gap_p95_ticks": _percentile(gaps, 0.95),
-            "path_entropy_bits": round(_entropy_bits(paths), _ROUND),
-            "robots_before_content": (
-                round(content_after / content, _ROUND) if content else 0.0
-            ),
-            "error_ratio": round(errors / n, _ROUND) if n else 0.0,
-            "ua_churn": len(uas),
-        }
+        return traffic_features(self._events)
 
 
 class BehavioralPolicy:
     """Online behavioral enforcement state for one proxy (or zone).
 
     The proxy calls :meth:`assess` at the top of ``handle`` (ahead of
-    every UA-list rule) and :meth:`observe` from its access-log append,
-    so windows see the request's *final* status -- interstitials and
-    throttles feed back into the error-ratio signal, which is what
-    escalates a crawler that keeps hammering through refusals.
+    every UA-list rule) and :meth:`observe` once the request is
+    answered, so windows see the request's *final* status --
+    interstitials and throttles feed back into the error-ratio signal,
+    which is what escalates a crawler that keeps hammering through
+    refusals.
 
     Policies are plain per-proxy objects, never shared through cached
     world handlers: each experiment builds its own, which is what keeps
@@ -405,13 +318,13 @@ class BehavioralPolicy:
             ):
                 verdict = cached[0]
             else:
-                verdict = self.scorer.score(window.signal_features())
+                verdict = self.scorer.score(window.features())
                 self._cached[key] = (verdict, window.total)
         self._tally(agent, verdict.verdict, month)
         return verdict
 
     def observe(self, entry: LogEntry) -> None:
-        """Feed one finished request (from the proxy's access log)."""
+        """Feed one finished request, with the status the proxy returned."""
         agent = agent_label(entry.user_agent)
         key = (agent, entry.host)
         window = self._windows.get(key)

@@ -36,7 +36,7 @@ from ..agents.useragent import contains_token, matches_any, primary_product
 from ..net.http import Request, Response
 from ..net.transport import Handler
 from .behavioral import BehavioralPolicy
-from .reverse_proxy import ACTION_OUTCOMES, ReverseProxy
+from .reverse_proxy import ReverseProxy
 from .rules import Action, RuleSet
 
 __all__ = ["CloudflareSettings", "CloudflareProxy"]
@@ -130,10 +130,7 @@ class CloudflareProxy(ReverseProxy):
         custom = self.ruleset.decide(request)
         if custom is not None:
             self.dashboard.append((ua, "custom"))
-            response = self._interstitial(custom, request)
-            self._record_outcome(request, ACTION_OUTCOMES[custom], response.status)
-            self._log(request, response.status, response.content_length)
-            return response
+            return self._gate(custom, request)
 
         # Verified-bot IP validation is part of the Definitely Automated
         # managed ruleset (Appendix C.2: "IP address likely plays a role
@@ -143,35 +140,21 @@ class CloudflareProxy(ReverseProxy):
         # non-published IP -- measure the Block AI Bots list at all.
         if self.settings.definitely_automated and self._is_spoofed_verified_bot(request):
             self.dashboard.append((ua, "spoofed-verified-bot"))
-            response = self._interstitial(Action.BLOCK, request)
-            self._record_outcome(request, "blocked_403", response.status)
-            self._log(request, response.status, response.content_length)
-            return response
+            return self._gate(Action.BLOCK, request)
 
         if self.settings.block_ai_bots and self._matches_block_ai(ua):
             if self.settings.ai_labyrinth:
                 self.dashboard.append((ua, "labyrinth"))
-                response = self._interstitial(Action.FAKE_CONTENT, request)
-                self._record_outcome(request, "decoy", response.status)
-            else:
-                self.dashboard.append((ua, "block-ai"))
-                response = self._interstitial(Action.BLOCK, request)
-                self._record_outcome(request, "blocked_403", response.status)
-            self._log(request, response.status, response.content_length)
-            return response
+                return self._gate(Action.FAKE_CONTENT, request)
+            self.dashboard.append((ua, "block-ai"))
+            return self._gate(Action.BLOCK, request)
 
         if self.settings.definitely_automated and self._matches_definitely_automated(ua):
             self.dashboard.append((ua, "managed-challenge"))
-            response = self._interstitial(Action.CHALLENGE, request)
-            self._record_outcome(request, "challenged", response.status)
-            self._log(request, response.status, response.content_length)
-            return response
+            return self._gate(Action.CHALLENGE, request)
 
         self.dashboard.append((ua, "pass"))
-        self._forward_clocks()
-        response = self.origin.handle(request)
-        self._log(request, response.status, response.content_length)
-        return response
+        return self._forward(request)
 
     # -- grey-box helpers -------------------------------------------------------
 

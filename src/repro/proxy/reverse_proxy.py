@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from ..net.accesslog import AccessLog, LogEntry, clock_ticks, record_sim_request
+from ..net.accesslog import LogEntry
 from ..net.errors import ConnectionReset
 from ..net.http import Request, Response
 from ..net.transport import Handler, current_month
@@ -37,8 +37,8 @@ from .rules import Action, RuleSet
 
 __all__ = ["ReverseProxy", "ACTION_OUTCOMES"]
 
-#: Rule action -> the ``outcome`` label recorded in the ``sim.requests``
-#: series (the operator-view vocabulary: what the client experienced).
+#: Rule action -> the ``outcome`` a proxy logs for a request it answers
+#: (the operator-view vocabulary: what the client experienced).
 ACTION_OUTCOMES = {
     Action.BLOCK: "blocked_403",
     Action.CAPTCHA: "blocked_403",
@@ -61,12 +61,15 @@ class ReverseProxy:
         automation_action: What to serve fingerprint-detected clients.
         behavioral: Optional :class:`~repro.proxy.behavioral
             .BehavioralPolicy` evaluated *ahead of* the UA-list rules;
-            its windows are fed from this proxy's access log, so every
-            terminating layer's final status feeds back into scoring.
+            its windows observe every request's final status (the
+            interstitial's, or the response the origin returned), so
+            refusals feed back into scoring.
 
     The proxy exposes ``host`` (delegating to the origin) so it can be
     registered on a :class:`~repro.net.transport.Network` in the
-    origin's place.
+    origin's place.  It adopts the origin's ``access_log``: a request
+    the proxy terminates is logged there by the proxy, a forwarded one
+    by the origin, so the host's one log holds each request once.
     """
 
     def __init__(
@@ -84,7 +87,7 @@ class ReverseProxy:
         self.block_all_automation = block_all_automation
         self.automation_action = automation_action
         self.behavioral = behavioral
-        self.access_log = AccessLog()
+        self.access_log = origin.access_log
         self.now: float = 0.0
 
     @property
@@ -96,26 +99,6 @@ class ReverseProxy:
     def category(self) -> str:
         """The origin's site category (series label pass-through)."""
         return getattr(self.origin, "category", "")
-
-    def _record_outcome(
-        self, request: Request, outcome: str, status: int = 0
-    ) -> None:
-        """Record a proxy-terminated request into the operator series.
-
-        *status* is the interstitial's response status (0 for resets,
-        which never produce a response); it feeds the wide-event log,
-        not the series.
-        """
-        record_sim_request(
-            request.user_agent,
-            outcome,
-            self.category,
-            current_month(),
-            host=request.host,
-            path=request.path,
-            status=status,
-            ticks=clock_ticks(self.now),
-        )
 
     # -- interstitial construction ------------------------------------------
 
@@ -153,10 +136,10 @@ class ReverseProxy:
     ) -> Optional[Tuple[BehavioralVerdict, Response]]:
         """Assess the request behaviorally; gate it when warranted.
 
-        Runs ahead of every UA-list rule: a verdict response is fully
-        recorded (series outcome + access log, which feeds the verdict
-        back into the scoring window) before being returned.  ``None``
-        means the request proceeds to the rule layers.
+        Runs ahead of every UA-list rule: a verdict response is logged
+        once (which also feeds its status back into the scoring window)
+        before being returned.  ``None`` means the request proceeds to
+        the rule layers.
         """
         verdict = self.behavioral.assess(
             request.user_agent, request.host, current_month()
@@ -168,17 +151,13 @@ class ReverseProxy:
                 headers={"Retry-After": "1"},
                 url=request.url,
             )
-            outcome = "throttled"
+            self._record(request, "throttled", response.status)
         elif verdict.verdict == VERDICT_CHALLENGE:
-            response = self._interstitial(Action.CHALLENGE, request)
-            outcome = ACTION_OUTCOMES[Action.CHALLENGE]
+            response = self._gate(Action.CHALLENGE, request)
         elif verdict.verdict == VERDICT_BLOCK:
-            response = self._interstitial(Action.BLOCK, request)
-            outcome = ACTION_OUTCOMES[Action.BLOCK]
+            response = self._gate(Action.BLOCK, request)
         else:
             return None
-        self._record_outcome(request, outcome, response.status)
-        self._log(request, response.status, response.content_length)
         return verdict, response
 
     # -- request handling ---------------------------------------------------
@@ -193,40 +172,59 @@ class ReverseProxy:
         if action is None and self.block_all_automation and is_automated(request):
             action = self.automation_action
         if action is Action.RESET:
-            self._record_outcome(request, ACTION_OUTCOMES[action])
-            self._log(request, 0, 0)
+            self._record(request, ACTION_OUTCOMES[action])
             raise ConnectionReset(request.host)
         if action is not None:
-            response = self._interstitial(action, request)
-            self._record_outcome(request, ACTION_OUTCOMES[action], response.status)
-            self._log(request, response.status, response.content_length)
-            return response
-        self._forward_clocks()
-        response = self.origin.handle(request)
-        self._log(request, response.status, response.content_length)
+            return self._gate(action, request)
+        return self._forward(request)
+
+    def _gate(self, action: Action, request: Request) -> Response:
+        """Answer *request* with *action*'s interstitial, logged once."""
+        response = self._interstitial(action, request)
+        self._record(request, ACTION_OUTCOMES[action], response.status)
         return response
 
-    def _forward_clocks(self) -> None:
-        """Propagate the wall clock to the origin before forwarding.
+    def _record(self, request: Request, outcome: str, status: int = 0) -> None:
+        """Log a request this proxy terminated into the host's log.
 
-        The month needs no forwarding: it rides the per-thread dispatch
-        clock (:func:`repro.net.transport.current_month`).
+        *status* is the interstitial's response status (0 for resets,
+        which never produce a response).
         """
-        if hasattr(self.origin, "now"):
-            self.origin.now = self.now
-
-    def _log(self, request: Request, status: int, size: int) -> None:
         entry = LogEntry(
             timestamp=self.now,
             client_ip=request.client_ip,
-            method=request.method,
             path=request.path,
             status=status,
-            body_bytes=size,
             user_agent=request.user_agent,
             host=request.host,
             month=current_month(),
+            outcome=outcome,
+            category=self.category,
         )
         self.access_log.append(entry)
         if self.behavioral is not None:
             self.behavioral.observe(entry)
+
+    def _forward(self, request: Request) -> Response:
+        """Hand *request* to the origin, which logs it.
+
+        The wall clock is propagated first; the month needs no
+        forwarding, since it rides the per-thread dispatch clock
+        (:func:`repro.net.transport.current_month`).  The behavioral
+        window then observes the response this proxy returns.
+        """
+        if hasattr(self.origin, "now"):
+            self.origin.now = self.now
+        response = self.origin.handle(request)
+        if self.behavioral is not None:
+            self.behavioral.observe(
+                LogEntry(
+                    timestamp=self.now,
+                    client_ip=request.client_ip,
+                    path=request.path,
+                    status=response.status,
+                    user_agent=request.user_agent,
+                    host=request.host,
+                )
+            )
+        return response

@@ -34,8 +34,6 @@ from ..measure.cloudflare_audit import (
     infer_blocked_agents,
 )
 from ..measure.compliance import (
-    PER_AGENT_HOST,
-    WILDCARD_HOST,
     analyze_passive,
     build_testbed,
     classify_merged_crawler,
@@ -123,11 +121,6 @@ def run_table1_compliance(seed: int = 42, months: int = 6, n_apps: int = 2000) -
     fleet = build_fleet(testbed.network)
     run_passive_measurement(fleet, testbed, months=months)
     passive = analyze_passive(testbed, AI_USER_AGENT_TOKENS)
-    # Publish per-agent request provenance from the passive window only:
-    # after the active phase the logs carry ~2000 one-off app-store UAs,
-    # which would blow up the label space.
-    testbed.wildcard_site.access_log.publish(site=WILDCARD_HOST)
-    testbed.per_agent_site.access_log.publish(site=PER_AGENT_HOST)
 
     # Built-in assistants (active).
     assistants = build_builtin_assistants(testbed.network)

@@ -79,7 +79,7 @@ class TestBuiltinAssistants:
         net, site = make_net()
         assistants = build_builtin_assistants(net)
         assistants["Meta"].fetch("victim.com", "/page")
-        agents = site.access_log.user_agents_seen()
+        agents = {e.user_agent for e in site.access_log}
         assert any("facebookexternalhit" in ua for ua in agents)
         assert not any("Meta-ExternalFetcher" in ua for ua in agents)
 

@@ -138,10 +138,8 @@ def _observe(policy, ua, host, n, start=0, step=10, path=None):
             LogEntry(
                 timestamp=(start + i * step) / 1000.0,
                 client_ip="198.51.100.9",
-                method="GET",
                 path=path or f"/p{i}",
                 status=200,
-                body_bytes=100,
                 user_agent=ua,
                 host=host,
             )
@@ -185,10 +183,8 @@ class TestPolicy:
                     LogEntry(
                         timestamp=i * 0.01,
                         client_ip="198.51.100.9",
-                        method="GET",
                         path=f"/p{i}",
                         status=200,
-                        body_bytes=100,
                         user_agent=ua,
                         host="h.example",
                     )
@@ -262,9 +258,13 @@ class TestProxyGating:
         assert 403 in statuses
         # Refused requests feed error_ratio, which escalates to block.
         assert VERDICT_BLOCK in proxy.behavioral.verdict_counts
-        # Once gated, the origin stops seeing the crawler.
-        assert len(proxy.access_log) == 16
-        assert len(proxy.origin.access_log) < 16
+        # One log per host: every request is logged once, and once
+        # gated, the crawler stops reaching the origin.
+        assert proxy.access_log is proxy.origin.access_log
+        outcomes = [e.outcome for e in proxy.access_log]
+        assert len(outcomes) == 16
+        assert outcomes.count("served") < 16
+        assert "blocked_403" in outcomes
 
     def test_behavioral_precedes_ua_rules(self):
         with metrics_disabled():

@@ -44,8 +44,9 @@ class TestReverseProxy:
         site = origin()
         proxy = ReverseProxy(site, RuleSet.blocking_user_agents(["Bytespider"]))
         proxy.handle(req("Bytespider"))
-        assert len(site.access_log) == 0
-        assert len(proxy.access_log) == 1
+        # The proxy logs the request, once, into the host's one log.
+        assert proxy.access_log is site.access_log
+        assert [e.outcome for e in site.access_log] == ["blocked_403"]
 
     def test_reset_action_raises(self):
         rules = RuleSet([BlockRule(Action.RESET, ua_patterns=["evil"])])
@@ -227,7 +228,7 @@ class TestLabyrinthTrap:
         # The crawl budget is fully consumed by generated pages...
         assert len(result.content_fetches) == 20
         # ...and not one request reached the origin.
-        assert len(site.access_log) == 0
+        assert {e.outcome for e in site.access_log} == {"decoy"}
 
     def test_decoy_is_deterministic_per_path(self):
         net, _, proxy = self._trapped_world()
@@ -259,7 +260,7 @@ class TestCloudflareAiLabyrinth:
     def test_decoy_never_reaches_origin(self):
         zone = self._zone()
         zone.handle(req("GPTBot/1.1", ip=crawler_ip("GPTBot")))
-        assert len(zone.origin.access_log) == 0
+        assert [e.outcome for e in zone.origin.access_log] == ["decoy"]
 
     def test_browser_gets_real_content(self):
         response = self._zone().handle(req(DEFAULT_BROWSER_UA))
@@ -279,3 +280,56 @@ class TestCloudflareAiLabyrinth:
         zone = CloudflareProxy(origin(), CloudflareSettings(block_ai_bots=True))
         response = zone.handle(req("Bytespider"))
         assert response.status == 403
+
+
+class TestOneRecordPerRequest:
+    """A proxy chain logs each request once, into the origin's log."""
+
+    def test_chain_logs_each_request_once_at_the_terminating_layer(self):
+        from repro.net.accesslog import reset_agent_label_memo, set_log_sink
+        from repro.net.logstore import LogSink
+        from repro.obs.metrics import set_metrics_enabled
+        from repro.obs.series import shared_series
+
+        site = origin()
+        inner = ReverseProxy(site, RuleSet([
+            BlockRule(Action.RESET, ua_patterns=["EvilAgent"]),
+            BlockRule(Action.BLOCK, ua_patterns=["NosyAgent"]),
+        ]))
+        zone = CloudflareProxy(
+            inner,
+            CloudflareSettings(block_ai_bots=True, definitely_automated=True),
+        )
+        assert inner.access_log is site.access_log
+        assert zone.access_log is site.access_log
+
+        sink = LogSink()
+        set_metrics_enabled(True)
+        shared_series().reset()
+        reset_agent_label_memo()
+        previous = set_log_sink(sink)
+        try:
+            zone.handle(req(DEFAULT_BROWSER_UA))
+            zone.handle(req(DEFAULT_BROWSER_UA, path="/missing"))
+            zone.handle(req("Bytespider"))
+            zone.handle(req("curl/8.4.0"))
+            zone.handle(req("NosyAgent/1.0"))
+            with pytest.raises(ConnectionReset):
+                zone.handle(req("EvilAgent/1.0"))
+            series_total = sum(
+                sum(months.values())
+                for (name, _), months in shared_series().snapshot().items()
+                if name == "sim.requests"
+            )
+        finally:
+            set_log_sink(previous)
+            shared_series().reset()
+            reset_agent_label_memo()
+
+        expected = ["served", "not_found", "blocked_403", "challenged",
+                    "blocked_403", "reset"]
+        assert [e.outcome for e in site.access_log] == expected
+        assert [e.status for e in site.access_log] == [200, 404, 403, 403, 403, 0]
+        assert sink.event_count() == len(expected)
+        assert [event[4] for event in sink.delta({})["main"]] == expected
+        assert series_total == len(expected)

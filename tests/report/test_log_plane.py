@@ -93,3 +93,33 @@ class TestLogArchiveIdentity:
         with LogStore.open(tmp_path / "logs") as committed:
             assert payload["n_records"] == committed.n_records
             assert payload["config_digest"] == committed.config_digest
+
+
+class TestOneRequestRecord:
+    def test_series_and_log_store_agree_cell_by_cell(self, store, tmp_path):
+        """``sim.requests`` and the log store project the same appends.
+
+        Every :meth:`~repro.net.accesslog.AccessLog.append` adds one
+        series point and emits one wide event, so grouping the store by
+        the series' labels and month reproduces SERIES.json exactly.
+        """
+        from repro.obs.analyze import load_series, parse_key
+        from repro.obs.logql import group_by
+
+        _reset()
+        run_all(SMALL, workers=1, experiments=SLICE, store=store,
+                telemetry_dir=tmp_path / "tele", log_dir=tmp_path / "logs")
+        series = load_series(tmp_path / "tele" / "SERIES.json")["series"]
+        cells = {}
+        for rendered, data in series.items():
+            name, labels = parse_key(rendered)
+            if name != "sim.requests":
+                continue
+            for month, value in zip(data["months"], data["values"]):
+                key = (labels["agent"], labels["outcome"],
+                       labels["site_category"], month)
+                cells[key] = value
+        with LogStore.open(tmp_path / "logs") as committed:
+            grouped = group_by(committed, ("agent", "outcome", "category", "month"))
+            assert sum(grouped.values()) == committed.n_records
+        assert cells and cells == grouped

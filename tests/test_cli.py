@@ -136,6 +136,47 @@ class TestServe:
             robots = fetch_real(f"http://{server.address}/robots.txt")
             assert "Disallow" in robots.text
 
+    def test_serve_announces_its_url_to_a_pipe(self, tmp_path):
+        import os
+        import re
+        import subprocess
+        import sys
+        import threading
+        import urllib.request
+        from pathlib import Path
+
+        (tmp_path / "index.html").write_text("<h1>site root</h1>")
+        # A plain pipe: stdout is block-buffered unless the line flushes.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", str(tmp_path),
+             "--requests", "1"],
+            stdout=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        try:
+            # readline blocks until the line is flushed (or the process
+            # exits); the timer kills the server if it never announces.
+            timer = threading.Timer(30, proc.kill)
+            timer.start()
+            try:
+                line = proc.stdout.readline()
+            finally:
+                timer.cancel()
+            match = re.search(r"(http://127\.0\.0\.1:\d+)/", line)
+            assert match, f"no URL announced: {line!r}"
+            body = urllib.request.urlopen(match.group(1) + "/", timeout=10).read()
+            assert b"site root" in body
+            out, _ = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert proc.returncode == 0
+        assert "served 1 request(s)" in out
+
 
 class TestModuleEntryPoint:
     def test_python_dash_m_invocation(self, tmp_path):
