@@ -73,7 +73,7 @@ def main() -> None:
     gc.collect()
     gc.freeze()
     report = run_all(config, workers=args.workers, store=store,
-                     collect_workers=args.workers, telemetry_dir=RESULTS)
+                     telemetry_dir=RESULTS)
     print(f"world ready in {world_seconds:.1f}s "
           f"[mode={report.mode}, workers={report.workers}]")
 

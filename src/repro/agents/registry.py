@@ -11,7 +11,7 @@ instantiates the concrete Table 1 population.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional
 
 __all__ = ["AgentCategory", "Compliance", "AIUserAgent", "AgentRegistry"]

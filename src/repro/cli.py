@@ -14,15 +14,22 @@ Installed as the ``repro`` console script::
     repro stats results --critical-path         # where did the time go?
     repro stats --diff base/ candidate/         # CI regression gate
     repro dashboard results --category news     # agent x month operator view
+    repro dashboard results/logs                # the same view from a log store
     repro serve-metrics results                 # Prometheus /metrics endpoint
     repro alerts results --rules slo.toml       # SLO gate; exit 1 on firing
     repro logs results/logs top path            # query the wide-event store
+
+The readers (``stats``, ``dashboard``, ``serve-metrics``, ``alerts`` and
+``logs``) read a run's exports and nothing else.  A missing, corrupt or
+unusable input is an operator error: one ``repro <command>: <message>``
+line on stderr and exit code 2, never a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 from typing import List, Optional
 
 from .agents.darkvisitors import AI_USER_AGENT_TOKENS, build_registry
@@ -31,27 +38,36 @@ from .core.classify import classify
 from .core.diagnostics import lint
 from .core.legacy import LegacyPolicy
 from .core.policy import RobotsPolicy
+from .crawlers.commoncrawl import month_label
+from .net.logstore import LogStore, LogStoreError
+from .obs.alerts import AlertError, evaluate, load_rules
+from .obs.analyze import (
+    REQUEST_CELL,
+    TelemetryError,
+    critical_path,
+    dashboard_matrix,
+    diff_runs,
+    folded_stacks,
+    known_categories,
+    load_metrics,
+    load_series,
+    load_trace,
+    request_cells,
+    select,
+    worker_utilization,
+)
+from .obs.logql import DIMENSIONS, LogFilter, group_by, query, timelines, top_k
+from .obs.profile import load_profile
+from .report.orchestrator import experiment_keys, run_all, run_one, run_strata
 from .report.tables import render_table
+from .web.archive import ArchiveError
+from .web.tranco import strata_names
 
 __all__ = ["main", "build_parser"]
 
-#: Experiments runnable from the CLI (the orchestrator registry keys,
-#: spelled out so the lightweight subcommands never import the heavy
-#: report stack just to build the argparse tree).
-EXPERIMENT_IDS = [
-    "table1", "table2", "table3", "figure2", "figure3", "figure4",
-    "sec22", "sec62", "sec63", "sec81", "appb2", "survey",
-    "tables9_12", "crosstabs", "taxonomy", "category",
-    "behavioral", "selective",
-]
-
-#: Named population strata (mirrors repro.web.tranco.STRATUM_SIZES,
-#: spelled out for the same lightweight-argparse reason).
-STRATUM_IDS = ["top-1k", "top-10k", "top-100k", "top-1m"]
-
-#: Dimensions ``repro logs`` can group/rank by (mirrors
-#: repro.obs.logql.DIMENSIONS, spelled out for the same reason).
-LOG_DIMENSIONS = ["agent", "category", "host", "month", "outcome", "path", "status"]
+#: Failures of a command's inputs that ``main`` reports as operator
+#: errors (exit 2) rather than tracebacks.
+_OPERATOR_ERRORS = (TelemetryError, AlertError, LogStoreError, ArchiveError)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("agents", help="print the Table 1 AI user-agent registry")
 
     experiment = sub.add_parser("experiment", help="run a paper experiment")
-    experiment.add_argument("experiment_id", choices=EXPERIMENT_IDS)
+    experiment.add_argument("experiment_id", choices=experiment_keys())
     experiment.add_argument("--fast", action="store_true",
                             help="use a small population for a quick run")
 
@@ -102,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="experiment worker pool size (results are "
                                 "bit-identical for any count)")
     reproduce.add_argument("--only", nargs="*", metavar="ID",
-                           choices=EXPERIMENT_IDS, default=None,
+                           choices=experiment_keys(), default=None,
                            help="run only these experiments")
     reproduce.add_argument("--telemetry-dir", metavar="DIR", default=None,
                            help="also write METRICS.json, SERIES.json and "
@@ -130,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "(e.g. --set table1.months=4); invalidates "
                                 "exactly that experiment's cached result")
     reproduce.add_argument("--strata", nargs="+", metavar="STRATUM",
-                           choices=STRATUM_IDS, default=None,
+                           choices=strata_names(), default=None,
                            help="run the streaming figure battery over these "
                                 "population strata (sharded columnar archives) "
                                 "instead of the registry battery")
@@ -158,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_cmd.add_argument("--seed", type=int, default=0,
                            help="seed for the plan's per-host fault sampling")
     chaos_cmd.add_argument("--experiments", nargs="*", metavar="ID",
-                           choices=EXPERIMENT_IDS,
+                           choices=experiment_keys(),
                            default=["figure2", "sec62"],
                            help="experiments to compare under faults "
                                 "(default: figure2 sec62)")
@@ -194,24 +210,18 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--threshold", type=float, default=0.25,
                        help="relative-change threshold for --diff "
                             "(default: 0.25)")
-    stats.add_argument("--from-logs", action="store_true",
-                       help="treat TELEMETRY as a wide-event log store "
-                            "directory and summarize its records instead "
-                            "of reading METRICS.json")
 
     dashboard = sub.add_parser(
         "dashboard",
-        help="per-agent monthly traffic/block matrix from SERIES.json",
+        help="per-agent monthly traffic/block matrix from SERIES.json "
+             "or a log store",
     )
     dashboard.add_argument("telemetry", nargs="?", default="results",
-                           help="telemetry directory containing SERIES.json "
+                           help="telemetry directory containing SERIES.json, "
+                                "or a log-store directory without one "
                                 "(default: results)")
     dashboard.add_argument("--category", default=None,
                            help="restrict to one site_category cohort")
-    dashboard.add_argument("--from-logs", action="store_true",
-                           help="treat TELEMETRY as a wide-event log store "
-                                "directory and rebuild the matrix from raw "
-                                "records instead of SERIES.json")
 
     serve = sub.add_parser("serve", help="serve a directory over localhost HTTP")
     serve.add_argument("directory")
@@ -247,9 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     alerts_cmd.add_argument("--baseline", metavar="DIR", default=None,
                             help="baseline telemetry directory for drift "
                                  "rules (required by kind=drift)")
-    alerts_cmd.add_argument("--log-store", metavar="DIR", default=None,
-                            help="wide-event log store directory "
-                                 "(required by kind=log_volume)")
 
     logs = sub.add_parser(
         "logs",
@@ -281,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     logs_top = logs_sub.add_parser(
         "top", help="rank the most-requested values of one dimension")
-    logs_top.add_argument("dimension", choices=LOG_DIMENSIONS)
+    logs_top.add_argument("dimension", choices=DIMENSIONS)
     _add_log_filters(logs_top)
     logs_top.add_argument("-k", type=int, default=10,
                           help="list the top K values (default: 10)")
@@ -386,8 +393,6 @@ def _fast_config():
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    from .report.orchestrator import run_one
-
     result = run_one(
         args.experiment_id, config=_fast_config() if args.fast else None
     )
@@ -432,10 +437,6 @@ _DISPOSITION_NOTES = {
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
-    from .net.logstore import LogStoreError
-    from .report.orchestrator import run_all, run_strata
-    from .web.archive import ArchiveError
-
     incremental = args.incremental or args.explain_invalidation
     if args.strata and (incremental or args.only or args.param_edits
                         or args.log_dir):
@@ -468,19 +469,12 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
                 config=config,
                 workers=args.workers,
                 experiments=args.only,
-                collect_workers=args.workers,
                 telemetry_dir=args.telemetry_dir,
                 incremental=args.incremental_dir if incremental else None,
                 param_overrides=param_overrides,
                 profile=args.profile,
                 log_dir=args.log_dir,
             )
-    except (ArchiveError, LogStoreError) as exc:
-        # Archive/log-store problems (truncation, digest mismatch,
-        # missing shards) surface as one operator-facing line, never a
-        # traceback.
-        print(f"repro reproduce: {exc}", file=sys.stderr)
-        return 2
     except (KeyError, ValueError) as exc:
         print(f"repro reproduce: {exc}", file=sys.stderr)
         return 2
@@ -533,11 +527,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     results (exit 1), which is the point of the demonstration.
     """
     from contextlib import nullcontext
-    from pathlib import Path
 
     from .net.chaos import plan, plan_names, retries_disabled
     from .obs.metrics import shared_registry
-    from .report.orchestrator import run_all
     from .web.worldstore import WorldStore
 
     try:
@@ -695,12 +687,6 @@ def _print_cache_effectiveness(payload) -> None:
         print(f"  body verdicts: {persistent:.0f} persistent hits")
 
 
-def _parse_rendered_labels(key: str, prefix: str) -> dict:
-    """``name{a=1,b=x}`` -> ``{"a": "1", "b": "x"}`` for *prefix* keys."""
-    body = key[len(prefix) + 1 : -1]
-    return dict(part.split("=", 1) for part in body.split(",") if "=" in part)
-
-
 def _print_shard_balance(payload) -> None:
     """Per-shard site balance and archive volume, when a run sharded.
 
@@ -710,14 +696,11 @@ def _print_shard_balance(payload) -> None:
     """
     counters = payload.get("counters", {})
     stages: dict = {}
-    for key, total in counters.items():
-        if key.startswith("shard.sites{"):
-            labels = _parse_rendered_labels(key, "shard.sites")
-            stage = labels.get("stage", "?")
-            stages.setdefault(stage, {})[int(labels.get("shard", -1))] = total
+    for key, labels in select(counters, "shard.sites").items():
+        stage = labels.get("stage", "?")
+        stages.setdefault(stage, {})[int(labels.get("shard", -1))] = counters[key]
     archive_bytes = sum(
-        total for key, total in counters.items()
-        if key == "archive.bytes_written" or key.startswith("archive.bytes_written{")
+        counters[key] for key in select(counters, "archive.bytes_written")
     )
     if not stages and not archive_bytes:
         return
@@ -733,6 +716,11 @@ def _print_shard_balance(payload) -> None:
         print(f"  archive: {archive_bytes} bytes written")
 
 
+#: The per-shard gauge families ``ArchiveSet.publish_probes`` writes.
+_PROBE_FIELDS = ("data_bytes", "mapped_bytes", "body_cache_entries",
+                 "body_cache_chars")
+
+
 def _print_archive_probes(payload) -> None:
     """Per-shard archive residency, when a strata run published probes.
 
@@ -743,29 +731,19 @@ def _print_archive_probes(payload) -> None:
     """
     gauges = payload.get("gauges", {})
     shards: dict = {}
-    for key, value in gauges.items():
-        if key.startswith("archive.") and "{" in key:
-            name = key.partition("{")[0]
-            field = name[len("archive."):]
-            labels = _parse_rendered_labels(key, name)
-            shard = labels.get("shard")
-            if shard is None:
-                continue
-            label = (labels.get("stratum", ""), shard)
-            shards.setdefault(label, {})[field] = value
+    for field in _PROBE_FIELDS:
+        for key, labels in select(gauges, f"archive.{field}").items():
+            if "shard" in labels:
+                label = (labels.get("stratum", ""), labels["shard"])
+                shards.setdefault(label, {})[field] = gauges[key]
     if not shards:
         return
     print("\narchive probes (per shard):")
-    rows = []
-    for (stratum, shard), fields in sorted(shards.items()):
-        rows.append((
-            stratum or "-",
-            shard,
-            f"{fields.get('data_bytes', 0):.0f}",
-            f"{fields.get('mapped_bytes', 0):.0f}",
-            f"{fields.get('body_cache_entries', 0):.0f}",
-            f"{fields.get('body_cache_chars', 0):.0f}",
-        ))
+    rows = [
+        (stratum or "-", shard,
+         *(f"{fields.get(field, 0):.0f}" for field in _PROBE_FIELDS))
+        for (stratum, shard), fields in sorted(shards.items())
+    ]
     print(render_table(
         ["stratum", "shard", "data B", "mapped B", "cached bodies", "cached chars"],
         rows,
@@ -778,9 +756,6 @@ def _print_profile(directory) -> None:
     Silent when the directory has no (or a corrupt) profile artifact --
     profiling is opt-in and most telemetry exports won't carry one.
     """
-    from .obs.analyze import TelemetryError
-    from .obs.profile import load_profile
-
     try:
         payload = load_profile(directory / "PROFILE.json")
     except TelemetryError:
@@ -839,182 +814,86 @@ def _print_behavioral(directory) -> None:
                            gated))
 
 
-def _cmd_stats_from_logs(target: str) -> int:
-    """``repro stats --from-logs``: summarize a log store's records."""
-    from .net.logstore import LogStore, LogStoreError
-    from .obs.logql import LogFilter, group_by, query, top_k
+def _cmd_stats(args: argparse.Namespace) -> int:
+    if args.diff is not None:
+        diff = diff_runs(args.diff[0], args.diff[1], threshold=args.threshold)
+        _print_diff(diff)
+        return 1 if diff.has_regressions else 0
 
-    try:
-        with LogStore.open(target) as store:
-            digest = store.config_digest[:12] if store.config_digest else "-"
-            print(f"log store: {target} ({store.n_records} record(s), "
-                  f"{store.n_shards} shard(s), config {digest})")
-            outcomes = group_by(store, ("outcome",))
-            robots = len(query(store, LogFilter(robots_only=True)))
-            agents = top_k(store, "agent", k=10)
-    except LogStoreError as exc:
-        print(f"repro stats: {exc}", file=sys.stderr)
-        return 2
+    target = Path(args.telemetry)
+    metrics_path = target / "METRICS.json" if target.is_dir() else target
+    trace_path = metrics_path.parent / "TRACE.jsonl"
 
-    rows = [(outcome, count) for (outcome,), count in outcomes.items()]
-    print(f"\noutcomes ({len(rows)}):")
-    print(render_table(["outcome", "requests"], rows) if rows else "  (none)")
-    print(f"\nrobots.txt fetches: {robots}")
-    print(f"\ntop agents ({len(agents)}):")
-    print(render_table(["agent", "requests"], agents) if agents else "  (none)")
+    wants_trace = args.critical_path or args.utilization or args.folded
+    if not wants_trace:
+        payload = load_metrics(metrics_path)
+        _print_metrics_tables(payload, str(metrics_path), args.section)
+        _print_cache_effectiveness(payload)
+        _print_shard_balance(payload)
+        _print_archive_probes(payload)
+        _print_profile(metrics_path.parent)
+        _print_behavioral(metrics_path.parent)
+        return 0
+
+    records = load_trace(trace_path)
+    if args.critical_path:
+        chain = critical_path(records)
+        print(f"critical path ({len(chain)} spans, "
+              f"{sum(float(r.get('duration_seconds', 0.0)) for r in chain[:1]):.3f}s root):")
+        for depth, record in enumerate(chain):
+            print(f"  {'  ' * depth}{record.get('name', '?')} "
+                  f"{float(record.get('duration_seconds', 0.0)):.3f}s")
+        try:
+            _print_cache_effectiveness(load_metrics(metrics_path))
+        except TelemetryError:
+            pass  # a trace without metrics is still analyzable
+    if args.utilization:
+        timeline = worker_utilization(records)
+        rows = [(f"{seg['start']:.3f}", f"{seg['end']:.3f}", seg["active"])
+                for seg in timeline]
+        print(f"\nworker utilization ({len(rows)} intervals):")
+        print(render_table(["start s", "end s", "active"], rows)
+              if rows else "  (no experiment spans)")
+    if args.folded:
+        lines = folded_stacks(records)
+        with open(args.folded, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(lines) + "\n")
+        print(f"\nwrote {len(lines)} folded stack lines to {args.folded}")
     return 0
 
 
-def _cmd_stats(args: argparse.Namespace) -> int:
-    from pathlib import Path
+def _request_cells(directory: Path):
+    """``(cells, what, source)``: the run's request cells and their origin.
 
-    from .obs.analyze import (
-        TelemetryError,
-        critical_path,
-        diff_runs,
-        folded_stacks,
-        load_metrics,
-        load_trace,
-        worker_utilization,
-    )
-
-    if args.from_logs:
-        return _cmd_stats_from_logs(args.telemetry)
-
-    try:
-        if args.diff is not None:
-            diff = diff_runs(args.diff[0], args.diff[1],
-                             threshold=args.threshold)
-            _print_diff(diff)
-            return 1 if diff.has_regressions else 0
-
-        target = Path(args.telemetry)
-        metrics_path = target / "METRICS.json" if target.is_dir() else target
-        trace_path = metrics_path.parent / "TRACE.jsonl"
-
-        wants_trace = args.critical_path or args.utilization or args.folded
-        if not wants_trace:
-            payload = load_metrics(metrics_path)
-            _print_metrics_tables(payload, str(metrics_path), args.section)
-            _print_cache_effectiveness(payload)
-            _print_shard_balance(payload)
-            _print_archive_probes(payload)
-            _print_profile(metrics_path.parent)
-            _print_behavioral(metrics_path.parent)
-            return 0
-
-        records = load_trace(trace_path)
-        if args.critical_path:
-            chain = critical_path(records)
-            print(f"critical path ({len(chain)} spans, "
-                  f"{sum(float(r.get('duration_seconds', 0.0)) for r in chain[:1]):.3f}s root):")
-            for depth, record in enumerate(chain):
-                print(f"  {'  ' * depth}{record.get('name', '?')} "
-                      f"{float(record.get('duration_seconds', 0.0)):.3f}s")
-            try:
-                _print_cache_effectiveness(load_metrics(metrics_path))
-            except TelemetryError:
-                pass  # a trace without metrics is still analyzable
-        if args.utilization:
-            timeline = worker_utilization(records)
-            rows = [(f"{seg['start']:.3f}", f"{seg['end']:.3f}", seg["active"])
-                    for seg in timeline]
-            print(f"\nworker utilization ({len(rows)} intervals):")
-            print(render_table(["start s", "end s", "active"], rows)
-                  if rows else "  (no experiment spans)")
-        if args.folded:
-            lines = folded_stacks(records)
-            with open(args.folded, "w", encoding="utf-8") as handle:
-                handle.write("\n".join(lines) + "\n")
-            print(f"\nwrote {len(lines)} folded stack lines to {args.folded}")
-        return 0
-    except TelemetryError as exc:
-        print(f"repro stats: {exc}", file=sys.stderr)
-        return 2
-
-
-def _dashboard_matrix_from_logs(target: str, category):
-    """The dashboard's ``{agent: {month: cell}}`` shape from raw records.
-
-    Returns ``(matrix, source_label)`` or raises SystemExit-free errors
-    via the ``(None, exit_code)`` convention the caller unwraps.
+    A run's SERIES.json and its log store hold the same cells, so the
+    directory's contents pick the source: SERIES.json when present,
+    else the log store the directory holds.  A directory with neither
+    reports the missing SERIES.json.
     """
-    from .net.logstore import LogStore, LogStoreError
-    from .obs.analyze import BLOCKED_OUTCOMES
-    from .obs.logql import LogFilter, group_by
-
-    try:
-        with LogStore.open(target) as store:
-            if category is not None:
-                known = sorted(
-                    value for (value,) in group_by(store, ("category",))
-                )
-                if category not in known:
-                    vocabulary = ", ".join(known) if known else "(none recorded)"
-                    print(f"repro dashboard: unknown category "
-                          f"{category!r}; known categories: {vocabulary}",
-                          file=sys.stderr)
-                    return None, 2
-            counts = group_by(
-                store,
-                ("agent", "month", "outcome"),
-                LogFilter(category=category) if category else None,
-            )
-    except LogStoreError as exc:
-        print(f"repro dashboard: {exc}", file=sys.stderr)
-        return None, 2
-
-    matrix: dict = {}
-    for (agent, month, outcome), n in counts.items():
-        cell = matrix.setdefault(agent, {}).setdefault(
-            month, {"requests": 0, "blocked": 0, "challenged": 0}
-        )
-        cell["requests"] += n
-        if outcome in BLOCKED_OUTCOMES:
-            cell["blocked"] += n
-        elif outcome == "challenged":
-            cell["challenged"] += n
-    return matrix, 0
+    series_path = directory / "SERIES.json"
+    if series_path.is_file() or not LogStore.holds(directory):
+        return (request_cells(load_series(series_path)),
+                "sim.requests series", str(series_path))
+    with LogStore.open(directory) as store:
+        return group_by(store, REQUEST_CELL), "records", f"log store {directory}"
 
 
 def _cmd_dashboard(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from .crawlers.commoncrawl import month_label
-    from .obs.analyze import (
-        TelemetryError,
-        dashboard_matrix,
-        known_categories,
-        load_series,
-    )
+    directory = Path(args.telemetry)
+    cells, what, source = _request_cells(directory)
+    if args.category is not None:
+        known = known_categories(cells)
+        if args.category not in known:
+            vocabulary = ", ".join(known) if known else "(none recorded)"
+            print(f"repro dashboard: unknown category "
+                  f"{args.category!r}; known categories: {vocabulary}",
+                  file=sys.stderr)
+            return 2
+    matrix = dashboard_matrix(cells, category=args.category)
 
     cohort = f"site_category={args.category}" if args.category else "all sites"
-    if args.from_logs:
-        matrix, code = _dashboard_matrix_from_logs(args.telemetry, args.category)
-        if matrix is None:
-            return code
-        source = f"log store {args.telemetry}"
-    else:
-        try:
-            series_path = Path(args.telemetry) / "SERIES.json"
-            payload = load_series(series_path)
-            if args.category is not None:
-                known = known_categories(payload)
-                if args.category not in known:
-                    vocabulary = ", ".join(known) if known else "(none recorded)"
-                    print(f"repro dashboard: unknown category "
-                          f"{args.category!r}; known categories: {vocabulary}",
-                          file=sys.stderr)
-                    return 2
-            matrix = dashboard_matrix(payload, category=args.category)
-        except TelemetryError as exc:
-            print(f"repro dashboard: {exc}", file=sys.stderr)
-            return 2
-        source = str(series_path)
-
     if not matrix:
-        print(f"no {'records' if args.from_logs else 'sim.requests series'} "
-              f"for {cohort} in {source}")
+        print(f"no {what} for {cohort} in {source}")
         return 0
 
     months = sorted({m for rows in matrix.values() for m in rows})
@@ -1033,9 +912,7 @@ def _cmd_dashboard(args: argparse.Namespace) -> int:
     headers = ["agent"] + [month_label(m) if m >= 0 else "?" for m in months]
     print(render_table(headers, table_rows))
     try:
-        from .obs.analyze import load_metrics
-
-        _print_shard_balance(load_metrics(Path(args.telemetry) / "METRICS.json"))
+        _print_shard_balance(load_metrics(directory / "METRICS.json"))
     except TelemetryError:
         pass  # a series-only telemetry dir is still a valid dashboard
     return 0
@@ -1062,6 +939,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _export(directory: Path):
+    """The METRICS.json and SERIES.json payloads of a telemetry directory."""
+    return load_metrics(directory / "METRICS.json"), load_series(directory / "SERIES.json")
+
+
 def _cmd_serve_metrics(args: argparse.Namespace) -> int:
     """Prometheus text exposition of a telemetry export over HTTP.
 
@@ -1069,22 +951,14 @@ def _cmd_serve_metrics(args: argparse.Namespace) -> int:
     the rendered counter totals are byte-for-byte the export's.
     """
     import time
-    from pathlib import Path
 
     from .net.realserver import RealHttpServer
-    from .obs.analyze import TelemetryError, load_metrics, load_series
     from .obs.prometheus import MetricsHandler
 
     directory = Path(args.telemetry)
-    try:
-        handler = MetricsHandler(
-            load_metrics(directory / "METRICS.json"),
-            load_series(directory / "SERIES.json"),
-            health={"mode": "static", "telemetry": str(directory)},
-        )
-    except TelemetryError as exc:
-        print(f"repro serve-metrics: {exc}", file=sys.stderr)
-        return 2
+    handler = MetricsHandler(
+        *_export(directory), health={"mode": "static", "telemetry": str(directory)}
+    )
     with RealHttpServer(handler, port=args.port) as server:
         url = f"http://{server.address}"
         print(f"serving static export from {directory} at {url}/metrics "
@@ -1105,55 +979,14 @@ def _cmd_alerts(args: argparse.Namespace) -> int:
     fires, 2 for operator errors (bad rule file, missing telemetry,
     drift rules without a ``--baseline``).
     """
-    from pathlib import Path
-
-    from .obs.alerts import AlertEngine, AlertError, load_rules
-    from .obs.analyze import TelemetryError, load_metrics, load_series
-
-    try:
-        rules = load_rules(args.rules)
-    except AlertError as exc:
-        print(f"repro alerts: {exc}", file=sys.stderr)
-        return 2
-
+    rules = load_rules(args.rules)
     directory = Path(args.telemetry)
-    try:
-        metrics_payload = load_metrics(directory / "METRICS.json")
-        series_payload = load_series(directory / "SERIES.json")
-        baseline_metrics = baseline_series = None
-        if args.baseline:
-            baseline = Path(args.baseline)
-            baseline_metrics = load_metrics(baseline / "METRICS.json")
-            baseline_series = load_series(baseline / "SERIES.json")
-    except TelemetryError as exc:
-        print(f"repro alerts: {exc}", file=sys.stderr)
-        return 2
-
-    log_timelines = None
-    if args.log_store:
-        from .net.logstore import LogStore, LogStoreError
-        from .obs.logql import timelines
-
-        try:
-            with LogStore.open(args.log_store) as store:
-                log_timelines = timelines(store)
-        except LogStoreError as exc:
-            print(f"repro alerts: {exc}", file=sys.stderr)
-            return 2
-
-    engine = AlertEngine(rules, baseline_metrics=baseline_metrics,
-                         baseline_series=baseline_series)
-    try:
-        events = engine.evaluate(metrics=metrics_payload,
-                                 series=series_payload,
-                                 log_timelines=log_timelines)
-    except AlertError as exc:
-        print(f"repro alerts: {exc}", file=sys.stderr)
-        return 2
+    metrics, series = _export(directory)
+    baseline = _export(Path(args.baseline)) if args.baseline else (None, None)
+    events = evaluate(rules, metrics, series, *baseline)
 
     print(f"evaluated {len(rules)} rule(s) against {directory}"
-          + (f" (baseline: {args.baseline})" if args.baseline else "")
-          + (f" (log store: {args.log_store})" if args.log_store else ""))
+          + (f" (baseline: {args.baseline})" if args.baseline else ""))
     if not events:
         print("RESULT: OK -- no alerts fired")
         return 0
@@ -1167,14 +1000,8 @@ def _cmd_logs(args: argparse.Namespace) -> int:
     """Operator console over the wide-event log store.
 
     Every subcommand is a pure function of the archive bytes, so
-    identical stores always print identical output.  Exit codes: 0 on
-    success, 2 for operator errors (missing/corrupt store) as one
-    stderr line.
+    identical stores always print identical output.
     """
-    from .crawlers.commoncrawl import month_label
-    from .net.logstore import LogStore, LogStoreError
-    from .obs.logql import LogFilter, query, timelines, top_k
-
     where = LogFilter(
         agent=getattr(args, "agent", None),
         host=getattr(args, "host", None),
@@ -1183,45 +1010,41 @@ def _cmd_logs(args: argparse.Namespace) -> int:
         month=getattr(args, "month", None),
         robots_only=getattr(args, "robots_only", False),
     )
-    try:
-        with LogStore.open(args.log_dir) as store:
-            if args.logs_command == "verify":
-                store.verify()
-                print(f"OK -- {store.n_records} record(s) across "
-                      f"{store.n_shards} shard(s) verified")
-                return 0
+    with LogStore.open(args.log_dir) as store:
+        if args.logs_command == "verify":
+            store.verify()
+            print(f"OK -- {store.n_records} record(s) across "
+                  f"{store.n_shards} shard(s) verified")
+            return 0
 
-            if args.logs_command == "query":
-                records = query(store, where, limit=max(args.limit, 0))
-                if not records:
-                    print("no matching records")
-                    return 0
-                rows = [
-                    (r.seq, month_label(r.month) if r.month >= 0 else "?",
-                     r.agent, r.host, r.path, r.status, r.outcome)
-                    for r in records
-                ]
-                print(render_table(
-                    ["seq", "month", "agent", "host", "path", "status",
-                     "outcome"],
-                    rows,
-                ))
-                print(f"\n{len(records)} record(s) "
-                      f"(of {store.n_records} in the store)")
+        if args.logs_command == "query":
+            records = query(store, where, limit=max(args.limit, 0))
+            if not records:
+                print("no matching records")
                 return 0
+            rows = [
+                (r.seq, month_label(r.month) if r.month >= 0 else "?",
+                 r.agent, r.host, r.path, r.status, r.outcome)
+                for r in records
+            ]
+            print(render_table(
+                ["seq", "month", "agent", "host", "path", "status",
+                 "outcome"],
+                rows,
+            ))
+            print(f"\n{len(records)} record(s) "
+                  f"(of {store.n_records} in the store)")
+            return 0
 
-            if args.logs_command == "top":
-                ranked = top_k(store, args.dimension, k=args.k, where=where)
-                if not ranked:
-                    print("no matching records")
-                    return 0
-                print(render_table([args.dimension, "requests"], ranked))
+        if args.logs_command == "top":
+            ranked = top_k(store, args.dimension, k=args.k, where=where)
+            if not ranked:
+                print("no matching records")
                 return 0
+            print(render_table([args.dimension, "requests"], ranked))
+            return 0
 
-            lines = timelines(store, where)
-    except LogStoreError as exc:
-        print(f"repro logs: {exc}", file=sys.stderr)
-        return 2
+        lines = timelines(store, where)
 
     if not lines:
         print("no matching records")
@@ -1259,7 +1082,11 @@ _HANDLERS = {
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    return _HANDLERS[args.command](args)
+    try:
+        return _HANDLERS[args.command](args)
+    except _OPERATOR_ERRORS as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

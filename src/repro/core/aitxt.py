@@ -22,7 +22,7 @@ and :data:`MEDIA_EXTENSIONS` carries the category-to-extension mapping.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterable, Mapping, Optional, Union
+from typing import Dict, Mapping, Optional, Union
 
 from .matcher import Rule
 from .parser import parse

@@ -23,7 +23,7 @@ encodes that discrepancy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..agents.darkvisitors import build_registry
 from ..net.transport import Network

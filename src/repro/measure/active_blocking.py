@@ -28,12 +28,12 @@ state the confirmation standard their numbers were held to.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..agents.useragent import DEFAULT_BROWSER_UA
 from ..net import chaos
 from ..net.errors import NetError
-from ..net.http import Headers, Request, Response
+from ..net.http import Headers, Request
 from ..net.transport import Network
 from ..proxy.fingerprint import AUTOMATION_HEADER
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..agents.darkvisitors import AI_USER_AGENT_TOKENS
-from ..net.dns import DnsZone, ProviderInfra
+from ..net.dns import ProviderInfra
 from ..net.errors import NetError
 from ..net.http import Headers, Request
 from ..net.transport import Network

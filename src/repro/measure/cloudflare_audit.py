@@ -24,7 +24,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..agents.useragent import DEFAULT_BROWSER_UA
 from ..net.errors import NetError
-from ..net.http import Headers, Request, Response
+from ..net.http import Headers, Request
 from ..net.transport import Network
 from ..proxy.challenges import PageKind, classify_page
 

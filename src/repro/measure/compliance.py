@@ -19,15 +19,13 @@ Practice" column plus the Section 5.2.2 third-party breakdown.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..agents.darkvisitors import build_registry
 from ..agents.registry import Compliance
 from ..core.compiled import shared_policy_cache
 from ..core.serialize import RobotsBuilder
-from ..crawlers.assistant import GptApp, GptAppStore
-from ..crawlers.engine import Crawler
+from ..crawlers.assistant import GptAppStore
 from ..crawlers.fleet import FleetMember
 from ..net.server import Website, render_page
 from ..net.transport import Network

@@ -336,7 +336,8 @@ def collect_snapshots(
         workers=workers or 1,
         delta=use_delta,
     ):
-        # Month ticks must scrape in this process, so threads only.
+        # Threads only: each unit returns a whole Snapshot, which a fork
+        # worker would have to pickle back to the parent.
         snapshots = fan_out(collect_one, len(tasks), workers, mode="thread")
     if use_delta:
         snapshots = _carry_forward(snapshots, domains)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from ..agents.useragent import DEFAULT_BROWSER_UA
 from ..net.errors import NetError

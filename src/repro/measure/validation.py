@@ -17,7 +17,7 @@ change, and unexplained disagreement (which would indicate a data bug
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from ..crawlers.commoncrawl import Snapshot, SnapshotCrawler
 from ..net.transport import Network

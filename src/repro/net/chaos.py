@@ -43,7 +43,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
 
 from ..obs.metrics import shared_registry

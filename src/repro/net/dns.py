@@ -11,7 +11,7 @@ follows CNAME chains, and the attribution predicate.
 from __future__ import annotations
 
 import ipaddress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = ["DnsZone", "Resolution", "ProviderInfra"]

@@ -517,6 +517,15 @@ class LogStore:
         root = Path(root)
         return cls(root, _FORMAT.open_set(root, LogShardReader))
 
+    @staticmethod
+    def holds(root: Union[str, Path]) -> bool:
+        """Whether *root* holds a log store, well-formed or not.
+
+        Only a log store writes a User-Agent table, so a snapshot
+        archive's shards do not count.
+        """
+        return (Path(root) / shard_dir_name(0) / _UAS).is_file()
+
     @property
     def n_shards(self) -> int:
         return len(self.shards)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import http.client
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional, Tuple
+from typing import Optional
 
 from .http import Headers, Request, Response
 from .transport import Handler

@@ -15,7 +15,7 @@ pages" (Section 5.1).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
 from ..obs.metrics import metrics_enabled, shared_registry

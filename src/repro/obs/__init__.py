@@ -18,12 +18,13 @@ Three primitives, one process-wide instance of each:
 
 Everything else reads a run's exported artifacts:
 :mod:`repro.obs.analyze` (critical path, worker utilization, folded
-stacks, run diffs; ``repro stats`` / ``repro dashboard``),
-:mod:`repro.obs.alerts` (declarative SLO rules; ``repro alerts``) and
-:mod:`repro.obs.prometheus` (Prometheus text over ``/metrics``;
-``repro serve-metrics``).  :mod:`repro.obs.logql` and
-:mod:`repro.obs.features` read the wide-event log store (``repro
-logs``, ``FEATURES.json``).  :mod:`repro.obs.profile` attaches
+stacks, run diffs, the request-cell fold; ``repro stats`` / ``repro
+dashboard``), :mod:`repro.obs.alerts` (declarative SLO rules;
+``repro alerts``) and :mod:`repro.obs.prometheus` (Prometheus text
+over ``/metrics``; ``repro serve-metrics``).  :mod:`repro.obs.logql`
+and :mod:`repro.obs.features` read the wide-event log store (``repro
+logs``, ``repro dashboard`` of a log-store directory,
+``FEATURES.json``).  :mod:`repro.obs.profile` attaches
 tracemalloc/cProfile samplers to pipeline phases
 (``repro reproduce --profile``).
 

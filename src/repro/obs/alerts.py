@@ -3,10 +3,10 @@
 The paper's longitudinal signals -- robots adoption drifting month over
 month, crawlers getting blocked, full-disallow rates creeping up -- are
 exactly what a production measurement service must *watch*, not just
-export.  This module evaluates **declarative rules** (TOML or JSON)
+export.  :func:`evaluate` checks **declarative rules** (TOML or JSON)
 against the exported payload shapes (``METRICS.json`` counters,
 ``SERIES.json`` month-series), optionally compared to a baseline run,
-and fires structured :class:`AlertEvent` records.
+and returns one :class:`AlertEvent` per rule that fires.
 
 Rule kinds:
 
@@ -31,19 +31,20 @@ Rule kinds:
     Fire when a selector's total is ``above`` (default) or ``below``
     a fixed ``threshold``.
 ``log_volume``
-    Fire on raw traffic rather than derived series: evaluate per-agent
-    monthly request counts from a committed log store (``repro alerts
-    --log-store DIR``) and fire when any (agent, month) count is
-    ``above``/``below`` ``threshold``.  An optional
-    ``labels = {agent = "GPTBot"}`` table restricts the sweep to one
-    agent.
+    Fire on raw traffic rather than a chosen series: sum the run's
+    request cells (:func:`repro.obs.analyze.request_cells`, the
+    per-request counts the log store also holds) per agent and month,
+    and fire when any (agent, month) count is ``above``/``below``
+    ``threshold``.  An optional ``labels = {agent = "GPTBot"}`` table
+    restricts the sweep to one agent.
 
 Selectors name one instrument family (``series = "sim.requests"`` or
 ``counter = "net.errors"``) plus an optional ``labels`` table matched
-as a *subset* -- ``{outcome = "blocked_403"}`` sums every label set
-with that outcome.  The CLI surface is ``repro alerts --rules FILE
-[--baseline DIR]``: exit 1 when anything fires, 0 clean, 2 on operator
-error -- CI-gate semantics, like ``repro stats --diff``.
+as a *subset* (:func:`repro.obs.analyze.select`) --
+``{outcome = "blocked_403"}`` sums every label set with that outcome.
+The CLI surface is ``repro alerts --rules FILE [--baseline DIR]``:
+exit 1 when anything fires, 0 clean, 2 on operator error -- CI-gate
+semantics, like ``repro stats --diff``.
 """
 
 from __future__ import annotations
@@ -58,29 +59,27 @@ try:  # Python 3.11+ stdlib; gated so older interpreters still import
 except ImportError:  # pragma: no cover - 3.11 is the supported floor
     tomllib = None  # type: ignore[assignment]
 
-from .analyze import parse_key
+from .analyze import request_cells, select
 from .series import OVERFLOW_LABELS
 
 __all__ = [
-    "ALERTS_SCHEMA_VERSION",
     "RULE_KINDS",
     "AlertError",
     "AlertRule",
     "AlertEvent",
     "load_rules",
-    "AlertEngine",
+    "evaluate",
 ]
 
-#: Schema version stamped into serialized alert events.
-ALERTS_SCHEMA_VERSION = 1
-
-#: Every rule kind the engine understands.
+#: Every rule kind :func:`evaluate` understands.
 RULE_KINDS = frozenset(
     {"burn_rate", "drift", "cardinality", "error_budget", "threshold",
      "log_volume"}
 )
 
 _OVERFLOW_RENDERED = dict(OVERFLOW_LABELS)
+
+Payload = Optional[Dict[str, object]]
 
 
 class AlertError(Exception):
@@ -110,10 +109,16 @@ class AlertRule:
         """The instrument family this rule watches."""
         return self.series if self.series is not None else (self.counter or "")
 
+    def breached(self, value: float) -> bool:
+        """Whether *value* is past ``threshold`` in the rule's ``comparison``."""
+        if self.comparison == "above":
+            return value > self.threshold
+        return value < self.threshold
+
 
 @dataclass(frozen=True)
 class AlertEvent:
-    """A rule firing: structured, JSON-able, bus-publishable."""
+    """A rule firing: what fired, the measured value, and its context."""
 
     rule: str
     kind: str
@@ -122,19 +127,6 @@ class AlertEvent:
     value: float
     threshold: float
     context: Dict[str, object] = field(default_factory=dict)
-
-    def to_json(self) -> Dict[str, object]:
-        """Serialize for the event bus / JSONL stream."""
-        return {
-            "schema_version": ALERTS_SCHEMA_VERSION,
-            "rule": self.rule,
-            "kind": self.kind,
-            "severity": self.severity,
-            "message": self.message,
-            "value": self.value,
-            "threshold": self.threshold,
-            "context": dict(self.context),
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -258,331 +250,213 @@ def load_rules(path: Union[str, Path]) -> List[AlertRule]:
 
 
 # ---------------------------------------------------------------------------
-# selector matching over payload shapes
+# evaluation
 # ---------------------------------------------------------------------------
 
-def _labels_match(
-    labels: Dict[str, str], wanted: Tuple[Tuple[str, str], ...]
-) -> bool:
-    return all(labels.get(k) == v for k, v in wanted)
+def evaluate(
+    rules: List[AlertRule],
+    metrics: Payload,
+    series: Payload,
+    baseline_metrics: Payload = None,
+    baseline_series: Payload = None,
+) -> List[AlertEvent]:
+    """Every firing across *rules*, in rule order.
+
+    *metrics* and *series* are a run's METRICS.json and SERIES.json
+    payloads; ``drift`` rules compare them against the baseline
+    payloads and raise :class:`AlertError` when there are none.
+    """
+    fired: List[AlertEvent] = []
+    for rule in rules:
+        if rule.kind == "burn_rate":
+            event = _burn_rate(rule, series)
+        elif rule.kind == "drift":
+            event = _drift(rule, metrics, series, baseline_metrics, baseline_series)
+        elif rule.kind == "cardinality":
+            event = _cardinality(rule, series)
+        elif rule.kind == "error_budget":
+            event = _error_budget(rule, metrics)
+        elif rule.kind == "log_volume":
+            event = _log_volume(rule, series)
+        else:
+            event = _threshold(rule, metrics, series)
+        if event is not None:
+            fired.append(event)
+    return fired
+
+
+def _fire(rule: AlertRule, message: str, value: float, threshold: float,
+          **context: object) -> AlertEvent:
+    return AlertEvent(rule.name, rule.kind, rule.severity, message, value,
+                      threshold, context)
 
 
 def _series_points(
-    series_payload: Optional[Dict[str, object]],
-    name: str,
-    wanted: Tuple[Tuple[str, str], ...],
+    series: Payload, name: str, wanted: Tuple[Tuple[str, str], ...]
 ) -> Dict[int, float]:
     """Month -> summed amount across every matching label set."""
+    entries = (series or {}).get("series", {})
     points: Dict[int, float] = {}
-    entries = (series_payload or {}).get("series", {})
-    for rendered, entry in entries.items():
-        entry_name, labels = parse_key(rendered)
-        if entry_name != name or not _labels_match(labels, wanted):
-            continue
+    for rendered in select(entries, name, wanted):
+        entry = entries[rendered]
         for month, value in zip(entry["months"], entry["values"]):
             points[int(month)] = points.get(int(month), 0) + value
     return points
 
 
 def _counter_total(
-    metrics_payload: Optional[Dict[str, object]],
-    name: str,
-    wanted: Tuple[Tuple[str, str], ...],
+    metrics: Payload, name: str, wanted: Tuple[Tuple[str, str], ...]
 ) -> float:
-    total = 0.0
-    for rendered, value in (metrics_payload or {}).get("counters", {}).items():
-        entry_name, labels = parse_key(rendered)
-        if entry_name == name and _labels_match(labels, wanted):
-            total += value
-    return total
+    counters = (metrics or {}).get("counters", {})
+    return sum((counters[key] for key in select(counters, name, wanted)), 0.0)
 
 
-def _selector_total(
-    rule: AlertRule,
-    metrics_payload: Optional[Dict[str, object]],
-    series_payload: Optional[Dict[str, object]],
-) -> float:
+def _selector_total(rule: AlertRule, metrics: Payload, series: Payload) -> float:
     if rule.series is not None:
-        return sum(_series_points(series_payload, rule.series, rule.labels).values())
-    return _counter_total(metrics_payload, rule.counter or "", rule.labels)
+        return sum(_series_points(series, rule.series, rule.labels).values())
+    return _counter_total(metrics, rule.counter or "", rule.labels)
 
 
-# ---------------------------------------------------------------------------
-# the engine
-# ---------------------------------------------------------------------------
-
-class AlertEngine:
-    """Evaluate a rule set against telemetry payloads.
-
-    Baseline payloads (for ``drift`` rules) bind at construction, so
-    the same engine instance can evaluate repeatedly without
-    re-reading the baseline.
-    """
-
-    def __init__(
-        self,
-        rules: List[AlertRule],
-        baseline_metrics: Optional[Dict[str, object]] = None,
-        baseline_series: Optional[Dict[str, object]] = None,
-    ):
-        self.rules = list(rules)
-        self._baseline_metrics = baseline_metrics
-        self._baseline_series = baseline_series
-
-    def evaluate(
-        self,
-        metrics: Optional[Dict[str, object]] = None,
-        series: Optional[Dict[str, object]] = None,
-        log_timelines: Optional[Dict[str, Dict[int, int]]] = None,
-    ) -> List[AlertEvent]:
-        """Every firing across the rule set, in rule order.
-
-        *log_timelines* is the ``{agent: {month: count}}`` shape
-        :func:`repro.obs.logql.timelines` produces; required only when
-        the rule set contains ``log_volume`` rules.
-        """
-        fired: List[AlertEvent] = []
-        for rule in self.rules:
-            event = self._evaluate_rule(rule, metrics, series, log_timelines)
-            if event is not None:
-                fired.append(event)
-        return fired
-
-    # -- per-kind evaluation -------------------------------------------------
-
-    def _evaluate_rule(
-        self,
-        rule: AlertRule,
-        metrics: Optional[Dict[str, object]],
-        series: Optional[Dict[str, object]],
-        log_timelines: Optional[Dict[str, Dict[int, int]]] = None,
-    ) -> Optional[AlertEvent]:
-        if rule.kind == "burn_rate":
-            return self._eval_burn_rate(rule, series)
-        if rule.kind == "drift":
-            return self._eval_drift(rule, metrics, series)
-        if rule.kind == "cardinality":
-            return self._eval_cardinality(rule, series)
-        if rule.kind == "error_budget":
-            return self._eval_error_budget(rule, metrics)
-        if rule.kind == "log_volume":
-            return self._eval_log_volume(rule, log_timelines)
-        return self._eval_threshold(rule, metrics, series)
-
-    def _eval_log_volume(
-        self,
-        rule: AlertRule,
-        log_timelines: Optional[Dict[str, Dict[int, int]]],
-    ) -> Optional[AlertEvent]:
-        if log_timelines is None:
-            raise AlertError(
-                f"rule {rule.name!r}: log_volume needs a log store "
-                "(--log-store DIR)"
-            )
-        wanted_agent = dict(rule.labels).get("agent")
-        worst: Optional[Tuple[int, str, int]] = None  # (count, agent, month)
-        for agent in sorted(log_timelines):
-            if wanted_agent is not None and agent != wanted_agent:
-                continue
-            for month, count in sorted(log_timelines[agent].items()):
-                breached = (
-                    count > rule.threshold
-                    if rule.comparison == "above"
-                    else count < rule.threshold
-                )
-                if not breached:
-                    continue
-                extremer = (
-                    worst is None
-                    or (count > worst[0] if rule.comparison == "above"
-                        else count < worst[0])
-                )
-                if extremer:
-                    worst = (count, agent, month)
-        if worst is None:
-            return None
-        count, agent, month = worst
-        return AlertEvent(
-            rule=rule.name,
-            kind=rule.kind,
-            severity=rule.severity,
-            message=(
-                f"log volume for {agent} in month {month} is {count} "
-                f"requests ({rule.comparison} {rule.threshold:.4g})"
-            ),
-            value=float(count),
-            threshold=rule.threshold,
-            context={"agent": agent, "month": month},
-        )
-
-    def _eval_burn_rate(
-        self, rule: AlertRule, series: Optional[Dict[str, object]]
-    ) -> Optional[AlertEvent]:
-        bad = _series_points(series, rule.series or "", rule.labels)
-        if not bad:
-            return None
-        ratio_mode = rule.total_labels is not None
-        total = (
-            _series_points(series, rule.series or "", rule.total_labels or ())
-            if ratio_mode
-            else {}
-        )
-        months = sorted(set(bad) | set(total))
-        lo, hi = months[0], months[-1]
-        worst: Optional[Tuple[float, int]] = None  # (value, window start)
-        for start in range(lo, hi - rule.window + 2):
-            window = range(start, start + rule.window)
-            num = sum(bad.get(month, 0) for month in window)
-            if ratio_mode:
-                den = sum(total.get(month, 0) for month in window)
-                if den <= 0:
-                    continue
-                value = num / den
-            else:
-                value = num
-            if worst is None or value > worst[0]:
-                worst = (value, start)
-        if worst is None or worst[0] <= rule.threshold:
-            return None
-        unit = "burn rate" if ratio_mode else "events"
-        return AlertEvent(
-            rule=rule.name,
-            kind=rule.kind,
-            severity=rule.severity,
-            message=(
-                f"{rule.selector} {unit} {worst[0]:.4g} over months "
-                f"[{worst[1]}..{worst[1] + rule.window - 1}] exceeds "
-                f"{rule.threshold:.4g}"
-            ),
-            value=worst[0],
-            threshold=rule.threshold,
-            context={"window_start": worst[1], "window": rule.window},
-        )
-
-    def _eval_drift(
-        self,
-        rule: AlertRule,
-        metrics: Optional[Dict[str, object]],
-        series: Optional[Dict[str, object]],
-    ) -> Optional[AlertEvent]:
-        if self._baseline_metrics is None and self._baseline_series is None:
-            raise AlertError(
-                f"rule {rule.name!r}: drift needs a baseline run (--baseline DIR)"
-            )
-        current = _selector_total(rule, metrics, series)
-        baseline = _selector_total(
-            rule, self._baseline_metrics, self._baseline_series
-        )
-        if baseline == 0:
-            if current == 0:
-                return None
-            change = float("inf")
-        else:
-            change = abs(current - baseline) / baseline
-        if change <= rule.threshold:
-            return None
-        return AlertEvent(
-            rule=rule.name,
-            kind=rule.kind,
-            severity=rule.severity,
-            message=(
-                f"{rule.selector} drifted {baseline:.4g} -> {current:.4g} "
-                f"({change:+.1%} vs threshold {rule.threshold:.1%})"
-                if change != float("inf")
-                else f"{rule.selector} appeared: baseline 0 -> {current:.4g}"
-            ),
-            value=change,
-            threshold=rule.threshold,
-            context={"baseline": baseline, "current": current},
-        )
-
-    def _eval_cardinality(
-        self, rule: AlertRule, series: Optional[Dict[str, object]]
-    ) -> Optional[AlertEvent]:
-        count = 0
-        overflowed = False
-        for rendered in (series or {}).get("series", {}):
-            name, labels = parse_key(rendered)
-            if name != (rule.series or ""):
-                continue
-            count += 1
-            if labels == _OVERFLOW_RENDERED:
-                overflowed = True
-        if overflowed:
-            return AlertEvent(
-                rule=rule.name,
-                kind=rule.kind,
-                severity=rule.severity,
-                message=(
-                    f"{rule.selector} collapsed into its {{overflow=true}} "
-                    "bucket: label cardinality exceeded the registry cap"
-                ),
-                value=float(count),
-                threshold=float(rule.max_series or 0),
-                context={"label_sets": count, "overflow": True},
-            )
-        if rule.max_series is not None and count > rule.max_series:
-            return AlertEvent(
-                rule=rule.name,
-                kind=rule.kind,
-                severity=rule.severity,
-                message=(
-                    f"{rule.selector} materialized {count} label sets "
-                    f"(limit {rule.max_series})"
-                ),
-                value=float(count),
-                threshold=float(rule.max_series),
-                context={"label_sets": count, "overflow": False},
-            )
+def _log_volume(rule: AlertRule, series: Payload) -> Optional[AlertEvent]:
+    wanted_agent = dict(rule.labels).get("agent")
+    volume: Dict[Tuple[str, int], int] = {}
+    for (agent, month, _, _), count in request_cells(series).items():
+        if wanted_agent is None or agent == wanted_agent:
+            volume[agent, month] = volume.get((agent, month), 0) + count
+    breached = [
+        (count, agent, month)
+        for (agent, month), count in sorted(volume.items())
+        if rule.breached(count)
+    ]
+    if not breached:
         return None
+    # The first cell in (agent, month) order among the most extreme.
+    pick = max if rule.comparison == "above" else min
+    count, agent, month = pick(breached, key=lambda cell: cell[0])
+    return _fire(
+        rule,
+        f"log volume for {agent} in month {month} is {count} "
+        f"requests ({rule.comparison} {rule.threshold:.4g})",
+        float(count), rule.threshold, agent=agent, month=month,
+    )
 
-    def _eval_error_budget(
-        self, rule: AlertRule, metrics: Optional[Dict[str, object]]
-    ) -> Optional[AlertEvent]:
-        bad = _counter_total(metrics, rule.counter or "", rule.labels)
-        total_name = rule.total_counter or rule.counter or ""
-        total = _counter_total(metrics, total_name, rule.total_labels or ())
-        if total <= 0:
-            return None
-        ratio = bad / total
-        if ratio <= rule.threshold:
-            return None
-        return AlertEvent(
-            rule=rule.name,
-            kind=rule.kind,
-            severity=rule.severity,
-            message=(
-                f"{rule.selector}/{total_name} = {ratio:.4g} burns past the "
-                f"{rule.threshold:.4g} error budget"
-            ),
-            value=ratio,
-            threshold=rule.threshold,
-            context={"bad": bad, "total": total},
-        )
 
-    def _eval_threshold(
-        self,
-        rule: AlertRule,
-        metrics: Optional[Dict[str, object]],
-        series: Optional[Dict[str, object]],
-    ) -> Optional[AlertEvent]:
-        value = _selector_total(rule, metrics, series)
-        breached = (
-            value > rule.threshold
-            if rule.comparison == "above"
-            else value < rule.threshold
+def _burn_rate(rule: AlertRule, series: Payload) -> Optional[AlertEvent]:
+    bad = _series_points(series, rule.series or "", rule.labels)
+    if not bad:
+        return None
+    ratio_mode = rule.total_labels is not None
+    total = (
+        _series_points(series, rule.series or "", rule.total_labels or ())
+        if ratio_mode
+        else {}
+    )
+    months = sorted(set(bad) | set(total))
+    lo, hi = months[0], months[-1]
+    worst: Optional[Tuple[float, int]] = None  # (value, window start)
+    for start in range(lo, hi - rule.window + 2):
+        window = range(start, start + rule.window)
+        num = sum(bad.get(month, 0) for month in window)
+        if ratio_mode:
+            den = sum(total.get(month, 0) for month in window)
+            if den <= 0:
+                continue
+            value = num / den
+        else:
+            value = num
+        if worst is None or value > worst[0]:
+            worst = (value, start)
+    if worst is None or worst[0] <= rule.threshold:
+        return None
+    unit = "burn rate" if ratio_mode else "events"
+    return _fire(
+        rule,
+        f"{rule.selector} {unit} {worst[0]:.4g} over months "
+        f"[{worst[1]}..{worst[1] + rule.window - 1}] exceeds "
+        f"{rule.threshold:.4g}",
+        worst[0], rule.threshold, window_start=worst[1], window=rule.window,
+    )
+
+
+def _drift(
+    rule: AlertRule,
+    metrics: Payload,
+    series: Payload,
+    baseline_metrics: Payload,
+    baseline_series: Payload,
+) -> Optional[AlertEvent]:
+    if baseline_metrics is None and baseline_series is None:
+        raise AlertError(
+            f"rule {rule.name!r}: drift needs a baseline run (--baseline DIR)"
         )
-        if not breached:
+    current = _selector_total(rule, metrics, series)
+    baseline = _selector_total(rule, baseline_metrics, baseline_series)
+    if baseline == 0:
+        if current == 0:
             return None
-        return AlertEvent(
-            rule=rule.name,
-            kind=rule.kind,
-            severity=rule.severity,
-            message=(
-                f"{rule.selector} total {value:.4g} is {rule.comparison} "
-                f"{rule.threshold:.4g}"
-            ),
-            value=value,
-            threshold=rule.threshold,
-            context={"comparison": rule.comparison},
+        change = float("inf")
+    else:
+        change = abs(current - baseline) / baseline
+    if change <= rule.threshold:
+        return None
+    return _fire(
+        rule,
+        f"{rule.selector} drifted {baseline:.4g} -> {current:.4g} "
+        f"({change:+.1%} vs threshold {rule.threshold:.1%})"
+        if change != float("inf")
+        else f"{rule.selector} appeared: baseline 0 -> {current:.4g}",
+        change, rule.threshold, baseline=baseline, current=current,
+    )
+
+
+def _cardinality(rule: AlertRule, series: Payload) -> Optional[AlertEvent]:
+    label_sets = select((series or {}).get("series", {}), rule.series or "")
+    count = len(label_sets)
+    if any(labels == _OVERFLOW_RENDERED for labels in label_sets.values()):
+        return _fire(
+            rule,
+            f"{rule.selector} collapsed into its {{overflow=true}} "
+            "bucket: label cardinality exceeded the registry cap",
+            float(count), float(rule.max_series or 0),
+            label_sets=count, overflow=True,
         )
+    if rule.max_series is not None and count > rule.max_series:
+        return _fire(
+            rule,
+            f"{rule.selector} materialized {count} label sets "
+            f"(limit {rule.max_series})",
+            float(count), float(rule.max_series),
+            label_sets=count, overflow=False,
+        )
+    return None
+
+
+def _error_budget(rule: AlertRule, metrics: Payload) -> Optional[AlertEvent]:
+    bad = _counter_total(metrics, rule.counter or "", rule.labels)
+    total_name = rule.total_counter or rule.counter or ""
+    total = _counter_total(metrics, total_name, rule.total_labels or ())
+    if total <= 0:
+        return None
+    ratio = bad / total
+    if ratio <= rule.threshold:
+        return None
+    return _fire(
+        rule,
+        f"{rule.selector}/{total_name} = {ratio:.4g} burns past the "
+        f"{rule.threshold:.4g} error budget",
+        ratio, rule.threshold, bad=bad, total=total,
+    )
+
+
+def _threshold(
+    rule: AlertRule, metrics: Payload, series: Payload
+) -> Optional[AlertEvent]:
+    value = _selector_total(rule, metrics, series)
+    if not rule.breached(value):
+        return None
+    return _fire(
+        rule,
+        f"{rule.selector} total {value:.4g} is {rule.comparison} "
+        f"{rule.threshold:.4g}",
+        value, rule.threshold, comparison=rule.comparison,
+    )

@@ -17,13 +17,17 @@ operator actually asks:
 * *Did this run regress against that one?* -- :func:`diff_runs`
   compares two telemetry directories structurally: experiment-span
   slowdowns plus counter/series drift beyond a relative threshold.
-* *What did each agent see, month by month?* --
-  :func:`dashboard_matrix` folds ``sim.requests`` series into the
-  agent-by-month view ``repro dashboard`` renders.
+* *What did each agent see, month by month?* -- :func:`request_cells`
+  folds ``sim.requests`` series into ``(agent, month, outcome,
+  category)`` request counts, the cells a log store groups into too,
+  and :func:`dashboard_matrix` rolls them into the agent-by-month view
+  ``repro dashboard`` renders.
 
-Every loader raises :class:`TelemetryError` with a one-line message on
-missing or corrupt inputs so the CLI can exit cleanly without a
-traceback.
+Every reader finds instruments the same way: :func:`select` picks the
+rendered keys of one instrument name whose labels include the given
+ones.  Every loader raises :class:`TelemetryError` with a one-line
+message on missing or corrupt inputs; ``repro`` prints it as one
+stderr line and exits 2.
 """
 
 from __future__ import annotations
@@ -31,9 +35,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
-from .metrics import METRICS_SCHEMA_VERSION
+from .metrics import METRICS_SCHEMA_VERSION, parse_key
 from .series import SERIES_SCHEMA_VERSION
 from .trace import TRACE_SCHEMA_VERSION
 
@@ -42,13 +46,16 @@ __all__ = [
     "load_metrics",
     "load_series",
     "load_trace",
-    "parse_key",
+    "select",
     "critical_path",
     "worker_utilization",
     "self_time_tree",
     "folded_stacks",
     "RunDiff",
     "diff_runs",
+    "REQUEST_CELL",
+    "request_cells",
+    "known_categories",
     "dashboard_matrix",
 ]
 
@@ -123,23 +130,6 @@ def load_trace(path: Union[str, Path]) -> List[Dict[str, object]]:
             )
         records.append(record)
     return records
-
-
-def parse_key(rendered: str) -> Tuple[str, Dict[str, str]]:
-    """Invert :func:`repro.obs.metrics.render_key`.
-
-    ``"sim.requests{agent=GPTBot,outcome=served}"`` becomes
-    ``("sim.requests", {"agent": "GPTBot", "outcome": "served"})``.
-    """
-    if not rendered.endswith("}") or "{" not in rendered:
-        return rendered, {}
-    name, _, raw = rendered[:-1].partition("{")
-    labels: Dict[str, str] = {}
-    for pair in raw.split(","):
-        key, _, value = pair.partition("=")
-        if key:
-            labels[key] = value
-    return name, labels
 
 
 # -- span-tree analysis --------------------------------------------------------
@@ -381,57 +371,94 @@ def diff_runs(
     return diff
 
 
-# -- operator dashboard --------------------------------------------------------
+# -- label selection and the request fold --------------------------------------
+
+
+def select(
+    entries: Mapping[str, object],
+    name: str,
+    labels: Iterable[Tuple[str, str]] = (),
+) -> Dict[str, Dict[str, str]]:
+    """The keys in *entries* of instrument *name* whose labels include *labels*.
+
+    *entries* is an export section keyed by rendered key (METRICS.json
+    ``counters`` or ``gauges``, SERIES.json ``series``); *labels* match
+    as a subset, so ``(("outcome", "blocked_403"),)`` selects every
+    label set with that outcome.  Each selected key maps to its parsed
+    labels, in *entries*' order.
+    """
+    wanted = tuple(labels)
+    selected: Dict[str, Dict[str, str]] = {}
+    for rendered in entries:
+        entry_name, entry_labels = parse_key(rendered)
+        if entry_name == name and all(entry_labels.get(k) == v for k, v in wanted):
+            selected[rendered] = entry_labels
+    return selected
+
 
 #: ``sim.requests`` outcomes counted as blocked in the dashboard.
 BLOCKED_OUTCOMES = frozenset({"blocked_403", "reset"})
 
+#: The dimensions of one request cell.  Every simulated request is one
+#: :meth:`~repro.net.accesslog.AccessLog.append`, which feeds both the
+#: ``sim.requests`` series and the log store, so :func:`request_cells`
+#: of a run's SERIES.json equals ``repro.obs.logql.group_by(store,
+#: REQUEST_CELL)`` of the same run's log store.
+REQUEST_CELL = ("agent", "month", "outcome", "category")
 
-def known_categories(series_payload: Dict[str, object]) -> List[str]:
-    """Every ``site_category`` label value the run's ``sim.requests`` saw.
+#: ``(agent, month, outcome, category)`` -> request count.
+Cells = Dict[Tuple[str, int, str, Optional[str]], int]
+
+
+def request_cells(series_payload: Optional[Dict[str, object]]) -> Cells:
+    """Fold ``sim.requests`` series into :data:`REQUEST_CELL` counts.
+
+    A series without an ``agent`` label counts as ``other``; one
+    without a ``site_category`` label has category None, which no
+    category filter selects.
+    """
+    entries = (series_payload or {}).get("series", {})
+    cells: Cells = {}
+    for rendered, labels in select(entries, "sim.requests").items():
+        entry = entries[rendered]
+        agent = labels.get("agent", "other")
+        outcome = labels.get("outcome", "")
+        category = labels.get("site_category")
+        for month, value in zip(entry.get("months", []), entry.get("values", [])):
+            cell = (agent, int(month), outcome, category)
+            cells[cell] = cells.get(cell, 0) + int(value)
+    return cells
+
+
+def known_categories(cells: Cells) -> List[str]:
+    """Every site category the request cells saw, sorted.
 
     The vocabulary the dashboard's ``--category`` filter validates
     against: asking for a cohort outside this set is an operator typo,
     not an empty matrix.
     """
-    categories = set()
-    for rendered in series_payload.get("series", {}):
-        name, labels = parse_key(rendered)
-        if name == "sim.requests" and "site_category" in labels:
-            categories.add(labels["site_category"])
-    return sorted(categories)
+    return sorted({category for _, _, _, category in cells if category is not None})
 
 
 def dashboard_matrix(
-    series_payload: Dict[str, object],
-    category: Optional[str] = None,
+    cells: Cells, category: Optional[str] = None
 ) -> Dict[str, Dict[int, Dict[str, int]]]:
-    """Fold ``sim.requests`` series into an agent-by-month rollup.
+    """Roll request cells up into an agent-by-month matrix.
 
     Returns ``{agent: {month: {"requests", "blocked", "challenged"}}}``,
-    the matrix ``repro dashboard`` renders.  *category* (a
-    ``site_category`` label value) restricts the rollup to that site
-    cohort.
+    the matrix ``repro dashboard`` renders.  *category* restricts the
+    rollup to that site cohort.
     """
     matrix: Dict[str, Dict[int, Dict[str, int]]] = {}
-    for rendered, entry in series_payload.get("series", {}).items():
-        name, labels = parse_key(rendered)
-        if name != "sim.requests":
+    for (agent, month, outcome, cell_category), count in cells.items():
+        if category is not None and cell_category != category:
             continue
-        if category is not None and labels.get("site_category") != category:
-            continue
-        agent = labels.get("agent", "other")
-        outcome = labels.get("outcome", "")
-        months = entry.get("months", [])
-        values = entry.get("values", [])
-        rows = matrix.setdefault(agent, {})
-        for month, value in zip(months, values):
-            cell = rows.setdefault(
-                int(month), {"requests": 0, "blocked": 0, "challenged": 0}
-            )
-            cell["requests"] += int(value)
-            if outcome in BLOCKED_OUTCOMES:
-                cell["blocked"] += int(value)
-            elif outcome == "challenged":
-                cell["challenged"] += int(value)
+        cell = matrix.setdefault(agent, {}).setdefault(
+            month, {"requests": 0, "blocked": 0, "challenged": 0}
+        )
+        cell["requests"] += count
+        if outcome in BLOCKED_OUTCOMES:
+            cell["blocked"] += count
+        elif outcome == "challenged":
+            cell["challenged"] += count
     return matrix

@@ -7,6 +7,9 @@ Everything here is a pure function of the archive bytes -- records
 iterate in global-sequence order, ties break lexicographically, and
 floats never enter the aggregation -- so identical stores always
 produce identical output (the property the CLI tests pin).
+``group_by(store, repro.obs.analyze.REQUEST_CELL)`` gives the request
+cells ``repro dashboard`` renders for a directory that holds a log
+store and no SERIES.json.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from ..net.logstore import LogRecord, LogStore
 
 __all__ = [
+    "DIMENSIONS",
     "LogFilter",
     "filter_records",
     "query",
@@ -25,17 +29,8 @@ __all__ = [
     "timelines",
 ]
 
-#: Dimensions ``group_by``/``top_k`` understand, mapped to the record
-#: attribute they read.
-DIMENSIONS = {
-    "agent": "agent",
-    "host": "host",
-    "path": "path",
-    "outcome": "outcome",
-    "category": "category",
-    "month": "month",
-    "status": "status",
-}
+#: The record attributes ``group_by``/``top_k`` can group and rank by.
+DIMENSIONS = ("agent", "category", "host", "month", "outcome", "path", "status")
 
 
 @dataclass(frozen=True)
@@ -93,13 +88,11 @@ def query(
 
 
 def _dimension_value(record: LogRecord, dimension: str):
-    attribute = DIMENSIONS.get(dimension)
-    if attribute is None:
+    if dimension not in DIMENSIONS:
         raise KeyError(
-            f"unknown dimension {dimension!r} "
-            f"(known: {', '.join(sorted(DIMENSIONS))})"
+            f"unknown dimension {dimension!r} (known: {', '.join(DIMENSIONS)})"
         )
-    return getattr(record, attribute)
+    return getattr(record, dimension)
 
 
 def group_by(
@@ -146,9 +139,8 @@ def timelines(
 ) -> Dict[str, Dict[int, int]]:
     """Per-agent monthly request counts: ``{agent: {month: n}}``.
 
-    Agents sort lexicographically, months ascend.  This is the shape
-    the ``log_volume`` alert rule evaluates and ``repro dashboard
-    --from-logs`` renders.
+    Agents sort lexicographically, months ascend: the matrix ``repro
+    logs DIR timeline`` renders.
     """
     out: Dict[str, Dict[int, int]] = {}
     for record in filter_records(store, where):

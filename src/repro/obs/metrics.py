@@ -54,6 +54,7 @@ __all__ = [
     "shared_registry",
     "snapshot_delta",
     "render_key",
+    "parse_key",
     "export_metrics",
 ]
 
@@ -120,6 +121,23 @@ def render_key(key: InstrumentKey) -> str:
     if not labels:
         return name
     return name + "{" + ",".join(f"{k}={v}" for k, v in labels) + "}"
+
+
+def parse_key(rendered: str) -> Tuple[str, Dict[str, str]]:
+    """Invert :func:`render_key`.
+
+    ``"sim.requests{agent=GPTBot,outcome=served}"`` becomes
+    ``("sim.requests", {"agent": "GPTBot", "outcome": "served"})``.
+    """
+    if not rendered.endswith("}") or "{" not in rendered:
+        return rendered, {}
+    name, _, raw = rendered[:-1].partition("{")
+    labels: Dict[str, str] = {}
+    for pair in raw.split(","):
+        key, _, value = pair.partition("=")
+        if key:
+            labels[key] = value
+    return name, labels
 
 
 class Counter:

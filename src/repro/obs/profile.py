@@ -249,22 +249,12 @@ def _allocation_stats(after, before, top_n: int) -> List[Dict[str, object]]:
 def load_profile(path: Union[str, Path]) -> Dict[str, object]:
     """Parse a ``PROFILE.json`` payload, validating its schema.
 
-    Raises :class:`repro.obs.analyze.TelemetryError` on a missing or
-    corrupt file, matching the other artifact loaders.
+    Raises :class:`repro.obs.analyze.TelemetryError` on a missing,
+    corrupt or unsupported file, like the other artifact loaders.
     """
-    from .analyze import TelemetryError
+    from .analyze import TelemetryError, _load_json
 
-    path = Path(path)
-    if not path.is_file():
-        raise TelemetryError(f"missing telemetry artifact: {path}")
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (ValueError, OSError) as exc:
-        raise TelemetryError(f"corrupt PROFILE.json: {path}: {exc}") from exc
-    if (
-        not isinstance(payload, dict)
-        or payload.get("schema_version") != PROFILE_SCHEMA_VERSION
-        or not isinstance(payload.get("phases"), list)
-    ):
-        raise TelemetryError(f"corrupt PROFILE.json: {path}: unrecognized shape")
+    payload = _load_json(Path(path), "PROFILE.json", PROFILE_SCHEMA_VERSION)
+    if not isinstance(payload.get("phases"), list):
+        raise TelemetryError(f"corrupt PROFILE.json: {path}: missing 'phases' list")
     return payload

@@ -17,9 +17,10 @@ from __future__ import annotations
 import json
 import re
 import threading
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..net.http import Headers, Request, Response
+from .metrics import parse_key
 
 __all__ = ["MetricsHandler", "render_prometheus"]
 
@@ -49,29 +50,17 @@ def _prom_label_value(value: str) -> str:
 
 
 def _prom_sample(
-    name: str, labels: List[Tuple[str, str]], value: object
+    name: str, labels: Dict[str, str], value: object, **extra: str
 ) -> str:
-    if labels:
+    """One sample line; *extra* labels follow the key's own."""
+    pairs = [*labels.items(), *extra.items()]
+    if pairs:
         body = ",".join(
             f'{_LABEL_SANITIZE.sub("_", k)}="{_prom_label_value(v)}"'
-            for k, v in labels
+            for k, v in pairs
         )
         return f"{name}{{{body}}} {value}"
     return f"{name} {value}"
-
-
-def _split_rendered(rendered: str) -> Tuple[str, List[Tuple[str, str]]]:
-    """Invert ``render_key``: ``name{a=b,c=d}`` -> name + label pairs."""
-    if "{" not in rendered:
-        return rendered, []
-    name, _, rest = rendered.partition("{")
-    pairs: List[Tuple[str, str]] = []
-    for part in rest.rstrip("}").split(","):
-        if not part:
-            continue
-        label, _, value = part.partition("=")
-        pairs.append((label, value))
-    return name, pairs
 
 
 def render_prometheus(
@@ -99,15 +88,15 @@ def render_prometheus(
 
     metrics_payload = metrics_payload or {}
     for rendered, value in metrics_payload.get("counters", {}).items():
-        name, labels = _split_rendered(rendered)
+        name, labels = parse_key(rendered)
         family = _prom_name(name) + "_total"
         emit(family, "counter", _prom_sample(family, labels, value))
     for rendered, value in metrics_payload.get("gauges", {}).items():
-        name, labels = _split_rendered(rendered)
+        name, labels = parse_key(rendered)
         family = _prom_name(name)
         emit(family, "gauge", _prom_sample(family, labels, value))
     for rendered, payload in metrics_payload.get("histograms", {}).items():
-        name, labels = _split_rendered(rendered)
+        name, labels = parse_key(rendered)
         family = _prom_name(name)
         if typed.get(family) != "histogram":
             lines.append(f"# TYPE {family} histogram")
@@ -116,22 +105,22 @@ def render_prometheus(
         for bound, count in zip(payload["bounds"], payload["counts"]):
             running += count
             lines.append(_prom_sample(
-                family + "_bucket", labels + [("le", str(bound))], running
+                family + "_bucket", labels, running, le=str(bound)
             ))
         running += payload["counts"][-1]
         lines.append(_prom_sample(
-            family + "_bucket", labels + [("le", "+Inf")], running
+            family + "_bucket", labels, running, le="+Inf"
         ))
         lines.append(_prom_sample(family + "_sum", labels, payload["sum"]))
         lines.append(_prom_sample(family + "_count", labels, payload["count"]))
 
     series_payload = series_payload or {}
     for rendered, entry in series_payload.get("series", {}).items():
-        name, labels = _split_rendered(rendered)
+        name, labels = parse_key(rendered)
         family = _prom_name(name) + "_monthly"
         for month, value in zip(entry["months"], entry["values"]):
             emit(family, "counter", _prom_sample(
-                family, labels + [("month", str(month))], value
+                family, labels, value, month=str(month)
             ))
     return "\n".join(lines) + "\n" if lines else ""
 

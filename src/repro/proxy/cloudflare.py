@@ -32,7 +32,7 @@ from ..agents.catalogs import (
     CLOUDFLARE_VERIFIED_BOTS,
 )
 from ..agents.ipranges import ip_in_published_range
-from ..agents.useragent import contains_token, matches_any, primary_product
+from ..agents.useragent import contains_token, matches_any
 from ..net.http import Request, Response
 from ..net.transport import Handler
 from .behavioral import BehavioralPolicy

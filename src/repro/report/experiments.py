@@ -17,22 +17,16 @@ from typing import Dict, List, Optional, Sequence, TYPE_CHECKING, Tuple
 from ..agents.catalogs import generic_crawler_user_agents
 from ..agents.darkvisitors import AI_USER_AGENT_TOKENS, build_registry
 from ..agents.registry import Compliance
-from ..core.classify import classify
 from ..core.compiled import shared_policy_cache
 from ..core.diagnostics import has_mistakes
 from ..core.legacy import LegacyPolicy
-from ..core.policy import RobotsPolicy
 from ..crawlers.assistant import build_app_store
 from ..crawlers.engine import Crawler, CrawlResult
 from ..crawlers.fleet import build_builtin_assistants, build_fleet
 from ..crawlers.profiles import CrawlerProfile
 from ..measure.active_blocking import survey_active_blocking
 from ..measure.artists import measure_artist_sites
-from ..measure.cloudflare_audit import (
-    BlockAISetting,
-    audit_cloudflare_sites,
-    infer_blocked_agents,
-)
+from ..measure.cloudflare_audit import audit_cloudflare_sites, infer_blocked_agents
 from ..measure.compliance import (
     analyze_passive,
     build_testbed,

@@ -459,7 +459,6 @@ def run_all(
     experiments: Optional[Sequence[str]] = None,
     store: Optional[WorldStore] = None,
     mode: str = "auto",
-    collect_workers: Optional[int] = None,
     telemetry_dir: Optional[Union[str, Path]] = None,
     fault_plan: Optional[Union["_chaos.FaultPlan", str]] = None,
     chaos_seed: int = 0,
@@ -481,8 +480,10 @@ def run_all(
 
     Args:
         config: Population config (None = the paper's default scale).
-        workers: Worker pool size (None/1 = sequential).  Results are
-            bit-identical for any worker count.
+        workers: Worker pool size for the experiments and, when the
+            bundle has to be built, for the snapshot crawl (None/1 =
+            sequential).  Results are bit-identical for any worker
+            count.
         experiments: Registry keys to run (None = the full battery), in
             any order; results always come back in registry order.
         store: World store to draw from (default: the process-wide
@@ -491,9 +492,6 @@ def run_all(
             possible, else threads), "serial", "thread", or "process"
             (see :func:`repro.fanout.resolve_mode`; anything else raises
             ``ValueError``).
-        collect_workers: Parallelism for the snapshot crawl when the
-            bundle has to be built (forwarded to
-            :func:`~repro.measure.longitudinal.collect_snapshots`).
         telemetry_dir: When given, write ``METRICS.json`` and
             ``TRACE.jsonl`` into this directory after the run (see
             :meth:`RunReport.export_telemetry`).
@@ -650,7 +648,7 @@ def run_all(
             with world_span, _phase(profiler, "world_build", world=world_kind):
                 if needs_bundle:
                     bundle = exp.build_longitudinal_bundle(
-                        config, workers=collect_workers, store=store
+                        config, workers=workers, store=store
                     )
                     population = bundle.population
                 elif needs_population:
@@ -753,14 +751,6 @@ def run_one(
     key: str,
     config: Optional[PopulationConfig] = None,
     store: Optional[WorldStore] = None,
-    collect_workers: Optional[int] = None,
 ) -> ExperimentResult:
     """Run a single experiment by registry key over the shared store."""
-    report = run_all(
-        config,
-        workers=1,
-        experiments=[key],
-        store=store,
-        collect_workers=collect_workers,
-    )
-    return report.results[0]
+    return run_all(config, workers=1, experiments=[key], store=store).results[0]

@@ -12,7 +12,7 @@ counts whatever the coder finds in the text.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Tuple
 
 __all__ = [
     "Theme",

@@ -13,8 +13,8 @@ on which packages are installed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Sequence
 
 from .instrument import LIKERT_5
 from .respondents import Respondent

@@ -11,7 +11,7 @@ instrument is the shared schema.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 __all__ = ["QuestionType", "Question", "SURVEY", "question", "ROBOTS_EXPLAINER"]

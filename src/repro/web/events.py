@@ -18,8 +18,8 @@ Three kinds of dated events shape the trends of Figures 2-4:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 __all__ = [
     "MONTHS",

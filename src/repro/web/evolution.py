@@ -27,8 +27,8 @@ from __future__ import annotations
 import random
 
 from ..util import seeded_rng
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 from ..core.serialize import (
     RobotsBuilder,

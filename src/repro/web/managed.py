@@ -14,7 +14,7 @@ is exposed directly so library users can generate synced files.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from ..core.serialize import add_disallow_group, agents_mentioned
 from .events import AGENT_ANNOUNCED

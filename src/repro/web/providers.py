@@ -16,7 +16,7 @@ registering accounts (Section 4.4):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..agents.catalogs import CARBONMADE_DEFAULT_BLOCKED, SQUARESPACE_BLOCKED_AGENTS

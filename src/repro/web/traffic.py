@@ -12,7 +12,6 @@ site's access log, exactly as an operator would.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 

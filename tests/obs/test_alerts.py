@@ -1,16 +1,10 @@
-"""The SLO/alerting engine: rule loading and per-kind evaluation."""
+"""SLO/alerting rules: loading and per-kind evaluation."""
 
 import json
 
 import pytest
 
-from repro.obs.alerts import (
-    AlertEngine,
-    AlertError,
-    AlertEvent,
-    AlertRule,
-    load_rules,
-)
+from repro.obs.alerts import AlertError, AlertRule, evaluate, load_rules
 
 
 def _series_payload(entries):
@@ -123,7 +117,7 @@ class TestBurnRate:
         rule = AlertRule(name="burn", kind="burn_rate", series="sim.requests",
                          labels=(("outcome", "blocked_403"),),
                          total_labels=(), window=2, threshold=0.5)
-        (event,) = AlertEngine([rule]).evaluate(series=self._series())
+        (event,) = evaluate([rule], None, self._series())
         assert event.value == pytest.approx(17 / 20)  # months [2..3]
         assert event.context["window_start"] == 2
 
@@ -131,19 +125,19 @@ class TestBurnRate:
         rule = AlertRule(name="burn", kind="burn_rate", series="sim.requests",
                          labels=(("outcome", "blocked_403"),),
                          total_labels=(), window=2, threshold=0.9)
-        assert AlertEngine([rule]).evaluate(series=self._series()) == []
+        assert evaluate([rule], None, self._series()) == []
 
     def test_absolute_mode_sums_events(self):
         rule = AlertRule(name="burn", kind="burn_rate", series="sim.requests",
                          labels=(("outcome", "blocked_403"),),
                          window=2, threshold=16)
-        (event,) = AlertEngine([rule]).evaluate(series=self._series())
+        (event,) = evaluate([rule], None, self._series())
         assert event.value == 17
 
     def test_no_matching_points_is_clean(self):
         rule = AlertRule(name="burn", kind="burn_rate", series="sim.requests",
                          labels=(("outcome", "challenged"),), threshold=0)
-        assert AlertEngine([rule]).evaluate(series=self._series()) == []
+        assert evaluate([rule], None, self._series()) == []
 
 
 class TestDrift:
@@ -151,39 +145,27 @@ class TestDrift:
         return AlertRule(name="drift", kind="drift",
                          counter="web.robots_changes", threshold=threshold)
 
+    def _evaluate(self, rule, current, baseline):
+        baseline_metrics = None if baseline is None else _metrics_payload(baseline)
+        return evaluate([rule], _metrics_payload(current), None,
+                        baseline_metrics=baseline_metrics)
+
     def test_needs_baseline(self):
         with pytest.raises(AlertError, match="needs a baseline"):
-            AlertEngine([self._rule()]).evaluate(
-                metrics=_metrics_payload({"web.robots_changes": 10})
-            )
+            self._evaluate(self._rule(), {"web.robots_changes": 10}, None)
 
     def test_fires_on_relative_change(self):
-        engine = AlertEngine(
-            [self._rule()],
-            baseline_metrics=_metrics_payload({"web.robots_changes": 10}),
-        )
-        (event,) = engine.evaluate(
-            metrics=_metrics_payload({"web.robots_changes": 15})
-        )
+        (event,) = self._evaluate(self._rule(), {"web.robots_changes": 15},
+                                  {"web.robots_changes": 10})
         assert event.value == pytest.approx(0.5)
 
     def test_clean_when_within_threshold(self):
-        engine = AlertEngine(
-            [self._rule(threshold=0.6)],
-            baseline_metrics=_metrics_payload({"web.robots_changes": 10}),
-        )
-        assert engine.evaluate(
-            metrics=_metrics_payload({"web.robots_changes": 15})
-        ) == []
+        assert self._evaluate(self._rule(threshold=0.6),
+                              {"web.robots_changes": 15},
+                              {"web.robots_changes": 10}) == []
 
     def test_appearing_from_zero_baseline_fires(self):
-        engine = AlertEngine(
-            [self._rule()],
-            baseline_metrics=_metrics_payload({}),
-        )
-        (event,) = engine.evaluate(
-            metrics=_metrics_payload({"web.robots_changes": 3})
-        )
+        (event,) = self._evaluate(self._rule(), {"web.robots_changes": 3}, {})
         assert event.value == float("inf")
         assert "appeared" in event.message
 
@@ -195,7 +177,7 @@ class TestCardinality:
             "sim.requests{overflow=true}": {0: 5},
         })
         rule = AlertRule(name="card", kind="cardinality", series="sim.requests")
-        (event,) = AlertEngine([rule]).evaluate(series=series)
+        (event,) = evaluate([rule], None, series)
         assert event.context["overflow"] is True
 
     def test_max_series_fires(self):
@@ -204,14 +186,14 @@ class TestCardinality:
         })
         rule = AlertRule(name="card", kind="cardinality",
                          series="sim.requests", max_series=3)
-        (event,) = AlertEngine([rule]).evaluate(series=series)
+        (event,) = evaluate([rule], None, series)
         assert event.value == 4.0
 
     def test_clean_under_limit(self):
         series = _series_payload({"sim.requests{agent=GPTBot}": {0: 1}})
         rule = AlertRule(name="card", kind="cardinality",
                          series="sim.requests", max_series=3)
-        assert AlertEngine([rule]).evaluate(series=series) == []
+        assert evaluate([rule], None, series) == []
 
 
 class TestErrorBudget:
@@ -220,14 +202,14 @@ class TestErrorBudget:
         rule = AlertRule(name="budget", kind="error_budget",
                          counter="net.errors", total_counter="net.responses",
                          threshold=0.25)
-        (event,) = AlertEngine([rule]).evaluate(metrics=metrics)
+        (event,) = evaluate([rule], metrics, None)
         assert event.value == pytest.approx(0.3)
 
     def test_clean_with_zero_total(self):
         rule = AlertRule(name="budget", kind="error_budget",
                          counter="net.errors", total_counter="net.responses",
                          threshold=0.25)
-        assert AlertEngine([rule]).evaluate(metrics=_metrics_payload({})) == []
+        assert evaluate([rule], _metrics_payload({}), None) == []
 
 
 class TestThreshold:
@@ -236,23 +218,28 @@ class TestThreshold:
                          threshold=5)
         metrics = _metrics_payload({"net.errors{kind=reset}": 4,
                                     "net.errors{kind=timeout}": 3})
-        (event,) = AlertEngine([rule]).evaluate(metrics=metrics)
+        (event,) = evaluate([rule], metrics, None)
         assert event.value == 7.0  # label subsets sum across the family
 
     def test_below_fires(self):
         rule = AlertRule(name="t", kind="threshold", counter="sim.requests",
                          threshold=100, comparison="below")
-        (event,) = AlertEngine([rule]).evaluate(
-            metrics=_metrics_payload({"sim.requests": 10})
-        )
+        (event,) = evaluate([rule], _metrics_payload({"sim.requests": 10}), None)
         assert "below" in event.message
 
 
 class TestLogVolume:
-    TIMELINES = {
-        "CCBot": {0: 5, 1: 3},
-        "GPTBot": {0: 10, 1: 40},
-    }
+    #: Per (agent, month): CCBot 5, 3; GPTBot 10, 40 (30 + 10 across two
+    #: request cells of month 1).
+    SERIES = _series_payload({
+        "sim.requests{agent=CCBot,outcome=served,site_category=news}":
+            {0: 5, 1: 3},
+        "sim.requests{agent=GPTBot,outcome=served,site_category=news}":
+            {0: 10, 1: 30},
+        "sim.requests{agent=GPTBot,outcome=blocked_403,site_category=blog}":
+            {1: 10},
+        "crawl.requests{agent=CCBot}": {1: 1000},
+    })
 
     def _rule(self, **kwargs):
         base = dict(name="volume", kind="log_volume", threshold=20)
@@ -260,34 +247,26 @@ class TestLogVolume:
         return AlertRule(**base)
 
     def test_breach_fires_worst_month_with_context(self):
-        (event,) = AlertEngine([self._rule()]).evaluate(
-            log_timelines=self.TIMELINES
-        )
+        (event,) = evaluate([self._rule()], None, self.SERIES)
         assert event.value == 40.0
         assert event.context == {"agent": "GPTBot", "month": 1}
         assert "GPTBot" in event.message and "month 1" in event.message
 
     def test_agent_label_filters_timelines(self):
         rule = self._rule(labels=(("agent", "CCBot"),), threshold=2)
-        (event,) = AlertEngine([rule]).evaluate(log_timelines=self.TIMELINES)
+        (event,) = evaluate([rule], None, self.SERIES)
         assert event.context["agent"] == "CCBot"
         assert event.value == 5.0
 
     def test_below_comparison_flags_quiet_months(self):
         rule = self._rule(comparison="below", threshold=4)
-        (event,) = AlertEngine([rule]).evaluate(log_timelines=self.TIMELINES)
+        (event,) = evaluate([rule], None, self.SERIES)
         assert event.context == {"agent": "CCBot", "month": 1}
         assert event.value == 3.0
 
     def test_clean_threshold_is_silent(self):
         rule = self._rule(threshold=100)
-        assert AlertEngine([rule]).evaluate(
-            log_timelines=self.TIMELINES
-        ) == []
-
-    def test_missing_log_store_is_operator_error(self):
-        with pytest.raises(AlertError, match="--log-store"):
-            AlertEngine([self._rule()]).evaluate()
+        assert evaluate([rule], None, self.SERIES) == []
 
     def test_rule_rejects_series_selector(self, tmp_path):
         path = tmp_path / "slo.toml"
@@ -303,21 +282,10 @@ class TestLogVolume:
 
 
 class TestAlertEvent:
-    def test_to_json_is_schema_versioned(self):
-        event = AlertEvent(rule="r", kind="threshold", severity="page",
-                           message="m", value=1.5, threshold=1.0,
-                           context={"a": 1})
-        payload = json.loads(json.dumps(event.to_json()))
-        assert payload["schema_version"] == 1
-        assert payload["severity"] == "page"
-        assert payload["context"] == {"a": 1}
-
     def test_rules_evaluate_in_order(self):
         rules = [
             AlertRule(name="b", kind="threshold", counter="x", threshold=0),
             AlertRule(name="a", kind="threshold", counter="x", threshold=0),
         ]
-        events = AlertEngine(rules).evaluate(
-            metrics=_metrics_payload({"x": 5})
-        )
+        events = evaluate(rules, _metrics_payload({"x": 5}), None)
         assert [event.rule for event in events] == ["b", "a"]

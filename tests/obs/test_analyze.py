@@ -20,10 +20,11 @@ from repro.obs.analyze import (
     load_metrics,
     load_series,
     load_trace,
-    parse_key,
+    request_cells,
     self_time_tree,
     worker_utilization,
 )
+from repro.obs.metrics import parse_key
 
 
 def _span(span_id, parent_id, name, start, duration, **extra):
@@ -267,15 +268,16 @@ class TestDiffRuns:
 
 class TestDashboardMatrix:
     def test_rollup_shape_and_outcome_buckets(self):
-        matrix = dashboard_matrix(SERIES)
+        matrix = dashboard_matrix(request_cells(SERIES))
         assert matrix["GPTBot"][1] == {"requests": 25, "blocked": 5, "challenged": 0}
         assert matrix["GPTBot"][0] == {"requests": 10, "blocked": 0, "challenged": 0}
         assert matrix["CCBot"][2] == {"requests": 7, "blocked": 0, "challenged": 7}
 
     def test_category_filter(self):
-        matrix = dashboard_matrix(SERIES, category="blog")
+        cells = request_cells(SERIES)
+        matrix = dashboard_matrix(cells, category="blog")
         assert set(matrix) == {"CCBot"}
-        assert dashboard_matrix(SERIES, category="nope") == {}
+        assert dashboard_matrix(cells, category="nope") == {}
 
     def test_ignores_other_series(self):
         payload = {
@@ -288,4 +290,5 @@ class TestDashboardMatrix:
                 }
             },
         }
-        assert dashboard_matrix(payload) == {}
+        assert request_cells(payload) == {}
+        assert dashboard_matrix(request_cells(payload)) == {}

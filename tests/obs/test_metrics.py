@@ -17,6 +17,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     export_metrics,
     metrics_enabled,
+    parse_key,
     render_key,
     set_metrics_enabled,
     snapshot_delta,
@@ -197,6 +198,21 @@ class TestExport:
     def test_render_key(self):
         assert render_key(("n", ())) == "n"
         assert render_key(("n", (("a", "1"), ("b", "x")))) == "n{a=1,b=x}"
+
+    def test_every_committed_key_round_trips(self):
+        """``parse_key`` inverts ``render_key`` on every exported key."""
+        import json
+        from pathlib import Path
+
+        results = Path(__file__).resolve().parents[2] / "results"
+        metrics = json.loads((results / "METRICS.json").read_text())
+        series = json.loads((results / "SERIES.json").read_text())
+        keys = [*metrics["counters"], *metrics["gauges"],
+                *metrics["histograms"], *series["series"]]
+        assert len(keys) > 100 and any("{" in key for key in keys)
+        for key in keys:
+            name, labels = parse_key(key)
+            assert render_key((name, tuple(labels.items()))) == key
 
     def test_to_json_shape(self):
         registry = MetricsRegistry()

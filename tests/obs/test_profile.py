@@ -91,8 +91,12 @@ class TestExport:
 
     def test_load_corrupt_raises_telemetry_error(self, tmp_path):
         path = tmp_path / "PROFILE.json"
-        path.write_text('{"schema_version": 99, "phases": []}')
+        path.write_text('{"schema_version": 1, "phases": {}}')
         with pytest.raises(TelemetryError, match="corrupt PROFILE.json"):
+            load_profile(path)
+        path.write_text('{"schema_version": 99, "phases": []}')
+        with pytest.raises(TelemetryError,
+                           match="unsupported PROFILE.json schema_version 99"):
             load_profile(path)
 
     def test_summary_lines_one_per_phase(self):

@@ -14,7 +14,16 @@ import pytest
 
 from repro.net.accesslog import active_log_sink
 from repro.net.logstore import LogStore
-from repro.obs.metrics import shared_registry
+from repro.obs.alerts import AlertRule, evaluate
+from repro.obs.analyze import (
+    REQUEST_CELL,
+    dashboard_matrix,
+    known_categories,
+    load_series,
+    request_cells,
+)
+from repro.obs.logql import group_by, timelines
+from repro.obs.metrics import parse_key, shared_registry
 from repro.obs.series import shared_series
 from repro.obs.trace import shared_tracer
 from repro.report.orchestrator import run_all
@@ -96,22 +105,25 @@ class TestLogArchiveIdentity:
 
 
 class TestOneRequestRecord:
-    def test_series_and_log_store_agree_cell_by_cell(self, store, tmp_path):
+    @pytest.fixture(scope="class")
+    def run_dirs(self, store, tmp_path_factory):
+        """One run's SERIES.json payload and the directory of its log store."""
+        root = tmp_path_factory.mktemp("one-record")
+        _reset()
+        run_all(SMALL, workers=1, experiments=SLICE, store=store,
+                telemetry_dir=root / "tele", log_dir=root / "logs")
+        return load_series(root / "tele" / "SERIES.json"), root / "logs"
+
+    def test_series_and_log_store_agree_cell_by_cell(self, run_dirs):
         """``sim.requests`` and the log store project the same appends.
 
         Every :meth:`~repro.net.accesslog.AccessLog.append` adds one
         series point and emits one wide event, so grouping the store by
         the series' labels and month reproduces SERIES.json exactly.
         """
-        from repro.obs.analyze import load_series, parse_key
-        from repro.obs.logql import group_by
-
-        _reset()
-        run_all(SMALL, workers=1, experiments=SLICE, store=store,
-                telemetry_dir=tmp_path / "tele", log_dir=tmp_path / "logs")
-        series = load_series(tmp_path / "tele" / "SERIES.json")["series"]
+        payload, log_dir = run_dirs
         cells = {}
-        for rendered, data in series.items():
+        for rendered, data in payload["series"].items():
             name, labels = parse_key(rendered)
             if name != "sim.requests":
                 continue
@@ -119,7 +131,44 @@ class TestOneRequestRecord:
                 key = (labels["agent"], labels["outcome"],
                        labels["site_category"], month)
                 cells[key] = value
-        with LogStore.open(tmp_path / "logs") as committed:
+        with LogStore.open(log_dir) as committed:
             grouped = group_by(committed, ("agent", "outcome", "category", "month"))
             assert sum(grouped.values()) == committed.n_records
         assert cells and cells == grouped
+
+    def test_both_sources_fold_to_the_same_answers(self, run_dirs):
+        """The dashboard and the ``log_volume`` rule read request cells.
+
+        SERIES.json and the log store hold the same cells, so every
+        dashboard matrix (each known category and none) and every
+        per-(agent, month) volume the rule checks are the same from
+        either source.
+        """
+        payload, log_dir = run_dirs
+        from_series = request_cells(payload)
+        with LogStore.open(log_dir) as committed:
+            from_store = group_by(committed, REQUEST_CELL)
+            lines = timelines(committed)
+        assert from_series == from_store
+        categories = known_categories(from_series)
+        assert len(categories) > 1
+        assert categories == known_categories(from_store)
+        for category in [None, *categories]:
+            matrix = dashboard_matrix(from_series, category)
+            assert matrix and matrix == dashboard_matrix(from_store, category)
+
+        volume = {}
+        for (agent, month, _, _), count in from_series.items():
+            volume[agent, month] = volume.get((agent, month), 0) + count
+        assert volume == {
+            (agent, month): count
+            for agent, months in lines.items()
+            for month, count in months.items()
+        }
+        for agent, months in lines.items():
+            rule = AlertRule(name="volume", kind="log_volume",
+                             labels=(("agent", agent),), threshold=0)
+            (event,) = evaluate([rule], None, payload)
+            busiest = max(months, key=months.get)
+            assert event.context == {"agent": agent, "month": busiest}
+            assert event.value == months[busiest]

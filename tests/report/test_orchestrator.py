@@ -10,7 +10,6 @@ import multiprocessing
 
 import pytest
 
-from repro.cli import EXPERIMENT_IDS
 from repro.obs.metrics import shared_registry
 from repro.obs.series import shared_series
 from repro.obs.trace import shared_tracer, tracing_enabled
@@ -39,9 +38,6 @@ def store():
 
 
 class TestRegistry:
-    def test_registry_keys_match_the_cli(self):
-        assert sorted(experiment_keys()) == sorted(EXPERIMENT_IDS)
-
     def test_keys_and_result_ids_are_unique(self):
         keys = [spec.key for spec in EXPERIMENT_REGISTRY]
         ids = [spec.result_id for spec in EXPERIMENT_REGISTRY]

@@ -699,6 +699,16 @@ class TestLogs:
         assert main(["logs", log_store_dir, "verify"]) == 0
         assert "OK -- 5 record(s)" in capsys.readouterr().out
 
+    def test_outcome_agent_and_robots_rollups(self, log_store_dir, capsys):
+        assert main(["logs", log_store_dir, "top", "outcome"]) == 0
+        out = capsys.readouterr().out
+        assert "served" in out and "blocked_403" in out and "challenged" in out
+        assert main(["logs", log_store_dir, "top", "agent"]) == 0
+        assert "GPTBot" in capsys.readouterr().out
+        assert main(["logs", log_store_dir, "query", "--robots-only"]) == 0
+        out = capsys.readouterr().out
+        assert "/robots.txt" in out and "1 record(s) (of 5 in the store)" in out
+
     def test_missing_store_is_one_line_exit_two(self, tmp_path, capsys):
         assert main(["logs", str(tmp_path / "nope"), "verify"]) == 2
         err = capsys.readouterr().err
@@ -706,37 +716,41 @@ class TestLogs:
         assert "Traceback" not in err
 
 
-class TestStatsFromLogs:
-    def test_summarizes_outcomes_and_agents(self, log_store_dir, capsys):
-        assert main(["stats", log_store_dir, "--from-logs"]) == 0
-        out = capsys.readouterr().out
-        assert "5 record(s)" in out
-        assert "blocked_403" in out and "challenged" in out
-        assert "robots.txt fetches: 1" in out
-        assert "GPTBot" in out
-
-    def test_missing_store_is_one_line_error(self, tmp_path, capsys):
-        assert main(["stats", str(tmp_path), "--from-logs"]) == 2
-        assert "not a log store" in capsys.readouterr().err
-
-
 class TestDashboardFromLogs:
+    """A directory holding a log store and no SERIES.json is read as one."""
+
     def test_matrix_from_raw_records(self, log_store_dir, capsys):
-        assert main(["dashboard", log_store_dir, "--from-logs"]) == 0
+        assert main(["dashboard", log_store_dir]) == 0
         out = capsys.readouterr().out
         # GPTBot month 1: 1 request, 1 blocked; CCBot month 1 challenged.
         assert "1/1/0" in out and "1/0/1" in out
 
     def test_category_filter_and_unknown_category(self, log_store_dir, capsys):
-        assert main(["dashboard", log_store_dir, "--from-logs",
-                     "--category", "news"]) == 0
+        assert main(["dashboard", log_store_dir, "--category", "news"]) == 0
         out = capsys.readouterr().out
         assert "CCBot" in out and "GPTBot" not in out
-        assert main(["dashboard", log_store_dir, "--from-logs",
-                     "--category", "nosuch"]) == 2
+        assert main(["dashboard", log_store_dir, "--category", "nosuch"]) == 2
         err = capsys.readouterr().err
         assert "unknown category 'nosuch'" in err
         assert "art" in err and "news" in err
+        assert err.count("\n") == 1
+
+    def test_other_shards_are_not_a_log_store(self, tmp_path, capsys):
+        (tmp_path / "shard-0000").mkdir()  # e.g. a snapshot archive's shard
+        assert main(["dashboard", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"repro dashboard: missing telemetry artifact: "
+                       f"{tmp_path / 'SERIES.json'}\n")
+
+    def test_series_json_is_read_before_a_log_store(self, log_store_dir, capsys):
+        from pathlib import Path
+
+        from tests.obs.test_analyze import write_telemetry
+
+        write_telemetry(Path(log_store_dir))
+        assert main(["dashboard", log_store_dir]) == 0
+        out = capsys.readouterr().out
+        assert "25/5/0" in out and "1/1/0" not in out  # SERIES.json's cells
 
 
 class TestAlertsLogVolume:
@@ -751,8 +765,9 @@ class TestAlertsLogVolume:
 
         return write_telemetry(tmp_path / "t")
 
-    def test_breach_fires_with_log_store(self, telemetry, log_store_dir,
-                                         tmp_path, capsys):
+    def test_breach_fires_from_telemetry_alone(self, telemetry, tmp_path,
+                                              capsys):
+        # SERIES.json's GPTBot cells: month 0 10 requests, month 1 25.
         rules = self._rules(tmp_path, (
             '[[rule]]\n'
             'name = "gptbot-volume"\n'
@@ -760,34 +775,23 @@ class TestAlertsLogVolume:
             'labels = {agent = "GPTBot"}\n'
             'threshold = 1\n'
         ))
-        assert main(["alerts", str(telemetry), "--rules", rules,
-                     "--log-store", log_store_dir]) == 1
-        out = capsys.readouterr().out
-        assert "gptbot-volume" in out and "FIRING" in out
+        assert main(["alerts", str(telemetry), "--rules", rules]) == 1
+        assert capsys.readouterr().out == (
+            f"evaluated 1 rule(s) against {telemetry}\n"
+            "  [WARN ] gptbot-volume: log volume for GPTBot in month 1 "
+            "is 25 requests (above 1)\n"
+            "RESULT: FIRING -- 1 alert(s)\n"
+        )
 
-    def test_clean_threshold_exits_zero(self, telemetry, log_store_dir,
-                                        tmp_path, capsys):
+    def test_clean_threshold_exits_zero(self, telemetry, tmp_path, capsys):
         rules = self._rules(tmp_path, (
             '[[rule]]\n'
             'name = "gptbot-volume"\n'
             'kind = "log_volume"\n'
             'threshold = 100\n'
         ))
-        assert main(["alerts", str(telemetry), "--rules", rules,
-                     "--log-store", log_store_dir]) == 0
+        assert main(["alerts", str(telemetry), "--rules", rules]) == 0
         assert "RESULT: OK" in capsys.readouterr().out
-
-    def test_log_volume_without_store_is_operator_error(
-        self, telemetry, tmp_path, capsys
-    ):
-        rules = self._rules(tmp_path, (
-            '[[rule]]\n'
-            'name = "volume"\n'
-            'kind = "log_volume"\n'
-            'threshold = 1\n'
-        ))
-        assert main(["alerts", str(telemetry), "--rules", rules]) == 2
-        assert "--log-store" in capsys.readouterr().err
 
 
 class TestReproduceLogDir:
