@@ -312,13 +312,20 @@ class VerdictRow:
 
     @classmethod
     def of(cls, policy: RobotsPolicy) -> "VerdictRow":
-        """Classify *policy* once per agent, plus its wildcard level.
+        """Classify *policy* for each agent a group names, plus its
+        wildcard level.
 
-        No group token matches ``*``, so ``rules_for("*")`` resolves to
-        the merged wildcard rules.
+        An agent no group names classifies as explicit-only
+        ``NO_RESTRICTIONS`` without an explicit allow, so only named
+        agents run :func:`classify`.  No group token matches ``*``, so
+        ``rules_for("*")`` resolves to the merged wildcard rules.
         """
+        unnamed = _CELLS[RestrictionLevel.NO_RESTRICTIONS]
         cells = tuple(
-            _CELLS[_digit(classify(policy, agent))] for agent in AI_USER_AGENT_TOKENS
+            _CELLS[_digit(classify(policy, agent))]
+            if policy.rules_for(agent).explicit
+            else unnamed
+            for agent in AI_USER_AGENT_TOKENS
         )
         wildcard = classify(policy, "*", require_explicit=False).level
         return cls(cells, wildcard)

@@ -15,17 +15,16 @@ are ignored; all matching specific groups are merged, per the RFC's
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .matcher import Rule, Verdict, evaluate
 from .parser import Group, ParsedRobots, parse
 
 __all__ = ["extract_product_token", "RobotsPolicy"]
 
-_TOKEN_CHARS = frozenset(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-_"
-)
+_PRODUCT_TOKEN = re.compile(r"[A-Za-z0-9_-]*")
 
 
 def extract_product_token(user_agent: str) -> str:
@@ -47,22 +46,7 @@ def extract_product_token(user_agent: str) -> str:
     >>> extract_product_token("GPTBot/1.2 (+https://openai.com/gptbot)")
     'GPTBot'
     """
-    out = []
-    for ch in user_agent:
-        if ch in _TOKEN_CHARS:
-            out.append(ch)
-        else:
-            break
-    return "".join(out)
-
-
-def _agent_matches(group_token: str, crawler_token: str) -> bool:
-    """Whether a group's agent token governs a crawler product token."""
-    group_token = group_token.lower()
-    crawler_token = crawler_token.lower()
-    if not group_token:
-        return False
-    return crawler_token.startswith(group_token)
+    return _PRODUCT_TOKEN.match(user_agent).group()
 
 
 @dataclass(frozen=True)
@@ -83,13 +67,27 @@ class AgentRules:
     crawl_delay: Optional[float] = None
 
 
+def _merged(groups: Iterable[Group], explicit: bool) -> AgentRules:
+    """One :class:`AgentRules` from *groups*, merged in the given order."""
+    rules: List[Rule] = []
+    delay: Optional[float] = None
+    for group in groups:
+        rules.extend(group.rules)
+        if delay is None and group.crawl_delays:
+            delay = group.crawl_delays[0]
+    return AgentRules(rules=tuple(rules), explicit=explicit, crawl_delay=delay)
+
+
 class RobotsPolicy:
     """Queryable policy for one robots.txt file.
 
     Construct from raw text/bytes, or from an already-parsed
     :class:`~repro.core.parser.ParsedRobots` via :meth:`from_parsed`.
-    Group resolution runs once per distinct user agent (:meth:`rules_for`
-    is memoized) and each rule compiles its pattern once, so repeated
+    Construction indexes the groups by the agent tokens they name and
+    merges the ``User-agent: *`` groups once, so resolving an agent
+    scans the file's distinct named tokens only, and every agent no
+    group names shares the one wildcard answer.  :meth:`rules_for` is
+    memoized and each rule compiles its pattern once, so repeated
     queries only normalize the request path.  Answers are fixed at
     parse, so one policy may be shared across threads: a race on the
     memo only resolves the same rules twice.
@@ -106,6 +104,18 @@ class RobotsPolicy:
             self._parsed = source
         else:
             self._parsed = parse(source)
+        # Each lowercased non-wildcard token -> the indices of the groups
+        # naming it, in file order, each group once.  Tuples: every
+        # cached policy holds its index.
+        by_token: Dict[str, List[int]] = {}
+        for index, group in enumerate(self._parsed.groups):
+            for token in dict.fromkeys(group.agent_tokens()):
+                if token != "*":
+                    by_token.setdefault(token, []).append(index)
+        self._groups_by_token: Dict[str, Tuple[int, ...]] = {
+            token: tuple(indices) for token, indices in by_token.items()
+        }
+        self._wildcard_rules = _merged(self._parsed.wildcard_groups(), explicit=False)
         self._agent_rules: Dict[str, AgentRules] = {}
 
     @classmethod
@@ -134,7 +144,8 @@ class RobotsPolicy:
         entirely; among specific groups, only those with the *longest*
         matching token apply (the RFC's most-specific-match rule), and
         multiple groups with that token are merged.  Memoized per
-        *user_agent*.
+        *user_agent*; every agent no group names gets the same
+        wildcard-only object.
         """
         cached = self._agent_rules.get(user_agent)
         if cached is None:
@@ -142,48 +153,32 @@ class RobotsPolicy:
         return cached
 
     def _resolve(self, user_agent: str) -> AgentRules:
-        token = extract_product_token(user_agent) or user_agent
-        # Some agent names contain characters outside the product-token
-        # alphabet ("Kangaroo Bot", "ICC Crawler"); an exact full-string
-        # comparison covers those.
+        # A group token matches when it is a non-empty prefix of the
+        # crawler's product token.  Some agent names contain characters
+        # outside the product-token alphabet ("Kangaroo Bot", "ICC
+        # Crawler"); an exact full-string comparison covers those.
+        token = (extract_product_token(user_agent) or user_agent).lower()
         full = user_agent.strip().lower()
         best_len = -1
-        matched: List[Group] = []
-        for group in self._parsed.groups:
+        matched: Tuple[int, ...] = ()
+        for agent_token, indices in self._groups_by_token.items():
+            prefix = agent_token and token.startswith(agent_token)
+            if not prefix and agent_token != full:
+                continue
             # A group may list several tokens that match this crawler
             # (e.g. "foo" and "foobot"); its specificity is the longest.
-            group_len = max(
-                (
-                    len(agent_token)
-                    for agent_token in group.agent_tokens()
-                    if agent_token != "*"
-                    and (_agent_matches(agent_token, token) or agent_token == full)
-                ),
-                default=-1,
-            )
-            if group_len < 0:
-                continue
-            if group_len > best_len:
-                best_len = group_len
-                matched = [group]
-            elif group_len == best_len:
-                matched.append(group)
-        if matched:
-            rules: List[Rule] = []
-            delay: Optional[float] = None
-            for group in matched:
-                rules.extend(group.rules)
-                if delay is None and group.crawl_delays:
-                    delay = group.crawl_delays[0]
-            return AgentRules(rules=tuple(rules), explicit=True, crawl_delay=delay)
-
-        wildcard_rules: List[Rule] = []
-        delay = None
-        for group in self._parsed.wildcard_groups():
-            wildcard_rules.extend(group.rules)
-            if delay is None and group.crawl_delays:
-                delay = group.crawl_delays[0]
-        return AgentRules(rules=tuple(wildcard_rules), explicit=False, crawl_delay=delay)
+            if len(agent_token) > best_len:
+                best_len = len(agent_token)
+                matched = indices
+            elif len(agent_token) == best_len:
+                # Two distinct tokens of one length match only when a
+                # token starts with whitespace, which a parsed file never
+                # holds; merge both tokens' groups in file order.
+                matched = tuple(sorted(set(matched + indices)))
+        if not matched:
+            return self._wildcard_rules
+        groups = self._parsed.groups
+        return _merged((groups[i] for i in matched), explicit=True)
 
     def verdict(self, user_agent: str, path: str) -> Verdict:
         """Full evaluation result (winning rule included) for one fetch."""

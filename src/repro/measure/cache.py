@@ -43,6 +43,9 @@ class PolicyCache:
     ):
         self._compiled = compiled or shared_policy_cache().policy
         self._rows: Dict[str, VerdictRow] = {}
+        # Packed form -> the one row object every body with that row
+        # shares: far fewer distinct rows than distinct bodies.
+        self._interned: Dict[str, VerdictRow] = {}
         # Plain ints on the hot path; exported as gauges via publish()
         # (memo probe tallies are process-local observations).
         self._hits = 0
@@ -105,13 +108,16 @@ class PolicyCache:
             self._hits += 1
             return row
         if self._store is not None:
-            row = VerdictRow.unpack(self._store.get_row(digest))
+            packed = self._store.get_row(digest)
+            row = VerdictRow.unpack(packed)
             if row is not None:
                 self._persistent_hits += 1
-                self._rows[digest] = row
+                row = self._rows[digest] = self._interned.setdefault(packed, row)
                 return row
         self._misses += 1
-        row = self._rows[digest] = VerdictRow.of(self._compiled(text))
+        row = VerdictRow.of(self._compiled(text))
+        packed = row.pack()
+        row = self._rows[digest] = self._interned.setdefault(packed, row)
         if self._store is not None:
-            self._store.put_row(digest, row.pack())
+            self._store.put_row(digest, packed)
         return row

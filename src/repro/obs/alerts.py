@@ -175,8 +175,8 @@ def _rule_from_mapping(raw: object, index: int) -> AlertRule:
         raise AlertError(f"{where}: kind {kind!r} needs a 'series' or 'counter'")
     if kind == "log_volume" and (series is not None or counter is not None):
         raise AlertError(
-            f"{where}: kind 'log_volume' reads the log store, "
-            "not a 'series'/'counter' selector"
+            f"{where}: kind 'log_volume' reads the request cells of "
+            "SERIES.json's sim.requests series, not a 'series'/'counter' selector"
         )
     comparison = raw.get("comparison", "above")
     if comparison not in ("above", "below"):

@@ -351,9 +351,11 @@ class ShardReader:
         return self.body_digests[ref]
 
     def drop_body_cache(self) -> None:
-        """Release the decoded-body memo (streaming callers drop it per
-        shard so resident text never exceeds one shard's bodies)."""
+        """Release the decoded-body memo and the domain index (streaming
+        callers drop them per shard so resident state never exceeds one
+        shard's; the index rebuilds on the next lookup)."""
         self._bodies.texts.clear()
+        self._domain_index = None
 
     def probe(self) -> Dict[str, int]:
         """Point-in-time resource occupancy of this reader.

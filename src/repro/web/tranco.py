@@ -21,7 +21,7 @@ from ..util import seeded_rng
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Set
 
-from .domains import domain_name
+from .domains import domain_names
 
 __all__ = [
     "RankingModel",
@@ -111,10 +111,12 @@ class RankingModel:
             -math.log(rank + 1) + rng.gauss(0.0, 0.02)
             for rank in range(self.universe_size)
         ]
+        # Named once: every month's ranking shares these strings.
+        self._names: List[str] = domain_names(self.universe_size)
 
     def domain(self, site_index: int) -> str:
         """Domain of site *site_index* in the universe."""
-        return domain_name(site_index)
+        return self._names[site_index]
 
     def monthly_ranking(self, month: int) -> List[str]:
         """The top-``list_size`` domains for *month*, best first."""
@@ -124,7 +126,8 @@ class RankingModel:
             for i in range(self.universe_size)
         ]
         noisy.sort(reverse=True)
-        return [domain_name(i) for _, i in noisy[: self.list_size]]
+        names = self._names
+        return [names[i] for _, i in noisy[: self.list_size]]
 
     def monthly_rankings(self, months: Sequence[int]) -> Dict[int, List[str]]:
         """Rankings for each month in *months*."""

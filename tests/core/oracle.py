@@ -6,11 +6,20 @@ expression (``*`` is ``.*``, a trailing ``$`` anchors the end), and the
 evaluators try every rule on every query.  The only code shared with
 the engine is :func:`~repro.core.matcher.normalize_path`, the percent-
 encoding canonicalization both sides must agree on before comparing.
+
+Group resolution has a reference of the same kind: :func:`resolve`
+walks every group's tokens per query, where
+:class:`~repro.core.policy.RobotsPolicy` reads its token index, and
+:func:`verdict_row` classifies all 24 AI user agents plus ``*``, where
+:meth:`~repro.core.classify.VerdictRow.of` classifies only named ones.
 """
 
 import re
 
+from repro.agents.darkvisitors import AI_USER_AGENT_TOKENS
+from repro.core.classify import VerdictRow, classify
 from repro.core.matcher import Verdict, normalize_path
+from repro.core.policy import AgentRules
 
 
 def pattern_matches(pattern, path):
@@ -81,3 +90,74 @@ def agent_rules(groups, token):
     rules = [rule for group in chosen for rule in group.rules]
     delay = next((g.crawl_delays[0] for g in chosen if g.crawl_delays), None)
     return rules, best >= 0, delay
+
+
+# -- group resolution by walking every group ----------------------------------
+
+_TOKEN_CHARS = frozenset(
+    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-_"
+)
+
+
+def product_token(user_agent):
+    """The leading run of ``[A-Za-z0-9_-]`` characters, char by char."""
+    out = []
+    for ch in user_agent:
+        if ch in _TOKEN_CHARS:
+            out.append(ch)
+        else:
+            break
+    return "".join(out)
+
+
+def _agent_matches(group_token, crawler_token):
+    """Whether a group's agent token governs a crawler product token."""
+    group_token = group_token.lower()
+    crawler_token = crawler_token.lower()
+    if not group_token:
+        return False
+    return crawler_token.startswith(group_token)
+
+
+def resolve(parsed, user_agent):
+    """:class:`AgentRules` for a full *user_agent* string or token.
+
+    Walks every group and every token per query: a token matches when it
+    is a non-empty prefix of the crawler's product token or equals the
+    whole stripped, lowercased UA; a group's specificity is its longest
+    matching token; the groups of the longest specificity merge in file
+    order, and with none the ``*`` groups apply.
+    """
+    token = product_token(user_agent) or user_agent
+    full = user_agent.strip().lower()
+    best_len = -1
+    matched = []
+    for group in parsed.groups:
+        group_len = max(
+            (
+                len(agent_token)
+                for agent_token in group.agent_tokens()
+                if agent_token != "*"
+                and (_agent_matches(agent_token, token) or agent_token == full)
+            ),
+            default=-1,
+        )
+        if group_len < 0:
+            continue
+        if group_len > best_len:
+            best_len = group_len
+            matched = [group]
+        elif group_len == best_len:
+            matched.append(group)
+    chosen = matched or parsed.wildcard_groups()
+    rules = tuple(rule for group in chosen for rule in group.rules)
+    delay = next((g.crawl_delays[0] for g in chosen if g.crawl_delays), None)
+    return AgentRules(rules=rules, explicit=bool(matched), crawl_delay=delay)
+
+
+def verdict_row(policy):
+    """The verdict row as 25 :func:`classify` calls build it: one per AI
+    user agent, then ``*`` with wildcard rules counted."""
+    cells = tuple(classify(policy, agent) for agent in AI_USER_AGENT_TOKENS)
+    wildcard = classify(policy, "*", require_explicit=False).level
+    return VerdictRow(cells, wildcard)

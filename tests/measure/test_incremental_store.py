@@ -150,6 +150,21 @@ class TestPolicyCachePersistence:
         assert warm.stats["persistent_hits"] == 1
         assert warm.stats["misses"] == 0
 
+    def test_reopened_rows_are_interned(self, tmp_path):
+        """Two stored bodies with one packed row reopen as one object."""
+        twin = ROBOTS + "# another body, the same verdicts\n"
+        cold = PolicyCache()
+        store = IncrementalStore(tmp_path / "cache")
+        cold.attach_store(store)
+        cold.row(ROBOTS)
+        cold.row(twin)
+        store.flush()
+
+        warm = PolicyCache()
+        warm.attach_store(IncrementalStore(tmp_path / "cache"))
+        assert warm.row(ROBOTS) is warm.row(twin)
+        assert warm.stats["persistent_hits"] == 2
+
     def test_detached_cache_still_computes(self):
         cache = PolicyCache()
         cache.attach_store(None)

@@ -27,6 +27,7 @@ from repro.measure.longitudinal import collect_snapshots
 from repro.web.population import PopulationConfig, build_web_population
 
 from ..core.test_compiled import ROBOTS_SAMPLES
+from ..core.test_resolver_differential import assert_matches_oracle
 
 CONFIG = PopulationConfig(
     universe_size=450, list_size=300, top5k_cut=40, audit_size=80, seed=11
@@ -129,6 +130,13 @@ class TestCacheAgreesWithUncachedPath:
             "hits": 2, "misses": 1, "persistent_hits": 0, "entries": 1
         }
 
+    def test_bodies_with_one_row_share_the_row_object(self):
+        cache = PolicyCache()
+        first = cache.row("User-agent: GPTBot\nDisallow: /\n")
+        second = cache.row("User-agent: GPTBot\nDisallow: /\n# twin\n")
+        assert first is second
+        assert cache.stats["entries"] == 2
+
     def test_agent_outside_the_vocabulary_raises(self):
         row = PolicyCache().row("User-agent: *\nDisallow: /\n")
         with pytest.raises(ValueError):
@@ -190,6 +198,13 @@ class TestVerdictRowDifferential:
         assert len(bodies) > 50
         for text in bodies:
             self._check(text)
+
+    def test_every_distinct_body_matches_the_oracles(self, world):
+        """The token-indexed resolver and the named-agents-only row
+        agree with the group walk and the 25-call row on every body."""
+        _, series = world
+        for text in _distinct_bodies(series):
+            assert_matches_oracle(text)
 
     def test_the_world_exercises_every_cell_kind(self, world):
         """Explicit, wildcard-only, allow and full cells all occur, so

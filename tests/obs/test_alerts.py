@@ -277,7 +277,7 @@ class TestLogVolume:
             'series = "sim.requests"\n'
             'threshold = 1\n'
         )
-        with pytest.raises(AlertError, match="reads the log store"):
+        with pytest.raises(AlertError, match="reads the request cells of SERIES.json's sim.requests series"):
             load_rules(path)
 
 

@@ -252,6 +252,16 @@ class TestProbes:
         reader.close()
         assert reader.probe()["mapped_bytes"] == 0
 
+    def test_drop_body_cache_drops_the_domain_index(self, archive_root):
+        reader = ShardReader(archive_root / shard_dir_name(0))
+        index = reader.domain_index()
+        reader.body_text(0)
+        reader.drop_body_cache()
+        assert reader.probe()["body_cache_entries"] == 0
+        rebuilt = reader.domain_index()
+        assert rebuilt is not index and rebuilt == index
+        reader.close()
+
     def test_publish_probes_gauges_per_shard(self, archive_root):
         from repro.obs.metrics import MetricsRegistry
 
