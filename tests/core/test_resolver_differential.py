@@ -161,7 +161,7 @@ class TestCorpus:
     def test_generated_bodies(self, groups):
         assert_matches_oracle(_body(groups))
 
-    def test_corner_cases_are_present(self):
+    def test_hand_written_corner_cases(self):
         """Hand-written bodies for each corner the strategy aims at."""
         bodies = [
             # A token repeated within one group and across groups.
