@@ -15,6 +15,10 @@ This bench quantifies that claim two ways and records it in
   counter and the whole run crossed its spans, the added time must be
   under 1% of the measured pipeline wall clock.
 
+Beside the implied operation counts it records ``measured_ops``: the
+calls one cold Figure 2 pass with telemetry disabled actually makes into
+:mod:`repro.obs`, by callee, counted with a profile hook.
+
 Each number is the median of :data:`PASSES` timed passes (the Figure 2
 passes each over fresh caches), so one pass slowed by a noisy
 neighbour moves neither side of the ratio.
@@ -23,9 +27,12 @@ neighbour moves neither side of the ratio.
 from __future__ import annotations
 
 import json
+import os
 import statistics
+import sys
 import time
 
+import repro.obs
 from repro.core.compiled import CompiledPolicyCache
 from repro.measure.cache import PolicyCache
 from repro.measure.longitudinal import SnapshotSeries, full_disallow_trend
@@ -81,6 +88,33 @@ def _measure_disabled_costs() -> dict:
     return costs
 
 
+def _count_obs_crossings(run) -> dict:
+    """Call *run* once with telemetry disabled and count its calls into
+    :mod:`repro.obs` from outside that package, keyed by callee
+    (``module:qualname``)."""
+    obs_dir = os.path.join(os.path.dirname(repro.obs.__file__), "")
+    counts: dict = {}
+
+    def hook(frame, event, arg):
+        if event != "call" or not frame.f_code.co_filename.startswith(obs_dir):
+            return
+        caller = frame.f_back
+        if caller is not None and caller.f_code.co_filename.startswith(obs_dir):
+            return
+        key = f"{frame.f_globals['__name__']}:{frame.f_code.co_qualname}"
+        counts[key] = counts.get(key, 0) + 1
+
+    assert not tracing_enabled()
+    set_metrics_enabled(False)
+    sys.setprofile(hook)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+        set_metrics_enabled(True)
+    return dict(sorted(counts.items()))
+
+
 def test_disabled_telemetry_per_op_cost(artifact_dir):
     costs = _measure_disabled_costs()
     for name, seconds in costs.items():
@@ -100,13 +134,16 @@ def test_disabled_telemetry_overhead_on_figure2(longitudinal_bundle, artifact_di
     # same work bench_fig2_disallow_trend measures on a fresh session.
     series = longitudinal_bundle.series
 
-    def cold_pass() -> float:
-        cold = SnapshotSeries(
+    def cold_series() -> SnapshotSeries:
+        return SnapshotSeries(
             snapshots=series.snapshots,
             stable_domains=series.stable_domains,
             tiers=series.tiers,
             cache=PolicyCache(compiled=CompiledPolicyCache().policy),
         )
+
+    def cold_pass() -> float:
+        cold = cold_series()
         start = time.perf_counter()
         rows = full_disallow_trend(cold)
         seconds = time.perf_counter() - start
@@ -114,6 +151,8 @@ def test_disabled_telemetry_overhead_on_figure2(longitudinal_bundle, artifact_di
         return seconds
 
     fig2_seconds = statistics.median(cold_pass() for _ in range(PASSES))
+    cold = cold_series()
+    measured_ops = _count_obs_crossings(lambda: full_disallow_trend(cold))
 
     # Worst-case instrumentation density on the Figure 2 path: one
     # disabled counter *and* one disabled time-series point per
@@ -134,6 +173,7 @@ def test_disabled_telemetry_overhead_on_figure2(longitudinal_bundle, artifact_di
         "passes": PASSES,
         "figure2_seconds": round(fig2_seconds, 6),
         "implied_ops": {"counters": n_counter_ops, "spans": n_span_ops},
+        "measured_ops": measured_ops,
         "implied_overhead_pct": round(implied_pct, 4),
     }
     (artifact_dir / "OBS_OVERHEAD.json").write_text(
