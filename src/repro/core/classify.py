@@ -21,6 +21,11 @@ The module also detects the *reverse* intent studied in Section 3.4:
 sites whose robots.txt explicitly allows an AI crawler (e.g. an
 ``Allow: /`` group naming GPTBot).
 
+Both answers are properties of the merged rule set an agent resolves
+to (:class:`~repro.core.policy.AgentRules`), which a policy shares among
+every agent matching the same groups, so each is computed once per
+distinct rule set; :func:`classify` reads them.
+
 Every Section 3 statistic depends only on how one body classifies for
 each of the 24 AI user agents, so a body's verdicts are computed once,
 into a :class:`VerdictRow`: one explicit-only :class:`Classification`
@@ -33,14 +38,12 @@ stores persist under the body's SHA-256.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple, Union
 
 from ..agents.darkvisitors import AI_USER_AGENT_TOKENS
 from .compiled import shared_policy_cache
-from .matcher import Rule, evaluate, normalize_path
-from .policy import RobotsPolicy
+from .policy import RestrictionLevel, RobotsPolicy, classify_rules
 
 __all__ = [
     "RestrictionLevel",
@@ -53,24 +56,6 @@ __all__ = [
     "explicitly_allows",
     "fully_disallows_any",
 ]
-
-
-class RestrictionLevel(enum.IntEnum):
-    """How restricted a crawler is by a site's robots.txt.
-
-    Ordering is meaningful: higher values are more restrictive, so
-    aggregations can use ``max`` across agents.
-    """
-
-    NO_ROBOTS = 0
-    NO_RESTRICTIONS = 1
-    PARTIAL = 2
-    FULL = 3
-
-    @property
-    def disallows(self) -> bool:
-        """Whether this level reflects any disallowing at all."""
-        return self in (RestrictionLevel.PARTIAL, RestrictionLevel.FULL)
 
 
 @dataclass(frozen=True)
@@ -89,57 +74,21 @@ class Classification:
     explicit_allow: bool = False
 
 
-def _rules_disallow_everything(rules: Iterable[Rule]) -> bool:
-    """Whether the merged rule set denies every possible path.
-
-    A rule set is fully-disallowing when a disallow rule matches the
-    root ``/`` with a pattern that matches *all* paths (``/``, ``*`` or a
-    pure-wildcard variant), and no allow rule can ever beat it.  An
-    allow rule beats the blanket disallow on the paths it matches when
-    its priority is greater than or equal to the disallow's priority
-    (ties go to allow).
-    """
-    rules = list(rules)
-    blanket_priority: Optional[int] = None
-    for rule in rules:
-        if rule.allow or rule.is_empty:
-            continue
-        stripped = rule.path.rstrip("*")
-        if stripped in ("", "/"):
-            priority = rule.pattern.priority
-            if blanket_priority is None or priority > blanket_priority:
-                blanket_priority = priority
-    if blanket_priority is None:
-        return False
-    for rule in rules:
-        if not rule.allow or rule.is_empty:
-            continue
-        if rule.pattern.priority >= blanket_priority:
-            return False
-    return True
+#: Every possible classification, indexed by its packed digit
+#: (:func:`_digit`): :func:`classify` and the verdict rows hand out these
+#: sixteen objects instead of building one per (body, agent).
+_CELLS: Tuple[Classification, ...] = tuple(
+    Classification(
+        level=RestrictionLevel(digit & 3),
+        explicit=bool(digit & 4),
+        explicit_allow=bool(digit & 8),
+    )
+    for digit in range(16)
+)
 
 
-def _witness_path(rule: Rule) -> Optional[str]:
-    """A concrete path *rule*'s pattern matches, or None when unmatchable.
-
-    Built by anchoring off the ``$`` terminator and replacing each ``*``
-    with a literal character.  Patterns that do not start with ``/`` (or
-    a wildcard that can absorb the leading slash) never match any
-    normalized request path and yield None.
-    """
-    pattern = rule.path
-    body = pattern[:-1] if pattern.endswith("$") else pattern
-    witness = body.replace("*", "x")
-    if not witness:
-        return None
-    if not witness.startswith("/"):
-        if body.startswith("*"):
-            witness = "/" + body[1:].replace("*", "x")
-        else:
-            return None
-    if not rule.pattern.matches(normalize_path(witness)):
-        return None
-    return witness
+def _digit(cell: Classification) -> int:
+    return int(cell.level) | cell.explicit << 2 | cell.explicit_allow << 3
 
 
 def _policy(robots_txt: Union[str, bytes, RobotsPolicy]) -> RobotsPolicy:
@@ -147,35 +96,6 @@ def _policy(robots_txt: Union[str, bytes, RobotsPolicy]) -> RobotsPolicy:
     if isinstance(robots_txt, RobotsPolicy):
         return robots_txt
     return shared_policy_cache().policy(robots_txt)
-
-
-def classify_rules(rules: Iterable[Rule]) -> RestrictionLevel:
-    """Classify a merged rule set into a restriction level.
-
-    A set is ``FULL`` when a blanket disallow covers every path and no
-    allow rule can ever beat it; it is ``PARTIAL`` when at least one
-    disallow rule *wins* somewhere, established by evaluating a witness
-    path derived from the rule's own pattern.  (The witness construction
-    is a heuristic: a pathological allow rule could match the chosen
-    witness yet miss other paths the disallow covers.  No such file
-    occurs in this study's corpora.)
-
-    >>> classify_rules([Rule(allow=False, path="/")])
-    <RestrictionLevel.FULL: 3>
-    >>> classify_rules([])
-    <RestrictionLevel.NO_RESTRICTIONS: 1>
-    """
-    effective = [r for r in rules if not r.is_empty]
-    disallows = [r for r in effective if not r.allow]
-    if not disallows:
-        return RestrictionLevel.NO_RESTRICTIONS
-    if _rules_disallow_everything(effective):
-        return RestrictionLevel.FULL
-    for rule in disallows:
-        witness = _witness_path(rule)
-        if witness is not None and not evaluate(effective, witness).allowed:
-            return RestrictionLevel.PARTIAL
-    return RestrictionLevel.NO_RESTRICTIONS
 
 
 def classify(
@@ -199,18 +119,17 @@ def classify(
     'FULL'
     """
     if robots_txt is None:
-        return Classification(level=RestrictionLevel.NO_ROBOTS)
-    policy = _policy(robots_txt)
-    agent_rules = policy.rules_for(user_agent)
-    allow = explicitly_allows(policy, user_agent)
+        return _CELLS[RestrictionLevel.NO_ROBOTS]
+    agent_rules = _policy(robots_txt).rules_for(user_agent)
     if require_explicit and not agent_rules.explicit:
-        return Classification(
-            level=RestrictionLevel.NO_RESTRICTIONS,
-            explicit=False,
-            explicit_allow=allow,
-        )
-    level = classify_rules(agent_rules.rules)
-    return Classification(level=level, explicit=agent_rules.explicit, explicit_allow=allow)
+        return _CELLS[RestrictionLevel.NO_RESTRICTIONS]
+    # The rule set's level and explicit allow are computed once per
+    # distinct set of matched groups, not once per agent.
+    return _CELLS[
+        agent_rules.level
+        | agent_rules.explicit << 2
+        | agent_rules.explicit_allow << 3
+    ]
 
 
 def explicitly_allows(
@@ -225,16 +144,7 @@ def explicitly_allows(
         User-agent: GPTBot
         Allow: /
     """
-    agent_rules = _policy(policy).rules_for(user_agent)
-    if not agent_rules.explicit:
-        return False
-    has_root_allow = any(
-        rule.allow and rule.pattern is not None and rule.pattern.matches("/")
-        for rule in agent_rules.rules
-    )
-    if not has_root_allow:
-        return False
-    return classify_rules(agent_rules.rules) is RestrictionLevel.NO_RESTRICTIONS
+    return _policy(policy).rules_for(user_agent).explicit_allow
 
 
 def fully_disallows_any(
@@ -272,21 +182,6 @@ _AGENT_INDEX: Dict[str, int] = {
     agent: i for i, agent in enumerate(AI_USER_AGENT_TOKENS)
 }
 
-#: Every possible cell, indexed by its packed digit: rows share these
-#: sixteen objects instead of holding one per (body, agent).
-_CELLS: Tuple[Classification, ...] = tuple(
-    Classification(
-        level=RestrictionLevel(digit & 3),
-        explicit=bool(digit & 4),
-        explicit_allow=bool(digit & 8),
-    )
-    for digit in range(16)
-)
-
-
-def _digit(cell: Classification) -> int:
-    return int(cell.level) | cell.explicit << 2 | cell.explicit_allow << 3
-
 
 def _agent_index(agent: str) -> int:
     index = _AGENT_INDEX.get(agent)
@@ -322,9 +217,7 @@ class VerdictRow:
         """
         unnamed = _CELLS[RestrictionLevel.NO_RESTRICTIONS]
         cells = tuple(
-            _CELLS[_digit(classify(policy, agent))]
-            if policy.rules_for(agent).explicit
-            else unnamed
+            classify(policy, agent) if policy.rules_for(agent).explicit else unnamed
             for agent in AI_USER_AGENT_TOKENS
         )
         wildcard = classify(policy, "*", require_explicit=False).level

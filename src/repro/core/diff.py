@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
-from .classify import RestrictionLevel, classify, explicitly_allows
+from .classify import RestrictionLevel, classify
 from .compiled import shared_policy_cache
-from .serialize import agents_mentioned
+from .policy import RobotsPolicy
 
 __all__ = ["AgentChange", "RobotsDiff", "diff_robots", "ChangeKind", "classify_change"]
 
@@ -55,8 +55,8 @@ class RobotsDiff:
         agents_added: Agents named only in the new version.
         agents_removed: Agents named only in the old version.
         allow_gained: Agents explicitly allowed only in the new version.
-        wildcard_changed: Whether the ``*`` group's effective rules
-            changed (probed on representative paths).
+        wildcard_changed: Whether the merged ``*`` rules (the rules every
+            agent no group names gets) changed.
     """
 
     changes: List[AgentChange] = field(default_factory=list)
@@ -84,7 +84,24 @@ class RobotsDiff:
         return [c.agent for c in self.changes if c.loosened]
 
 
-_WILDCARD_PROBES = ("/", "/admin/", "/images/a.png", "/blog/post", "/search?q=x")
+def _named(policy: Optional[RobotsPolicy]) -> Set[str]:
+    """The agents a group of *policy* names, less ``*`` and the empty
+    ``User-agent:`` value."""
+    if policy is None:
+        return set()
+    return set(policy.named_agents()) - {"*", ""}
+
+
+def _wildcard_rules(policy: Optional[RobotsPolicy]) -> Optional[List[Tuple[bool, str]]]:
+    """The merged ``*`` rules as a sorted ``(allow, path)`` multiset.
+
+    Longest-match evaluation depends only on this multiset (an empty
+    pattern matches nothing), so equal multisets decide every path
+    alike.
+    """
+    if policy is None:
+        return None
+    return sorted((rule.allow, rule.path) for rule in policy.wildcard_rules.rules if rule.path)
 
 
 def diff_robots(
@@ -99,61 +116,33 @@ def diff_robots(
         agents: Agents to compare.  Defaults to the union of agents
             named in either version.
     """
-    named_before = set(agents_mentioned(before)) if before else set()
-    named_after = set(agents_mentioned(after)) if after else set()
+    # Each version is parsed at most once per process: the shared
+    # content-addressed compile cache hands back one memoized policy per
+    # distinct body, whose groups also list the agents it names.
+    cache = shared_policy_cache()
+    policy_before = cache.policy(before) if before is not None else None
+    policy_after = cache.policy(after) if after is not None else None
+    named_before = _named(policy_before)
+    named_after = _named(policy_after)
     probe_agents: Iterable[str]
     if agents is None:
-        probe_agents = sorted((named_before | named_after) - {"*"})
+        probe_agents = sorted(named_before | named_after)
     else:
         probe_agents = agents
 
     diff = RobotsDiff()
-    diff.agents_added = sorted(a for a in named_after - named_before if a != "*")
-    diff.agents_removed = sorted(a for a in named_before - named_after if a != "*")
-
-    # Each version is parsed at most once per process: the shared
-    # content-addressed compile cache hands back one memoized policy per
-    # distinct body, so probing N agents costs one parse, not N.
-    cache = shared_policy_cache()
-    policy_before = cache.policy(before) if before is not None else None
-    policy_after = cache.policy(after) if after is not None else None
+    diff.agents_added = sorted(named_after - named_before)
+    diff.agents_removed = sorted(named_before - named_after)
 
     for agent in probe_agents:
-        level_before = classify(policy_before, agent).level
-        level_after = classify(policy_after, agent).level
-        if level_before is not level_after:
-            diff.changes.append(AgentChange(agent, level_before, level_after))
-        allowed_before = policy_before is not None and explicitly_allows(policy_before, agent)
-        allowed_after = policy_after is not None and explicitly_allows(policy_after, agent)
-        if allowed_after and not allowed_before:
+        cell_before = classify(policy_before, agent)
+        cell_after = classify(policy_after, agent)
+        if cell_before.level is not cell_after.level:
+            diff.changes.append(AgentChange(agent, cell_before.level, cell_after.level))
+        if cell_after.explicit_allow and not cell_before.explicit_allow:
             diff.allow_gained.append(agent)
 
-    # Wildcard comparison is structural (the effective rule multiset of
-    # the "*" groups) so arbitrary path edits are caught, with probe
-    # paths as a belt-and-braces semantic check.
-    def wildcard_rules(policy):
-        if policy is None:
-            return None
-        rules = policy.rules_for("generic-probe-bot").rules
-        return sorted((rule.allow, rule.path) for rule in rules if rule.path)
-
-    if wildcard_rules(policy_before) != wildcard_rules(policy_after):
-        diff.wildcard_changed = True
-    else:
-        for path in _WILDCARD_PROBES:
-            verdict_before = (
-                policy_before.is_allowed("generic-probe-bot", path)
-                if policy_before
-                else True
-            )
-            verdict_after = (
-                policy_after.is_allowed("generic-probe-bot", path)
-                if policy_after
-                else True
-            )
-            if verdict_before != verdict_after:
-                diff.wildcard_changed = True
-                break
+    diff.wildcard_changed = _wildcard_rules(policy_before) != _wildcard_rules(policy_after)
     return diff
 
 

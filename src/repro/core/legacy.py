@@ -24,15 +24,18 @@ The legacy bugs, each individually toggleable:
 Only the grouping and agent matching are its own: the first four quirks
 live in :meth:`LegacyPolicy._parse` and :meth:`LegacyPolicy._match_agent`
 (case-sensitive, split on ``/``, no longest-token rule), which share
-almost nothing with :class:`~repro.core.policy.RobotsPolicy`.  Path
-matching goes through the compliant matcher's :class:`Rule` objects,
-so each rule compiles once per policy, not once per query.
+almost nothing with :class:`~repro.core.policy.RobotsPolicy`.  A legacy
+policy may group an existing token stream (a compliant parse's
+``source_lines``), so comparing the two parsers tokenizes a body once.
+Path matching goes through the compliant matcher's :class:`Rule`
+objects, so each rule compiles once per policy, not once per query,
+and per-agent resolution is memoized as in ``RobotsPolicy``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .lexer import Line, LineKind, tokenize
 from .matcher import Rule, Verdict, evaluate, first_match
@@ -69,6 +72,10 @@ class _LegacyGroup:
 class LegacyPolicy:
     """Policy built by the buggy parser; mirrors RobotsPolicy's surface.
 
+    Construct from raw text/bytes or from the token stream
+    :func:`~repro.core.lexer.tokenize` returns for it (for instance a
+    compliant parse's ``source_lines``); both group alike.
+
     >>> text = "User-agent: GPTBot\\nUser-agent: CCBot\\nDisallow: /"
     >>> LegacyPolicy(text).is_allowed("GPTBot", "/x")  # bug: group lost
     True
@@ -78,11 +85,13 @@ class LegacyPolicy:
 
     def __init__(
         self,
-        source: Union[str, bytes],
+        source: Union[str, bytes, Sequence[Line]],
         quirks: LegacyQuirks = LegacyQuirks(),
     ):
         self.quirks = quirks
-        self._groups = self._parse(tokenize(source))
+        lines = tokenize(source) if isinstance(source, (str, bytes)) else source
+        self._groups = self._parse(lines)
+        self._agent_rules: Dict[str, Tuple[Rule, ...]] = {}
 
     def _parse(self, lines: Sequence[Line]) -> List[_LegacyGroup]:
         groups: List[_LegacyGroup] = []
@@ -133,8 +142,15 @@ class LegacyPolicy:
             return token.startswith(group_agent)
         return token.lower().startswith(group_agent.lower())
 
-    def rules_for(self, user_agent: str) -> List[Rule]:
-        """Rules the legacy parser believes apply to *user_agent*."""
+    def rules_for(self, user_agent: str) -> Tuple[Rule, ...]:
+        """Rules the legacy parser believes apply to *user_agent*
+        (memoized per *user_agent*)."""
+        cached = self._agent_rules.get(user_agent)
+        if cached is None:
+            cached = self._agent_rules[user_agent] = self._resolve(user_agent)
+        return cached
+
+    def _resolve(self, user_agent: str) -> Tuple[Rule, ...]:
         token = user_agent.split("/", 1)[0].strip()
         specific: List[Rule] = []
         wildcard: List[Rule] = []
@@ -146,14 +162,18 @@ class LegacyPolicy:
                 if self._match_agent(agent, token):
                     specific.extend(group.rules)
                     break
-        return specific if specific else wildcard
+        return tuple(specific if specific else wildcard)
 
-    def verdict(self, user_agent: str, path: str) -> Verdict:
-        """Evaluate one fetch with the configured match discipline."""
-        rules = self.rules_for(user_agent)
+    def decide(self, rules: Sequence[Rule], path: str) -> Verdict:
+        """Evaluate *path* against *rules* (as :meth:`rules_for` returns
+        them) with the configured match discipline."""
         if self.quirks.first_match:
             return first_match(rules, path)
         return evaluate(rules, path)
+
+    def verdict(self, user_agent: str, path: str) -> Verdict:
+        """Evaluate one fetch with the configured match discipline."""
+        return self.decide(self.rules_for(user_agent), path)
 
     def is_allowed(self, user_agent: str, path: str) -> bool:
         """Whether the legacy parser would permit the fetch."""

@@ -16,13 +16,15 @@ longest, and when an allow and a disallow rule tie in length, the allow
 rule wins (least-restrictive tie break).
 
 Every evaluator reads :attr:`Rule.pattern`, the rule's pattern compiled
-once on first use, so a query normalizes only the request path.
+once on first use, so a query normalizes only the request path, and
+:func:`normalize_path` remembers recent paths, so a repeated probe path
+normalizes once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 from urllib.parse import quote, unquote
 
@@ -40,13 +42,21 @@ __all__ = [
 #: plus sub-delims plus the path/query structural characters.
 _SAFE = "/~!$&'()*+,;=:@%-._"
 
+#: How many distinct paths :func:`normalize_path` remembers.  A cold
+#: battery normalizes a few hundred distinct patterns and request paths;
+#: the bound only caps what a crawl of many distinct URLs can pin.
+NORMALIZE_MEMO_SIZE = 1024
 
+
+@lru_cache(maxsize=NORMALIZE_MEMO_SIZE)
 def normalize_path(path: str) -> str:
     """Return a canonical percent-encoded form of *path*.
 
     The path is percent-decoded and re-encoded with a fixed safe set so
     that two spellings of the same path compare equal.  An empty path is
-    normalized to ``/`` as required by the RFC.
+    normalized to ``/`` as required by the RFC.  Memoized for the
+    :data:`NORMALIZE_MEMO_SIZE` most recent distinct paths, so every
+    query of one probe path after the first is a dict probe.
 
     >>> normalize_path("/a%3cd.html")
     '/a%3Cd.html'

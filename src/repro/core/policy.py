@@ -11,18 +11,31 @@ the crawler's product token (so a ``googlebot`` group governs
 ``Googlebot-Image``).  When any specific group matches, wildcard groups
 are ignored; all matching specific groups are merged, per the RFC's
 "combine into one group" requirement.
+
+Each merged rule set (:class:`AgentRules`) also answers *how restricted
+is X*: its :class:`RestrictionLevel` and Section 3.4's explicit allow,
+computed once per distinct rule set.  :mod:`repro.core.classify` builds
+the paper's per-site classification on those answers.
 """
 
 from __future__ import annotations
 
+import enum
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .matcher import Rule, Verdict, evaluate
+from .matcher import Rule, Verdict, evaluate, normalize_path
 from .parser import Group, ParsedRobots, parse
 
-__all__ = ["extract_product_token", "RobotsPolicy"]
+__all__ = [
+    "AgentRules",
+    "RestrictionLevel",
+    "RobotsPolicy",
+    "classify_rules",
+    "extract_product_token",
+]
 
 _PRODUCT_TOKEN = re.compile(r"[A-Za-z0-9_-]*")
 
@@ -49,9 +62,113 @@ def extract_product_token(user_agent: str) -> str:
     return _PRODUCT_TOKEN.match(user_agent).group()
 
 
+class RestrictionLevel(enum.IntEnum):
+    """How restricted a crawler is by a site's robots.txt.
+
+    Ordering is meaningful: higher values are more restrictive, so
+    aggregations can use ``max`` across agents.
+    """
+
+    NO_ROBOTS = 0
+    NO_RESTRICTIONS = 1
+    PARTIAL = 2
+    FULL = 3
+
+    @property
+    def disallows(self) -> bool:
+        """Whether this level reflects any disallowing at all."""
+        return self in (RestrictionLevel.PARTIAL, RestrictionLevel.FULL)
+
+
+def _rules_disallow_everything(rules: Iterable[Rule]) -> bool:
+    """Whether the merged rule set denies every possible path.
+
+    A rule set is fully-disallowing when a disallow rule matches the
+    root ``/`` with a pattern that matches *all* paths (``/``, ``*`` or a
+    pure-wildcard variant), and no allow rule can ever beat it.  An
+    allow rule beats the blanket disallow on the paths it matches when
+    its priority is greater than or equal to the disallow's priority
+    (ties go to allow).
+    """
+    rules = list(rules)
+    blanket_priority: Optional[int] = None
+    for rule in rules:
+        if rule.allow or rule.is_empty:
+            continue
+        stripped = rule.path.rstrip("*")
+        if stripped in ("", "/"):
+            priority = rule.pattern.priority
+            if blanket_priority is None or priority > blanket_priority:
+                blanket_priority = priority
+    if blanket_priority is None:
+        return False
+    for rule in rules:
+        if not rule.allow or rule.is_empty:
+            continue
+        if rule.pattern.priority >= blanket_priority:
+            return False
+    return True
+
+
+def _witness_path(rule: Rule) -> Optional[str]:
+    """A concrete path *rule*'s pattern matches, or None when unmatchable.
+
+    Built by anchoring off the ``$`` terminator and replacing each ``*``
+    with a literal character.  Patterns that do not start with ``/`` (or
+    a wildcard that can absorb the leading slash) never match any
+    normalized request path and yield None.
+    """
+    pattern = rule.path
+    body = pattern[:-1] if pattern.endswith("$") else pattern
+    witness = body.replace("*", "x")
+    if not witness:
+        return None
+    if not witness.startswith("/"):
+        if body.startswith("*"):
+            witness = "/" + body[1:].replace("*", "x")
+        else:
+            return None
+    if not rule.pattern.matches(normalize_path(witness)):
+        return None
+    return witness
+
+
+def classify_rules(rules: Iterable[Rule]) -> RestrictionLevel:
+    """Classify a merged rule set into a restriction level.
+
+    A set is ``FULL`` when a blanket disallow covers every path and no
+    allow rule can ever beat it; it is ``PARTIAL`` when at least one
+    disallow rule *wins* somewhere, established by evaluating a witness
+    path derived from the rule's own pattern.  (The witness construction
+    is a heuristic: a pathological allow rule could match the chosen
+    witness yet miss other paths the disallow covers.  No such file
+    occurs in this study's corpora.)
+
+    >>> classify_rules([Rule(allow=False, path="/")])
+    <RestrictionLevel.FULL: 3>
+    >>> classify_rules([])
+    <RestrictionLevel.NO_RESTRICTIONS: 1>
+    """
+    effective = [r for r in rules if not r.is_empty]
+    disallows = [r for r in effective if not r.allow]
+    if not disallows:
+        return RestrictionLevel.NO_RESTRICTIONS
+    if _rules_disallow_everything(effective):
+        return RestrictionLevel.FULL
+    for rule in disallows:
+        witness = _witness_path(rule)
+        if witness is not None and not evaluate(effective, witness).allowed:
+            return RestrictionLevel.PARTIAL
+    return RestrictionLevel.NO_RESTRICTIONS
+
+
 @dataclass(frozen=True)
 class AgentRules:
     """The merged rule set that applies to one crawler.
+
+    A policy hands out one object per distinct set of matched groups,
+    so every agent those groups govern shares it, and its :attr:`level`
+    and :attr:`explicit_allow` are computed once, on first use.
 
     Attributes:
         rules: Merged rules from every applicable group, in file order.
@@ -65,6 +182,25 @@ class AgentRules:
     rules: Sequence[Rule]
     explicit: bool
     crawl_delay: Optional[float] = None
+
+    @cached_property
+    def level(self) -> RestrictionLevel:
+        """:func:`classify_rules` of :attr:`rules`."""
+        return classify_rules(self.rules)
+
+    @cached_property
+    def explicit_allow(self) -> bool:
+        """Section 3.4's reverse intent: the rules come from a group
+        naming the agent, an ``Allow`` rule covers the root, and nothing
+        is disallowed anywhere."""
+        return (
+            self.explicit
+            and any(
+                rule.allow and rule.pattern is not None and rule.pattern.matches("/")
+                for rule in self.rules
+            )
+            and self.level is RestrictionLevel.NO_RESTRICTIONS
+        )
 
 
 def _merged(groups: Iterable[Group], explicit: bool) -> AgentRules:
@@ -85,12 +221,14 @@ class RobotsPolicy:
     :class:`~repro.core.parser.ParsedRobots` via :meth:`from_parsed`.
     Construction indexes the groups by the agent tokens they name and
     merges the ``User-agent: *`` groups once, so resolving an agent
-    scans the file's distinct named tokens only, and every agent no
-    group names shares the one wildcard answer.  :meth:`rules_for` is
-    memoized and each rule compiles its pattern once, so repeated
-    queries only normalize the request path.  Answers are fixed at
-    parse, so one policy may be shared across threads: a race on the
-    memo only resolves the same rules twice.
+    scans the file's distinct named tokens only.  Every agent that
+    resolves to the same groups shares one :class:`AgentRules` (all
+    agents no group names share :attr:`wildcard_rules`), so a rule set
+    is merged and classified once however many agents it governs.
+    :meth:`rules_for` is memoized and each rule compiles its pattern
+    once, so repeated queries only normalize the request path.  Answers
+    are fixed at parse, so one policy may be shared across threads: a
+    race on a memo only resolves the same rules twice.
 
     >>> policy = RobotsPolicy("User-agent: GPTBot\\nDisallow: /")
     >>> policy.is_allowed("GPTBot", "/page")
@@ -115,7 +253,11 @@ class RobotsPolicy:
         self._groups_by_token: Dict[str, Tuple[int, ...]] = {
             token: tuple(indices) for token, indices in by_token.items()
         }
-        self._wildcard_rules = _merged(self._parsed.wildcard_groups(), explicit=False)
+        # One answer per distinct set of matched group indices; no match
+        # at all is the empty set, whose answer is the merged wildcard.
+        self._rules_by_groups: Dict[Tuple[int, ...], AgentRules] = {
+            (): _merged(self._parsed.wildcard_groups(), explicit=False)
+        }
         self._agent_rules: Dict[str, AgentRules] = {}
 
     @classmethod
@@ -137,6 +279,12 @@ class RobotsPolicy:
         """Every agent token named in the file, lowercased."""
         return self._parsed.named_agents()
 
+    @property
+    def wildcard_rules(self) -> AgentRules:
+        """The merged ``User-agent: *`` rules: the answer for every agent
+        no group names (empty when the file has no wildcard group)."""
+        return self._rules_by_groups[()]
+
     def rules_for(self, user_agent: str) -> AgentRules:
         """Merged rules applying to *user_agent* (full string or token).
 
@@ -144,8 +292,9 @@ class RobotsPolicy:
         entirely; among specific groups, only those with the *longest*
         matching token apply (the RFC's most-specific-match rule), and
         multiple groups with that token are merged.  Memoized per
-        *user_agent*; every agent no group names gets the same
-        wildcard-only object.
+        *user_agent*; agents that match the same groups get the same
+        object, and every agent no group names gets
+        :attr:`wildcard_rules`.
         """
         cached = self._agent_rules.get(user_agent)
         if cached is None:
@@ -175,10 +324,14 @@ class RobotsPolicy:
                 # token starts with whitespace, which a parsed file never
                 # holds; merge both tokens' groups in file order.
                 matched = tuple(sorted(set(matched + indices)))
-        if not matched:
-            return self._wildcard_rules
-        groups = self._parsed.groups
-        return _merged((groups[i] for i in matched), explicit=True)
+        rules = self._rules_by_groups.get(matched)
+        if rules is None:
+            groups = self._parsed.groups
+            # setdefault: racing threads keep one shared object.
+            rules = self._rules_by_groups.setdefault(
+                matched, _merged((groups[i] for i in matched), explicit=True)
+            )
+        return rules
 
     def verdict(self, user_agent: str, path: str) -> Verdict:
         """Full evaluation result (winning rule included) for one fetch."""

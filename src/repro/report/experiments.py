@@ -20,6 +20,7 @@ from ..agents.registry import Compliance
 from ..core.compiled import shared_policy_cache
 from ..core.diagnostics import has_mistakes
 from ..core.legacy import LegacyPolicy
+from ..core.matcher import evaluate
 from ..crawlers.assistant import build_app_store
 from ..crawlers.engine import Crawler, CrawlResult
 from ..crawlers.fleet import build_builtin_assistants, build_fleet
@@ -584,33 +585,47 @@ def run_survey_tables(seed: int = 42) -> ExperimentResult:
 # -------------------------------------------------------------- App. B.2 ----
 
 
+def _sites_by_body(population: WebPopulation, month: int) -> Dict[str, int]:
+    """How many stable sites serve each distinct robots.txt body at
+    *month* (sites serving none are left out)."""
+    counts: Dict[str, int] = {}
+    for site in population.stable:
+        text = site.robots_at(month)
+        if text is not None:
+            counts[text] = counts.get(text, 0) + 1
+    return counts
+
+
 def run_appb2_parser_comparison(population: WebPopulation) -> ExperimentResult:
-    """Appendix B.2 / Section 8.1: compliant vs legacy parser disagreement."""
+    """Appendix B.2 / Section 8.1: compliant vs legacy parser disagreement.
+
+    Both parsers answer per body, so each distinct month-24 body is
+    compared once and its counts are weighted by the sites serving it.
+    """
     probes = ["/", "/page", "/images/a.png"]
     agents = ["GPTBot", "CCBot", "anthropic-ai", "Claudebot", "randombot"]
     n_sites = 0
     n_disagree = 0
-    decisions = 0
     decision_disagreements = 0
-    for site in population.stable:
-        text = site.robots_at(24)
-        if text is None:
-            continue
-        n_sites += 1
-        # The compliant side goes through the content-addressed compile
-        # cache (operator-template bodies repeat across sites); the
-        # legacy parser is the object under test and stays uncached.
+    for text, n in _sites_by_body(population, 24).items():
+        n_sites += n
+        # One tokenization per body: the compliant side is the shared
+        # cache's parse, and the legacy parser groups that parse's token
+        # stream with its own quirks.  Each parser resolves an agent
+        # once; the probes then run against the resolved rules.
         compliant = shared_policy_cache().policy(text)
-        legacy = LegacyPolicy(text)
-        site_disagrees = False
+        legacy = LegacyPolicy(compliant.parsed.source_lines)
+        body_disagreements = 0
         for agent in agents:
+            rules = compliant.rules_for(agent).rules
+            legacy_rules = legacy.rules_for(agent)
             for path in probes:
-                decisions += 1
-                if compliant.is_allowed(agent, path) != legacy.is_allowed(agent, path):
-                    decision_disagreements += 1
-                    site_disagrees = True
-        if site_disagrees:
-            n_disagree += 1
+                if evaluate(rules, path).allowed != legacy.decide(legacy_rules, path).allowed:
+                    body_disagreements += 1
+        decision_disagreements += n * body_disagreements
+        if body_disagreements:
+            n_disagree += n
+    decisions = n_sites * len(agents) * len(probes)
     pct_sites = 100.0 * n_disagree / max(n_sites, 1)
     rows = [
         ("sites compared", n_sites),
@@ -634,13 +649,10 @@ def run_sec81_mistakes(population: WebPopulation) -> ExperimentResult:
     """Section 8.1: fraction of robots.txt files with author mistakes."""
     n_sites = 0
     n_mistakes = 0
-    for site in population.stable:
-        text = site.robots_at(24)
-        if text is None:
-            continue
-        n_sites += 1
+    for text, n in _sites_by_body(population, 24).items():
+        n_sites += n
         if has_mistakes(text):
-            n_mistakes += 1
+            n_mistakes += n
     pct = 100.0 * n_mistakes / max(n_sites, 1)
     text = render_table(
         ["measurement", "value"],

@@ -9,15 +9,18 @@ encoding canonicalization both sides must agree on before comparing.
 
 Group resolution has a reference of the same kind: :func:`resolve`
 walks every group's tokens per query, where
-:class:`~repro.core.policy.RobotsPolicy` reads its token index, and
-:func:`verdict_row` classifies all 24 AI user agents plus ``*``, where
+:class:`~repro.core.policy.RobotsPolicy` reads its token index.
+:func:`classification` and :func:`explicitly_allows` classify each
+agent's resolved rules afresh, where a policy computes them once per
+shared :class:`~repro.core.policy.AgentRules`, and :func:`verdict_row`
+classifies all 24 AI user agents plus ``*``, where
 :meth:`~repro.core.classify.VerdictRow.of` classifies only named ones.
 """
 
 import re
 
 from repro.agents.darkvisitors import AI_USER_AGENT_TOKENS
-from repro.core.classify import VerdictRow, classify
+from repro.core.classify import Classification, RestrictionLevel, VerdictRow, classify_rules
 from repro.core.matcher import Verdict, normalize_path
 from repro.core.policy import AgentRules
 
@@ -119,20 +122,20 @@ def _agent_matches(group_token, crawler_token):
     return crawler_token.startswith(group_token)
 
 
-def resolve(parsed, user_agent):
-    """:class:`AgentRules` for a full *user_agent* string or token.
+def matched_groups(parsed, user_agent):
+    """Indices of the named groups governing *user_agent*, in file order
+    (empty when only the ``*`` groups apply).
 
     Walks every group and every token per query: a token matches when it
     is a non-empty prefix of the crawler's product token or equals the
     whole stripped, lowercased UA; a group's specificity is its longest
-    matching token; the groups of the longest specificity merge in file
-    order, and with none the ``*`` groups apply.
+    matching token, and the groups of the longest specificity apply.
     """
     token = product_token(user_agent) or user_agent
     full = user_agent.strip().lower()
     best_len = -1
     matched = []
-    for group in parsed.groups:
+    for index, group in enumerate(parsed.groups):
         group_len = max(
             (
                 len(agent_token)
@@ -146,18 +149,49 @@ def resolve(parsed, user_agent):
             continue
         if group_len > best_len:
             best_len = group_len
-            matched = [group]
+            matched = [index]
         elif group_len == best_len:
-            matched.append(group)
-    chosen = matched or parsed.wildcard_groups()
+            matched.append(index)
+    return tuple(matched)
+
+
+def resolve(parsed, user_agent):
+    """:class:`AgentRules` for a full *user_agent* string or token: the
+    :func:`matched_groups` merged in file order, and with none the ``*``
+    groups."""
+    matched = matched_groups(parsed, user_agent)
+    chosen = [parsed.groups[i] for i in matched] or parsed.wildcard_groups()
     rules = tuple(rule for group in chosen for rule in group.rules)
     delay = next((g.crawl_delays[0] for g in chosen if g.crawl_delays), None)
     return AgentRules(rules=rules, explicit=bool(matched), crawl_delay=delay)
 
 
+def explicitly_allows(parsed, user_agent):
+    """Section 3.4's explicit allow, from :func:`resolve`'s rules: a group
+    naming the agent allows the root and :func:`classify_rules` finds
+    nothing disallowed."""
+    resolved = resolve(parsed, user_agent)
+    if not resolved.explicit:
+        return False
+    if not any(rule.allow and pattern_matches(rule.path, "/") for rule in resolved.rules):
+        return False
+    return classify_rules(resolved.rules) is RestrictionLevel.NO_RESTRICTIONS
+
+
+def classification(parsed, user_agent, require_explicit=True):
+    """:func:`~repro.core.classify.classify` for one agent, classifying
+    :func:`resolve`'s rules per call."""
+    resolved = resolve(parsed, user_agent)
+    allow = explicitly_allows(parsed, user_agent)
+    if require_explicit and not resolved.explicit:
+        return Classification(RestrictionLevel.NO_RESTRICTIONS, False, allow)
+    return Classification(classify_rules(resolved.rules), resolved.explicit, allow)
+
+
 def verdict_row(policy):
-    """The verdict row as 25 :func:`classify` calls build it: one per AI
-    user agent, then ``*`` with wildcard rules counted."""
-    cells = tuple(classify(policy, agent) for agent in AI_USER_AGENT_TOKENS)
-    wildcard = classify(policy, "*", require_explicit=False).level
+    """The verdict row as 25 classifications build it: one per AI user
+    agent, then ``*`` with wildcard rules counted."""
+    parsed = policy.parsed
+    cells = tuple(classification(parsed, agent) for agent in AI_USER_AGENT_TOKENS)
+    wildcard = classification(parsed, "*", require_explicit=False).level
     return VerdictRow(cells, wildcard)

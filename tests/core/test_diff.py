@@ -50,6 +50,36 @@ class TestDiffRobots:
         assert diff.changes == []  # CCBot unchanged
         assert diff.agents_added == ["gptbot"]  # naming still reported
 
+    def test_wildcard_edit_beside_a_group_naming_any_agent(self):
+        """The ``*`` rules are compared as merged, whatever agent names
+        the other groups hold (a group naming ``generic`` used to govern
+        the agent the comparison probed with)."""
+        for name in ("generic", "g", "generic-probe-bot", "GPTBot"):
+            named = f"User-agent: {name}\nDisallow: /x\n\n"
+            before = named + "User-agent: *\nDisallow: /private/\n"
+            after = named + "User-agent: *\nDisallow: /\n"
+            assert diff_robots(before, after).wildcard_changed, name
+            assert classify_change(before, after, AI) is ChangeKind.UNRELATED_CHANGE
+
+    def test_empty_user_agent_line_is_not_an_agent(self):
+        """An empty ``User-agent:`` value is neither added, removed nor
+        compared."""
+        before = (
+            "User-agent:\nUser-agent: CCBot\nDisallow: /\n\n"
+            "User-agent: *\nDisallow: /tmp\n"
+        )
+        after = (
+            "User-agent: GPTBot\nUser-agent:\nAllow: /\n\n"
+            "User-agent: *\nDisallow: /tmp\n"
+        )
+        diff = diff_robots(before, after)
+        assert diff.agents_added == ["gptbot"]
+        assert diff.agents_removed == ["ccbot"]
+        assert [c.agent for c in diff.changes] == ["ccbot"]
+        assert diff.allow_gained == ["gptbot"]
+        assert not diff.wildcard_changed
+        assert diff_robots("User-agent:\nDisallow: /\n", "User-agent: \nDisallow: /x\n").is_empty
+
 
 class TestClassifyChange:
     def test_no_change(self):

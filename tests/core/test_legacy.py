@@ -1,7 +1,13 @@
 """Tests for the deliberately buggy legacy parser."""
 
+import pytest
+
 from repro.core.legacy import LegacyPolicy, LegacyQuirks
+from repro.core.lexer import tokenize
+from repro.core.parser import parse
 from repro.core.policy import RobotsPolicy
+
+from .test_compiled import ROBOTS_SAMPLES
 
 
 class TestCase1CommentBreaksGroup:
@@ -111,3 +117,45 @@ class TestQuirkToggles:
         legacy = LegacyPolicy("User-agent: GPTBot\nDisallow: /")
         assert legacy.has_explicit_group("GPTBot")
         assert not legacy.has_explicit_group("CCBot")
+
+
+#: Bodies exercising every quirk, beside the compliant samples.
+_QUIRK_SAMPLES = [
+    TestCase1CommentBreaksGroup.TEXT,
+    TestCase2LastAgentOnly.TEXT,
+    TestCaseSensitivity.TEXT,
+    TestCrawlDelayBreaksGroup.TEXT,
+    TestFirstMatchDiscipline.TEXT,
+    "User-agent:\nDisallow: /a\n\nUser-agent: gptbot\n# c\nAllow: /\n",
+]
+
+
+class TestFromTokenStream:
+    """A legacy policy grouping an existing token stream (the compliant
+    parse's ``source_lines``) is the one ``LegacyPolicy(text)`` builds."""
+
+    AGENTS = ["GPTBot", "gptbot", "CCBot", "Claudebot", "anybot", "*", ""]
+    PATHS = ["/", "/x", "/private/ok", "/blogs/x", "/public/x", "/z/x"]
+
+    @pytest.mark.parametrize("quirks", [LegacyQuirks(), LegacyQuirks.none()])
+    def test_equals_the_text_build_on_every_sample(self, quirks):
+        for text in ROBOTS_SAMPLES + _QUIRK_SAMPLES:
+            from_text = LegacyPolicy(text, quirks)
+            for lines in (tokenize(text), parse(text).source_lines):
+                from_lines = LegacyPolicy(lines, quirks)
+                assert from_lines._groups == from_text._groups, text
+                for agent in self.AGENTS:
+                    assert from_lines.rules_for(agent) == from_text.rules_for(agent)
+                    assert from_lines.has_explicit_group(
+                        agent
+                    ) == from_text.has_explicit_group(agent)
+                    for path in self.PATHS:
+                        assert from_lines.verdict(agent, path) == from_text.verdict(
+                            agent, path
+                        ), (text, agent, path)
+
+    def test_resolution_is_memoized(self):
+        legacy = LegacyPolicy(TestCase2LastAgentOnly.TEXT)
+        assert legacy.rules_for("Claudebot") is legacy.rules_for("Claudebot")
+        rules = legacy.rules_for("Claudebot")
+        assert legacy.decide(rules, "/x") == legacy.verdict("Claudebot", "/x")

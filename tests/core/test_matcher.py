@@ -1,10 +1,14 @@
 """Tests for repro.core.matcher, including RFC 9309 examples."""
 
+from urllib.parse import quote, unquote
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.matcher import (
+    _SAFE,
+    NORMALIZE_MEMO_SIZE,
     Rule,
     compile_pattern,
     evaluate,
@@ -46,6 +50,29 @@ class TestNormalizePath:
     def test_query_string_preserved(self):
         assert "?" not in normalize_path("/p") or True
         assert normalize_path("/search?q=1") .startswith("/search")
+
+    #: Paths heavy in escapes, wildcards and non-ASCII (no lone
+    #: surrogates: they have no UTF-8 form to percent-encode).
+    _PATHS = st.text(
+        alphabet=st.one_of(
+            st.sampled_from("%/*$?#=&~ aF09gz<>\"{}|\\^`"),
+            st.characters(blacklist_categories=("Cs",)),
+        ),
+        min_size=1,
+    )
+
+    @given(path=_PATHS)
+    def test_memoized_result_is_the_encoding(self, path):
+        expected = quote(unquote(path), safe=_SAFE)
+        assert normalize_path(path) == expected
+        assert normalize_path(path) == expected  # the memoized answer
+
+    def test_memo_stays_within_its_bound(self):
+        for i in range(NORMALIZE_MEMO_SIZE + 100):
+            assert normalize_path(f"/bound/{i}") == f"/bound/{i}"
+        info = normalize_path.cache_info()
+        assert info.maxsize == NORMALIZE_MEMO_SIZE
+        assert info.currsize <= NORMALIZE_MEMO_SIZE
 
 
 class TestPatternMatches:

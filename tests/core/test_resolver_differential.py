@@ -2,19 +2,24 @@
 
 :meth:`RobotsPolicy.rules_for` reads an index of the body's named
 tokens; :func:`oracle.resolve` walks every group's tokens per query.
+:func:`classify` and :func:`explicitly_allows` read the level and the
+explicit allow an :class:`AgentRules` computes once for every agent
+sharing it; :func:`oracle.classification` and
+:func:`oracle.explicitly_allows` classify each agent's rules afresh.
 :meth:`VerdictRow.of` classifies only the agents a group names;
 :func:`oracle.verdict_row` classifies all 24 AI user agents plus ``*``.
-Both pairs must agree on every body: the ``ROBOTS_SAMPLES``, a
+Each pair must agree on every body: the ``ROBOTS_SAMPLES``, a
 hypothesis corpus built around the matching rule's corner cases, and
 (in ``tests/measure/test_policy_cache.py``) every distinct body of a
-crawled world.
+crawled world.  Agents that resolve to the same groups must share one
+:class:`AgentRules`, and agents resolving to different groups must not.
 """
 
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from repro.agents.darkvisitors import AI_USER_AGENT_TOKENS
-from repro.core.classify import VerdictRow
+from repro.core.classify import VerdictRow, classify, explicitly_allows
 from repro.core.matcher import Rule
 from repro.core.parser import Group, ParsedRobots
 from repro.core.policy import RobotsPolicy, extract_product_token
@@ -44,12 +49,26 @@ def assert_matches_oracle(text, agents=PROBE_AGENTS):
     """``rules_for`` and ``VerdictRow.of`` agree with the oracles on
     *text* (raw robots.txt or a :class:`ParsedRobots`)."""
     policy = RobotsPolicy(text)
+    parsed = policy.parsed
+    by_groups = {}
     for agent in agents:
         got = policy.rules_for(agent)
-        expected = oracle.resolve(policy.parsed, agent)
+        expected = oracle.resolve(parsed, agent)
         assert tuple(got.rules) == expected.rules, (text, agent)
         assert got.explicit == expected.explicit, (text, agent)
         assert got.crawl_delay == expected.crawl_delay, (text, agent)
+        for require_explicit in (True, False):
+            assert classify(policy, agent, require_explicit) == oracle.classification(
+                parsed, agent, require_explicit
+            ), (text, agent, require_explicit)
+        assert explicitly_allows(policy, agent) == oracle.explicitly_allows(
+            parsed, agent
+        ), (text, agent)
+        by_groups.setdefault(oracle.matched_groups(parsed, agent), set()).add(id(got))
+    # One object per distinct set of matched groups, and distinct sets
+    # never share one.
+    assert all(len(ids) == 1 for ids in by_groups.values()), text
+    assert len(set().union(*by_groups.values())) == len(by_groups), text
     assert VerdictRow.of(policy).pack() == oracle.verdict_row(policy).pack(), text
 
 
@@ -92,8 +111,22 @@ class TestSharedWildcardAnswer:
         first = policy.rules_for("CCBot")
         assert first is policy.rules_for("randombot")
         assert first is policy.rules_for("*")
+        assert first is policy.wildcard_rules
         assert not first.explicit
         assert policy.rules_for("GPTBot") is not first
+
+    def test_agents_of_one_group_share_one_object(self):
+        """A rule set is merged and classified once for every agent that
+        resolves to its groups."""
+        policy = RobotsPolicy(
+            "User-agent: GPTBot\nUser-agent: CCBot\nDisallow: /\n\n"
+            "User-agent: ClaudeBot\nDisallow: /\n"
+        )
+        shared = policy.rules_for("GPTBot")
+        assert policy.rules_for("CCBot") is shared
+        assert policy.rules_for("GPTBot/1.2 (+https://openai.com/gptbot)") is shared
+        assert policy.rules_for("ClaudeBot") is not shared
+        assert shared.level is classify(policy, "CCBot").level
 
     def test_body_without_wildcard_groups(self):
         policy = RobotsPolicy("User-agent: GPTBot\nDisallow: /\n")
