@@ -612,7 +612,8 @@ def run_appb2_parser_comparison(population: WebPopulation) -> ExperimentResult:
         # One tokenization per body: the compliant side is the shared
         # cache's parse, and the legacy parser groups that parse's token
         # stream with its own quirks.  Each parser resolves an agent
-        # once; the probes then run against the resolved rules.
+        # once; the probes then run against the resolved rules (no
+        # probe is /robots.txt, the one path is_allowed answers alone).
         compliant = shared_policy_cache().policy(text)
         legacy = LegacyPolicy(compliant.parsed.source_lines)
         body_disagreements = 0
