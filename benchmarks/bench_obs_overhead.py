@@ -91,7 +91,7 @@ def _measure_disabled_costs() -> dict:
 def _count_obs_crossings(run) -> dict:
     """Call *run* once with telemetry disabled and count its calls into
     :mod:`repro.obs` from outside that package, keyed by callee
-    (``module:qualname``)."""
+    (``module:qualname``; the bare name before Python 3.11)."""
     obs_dir = os.path.join(os.path.dirname(repro.obs.__file__), "")
     counts: dict = {}
 
@@ -101,7 +101,8 @@ def _count_obs_crossings(run) -> dict:
         caller = frame.f_back
         if caller is not None and caller.f_code.co_filename.startswith(obs_dir):
             return
-        key = f"{frame.f_globals['__name__']}:{frame.f_code.co_qualname}"
+        code = frame.f_code
+        key = f"{frame.f_globals['__name__']}:{getattr(code, 'co_qualname', code.co_name)}"
         counts[key] = counts.get(key, 0) + 1
 
     assert not tracing_enabled()

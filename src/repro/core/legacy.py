@@ -164,16 +164,12 @@ class LegacyPolicy:
                     break
         return tuple(specific if specific else wildcard)
 
-    def decide(self, rules: Sequence[Rule], path: str) -> Verdict:
-        """Evaluate *path* against *rules* (as :meth:`rules_for` returns
-        them) with the configured match discipline."""
+    def verdict(self, user_agent: str, path: str) -> Verdict:
+        """Evaluate one fetch with the configured match discipline."""
+        rules = self.rules_for(user_agent)
         if self.quirks.first_match:
             return first_match(rules, path)
         return evaluate(rules, path)
-
-    def verdict(self, user_agent: str, path: str) -> Verdict:
-        """Evaluate one fetch with the configured match discipline."""
-        return self.decide(self.rules_for(user_agent), path)
 
     def is_allowed(self, user_agent: str, path: str) -> bool:
         """Whether the legacy parser would permit the fetch."""

@@ -20,7 +20,6 @@ from ..agents.registry import Compliance
 from ..core.compiled import shared_policy_cache
 from ..core.diagnostics import has_mistakes
 from ..core.legacy import LegacyPolicy
-from ..core.matcher import evaluate
 from ..crawlers.assistant import build_app_store
 from ..crawlers.engine import Crawler, CrawlResult
 from ..crawlers.fleet import build_builtin_assistants, build_fleet
@@ -611,17 +610,14 @@ def run_appb2_parser_comparison(population: WebPopulation) -> ExperimentResult:
         n_sites += n
         # One tokenization per body: the compliant side is the shared
         # cache's parse, and the legacy parser groups that parse's token
-        # stream with its own quirks.  Each parser resolves an agent
-        # once; the probes then run against the resolved rules (no
-        # probe is /robots.txt, the one path is_allowed answers alone).
+        # stream with its own quirks.  Both memoize per-agent rules, so
+        # each agent resolves once per parser.
         compliant = shared_policy_cache().policy(text)
         legacy = LegacyPolicy(compliant.parsed.source_lines)
         body_disagreements = 0
         for agent in agents:
-            rules = compliant.rules_for(agent).rules
-            legacy_rules = legacy.rules_for(agent)
             for path in probes:
-                if evaluate(rules, path).allowed != legacy.decide(legacy_rules, path).allowed:
+                if compliant.is_allowed(agent, path) != legacy.is_allowed(agent, path):
                     body_disagreements += 1
         decision_disagreements += n * body_disagreements
         if body_disagreements:

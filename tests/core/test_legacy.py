@@ -157,5 +157,3 @@ class TestFromTokenStream:
     def test_resolution_is_memoized(self):
         legacy = LegacyPolicy(TestCase2LastAgentOnly.TEXT)
         assert legacy.rules_for("Claudebot") is legacy.rules_for("Claudebot")
-        rules = legacy.rules_for("Claudebot")
-        assert legacy.decide(rules, "/x") == legacy.verdict("Claudebot", "/x")
