@@ -6,8 +6,9 @@ tokens; :func:`oracle.resolve` walks every group's tokens per query.
 explicit allow an :class:`AgentRules` computes once for every agent
 sharing it; :func:`oracle.classification` and
 :func:`oracle.explicitly_allows` classify each agent's rules afresh.
-:meth:`VerdictRow.of` classifies only the agents a group names;
-:func:`oracle.verdict_row` classifies all 24 AI user agents plus ``*``.
+:meth:`VerdictRow.of` reads those shared answers through
+:func:`classify` and ``wildcard_rules``; :func:`oracle.verdict_row`
+classifies all 24 AI user agents plus ``*`` afresh.
 Each pair must agree on every body: the ``ROBOTS_SAMPLES``, a
 hypothesis corpus built around the matching rule's corner cases, and
 (in ``tests/measure/test_policy_cache.py``) every distinct body of a
