@@ -127,21 +127,6 @@ class AgentRegistry:
         """Agents in *category*, in registration order."""
         return [agent for agent in self if agent.category is category]
 
-    def by_company(self, company: str) -> List[AIUserAgent]:
-        """Agents operated by *company* (case-insensitive)."""
-        company = company.lower()
-        return [agent for agent in self if agent.company.lower() == company]
-
     def real_crawlers(self) -> List[AIUserAgent]:
         """Agents that correspond to real crawler traffic (no control tokens)."""
         return [agent for agent in self if not agent.is_control_token]
-
-    def subset(self, tokens: Iterable[str]) -> "AgentRegistry":
-        """A new registry containing only *tokens* (must all exist)."""
-        picked = []
-        for token in tokens:
-            agent = self.get(token)
-            if agent is None:
-                raise KeyError(f"unknown agent token: {token}")
-            picked.append(agent)
-        return AgentRegistry(picked)

@@ -528,12 +528,12 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     """
     from contextlib import nullcontext
 
-    from .net.chaos import plan, plan_names, retries_disabled
+    from .net.chaos import chaos_active, plan, plan_names, retries_disabled
     from .obs.metrics import shared_registry
     from .web.worldstore import WorldStore
 
     try:
-        fault_plan = plan(args.plan)
+        campaign = plan(args.plan)
     except KeyError:
         print(f"repro chaos: unknown plan {args.plan!r}; "
               f"known plans: {', '.join(plan_names())}", file=sys.stderr)
@@ -550,16 +550,10 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     registry = shared_registry()
     before_errors = registry.counter_totals("net.errors")
     hardening = retries_disabled() if args.no_retries else nullcontext()
-    print(f"chaos run (plan={fault_plan.name!r}, seed={args.seed}, "
+    print(f"chaos run (plan={campaign.name!r}, seed={args.seed}, "
           f"retries {'DISABLED' if args.no_retries else 'enabled'})...")
-    with hardening:
-        chaotic = run_all(
-            config,
-            experiments=keys,
-            store=WorldStore(),
-            fault_plan=fault_plan,
-            chaos_seed=args.seed,
-        )
+    with hardening, chaos_active(campaign, args.seed):
+        chaotic = run_all(config, experiments=keys, store=WorldStore())
 
     faults = registry.counter_totals("chaos.faults")
     after_errors = registry.counter_totals("net.errors")
@@ -599,11 +593,11 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
     if drifted:
         print(f"\nRESULT: DRIFT in {', '.join(drifted)} "
-              f"under plan {fault_plan.name!r}"
+              f"under plan {campaign.name!r}"
               + (" (expected: retries disabled)" if args.no_retries else ""))
         return 1
     print(f"\nRESULT: OK -- results byte-identical under plan "
-          f"{fault_plan.name!r} (seed {args.seed})")
+          f"{campaign.name!r} (seed {args.seed})")
     return 0
 
 

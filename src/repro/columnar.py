@@ -487,7 +487,3 @@ class BodyFacts:
         with self._lock:
             self._rows[body_digest] = packed
             self._dirty = True
-
-    def fact_count(self) -> int:
-        """Distinct bodies with a stored row."""
-        return len(self._rows)

@@ -17,21 +17,12 @@ builds on top of it (Section 3.1).  Public API:
 * :class:`RobotsBuilder` and edit helpers -- programmatic authoring.
 """
 
-from .aitxt import (
-    AITXT_PATH,
-    AiTxtPolicy,
-    MediaCategory,
-    MEDIA_EXTENSIONS,
-    build_aitxt,
-    category_for_path,
-)
+from .aitxt import AITXT_PATH, AiTxtPolicy
 from .classify import (
     Classification,
     RestrictionLevel,
     classify,
     classify_rules,
-    explicitly_allows,
-    fully_disallows_any,
 )
 from .compiled import CompiledPolicyCache, shared_policy_cache
 from .diagnostics import Finding, Severity, has_mistakes, lint
@@ -51,16 +42,10 @@ from .serialize import (
 __all__ = [
     "AITXT_PATH",
     "AiTxtPolicy",
-    "MediaCategory",
-    "MEDIA_EXTENSIONS",
-    "build_aitxt",
-    "category_for_path",
     "Classification",
     "RestrictionLevel",
     "classify",
     "classify_rules",
-    "explicitly_allows",
-    "fully_disallows_any",
     "CompiledPolicyCache",
     "shared_policy_cache",
     "Finding",

@@ -14,59 +14,21 @@ extension patterns::
     Disallow: *.txt
 
 This module implements the format on top of the robots.txt engine:
-:class:`AiTxtPolicy` parses/queries, :func:`build_aitxt` renders the
-per-media-category opt-in/out files the Spawning generator produces,
-and :data:`MEDIA_EXTENSIONS` carries the category-to-extension mapping.
+:class:`AiTxtPolicy` parses a file and answers training-permission
+queries.
 """
 
 from __future__ import annotations
 
-import enum
-from typing import Dict, Mapping, Optional, Union
+from typing import Union
 
 from .matcher import Rule
 from .parser import parse
 from .policy import RobotsPolicy
 
-__all__ = ["MediaCategory", "MEDIA_EXTENSIONS", "AiTxtPolicy", "build_aitxt", "category_for_path"]
+__all__ = ["AITXT_PATH", "AiTxtPolicy"]
 
 AITXT_PATH = "/ai.txt"
-
-
-class MediaCategory(enum.Enum):
-    """Media classes ai.txt generators let owners opt in/out of."""
-
-    TEXT = "text"
-    IMAGES = "images"
-    AUDIO = "audio"
-    VIDEO = "video"
-    CODE = "code"
-
-
-#: File extensions per media category (the Spawning generator's set,
-#: abridged to the common entries).
-MEDIA_EXTENSIONS: Dict[MediaCategory, tuple] = {
-    MediaCategory.TEXT: (".txt", ".html", ".htm", ".md", ".pdf", ".doc", ".docx"),
-    MediaCategory.IMAGES: (".jpg", ".jpeg", ".png", ".gif", ".webp", ".svg", ".bmp"),
-    MediaCategory.AUDIO: (".mp3", ".wav", ".flac", ".ogg", ".m4a"),
-    MediaCategory.VIDEO: (".mp4", ".webm", ".avi", ".mov", ".mkv"),
-    MediaCategory.CODE: (".js", ".py", ".css", ".json", ".xml"),
-}
-
-
-def category_for_path(path: str) -> Optional[MediaCategory]:
-    """The media category a URL path falls into, by extension.
-
-    >>> category_for_path("/gallery/piece.png")
-    <MediaCategory.IMAGES: 'images'>
-    >>> category_for_path("/about") is None
-    True
-    """
-    low = path.split("?", 1)[0].lower()
-    for category, extensions in MEDIA_EXTENSIONS.items():
-        if low.endswith(extensions):
-            return category
-    return None
 
 
 class AiTxtPolicy:
@@ -103,41 +65,3 @@ class AiTxtPolicy:
         if path.startswith("*"):
             path = "/" + path
         return Rule(allow=rule.allow, path=path, line_number=rule.line_number)
-
-    def allowed_categories(self) -> Dict[MediaCategory, bool]:
-        """Per-category training permission, probed by representative paths."""
-        out: Dict[MediaCategory, bool] = {}
-        for category, extensions in MEDIA_EXTENSIONS.items():
-            probe = f"/content/sample{extensions[0]}"
-            out[category] = self.may_train(probe)
-        return out
-
-
-def build_aitxt(
-    allow: Optional[Mapping[MediaCategory, bool]] = None,
-    default_allow: bool = False,
-) -> str:
-    """Render an ai.txt file in the generator style.
-
-    Args:
-        allow: Per-category permission; categories absent fall back to
-            *default_allow*.
-        default_allow: Whether unlisted content is opted in.
-
-    >>> text = build_aitxt({MediaCategory.IMAGES: False}, default_allow=True)
-    >>> AiTxtPolicy(text).may_train("/a.png")
-    False
-    >>> AiTxtPolicy(text).may_train("/a.txt")
-    True
-    """
-    allow = dict(allow or {})
-    lines = ["# ai.txt generated by repro (Spawning-style)", "User-Agent: *"]
-    lines.append("Allow: /" if default_allow else "Disallow: /")
-    for category in MediaCategory:
-        permitted = allow.get(category, default_allow)
-        if permitted == default_allow:
-            continue
-        directive = "Allow" if permitted else "Disallow"
-        for extension in MEDIA_EXTENSIONS[category]:
-            lines.append(f"{directive}: *{extension}")
-    return "\n".join(lines) + "\n"

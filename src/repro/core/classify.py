@@ -53,8 +53,6 @@ __all__ = [
     "VerdictRow",
     "classify",
     "classify_rules",
-    "explicitly_allows",
-    "fully_disallows_any",
 ]
 
 
@@ -130,40 +128,6 @@ def classify(
         | agent_rules.explicit << 2
         | agent_rules.explicit_allow << 3
     ]
-
-
-def explicitly_allows(
-    policy: Union[str, bytes, RobotsPolicy], user_agent: str
-) -> bool:
-    """Whether robots.txt *explicitly allows* *user_agent* (Section 3.4).
-
-    A site explicitly allows a crawler when a group naming the crawler
-    contains an ``Allow`` rule covering the root and the merged rules do
-    not disallow it anywhere, i.e. a directive like::
-
-        User-agent: GPTBot
-        Allow: /
-    """
-    return _policy(policy).rules_for(user_agent).explicit_allow
-
-
-def fully_disallows_any(
-    robots_txt: Optional[Union[str, bytes, RobotsPolicy]],
-    user_agents: Iterable[str],
-    require_explicit: bool = True,
-) -> bool:
-    """Whether the site fully disallows at least one of *user_agents*.
-
-    This is the per-site statistic plotted in Figure 2.
-    """
-    if robots_txt is None:
-        return False
-    policy = _policy(robots_txt)
-    return any(
-        classify(policy, agent, require_explicit=require_explicit).level
-        is RestrictionLevel.FULL
-        for agent in user_agents
-    )
 
 
 # -- one verdict row per body --------------------------------------------------

@@ -3,10 +3,12 @@
 The measurement pipelines evaluate the *same* robots.txt bodies against
 the *same* user agents thousands of times: every figure re-visits every
 site in every snapshot, and most sites never change between snapshots.
-:class:`CompiledPolicyCache` is keyed by ``sha256(robots_bytes)``: each
-unique robots.txt body in a process is parsed exactly once, into one
+:class:`CompiledPolicyCache` is keyed by the body itself: each unique
+robots.txt body in a process is parsed exactly once, into one
 :class:`~repro.core.policy.RobotsPolicy`, no matter how many domains,
-snapshots, crawlers, or figures reference it.  The policy itself
+snapshots, crawlers, or figures reference it.  :func:`policy_digest`
+(the body's SHA-256) is the content address the persistent verdict
+stores key on.  The policy itself
 memoizes per-agent rule resolution, and each of its rules compiles its
 pattern once (:attr:`~repro.core.matcher.Rule.pattern`).
 
@@ -38,11 +40,14 @@ def policy_digest(source: Union[str, bytes]) -> str:
 
 
 class CompiledPolicyCache:
-    """Content-addressed cache of :class:`RobotsPolicy` objects.
+    """Body-keyed cache of :class:`RobotsPolicy` objects.
 
     ``cache.policy(text)`` parses each distinct body once per cache;
-    subsequent calls with byte-identical content return the same object.
-    Thread-safe.
+    subsequent calls with equal content return the same object.  The key
+    is the source itself: CPython caches ``str`` hashes and the crawl
+    pipelines intern bodies, so a hit is one dict probe with no digest.
+    A ``str`` and a ``bytes`` copy of one body are two keys, so they may
+    parse twice, into policies that answer alike.  Thread-safe.
 
     Hit/miss tallies are kept as plain ints on the hot path -- they are
     scheduling-dependent for shared caches, so :meth:`publish` exports
@@ -52,39 +57,26 @@ class CompiledPolicyCache:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._by_digest: Dict[str, RobotsPolicy] = {}
         self._by_source: Dict[Union[str, bytes], RobotsPolicy] = {}
         self.hits = 0
         self.misses = 0
 
     def __len__(self) -> int:
-        return len(self._by_digest)
+        return len(self._by_source)
 
     def policy(self, source: Union[str, bytes]) -> RobotsPolicy:
         """The policy for *source*, parsing it on first sight."""
         with self._lock:
-            # Exact-text fast path: CPython caches str hashes and the
-            # crawl pipelines intern bodies, so for the hot repeated
-            # queries this is a plain dict probe with no SHA-256 pass.
             cached = self._by_source.get(source)
             if cached is not None:
                 self.hits += 1
-                return cached
-        key = policy_digest(source)
-        with self._lock:
-            cached = self._by_digest.get(key)
-            if cached is not None:
-                self.hits += 1
-                self._by_source[source] = cached
                 return cached
             self.misses += 1
         policy = RobotsPolicy(source)
         with self._lock:
             # setdefault: a racing thread may have parsed the same
             # body; both results are equivalent, keep the first.
-            policy = self._by_digest.setdefault(key, policy)
-            self._by_source[source] = policy
-            return policy
+            return self._by_source.setdefault(source, policy)
 
     def publish(self, registry=None, prefix: str = "policy_cache") -> None:
         """Export occupancy and hit/miss tallies as gauges."""
@@ -93,12 +85,11 @@ class CompiledPolicyCache:
         registry = registry if registry is not None else shared_registry()
         registry.set_gauge(f"{prefix}.hits", self.hits)
         registry.set_gauge(f"{prefix}.misses", self.misses)
-        registry.set_gauge(f"{prefix}.entries", len(self._by_digest))
+        registry.set_gauge(f"{prefix}.entries", len(self._by_source))
 
     def clear(self) -> None:
         """Drop every cached policy and reset the hit/miss counters."""
         with self._lock:
-            self._by_digest.clear()
             self._by_source.clear()
             self.hits = 0
             self.misses = 0

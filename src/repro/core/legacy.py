@@ -174,13 +174,3 @@ class LegacyPolicy:
     def is_allowed(self, user_agent: str, path: str) -> bool:
         """Whether the legacy parser would permit the fetch."""
         return self.verdict(user_agent, path).allowed
-
-    def has_explicit_group(self, user_agent: str) -> bool:
-        """Whether a non-wildcard group matches under legacy rules."""
-        token = user_agent.split("/", 1)[0].strip()
-        return any(
-            self._match_agent(agent, token)
-            for group in self._groups
-            for agent in group.agents
-            if agent != "*"
-        )

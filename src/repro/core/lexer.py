@@ -88,11 +88,6 @@ class Line:
     raw: str
 
     @property
-    def is_rule(self) -> bool:
-        """Whether this line is an allow/disallow rule line."""
-        return self.kind in (LineKind.ALLOW, LineKind.DISALLOW)
-
-    @property
     def is_directive(self) -> bool:
         """Whether this line carries any directive at all."""
         return self.kind not in (LineKind.BLANK, LineKind.COMMENT, LineKind.MALFORMED)

@@ -56,11 +56,6 @@ class Group:
         """Lowercased agent product tokens for matching."""
         return [agent.lower() for agent in self.agents]
 
-    def names_agent(self, token: str) -> bool:
-        """Whether this group explicitly lists *token* (case-insensitive)."""
-        token = token.lower()
-        return any(agent == token for agent in self.agent_tokens())
-
     @property
     def is_wildcard(self) -> bool:
         """Whether this group applies to all crawlers via ``*``."""
@@ -88,10 +83,6 @@ class ParsedRobots:
     unknown_directives: List[Tuple[int, str, str]] = field(default_factory=list)
     malformed_lines: List[Line] = field(default_factory=list)
     source_lines: List[Line] = field(default_factory=list)
-
-    def groups_for(self, token: str) -> List[Group]:
-        """All groups that explicitly name *token* (case-insensitive)."""
-        return [g for g in self.groups if g.names_agent(token)]
 
     def wildcard_groups(self) -> List[Group]:
         """All ``User-agent: *`` groups."""

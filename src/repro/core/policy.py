@@ -260,20 +260,10 @@ class RobotsPolicy:
         }
         self._agent_rules: Dict[str, AgentRules] = {}
 
-    @classmethod
-    def from_parsed(cls, parsed: ParsedRobots) -> "RobotsPolicy":
-        """Wrap an existing parse result without re-parsing."""
-        return cls(parsed)
-
     @property
     def parsed(self) -> ParsedRobots:
         """The underlying parse result."""
         return self._parsed
-
-    @property
-    def sitemaps(self) -> List[str]:
-        """Sitemap URLs declared anywhere in the file."""
-        return list(self._parsed.sitemaps)
 
     def named_agents(self) -> List[str]:
         """Every agent token named in the file, lowercased."""
@@ -349,7 +339,3 @@ class RobotsPolicy:
     def crawl_delay(self, user_agent: str) -> Optional[float]:
         """The non-standard crawl delay requested for *user_agent*."""
         return self.rules_for(user_agent).crawl_delay
-
-    def has_explicit_group(self, user_agent: str) -> bool:
-        """Whether any group names *user_agent* (not via wildcard)."""
-        return self.rules_for(user_agent).explicit

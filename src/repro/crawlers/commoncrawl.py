@@ -142,13 +142,6 @@ class ErrorBudget:
     retry_passes: int = 0
     errors_by_kind: Dict[str, int] = field(default_factory=dict)
 
-    @property
-    def heal_rate(self) -> float:
-        """Fraction of first-pass errors the retry passes recovered."""
-        if self.n_errored_first_pass == 0:
-            return 1.0
-        return self.n_healed / self.n_errored_first_pass
-
 
 @dataclass
 class Snapshot:
@@ -160,20 +153,6 @@ class Snapshot:
     #: snapshots assembled by hand); excluded from equality so healed
     #: snapshots compare equal to fault-free ones.
     error_budget: Optional[ErrorBudget] = field(default=None, compare=False)
-
-    def record_for(self, domain: str) -> Optional[SiteRecord]:
-        """The record for *domain*, trying "www." variants like the
-        paper's coverage-improvement step (Appendix B.1)."""
-        record = self.records.get(domain)
-        if record is not None and (record.ok or record.missing):
-            return record
-        if domain.startswith("www."):
-            alt = self.records.get(domain[4:])
-        else:
-            alt = self.records.get("www." + domain)
-        if alt is not None and (alt.ok or alt.missing):
-            return alt
-        return record
 
     def intern_bodies(self, pool: Dict[str, str]) -> None:
         """Deduplicate robots.txt bodies against a shared *pool*.
@@ -191,10 +170,6 @@ class Snapshot:
             canonical = pool.setdefault(text, text)
             if canonical is not text:
                 self.records[domain] = replace(record, robots_txt=canonical)
-
-    def sites_with_robots(self) -> List[str]:
-        """Domains with a successfully retrieved robots.txt."""
-        return [d for d, r in self.records.items() if r.ok]
 
 
 def carry_forward_snapshot(

@@ -9,6 +9,8 @@ observable protocol surface the Section 5 testbed measures:
 * whether directives are obeyed per fetch,
 * robots.txt caching with a TTL (stale-cache crawlers keep using old
   rules after the file changes),
+* Crawl-delay politeness, charged to the simulated clock by pacing
+  crawlers,
 * BFS link discovery from returned HTML with a page budget.
 
 All state a measurement would see ends up in the *server's* access
@@ -59,8 +61,6 @@ class CrawlResult:
         skipped: Paths the crawler declined to fetch because of
             robots.txt.
         errors: Transport errors encountered, as strings.
-        time_spent: Simulated seconds consumed by politeness intervals
-            (crawl-delay / default fetch interval) during this crawl.
     """
 
     host: str
@@ -69,7 +69,6 @@ class CrawlResult:
     robots_from_cache: bool = False
     skipped: List[str] = field(default_factory=list)
     errors: List[str] = field(default_factory=list)
-    time_spent: float = 0.0
 
     @property
     def content_fetches(self) -> List[str]:
@@ -86,7 +85,6 @@ class CrawlResult:
 class _CacheEntry:
     policy: Optional[RobotsPolicy]
     fetched_at: float
-    etag: Optional[str] = None
 
 
 class Crawler:
@@ -137,19 +135,14 @@ class Crawler:
 
     # -- plumbing -------------------------------------------------------------
 
-    def _request(
-        self, host: str, path: str, extra_headers: Optional[Dict[str, str]] = None
-    ) -> Response:
+    def _request(self, host: str, path: str) -> Response:
         index = self._requests_sent
         self._requests_sent += 1
-        headers = {"User-Agent": self.profile.user_agent_for(index)}
-        if extra_headers:
-            headers.update(extra_headers)
         return self.network.request(
             Request(
                 host=host,
                 path=path,
-                headers=Headers(headers),
+                headers=Headers({"User-Agent": self.profile.user_agent_for(index)}),
                 client_ip=self.profile.source_ip_for(index),
             )
         )
@@ -199,27 +192,14 @@ class Crawler:
                 self._robots_cached_counter.inc()
                 return cached.policy
 
-        conditional: Optional[Dict[str, str]] = None
-        if (
-            self.profile.revalidates_robots
-            and cached is not None
-            and cached.etag is not None
-        ):
-            conditional = {"If-None-Match": cached.etag}
         try:
-            response = self._request(host, "/robots.txt", extra_headers=conditional)
+            response = self._request(host, "/robots.txt")
         except NetError as exc:
             result.errors.append(str(exc))
             return None
         result.robots_fetched = True
         self._robots_fetch_counter.inc()
         result.fetched.append(("/robots.txt", response.status))
-        if response.status == 304 and cached is not None:
-            # Not modified: keep the cached policy, refresh its age.
-            cached.fetched_at = self.now
-            result.robots_from_cache = True
-            self._robots_cached_counter.inc()
-            return cached.policy
         # RFC 9309 section 2.3.1: a 4xx means "no policy, crawl freely";
         # a 5xx means robots.txt is *unreachable* and the crawler MUST
         # assume complete disallow.  (Actively-blocking sites that 403
@@ -230,25 +210,14 @@ class Crawler:
             # fleet shares one compiled policy per distinct body, the
             # same objects the analysis pipelines classify.
             policy = shared_policy_cache().policy(response.text)
-        elif 500 <= response.status < 600:
-            policy = _DISALLOW_ALL
-        elif response.status == 403:
+        elif 500 <= response.status < 600 or response.status == 403:
             # 403 is formally a 4xx, but a server that refuses the
             # robots.txt request is refusing the crawler; production
-            # crawlers treat it as unreachable.  Configurable via the
-            # profile for bots that interpret it as "no policy".
-            policy = (
-                _DISALLOW_ALL
-                if self.profile.forbidden_robots_means_disallow
-                else None
-            )
+            # crawlers treat it as unreachable.
+            policy = _DISALLOW_ALL
         else:
             policy = None
-        self._robots_cache[host] = _CacheEntry(
-            policy=policy,
-            fetched_at=self.now,
-            etag=response.headers.get("ETag"),
-        )
+        self._robots_cache[host] = _CacheEntry(policy=policy, fetched_at=self.now)
         return policy
 
     def _may_fetch(self, policy: Optional[RobotsPolicy], path: str) -> bool:
@@ -292,23 +261,13 @@ class Crawler:
         result.fetched.append((path, response.status))
         return result
 
-    def crawl(
-        self,
-        host: str,
-        start_path: str = "/",
-        max_pages: int = 10,
-        time_budget: Optional[float] = None,
-    ) -> CrawlResult:
-        """BFS-crawl a host from *start_path* up to *max_pages* pages.
+    def crawl(self, host: str, max_pages: int = 10) -> CrawlResult:
+        """BFS-crawl a host from ``/`` up to *max_pages* pages.
 
-        Args:
-            time_budget: Simulated seconds available for this crawl.
-                When the profile honors ``Crawl-delay`` (or has a
-                default fetch interval), each content fetch after the
-                first consumes that many seconds; the crawl stops when
-                the budget runs out.  ``CrawlResult.time_spent`` records
-                the consumption, so rate-limiting experiments can
-                compare polite and impolite crawlers.
+        A pacing profile (``paces_on_clock``) charges a politeness gap
+        to the simulated clock before each content fetch after the
+        first: its default fetch interval, or the ``Crawl-delay`` when
+        it honors one that is longer, plus any seeded stealth jitter.
         """
         result = CrawlResult(host=host)
         self._crawl_count[host] = self._crawl_count.get(host, 0) + 1
@@ -320,16 +279,7 @@ class Crawler:
             if delay is not None:
                 interval = max(interval, delay)
 
-        frontier: List[str] = [start_path]
-        if self.profile.use_sitemaps and policy is not None and policy.sitemaps:
-            from ..net.sitemap import discover_sitemap_urls
-
-            for path in discover_sitemap_urls(
-                self.network, host, policy.sitemaps,
-                user_agent=self.profile.user_agent,
-            ):
-                if path not in frontier:
-                    frontier.append(path)
+        frontier: List[str] = ["/"]
         seen: Set[str] = set(frontier)
         fetched_pages = 0
         while frontier and fetched_pages < max_pages:
@@ -337,25 +287,16 @@ class Crawler:
             if not self._may_fetch(policy, path):
                 result.skipped.append(path)
                 continue
-            # The politeness gap before this fetch: the base interval
-            # plus any seeded stealth jitter (zero for normal profiles).
-            gap = 0.0
-            if fetched_pages > 0:
-                gap = interval + self.profile.gap_jitter_seconds(
+            if fetched_pages > 0 and self.profile.paces_on_clock:
+                # The politeness gap before this fetch: the base interval
+                # plus any seeded stealth jitter (zero for normal
+                # profiles).  Pacing is only worth anything if the
+                # *server* sees it: charge the gap to the simulated wall
+                # clock, which is exactly the evasion cost the
+                # equilibrium experiments measure.
+                self.network.now += interval + self.profile.gap_jitter_seconds(
                     host, fetched_pages
                 )
-            if (
-                time_budget is not None
-                and fetched_pages > 0
-                and result.time_spent + gap > time_budget
-            ):
-                break
-            if gap and self.profile.paces_on_clock:
-                # Stealth pacing is only worth anything if the *server*
-                # sees it: charge the gap to the simulated wall clock,
-                # which is exactly the evasion cost the equilibrium
-                # experiments measure.
-                self.network.now += gap
             try:
                 response = self._request(host, path)
             except NetError as exc:
@@ -364,8 +305,6 @@ class Crawler:
                 continue
             self._fetches_counter.inc()
             self._fetched_series.add(self.network.month)
-            if fetched_pages > 0:
-                result.time_spent += gap
             result.fetched.append((path, response.status))
             fetched_pages += 1
             if response.ok and b"href" in response.body:
@@ -386,10 +325,3 @@ class Crawler:
         :meth:`fetch` / :meth:`crawl`.
         """
         return self._request(host, path)
-
-    def invalidate_robots_cache(self, host: Optional[str] = None) -> None:
-        """Drop cached policies (all hosts when *host* is None)."""
-        if host is None:
-            self._robots_cache.clear()
-        else:
-            self._robots_cache.pop(host, None)

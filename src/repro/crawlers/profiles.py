@@ -40,11 +40,6 @@ class RobotsBehavior(enum.Enum):
     INTERMITTENT_FETCH = "intermittent-fetch"
 
     @property
-    def ever_fetches(self) -> bool:
-        """Whether server logs can ever show a robots.txt fetch."""
-        return self is not RobotsBehavior.NO_FETCH
-
-    @property
     def obeys(self) -> bool:
         """Whether the crawler honors directives when it has them."""
         return self in (
@@ -72,10 +67,6 @@ class CrawlerProfile:
         buggy_robots_path: The wrong path a BUGGY_FETCH crawler requests.
         visits_unprompted: Whether the crawler shows up on its own in a
             passive measurement (vs. only when user-triggered).
-        forbidden_robots_means_disallow: How an obedient crawler reads a
-            403 on /robots.txt: True (the default, what production
-            crawlers do) treats it like RFC 9309's unreachable case and
-            stays out; False treats it as "no policy".
     """
 
     token: str
@@ -86,18 +77,11 @@ class CrawlerProfile:
     intermittent_period: int = 5
     buggy_robots_path: str = "/robots.txt/"
     visits_unprompted: bool = True
-    forbidden_robots_means_disallow: bool = True
     #: Whether the crawler honors the non-standard Crawl-delay
     #: extension (Bing-style).  RFC-compliant crawlers ignore it.
     honors_crawl_delay: bool = False
-    #: Whether the crawler seeds its frontier from sitemaps declared in
-    #: robots.txt (search-style crawlers do; most AI crawlers do not).
-    use_sitemaps: bool = False
     #: Seconds between content fetches when no Crawl-delay applies.
     default_fetch_interval: float = 0.0
-    #: Whether expired robots.txt cache entries are revalidated with
-    #: If-None-Match (a 304 keeps the cached policy without a refetch).
-    revalidates_robots: bool = False
     # -- adversarial (anti-detection) knobs ---------------------------------
     #: User-Agent strings rotated round-robin per request (empty: always
     #: ``user_agent``).  Defeats UA-list rules; a behavioral layer sees

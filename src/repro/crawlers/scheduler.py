@@ -18,7 +18,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..net.transport import Network
 from .engine import Crawler, CrawlResult
@@ -78,14 +78,6 @@ class SchedulerReport:
         for message in result.errors:
             self.errors.append((token, host, message))
 
-    def total_pages(self, token: Optional[str] = None) -> int:
-        """Pages fetched, optionally restricted to one crawler token."""
-        return sum(
-            count
-            for (t, _), count in self.pages.items()
-            if token is None or t == token
-        )
-
 
 class CrawlScheduler:
     """Dispatch recurring crawl tasks in simulated-time order.
@@ -125,11 +117,6 @@ class CrawlScheduler:
                 repeat=repeat,
             )
         )
-
-    @property
-    def pending(self) -> int:
-        """Number of queued dispatches."""
-        return len(self._heap)
 
     def run_until(self, end_time: float) -> SchedulerReport:
         """Run every task due at or before *end_time*.

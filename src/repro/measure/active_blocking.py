@@ -240,9 +240,6 @@ class BlockingSurvey:
     def blocking_hosts(self) -> List[str]:
         return [v.host for v in self.verdicts if v.blocks_ai]
 
-    def excluded_hosts(self) -> List[str]:
-        return [v.host for v in self.verdicts if v.excluded]
-
 
 def survey_active_blocking(
     network: Network,

@@ -204,6 +204,3 @@ class IncrementalStore(BodyFacts):
             self._dirty = True
 
     # -- introspection ---------------------------------------------------------
-
-    def experiment_count(self) -> int:
-        return len(self._experiments)

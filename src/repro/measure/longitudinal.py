@@ -63,7 +63,6 @@ __all__ = [
     "ShardAnalysis",
     "collect_snapshots",
     "collect_shard_archives",
-    "delta_fetch_plan",
     "analysis_domains",
     "full_disallow_trend",
     "per_agent_trend",
@@ -176,35 +175,25 @@ class SeriesShard:
         return {domain: i for i, domain in enumerate(self.domains)}
 
 
-def delta_fetch_plan(
-    population: WebPopulation, specs: Sequence[SnapshotSpec]
+def _site_fetch_plan(
+    sites: List["SimSite"], specs: Sequence[SnapshotSpec], use_delta: bool
 ) -> List[List["SimSite"]]:
-    """Per-spec site subsets a delta crawl must actually refetch.
+    """Per-spec subsets of *sites* a crawl must actually fetch.
 
-    The first spec always fetches the full stable set; every later spec
-    fetches only the sites whose *served* robots state differs from the
-    previous spec's month (see
-    :meth:`~repro.web.site.SimSite.robots_changed_between`).  Records
-    for every other site carry forward unchanged: their handlers are
-    memoized per effective robots text and serving is
+    Without *use_delta* every spec fetches every site.  With it, the
+    first spec fetches every site and every later spec only the sites
+    whose *served* robots state differs from the previous spec's month
+    (see :meth:`~repro.web.site.SimSite.robots_changed_between`).
+    Records for every other site carry forward unchanged: their handlers
+    are memoized per effective robots text and serving is
     response-stateless, so refetching would reproduce the same record
     byte for byte.  Blocking/proxy configuration is month-invariant in
     this world model (it is not keyed by month anywhere), so robots
     state is the only time-varying fetch input.
 
-    The plan depends only on the population's evolution schedules --
-    not on any fetched data -- so delta snapshots stay embarrassingly
-    parallel.
-    """
-    return _site_fetch_plan(list(population.stable), specs, use_delta=True)
-
-
-def _site_fetch_plan(
-    sites: List["SimSite"], specs: Sequence[SnapshotSpec], use_delta: bool
-) -> List[List["SimSite"]]:
-    """Per-spec fetch subsets for *sites* (the shard-local delta plan).
-
-    The plan is a pure per-site filter, so partitioning sites into
+    The plan depends only on the sites' evolution schedules -- not on
+    any fetched data -- so delta snapshots stay embarrassingly
+    parallel.  It is a pure per-site filter, so partitioning sites into
     shards and planning per shard yields exactly the global plan,
     partitioned.
     """

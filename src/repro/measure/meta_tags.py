@@ -17,7 +17,7 @@ from ..net.errors import NetError
 from ..net.http import Headers, Request
 from ..net.transport import Network
 
-__all__ = ["MetaTagScan", "extract_robots_meta", "page_has_noai", "scan_meta_tags"]
+__all__ = ["MetaTagScan", "extract_robots_meta", "scan_meta_tags"]
 
 _META_RE = re.compile(
     r'<meta\s+name="robots"\s+content="([^"]*)"', re.IGNORECASE
@@ -37,11 +37,6 @@ def extract_robots_meta(html: str) -> List[str]:
             if part:
                 directives.append(part)
     return directives
-
-
-def page_has_noai(html: str) -> bool:
-    """Whether the page carries the ``noai`` directive."""
-    return "noai" in extract_robots_meta(html)
 
 
 @dataclass

@@ -55,10 +55,6 @@ class ValidationReport:
             return 1.0
         return self.n_agree / self.n_compared
 
-    @property
-    def disagreement_rate(self) -> float:
-        return 1.0 - self.agreement_rate
-
 
 def cross_validate_snapshot(
     population: WebPopulation,

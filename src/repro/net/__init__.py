@@ -22,10 +22,9 @@ from .errors import (
     DNSFailure,
     NetError,
 )
-from .http import Headers, Request, Response, split_url
+from .http import Headers, Request, Response
 from .realserver import NetworkHandler, RealHttpServer, RemoteNetwork, fetch_real
 from .server import Page, Website, extract_links, render_page
-from .sitemap import SitemapEntry, discover_sitemap_urls, parse_sitemap, render_sitemap, render_sitemap_index
 from .transport import Handler, Network
 
 __all__ = [
@@ -44,7 +43,6 @@ __all__ = [
     "Headers",
     "Request",
     "Response",
-    "split_url",
     "NetworkHandler",
     "RealHttpServer",
     "RemoteNetwork",
@@ -55,9 +53,4 @@ __all__ = [
     "render_page",
     "Handler",
     "Network",
-    "SitemapEntry",
-    "discover_sitemap_urls",
-    "parse_sitemap",
-    "render_sitemap",
-    "render_sitemap_index",
 ]

@@ -7,8 +7,8 @@ blocks from transient transport failures.  :class:`FaultPlan` turns
 that adversity into a *reproducible campaign*: a seeded set of
 :class:`FaultRule` entries -- connection resets and refusals, injected
 latency, outage windows on the simulated-month clock, truncated or
-garbage robots.txt bodies -- that installs onto any existing
-:class:`~repro.net.transport.Network` and fires deterministically.
+garbage robots.txt bodies -- that fires deterministically on every
+:class:`~repro.net.transport.Network` built while it is armed.
 
 Determinism contract:
 
@@ -31,8 +31,9 @@ time series on the month clock.
 Activation: :func:`activate` / :func:`chaos_active` arm a plan
 process-wide, so every :class:`Network` constructed while the plan is
 active (experiments build their own networks internally) gets a
-controller automatically; :meth:`FaultPlan.install` targets one
-existing network.  :func:`retries_enabled` is the global switch the
+controller automatically, readable as :attr:`Network.chaos`.  This is
+the one way a transport fault enters the network.
+:func:`retries_enabled` is the global switch the
 retry/confirmation consumers (snapshot crawler, active-blocking
 detector) consult -- ``repro chaos --no-retries`` flips it to
 demonstrate what the fault plan does to an unhardened pipeline.
@@ -155,18 +156,13 @@ class FaultPlan:
     """A named, seedable campaign of fault rules.
 
     >>> plan = FaultPlan("demo", (FaultRule(kind="reset", rate=0.5),))
-    >>> controller = plan.install(Network(), seed=0)  # doctest: +SKIP
+    >>> with chaos_active(plan, seed=0):  # doctest: +SKIP
+    ...     controller = Network().chaos
     """
 
     name: str
     rules: Tuple[FaultRule, ...]
     description: str = ""
-
-    def install(self, network: Network, seed: int = 0) -> "ChaosController":
-        """Attach a controller for this plan onto an existing network."""
-        controller = ChaosController(self, network, seed=seed)
-        network.install_chaos(controller)
-        return controller
 
 
 class ChaosController:
@@ -185,7 +181,6 @@ class ChaosController:
         self._lock = threading.Lock()
         #: Faults already injected, keyed ``(rule_index, host)``.
         self._injected: Dict[Tuple[int, str], int] = {}
-        self._total_faults = 0
         #: Memoized ``matches_host`` verdicts -- the decision is pure in
         #: ``(seed, plan, rule_index, host)``, so hash-based sampling is
         #: paid once per (rule, host) rather than on every request.
@@ -232,17 +227,10 @@ class ChaosController:
         return cached
 
     def _record(self, kind: str) -> None:
-        with self._lock:
-            self._total_faults += 1
         self._fault_counters[kind].inc()
         self._fault_series.add(
             "chaos.faults", self.network.month, kind=kind, plan=self.plan.name
         )
-
-    def faults_injected(self) -> int:
-        """Total faults this controller has fired (errors and mutations)."""
-        with self._lock:
-            return self._total_faults
 
     # -- the two network hooks ----------------------------------------------
 
@@ -338,16 +326,16 @@ class ChaosController:
 _ACTIVE: Optional[Tuple[FaultPlan, int]] = None
 
 
-def activate(fault_plan: FaultPlan, seed: int = 0) -> None:
-    """Arm *fault_plan* for every Network constructed from now on.
+def activate(campaign: FaultPlan, seed: int = 0) -> None:
+    """Arm *campaign* for every Network constructed from now on.
 
     Experiment runners build their networks internally; activation is
     how ``repro chaos`` injects faults into worlds it never sees.
     """
     global _ACTIVE
-    _ACTIVE = (fault_plan, seed)
+    _ACTIVE = (campaign, seed)
     _transport.set_chaos_factory(
-        lambda network: ChaosController(fault_plan, network, seed=seed)
+        lambda network: ChaosController(campaign, network, seed=seed)
     )
 
 
@@ -364,10 +352,10 @@ def active_plan() -> Optional[Tuple[FaultPlan, int]]:
 
 
 @contextmanager
-def chaos_active(fault_plan: FaultPlan, seed: int = 0) -> Iterator[None]:
+def chaos_active(campaign: FaultPlan, seed: int = 0) -> Iterator[None]:
     """``with chaos_active(plan): ...`` -- arm, then restore on exit."""
     previous = _ACTIVE
-    activate(fault_plan, seed)
+    activate(campaign, seed)
     try:
         yield
     finally:

@@ -31,11 +31,6 @@ class Resolution:
     cname_chain: Tuple[str, ...]
     address: Optional[str]
 
-    @property
-    def terminal_host(self) -> str:
-        """The final hostname after following CNAMEs."""
-        return self.cname_chain[-1] if self.cname_chain else self.host
-
 
 @dataclass(frozen=True)
 class ProviderInfra:

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, Mapping, Optional, Tuple, Union
-from urllib.parse import urlsplit
 
-__all__ = ["Headers", "Request", "Response", "split_url"]
+__all__ = ["Headers", "Request", "Response"]
 
 
 class Headers:
@@ -66,25 +65,6 @@ class Headers:
         for key, (_, value) in self._items.items():
             yield key, value
 
-    def copy(self) -> "Headers":
-        """A shallow copy."""
-        clone = Headers()
-        clone._items = dict(self._items)
-        return clone
-
-
-def split_url(url: str) -> Tuple[str, str, str]:
-    """Split an absolute URL into ``(scheme, host, path-with-query)``.
-
-    >>> split_url("https://example.com/a?b=1")
-    ('https', 'example.com', '/a?b=1')
-    """
-    parts = urlsplit(url)
-    path = parts.path or "/"
-    if parts.query:
-        path = f"{path}?{parts.query}"
-    return parts.scheme or "https", parts.netloc, path
-
 
 @dataclass
 class Request:
@@ -128,19 +108,6 @@ class Request:
         """Path without the query string."""
         return self.path.split("?", 1)[0]
 
-    def with_user_agent(self, user_agent: str) -> "Request":
-        """A copy of this request with a different user agent."""
-        headers = self.headers.copy()
-        headers["User-Agent"] = user_agent
-        return Request(
-            host=self.host,
-            path=self.path,
-            method=self.method,
-            headers=headers,
-            client_ip=self.client_ip,
-            scheme=self.scheme,
-        )
-
 
 @dataclass
 class Response:
@@ -170,11 +137,6 @@ class Response:
     def ok(self) -> bool:
         """Whether the status is a 2xx success."""
         return 200 <= self.status < 300
-
-    @property
-    def is_redirect(self) -> bool:
-        """Whether the response redirects (3xx with a Location header)."""
-        return self.status in (301, 302, 303, 307, 308) and "Location" in self.headers
 
     @property
     def text(self) -> str:

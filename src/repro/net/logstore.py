@@ -234,10 +234,6 @@ class LogSink:
         """Total events held across all streams."""
         return sum(len(events) for events in self._streams.values())
 
-    def stream_labels(self) -> List[str]:
-        """Labels of non-empty streams, sorted (the commit order)."""
-        return sorted(label for label, ev in self._streams.items() if ev)
-
     # -- fork-worker delta shipping -----------------------------------
 
     def marks(self) -> Dict[str, int]:

@@ -1,10 +1,10 @@
-"""The in-memory network: hostname routing and failure injection.
+"""The in-memory network: hostname routing.
 
 A :class:`Network` is the simulated Internet: handlers (origin websites
 or reverse proxies) register under hostnames, clients submit
 :class:`~repro.net.http.Request` objects, and the network returns the
-handler's response or raises the transport error configured for that
-host.  Everything is synchronous and deterministic; at the scale of the
+handler's response or raises a transport error.  Transport faults come
+from one place, the fault plan :mod:`repro.net.chaos` arms.  Everything is synchronous and deterministic; at the scale of the
 paper's sweeps (tens of thousands of sites) a full experiment runs in
 seconds.
 """
@@ -15,7 +15,7 @@ import threading
 from typing import Callable, Dict, Iterable, Iterator, Optional, Protocol
 
 from ..obs.metrics import MetricsRegistry, metrics_enabled, shared_registry
-from .errors import ConnectionRefused, ConnectionReset, DNSFailure
+from .errors import DNSFailure
 from .http import Request, Response
 
 __all__ = ["Handler", "Network", "current_month", "set_chaos_factory"]
@@ -61,7 +61,7 @@ class Handler(Protocol):
 
 
 class Network:
-    """Hostname-to-handler routing with failure injection.
+    """Hostname-to-handler routing, with an armed fault plan's controller.
 
     >>> from repro.net.server import Website
     >>> net = Network()
@@ -74,7 +74,6 @@ class Network:
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         self._handlers: Dict[str, Handler] = {}
-        self._failures: Dict[str, Callable[[Request], Exception]] = {}
         self.now: float = 0.0
         #: Simulated-month index (the series/span logical clock); -1
         #: until a measurement loop or materialization sets it.
@@ -112,14 +111,6 @@ class Network:
         for handler, host in pairs:
             handlers[host.lower()] = handler
 
-    def unregister(self, host: str) -> None:
-        """Remove the handler for *host* (missing hosts are a no-op)."""
-        self._handlers.pop(host.lower(), None)
-
-    def handler_for(self, host: str) -> Optional[Handler]:
-        """The registered handler for *host*, or None."""
-        return self._handlers.get(host.lower())
-
     def hosts(self) -> Iterator[str]:
         """All registered hostnames."""
         return iter(self._handlers)
@@ -127,59 +118,7 @@ class Network:
     def __contains__(self, host: str) -> bool:
         return host.lower() in self._handlers
 
-    # -- failure injection --------------------------------------------------
-
-    def inject_failure(
-        self, host: str, factory: Callable[[Request], Exception]
-    ) -> None:
-        """Make every request to *host* raise ``factory(request)``.
-
-        Used to model sites that drop automation traffic at the TCP
-        level, flaky origins, and the like.
-        """
-        self._failures[host.lower()] = factory
-
-    def refuse_connections(self, host: str) -> None:
-        """Convenience: make *host* refuse all connections."""
-        self.inject_failure(host, lambda req: ConnectionRefused(req.host))
-
-    def reset_connections(self, host: str) -> None:
-        """Convenience: make *host* reset all connections."""
-        self.inject_failure(host, lambda req: ConnectionReset(req.host))
-
-    def inject_flaky(self, host: str, failures: int) -> None:
-        """Make the next *failures* requests to *host* reset, then heal.
-
-        Models transient overload: exactly the situation client retry
-        policies exist for.
-        """
-        remaining = {"n": failures}
-
-        def factory(request: Request) -> Exception:
-            remaining["n"] -= 1
-            if remaining["n"] <= 0:
-                self.clear_failure(request.host)
-            return ConnectionReset(request.host)
-
-        self.inject_failure(host, factory)
-
-    def clear_failure(self, host: str) -> None:
-        """Remove any injected failure for *host*."""
-        self._failures.pop(host.lower(), None)
-
-    def install_chaos(self, controller: object) -> None:
-        """Attach a fault-plan controller (see :mod:`repro.net.chaos`).
-
-        The controller sees every dispatch: ``intercept(request)`` may
-        return a transport error to raise (counted through the same
-        ``net.errors`` path as organic failures), and
-        ``mutate_response(request, response)`` may corrupt the reply.
-        """
-        self._chaos = controller
-
-    def clear_chaos(self) -> None:
-        """Detach any installed fault-plan controller."""
-        self._chaos = None
+    # -- fault injection ------------------------------------------------------
 
     @property
     def chaos(self) -> Optional[object]:
@@ -224,18 +163,12 @@ class Network:
 
         Raises:
             DNSFailure: No handler is registered for the host.
-            NetError: An injected failure fired.
+            NetError: The armed fault plan injected a transport error.
         """
         key = request.host.lower()
         metered = metrics_enabled()
         if metered:
             self._per_host_requests[key] = self._per_host_requests.get(key, 0) + 1
-        failure = self._failures.get(key)
-        if failure is not None:
-            exc = failure(request)
-            if metered:
-                self._count_error(type(exc).__name__)
-            raise exc
         handler = self._handlers.get(key)
         if handler is None:
             if metered:

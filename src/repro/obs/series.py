@@ -105,10 +105,6 @@ class Series:
         with self._lock:
             self._points = {}
 
-    def value_at(self, month: int) -> float:
-        """Accumulated amount at *month* (0 when never recorded)."""
-        return self._points.get(month, 0)
-
     @property
     def total(self) -> float:
         """Sum over all months."""
@@ -126,8 +122,8 @@ class SeriesRegistry:
 
     >>> registry = SeriesRegistry()
     >>> registry.add("sim.requests", month=3, agent="GPTBot")
-    >>> registry.series("sim.requests", agent="GPTBot").value_at(3)
-    1
+    >>> registry.series("sim.requests", agent="GPTBot").points()
+    {3: 1}
     """
 
     def __init__(self, max_series_per_name: int = DEFAULT_MAX_SERIES_PER_NAME):
@@ -164,18 +160,6 @@ class SeriesRegistry:
         if not _metrics._ENABLED:
             return
         self.series(name, **labels).add(month, amount)
-
-    def value_at(self, name: str, month: int, **labels: object) -> float:
-        """Accumulated amount (0 when the series does not exist)."""
-        instrument = self._series.get(_make_key(name, labels))
-        return instrument.value_at(month) if instrument is not None else 0
-
-    def series_count(self, name: Optional[str] = None) -> int:
-        """Materialized series, overall or for one *name*."""
-        with self._lock:
-            if name is None:
-                return len(self._series)
-            return self._per_name.get(name, 0)
 
     # -- snapshot / merge -----------------------------------------------------
 

@@ -141,9 +141,6 @@ class _NoopSpan:
     def __exit__(self, *exc_info: object) -> bool:
         return False
 
-    def set_attribute(self, key: str, value: object) -> None:
-        """Ignored."""
-
 
 #: Shared singleton -- disabled ``span()`` calls allocate nothing.
 NOOP_SPAN = _NoopSpan()
@@ -188,10 +185,6 @@ class Span:
         self._child_counts: Dict[str, int] = {}
         self._token = None
         self._start = 0.0
-
-    def set_attribute(self, key: str, value: object) -> None:
-        """Attach/overwrite one attribute on the live span."""
-        self.attributes[key] = value
 
     def _next_child_index(self, name: str) -> int:
         index = self._child_counts.get(name, 0)

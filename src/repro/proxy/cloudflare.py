@@ -155,9 +155,3 @@ class CloudflareProxy(ReverseProxy):
 
         self.dashboard.append((ua, "pass"))
         return self._forward(request)
-
-    # -- grey-box helpers -------------------------------------------------------
-
-    def blocked_dispositions(self) -> List[Tuple[str, str]]:
-        """Dashboard rows whose disposition is not "pass"."""
-        return [row for row in self.dashboard if row[1] != "pass"]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import ipaddress
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..agents.useragent import matches_any
 from ..net.http import Request
@@ -126,16 +126,3 @@ class RuleSet:
                 return rule.action
         return None
 
-    def matching_rule(self, request: Request) -> Optional[BlockRule]:
-        """The first matching rule itself (including ALLOW), or None."""
-        for rule in self.rules:
-            if rule.matches(request):
-                return rule
-        return None
-
-    @classmethod
-    def blocking_user_agents(
-        cls, patterns: Iterable[str], action: Action = Action.BLOCK, label: str = ""
-    ) -> "RuleSet":
-        """A one-rule set blocking the given UA patterns."""
-        return cls([BlockRule(action, ua_patterns=list(patterns), label=label)])

@@ -2,16 +2,15 @@
 
 The paper publishes its data and code; a downstream user of this
 reproduction needs the same affordance.  This module serializes the
-three main datasets to line-oriented, diff-friendly formats and loads
-them back:
+three main datasets to line-oriented, diff-friendly formats:
 
 * **Snapshot records** (the Common-Crawl-style robots.txt corpus) as
   JSONL -- one record per (snapshot, site), schema compatible with the
-  analysis pipeline.
+  analysis pipeline; loaded back by :func:`load_snapshots`.
 * **Robots.txt schedules** (the per-site longitudinal ground truth) as
   JSONL.
 * **Survey responses** as JSONL (answers are heterogeneous, so CSV
-  would lose structure).
+  would lose structure); loaded back by :func:`load_respondents`.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ __all__ = [
     "dump_snapshots",
     "load_snapshots",
     "dump_schedules",
-    "load_schedules",
     "dump_respondents",
     "load_respondents",
 ]
@@ -111,33 +109,6 @@ def dump_schedules(sites: Iterable[SimSite], sink: TextIO) -> int:
             }
 
     return _write_lines(sink, records())
-
-
-def load_schedules(source: Union[TextIO, Iterable[str]]) -> List[SimSite]:
-    """Load sites previously written by :func:`dump_schedules`.
-
-    Blocking configuration and meta tags are serving-time attributes,
-    not longitudinal data, so they are not round-tripped here.
-    """
-    sites: List[SimSite] = []
-    for line in source:
-        line = line.strip()
-        if not line:
-            continue
-        data = json.loads(line)
-        site = SimSite(
-            domain=data["domain"],
-            rank=data["rank"],
-            tier=data["tier"],
-            category=data["category"],
-            publisher=data["publisher"],
-            robots_schedule=[
-                (entry["month"], entry["robots_txt"]) for entry in data["schedule"]
-            ],
-            missing_months=set(data["missing_months"]),
-        )
-        sites.append(site)
-    return sites
 
 
 # -- survey respondents -------------------------------------------------------------

@@ -192,14 +192,6 @@ class RunReport:
     incremental: Dict[str, str] = field(default_factory=dict)
     profiler: Optional[Profiler] = None
 
-    def result_for(self, key: str) -> ExperimentResult:
-        """The result for registry *key* (KeyError if not run)."""
-        spec = _BY_KEY[key]
-        for result in self.results:
-            if result.experiment_id == spec.result_id:
-                return result
-        raise KeyError(key)
-
     def to_timings(self) -> Dict[str, object]:
         """Machine-readable timing payload (for results/TIMINGS.json).
 
@@ -460,8 +452,6 @@ def run_all(
     store: Optional[WorldStore] = None,
     mode: str = "auto",
     telemetry_dir: Optional[Union[str, Path]] = None,
-    fault_plan: Optional[Union["_chaos.FaultPlan", str]] = None,
-    chaos_seed: int = 0,
     incremental: Union[None, bool, str, Path, IncrementalStore] = None,
     param_overrides: Optional[Dict[str, Dict[str, object]]] = None,
     profile: Union[None, bool, Profiler] = None,
@@ -495,14 +485,6 @@ def run_all(
         telemetry_dir: When given, write ``METRICS.json`` and
             ``TRACE.jsonl`` into this directory after the run (see
             :meth:`RunReport.export_telemetry`).
-        fault_plan: A :class:`~repro.net.chaos.FaultPlan` (or its name)
-            armed for the whole run: every network the world build and
-            the runners construct gets the plan's fault controller.
-            Fork workers inherit the activation.  Because cached worlds
-            would leak fault-free snapshots into a chaos run (and vice
-            versa), a chaos run refuses the process-shared store unless
-            an explicit *store* is passed.
-        chaos_seed: Seed for the fault plan's host sampling.
         incremental: Persistent O(changed) recomputation.  ``True``
             uses ``.repro-cache/`` under the working directory; a
             path or an :class:`~repro.measure.incremental.IncrementalStore`
@@ -510,10 +492,9 @@ def run_all(
             digest, world kind, and declared parameters: unchanged
             experiments are assembled from the store without building
             their world, changed ones re-run and overwrite their entry.
-            Armed chaos (via *fault_plan* or an externally activated
-            plan) bypasses the store entirely -- it is neither read nor
-            written -- so injected faults can never leak into warm
-            artifacts.
+            An armed fault plan bypasses the store entirely -- it is
+            neither read nor written -- so injected faults can never
+            leak into warm artifacts.
         param_overrides: ``{experiment_key: {param: value}}`` edits to
             declared :attr:`ExperimentSpec.params`.  Overrides feed both
             the runner call and the incremental input key, so editing
@@ -536,18 +517,20 @@ def run_all(
             the telemetry export when *telemetry_dir* is given, else
             into *log_dir*.
 
+    Chaos is the caller's context: run inside
+    ``with repro.net.chaos.chaos_active(plan, seed):`` and every network
+    the world build and the runners construct gets the plan's fault
+    controller (fork workers inherit the activation).  A faulted world
+    must never enter or come from the process-shared store, so an armed
+    plan with no explicit *store* builds into a fresh one.
+
     Returns:
         A :class:`RunReport` with results in registry order, the
         span-derived timing trajectory, and the run's span records.
     """
-    chaos_preactivated = _chaos.active_plan() is not None
-    if fault_plan is not None:
-        if isinstance(fault_plan, str):
-            fault_plan = _chaos.plan(fault_plan)
-        if store is None:
-            # Never mix fault-injected worlds with the shared cache.
-            store = WorldStore()
-    store = store or shared_world_store()
+    chaos_armed = _chaos.active_plan() is not None
+    if store is None:
+        store = WorldStore() if chaos_armed else shared_world_store()
     keys = list(experiments) if experiments is not None else experiment_keys()
     unknown = [k for k in keys if k not in _BY_KEY]
     if unknown:
@@ -567,7 +550,7 @@ def run_all(
     input_keys: Dict[str, str] = {}
     to_run = list(ordered)
     if incremental not in (None, False):
-        if fault_plan is not None or chaos_preactivated:
+        if chaos_armed:
             # A faulted world must never touch the store: no reads (a
             # warm result would mask the faults the run exists to
             # observe) and no writes (faulted results would poison
@@ -624,11 +607,6 @@ def run_all(
         # back when the stack closes.
         if sink is not None:
             planes.callback(set_log_sink, set_log_sink(sink))
-        # Arm the fault plan for the entire run: world build, serial and
-        # thread runners see it directly; fork workers inherit the armed
-        # factory, so networks built inside child processes get it too.
-        if fault_plan is not None:
-            planes.enter_context(_chaos.chaos_active(fault_plan, chaos_seed))
         total_span = span(
             "run_all", mode=resolved, workers=n_workers, n_experiments=len(ordered)
         )

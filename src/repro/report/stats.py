@@ -7,8 +7,6 @@ especially at reduced simulation scale.  This module provides:
 * :func:`wilson_interval` -- the Wilson score interval for a binomial
   proportion (well-behaved at small n and extreme p, unlike the normal
   approximation),
-* :func:`bootstrap_mean_interval` -- a seeded percentile bootstrap for
-  means of arbitrary samples,
 * :func:`proportion_summary` -- a formatted "p% [lo, hi]" string used
   in experiment output.
 """
@@ -16,11 +14,9 @@ especially at reduced simulation scale.  This module provides:
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Tuple
+from typing import Tuple
 
-from ..util import seeded_rng
-
-__all__ = ["wilson_interval", "bootstrap_mean_interval", "proportion_summary"]
+__all__ = ["wilson_interval", "proportion_summary"]
 
 #: z-scores for common confidence levels.
 _Z = {0.90: 1.6449, 0.95: 1.9600, 0.99: 2.5758}
@@ -69,35 +65,6 @@ def wilson_interval(
     if successes == total:
         hi = 1.0
     return (lo, hi)
-
-
-def bootstrap_mean_interval(
-    sample: Sequence[float],
-    confidence: float = 0.95,
-    n_resamples: int = 2000,
-    seed: int = 42,
-) -> Tuple[float, float]:
-    """Seeded percentile-bootstrap CI for the mean of *sample*.
-
-    >>> lo, hi = bootstrap_mean_interval([1.0, 2.0, 3.0, 4.0], seed=1)
-    >>> lo < 2.5 < hi
-    True
-    """
-    if not sample:
-        raise ValueError("sample must be non-empty")
-    rng = seeded_rng(seed, "bootstrap", len(sample))
-    n = len(sample)
-    means: List[float] = []
-    for _ in range(n_resamples):
-        total = 0.0
-        for _ in range(n):
-            total += sample[rng.randrange(n)]
-        means.append(total / n)
-    means.sort()
-    alpha = (1.0 - confidence) / 2.0
-    lo_index = max(0, int(math.floor(alpha * n_resamples)))
-    hi_index = min(n_resamples - 1, int(math.ceil((1.0 - alpha) * n_resamples)) - 1)
-    return (means[lo_index], means[hi_index])
 
 
 def proportion_summary(

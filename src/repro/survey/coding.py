@@ -49,9 +49,6 @@ class Codebook:
     name: str
     themes: Tuple[Theme, ...]
 
-    def theme_names(self) -> List[str]:
-        return [t.name for t in self.themes]
-
 
 #: Table 9: other actions taken by artists in response to AI art.
 ACTIONS_CODEBOOK = Codebook(

@@ -52,14 +52,6 @@ class ContingencyTable:
     def col_totals(self) -> List[int]:
         return [sum(row[j] for row in self.counts) for j in range(len(self.col_labels))]
 
-    def proportions_by_row(self) -> List[List[float]]:
-        """Each row normalized to its total (0 rows stay 0)."""
-        out = []
-        for row in self.counts:
-            total = sum(row)
-            out.append([cell / total if total else 0.0 for cell in row])
-        return out
-
 
 def build_contingency(
     respondents: Sequence[Respondent],

@@ -14,8 +14,6 @@ from .events import (
     GPTBOT_ANNOUNCEMENT,
     MONTHS,
     DataDeal,
-    announced_agents,
-    deals_during,
 )
 from .evolution import AGENT_BLOCK_WEIGHTS, EvolutionParams, OperatorModel
 from .managed import ManagedRobotsService
@@ -44,8 +42,6 @@ __all__ = [
     "GPTBOT_ANNOUNCEMENT",
     "MONTHS",
     "DataDeal",
-    "announced_agents",
-    "deals_during",
     "AGENT_BLOCK_WEIGHTS",
     "EvolutionParams",
     "OperatorModel",

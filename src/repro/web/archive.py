@@ -37,7 +37,7 @@ import hashlib
 import json
 from array import array
 from pathlib import Path
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..columnar import (
     BlobReader,
@@ -374,9 +374,6 @@ class ShardReader:
             "body_cache_chars": sum(len(text) for text in texts.values()),
         }
 
-    def error_text(self, ref: int) -> str:
-        return self.errors[ref]
-
     def domain_index(self) -> Dict[str, int]:
         """domain -> row map (built lazily; used by variant fallback)."""
         if self._domain_index is None:
@@ -401,21 +398,6 @@ class ShardReader:
             robots_txt=self.body_text(body_ref) if body_ref >= 0 else None,
             error=self.errors[error_ref] if error_ref >= 0 else None,
         )
-
-    def records_for(self, spec_index: int) -> Iterator[SiteRecord]:
-        """All records for one spec, in stored (rank) order."""
-        statuses = self.statuses(spec_index)
-        body_refs = self.body_refs(spec_index)
-        error_refs = self.error_refs(spec_index)
-        for i, domain in enumerate(self.domains):
-            body_ref = body_refs[i]
-            error_ref = error_refs[i]
-            yield SiteRecord(
-                domain=domain,
-                status=statuses[i],
-                robots_txt=self.body_text(body_ref) if body_ref >= 0 else None,
-                error=self.errors[error_ref] if error_ref >= 0 else None,
-            )
 
 
 class ArchiveSet:

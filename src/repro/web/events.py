@@ -19,17 +19,15 @@ Three kinds of dated events shape the trends of Figures 2-4:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 __all__ = [
     "MONTHS",
     "GPTBOT_ANNOUNCEMENT",
     "EU_AI_ACT",
     "AGENT_ANNOUNCED",
-    "announced_agents",
     "DataDeal",
     "DATA_DEALS",
-    "deals_during",
 ]
 
 #: Month indices covered by the longitudinal window (Oct 2022-Oct 2024).
@@ -70,13 +68,6 @@ AGENT_ANNOUNCED: Dict[str, int] = {
     "Kangaroo Bot": 22,
     "Webzio-Extended": 23,
 }
-
-
-def announced_agents(month: int) -> List[str]:
-    """Agents announced by *month*, in announcement order."""
-    known = [(m, token) for token, m in AGENT_ANNOUNCED.items() if m <= month]
-    known.sort(key=lambda pair: (pair[0], pair[1]))
-    return [token for _, token in known]
 
 
 @dataclass(frozen=True)
@@ -122,8 +113,3 @@ DATA_DEALS = [
     DataDeal("Conde Nast", month=22, n_domains=26),
     DataDeal("Hearst", month=23, n_domains=30),
 ]
-
-
-def deals_during(start_month: int, end_month: int) -> List[DataDeal]:
-    """Deals whose robots.txt changes landed in [start, end]."""
-    return [d for d in DATA_DEALS if start_month <= d.month <= end_month]

@@ -104,10 +104,6 @@ class WebPopulation:
     deal_domains: Mapping[str, Sequence[str]] = field(default_factory=dict)
     explicit_allow_domains: Sequence[str] = ()
 
-    def stable_other(self) -> List[SimSite]:
-        """Stable sites outside the Top-5K tier."""
-        return [s for s in self.stable if s.tier != "top5k"]
-
     def materialize(
         self, network: Network, month: int, sites: Optional[Sequence[SimSite]] = None
     ) -> None:

@@ -126,11 +126,6 @@ class SimSite:
             state.pop("_handler_cache", None)
         object.__setattr__(self, name, value)
 
-    @property
-    def frozen(self) -> bool:
-        """Whether the site has been frozen (immutable substrate)."""
-        return self.__dict__.get("_frozen", False)
-
     def freeze(self) -> "SimSite":
         """Make the site immutable: any further field set raises.
 

@@ -29,7 +29,6 @@ __all__ = [
     "STRATUM_SIZES",
     "strata_names",
     "stratum_cutoff",
-    "stratum_members",
 ]
 
 #: The paper-scale top-k strata the scale plane measures, smallest
@@ -67,19 +66,6 @@ def stratum_cutoff(stratum: str, scale: float = 1.0) -> int:
         known = ", ".join(strata_names())
         raise KeyError(f"unknown stratum {stratum!r} (known: {known})") from None
     return max(1, round(size * scale))
-
-
-def stratum_members(
-    rankings: Dict[int, List[str]], stratum: str, scale: float = 1.0
-) -> List[str]:
-    """The stable membership of *stratum*: domains inside its cutoff in
-    every month's ranking, in first-month rank order.
-
-    This is :func:`stable_sites` at the stratum's scaled cutoff --
-    membership is a pure function of the rankings (hence of the seed),
-    never of shard or worker counts.
-    """
-    return stable_sites(rankings, stratum_cutoff(stratum, scale))
 
 
 @dataclass

@@ -4,14 +4,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.classify import (
+    NO_ROBOTS_ROW,
     RestrictionLevel,
+    VerdictRow,
     classify,
     classify_rules,
-    explicitly_allows,
-    fully_disallows_any,
 )
 from repro.core import policy as policy_module
 from repro.core.matcher import Rule
+from repro.core.policy import RobotsPolicy
 
 
 class TestRestrictionLevels:
@@ -102,42 +103,47 @@ class TestClassifyRules:
 
 class TestExplicitlyAllows:
     def test_explicit_allow_group(self):
-        assert explicitly_allows("User-agent: GPTBot\nAllow: /", "GPTBot")
+        assert classify("User-agent: GPTBot\nAllow: /", "GPTBot").explicit_allow
 
     def test_wildcard_allow_not_explicit(self):
-        assert not explicitly_allows("User-agent: *\nAllow: /", "GPTBot")
+        assert not classify("User-agent: *\nAllow: /", "GPTBot").explicit_allow
 
     def test_allow_with_disallow_elsewhere_not_counted(self):
         text = "User-agent: GPTBot\nAllow: /\nDisallow: /private/"
-        assert not explicitly_allows(text, "GPTBot")
+        assert not classify(text, "GPTBot").explicit_allow
 
     def test_allow_subpath_only_not_counted(self):
-        assert not explicitly_allows("User-agent: GPTBot\nAllow: /blog/", "GPTBot")
+        assert not classify("User-agent: GPTBot\nAllow: /blog/", "GPTBot").explicit_allow
 
     def test_disallow_only_group_not_allow(self):
-        assert not explicitly_allows("User-agent: GPTBot\nDisallow: /", "GPTBot")
+        assert not classify("User-agent: GPTBot\nDisallow: /", "GPTBot").explicit_allow
+
+
+def _row(text):
+    return VerdictRow.of(RobotsPolicy(text))
 
 
 class TestFullyDisallowsAny:
     AGENTS = ["GPTBot", "CCBot", "anthropic-ai"]
 
     def test_none_robots(self):
-        assert not fully_disallows_any(None, self.AGENTS)
+        assert not NO_ROBOTS_ROW.fully_disallows_any(self.AGENTS)
 
     def test_one_agent_blocked(self):
         text = "User-agent: CCBot\nDisallow: /"
-        assert fully_disallows_any(text, self.AGENTS)
+        assert _row(text).fully_disallows_any(self.AGENTS)
 
     def test_partial_not_counted(self):
         text = "User-agent: CCBot\nDisallow: /img/"
-        assert not fully_disallows_any(text, self.AGENTS)
+        assert not _row(text).fully_disallows_any(self.AGENTS)
 
     def test_wildcard_not_counted_by_default(self):
-        assert not fully_disallows_any("User-agent: *\nDisallow: /", self.AGENTS)
+        text = "User-agent: *\nDisallow: /"
+        assert not _row(text).fully_disallows_any(self.AGENTS)
 
     def test_wildcard_counted_in_ablation_mode(self):
-        assert fully_disallows_any(
-            "User-agent: *\nDisallow: /", self.AGENTS, require_explicit=False
+        assert _row("User-agent: *\nDisallow: /").fully_disallows_any(
+            self.AGENTS, require_explicit=False
         )
 
 
@@ -154,8 +160,6 @@ class TestRawTextParsing:
         text = "User-agent: GPTBot\nDisallow: /parsed-once/\n"
         classify(text, "GPTBot")
         classify(text, "CCBot")
-        explicitly_allows(text, "GPTBot")
-        fully_disallows_any(text, ["GPTBot", "CCBot"])
         assert len(parses) <= 1
 
 

@@ -174,7 +174,7 @@ class TestCompiledRobots:
         for agent in AGENTS:
             rules, explicit, delay = oracle.agent_rules(groups, agent)
             assert list(policy.rules_for(agent).rules) == rules
-            assert policy.has_explicit_group(agent) == explicit
+            assert policy.rules_for(agent).explicit == explicit
             assert policy.crawl_delay(agent) == delay
             for path in PATHS:
                 expected = oracle.longest_match(rules, path)
@@ -214,7 +214,6 @@ class TestCompileOnce:
                     robots.is_allowed(agent, path)
                     legacy.is_allowed(agent, path)
                     aitxt.may_train(path, agent)
-            aitxt.allowed_categories()
 
         query_everything()
         n_rules = sum(len(group.rules) for group in parse(text).groups)
@@ -244,11 +243,13 @@ class TestCompiledPolicyCache:
         assert a is not b
         assert len(cache) == 2
 
-    def test_str_and_bytes_share_an_entry(self):
+    def test_str_and_bytes_copies_answer_alike(self):
         cache = CompiledPolicyCache()
-        a = cache.policy("User-agent: *\nDisallow: /\n")
-        b = cache.policy(b"User-agent: *\nDisallow: /\n")
-        assert a is b
+        a = cache.policy("User-agent: *\nDisallow: /x\n")
+        b = cache.policy(b"User-agent: *\nDisallow: /x\n")
+        for path in ("/", "/x", "/x/y"):
+            assert a.is_allowed("bot", path) == b.is_allowed("bot", path)
+        assert cache.policy(b"User-agent: *\nDisallow: /x\n") is b
 
     def test_clear_resets(self):
         cache = CompiledPolicyCache()

@@ -113,11 +113,6 @@ class TestQuirkToggles:
                         agent, path
                     ), (text, agent, path)
 
-    def test_has_explicit_group(self):
-        legacy = LegacyPolicy("User-agent: GPTBot\nDisallow: /")
-        assert legacy.has_explicit_group("GPTBot")
-        assert not legacy.has_explicit_group("CCBot")
-
 
 #: Bodies exercising every quirk, beside the compliant samples.
 _QUIRK_SAMPLES = [
@@ -146,9 +141,6 @@ class TestFromTokenStream:
                 assert from_lines._groups == from_text._groups, text
                 for agent in self.AGENTS:
                     assert from_lines.rules_for(agent) == from_text.rules_for(agent)
-                    assert from_lines.has_explicit_group(
-                        agent
-                    ) == from_text.has_explicit_group(agent)
                     for path in self.PATHS:
                         assert from_lines.verdict(agent, path) == from_text.verdict(
                             agent, path

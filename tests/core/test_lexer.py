@@ -109,10 +109,6 @@ class TestTokenizeEdgeCases:
 
 
 class TestLineProperties:
-    def test_is_rule(self):
-        allow, disallow, ua = tokenize("Allow: /a\nDisallow: /b\nUser-agent: x")
-        assert allow.is_rule and disallow.is_rule and not ua.is_rule
-
     def test_is_directive(self):
         comment, blank, ua = tokenize("# c\n\nUser-agent: x")
         assert not comment.is_directive

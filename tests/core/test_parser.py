@@ -1,6 +1,7 @@
 """Tests for repro.core.parser, including the Appendix B.2 edge cases."""
 
 from repro.core.parser import parse
+from repro.core.policy import RobotsPolicy
 
 
 class TestBasicParsing:
@@ -150,10 +151,10 @@ class TestAppendixB2Case3:
 
 class TestGroupQueries:
     def test_groups_for_case_insensitive(self):
-        parsed = parse("User-agent: GPTBot\nDisallow: /")
-        assert parsed.groups_for("gptbot")
-        assert parsed.groups_for("GPTBOT")
-        assert not parsed.groups_for("ccbot")
+        policy = RobotsPolicy(parse("User-agent: GPTBot\nDisallow: /"))
+        assert policy.rules_for("gptbot").explicit
+        assert policy.rules_for("GPTBOT").explicit
+        assert not policy.rules_for("ccbot").explicit
 
     def test_named_agents_deduplicated_in_order(self):
         text = (

@@ -90,7 +90,7 @@ class TestAgentSelection:
 class TestPolicyAccessors:
     def test_sitemaps(self):
         policy = RobotsPolicy("Sitemap: https://e.com/a.xml\nSitemap: https://e.com/b.xml")
-        assert policy.sitemaps == ["https://e.com/a.xml", "https://e.com/b.xml"]
+        assert policy.parsed.sitemaps == ["https://e.com/a.xml", "https://e.com/b.xml"]
 
     def test_crawl_delay_exposed(self):
         policy = RobotsPolicy("User-agent: slowbot\nCrawl-delay: 10\nDisallow: /x")
@@ -99,8 +99,8 @@ class TestPolicyAccessors:
 
     def test_has_explicit_group(self):
         policy = RobotsPolicy("User-agent: GPTBot\nDisallow: /\nUser-agent: *\nAllow: /")
-        assert policy.has_explicit_group("GPTBot")
-        assert not policy.has_explicit_group("CCBot")
+        assert policy.rules_for("GPTBot").explicit
+        assert not policy.rules_for("CCBot").explicit
 
     def test_named_agents(self):
         policy = RobotsPolicy("User-agent: A\nDisallow: /\nUser-agent: B\nAllow: /")
@@ -120,7 +120,7 @@ class TestPolicyAccessors:
         from repro.core.parser import parse
 
         parsed = parse("User-agent: *\nDisallow: /")
-        policy = RobotsPolicy.from_parsed(parsed)
+        policy = RobotsPolicy(parsed)
         assert not policy.is_allowed("x", "/y")
 
 

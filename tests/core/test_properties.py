@@ -61,12 +61,12 @@ class TestBuilderParserRoundTrip:
     @given(text=robots_files())
     @settings(max_examples=60)
     def test_groups_survive_roundtrip(self, text):
-        parsed = parse(text)
+        policy = RobotsPolicy(parse(text))
         # Every agent mentioned is reachable through a group.
         for token in agents_mentioned(text):
             if token == "*":
                 continue
-            assert parsed.groups_for(token), token
+            assert policy.rules_for(token).explicit, token
 
 
 class TestEditInvariants:

@@ -1,34 +1,12 @@
-"""Additional property-based tests: ai.txt, differ, and stats invariants."""
+"""Additional property-based tests: differ and stats invariants."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.aitxt import AiTxtPolicy, MediaCategory, build_aitxt
 from repro.core.diff import ChangeKind, classify_change, diff_robots
 from repro.core.serialize import RobotsBuilder, add_disallow_group
 
 _ai_agents = ["GPTBot", "CCBot", "anthropic-ai"]
-
-_category_maps = st.dictionaries(
-    st.sampled_from(list(MediaCategory)), st.booleans(), max_size=5
-)
-
-
-class TestAiTxtProperties:
-    @given(allow=_category_maps, default=st.booleans())
-    @settings(max_examples=60)
-    def test_build_parse_roundtrip_per_category(self, allow, default):
-        policy = AiTxtPolicy(build_aitxt(allow, default_allow=default))
-        categories = policy.allowed_categories()
-        for category in MediaCategory:
-            expected = allow.get(category, default)
-            assert categories[category] is expected, category
-
-    @given(default=st.booleans())
-    @settings(max_examples=20)
-    def test_uncategorized_paths_follow_default(self, default):
-        policy = AiTxtPolicy(build_aitxt({}, default_allow=default))
-        assert policy.may_train("/about") is default
 
 
 @st.composite

@@ -2,8 +2,8 @@
 
 :meth:`RobotsPolicy.rules_for` reads an index of the body's named
 tokens; :func:`oracle.resolve` walks every group's tokens per query.
-:func:`classify` and :func:`explicitly_allows` read the level and the
-explicit allow an :class:`AgentRules` computes once for every agent
+:func:`classify` and :attr:`AgentRules.explicit_allow` read the level
+and the explicit allow an :class:`AgentRules` computes once for every agent
 sharing it; :func:`oracle.classification` and
 :func:`oracle.explicitly_allows` classify each agent's rules afresh.
 :meth:`VerdictRow.of` reads those shared answers through
@@ -20,7 +20,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from repro.agents.darkvisitors import AI_USER_AGENT_TOKENS
-from repro.core.classify import VerdictRow, classify, explicitly_allows
+from repro.core.classify import VerdictRow, classify
 from repro.core.matcher import Rule
 from repro.core.parser import Group, ParsedRobots
 from repro.core.policy import RobotsPolicy, extract_product_token
@@ -62,7 +62,7 @@ def assert_matches_oracle(text, agents=PROBE_AGENTS):
             assert classify(policy, agent, require_explicit) == oracle.classification(
                 parsed, agent, require_explicit
             ), (text, agent, require_explicit)
-        assert explicitly_allows(policy, agent) == oracle.explicitly_allows(
+        assert got.explicit_allow == oracle.explicitly_allows(
             parsed, agent
         ), (text, agent)
         by_groups.setdefault(oracle.matched_groups(parsed, agent), set()).add(id(got))

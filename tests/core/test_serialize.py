@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.classify import RestrictionLevel, classify, explicitly_allows
+from repro.core.classify import RestrictionLevel, classify
 from repro.core.policy import RobotsPolicy
 from repro.core.serialize import (
     RobotsBuilder,
@@ -33,7 +33,7 @@ class TestRobotsBuilder:
 
     def test_sitemap_rendered(self):
         text = RobotsBuilder().group("*").disallow("").sitemap("https://e.com/s.xml").build()
-        assert RobotsPolicy(text).sitemaps == ["https://e.com/s.xml"]
+        assert RobotsPolicy(text).parsed.sitemaps == ["https://e.com/s.xml"]
 
     def test_crawl_delay_integer_rendering(self):
         text = RobotsBuilder().group("*").crawl_delay(5).build()
@@ -91,7 +91,7 @@ class TestAddGroups:
 
     def test_add_allow_group(self):
         text = add_allow_group("User-agent: *\nDisallow: /private/\n", ["GPTBot"])
-        assert explicitly_allows(text, "GPTBot")
+        assert classify(text, "GPTBot").explicit_allow
 
 
 class TestRemoveAgentRules:

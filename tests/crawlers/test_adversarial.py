@@ -88,10 +88,9 @@ class TestStealthPacing:
         profile = CrawlerProfile.stealth(
             "Ghost", fetch_interval=2.0, gap_jitter_ms=0, seed=0
         )
-        result = Crawler(profile, net).crawl("target.com", max_pages=4)
+        Crawler(profile, net).crawl("target.com", max_pages=4)
         # 3 gaps between 4 content fetches (robots fetch is free).
         assert net.now == pytest.approx(6.0)
-        assert result.time_spent == pytest.approx(6.0)
         timestamps = [e.timestamp for e in site.access_log
                       if e.path != "/robots.txt"]
         gaps = [b - a for a, b in zip(timestamps, timestamps[1:])]
@@ -100,9 +99,8 @@ class TestStealthPacing:
     def test_unpaced_profiles_leave_the_clock_alone(self):
         net, _ = make_world()
         profile = CrawlerProfile.oblivious("Plain", default_fetch_interval=2.0)
-        result = Crawler(profile, net).crawl("target.com", max_pages=4)
-        assert net.now == 0.0  # interval charged to the budget only
-        assert result.time_spent == pytest.approx(6.0)
+        Crawler(profile, net).crawl("target.com", max_pages=4)
+        assert net.now == 0.0  # the interval is not charged to the clock
 
     def test_stealth_factory_shape(self):
         profile = CrawlerProfile.stealth("Ghost", seed=5)

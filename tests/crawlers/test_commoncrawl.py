@@ -1,18 +1,23 @@
 """Tests for the Common-Crawl-style snapshot crawler."""
 
+from contextlib import nullcontext
+
 from repro.crawlers.commoncrawl import (
     SNAPSHOT_SPECS,
     SnapshotCrawler,
     month_label,
 )
+from repro.net.chaos import FaultPlan, FaultRule, chaos_active
 from repro.net.server import Website
 from repro.net.transport import Network
 from repro.proxy.reverse_proxy import ReverseProxy
-from repro.proxy.rules import RuleSet
+from repro.proxy.rules import Action, BlockRule, RuleSet
 
 
-def make_net():
-    net = Network()
+def make_net(*rules):
+    """The three-site test web, built under a fault plan of *rules*."""
+    with chaos_active(FaultPlan("test", rules)) if rules else nullcontext():
+        net = Network()
     with_robots = Website("a.com")
     with_robots.set_robots_txt("User-agent: GPTBot\nDisallow: /")
     with_robots.add_page("/", "<p>a</p>")
@@ -24,9 +29,8 @@ def make_net():
 
     blocker_origin = Website("c.com")
     blocker_origin.set_robots_txt("User-agent: *\nDisallow:")
-    proxy = ReverseProxy(
-        blocker_origin, RuleSet.blocking_user_agents(["CCBot"]), "WAF"
-    )
+    rules = RuleSet([BlockRule(Action.BLOCK, ua_patterns=["CCBot"])])
+    proxy = ReverseProxy(blocker_origin, rules, "WAF")
     net.register(proxy)
     return net
 
@@ -84,7 +88,7 @@ class TestSnapshotCrawler:
     def test_sites_with_robots(self):
         crawler = SnapshotCrawler(make_net())
         snap = crawler.snapshot(SNAPSHOT_SPECS[0], ["a.com", "b.com", "c.com"])
-        assert snap.sites_with_robots() == ["a.com"]
+        assert [d for d, r in snap.records.items() if r.ok] == ["a.com"]
 
     def test_redirects_not_followed(self):
         net = make_net()
@@ -99,19 +103,6 @@ class TestSnapshotCrawler:
         assert snap.records["apex.com"].status == 301
         assert not snap.records["apex.com"].ok
 
-    def test_www_fallback_in_record_for(self):
-        net = make_net()
-        apex = Website("apex.com")
-        apex.redirect_to_host = "www.apex.com"
-        www = Website("www.apex.com")
-        www.set_robots_txt("User-agent: *\nDisallow:")
-        net.register(apex)
-        net.register(www)
-        crawler = SnapshotCrawler(net)
-        snap = crawler.snapshot(SNAPSHOT_SPECS[0], ["apex.com", "www.apex.com"])
-        record = snap.record_for("apex.com")
-        assert record is not None and record.ok
-
     def test_dedup_prefers_latest_non_error(self):
         crawler = SnapshotCrawler(make_net(), visits_per_site=3)
         snap = crawler.snapshot(SNAPSHOT_SPECS[0], ["a.com"])
@@ -120,38 +111,29 @@ class TestSnapshotCrawler:
 
 class TestDedupOnAllErrorVisits:
     def test_latest_failure_mode_kept(self):
-        from repro.net.errors import ConnectionRefused, ConnectionReset
-        from repro.net.http import Request  # noqa: F401  (doc import)
-
-        net = make_net()
-        calls = {"n": 0}
-
-        def factory(request):
-            # First visit resets, later visits are refused: the record
-            # must report the most recent failure mode.
-            calls["n"] += 1
-            if calls["n"] == 1:
-                return ConnectionReset(request.host)
-            return ConnectionRefused(request.host)
-
-        net.inject_failure("a.com", factory)
+        # First visit resets, later visits are refused: the record must
+        # report the most recent failure mode.
+        net = make_net(
+            FaultRule("reset", hosts=("a.com",), max_per_host=1),
+            FaultRule("outage", hosts=("a.com",)),
+        )
         crawler = SnapshotCrawler(net, visits_per_site=3, retry_errored=0)
         record = crawler.crawl_site("a.com")
         assert record.status == 0
         assert "refused" in record.error.lower()
 
     def test_error_never_displaces_success(self):
-        net = make_net()
+        # The host is down from month 1 on, so only the first visit
+        # (month 0) succeeds.
+        net = make_net(FaultRule("outage", hosts=("a.com",), months=(1, 1)))
+        net.month = 0
         crawler = SnapshotCrawler(net, visits_per_site=2, retry_errored=0)
-        # First visit succeeds; then the host turns flaky mid-crawl.
         original_fetch = crawler._fetch_once
-        visits = {"n": 0}
 
         def flaky_fetch(domain):
-            visits["n"] += 1
-            if visits["n"] > 1:
-                net.reset_connections(domain)
-            return original_fetch(domain)
+            record = original_fetch(domain)
+            net.month = 1
+            return record
 
         crawler._fetch_once = flaky_fetch
         record = crawler.crawl_site("a.com")
@@ -160,8 +142,7 @@ class TestDedupOnAllErrorVisits:
 
 class TestRetryPassesAndErrorBudget:
     def test_transient_error_healed_by_retry_pass(self):
-        net = make_net()
-        net.inject_flaky("a.com", failures=1)
+        net = make_net(FaultRule("reset", hosts=("a.com",), max_per_host=1))
         crawler = SnapshotCrawler(net, retry_errored=2)
         snap = crawler.snapshot(SNAPSHOT_SPECS[0], ["a.com", "b.com"])
         assert snap.records["a.com"].ok
@@ -171,11 +152,9 @@ class TestRetryPassesAndErrorBudget:
         assert budget.n_healed == 1
         assert budget.n_errored_final == 0
         assert budget.retry_passes == 1
-        assert budget.heal_rate == 1.0
 
     def test_flaky_host_heals_after_exactly_n_failures(self):
-        net = make_net()
-        net.inject_flaky("a.com", failures=2)
+        net = make_net(FaultRule("reset", hosts=("a.com",), max_per_host=2))
         crawler = SnapshotCrawler(net, retry_errored=3)
         snap = crawler.snapshot(SNAPSHOT_SPECS[0], ["a.com"])
         assert snap.records["a.com"].ok
@@ -200,13 +179,11 @@ class TestRetryPassesAndErrorBudget:
         budget = snap.error_budget
         assert budget.n_errored_first_pass == 0
         assert budget.retry_passes == 0
-        assert budget.heal_rate == 1.0
 
     def test_retries_disabled_globally(self):
         from repro.net.chaos import retries_disabled
 
-        net = make_net()
-        net.inject_flaky("a.com", failures=1)
+        net = make_net(FaultRule("reset", hosts=("a.com",), max_per_host=1))
         crawler = SnapshotCrawler(net, retry_errored=2)
         with retries_disabled():
             snap = crawler.snapshot(SNAPSHOT_SPECS[0], ["a.com"])
@@ -217,8 +194,9 @@ class TestRetryPassesAndErrorBudget:
     def test_healed_snapshot_equals_fault_free_snapshot(self):
         spec = SNAPSHOT_SPECS[0]
         clean = SnapshotCrawler(make_net()).snapshot(spec, ["a.com", "b.com"])
-        flaky_net = make_net()
-        flaky_net.inject_flaky("a.com", failures=1)
+        flaky_net = make_net(
+            FaultRule("reset", hosts=("a.com",), max_per_host=1)
+        )
         healed = SnapshotCrawler(flaky_net, retry_errored=2).snapshot(
             spec, ["a.com", "b.com"]
         )

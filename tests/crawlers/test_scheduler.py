@@ -48,7 +48,7 @@ class TestScheduling:
                            start_at=DAY)
         report = scheduler.run_until(10 * DAY)
         assert report.crawls[("OnceBot", "sched.example")] == 1
-        assert scheduler.pending == 0
+        assert not scheduler._heap  # nothing left queued
 
     def test_future_tasks_stay_queued(self):
         net, _ = make_world()
@@ -57,7 +57,7 @@ class TestScheduling:
         scheduler.schedule(crawler, "sched.example", interval=DAY, start_at=5 * DAY)
         report = scheduler.run_until(2 * DAY)
         assert not report.crawls
-        assert scheduler.pending == 1
+        assert len(scheduler._heap) == 1
         report = scheduler.run_until(5 * DAY)
         assert report.crawls[("LateBot", "sched.example")] == 1
 
@@ -102,16 +102,15 @@ class TestCacheInterplay:
         assert report.crawls[("CachyBot", "sched.example")] == 7
         assert report.robots_fetches[("CachyBot", "sched.example")] == 3
 
-    def test_revalidating_bot_sees_policy_change_at_ttl(self):
+    def test_caching_bot_sees_policy_change_at_ttl(self):
         net, site = make_world()
         scheduler = CrawlScheduler(net)
         profile = CrawlerProfile.respectful("Reval", robots_cache_ttl=2 * DAY)
-        profile.revalidates_robots = True
         crawler = Crawler(profile, net)
         scheduler.schedule(crawler, "sched.example", interval=DAY)
         warm = scheduler.run_until(DAY)        # cache warm, policy open
         key = ("Reval", "sched.example")
         assert warm.pages[key] == 4            # t=0 and t=1d, two pages each
         site.set_robots_txt("User-agent: *\nDisallow: /\n")
-        report = scheduler.run_until(6 * DAY)  # revalidation at t=2d picks it up
+        report = scheduler.run_until(6 * DAY)  # the refetch at t=2d picks it up
         assert report.pages.get(key, 0) == 0   # every later crawl is kept out

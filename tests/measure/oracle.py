@@ -1,10 +1,10 @@
 """A per-domain reference for the Section 3 statistics.
 
 Deliberately naive: no grouping by body, no memoisation, no shard
-views.  Every (domain, snapshot) cell is looked up with
-``Snapshot.record_for`` and judged by the uncached classifiers in
-:mod:`repro.core.classify`, so the aggregation engine in
-:mod:`repro.measure.longitudinal` is checked against the definitions
+views.  Every (domain, snapshot) cell is looked up with :func:`record_of`
+(Appendix B.1's "www." fallback, stated here from the paper) and judged
+by :func:`repro.core.classify.classify` alone, so the aggregation engine
+in :mod:`repro.measure.longitudinal` is checked against the definitions
 rather than against another optimised implementation.
 
 Each function reads only a series' raw crawl data -- ``snapshots``,
@@ -12,19 +12,38 @@ Each function reads only a series' raw crawl data -- ``snapshots``,
 """
 
 from repro.agents.darkvisitors import AI_USER_AGENT_TOKENS
-from repro.core.classify import (
-    RestrictionLevel,
-    classify,
-    explicitly_allows,
-    fully_disallows_any,
-)
+from repro.core.classify import RestrictionLevel, classify
 from repro.core.policy import RobotsPolicy
 from repro.measure.longitudinal import FIGURE3_AGENTS
 
 
+def _usable(record):
+    return record is not None and (record.ok or record.missing)
+
+
+def record_of(snapshot, domain):
+    """*domain*'s record in *snapshot*, or its "www." variant's when
+    only the variant's is usable (fetched or an affirmative 404)."""
+    own = snapshot.records.get(domain)
+    if _usable(own):
+        return own
+    variant = domain[4:] if domain.startswith("www.") else "www." + domain
+    alt = snapshot.records.get(variant)
+    return alt if _usable(alt) else own
+
+
+def fully_disallows_any(policy, agents, require_explicit=True):
+    """Figure 2's per-site statistic: some agent is fully disallowed."""
+    return any(
+        classify(policy, agent, require_explicit=require_explicit).level
+        is RestrictionLevel.FULL
+        for agent in agents
+    )
+
+
 def _policy(snapshot, domain):
     """The parsed robots.txt one domain serves in one snapshot, or None."""
-    record = snapshot.record_for(domain)
+    record = record_of(snapshot, domain)
     if record is None or not record.ok:
         return None
     return RobotsPolicy(record.robots_txt)
@@ -92,7 +111,7 @@ def allow_and_removal_trend(
         sid = snapshot.spec.snapshot_id
         policies = [_policy(snapshot, domain) for domain in domains]
         allow_counts.append((sid, sum(
-            any(explicitly_allows(policy, agent) for agent in agents)
+            any(classify(policy, agent).explicit_allow for agent in agents)
             for policy in policies
         )))
         restricted = [
@@ -115,7 +134,9 @@ def first_allow_table(series, agent="GPTBot"):
     rows, seen = [], set()
     for snapshot in series.snapshots:
         for domain in domains:
-            if domain not in seen and explicitly_allows(_policy(snapshot, domain), agent):
+            if domain not in seen and classify(
+                _policy(snapshot, domain), agent
+            ).explicit_allow:
                 rows.append((domain, snapshot.spec.snapshot_id))
                 seen.add(domain)
     return rows
@@ -124,7 +145,7 @@ def first_allow_table(series, agent="GPTBot"):
 def snapshot_coverage_table(series):
     rows = []
     for snapshot in series.snapshots:
-        records = [snapshot.record_for(domain) for domain in series.stable_domains]
+        records = [record_of(snapshot, domain) for domain in series.stable_domains]
         rows.append((
             snapshot.spec.snapshot_id,
             snapshot.spec.label,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.measure.artists import edit_option_label, measure_artist_sites
-from repro.measure.meta_tags import extract_robots_meta, page_has_noai, scan_meta_tags
+from repro.measure.meta_tags import extract_robots_meta, scan_meta_tags
 from repro.net.server import Website, render_page
 from repro.net.transport import Network
 from repro.web.artists import build_artist_population
@@ -84,13 +84,9 @@ class TestMetaTagExtraction:
     def test_no_tag(self):
         assert extract_robots_meta("<p>hello</p>") == []
 
-    def test_page_has_noai(self):
-        assert page_has_noai('<meta name="robots" content="noai">')
-        assert not page_has_noai('<meta name="robots" content="noindex">')
-
     def test_rendered_page_roundtrip(self):
         html = render_page("T", meta_robots="noai, noimageai")
-        assert page_has_noai(html)
+        assert "noai" in extract_robots_meta(html)
 
 
 class TestMetaTagScan:

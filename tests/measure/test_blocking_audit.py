@@ -14,6 +14,7 @@ from repro.measure.cloudflare_audit import (
     infer_blocked_agents,
     infer_site_setting,
 )
+from repro.net.chaos import NAMED_PLANS, FaultPlan, FaultRule, chaos_active
 from repro.net.server import Website, render_page
 from repro.net.transport import Network
 from repro.proxy.cloudflare import CloudflareProxy, CloudflareSettings
@@ -21,6 +22,12 @@ from repro.proxy.reverse_proxy import ReverseProxy
 from repro.proxy.rules import Action, BlockRule, RuleSet
 from repro.web.population import PopulationConfig, build_web_population
 from repro.web.site import BlockingConfig, SimSite
+
+
+def armed_network(fault_plan):
+    """A network built while *fault_plan* is armed."""
+    with chaos_active(fault_plan):
+        return Network()
 
 
 def plain_site(host):
@@ -38,7 +45,7 @@ class TestDetectActiveBlocking:
 
     def test_ua_blocking_site_flagged(self):
         net = Network()
-        rules = RuleSet.blocking_user_agents(["Claudebot", "anthropic-ai"])
+        rules = RuleSet([BlockRule(Action.BLOCK, ["Claudebot", "anthropic-ai"])])
         net.register(ReverseProxy(plain_site("waf.com"), rules))
         verdict = detect_active_blocking(net, "waf.com")
         assert verdict.blocks_ai and not verdict.excluded
@@ -206,17 +213,21 @@ class TestFigure7Inference:
         assert 0.01 < enabled_rate < 0.15      # paper: 5.7%
 
 
+def flaky_control(failures):
+    """The first *failures* requests to ``open.com`` reset."""
+    return FaultPlan(
+        "flaky", (FaultRule("reset", hosts=("open.com",), max_per_host=failures),)
+    )
+
+
 class TestConfirmationProbes:
-    def _open_net(self):
-        net = Network()
+    def _open_net(self, fault_plan=None):
+        net = armed_network(fault_plan) if fault_plan else Network()
         net.register(plain_site("open.com"))
         return net
 
     def test_transient_ai_reset_is_not_blocking(self):
-        from repro.net.chaos import NAMED_PLANS
-
-        net = self._open_net()
-        NAMED_PLANS["ai-probe-resets"].install(net)
+        net = self._open_net(NAMED_PLANS["ai-probe-resets"])
         verdict = detect_active_blocking(net, "open.com")
         assert not verdict.blocks_ai and not verdict.excluded
         # Confirmation fired: the first Claudebot probe reset, the
@@ -225,43 +236,35 @@ class TestConfirmationProbes:
         assert verdict.probe_attempts["anthropic-ai"] == 2
 
     def test_transient_reset_survey_zero_false_positives(self):
-        from repro.net.chaos import FaultPlan, FaultRule
-
         hosts = [f"site{i}.example" for i in range(30)]
-        net = Network()
-        for host in hosts:
-            net.register(plain_site(host))
-        FaultPlan(
+        net = armed_network(FaultPlan(
             "transient",
             (FaultRule(kind="reset", rate=1.0, max_per_host=1),),
-        ).install(net)
+        ))
+        for host in hosts:
+            net.register(plain_site(host))
         survey = survey_active_blocking(net, hosts)
         assert survey.n_blocking == 0
         assert survey.n_excluded == 0
 
     def test_without_confirmation_false_positive_returns(self):
-        from repro.net.chaos import NAMED_PLANS, retries_disabled
+        from repro.net.chaos import retries_disabled
 
-        net = self._open_net()
-        NAMED_PLANS["ai-probe-resets"].install(net)
+        net = self._open_net(NAMED_PLANS["ai-probe-resets"])
         with retries_disabled():
             verdict = detect_active_blocking(net, "open.com")
         assert verdict.blocks_ai
         assert verdict.confirmation.attempts == 0
 
     def test_persistent_blocker_still_detected_under_chaos(self):
-        from repro.net.chaos import NAMED_PLANS
-
-        net = Network()
-        rules = RuleSet.blocking_user_agents(["Claudebot", "anthropic-ai"])
+        net = armed_network(NAMED_PLANS["flaky-resets"])
+        rules = RuleSet([BlockRule(Action.BLOCK, ["Claudebot", "anthropic-ai"])])
         net.register(ReverseProxy(plain_site("waf.com"), rules))
-        NAMED_PLANS["flaky-resets"].install(net)
         verdict = detect_active_blocking(net, "waf.com")
         assert verdict.blocks_ai
 
     def test_transient_control_failure_not_excluded(self):
-        net = self._open_net()
-        net.inject_flaky("open.com", failures=1)
+        net = self._open_net(flaky_control(1))
         verdict = detect_active_blocking(net, "open.com")
         assert not verdict.excluded
         assert verdict.probe_attempts["control"] == 2
@@ -291,8 +294,7 @@ class TestConfirmationProbes:
     def test_spacing_charged_to_simulated_clock(self):
         from repro.measure.active_blocking import ConfirmationPolicy
 
-        net = self._open_net()
-        net.inject_flaky("open.com", failures=2)
+        net = self._open_net(flaky_control(2))
         policy = ConfirmationPolicy(attempts=3, spacing_seconds=5.0)
         verdict = detect_active_blocking(net, "open.com", confirmation=policy)
         assert not verdict.excluded

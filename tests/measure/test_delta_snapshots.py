@@ -11,7 +11,7 @@ argument.
 import pytest
 
 from repro.crawlers.commoncrawl import SNAPSHOT_SPECS, carry_forward_snapshot
-from repro.measure.longitudinal import collect_snapshots, delta_fetch_plan
+from repro.measure.longitudinal import _site_fetch_plan, collect_snapshots
 from repro.net import chaos
 from repro.net.chaos import FaultPlan, FaultRule
 from repro.obs.series import shared_series
@@ -65,21 +65,25 @@ class TestDeltaEquivalence:
         assert set(single.snapshots[0].records) == set(single.stable_domains)
 
 
+def delta_plan(population):
+    return _site_fetch_plan(list(population.stable), SPECS, use_delta=True)
+
+
 class TestFetchPlan:
     def test_first_spec_fetches_everything(self, population):
-        plan = delta_fetch_plan(population, SPECS)
+        plan = delta_plan(population)
         assert plan[0] == list(population.stable)
 
     def test_later_specs_fetch_strict_subsets(self, population):
         # The simulated web barely moves month over month; the plan
         # must reflect that or delta collection buys nothing.
-        plan = delta_fetch_plan(population, SPECS)
+        plan = delta_plan(population)
         total_later = sum(len(subset) for subset in plan[1:])
         full_later = len(population.stable) * (len(SPECS) - 1)
         assert total_later < full_later * 0.5
 
     def test_plan_entries_changed_robots(self, population):
-        plan = delta_fetch_plan(population, SPECS)
+        plan = delta_plan(population)
         for prev, spec, subset in zip(SPECS, SPECS[1:], plan[1:]):
             for site in subset:
                 assert site.robots_at(prev.month_index) != site.robots_at(

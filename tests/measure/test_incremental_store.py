@@ -51,7 +51,7 @@ class TestStoreRoundtrip:
         assert allows.allows_any(["GPTBot", "CCBot"]) is True
         assert allows.classification("CCBot").explicit_allow is True
         assert reloaded.get_row("c" * 64) is None
-        assert reloaded.fact_count() == 2
+        assert len(reloaded.facts_payload()["rows"]) == 2
 
     def test_experiment_roundtrip_and_dispositions(self, tmp_path):
         store = IncrementalStore(tmp_path / "cache")
@@ -97,7 +97,7 @@ class TestSchemaHygiene:
         reloaded = IncrementalStore(root)
         assert reloaded.schema_invalidated
         assert reloaded.get_row("a" * 64) is None
-        assert reloaded.fact_count() == 0
+        assert len(reloaded.facts_payload()["rows"]) == 0
 
     def test_corrupt_files_load_as_empty(self, tmp_path):
         root = tmp_path / "cache"
@@ -116,7 +116,7 @@ class TestSchemaHygiene:
         store.flush()
         (root / "bodies.json").write_text(json.dumps({"rows": rows}))
         reloaded = IncrementalStore(root)
-        assert reloaded.fact_count() == 0
+        assert len(reloaded.facts_payload()["rows"]) == 0
         assert reloaded.get_row("a" * 64) is None
 
     def test_fingerprint_tracks_schema_literal(self):

@@ -42,7 +42,7 @@ class TestSeriesConstruction:
         _, series = world
         for domain in series.analysis_domains[:25]:
             for snapshot in series.snapshots:
-                assert snapshot.record_for(domain).ok
+                assert oracle.record_of(snapshot, domain).ok
 
     def test_flaky_sites_filtered_out(self, world):
         population, series = world

@@ -13,13 +13,7 @@ the uncached functions over every distinct body.
 import pytest
 
 from repro.agents.darkvisitors import AI_USER_AGENT_TOKENS as ROW_AGENTS
-from repro.core.classify import (
-    NO_ROBOTS_ROW,
-    VerdictRow,
-    classify,
-    explicitly_allows,
-    fully_disallows_any,
-)
+from repro.core.classify import NO_ROBOTS_ROW, VerdictRow, classify
 from repro.core.compiled import policy_digest
 from repro.core.policy import RobotsPolicy
 from repro.measure.cache import PolicyCache
@@ -28,6 +22,7 @@ from repro.web.population import PopulationConfig, build_web_population
 
 from ..core.test_compiled import ROBOTS_SAMPLES
 from ..core.test_resolver_differential import assert_matches_oracle
+from .oracle import fully_disallows_any, record_of
 
 CONFIG = PopulationConfig(
     universe_size=450, list_size=300, top5k_cut=40, audit_size=80, seed=11
@@ -38,7 +33,7 @@ AGENTS = ["GPTBot", "CCBot", "anthropic-ai", "ChatGPT-User", "Bytespider"]
 
 def _robots(snapshot, domain):
     """The robots.txt one domain serves in one snapshot (www fallback)."""
-    record = snapshot.record_for(domain)
+    record = record_of(snapshot, domain)
     return record.robots_txt if record is not None and record.ok else None
 
 
@@ -100,7 +95,7 @@ class TestCacheAgreesWithUncachedPath:
             for domain in series.analysis_domains:
                 text = _robots(snapshot, domain)
                 expected = (
-                    explicitly_allows(RobotsPolicy(text), "GPTBot")
+                    RobotsPolicy(text).rules_for("GPTBot").explicit_allow
                     if text is not None
                     else False
                 )
@@ -168,7 +163,7 @@ class TestVerdictRowDifferential:
                 assert row.classification(agent, require_explicit) == classify(
                     policy, agent, require_explicit=require_explicit
                 ), (text, agent, require_explicit)
-            assert row.allows_any([agent]) == explicitly_allows(policy, agent)
+            assert row.allows_any([agent]) == policy.rules_for(agent).explicit_allow
             assert row.disallows_any([agent]) == (
                 classify(policy, agent).level.disallows
             )
@@ -181,7 +176,7 @@ class TestVerdictRowDifferential:
                     fully_disallows_any(policy, [agent], require_explicit)
                 )
         assert row.allows_any(ROW_AGENTS) == any(
-            explicitly_allows(policy, agent) for agent in ROW_AGENTS
+            policy.rules_for(agent).explicit_allow for agent in ROW_AGENTS
         )
         assert row.disallows_any(ROW_AGENTS) == any(
             classify(policy, agent).level.disallows for agent in ROW_AGENTS

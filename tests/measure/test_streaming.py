@@ -114,7 +114,7 @@ class TestStreamingParity:
         store = archive.body_store()
         cold = full_disallow_trend(archive, store=store)
         store.flush()
-        assert store.fact_count() > 0
+        assert len(store.facts_payload()["rows"]) > 0
         # A second pass over a reopened store answers every body from
         # the persisted facts and computes nothing.
         warm_store = _CountingStore(archive.body_store())

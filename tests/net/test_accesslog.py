@@ -101,12 +101,14 @@ class TestAppend:
         ))
         assert len(log) == 2
         series = shared_series()
-        assert series.value_at("sim.requests", 3, agent="GPTBot",
-                               outcome="served", site_category="news") == 1
+        served = series.series("sim.requests", agent="GPTBot", outcome="served",
+                               site_category="news")
+        assert served.points().get(3, 0) == 1
         # An empty category projects as "uncategorized".
-        assert series.value_at("sim.requests", 3, agent="GPTBot",
-                               outcome="blocked_403",
-                               site_category="uncategorized") == 1
+        blocked = series.series("sim.requests", agent="GPTBot",
+                                outcome="blocked_403",
+                                site_category="uncategorized")
+        assert blocked.points().get(3, 0) == 1
         events = recording.delta({})["main"]
         assert events == [
             ("a.example", "/robots.txt", "GPTBot/1.1", "GPTBot", "served",

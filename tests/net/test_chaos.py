@@ -1,10 +1,11 @@
 """Tests for the deterministic fault-injection layer (repro.net.chaos)."""
 
+from contextlib import nullcontext
+
 import pytest
 
 from repro.net import chaos
 from repro.net.chaos import (
-    ChaosController,
     FaultPlan,
     FaultRule,
     NAMED_PLANS,
@@ -27,8 +28,11 @@ def _chaos_hygiene():
     chaos.set_retries_enabled(True)
 
 
-def make_net(*hosts, robots="User-agent: *\nDisallow: /private/"):
-    net = Network()
+def make_net(*hosts, robots="User-agent: *\nDisallow: /private/",
+             fault_plan=None, seed=0):
+    """A network of *hosts*, built under *fault_plan* when one is given."""
+    with chaos.chaos_active(fault_plan, seed) if fault_plan else nullcontext():
+        net = Network()
     for host in hosts:
         site = Website(host)
         site.add_page("/", "<p>home</p>")
@@ -96,30 +100,33 @@ class TestDeterministicFraction:
             assert 0.0 <= deterministic_fraction(i, "plan", i, f"h{i}") < 1.0
 
 
+def rule_plan(*rules, name="p"):
+    return FaultPlan(name, rules)
+
+
 class TestChaosController:
     def test_reset_fires_once_per_host_then_heals(self):
-        net = make_net("a.com")
-        FaultPlan("p", (FaultRule(kind="reset", max_per_host=1),)).install(net)
+        net = make_net("a.com", fault_plan=rule_plan(
+            FaultRule(kind="reset", max_per_host=1)))
         with pytest.raises(ConnectionReset):
             net.request(Request(host="a.com"))
         assert net.request(Request(host="a.com")).ok
 
     def test_refuse_kind_raises_refused(self):
-        net = make_net("a.com")
-        FaultPlan("p", (FaultRule(kind="refuse"),)).install(net)
+        net = make_net("a.com", fault_plan=rule_plan(FaultRule(kind="refuse")))
         with pytest.raises(ConnectionRefused):
             net.request(Request(host="a.com"))
 
     def test_outage_is_persistent(self):
-        net = make_net("a.com")
-        FaultPlan("p", (FaultRule(kind="outage", max_per_host=1),)).install(net)
+        net = make_net("a.com", fault_plan=rule_plan(
+            FaultRule(kind="outage", max_per_host=1)))
         for _ in range(5):
             with pytest.raises(ConnectionRefused):
                 net.request(Request(host="a.com"))
 
     def test_outage_respects_month_window(self):
-        net = make_net("a.com")
-        FaultPlan("p", (FaultRule(kind="outage", months=(6, 9)),)).install(net)
+        net = make_net("a.com", fault_plan=rule_plan(
+            FaultRule(kind="outage", months=(6, 9))))
         net.month = 5
         assert net.request(Request(host="a.com")).ok
         net.month = 7
@@ -129,21 +136,16 @@ class TestChaosController:
         assert net.request(Request(host="a.com")).ok
 
     def test_latency_advances_simulated_clock_only(self):
-        net = make_net("a.com")
-        FaultPlan(
-            "p",
-            (FaultRule(kind="latency", latency_seconds=2.5, max_per_host=None),),
-        ).install(net)
+        net = make_net("a.com", fault_plan=rule_plan(
+            FaultRule(kind="latency", latency_seconds=2.5, max_per_host=None)))
         assert net.request(Request(host="a.com")).ok
         assert net.now == 2.5
         assert net.request(Request(host="a.com")).ok
         assert net.now == 5.0
 
     def test_agent_filter_only_hits_matching_ua(self):
-        net = make_net("a.com")
-        FaultPlan(
-            "p", (FaultRule(kind="reset", agent_contains="claude"),)
-        ).install(net)
+        net = make_net("a.com", fault_plan=rule_plan(
+            FaultRule(kind="reset", agent_contains="claude")))
         ok = net.request(
             Request(host="a.com", headers={"User-Agent": "Mozilla/5.0"})
         )
@@ -154,20 +156,16 @@ class TestChaosController:
             )
 
     def test_truncate_robots_cuts_body(self):
-        net = make_net("a.com")
-        FaultPlan(
-            "p", (FaultRule(kind="truncate_robots", truncate_at=4),)
-        ).install(net)
+        net = make_net("a.com", fault_plan=rule_plan(
+            FaultRule(kind="truncate_robots", truncate_at=4)))
         response = net.request(Request(host="a.com", path="/robots.txt"))
         assert response.status == 200
         assert response.content_length == 4
 
     def test_garbage_robots_is_deterministic_junk(self):
-        first = make_net("a.com")
-        second = make_net("a.com")
-        plan_obj = FaultPlan("p", (FaultRule(kind="garbage_robots"),))
-        plan_obj.install(first, seed=7)
-        plan_obj.install(second, seed=7)
+        plan_obj = rule_plan(FaultRule(kind="garbage_robots"))
+        first = make_net("a.com", fault_plan=plan_obj, seed=7)
+        second = make_net("a.com", fault_plan=plan_obj, seed=7)
         a = first.request(Request(host="a.com", path="/robots.txt"))
         b = second.request(Request(host="a.com", path="/robots.txt"))
         assert a.body == b.body
@@ -176,21 +174,19 @@ class TestChaosController:
         ).body
 
     def test_non_robots_paths_never_mutated(self):
-        net = make_net("a.com")
-        FaultPlan("p", (FaultRule(kind="garbage_robots"),)).install(net)
+        net = make_net("a.com", fault_plan=rule_plan(
+            FaultRule(kind="garbage_robots")))
         assert "home" in net.request(Request(host="a.com", path="/")).text
 
     def test_dns_failure_wins_over_chaos(self):
-        net = Network()
-        FaultPlan("p", (FaultRule(kind="reset"),)).install(net)
+        net = make_net(fault_plan=rule_plan(FaultRule(kind="reset")))
         with pytest.raises(DNSFailure):
             net.request(Request(host="ghost.example"))
 
     def test_injected_errors_flow_through_net_error_counters(self):
         registry = shared_registry()
         before = registry.counter_value("net.errors", kind="ConnectionReset")
-        net = make_net("a.com")
-        FaultPlan("p", (FaultRule(kind="reset"),)).install(net)
+        net = make_net("a.com", fault_plan=rule_plan(FaultRule(kind="reset")))
         with pytest.raises(ConnectionReset):
             net.request(Request(host="a.com"))
         after = registry.counter_value("net.errors", kind="ConnectionReset")
@@ -199,8 +195,8 @@ class TestChaosController:
     def test_chaos_fault_counter_labeled_by_plan(self):
         registry = shared_registry()
         before = registry.counter_value("chaos.faults", kind="reset", plan="px")
-        net = make_net("a.com")
-        FaultPlan("px", (FaultRule(kind="reset"),)).install(net)
+        net = make_net("a.com", fault_plan=rule_plan(
+            FaultRule(kind="reset"), name="px"))
         with pytest.raises(ConnectionReset):
             net.request(Request(host="a.com"))
         assert (
@@ -208,29 +204,12 @@ class TestChaosController:
             == before + 1
         )
 
-    def test_faults_injected_tally(self):
-        net = make_net("a.com", "b.com")
-        controller = FaultPlan(
-            "p", (FaultRule(kind="reset", max_per_host=1),)
-        ).install(net)
-        for host in ("a.com", "b.com"):
-            with pytest.raises(ConnectionReset):
-                net.request(Request(host=host))
-        assert controller.faults_injected() == 2
-
-    def test_clear_chaos_detaches(self):
-        net = make_net("a.com")
-        FaultPlan("p", (FaultRule(kind="outage"),)).install(net)
-        net.clear_chaos()
-        assert net.request(Request(host="a.com")).ok
-
     def test_same_seed_same_faults_across_networks(self):
-        plan_obj = FaultPlan("p", (FaultRule(kind="reset", rate=0.4),))
+        plan_obj = rule_plan(FaultRule(kind="reset", rate=0.4))
         hosts = [f"h{i}.com" for i in range(50)]
 
         def faulted(seed):
-            net = make_net(*hosts)
-            plan_obj.install(net, seed=seed)
+            net = make_net(*hosts, fault_plan=plan_obj, seed=seed)
             out = set()
             for host in hosts:
                 try:
@@ -297,8 +276,7 @@ class TestNamedPlans:
                     assert rule.max_per_host is not None, (name, rule)
 
     def test_ai_probe_resets_spare_browser_traffic(self):
-        net = make_net("a.com")
-        NAMED_PLANS["ai-probe-resets"].install(net)
+        net = make_net("a.com", fault_plan=NAMED_PLANS["ai-probe-resets"])
         assert net.request(
             Request(host="a.com", headers={"User-Agent": "Mozilla/5.0 Chrome"})
         ).ok

@@ -45,7 +45,7 @@ class TestDnsZone:
         zone.add_cname("proxy.host.net", "ext-cust.squarespace.com")
         zone.add_a("ext-cust.squarespace.com", "198.185.159.145")
         resolution = zone.resolve("art.example.com")
-        assert resolution.terminal_host == "ext-cust.squarespace.com"
+        assert resolution.cname_chain[-1] == "ext-cust.squarespace.com"
         assert resolution.address == "198.185.159.145"
 
     def test_unresolvable(self):

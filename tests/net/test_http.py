@@ -1,6 +1,6 @@
 """Tests for repro.net.http."""
 
-from repro.net.http import Headers, Request, Response, split_url
+from repro.net.http import Headers, Request, Response
 
 
 class TestHeaders:
@@ -24,26 +24,9 @@ class TestHeaders:
         headers = Headers({"Content-Type": "text/html"})
         assert list(headers) == [("Content-Type", "text/html")]
 
-    def test_copy_is_independent(self):
-        original = Headers({"A": "1"})
-        clone = original.copy()
-        clone["A"] = "2"
-        assert original["A"] == "1"
-
     def test_equality(self):
         assert Headers({"A": "1"}) == Headers({"a": "1"})
         assert Headers({"A": "1"}) != Headers({"a": "2"})
-
-
-class TestSplitUrl:
-    def test_plain(self):
-        assert split_url("https://example.com/a") == ("https", "example.com", "/a")
-
-    def test_query_preserved(self):
-        assert split_url("http://e.com/a?b=1")[2] == "/a?b=1"
-
-    def test_bare_host(self):
-        assert split_url("https://e.com") == ("https", "e.com", "/")
 
 
 class TestRequest:
@@ -60,13 +43,6 @@ class TestRequest:
     def test_path_only_strips_query(self):
         assert Request(host="e.com", path="/a?q=1").path_only == "/a"
 
-    def test_with_user_agent_does_not_mutate(self):
-        base = Request(host="e.com", headers={"User-Agent": "a"})
-        other = base.with_user_agent("b")
-        assert base.user_agent == "a"
-        assert other.user_agent == "b"
-        assert other.host == base.host
-
 
 class TestResponse:
     def test_str_body_encoded(self):
@@ -77,11 +53,6 @@ class TestResponse:
     def test_ok_range(self):
         assert Response(status=204).ok
         assert not Response(status=404).ok
-
-    def test_is_redirect_requires_location(self):
-        assert not Response(status=301).is_redirect
-        assert Response(status=301, headers={"Location": "/x"}).is_redirect
-        assert not Response(status=200, headers={"Location": "/x"}).is_redirect
 
     def test_content_length(self):
         assert Response(body="abcd").content_length == 4

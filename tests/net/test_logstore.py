@@ -33,7 +33,7 @@ def test_sink_orders_streams_by_label_not_emission_time():
         _emit(sink, "a.example", ticks=20)
     ordered = sink.ordered_events()
     assert [event[0] for event in ordered] == ["a.example", "b.example"]
-    assert sink.stream_labels() == ["unit:a", "unit:b"]
+    assert sorted(sink.marks()) == ["unit:a", "unit:b"]
     assert sink.event_count() == 2
 
 
@@ -44,7 +44,7 @@ def test_sink_nested_streams_restore_previous_label():
         with log_stream("outer/inner"):
             _emit(sink, "two.example")
         _emit(sink, "three.example")
-    assert sink.stream_labels() == ["outer", "outer/inner"]
+    assert sorted(sink.marks()) == ["outer", "outer/inner"]
     outer = sink._streams["outer"]
     assert [event[0] for event in outer] == ["one.example", "three.example"]
 

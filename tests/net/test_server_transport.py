@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.net.chaos import FaultPlan, FaultRule, chaos_active
 from repro.net.errors import (
     ConnectionRefused,
     ConnectionReset,
@@ -10,6 +11,12 @@ from repro.net.errors import (
 from repro.net.http import Request
 from repro.net.server import Website, extract_links, render_page
 from repro.net.transport import Network
+
+
+def armed_network(*rules):
+    """A network built while a fault plan of *rules* is armed."""
+    with chaos_active(FaultPlan("test", rules)):
+        return Network()
 
 
 def make_site(host="example.com"):
@@ -99,17 +106,21 @@ class TestNetwork:
             Network().request(Request(host="nope.com"))
 
     def test_failure_injection(self):
-        net = Network()
+        net = armed_network(FaultRule("outage", hosts=("a.com",)))
         net.register(make_site("a.com"))
-        net.refuse_connections("a.com")
         with pytest.raises(ConnectionRefused):
             net.request(Request(host="a.com"))
-        net.clear_failure("a.com")
-        assert net.request(Request(host="a.com")).ok
+        # A network built once the plan is disarmed has no faults.
+        healthy = Network()
+        healthy.register(make_site("a.com"))
+        assert healthy.request(Request(host="a.com")).ok
 
     def test_reset_injection(self):
-        net = Network()
-        net.reset_connections("x.com")
+        # Faults fire after handler lookup, so the host must exist.
+        net = armed_network(
+            FaultRule("reset", hosts=("x.com",), max_per_host=None)
+        )
+        net.register(make_site("x.com"))
         with pytest.raises(ConnectionReset):
             net.request(Request(host="x.com"))
 
@@ -121,22 +132,13 @@ class TestNetwork:
         net.request(Request(host="a.com"))
         assert list(site.access_log)[0].timestamp == 42.0
 
-    def test_unregister(self):
-        net = Network()
-        net.register(make_site("a.com"))
-        net.unregister("a.com")
-        assert "a.com" not in net
-
 
 class TestFlakyInjectionAndRetries:
-    def _net(self):
-        net = Network()
-        net.register(make_site("example.com"))
-        return net
-
     def test_flaky_heals_after_n_failures(self):
-        net = self._net()
-        net.inject_flaky("example.com", failures=2)
+        net = armed_network(
+            FaultRule("reset", hosts=("example.com",), max_per_host=2)
+        )
+        net.register(make_site("example.com"))
         for _ in range(2):
             with pytest.raises(ConnectionReset):
                 net.request(Request(host="example.com"))

@@ -30,18 +30,18 @@ class TestSeries:
         series.add(3)
         series.add(3, 4)
         series.add(7, 2)
-        assert series.value_at(3) == 5
-        assert series.value_at(7) == 2
-        assert series.value_at(0) == 0
+        assert series.points().get(3, 0) == 5
+        assert series.points().get(7, 0) == 2
+        assert series.points().get(0, 0) == 0
         assert series.total == 7
 
     def test_labels_address_distinct_series(self):
         registry = SeriesRegistry()
         registry.add("sim.requests", month=1, agent="GPTBot")
         registry.add("sim.requests", month=1, amount=2, agent="CCBot")
-        assert registry.value_at("sim.requests", 1, agent="GPTBot") == 1
-        assert registry.value_at("sim.requests", 1, agent="CCBot") == 2
-        assert registry.value_at("sim.requests", 1) == 0
+        assert registry.series("sim.requests", agent="GPTBot").points().get(1, 0) == 1
+        assert registry.series("sim.requests", agent="CCBot").points().get(1, 0) == 2
+        assert registry.series("sim.requests").points().get(1, 0) == 0
 
     def test_label_order_is_canonical(self):
         registry = SeriesRegistry()
@@ -63,7 +63,7 @@ class TestSeries:
         registry.reset()
         assert series.total == 0
         series.add(2)
-        assert registry.value_at("x", 2, agent="GPTBot") == 1
+        assert registry.series("x", agent="GPTBot").points().get(2, 0) == 1
 
     def test_disabled_records_nothing(self):
         registry = SeriesRegistry()
@@ -80,7 +80,7 @@ class TestSeries:
         with metrics_disabled():
             registry.add("x", month=1)
         registry.add("x", month=1)
-        assert registry.value_at("x", 1) == 1
+        assert registry.series("x").points().get(1, 0) == 1
 
     def test_thread_safety(self):
         registry = SeriesRegistry()
@@ -96,7 +96,7 @@ class TestSeries:
         for thread in threads:
             thread.join()
         assert series.total == 8000
-        assert series.value_at(0) == 1600
+        assert series.points().get(0, 0) == 1600
 
 
 class TestShippingProtocol:
@@ -115,8 +115,8 @@ class TestShippingProtocol:
         delta = snapshot_delta(worker.snapshot(), before)
 
         parent.merge(delta)
-        assert parent.value_at("x", 1, agent="GPTBot") == 2
-        assert parent.value_at("x", 2, agent="CCBot") == 3
+        assert parent.series("x", agent="GPTBot").points().get(1, 0) == 2
+        assert parent.series("x", agent="CCBot").points().get(2, 0) == 3
 
     def test_delta_drops_untouched_series_and_months(self):
         registry = SeriesRegistry()
@@ -133,7 +133,7 @@ class TestShippingProtocol:
         target = SeriesRegistry()
         with metrics_disabled():
             target.merge(source)
-        assert target.value_at("x", 3) == 2
+        assert target.series("x").points().get(3, 0) == 2
 
 
 class TestCardinality:
@@ -141,7 +141,7 @@ class TestCardinality:
         registry = SeriesRegistry(max_series_per_name=3)
         for i in range(10):
             registry.add("x", month=0, agent=f"ua-{i}")
-        assert registry.series_count("x") <= 4
+        assert len(registry.snapshot()) <= 4
         overflow = registry.series("x", **dict(OVERFLOW_LABELS))
         assert overflow.total == 7  # the 7 sets beyond the cap
 

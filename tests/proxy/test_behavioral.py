@@ -25,7 +25,7 @@ from repro.proxy.behavioral import (
 from repro.proxy.challenges import PageKind, classify_page
 from repro.proxy.cloudflare import CloudflareProxy, CloudflareSettings
 from repro.proxy.reverse_proxy import ReverseProxy
-from repro.proxy.rules import RuleSet
+from repro.proxy.rules import Action, BlockRule, RuleSet
 
 
 def _vector(**overrides):
@@ -212,9 +212,9 @@ class TestPolicy:
         try:
             policy = BehavioralPolicy()
             policy.assess("FastBot/1.0", "h.example", month=2)
-            assert shared_series().value_at(
-                "behavioral.verdicts", 2, agent="other", verdict="allow"
-            ) == 1
+            assert shared_series().series(
+                "behavioral.verdicts", agent="other", verdict="allow"
+            ).points() == {2: 1}
         finally:
             shared_series().reset()
 
@@ -225,9 +225,7 @@ class TestPolicy:
                 BehavioralPolicy().assess("FastBot/1.0", "h.example", month=2)
             # reset() keeps handles alive, so check recorded values, not
             # the registered-series count.
-            assert shared_series().value_at(
-                "behavioral.verdicts", 2, agent="other", verdict="allow"
-            ) == 0
+            assert shared_series().snapshot() == {}
         finally:
             shared_series().reset()
 
@@ -272,7 +270,7 @@ class TestProxyGating:
             # fires first once the grace allowance is spent.
             proxy = ReverseProxy(
                 _site(),
-                RuleSet.blocking_user_agents(["NoSuchBot"]),
+                RuleSet([BlockRule(Action.BLOCK, ua_patterns=["NoSuchBot"])]),
                 behavioral=BehavioralPolicy(),
             )
             last = None

@@ -100,13 +100,10 @@ class TestRuleSet:
     def test_no_match_returns_none(self):
         assert RuleSet().decide(req("x")) is None
 
-    def test_matching_rule_returns_allow_rules_too(self):
-        allow = BlockRule(Action.ALLOW, ua_patterns=["GoodBot"])
-        rules = RuleSet([allow])
-        assert rules.matching_rule(req("GoodBot")) is allow
-
-    def test_blocking_user_agents_factory(self):
-        rules = RuleSet.blocking_user_agents(["Claudebot", "anthropic-ai"])
+    def test_one_rule_blocks_every_listed_agent(self):
+        rules = RuleSet(
+            [BlockRule(Action.BLOCK, ua_patterns=["Claudebot", "anthropic-ai"])]
+        )
         assert rules.decide(req("Claudebot/1.0")) is Action.BLOCK
         assert rules.decide(req("anthropic-ai")) is Action.BLOCK
         assert rules.decide(req(DEFAULT_BROWSER_UA)) is None

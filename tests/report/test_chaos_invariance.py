@@ -38,13 +38,8 @@ def baseline_texts():
 
 
 def _chaos_texts(seed, plan="flaky-resets"):
-    report = run_all(
-        SMALL,
-        experiments=KEYS,
-        store=WorldStore(),
-        fault_plan=plan,
-        chaos_seed=seed,
-    )
+    with chaos.chaos_active(chaos.plan(plan), seed):
+        report = run_all(SMALL, experiments=KEYS, store=WorldStore())
     return {r.experiment_id: r.text for r in report.results}
 
 
@@ -80,3 +75,24 @@ class TestChaosSeedInvariance:
     def test_chaos_run_leaves_no_armed_plan(self, baseline_texts):
         _chaos_texts(seed=0)
         assert chaos.active_plan() is None
+
+
+class TestArmedPlanIsolation:
+    """A plan armed by the caller must not leave faulted worlds behind."""
+
+    def test_armed_run_does_not_poison_the_shared_store(self):
+        from repro.web.population import stratum_config
+
+        cfg = stratum_config("top-1k", PopulationConfig())
+        keys = ["figure2", "table3"]
+
+        def texts(**kwargs):
+            report = run_all(cfg, experiments=keys, **kwargs)
+            return [r.text for r in report.results]
+
+        clean = texts(store=WorldStore())
+        with chaos.chaos_active(chaos.plan("outage-window"), 0):
+            faulted = texts()
+        assert faulted != clean
+        # Disarmed, the process-shared store serves the clean world.
+        assert texts() == clean

@@ -1,6 +1,7 @@
 """Tests for report rendering and dataset export/import."""
 
 import io
+import json
 
 from repro.crawlers.commoncrawl import SNAPSHOT_SPECS, SiteRecord, Snapshot
 from repro.report.datasets import (
@@ -8,7 +9,6 @@ from repro.report.datasets import (
     dump_schedules,
     dump_snapshots,
     load_respondents,
-    load_schedules,
     load_snapshots,
 )
 from repro.report.figures import ascii_chart, series_to_csv
@@ -88,22 +88,25 @@ class TestSnapshotRoundTrip:
         assert months == sorted(months)
 
 
-class TestScheduleRoundTrip:
-    def test_roundtrip(self):
+class TestScheduleDump:
+    def test_one_json_record_per_site(self):
         site = SimSite(
             domain="x.com", rank=3, tier="top5k", category="news",
             publisher="Vox Media",
             robots_schedule=[(-1, "v0"), (12, "v1"), (20, None)],
-            missing_months={7, 9},
+            missing_months={9, 7},
         )
         sink = io.StringIO()
         assert dump_schedules([site], sink) == 1
-        (loaded,) = load_schedules(io.StringIO(sink.getvalue()))
-        assert loaded.domain == "x.com"
-        assert loaded.publisher == "Vox Media"
-        assert loaded.robots_at(13) == "v1"
-        assert loaded.robots_at(21) is None
-        assert loaded.missing_months == {7, 9}
+        (record,) = [json.loads(line) for line in sink.getvalue().splitlines()]
+        assert record["domain"] == "x.com"
+        assert record["publisher"] == "Vox Media"
+        assert record["schedule"] == [
+            {"month": -1, "robots_txt": "v0"},
+            {"month": 12, "robots_txt": "v1"},
+            {"month": 20, "robots_txt": None},
+        ]
+        assert record["missing_months"] == [7, 9]
 
 
 class TestRespondentRoundTrip:

@@ -11,7 +11,7 @@ import multiprocessing
 import pytest
 
 from repro.measure.incremental import IncrementalStore
-from repro.net.chaos import plan
+from repro.net.chaos import chaos_active, plan
 from repro.obs.metrics import shared_registry
 from repro.report.orchestrator import run_all
 from repro.web.population import PopulationConfig
@@ -138,10 +138,11 @@ class TestChaosIsolation:
             store.experiments_path.read_bytes(),
             store.bodies_path.read_bytes(),
         )
-        report = run_all(
-            SMALL, workers=1, experiments=SLICE, store=WorldStore(),
-            incremental=root, fault_plan=plan("flaky-resets"),
-        )
+        with chaos_active(plan("flaky-resets")):
+            report = run_all(
+                SMALL, workers=1, experiments=SLICE, store=WorldStore(),
+                incremental=root,
+            )
         assert all(v == "bypassed:chaos" for v in report.incremental.values())
         after = (
             store.experiments_path.read_bytes(),

@@ -105,12 +105,6 @@ class TestReport:
             assert entry["seconds"] >= 0
             assert entry["world"] in {"bundle", "population", "none"}
 
-    def test_result_for_lookup(self, store):
-        report = run_all(SMALL, workers=1, experiments=["taxonomy"], store=store)
-        assert report.result_for("taxonomy").experiment_id == "change_taxonomy"
-        with pytest.raises(KeyError):
-            report.result_for("figure3")
-
 
 class TestTelemetry:
     #: Covers every counter source: table1 (crawler fleet, testbed

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.report.stats import (
-    bootstrap_mean_interval,
     proportion_summary,
     wilson_interval,
 )
@@ -61,25 +60,6 @@ class TestWilsonInterval:
             successes = total
         lo, hi = wilson_interval(successes, total)
         assert 0.0 <= lo <= successes / total <= hi <= 1.0
-
-
-class TestBootstrap:
-    def test_contains_true_mean(self):
-        sample = [float(x) for x in range(1, 21)]
-        lo, hi = bootstrap_mean_interval(sample, seed=7)
-        assert lo < sum(sample) / len(sample) < hi
-
-    def test_deterministic(self):
-        sample = [1.0, 5.0, 9.0, 2.0]
-        assert bootstrap_mean_interval(sample, seed=3) == bootstrap_mean_interval(sample, seed=3)
-
-    def test_constant_sample_collapses(self):
-        lo, hi = bootstrap_mean_interval([4.0] * 10)
-        assert lo == hi == 4.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            bootstrap_mean_interval([])
 
 
 class TestProportionSummary:

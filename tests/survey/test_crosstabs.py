@@ -62,15 +62,6 @@ class TestContingencyTable:
         assert table.row_totals() == [40, 60]
         assert table.col_totals() == [30, 70]
 
-    def test_proportions(self):
-        props = self._table().proportions_by_row()
-        assert props[0] == [0.25, 0.75]
-        assert props[1] == pytest.approx([1 / 3, 2 / 3])
-
-    def test_zero_row_safe(self):
-        table = ContingencyTable(["a"], ["x", "y"], [[0, 0]])
-        assert table.proportions_by_row() == [[0.0, 0.0]]
-
 
 class TestBuildContingency:
     def test_skips_unmapped(self):

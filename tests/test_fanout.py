@@ -88,7 +88,7 @@ def _run(mode: str, sink: LogSink):
         "histograms": {k: v for k, v in snap["histograms"].items() if v["count"]},
         "series": shared_series().snapshot(),
         "spans": spans,
-        "streams": sink.stream_labels(),
+        "streams": sorted(sink.marks()),
         "events": sink.ordered_events(),
     }
 

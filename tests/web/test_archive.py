@@ -221,7 +221,7 @@ class TestBodyStore:
             )
         )
         store = ArchiveBodyStore(tmp_path)
-        assert store.fact_count() == 1
+        assert len(store.facts_payload()["rows"]) == 1
         cache = PolicyCache()
         cache.attach_store(store)
         assert cache.row(ROBOTS_A) == _row(ROBOTS_A)
@@ -235,7 +235,7 @@ class TestBodyStore:
         if isinstance(payload, dict):
             payload["schema_fingerprint"] = ARCHIVE_SCHEMA_FINGERPRINT
         (tmp_path / "facts.json").write_text(json.dumps(payload))
-        assert ArchiveBodyStore(tmp_path).fact_count() == 0
+        assert len(ArchiveBodyStore(tmp_path).facts_payload()["rows"]) == 0
 
 
 class TestProbes:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.classify import RestrictionLevel, classify, explicitly_allows
+from repro.core.classify import RestrictionLevel, classify
 from repro.net.http import Request
 from repro.net.transport import Network
 from repro.web.events import DATA_DEALS
@@ -44,13 +44,15 @@ class TestStructure:
 class TestTrendStatistics:
     def _full_disallow_rate(self, sites, month):
         from repro.agents.darkvisitors import AI_USER_AGENT_TOKENS
-        from repro.core.classify import fully_disallows_any
 
         eligible = [s for s in sites if s.robots_at(month) is not None]
         if not eligible:
             return 0.0
         hits = sum(
-            fully_disallows_any(s.robots_at(month), AI_USER_AGENT_TOKENS)
+            any(
+                classify(s.robots_at(month), agent).level is RestrictionLevel.FULL
+                for agent in AI_USER_AGENT_TOKENS
+            )
             for s in eligible
         )
         return hits / len(eligible)
@@ -65,12 +67,16 @@ class TestTrendStatistics:
         # population's top tier holds <100 sites, so allow sampling
         # noise; the large-cohort check lives in test_site_evolution.
         top = self._full_disallow_rate(population.stable_top5k, 24)
-        other = self._full_disallow_rate(population.stable_other(), 24)
+        other = self._full_disallow_rate(
+            [s for s in population.stable if s.tier != "top5k"], 24
+        )
         assert top > other - 0.03
 
     def test_final_rates_in_paper_band(self, population):
         top = self._full_disallow_rate(population.stable_top5k, 24)
-        other = self._full_disallow_rate(population.stable_other(), 24)
+        other = self._full_disallow_rate(
+            [s for s in population.stable if s.tier != "top5k"], 24
+        )
         assert 0.08 <= top <= 0.20
         assert 0.05 <= other <= 0.14
 
@@ -98,7 +104,7 @@ class TestDealsAndAllows:
             d
             for d in population.explicit_allow_domains
             if population.by_domain[d].robots_at(24) is not None
-            and explicitly_allows(population.by_domain[d].robots_at(24), "GPTBot")
+            and classify(population.by_domain[d].robots_at(24), "GPTBot").explicit_allow
         ]
         assert final_allows
 
@@ -106,7 +112,7 @@ class TestDealsAndAllows:
         vox = next(d for d in DATA_DEALS if d.publisher == "Vox Media")
         domain = population.deal_domains["Vox Media"][0]
         site = population.by_domain[domain]
-        assert explicitly_allows(site.robots_at(vox.month), "GPTBot")
+        assert classify(site.robots_at(vox.month), "GPTBot").explicit_allow
 
 
 class TestAuditAttributes:

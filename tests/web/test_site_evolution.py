@@ -2,7 +2,7 @@
 
 import random
 
-from repro.core.classify import RestrictionLevel, classify, explicitly_allows
+from repro.core.classify import RestrictionLevel, classify
 from repro.net.http import Request
 from repro.web.events import EU_AI_ACT, GPTBOT_ANNOUNCEMENT
 from repro.web.evolution import EvolutionParams, OperatorModel
@@ -161,8 +161,8 @@ class TestDealEdits:
         site = make_site("allow.com")
         site.set_robots(-1, "User-agent: GPTBot\nDisallow: /\n")
         model.apply_explicit_allow(site, 22)
-        assert explicitly_allows(site.robots_at(22), "GPTBot")
-        assert not explicitly_allows(site.robots_at(21), "GPTBot")
+        assert classify(site.robots_at(22), "GPTBot").explicit_allow
+        assert not classify(site.robots_at(21), "GPTBot").explicit_allow
 
 
 class TestIpBlocking:

@@ -17,7 +17,6 @@ from repro.web.tranco import (
     stable_sites,
     strata_names,
     stratum_cutoff,
-    stratum_members,
 )
 
 MONTHS = list(range(6))
@@ -47,28 +46,22 @@ class TestBoundaries:
 
 class TestMembership:
     def test_deterministic_for_a_seed(self):
-        a = stratum_members(_rankings(seed=9), "top-1k", scale=0.005)
-        b = stratum_members(_rankings(seed=9), "top-1k", scale=0.005)
+        a = stable_sites(_rankings(seed=9), stratum_cutoff("top-1k", 0.005))
+        b = stable_sites(_rankings(seed=9), stratum_cutoff("top-1k", 0.005))
         assert a == b and a  # non-empty and repeatable
 
     def test_different_seeds_differ(self):
         # At a boundary where churn bites (cutoff 100 of a 500-list),
         # two seeds must disagree on membership.
-        a = stratum_members(_rankings(seed=9), "top-10k", scale=0.01)
-        b = stratum_members(_rankings(seed=10), "top-10k", scale=0.01)
+        a = stable_sites(_rankings(seed=9), stratum_cutoff("top-10k", 0.01))
+        b = stable_sites(_rankings(seed=10), stratum_cutoff("top-10k", 0.01))
         assert a != b
 
     def test_strata_nest(self):
         rankings = _rankings()
-        small = set(stratum_members(rankings, "top-1k", scale=0.01))
-        large = set(stratum_members(rankings, "top-10k", scale=0.01))
+        small = set(stable_sites(rankings, stratum_cutoff("top-1k", 0.01)))
+        large = set(stable_sites(rankings, stratum_cutoff("top-10k", 0.01)))
         assert small <= large
-
-    def test_equals_stable_sites_at_scaled_cutoff(self):
-        rankings = _rankings()
-        assert stratum_members(rankings, "top-1k", scale=0.02) == stable_sites(
-            rankings, stratum_cutoff("top-1k", 0.02)
-        )
 
 
 class TestStratumConfig:

@@ -113,7 +113,6 @@ WRITES = {
 class TestFrozenSubstrate:
     def test_canonical_sites_reject_mutation(self, store):
         site = store.population(SMALL).stable[0]
-        assert site.frozen
         with pytest.raises(AttributeError):
             site.meta_noai = True
         with pytest.raises(AttributeError):
