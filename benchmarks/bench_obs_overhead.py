@@ -146,7 +146,7 @@ def test_disabled_telemetry_overhead_on_figure2(longitudinal_bundle, artifact_di
     def cold_pass() -> float:
         cold = cold_series()
         start = time.perf_counter()
-        rows = full_disallow_trend(cold)
+        rows = full_disallow_trend(cold).rows
         seconds = time.perf_counter() - start
         assert rows[-1][1] > 0  # the run really ran
         return seconds

@@ -18,6 +18,7 @@ Per-stage timings also land in ``BENCH_RESULTS.json`` under distinct
 keys so the perf trajectory tracks each stratum separately.
 """
 
+import gc
 import json
 import os
 import time
@@ -93,6 +94,11 @@ def test_per_stratum_pipeline(tmp_path_factory, record_timing):
         record_timing(f"bench_scale_strata::{stratum}::collect", collect_seconds)
 
         with ArchiveSet.open(archive_root) as archive:
+            # Start every window from a collected heap: allocations that
+            # CPython serves from a free list never reach tracemalloc,
+            # so without it the peak depends on what earlier work left
+            # behind.
+            gc.collect()
             tracemalloc.start()
             start = time.perf_counter()
             _aggregate(archive)

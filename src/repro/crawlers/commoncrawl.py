@@ -27,7 +27,6 @@ __all__ = [
     "SiteRecord",
     "Snapshot",
     "SnapshotCrawler",
-    "ErrorBudget",
     "SNAPSHOT_SPECS",
     "carry_forward_snapshot",
 ]
@@ -117,42 +116,12 @@ class SiteRecord:
         return self.status == 404
 
 
-@dataclass(frozen=True)
-class ErrorBudget:
-    """Per-snapshot accounting of transport errors and their healing.
-
-    The paper's analysis keeps only sites with a usable record in every
-    snapshot, so every unhealed error silently shrinks the analysis
-    set.  This summary makes that loss visible and auditable.
-
-    Attributes:
-        n_sites: Sites crawled in the snapshot.
-        n_errored_first_pass: Sites whose initial visit(s) all errored.
-        n_healed: Of those, sites recovered by the bounded retry passes.
-        n_errored_final: Sites still errored after every retry pass.
-        retry_passes: Retry passes actually executed (0 when the first
-            pass was clean or retries are disabled).
-        errors_by_kind: Final error text -> count of sites stuck on it.
-    """
-
-    n_sites: int = 0
-    n_errored_first_pass: int = 0
-    n_healed: int = 0
-    n_errored_final: int = 0
-    retry_passes: int = 0
-    errors_by_kind: Dict[str, int] = field(default_factory=dict)
-
-
 @dataclass
 class Snapshot:
     """One snapshot's records for all crawled sites."""
 
     spec: SnapshotSpec
     records: Dict[str, SiteRecord] = field(default_factory=dict)
-    #: Error accounting for the crawl that built this snapshot (None for
-    #: snapshots assembled by hand); excluded from equality so healed
-    #: snapshots compare equal to fault-free ones.
-    error_budget: Optional[ErrorBudget] = field(default=None, compare=False)
 
     def intern_bodies(self, pool: Dict[str, str]) -> None:
         """Deduplicate robots.txt bodies against a shared *pool*.
@@ -197,9 +166,7 @@ def carry_forward_snapshot(
     for domain in domains:
         record = fetched_records.get(domain)
         records[domain] = record if record is not None else previous_records[domain]
-    return Snapshot(
-        spec=fetched.spec, records=records, error_budget=fetched.error_budget
-    )
+    return Snapshot(spec=fetched.spec, records=records)
 
 
 class SnapshotCrawler:
@@ -263,21 +230,17 @@ class SnapshotCrawler:
     def snapshot(self, spec: SnapshotSpec, domains: Iterable[str]) -> Snapshot:
         """Crawl *domains*, heal transient errors, assemble a snapshot.
 
-        Builds the first pass like before, then (retries enabled) makes
-        up to ``retry_errored`` passes over the still-errored sites and
-        attaches an :class:`ErrorBudget` describing the outcome.
+        Builds the first pass, then (retries enabled) makes up to
+        ``retry_errored`` passes over the still-errored sites.
         """
         snap = Snapshot(spec=spec)
         for domain in domains:
             snap.records[domain] = self.crawl_site(domain)
         errored = [d for d, r in snap.records.items() if r.error is not None]
-        n_first = len(errored)
-        passes = 0
         if errored and self.retry_errored > 0 and chaos.retries_enabled():
             for _ in range(self.retry_errored):
                 if not errored:
                     break
-                passes += 1
                 still: List[str] = []
                 for domain in errored:
                     # The retry outcome replaces the errored record either
@@ -288,16 +251,4 @@ class SnapshotCrawler:
                     if record.error is not None:
                         still.append(domain)
                 errored = still
-        by_kind: Dict[str, int] = {}
-        for domain in errored:
-            error = snap.records[domain].error or "unknown"
-            by_kind[error] = by_kind.get(error, 0) + 1
-        snap.error_budget = ErrorBudget(
-            n_sites=len(snap.records),
-            n_errored_first_pass=n_first,
-            n_healed=n_first - len(errored),
-            n_errored_final=len(errored),
-            retry_passes=passes,
-            errors_by_kind=by_kind,
-        )
         return snap

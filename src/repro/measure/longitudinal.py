@@ -10,21 +10,25 @@ statistics behind Figures 2-4 and Tables 3-4:
 * per-snapshot % of sites fully disallowing >= 1 AI user agent, split
   by Top-5K tier (Figure 2),
 * per-snapshot per-agent % partially-or-fully disallowing (Figure 3),
-* explicit-allow counts and restriction removals per period (Figure 4),
-* domains explicitly allowing GPTBot with first-allow snapshot
-  (Table 4),
+* explicit-allow counts and restriction removals per period, plus the
+  domains explicitly allowing GPTBot with their first-allow snapshot
+  (Figure 4 and Table 4, one sweep),
 * snapshot coverage statistics (Table 3).
 
 One engine, two sources.  Every statistic is computed shard by shard
 over the :class:`~repro.web.archive.ShardReader` surface: an
 :class:`~repro.web.archive.ArchiveSet` supplies its on-disk shards, and
 an in-memory :class:`SnapshotSeries` presents itself as a one-shard
-archive (:class:`SeriesShard`).  :class:`ShardAnalysis` resolves each
-shard's records and applies the analysis-set rule; every figure is then
-a tally over ``(body ref, count)`` that reads each distinct body's
-:class:`~repro.core.classify.VerdictRow` from a content-addressed
-:class:`~repro.measure.cache.PolicyCache`, keyed by the body's SHA-256
-(the archive's ``bodies.sha``, or :meth:`SeriesShard.body_digest`).
+archive (:class:`SeriesShard`).  A *sweep* is one pass over a source's
+shards: :class:`ShardAnalysis` resolves each shard's records and applies
+the analysis-set rule, and every figure is then a tally over ``(body
+ref, count)`` that reads each distinct body's
+:class:`~repro.core.classify.VerdictRow` from the source's one
+content-addressed :class:`~repro.measure.cache.PolicyCache`
+(``source.cache``), keyed by the body's SHA-256 (the archive's
+``bodies.sha``, or :meth:`SeriesShard.body_digest`).  Each figure
+sweeps its source once; a caller persists rows by attaching a store to
+``source.cache``.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ from ..agents.darkvisitors import AI_USER_AGENT_TOKENS
 from ..columnar import prepare_shard_set
 from ..core.classify import RestrictionLevel, VerdictRow
 from ..core.compiled import policy_digest
-from ..core.policy import RobotsPolicy
 from ..fanout import fan_out, resolve_mode
 from ..crawlers.commoncrawl import (
     SNAPSHOT_SPECS,
@@ -67,7 +70,6 @@ __all__ = [
     "full_disallow_trend",
     "per_agent_trend",
     "allow_and_removal_trend",
-    "first_allow_table",
     "snapshot_coverage_table",
 ]
 
@@ -415,9 +417,7 @@ def collect_shard_archives(
                 [site.tier for site in shard_sites],
             )
             for snapshot in snapshots:
-                writer.add_snapshot(
-                    snapshot.spec, snapshot.records, snapshot.error_budget
-                )
+                writer.add_snapshot(snapshot.spec, snapshot.records)
             writer.commit()
 
     with span(
@@ -524,33 +524,23 @@ class ShardAnalysis:
 
 
 def _shards(
-    source: Source, store=None
+    source: Source,
 ) -> Iterator[Tuple[ShardAnalysis, Callable[[int], VerdictRow]]]:
-    """Each shard of *source* with its body ref -> verdict row lookup.
+    """One sweep: each shard of *source* with its body ref -> verdict
+    row lookup.
 
-    A series is one shard whose rows come from ``series.cache`` (parsed
-    through the process-shared policy cache, backed by whatever store
-    the caller attached); *store* applies to archive sources only, and
-    passing one with a series raises :class:`ValueError` -- attach it
-    through ``series.cache.attach_store`` instead.  An archive yields
-    its shards in order over one :class:`PolicyCache` per sweep, keyed
-    by each shard's ``bodies.sha`` and backed by *store* (an
-    :class:`~repro.web.archive.ArchiveBodyStore` or
-    :class:`~repro.measure.incremental.IncrementalStore`), which it
-    probes before parsing.  Bodies parse into a policy that is dropped
-    once their row is built, and the reader's decoded bodies go after
-    each shard, so resident memory stays O(shard) plus one row per
-    distinct body.
+    Rows come from ``source.cache``, which every sweep over the source
+    shares, and from whatever store the caller attached to it.  A series
+    is one shard, analysed once at construction.  An archive yields its
+    shards in order, and the reader's decoded bodies go after each
+    shard, so resident memory stays O(shard) plus one row per distinct
+    body.
     """
     if isinstance(source, SnapshotSeries):
-        if store is not None:
-            raise ValueError("attach a store to a series via series.cache")
         yield source.analysis, _row_lookup(source.analysis.reader, source.cache)
         return
-    cache = PolicyCache(compiled=RobotsPolicy)
-    cache.attach_store(store)
     for reader in source.readers:
-        yield ShardAnalysis(reader), _row_lookup(reader, cache)
+        yield ShardAnalysis(reader), _row_lookup(reader, source.cache)
         reader.drop_body_cache()
 
 
@@ -573,24 +563,31 @@ def analysis_domains(source: Source) -> List[str]:
     return [domain for _, domain in found]
 
 
-def full_disallow_trend(
-    source: Source,
-    agents: Sequence[str] = tuple(AI_USER_AGENT_TOKENS),
-    require_explicit: bool = True,
-    store=None,
-) -> List[Tuple[str, float, float]]:
-    """Figure 2: % of sites fully disallowing >= 1 AI UA per snapshot,
-    split by the source's Top-5K tier column.
+@dataclass
+class FullDisallowTrend:
+    """Figure 2's rows and the analysis set they are over.
 
-    Returns rows ``(snapshot_id, pct_top5k, pct_other)`` in time order,
-    percentages in [0, 100].
+    Attributes:
+        rows: ``(snapshot_id, pct_top5k, pct_other)`` in time order,
+            percentages in [0, 100].
+        n_analysis: Sites in the analysis set.
     """
+
+    rows: List[Tuple[str, float, float]]
+    n_analysis: int
+
+
+def full_disallow_trend(
+    source: Source, require_explicit: bool = True
+) -> FullDisallowTrend:
+    """Figure 2: % of sites fully disallowing >= 1 AI UA per snapshot,
+    split by the source's Top-5K tier column."""
     specs = source.specs
-    agents = tuple(agents)
+    agents = tuple(AI_USER_AGENT_TOKENS)
     hits = [[0, 0] for _ in specs]
     sizes = [0, 0]
     with span("measure.full_disallow_trend", n_agents=len(agents)):
-        for view, row_of in _shards(source, store):
+        for view, row_of in _shards(source):
             reader = view.reader
             tier_of = [0 if reader.tiers[row] else 1 for row in view.analysis_rows]
             for row_tier in tier_of:
@@ -620,7 +617,7 @@ def full_disallow_trend(
                         tier="other",
                     )
     n_top, n_other = sizes
-    return [
+    rows = [
         (
             spec.snapshot_id,
             100.0 * hits[spec_index][0] / n_top if n_top else 0.0,
@@ -628,28 +625,24 @@ def full_disallow_trend(
         )
         for spec_index, spec in enumerate(specs)
     ]
+    return FullDisallowTrend(rows, n_top + n_other)
 
 
-def per_agent_trend(
-    source: Source,
-    agents: Sequence[str] = tuple(FIGURE3_AGENTS),
-    store=None,
-) -> Dict[str, List[Tuple[str, float]]]:
+def per_agent_trend(source: Source) -> Dict[str, List[Tuple[str, float]]]:
     """Figure 3: per-agent % of sites partially or fully disallowing.
 
-    Returns, per agent, rows ``(snapshot_id, pct)`` over the analysis
-    set.
+    Returns, per :data:`FIGURE3_AGENTS` agent, rows ``(snapshot_id,
+    pct)`` over the analysis set.
     """
     specs = source.specs
-    agents = list(agents)
-    hits = {agent: [0] * len(specs) for agent in agents}
+    hits = {agent: [0] * len(specs) for agent in FIGURE3_AGENTS}
     n_analysis = 0
-    for view, row_of in _shards(source, store):
+    for view, row_of in _shards(source):
         n_analysis += len(view.analysis_rows)
         verdict: Dict[Tuple[int, str], bool] = {}
         for spec_index in range(len(specs)):
             counts = view.body_counts(spec_index)
-            for agent in agents:
+            for agent in FIGURE3_AGENTS:
                 agent_hits = 0
                 for ref, count in counts.items():
                     key = (ref, agent)
@@ -676,113 +669,105 @@ def per_agent_trend(
             )
             for spec_index, spec in enumerate(specs)
         ]
-        for agent in agents
+        for agent in FIGURE3_AGENTS
     }
 
 
 @dataclass
 class AllowRemovalTrend:
-    """Figure 4's two series plus per-domain detail.
+    """Figure 4's two series, its per-domain detail, and Table 4.
 
     Attributes:
         explicit_allow_counts: ``(snapshot_id, count)`` of sites
             explicitly allowing >= 1 AI agent.
         removals_per_period: ``(snapshot_id, count)`` of sites that had
-            an explicit full restriction on an agent in the previous
+            an explicit full restriction on GPTBot in the previous
             snapshot and no restriction in this one.
         removal_domains: Domains that removed restrictions, with the
             snapshot where the removal was first observed.
+        first_allows: Table 4: ``(domain, snapshot_id)`` of each domain
+            explicitly allowing GPTBot, with the first snapshot where
+            the allow was observed (snapshot-outer, rank-inner order).
+        n_analysis: Sites in the analysis set.
     """
 
     explicit_allow_counts: List[Tuple[str, int]] = field(default_factory=list)
     removals_per_period: List[Tuple[str, int]] = field(default_factory=list)
     removal_domains: Dict[str, str] = field(default_factory=dict)
+    first_allows: List[Tuple[str, str]] = field(default_factory=list)
+    n_analysis: int = 0
 
 
-def allow_and_removal_trend(
-    source: Source,
-    agents: Sequence[str] = tuple(AI_USER_AGENT_TOKENS),
-    removal_agent: str = "GPTBot",
-    store=None,
-) -> AllowRemovalTrend:
-    """Figure 4: explicit allows over time, removals per period, and
-    removal domains in first-observed order."""
+def allow_and_removal_trend(source: Source) -> AllowRemovalTrend:
+    """Figure 4 and Table 4 in one sweep: explicit allows over time,
+    removals per period, removal domains in first-observed order, and
+    each GPTBot allower's first-allow snapshot."""
     specs = source.specs
-    agents = tuple(agents)
+    agents = tuple(AI_USER_AGENT_TOKENS)
     allow_counts = [0] * len(specs)
     removal_counts = [0] * len(specs)
-    #: ``(first spec index with a removal, global rank, domain)``.
+    #: ``(first spec index, global rank, domain)`` per removal and per
+    #: first GPTBot allow.
     removal_events: List[Tuple[int, int, str]] = []
-    for view, row_of in _shards(source, store):
+    allow_events: List[Tuple[int, int, str]] = []
+    n_analysis = 0
+    for view, row_of in _shards(source):
         reader = view.reader
-        allow_verdict: Dict[int, bool] = {}
-        full_verdict: Dict[int, bool] = {}
+        n_analysis += len(view.analysis_rows)
+        #: Per body ref: (allows any AI agent, fully restricts GPTBot,
+        #: explicitly allows GPTBot).
+        verdicts: Dict[int, Tuple[bool, bool, bool]] = {}
 
-        def is_full(ref: int) -> bool:
-            flag = full_verdict.get(ref)
-            if flag is None:
-                flag = full_verdict[ref] = (
-                    row_of(ref).classification(removal_agent).level
-                    is RestrictionLevel.FULL
+        def verdict(ref: int) -> Tuple[bool, bool, bool]:
+            flags = verdicts.get(ref)
+            if flags is None:
+                row = row_of(ref)
+                gptbot = row.classification("GPTBot")
+                flags = verdicts[ref] = (
+                    row.allows_any(agents),
+                    gptbot.level is RestrictionLevel.FULL,
+                    gptbot.explicit_allow,
                 )
-            return flag
+            return flags
 
-        previous_restricted: Optional[List[bool]] = None
+        previous: Optional[List[Tuple[bool, bool, bool]]] = None
         first_removal: Dict[int, int] = {}
+        first_allow: Dict[int, int] = {}
         for spec_index in range(len(specs)):
             for ref, count in view.body_counts(spec_index).items():
-                flag = allow_verdict.get(ref)
-                if flag is None:
-                    flag = allow_verdict[ref] = row_of(ref).allows_any(agents)
-                if flag:
+                if verdict(ref)[0]:
                     allow_counts[spec_index] += count
-            restricted_now = [is_full(ref) for ref in view.eff_bodies[spec_index]]
-            if previous_restricted is not None:
-                for position, row in enumerate(view.analysis_rows):
-                    if previous_restricted[position] and not restricted_now[position]:
-                        removal_counts[spec_index] += 1
-                        first_removal.setdefault(row, spec_index)
-            previous_restricted = restricted_now
+            now = [verdict(ref) for ref in view.eff_bodies[spec_index]]
+            for position, row in enumerate(view.analysis_rows):
+                _, restricted, allows_gptbot = now[position]
+                if previous is not None and previous[position][1] and not restricted:
+                    removal_counts[spec_index] += 1
+                    first_removal.setdefault(row, spec_index)
+                if allows_gptbot:
+                    first_allow.setdefault(row, spec_index)
+            previous = now
         removal_events.extend(
             (spec_index, reader.ranks[row], reader.domains[row])
             for row, spec_index in first_removal.items()
         )
-    trend = AllowRemovalTrend()
+        allow_events.extend(
+            (spec_index, reader.ranks[row], reader.domains[row])
+            for row, spec_index in first_allow.items()
+        )
+    trend = AllowRemovalTrend(n_analysis=n_analysis)
     for spec_index, spec in enumerate(specs):
         trend.explicit_allow_counts.append((spec.snapshot_id, allow_counts[spec_index]))
         trend.removals_per_period.append((spec.snapshot_id, removal_counts[spec_index]))
-    # Removal domains render snapshot-outer / rank-inner; sorting the
-    # shard-local events on (spec, rank) gives that insertion order.
+    # Both lists render snapshot-outer / rank-inner; sorting the
+    # shard-local events on (spec, rank) gives that order.
     removal_events.sort()
     for spec_index, _, domain in removal_events:
         trend.removal_domains.setdefault(domain, specs[spec_index].snapshot_id)
+    allow_events.sort()
+    trend.first_allows = [
+        (domain, specs[spec_index].snapshot_id) for spec_index, _, domain in allow_events
+    ]
     return trend
-
-
-def first_allow_table(
-    source: Source, agent: str = "GPTBot", store=None
-) -> List[Tuple[str, str]]:
-    """Table 4: domains explicitly allowing *agent*, with the first
-    snapshot where the allow was observed (snapshot-outer, rank-inner
-    order)."""
-    specs = source.specs
-    events: List[Tuple[int, int, str]] = []
-    for view, row_of in _shards(source, store):
-        reader = view.reader
-        verdict: Dict[int, bool] = {}
-        for position, row in enumerate(view.analysis_rows):
-            for spec_index in range(len(specs)):
-                ref = view.eff_bodies[spec_index][position]
-                flag = verdict.get(ref)
-                if flag is None:
-                    flag = verdict[ref] = (
-                        row_of(ref).classification(agent).explicit_allow
-                    )
-                if flag:
-                    events.append((spec_index, reader.ranks[row], reader.domains[row]))
-                    break
-    events.sort()
-    return [(domain, specs[spec_index].snapshot_id) for spec_index, _, domain in events]
 
 
 def snapshot_coverage_table(source: Source) -> List[Tuple[str, str, int, int]]:

@@ -41,9 +41,7 @@ from ..measure.longitudinal import (
     SnapshotSeries,
     Source,
     allow_and_removal_trend,
-    analysis_domains,
     collect_snapshots,
-    first_allow_table,
     full_disallow_trend,
     per_agent_trend,
     snapshot_coverage_table,
@@ -227,20 +225,16 @@ def build_longitudinal_bundle(
     return LongitudinalBundle(population=population, series=series)
 
 
-def run_figure2(
-    source: Source, require_explicit: bool = True, store=None
-) -> ExperimentResult:
+def run_figure2(source: Source, require_explicit: bool = True) -> ExperimentResult:
     """Figure 2: % fully disallowing >= 1 AI UA, Top-5K vs the rest.
 
     *source* is a bundle's :class:`SnapshotSeries` or an open
     :class:`~repro.web.archive.ArchiveSet`; both render identically
-    for the same world.  *store* backs an archive sweep's verdict rows
-    with persistent per-body facts; a series takes its store through
-    ``series.cache.attach_store`` instead.
+    for the same world.  Verdict rows come from ``source.cache``, backed
+    by whatever store the caller attached to it.
     """
-    rows = full_disallow_trend(
-        source, require_explicit=require_explicit, store=store
-    )
+    trend = full_disallow_trend(source, require_explicit=require_explicit)
+    rows = trend.rows
     series = {
         "top5k": [(sid, pct) for sid, pct, _ in rows],
         "other": [(sid, pct) for sid, _, pct in rows],
@@ -260,15 +254,15 @@ def run_figure2(
         "final_top5k_pct": rows[-1][1],
         "final_other_pct": rows[-1][2],
         "initial_other_pct": rows[0][2],
-        "n_analysis_sites": float(len(analysis_domains(source))),
+        "n_analysis_sites": float(trend.n_analysis),
     }
     return ExperimentResult("figure2", "Full-disallow trend (Figure 2)", text, metrics)
 
 
-def run_figure3(source: Source, store=None) -> ExperimentResult:
-    """Figure 3: per-agent partial-or-full disallow trend (*source* and
-    *store* as in :func:`run_figure2`)."""
-    trends = per_agent_trend(source, store=store)
+def run_figure3(source: Source) -> ExperimentResult:
+    """Figure 3: per-agent partial-or-full disallow trend (*source* as in
+    :func:`run_figure2`)."""
+    trends = per_agent_trend(source)
     series = {agent: list(points) for agent, points in trends.items()}
     snapshot_ids = [sid for sid, _ in next(iter(series.values()))]
     rows = []
@@ -289,11 +283,11 @@ def run_figure3(source: Source, store=None) -> ExperimentResult:
     return ExperimentResult("figure3", "Per-agent disallow trend (Figure 3)", text, metrics)
 
 
-def run_figure4(source: Source, store=None) -> ExperimentResult:
+def run_figure4(source: Source) -> ExperimentResult:
     """Figure 4 + Table 4: explicit allows, removals, first-allow list
-    (*source* and *store* as in :func:`run_figure2`)."""
-    trend = allow_and_removal_trend(source, store=store)
-    table4 = first_allow_table(source, store=store)
+    (*source* as in :func:`run_figure2`)."""
+    trend = allow_and_removal_trend(source)
+    table4 = trend.first_allows
     series = {
         "explicit_allows": [(sid, float(n)) for sid, n in trend.explicit_allow_counts],
         "removals": [(sid, float(n)) for sid, n in trend.removals_per_period],
@@ -321,7 +315,7 @@ def run_figure4(source: Source, store=None) -> ExperimentResult:
     total_removals = sum(n for _, n in trend.removals_per_period)
     # Normalize by the analysis population (the paper's 484 removers and
     # 79 allowers are counts over its 40,455 analysis sites).
-    n_analysis = max(len(analysis_domains(source)), 1)
+    n_analysis = max(trend.n_analysis, 1)
     metrics = {
         "final_explicit_allows": float(trend.explicit_allow_counts[-1][1]),
         "total_removals": float(total_removals),

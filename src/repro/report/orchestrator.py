@@ -408,19 +408,22 @@ def run_strata(
                         world_span, "duration_seconds", 0.0
                     )
                     try:
+                        # One row cache per archive, persisted in its
+                        # facts.json: each body is parsed or read once.
                         body = archive.body_store()
-                        for key, runner, kwargs in (
-                            ("figure2", exp.run_figure2, {"store": body}),
-                            ("figure3", exp.run_figure3, {"store": body}),
-                            ("figure4", exp.run_figure4, {"store": body}),
-                            ("table3", exp.run_table3, {}),
+                        archive.cache.attach_store(body)
+                        for key, runner in (
+                            ("figure2", exp.run_figure2),
+                            ("figure3", exp.run_figure3),
+                            ("figure4", exp.run_figure4),
+                            ("table3", exp.run_table3),
                         ):
                             run_key = f"{key}@{stratum}"
                             exp_span = span(
                                 f"experiment:{run_key}", key=key, stratum=stratum
                             )
                             with exp_span:
-                                result = runner(archive, **kwargs)
+                                result = runner(archive)
                             report.timings_seconds[run_key] = getattr(
                                 exp_span, "duration_seconds", 0.0
                             )

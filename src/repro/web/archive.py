@@ -1,9 +1,9 @@
 """Columnar, shard-partitioned snapshot archive for million-site worlds.
 
 One archive holds everything the longitudinal analysis needs about a
-crawled snapshot series -- per-site status, robots body, and error for
-every snapshot spec -- in a form that is compact on disk, cheap to
-write from parallel shard workers, and streamable at O(shard) memory.
+crawled snapshot series -- per-site status and robots body for every
+snapshot spec -- in a form that is compact on disk, cheap to write from
+parallel shard workers, and streamable at O(shard) memory.
 The shard container (directories, string and blob tables, mmap
 readers, the manifest-last commit and its validation, the shard-set
 checks) is :mod:`repro.columnar`; this module owns the archive's
@@ -11,9 +11,10 @@ schema and column layout:
 
 * **One directory per shard.**  Shard membership is the deterministic
   sha256 assignment of :func:`repro.columnar.shard_of`.
-* **Columnar record storage.**  Per spec, three parallel columns over
-  the shard's domains: ``u16`` HTTP status, ``i32`` body reference,
-  ``i32`` error reference (10 bytes per record) in ``records.bin``.
+* **Columnar record storage.**  Per spec, two parallel columns over
+  the shard's domains: ``u16`` HTTP status and ``i32`` body reference
+  (6 bytes per record) in ``records.bin``.  A transport error is status
+  0 with no body; its text is not stored, since no analysis reads it.
 * **Content-addressed bodies, stored once** in ``bodies.bin``, with
   each body's SHA-256 in ``bodies.sha`` -- the content address the
   policy cache and the incremental store key verdict rows on, so an
@@ -25,10 +26,10 @@ schema and column layout:
 A shard that was never committed, or whose data files do not match its
 manifest, fails to open with a one-line :class:`ArchiveError`.
 
-Readers reconstruct bit-identical :class:`~repro.crawlers.commoncrawl.
-Snapshot` objects (``ArchiveSet.snapshots()``), but the Section 3
-aggregations (:mod:`repro.measure.longitudinal`) iterate the columns
-shard by shard instead, so memory stays flat as the site count grows.
+The Section 3 aggregations (:mod:`repro.measure.longitudinal`) read the
+columns shard by shard, so memory stays flat as the site count grows;
+each body's verdict row lives in the open archive's :attr:`ArchiveSet.
+cache`, which every sweep over it shares.
 """
 
 from __future__ import annotations
@@ -37,13 +38,12 @@ import hashlib
 import json
 from array import array
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 from ..columnar import (
     BlobReader,
     BlobTable,
     BodyFacts,
-    Interner,
     MappedFile,
     ShardFormat,
     array_to_le_bytes,
@@ -53,7 +53,8 @@ from ..columnar import (
     table_bytes,
 )
 from ..core.classify import VERDICT_ROW_LAYOUT
-from ..crawlers.commoncrawl import ErrorBudget, SiteRecord, Snapshot, SnapshotSpec
+from ..core.policy import RobotsPolicy
+from ..crawlers.commoncrawl import SiteRecord, SnapshotSpec
 from ..obs.metrics import shared_registry
 
 __all__ = [
@@ -70,7 +71,7 @@ __all__ = [
 #: every facts file (the store self-invalidates) automatically.
 _SCHEMA = {
     "archive": 1,
-    "record": ["status:u16le", "body_ref:i32le", "error_ref:i32le"],
+    "record": ["status:u16le", "body_ref:i32le"],
     "body_index": ["offset:u64le", "length:u32le"],
     "site": ["domain", "rank:u32le", "tier:u8"],
     # facts.json rows: the layout repro.measure.incremental's
@@ -90,8 +91,8 @@ _BODY_IDX = "bodies.idx"
 _BODY_SHA = "bodies.sha"
 _RECORDS = "records.bin"
 
-#: u16 status + i32 body ref + i32 error ref.
-_RECORD_BYTES = 10
+#: u16 status + i32 body ref.
+_RECORD_BYTES = 6
 
 
 class ArchiveError(Exception):
@@ -111,56 +112,6 @@ _FORMAT = ShardFormat(
 
 def _tier_byte(tier: str) -> int:
     return 1 if tier == "top5k" else 0
-
-
-def _budget_payload(budget: Optional[ErrorBudget]) -> Optional[Dict[str, object]]:
-    if budget is None:
-        return None
-    return {
-        "n_sites": budget.n_sites,
-        "n_errored_first_pass": budget.n_errored_first_pass,
-        "n_healed": budget.n_healed,
-        "n_errored_final": budget.n_errored_final,
-        "retry_passes": budget.retry_passes,
-        "errors_by_kind": dict(budget.errors_by_kind),
-    }
-
-
-def _budget_from_payload(payload: Optional[Mapping]) -> Optional[ErrorBudget]:
-    if payload is None:
-        return None
-    return ErrorBudget(
-        n_sites=int(payload["n_sites"]),
-        n_errored_first_pass=int(payload["n_errored_first_pass"]),
-        n_healed=int(payload["n_healed"]),
-        n_errored_final=int(payload["n_errored_final"]),
-        retry_passes=int(payload["retry_passes"]),
-        errors_by_kind=dict(payload["errors_by_kind"]),
-    )
-
-
-def merge_error_budgets(budgets: Sequence[Optional[ErrorBudget]]) -> Optional[ErrorBudget]:
-    """One snapshot-level budget from per-shard crawl budgets.
-
-    Counts sum across shards; ``retry_passes`` takes the max (a
-    whole-population crawl keeps passing while *any* site is still
-    errored, which is exactly the worst shard's pass count).
-    """
-    present = [b for b in budgets if b is not None]
-    if not present:
-        return None
-    by_kind: Dict[str, int] = {}
-    for budget in present:
-        for kind, count in budget.errors_by_kind.items():
-            by_kind[kind] = by_kind.get(kind, 0) + count
-    return ErrorBudget(
-        n_sites=sum(b.n_sites for b in present),
-        n_errored_first_pass=sum(b.n_errored_first_pass for b in present),
-        n_healed=sum(b.n_healed for b in present),
-        n_errored_final=sum(b.n_errored_final for b in present),
-        retry_passes=max(b.retry_passes for b in present),
-        errors_by_kind=by_kind,
-    )
 
 
 # -- writing -------------------------------------------------------------------
@@ -190,10 +141,8 @@ class ShardWriter:
         self._ranks: List[int] = []
         self._tiers: List[int] = []
         self._specs: List[SnapshotSpec] = []
-        self._budgets: List[Optional[ErrorBudget]] = []
         self._bodies = BlobTable()
-        self._errors = Interner(_FORMAT, "errors", 0x7FFFFFFF)
-        self._columns: List[Tuple[array, array, array]] = []
+        self._columns: List[bytes] = []
 
     def set_sites(
         self, domains: Sequence[str], ranks: Sequence[int], tiers: Sequence[str]
@@ -204,33 +153,23 @@ class ShardWriter:
         self._tiers = [_tier_byte(t) for t in tiers]
 
     def add_snapshot(
-        self,
-        spec: SnapshotSpec,
-        records: Mapping[str, SiteRecord],
-        error_budget: Optional[ErrorBudget] = None,
+        self, spec: SnapshotSpec, records: Mapping[str, SiteRecord]
     ) -> None:
         """Append one spec's records (a full row per declared domain)."""
         statuses = array("H")
         body_refs = array("i")
-        error_refs = array("i")
         for domain in self._domains:
             record = records[domain]
             statuses.append(record.status)
             body = record.robots_txt
-            error = record.error
             body_refs.append(-1 if body is None else self._bodies.ref(body))
-            error_refs.append(-1 if error is None else self._errors.ref(error))
         self._specs.append(spec)
-        self._budgets.append(error_budget)
-        self._columns.append((statuses, body_refs, error_refs))
+        self._columns.append(
+            array_to_le_bytes(statuses) + array_to_le_bytes(body_refs)
+        )
 
     def commit(self) -> Path:
         """Write every file, manifest last; returns the shard directory."""
-        records = bytearray()
-        for statuses, body_refs, error_refs in self._columns:
-            records += array_to_le_bytes(statuses)
-            records += array_to_le_bytes(body_refs)
-            records += array_to_le_bytes(error_refs)
         bodies, body_index, body_digests = self._bodies.files()
         blobs = {
             _DOMAINS: table_bytes(self._domains),
@@ -239,7 +178,7 @@ class ShardWriter:
             _BODIES: bodies,
             _BODY_IDX: body_index,
             _BODY_SHA: body_digests,
-            _RECORDS: bytes(records),
+            _RECORDS: b"".join(self._columns),
         }
         manifest = {
             "config_digest": self.config_digest,
@@ -251,8 +190,6 @@ class ShardWriter:
                 [spec.snapshot_id, spec.label, spec.month_index]
                 for spec in self._specs
             ],
-            "errors": self._errors.values,
-            "error_budgets": [_budget_payload(b) for b in self._budgets],
         }
         return _FORMAT.commit(
             self.root / shard_dir_name(self.shard_id), blobs, manifest
@@ -283,11 +220,6 @@ class ShardReader:
         self.specs: List[SnapshotSpec] = [
             SnapshotSpec(snapshot_id=row[0], label=row[1], month_index=int(row[2]))
             for row in manifest["specs"]
-        ]
-        self.errors: List[str] = list(manifest.get("errors", []))
-        self._budgets = [
-            _budget_from_payload(payload)
-            for payload in manifest.get("error_budgets", [])
         ]
         records_bytes = manifest.get("sizes", {}).get(_RECORDS)
         if records_bytes != len(self.specs) * self.n_domains * _RECORD_BYTES:
@@ -323,24 +255,17 @@ class ShardReader:
 
     # -- columns --------------------------------------------------------------
 
-    def _record_block(self, spec_index: int, column: int) -> bytes:
-        n = self.n_domains
-        base = spec_index * n * _RECORD_BYTES
-        offsets = (0, 2 * n, 6 * n)
-        widths = (2 * n, 4 * n, 4 * n)
-        return self._records.read(base + offsets[column], widths[column])
-
     def statuses(self, spec_index: int) -> array:
         """``u16`` HTTP status per domain for one spec."""
-        return le_bytes_to_array("H", self._record_block(spec_index, 0))
+        n = self.n_domains
+        block = self._records.read(spec_index * n * _RECORD_BYTES, 2 * n)
+        return le_bytes_to_array("H", block)
 
     def body_refs(self, spec_index: int) -> array:
         """``i32`` body reference per domain (-1 = no body)."""
-        return le_bytes_to_array("i", self._record_block(spec_index, 1))
-
-    def error_refs(self, spec_index: int) -> array:
-        """``i32`` error reference per domain (-1 = no error)."""
-        return le_bytes_to_array("i", self._record_block(spec_index, 2))
+        n = self.n_domains
+        block = self._records.read(spec_index * n * _RECORD_BYTES + 2 * n, 4 * n)
+        return le_bytes_to_array("i", block)
 
     def body_text(self, ref: int) -> str:
         """The interned robots body for *ref*, decoded once per reader."""
@@ -380,32 +305,26 @@ class ShardReader:
             self._domain_index = {d: i for i, d in enumerate(self.domains)}
         return self._domain_index
 
-    def error_budget(self, spec_index: int) -> Optional[ErrorBudget]:
-        if spec_index < len(self._budgets):
-            return self._budgets[spec_index]
-        return None
-
-    # -- record reconstruction -------------------------------------------------
-
-    def record(self, spec_index: int, domain_index: int) -> SiteRecord:
-        """One :class:`SiteRecord`, bit-identical to the crawled one."""
-        status = self.statuses(spec_index)[domain_index]
-        body_ref = self.body_refs(spec_index)[domain_index]
-        error_ref = self.error_refs(spec_index)[domain_index]
-        return SiteRecord(
-            domain=self.domains[domain_index],
-            status=status,
-            robots_txt=self.body_text(body_ref) if body_ref >= 0 else None,
-            error=self.errors[error_ref] if error_ref >= 0 else None,
-        )
-
 
 class ArchiveSet:
-    """All shards of one archive root, validated for mutual consistency."""
+    """All shards of one archive root, validated for mutual consistency.
+
+    Attributes:
+        cache: The verdict rows of this archive's bodies, shared by every
+            aggregation sweep over it, as :attr:`~repro.measure.
+            longitudinal.SnapshotSeries.cache` is for a series.  Bodies
+            parse into a policy that is dropped once their row is built,
+            so only rows stay resident.  Attach a store
+            (:meth:`body_store`) to persist them.
+    """
 
     def __init__(self, root: Union[str, Path], readers: List[ShardReader]):
+        # Imported here: repro.measure imports this module.
+        from ..measure.cache import PolicyCache
+
         self.root = Path(root)
         self.readers = readers
+        self.cache = PolicyCache(compiled=RobotsPolicy)
 
     @classmethod
     def open(cls, root: Union[str, Path]) -> "ArchiveSet":
@@ -429,10 +348,6 @@ class ArchiveSet:
     def config_digest(self) -> str:
         return self.readers[0].config_digest
 
-    @property
-    def n_domains(self) -> int:
-        return sum(reader.n_domains for reader in self.readers)
-
     def close(self) -> None:
         for reader in self.readers:
             reader.close()
@@ -442,55 +357,6 @@ class ArchiveSet:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def _canonical_order(self) -> List[Tuple[int, int, int]]:
-        """``(rank, shard_index, domain_index)`` rows in global rank order.
-
-        Ranks are the population's stable-list positions, so this merge
-        reproduces the canonical domain order any unsharded consumer
-        iterates in.
-        """
-        order: List[Tuple[int, int, int]] = []
-        for shard_index, reader in enumerate(self.readers):
-            ranks = reader.ranks
-            order.extend(
-                (ranks[i], shard_index, i) for i in range(reader.n_domains)
-            )
-        order.sort()
-        return order
-
-    def stable_domains(self) -> List[str]:
-        """Every archived domain, in global rank order."""
-        return [
-            self.readers[shard].domains[row]
-            for _, shard, row in self._canonical_order()
-        ]
-
-    def snapshots(self) -> List[Snapshot]:
-        """Reconstructed full snapshots, bit-identical to the crawl.
-
-        Materializes every record (O(sites) memory) -- the
-        compatibility path for consumers that want
-        :class:`SnapshotSeries` semantics.  The aggregations iterate
-        shards instead.
-        """
-        order = self._canonical_order()
-        snapshots: List[Snapshot] = []
-        for spec_index, spec in enumerate(self.specs):
-            records: Dict[str, SiteRecord] = {}
-            for _, shard, row in order:
-                record = self.readers[shard].record(spec_index, row)
-                records[record.domain] = record
-            snapshots.append(
-                Snapshot(
-                    spec=spec,
-                    records=records,
-                    error_budget=merge_error_budgets(
-                        [r.error_budget(spec_index) for r in self.readers]
-                    ),
-                )
-            )
-        return snapshots
 
     def body_store(self) -> "ArchiveBodyStore":
         """The archive's per-body facts backend (shared ``facts.json``)."""

@@ -36,6 +36,7 @@ import threading
 from types import MappingProxyType
 from typing import Dict, Optional, TYPE_CHECKING
 
+from ..net import chaos
 from ..obs.metrics import MetricsRegistry, shared_registry
 from .population import PopulationConfig, WebPopulation, build_web_population
 
@@ -83,9 +84,27 @@ def config_digest(config: Optional[PopulationConfig] = None) -> str:
     the nested :class:`~repro.web.evolution.EvolutionParams` -- is
     equal, so the digest is a sound cache key for built worlds.
     """
-    canonical = _canonicalize(config or PopulationConfig())
-    blob = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
+    return _digest(config or PopulationConfig())
+
+
+def _digest(value: object) -> str:
+    """SHA-256 of *value*'s canonical JSON form."""
+    blob = json.dumps(_canonicalize(value), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def _archive_digest(config: Optional[PopulationConfig]) -> str:
+    """The key an archive of *config* is stored and reopened under.
+
+    An archive crawled under an armed fault plan holds faulted records,
+    so its key also covers the armed ``(plan, seed)``
+    (:func:`repro.net.chaos.active_plan`).  With no plan armed it is
+    :func:`config_digest`.
+    """
+    armed = chaos.active_plan()
+    if armed is None:
+        return config_digest(config)
+    return _digest([config_digest(config), armed])
 
 
 def freeze_population(population: WebPopulation) -> WebPopulation:
@@ -211,9 +230,10 @@ class WorldStore:
     ):
         """A columnar shard archive of *config*'s snapshot series.
 
-        Opens an existing archive under *root* when its config digest
-        matches (a crawl-free warm start -- the scale plane's analogue
-        of a series cache hit); otherwise crawls the population straight
+        Opens an existing archive under *root* when its key matches --
+        the config digest, plus the armed fault plan and seed if any
+        (a crawl-free warm start, the scale plane's analogue of a
+        series cache hit); otherwise crawls the population straight
         into per-shard archives via
         :func:`~repro.measure.longitudinal.collect_shard_archives` and
         opens the result.  Returns an open
@@ -225,7 +245,7 @@ class WorldStore:
         from .archive import ArchiveError, ArchiveSet
 
         root = Path(root)
-        digest = config_digest(config)
+        digest = _archive_digest(config)
         try:
             existing = ArchiveSet.open(root)
             if existing.config_digest == digest:

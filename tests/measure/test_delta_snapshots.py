@@ -131,7 +131,6 @@ class TestCarryForwardAssembly:
         sparse = type(second)(
             spec=second.spec,
             records={d: second.records[d] for d in domains[:5]},
-            error_budget=second.error_budget,
         )
         assembled = carry_forward_snapshot(sparse, first, domains)
         assert list(assembled.records) == list(domains)

@@ -6,7 +6,6 @@ from repro.crawlers.commoncrawl import SNAPSHOT_SPECS
 from repro.measure.longitudinal import (
     allow_and_removal_trend,
     collect_snapshots,
-    first_allow_table,
     full_disallow_trend,
     per_agent_trend,
     snapshot_coverage_table,
@@ -59,7 +58,7 @@ class TestSeriesConstruction:
 class TestFigure2Trend:
     def test_trend_shape(self, world):
         _, series = world
-        rows = full_disallow_trend(series)
+        rows = full_disallow_trend(series).rows
         assert len(rows) == 15
         first_other = rows[0][2]
         last_other = rows[-1][2]
@@ -74,7 +73,7 @@ class TestFigure2Trend:
 
     def test_top5k_above_other_at_end(self, world):
         _, series = world
-        rows = full_disallow_trend(series)
+        rows = full_disallow_trend(series).rows
         assert rows[-1][1] > rows[-1][2]
 
     def test_tiers_come_from_the_population(self, world):
@@ -86,8 +85,8 @@ class TestFigure2Trend:
 
     def test_wildcard_ablation_inflates_rates(self, world):
         _, series = world
-        explicit = full_disallow_trend(series, require_explicit=True)
-        ablated = full_disallow_trend(series, require_explicit=False)
+        explicit = full_disallow_trend(series, require_explicit=True).rows
+        ablated = full_disallow_trend(series, require_explicit=False).rows
         assert ablated[-1][2] > explicit[-1][2]
 
 
@@ -106,14 +105,14 @@ class TestFigure3Trend:
 
     def test_no_gptbot_restrictions_before_announcement(self, world):
         _, series = world
-        trends = per_agent_trend(series, agents=["GPTBot"])
+        trends = per_agent_trend(series)
         for (snapshot_id, pct), spec in zip(trends["GPTBot"], SNAPSHOT_SPECS):
             if spec.month_index < GPTBOT_ANNOUNCEMENT:
                 assert pct == 0.0
 
     def test_ccbot_restricted_from_the_start(self, world):
         _, series = world
-        trends = per_agent_trend(series, agents=["CCBot"])
+        trends = per_agent_trend(series)
         assert trends["CCBot"][0][1] > 0.0
 
     def test_eu_ai_act_uptick(self, world):
@@ -121,7 +120,7 @@ class TestFigure3Trend:
         # the data-deal removals, which are over-represented at this
         # tiny population scale (each deal is floored at one site).
         _, series = world
-        trends = per_agent_trend(series, agents=["anthropic-ai"])
+        trends = per_agent_trend(series)
         by_id = dict(trends["anthropic-ai"])
         # 2024-26 (Jul 2024, pre-act) vs 2024-42 (Oct 2024, post-act).
         assert by_id["2024-42"] > by_id["2024-26"]
@@ -151,8 +150,8 @@ class TestFigure4Trend:
 
     def test_first_allow_table_consistent(self, world):
         _, series = world
-        rows = first_allow_table(series)
         trend = allow_and_removal_trend(series)
+        rows = trend.first_allows
         assert len(rows) >= trend.explicit_allow_counts[0][1]
         domains = [d for d, _ in rows]
         assert len(domains) == len(set(domains))

@@ -6,7 +6,8 @@ functions in :mod:`repro.measure.longitudinal`, fed either an in-memory
 :class:`ArchiveSet` streamed shard by shard.  Every output must equal
 the naive per-domain oracle in :mod:`tests.measure.oracle` on both
 sources, including the ordering-sensitive payloads (removal-domain
-insertion order, the Table 4 row order).
+insertion order, the Table 4 row order).  Each source owns one verdict
+row cache that all its sweeps share; a store attaches to that cache.
 """
 
 from collections import Counter
@@ -19,7 +20,6 @@ from repro.measure.longitudinal import (
     analysis_domains,
     collect_shard_archives,
     collect_snapshots,
-    first_allow_table,
     full_disallow_trend,
     per_agent_trend,
     snapshot_coverage_table,
@@ -27,6 +27,7 @@ from repro.measure.longitudinal import (
 from repro.web.archive import ArchiveBodyStore, ArchiveSet
 from repro.web.population import PopulationConfig, build_web_population
 
+from ..archive_cells import archive_cells
 from . import oracle
 
 CONFIG = PopulationConfig(
@@ -74,16 +75,18 @@ class TestStreamingParity:
         assert series.analysis_domains == expected["analysis"]
         for name, source in _sources(world).items():
             assert analysis_domains(source) == expected["analysis"], name
-        assert archive.stable_domains() == series.stable_domains
+        assert list(archive_cells(archive)) == series.stable_domains
 
     def test_figure2_rows_identical(self, world, expected):
         # The ablation really differs, so the flag is exercised.
         assert expected["figure2_wildcard"] != expected["figure2"]
         for name, source in _sources(world).items():
-            assert full_disallow_trend(source) == expected["figure2"], name
+            trend = full_disallow_trend(source)
+            assert trend.rows == expected["figure2"], name
+            assert trend.n_analysis == len(expected["analysis"]), name
             assert full_disallow_trend(
                 source, require_explicit=False
-            ) == expected["figure2_wildcard"], name
+            ).rows == expected["figure2_wildcard"], name
 
     def test_figure3_trends_identical(self, world, expected):
         for name, source in _sources(world).items():
@@ -99,11 +102,13 @@ class TestStreamingParity:
             # Dict equality AND iteration order: the paper artifact
             # renders removal domains in first-removal order.
             assert list(trend.removal_domains.items()) == removal_domains, name
+            assert trend.n_analysis == len(expected["analysis"]), name
 
     def test_table4_rows_identical(self, world, expected):
         assert expected["table4"], "the world must exercise explicit allows"
         for name, source in _sources(world).items():
-            assert first_allow_table(source) == expected["table4"], name
+            trend = allow_and_removal_trend(source)
+            assert trend.first_allows == expected["table4"], name
 
     def test_table3_rows_identical(self, world, expected):
         for name, source in _sources(world).items():
@@ -112,22 +117,25 @@ class TestStreamingParity:
     def test_body_store_backend_changes_nothing(self, world, expected):
         _, _, archive = world
         store = archive.body_store()
-        cold = full_disallow_trend(archive, store=store)
+        cold = _sweep(archive.root, store, full_disallow_trend)
         store.flush()
         assert len(store.facts_payload()["rows"]) > 0
         # A second pass over a reopened store answers every body from
         # the persisted facts and computes nothing.
         warm_store = _CountingStore(archive.body_store())
-        warm = full_disallow_trend(archive, store=warm_store)
-        assert cold == warm == expected["figure2"]
+        warm = _sweep(archive.root, warm_store, full_disallow_trend)
+        assert cold.rows == warm.rows == expected["figure2"]
         assert warm_store.hits > 0 and warm_store.puts == 0
 
-    def test_series_refuses_a_store_argument(self, world):
-        # A series takes its store through series.cache; silently
-        # dropping one passed here would hide a caller's mistake.
-        _, series, archive = world
-        with pytest.raises(ValueError):
-            full_disallow_trend(series, store=archive.body_store())
+
+def _sweep(root, store, *aggregations):
+    """Run *aggregations* over a freshly opened archive whose cache is
+    backed by *store* (None: no store); returns the last result."""
+    with ArchiveSet.open(root) as archive:
+        archive.cache.attach_store(store)
+        for aggregate in aggregations:
+            result = aggregate(archive)
+    return result
 
 
 class TestParseOnce:
@@ -146,15 +154,15 @@ class TestParseOnce:
         return calls
 
     @staticmethod
-    def _sweep_all(archive, store):
-        full_disallow_trend(archive, store=store)
-        per_agent_trend(archive, store=store)
-        allow_and_removal_trend(archive, store=store)
-        first_allow_table(archive, store=store)
+    def _sweep_all(root, store):
+        _sweep(
+            root, store, full_disallow_trend, per_agent_trend,
+            allow_and_removal_trend, snapshot_coverage_table,
+        )
 
     def test_each_distinct_body_parses_at_most_once(self, world, tmp_path, parsed):
         _, _, archive = world
-        self._sweep_all(archive, ArchiveBodyStore(tmp_path))
+        self._sweep_all(archive.root, ArchiveBodyStore(tmp_path))
         distinct = {
             digest for reader in archive.readers for digest in reader.body_digests
         }
@@ -162,13 +170,21 @@ class TestParseOnce:
         assert max(Counter(parsed).values()) == 1
         assert len(parsed) <= len(distinct)
 
+    def test_sweeps_share_the_archive_cache_without_a_store(self, world, parsed):
+        # One cache per archive: the second and later sweeps read the
+        # rows the first one built.
+        _, _, archive = world
+        self._sweep_all(archive.root, None)
+        assert parsed, "the sweeps must classify something"
+        assert max(Counter(parsed).values()) == 1
+
     def test_sweeps_over_a_flushed_store_parse_nothing(self, world, tmp_path, parsed):
         _, _, archive = world
         store = ArchiveBodyStore(tmp_path)
-        full_disallow_trend(archive, store=store)
+        _sweep(archive.root, store, full_disallow_trend)
         store.flush()
         parsed.clear()
-        self._sweep_all(archive, ArchiveBodyStore(tmp_path))
+        self._sweep_all(archive.root, ArchiveBodyStore(tmp_path))
         assert parsed == []
 
 

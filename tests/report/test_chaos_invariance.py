@@ -11,7 +11,7 @@ locks in *both* directions).
 import pytest
 
 from repro.net import chaos
-from repro.report.orchestrator import run_all
+from repro.report.orchestrator import run_all, run_strata
 from repro.web.population import PopulationConfig
 from repro.web.worldstore import WorldStore
 
@@ -96,3 +96,24 @@ class TestArmedPlanIsolation:
         assert faulted != clean
         # Disarmed, the process-shared store serves the clean world.
         assert texts() == clean
+
+    @staticmethod
+    def _strata_texts(archive_dir):
+        report = run_strata(["top-1k"], archive_dir=archive_dir, store=WorldStore())
+        return [r.text for r in report.results]
+
+    def test_armed_strata_archive_is_not_served_to_a_clean_run(self, tmp_path):
+        clean = self._strata_texts(tmp_path / "clean")
+        with chaos.chaos_active(chaos.plan("outage-window"), 0):
+            faulted = self._strata_texts(tmp_path / "shared")
+        assert faulted != clean
+        # Disarmed over the faulted archive: recrawled, not reopened.
+        assert self._strata_texts(tmp_path / "shared") == clean
+
+    def test_armed_strata_run_does_not_reopen_a_clean_archive(self, tmp_path):
+        clean = self._strata_texts(tmp_path / "shared")
+        with chaos.chaos_active(chaos.plan("outage-window"), 0):
+            faulted = self._strata_texts(tmp_path / "shared")
+            # The same plan and seed reopen the archive they wrote.
+            assert self._strata_texts(tmp_path / "shared") == faulted
+        assert faulted != clean

@@ -4,8 +4,12 @@
 stratum and hands it to the Figure 2-4 / Table 3 runners.
 """
 
+import json
+
 import pytest
 
+from repro.core.classify import VerdictRow
+from repro.measure import longitudinal
 from repro.report.orchestrator import run_strata
 from repro.web.population import PopulationConfig
 from repro.web.worldstore import WorldStore
@@ -87,6 +91,51 @@ class TestRunStrata:
     def test_unknown_stratum_is_a_keyerror(self, tmp_path):
         with pytest.raises(KeyError, match="unknown stratum"):
             run_strata(["top-5k"], config=BASE, archive_dir=tmp_path)
+
+
+class TestOneSweepPerFigure:
+    """Each runner sweeps the archive once, and every sweep reads the
+    archive's one row cache."""
+
+    @pytest.fixture
+    def work(self, monkeypatch):
+        counts = {"analyses": 0, "classified": 0, "unpacked": 0}
+        real_init = longitudinal.ShardAnalysis.__init__
+        real_of = VerdictRow.of.__func__
+        real_unpack = VerdictRow.unpack.__func__
+
+        def init(self, reader):
+            counts["analyses"] += 1
+            real_init(self, reader)
+
+        def of(cls, policy):
+            counts["classified"] += 1
+            return real_of(cls, policy)
+
+        def unpack(cls, packed):
+            row = real_unpack(cls, packed)
+            counts["unpacked"] += row is not None
+            return row
+
+        monkeypatch.setattr(longitudinal.ShardAnalysis, "__init__", init)
+        monkeypatch.setattr(VerdictRow, "of", classmethod(of))
+        monkeypatch.setattr(VerdictRow, "unpack", classmethod(unpack))
+        return counts
+
+    def test_four_sweeps_and_one_row_per_body(self, tmp_path, work):
+        shards = 3
+        run_strata(STRATA, config=BASE, shards=shards, archive_dir=tmp_path,
+                   store=WorldStore())
+        facts = json.loads((tmp_path / "top-10k" / "facts.json").read_text())
+        n_rows = len(facts["rows"])
+        assert n_rows > 0
+        assert work == {"analyses": 4 * shards, "classified": n_rows, "unpacked": 0}
+        for key in work:
+            work[key] = 0
+        # Reopened: every row comes from facts.json, read once.
+        run_strata(STRATA, config=BASE, shards=shards, archive_dir=tmp_path,
+                   store=WorldStore())
+        assert work == {"analyses": 4 * shards, "classified": 0, "unpacked": n_rows}
 
 
 class TestStreamingMatchesClassic:

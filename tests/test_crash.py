@@ -41,6 +41,8 @@ from repro.web.archive import ArchiveBodyStore, ArchiveError, ArchiveSet
 from repro.web.population import PopulationConfig, build_web_population, stratum_config
 from repro.web.worldstore import config_digest
 
+from .archive_cells import archive_cells
+
 _REAL_OPEN = builtins.open
 
 
@@ -149,7 +151,8 @@ def _crawl(seed):
 
 def _read_archive(root):
     with ArchiveSet.open(root) as archive:
-        return {"archive": _digest((archive.config_digest, archive.snapshots()))}
+        cells = archive_cells(archive)
+        return {"archive": _digest((archive.config_digest, archive.specs, cells))}
 
 
 # -- log store -------------------------------------------------------------

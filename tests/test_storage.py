@@ -53,22 +53,22 @@ def _pinned_log_store(root):
 
 
 ARCHIVE_DIGESTS = {
-    "facts.json": "a213be5446ed7b704e0862684a0ba130b2dad6f2f5df9fbf0622ee06de894ffc",
+    "facts.json": "873ac8a4450df845e98d1a6fa42b4695e7e9e245066f3ee3c1b7447787a59fe9",
     "shard-0000/bodies.bin": "28193bdd982586677464a248a320aeffeb73097c7666d21b553cbb34d4a707b3",
     "shard-0000/bodies.idx": "fe64368e536d470e8393feb9c026144b2b38aca648884ad5039aa7aa1246b4a4",
     "shard-0000/bodies.sha": "55bf48b705955e7201b6529212b3c5189da6a35024d7c779b4e19bbd4266e7c0",
     "shard-0000/domains.txt": "d3fbde5ab39fef20cca5cd40fb9be1920ee9f9527902f58708b41541cc65f4fc",
-    "shard-0000/manifest.json": "4c3bad60ba7e1a764b61592640427dcd55cf19d58df72652d3405e3dfe4e8379",
+    "shard-0000/manifest.json": "10f0e029a03ea38e6f3af0d5056248188ceaeacb7d5702c289f38d87ae219c5a",
     "shard-0000/ranks.bin": "ad5dc1478de06a4c2728ea528bd9361a4b945e92a414bf4d180cedaaeaa5f4cc",
-    "shard-0000/records.bin": "5f600facbff742c60e27fac49d766e60b093efcec5f571cff5f02931cc0d3243",
+    "shard-0000/records.bin": "2bf0c4a4680084b71749790c07ac2310feb710e1a5d0b46e288592993964e07e",
     "shard-0000/tiers.bin": "fb50dc0717ff266cf9baf82b1ce7a1c2ef6d9247859680b11a19fb7077f5f222",
     "shard-0001/bodies.bin": "16ceb5ee3e0dc13aa9adf31a3ebbe45a1d965b8c2b9f72eaf84e5911e140ed95",
     "shard-0001/bodies.idx": "c62ae518127bc10178301668aaa15885b6304986e840ca05ad9a0748ef6b9eae",
     "shard-0001/bodies.sha": "1d58991ad2f55225c3a439e152bee3636fa14a96e166e7a73ac8f90727bb5a80",
     "shard-0001/domains.txt": "90330d0251d85f763c71d17261590a7584ebf03c5b7efbd66ef372124cf38f26",
-    "shard-0001/manifest.json": "49ee9209302e76836be5db5cbafd04f4a4cc5ea474115f68f5e59b7c1b657eb2",
+    "shard-0001/manifest.json": "793ad2a1e1c1bf71d4b733cedecc37b94963ccf5c0a797a295eef2958826ae06",
     "shard-0001/ranks.bin": "50ac472466c102b9f97990af92e6c7acc1e76efbfd9b10904c4e2cfd533b0ca8",
-    "shard-0001/records.bin": "09506fe668c753f4c6a93a4bf9c06894841264fb1c0c828e32da646db22c31ee",
+    "shard-0001/records.bin": "de60661cc24d6d99d29d3953950af268ca0bb161c51a2c1b86122715b6945b11",
     "shard-0001/tiers.bin": "47dc540c94ceb704a23875c11273e16bb0b8a87aed84de911f2133568115f254",
 }
 
@@ -98,7 +98,7 @@ LOG_STORE_DIGESTS = {
 
 def test_schema_fingerprints_are_pinned():
     assert ARCHIVE_SCHEMA_FINGERPRINT == (
-        "bd024d94e0a5325dcef409d87687fd4093df9b8303f11163af4899b97a52dfae"
+        "1a20a654de44d8b33a7242bc84d6eeeb844e510233df38d5f51682bcf434cea8"
     )
     assert INCREMENTAL_SCHEMA_FINGERPRINT == (
         "b62e0666adcdda16c98e6acf0f5fb8be3ab663441b6e2621307b97786dcdebb9"

@@ -1,10 +1,11 @@
 """Tests for the columnar per-shard snapshot archive.
 
 The archive's contract: write -> reopen -> aggregate is byte-identical
-to the in-memory crawl, damage surfaces as a one-line
-:class:`~repro.web.archive.ArchiveError` (never a traceback from the
-struct/mmap plumbing), and per-body facts stored next to the body table
-are interchangeable with the incremental store's ``bodies.json``.
+to the in-memory crawl, a record is 6 bytes (status and body ref),
+damage surfaces as a one-line :class:`~repro.web.archive.ArchiveError`
+(never a traceback from the struct/mmap plumbing), and per-body facts
+stored next to the body table are interchangeable with the incremental
+store's ``bodies.json``.
 """
 
 import json
@@ -14,7 +15,7 @@ import pytest
 from repro.core.classify import VerdictRow, classify
 from repro.core.compiled import policy_digest
 from repro.core.policy import RobotsPolicy
-from repro.crawlers.commoncrawl import ErrorBudget, SiteRecord, SnapshotSpec
+from repro.crawlers.commoncrawl import SNAPSHOT_SPECS, SiteRecord, SnapshotSpec
 from repro.measure.cache import PolicyCache
 from repro.web.archive import (
     ARCHIVE_SCHEMA_FINGERPRINT,
@@ -23,9 +24,12 @@ from repro.web.archive import (
     ArchiveSet,
     ShardReader,
     ShardWriter,
-    merge_error_budgets,
     shard_dir_name,
 )
+from repro.web.population import PopulationConfig
+from repro.web.worldstore import WorldStore
+
+from ..archive_cells import archive_cells
 
 SPECS = (
     SnapshotSpec("2022-05", "Sep/Oct 2022", 0),
@@ -59,11 +63,7 @@ def _write_shards(root, n_shards=2):
                 else:
                     body = ROBOTS_A if shard_id == 0 else ROBOTS_B
                     records[domain] = SiteRecord(domain, 200, body)
-            writer.add_snapshot(
-                spec,
-                records,
-                error_budget=ErrorBudget(n_sites=len(domains)),
-            )
+            writer.add_snapshot(spec, records)
         writer.commit()
     return root
 
@@ -76,14 +76,14 @@ def archive_root(tmp_path):
 class TestRoundTrip:
     def test_records_survive_reopen(self, archive_root):
         with ArchiveSet.open(archive_root) as archive:
-            snapshots = archive.snapshots()
-        assert [s.spec for s in snapshots] == list(SPECS)
-        first = snapshots[0].records
-        assert first["a.example"] == SiteRecord("a.example", 200, ROBOTS_A)
-        assert first["www.a.example"] == SiteRecord("www.a.example", 404)
-        assert first["c.example"] == SiteRecord("c.example", 200, ROBOTS_B)
-        errored = snapshots[1].records["a.example"]
-        assert errored.status == 0 and errored.error == "conn reset"
+            specs = archive.specs
+            cells = archive_cells(archive)
+        assert specs == list(SPECS)
+        # A transport error reads back as status 0 with no body.
+        assert cells["a.example"] == [(200, ROBOTS_A), (0, None)]
+        assert cells["www.a.example"] == [(404, None), (404, None)]
+        assert cells["c.example"] == [(200, ROBOTS_B), (0, None)]
+        assert cells["d.example"] == [(404, None), (404, None)]
 
     def test_shared_bodies_stored_once(self, archive_root):
         reader = ShardReader(archive_root / shard_dir_name(0))
@@ -96,21 +96,64 @@ class TestRoundTrip:
         assert refs == {0, -1}
         reader.close()
 
-    def test_budgets_merge_across_shards(self, archive_root):
-        with ArchiveSet.open(archive_root) as archive:
-            budget = archive.snapshots()[0].error_budget
-        assert budget == ErrorBudget(n_sites=5)
-        assert merge_error_budgets([None, None]) is None
-        assert merge_error_budgets(
-            [ErrorBudget(retry_passes=1), ErrorBudget(retry_passes=2)]
-        ).retry_passes == 2
-
     def test_stable_domains_in_global_rank_order(self, archive_root):
         with ArchiveSet.open(archive_root) as archive:
-            domains = archive.stable_domains()
+            domains = list(archive_cells(archive))
         assert domains == [
             "a.example", "www.a.example", "b.example", "c.example", "d.example"
         ]
+
+
+#: The schema fingerprint of the layout with a third record column (an
+#: ``i32`` error reference, 10 bytes per record) and the manifest's
+#: ``errors`` and ``error_budgets``.
+TEN_BYTE_FINGERPRINT = (
+    "bd024d94e0a5325dcef409d87687fd4093df9b8303f11163af4899b97a52dfae"
+)
+
+
+def _to_ten_byte_layout(shard):
+    """Rewrite a committed shard in the layout with an error column."""
+    manifest = json.loads((shard / "manifest.json").read_text())
+    n = manifest["n_domains"]
+    records = (shard / "records.bin").read_bytes()
+    old = b"".join(
+        records[spec * 6 * n:(spec + 1) * 6 * n] + b"\xff" * 4 * n
+        for spec in range(len(manifest["specs"]))
+    )
+    (shard / "records.bin").write_bytes(old)
+    manifest["sizes"]["records.bin"] = len(old)
+    manifest["schema_fingerprint"] = TEN_BYTE_FINGERPRINT
+    manifest["errors"] = []
+    manifest["error_budgets"] = [None] * len(manifest["specs"])
+    (shard / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+
+
+class TestRecordLayout:
+    def test_a_record_is_six_bytes(self, archive_root):
+        for shard_id, n_domains in ((0, 3), (1, 2)):
+            shard = archive_root / shard_dir_name(shard_id)
+            size = (shard / "records.bin").stat().st_size
+            assert size == 6 * len(SPECS) * n_domains
+            manifest = json.loads((shard / "manifest.json").read_text())
+            assert "errors" not in manifest and "error_budgets" not in manifest
+        assert ARCHIVE_SCHEMA_FINGERPRINT != TEN_BYTE_FINGERPRINT
+
+    def test_ten_byte_archive_is_stale_and_recrawled(self, tmp_path):
+        config = PopulationConfig(
+            universe_size=120, list_size=80, top5k_cut=10, audit_size=20, seed=3
+        )
+        root = tmp_path / "arch"
+        WorldStore().archive(config, root, shards=2).close()
+        shards = sorted(root.glob("shard-*"))
+        for shard in shards:
+            _to_ten_byte_layout(shard)
+        with pytest.raises(ArchiveError, match="stale archive schema"):
+            ArchiveSet.open(root)
+        with WorldStore().archive(config, root, shards=2) as archive:
+            for reader in archive.readers:
+                size = (reader.directory / "records.bin").stat().st_size
+                assert size == 6 * len(SNAPSHOT_SPECS) * reader.n_domains
 
 
 class TestDamage:

@@ -8,8 +8,6 @@ identity of the sharded snapshot crawl, and the ``shard.sites`` balance
 metrics the scale plane reports.
 """
 
-import hashlib
-import json
 import multiprocessing
 from collections import Counter
 
@@ -35,6 +33,8 @@ from repro.web.sharding import (
     shard_count_for,
     shard_of,
 )
+
+from ..archive_cells import archive_cells, series_cells
 
 CONFIG = PopulationConfig(
     universe_size=450, list_size=300, top5k_cut=40, audit_size=80, seed=7
@@ -86,57 +86,53 @@ class TestAssignment:
         assert resolve_mode("process", 2) == "process"
 
 
-def _series_digest(snapshots) -> str:
-    payload = [
-        [
-            snap.spec.snapshot_id,
-            [[r.domain, r.status, r.robots_txt, r.error]
-             for r in snap.records.values()],
-            snap.error_budget.n_sites if snap.error_budget else None,
-        ]
-        for snap in snapshots
-    ]
-    blob = json.dumps(payload, sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
 @pytest.fixture(scope="module")
 def baseline():
     return build_web_population(CONFIG)
 
 
 class TestShardedCollectIdentity:
-    """The sharded crawl writes an archive; reassembled, it must equal
-    an unsharded :func:`collect_snapshots` record for record."""
+    """The sharded crawl writes an archive; read back through its
+    columns, it must hold the status and body an unsharded
+    :func:`collect_snapshots` crawled, cell for cell."""
 
     @pytest.fixture(scope="class")
     def unsharded(self, baseline):
-        return collect_snapshots(baseline, workers=1)
+        series = collect_snapshots(baseline, workers=1)
+        return series, series_cells(series.snapshots)
 
     @staticmethod
     def _archived(population, root, **kwargs):
         collect_shard_archives(population, root, **kwargs)
         with ArchiveSet.open(root) as archive:
-            return archive.snapshots(), analysis_domains(archive)
+            return archive.specs, archive_cells(archive), analysis_domains(archive)
+
+    @staticmethod
+    def _assert_same(archived, unsharded):
+        series, cells = unsharded
+        specs, archived_cells, _ = archived
+        assert specs == [snapshot.spec for snapshot in series.snapshots]
+        assert list(archived_cells) == series.stable_domains
+        assert archived_cells == cells
 
     def test_sharded_serial_collect_identical(self, baseline, unsharded, tmp_path):
-        snapshots, _ = self._archived(baseline, tmp_path, shards=3, workers=1)
-        assert _series_digest(snapshots) == _series_digest(unsharded.snapshots)
+        archived = self._archived(baseline, tmp_path, shards=3, workers=1)
+        self._assert_same(archived, unsharded)
 
     def test_sharded_threaded_collect_identical(self, baseline, unsharded, tmp_path):
-        snapshots, analysis = self._archived(
+        archived = self._archived(
             baseline, tmp_path, shards=4, workers=2, mode="thread"
         )
-        assert _series_digest(snapshots) == _series_digest(unsharded.snapshots)
-        assert analysis == unsharded.analysis_domains
+        self._assert_same(archived, unsharded)
+        assert archived[2] == unsharded[0].analysis_domains
 
     def test_sharded_forked_collect_identical(self, baseline, unsharded, tmp_path):
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("no fork start method on this platform")
-        snapshots, _ = self._archived(
+        archived = self._archived(
             baseline, tmp_path, shards=2, workers=2, mode="process"
         )
-        assert _series_digest(snapshots) == _series_digest(unsharded.snapshots)
+        self._assert_same(archived, unsharded)
 
     @staticmethod
     def _traced_collect(population, root, mode):
