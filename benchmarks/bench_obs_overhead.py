@@ -137,10 +137,7 @@ def test_disabled_telemetry_overhead_on_figure2(longitudinal_bundle, artifact_di
 
     def cold_series() -> SnapshotSeries:
         return SnapshotSeries(
-            snapshots=series.snapshots,
-            stable_domains=series.stable_domains,
-            tiers=series.tiers,
-            cache=PolicyCache(compiled=CompiledPolicyCache().policy),
+            series.shard, cache=PolicyCache(compiled=CompiledPolicyCache().policy)
         )
 
     def cold_pass() -> float:
@@ -159,8 +156,8 @@ def test_disabled_telemetry_overhead_on_figure2(longitudinal_bundle, artifact_di
     # disabled counter *and* one disabled time-series point per
     # (analysis domain, snapshot) query plus one span per snapshot --
     # far denser than the real instrumentation.
-    n_counter_ops = len(series.analysis_domains) * len(series.snapshots)
-    n_span_ops = len(series.snapshots) + 1
+    n_counter_ops = len(series.analysis_domains) * len(series.specs)
+    n_span_ops = len(series.specs) + 1
     implied_seconds = (
         n_counter_ops * costs["counter_inc_seconds"]
         + n_counter_ops * costs["series_add_seconds"]

@@ -8,14 +8,22 @@ between the two crawl times.
 
 from conftest import save_artifact
 
+from repro.crawlers.commoncrawl import SNAPSHOT_SPECS, SnapshotCrawler
 from repro.measure.validation import cross_validate_snapshot
+from repro.net.transport import Network
 from repro.report.experiments import ExperimentResult
 from repro.report.tables import render_table
 
 
 def test_sec31_cross_validation(benchmark, longitudinal_bundle, artifact_dir):
     population = longitudinal_bundle.population
-    snapshot = longitudinal_bundle.series.snapshots[7]
+    # The post-announcement snapshot, crawled over the whole stable set.
+    spec = SNAPSHOT_SPECS[7]
+    network = Network()
+    population.materialize(network, month=spec.month_index)
+    snapshot = SnapshotCrawler(network).snapshot(
+        spec, [site.domain for site in population.stable]
+    )
 
     report = benchmark.pedantic(
         cross_validate_snapshot,

@@ -6,27 +6,26 @@ Run with::
 
 The paper publishes its data and code; this example shows the
 equivalent workflow here: build a world, crawl its snapshots, export
-the three datasets (snapshot corpus, robots.txt schedules, survey
-responses) as JSONL, reload them from disk, and verify the re-analysis
-reproduces the original numbers exactly.  It also demonstrates the
+the three datasets (the snapshot corpus as a columnar shard archive,
+robots.txt schedules and survey responses as JSONL), reload them from
+disk, and verify the re-analysis reproduces the original numbers
+exactly.  It also demonstrates the
 semantic differ on a real deal-driven robots.txt change.
 """
 
-import io
 import pathlib
 
 from repro.agents import AI_USER_AGENT_TOKENS
 from repro.core.diff import classify_change, diff_robots
-from repro.measure.longitudinal import collect_snapshots, full_disallow_trend
-from repro.report.datasets import (
-    dump_respondents,
-    dump_schedules,
-    dump_snapshots,
-    load_respondents,
-    load_snapshots,
+from repro.measure.longitudinal import (
+    collect_shard_archives,
+    collect_snapshots,
+    full_disallow_trend,
 )
+from repro.report.datasets import dump_respondents, dump_schedules, load_respondents
 from repro.survey import analyze, filter_valid, generate_respondents
 from repro.web import PopulationConfig, build_web_population
+from repro.web.archive import ArchiveSet
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "results"
 
@@ -41,10 +40,11 @@ def main() -> None:
     series = collect_snapshots(population)
 
     # -- export --------------------------------------------------------------
-    snap_path = OUT / "snapshots.jsonl"
-    with snap_path.open("w") as sink:
-        n = dump_snapshots(series.snapshots, sink)
-    print(f"exported {n} snapshot records -> {snap_path}")
+    archive_path = collect_shard_archives(population, OUT / "snapshots")
+    print(
+        f"exported {len(series.stable_domains) * len(series.specs)} snapshot "
+        f"records -> {archive_path}"
+    )
 
     sched_path = OUT / "schedules.jsonl"
     with sched_path.open("w") as sink:
@@ -58,19 +58,11 @@ def main() -> None:
     print(f"exported {n} survey responses -> {survey_path}")
 
     # -- reload and re-analyze -------------------------------------------------
-    with snap_path.open() as source:
-        reloaded = load_snapshots(source)
-    original = full_disallow_trend(series)
-
-    from repro.measure.longitudinal import SnapshotSeries
-
-    reseries = SnapshotSeries(
-        snapshots=reloaded,
-        stable_domains=series.stable_domains,
-        tiers=series.tiers,
+    with ArchiveSet.open(archive_path) as archive:
+        recomputed = full_disallow_trend(archive)
+    assert recomputed == full_disallow_trend(series), (
+        "reloaded corpus must reproduce the trend"
     )
-    recomputed = full_disallow_trend(reseries)
-    assert recomputed == original, "reloaded corpus must reproduce the trend"
     print("figure-2 trend reproduced exactly from the exported corpus")
 
     with survey_path.open() as source:

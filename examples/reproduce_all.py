@@ -65,7 +65,7 @@ def main() -> None:
     set_tracing_enabled(True)
     store = shared_world_store()
     world_start = time.perf_counter()
-    build_longitudinal_bundle(config, workers=args.workers, store=store)
+    build_longitudinal_bundle(config, store=store)
     world_seconds = time.perf_counter() - world_start
     # The stored world is frozen and pinned for the life of the run, so
     # exclude it from cycle tracing: without this, every collection

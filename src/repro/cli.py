@@ -431,7 +431,7 @@ def _parse_param_edits(items):
 _DISPOSITION_NOTES = {
     "hit": "assembled from store (inputs unchanged)",
     "run:first": "ran (no stored result)",
-    "run:invalidated": "ran (config/parameter inputs changed)",
+    "run:invalidated": "ran (code/config/parameter inputs changed)",
     "bypassed:chaos": "store bypassed (fault plan armed)",
 }
 
@@ -659,9 +659,9 @@ def _print_cache_effectiveness(payload) -> None:
     """Incremental cache effectiveness, when the run recorded any.
 
     Reads the ``incremental.*`` counters (experiment-level store
-    decisions), the ``delta.*`` gauges, and the
-    ``measure.policy_cache.persistent_hits`` gauge (verdict rows read
-    from the persistent store, one per body) out of a METRICS.json
+    decisions) and the ``measure.policy_cache.persistent_hits`` gauges
+    (verdict rows read from the persistent store, one per body; a strata
+    run publishes one per stratum, summed here) out of a METRICS.json
     payload.
     """
     counters = payload.get("counters", {})
@@ -670,7 +670,9 @@ def _print_cache_effectiveness(payload) -> None:
     misses = counters.get("incremental.misses", 0)
     invalidations = counters.get("incremental.invalidations", 0)
     decisions = hits + misses + invalidations
-    persistent = gauges.get("measure.policy_cache.persistent_hits", 0)
+    persistent = sum(
+        gauges[key] for key in select(gauges, "measure.policy_cache.persistent_hits")
+    )
     if not decisions and not persistent:
         return
     print("\nincremental cache effectiveness:")

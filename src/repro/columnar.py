@@ -13,10 +13,10 @@ methods, and uses this module for the container:
 * **String tables.**  :class:`Interner` assigns references in
   first-use order and enforces the store's reference width; a table
   is stored one value per line (:func:`table_bytes`).
-* **Content-addressed blobs.**  :class:`BlobTable` stores each
-  distinct text once: the blobs concatenated, a ``<QI`` offset/length
-  index, and a SHA-256 per blob.  :class:`BlobReader` maps them back
-  and decodes each blob once per reader.
+* **Content-addressed blobs.**  :class:`BlobTable` keeps each
+  distinct text once and stores the blobs concatenated, a ``<QI``
+  offset/length index, and a SHA-256 per blob.  :class:`BlobReader`
+  maps them back and decodes each blob once per reader.
 * **Little-endian fixed-width columns** (:func:`array_to_le_bytes`,
   :func:`le_bytes_to_array`), read through :class:`MappedFile`.
 * **Manifest-last commit.**  :meth:`ShardFormat.commit` writes the data
@@ -349,31 +349,30 @@ class Interner:
 
 class BlobTable:
     """Write side of a content-addressed blob table: each distinct text
-    is stored once, with its SHA-256."""
+    is kept once, as text, with its SHA-256; :meth:`files` encodes it."""
 
     def __init__(self) -> None:
         self._refs: Dict[str, int] = {}
-        self.blobs: List[bytes] = []
+        self.texts: List[str] = []
         self.digests: List[str] = []
 
     def ref(self, text: str) -> int:
         ref = self._refs.get(text)
         if ref is None:
-            ref = len(self.blobs)
-            self._refs[text] = ref
-            blob = text.encode("utf-8")
-            self.blobs.append(blob)
-            self.digests.append(hashlib.sha256(blob).hexdigest())
+            ref = self._refs[text] = len(self.texts)
+            self.texts.append(text)
+            self.digests.append(hashlib.sha256(text.encode("utf-8")).hexdigest())
         return ref
 
     def files(self) -> Tuple[bytes, bytes, bytes]:
         """``(blobs, offset/length index, digest lines)`` file contents."""
+        blobs = [text.encode("utf-8") for text in self.texts]
         index = bytearray()
         offset = 0
-        for blob in self.blobs:
+        for blob in blobs:
             index += _BLOB_INDEX_ENTRY.pack(offset, len(blob))
             offset += len(blob)
-        return b"".join(self.blobs), bytes(index), table_bytes(self.digests)
+        return b"".join(blobs), bytes(index), table_bytes(self.digests)
 
 
 class MappedFile:

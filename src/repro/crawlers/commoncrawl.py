@@ -14,7 +14,7 @@ This module reproduces that data-collection layer:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
 from ..net import chaos
@@ -28,7 +28,6 @@ __all__ = [
     "Snapshot",
     "SnapshotCrawler",
     "SNAPSHOT_SPECS",
-    "carry_forward_snapshot",
 ]
 
 #: CCBot's real user agent string.
@@ -118,55 +117,10 @@ class SiteRecord:
 
 @dataclass
 class Snapshot:
-    """One snapshot's records for all crawled sites."""
+    """One spec's crawl: a record per site the crawler fetched."""
 
     spec: SnapshotSpec
     records: Dict[str, SiteRecord] = field(default_factory=dict)
-
-    def intern_bodies(self, pool: Dict[str, str]) -> None:
-        """Deduplicate robots.txt bodies against a shared *pool*.
-
-        Snapshots of a mostly-unchanged population hold many copies of
-        identical robots.txt text; interning keeps one string per
-        distinct body across an entire series, and makes downstream
-        content-addressed grouping cheap (equal bodies are identical
-        objects).
-        """
-        for domain, record in self.records.items():
-            text = record.robots_txt
-            if text is None:
-                continue
-            canonical = pool.setdefault(text, text)
-            if canonical is not text:
-                self.records[domain] = replace(record, robots_txt=canonical)
-
-
-def carry_forward_snapshot(
-    fetched: Snapshot, previous: Snapshot, domains: Iterable[str]
-) -> Snapshot:
-    """Assemble a full snapshot from a delta crawl plus the prior month.
-
-    *fetched* holds records only for the sites actually re-crawled this
-    snapshot; every other domain's record is carried forward unchanged
-    from *previous* (which must be a full snapshot).  Records are laid
-    down in *domains* order, so the assembled snapshot's insertion
-    order -- and therefore every iteration a consumer performs over it
-    -- is identical to a full crawl's.
-
-    Carrying a record forward is sound exactly when the site's served
-    robots state did not change between the two snapshot months (see
-    :meth:`repro.web.site.SimSite.robots_changed_between`): handlers
-    are memoized per effective robots text and serving is
-    response-stateless, so a re-crawl would reproduce the same record
-    byte for byte.
-    """
-    fetched_records = fetched.records
-    previous_records = previous.records
-    records: Dict[str, SiteRecord] = {}
-    for domain in domains:
-        record = fetched_records.get(domain)
-        records[domain] = record if record is not None else previous_records[domain]
-    return Snapshot(spec=fetched.spec, records=records)
 
 
 class SnapshotCrawler:

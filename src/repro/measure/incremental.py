@@ -24,7 +24,8 @@ Three layers live in one store directory (default ``.repro-cache``):
 * ``experiments.json`` -- finished
   :class:`~repro.report.experiments.ExperimentResult` payloads keyed by
   experiment key, each guarded by the input digest it was computed
-  under (config digest + world kind + declared parameters).
+  under (config digest + world kind + declared parameters + the
+  :func:`code_digest` of the ``repro`` package that ran it).
 
 Chaos interaction: the store must never observe a faulted world.
 :func:`repro.report.orchestrator.run_all` refuses to read *or* write
@@ -35,6 +36,7 @@ delta snapshot collection independently falls back to full crawls (see
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from pathlib import Path
@@ -47,6 +49,7 @@ __all__ = [
     "IncrementalStore",
     "SCHEMA_FINGERPRINT",
     "params_digest",
+    "code_digest",
     "experiment_input_key",
 ]
 
@@ -71,6 +74,23 @@ def params_digest(payload: object) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+@functools.lru_cache(maxsize=None)
+def code_digest() -> str:
+    """SHA-256 over every ``.py`` file of the imported ``repro`` package,
+    in relative-path order, each as its path, length and bytes.
+
+    Computed once per process, the first time a store is consulted.
+    """
+    root = Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256()
+    for relative, path in sorted(
+        (path.relative_to(root).as_posix(), path) for path in root.rglob("*.py")
+    ):
+        data = path.read_bytes()
+        digest.update(f"{relative}\0{len(data)}\0".encode("utf-8") + data)
+    return digest.hexdigest()
+
+
 def experiment_input_key(
     spec_key: str,
     result_id: str,
@@ -82,11 +102,13 @@ def experiment_input_key(
 
     Covers everything that can change an experiment's output: which
     registry entry it is, which world kind it consumes, the world's
-    ``config_digest`` (or ``"-"`` for world-free experiments), and the
-    declared parameters it runs with.  Equal key = equal result.
+    ``config_digest`` (or ``"-"`` for world-free experiments), the
+    declared parameters it runs with, and the code that runs it
+    (:func:`code_digest`).  Equal key = equal result.
     """
     return params_digest(
         {
+            "code": code_digest(),
             "spec": spec_key,
             "result_id": result_id,
             "world": world,

@@ -1,9 +1,9 @@
 """Section 3: longitudinal robots.txt analysis over snapshots.
 
 Pipeline: take a web population, run the Common-Crawl-style snapshotter
-over the 15 snapshot specs (optionally in parallel -- each spec builds
-an independent network, so snapshots are embarrassingly parallel),
-keep the Stable-with-robots set (the paper's "Stable Top 100K": ranked
+over the 15 snapshot specs in order, into one shard of columns (a
+status and a body-ref column per spec, each distinct body once), keep
+the Stable-with-robots set (the paper's "Stable Top 100K": ranked
 every month *and* a robots.txt in every snapshot), then compute the
 statistics behind Figures 2-4 and Tables 3-4:
 
@@ -18,21 +18,23 @@ statistics behind Figures 2-4 and Tables 3-4:
 One engine, two sources.  Every statistic is computed shard by shard
 over the :class:`~repro.web.archive.ShardReader` surface: an
 :class:`~repro.web.archive.ArchiveSet` supplies its on-disk shards, and
-an in-memory :class:`SnapshotSeries` presents itself as a one-shard
-archive (:class:`SeriesShard`).  A *sweep* is one pass over a source's
+an in-memory :class:`SnapshotSeries` is one shard, the
+:class:`~repro.web.archive.ShardWriter` its crawl filled and an
+archive commit would write.  A *sweep* is one pass over a source's
 shards: :class:`ShardAnalysis` resolves each shard's records and applies
 the analysis-set rule, and every figure is then a tally over ``(body
 ref, count)`` that reads each distinct body's
 :class:`~repro.core.classify.VerdictRow` from the source's one
 content-addressed :class:`~repro.measure.cache.PolicyCache`
-(``source.cache``), keyed by the body's SHA-256 (the archive's
-``bodies.sha``, or :meth:`SeriesShard.body_digest`).  Each figure
-sweeps its source once; a caller persists rows by attaching a store to
-``source.cache``.
+(``source.cache``), keyed by the body's SHA-256 (the shard's
+``body_digest``, which an archive reads from ``bodies.sha``).  Each
+figure sweeps its source once; a caller persists rows by attaching a
+store to ``source.cache``.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
@@ -40,15 +42,8 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Un
 from ..agents.darkvisitors import AI_USER_AGENT_TOKENS
 from ..columnar import prepare_shard_set
 from ..core.classify import RestrictionLevel, VerdictRow
-from ..core.compiled import policy_digest
 from ..fanout import fan_out, resolve_mode
-from ..crawlers.commoncrawl import (
-    SNAPSHOT_SPECS,
-    Snapshot,
-    SnapshotCrawler,
-    SnapshotSpec,
-    carry_forward_snapshot,
-)
+from ..crawlers.commoncrawl import SNAPSHOT_SPECS, SnapshotCrawler, SnapshotSpec
 from ..net import chaos
 from ..net.logstore import log_stream
 from ..net.transport import Network
@@ -62,7 +57,6 @@ from .cache import PolicyCache
 
 __all__ = [
     "SnapshotSeries",
-    "SeriesShard",
     "ShardAnalysis",
     "collect_snapshots",
     "collect_shard_archives",
@@ -91,90 +85,36 @@ Source = Union["SnapshotSeries", ArchiveSet]
 
 @dataclass
 class SnapshotSeries:
-    """All snapshots for a population plus derived site sets.
+    """A population's crawled snapshot series: one in-memory shard.
 
     Attributes:
-        snapshots: One :class:`Snapshot` per spec, in time order.
-        stable_domains: Domains of the population's stable set.
-        tiers: Per stable domain, its population tier (``"top5k"`` or
-            ``"other"``) -- the column an archive stores per site.
+        shard: The crawl's columns over the stable set, in rank order:
+            per spec a status and a body-ref column, and each distinct
+            body once (:class:`~repro.web.archive.ShardWriter`).
         cache: The verdict rows of this series' bodies, shared by every
             aggregation over it.
-        analysis: The series viewed as a one-shard archive and resolved
-            by :class:`ShardAnalysis` (built once, at construction).
+        analysis: The shard resolved by :class:`ShardAnalysis` (built
+            once, at construction).
         analysis_domains: Stable domains with a robots.txt in *every*
             snapshot -- the paper's Stable Top 100K analogue.
     """
 
-    snapshots: List[Snapshot]
-    stable_domains: List[str]
-    tiers: List[str]
+    shard: ShardWriter
     cache: PolicyCache = field(default_factory=PolicyCache, repr=False, compare=False)
     analysis: "ShardAnalysis" = field(init=False, repr=False, compare=False)
     analysis_domains: List[str] = field(init=False)
 
     def __post_init__(self) -> None:
-        self.analysis = ShardAnalysis(SeriesShard(self))
+        self.analysis = ShardAnalysis(self.shard)
         self.analysis_domains = analysis_domains(self)
 
     @property
     def specs(self) -> List[SnapshotSpec]:
-        return self.analysis.reader.specs
+        return self.shard.specs
 
-
-class SeriesShard:
-    """A :class:`SnapshotSeries` presented as a one-shard archive.
-
-    Offers the :class:`~repro.web.archive.ShardReader` surface the
-    aggregations read.  Rank is the stable-list position, the tier
-    column comes from the series, and body references index the
-    series' interned bodies, so each distinct body gets one reference
-    and one SHA-256, computed here once per series.
-    """
-
-    def __init__(self, series: SnapshotSeries):
-        self.domains = series.stable_domains
-        self.n_domains = len(self.domains)
-        self.ranks = range(self.n_domains)
-        self.tiers = bytes(tier == "top5k" for tier in series.tiers)
-        self.specs = [snapshot.spec for snapshot in series.snapshots]
-        self._bodies: List[str] = []
-        self._statuses: List[List[int]] = []
-        self._body_refs: List[List[int]] = []
-        refs: Dict[str, int] = {}
-        for snapshot in series.snapshots:
-            statuses: List[int] = []
-            body_refs: List[int] = []
-            for domain in self.domains:
-                record = snapshot.records.get(domain)
-                text = None if record is None else record.robots_txt
-                statuses.append(0 if record is None else record.status)
-                if text is None:
-                    body_refs.append(-1)
-                    continue
-                ref = refs.get(text)
-                if ref is None:
-                    ref = refs[text] = len(self._bodies)
-                    self._bodies.append(text)
-                body_refs.append(ref)
-            self._statuses.append(statuses)
-            self._body_refs.append(body_refs)
-        self._digests = [policy_digest(text) for text in self._bodies]
-
-    def statuses(self, spec_index: int) -> List[int]:
-        return self._statuses[spec_index]
-
-    def body_refs(self, spec_index: int) -> List[int]:
-        return self._body_refs[spec_index]
-
-    def body_text(self, ref: int) -> str:
-        return self._bodies[ref]
-
-    def body_digest(self, ref: int) -> str:
-        return self._digests[ref]
-
-    def domain_index(self) -> Dict[str, int]:
-        return {domain: i for i, domain in enumerate(self.domains)}
+    @property
+    def stable_domains(self) -> List[str]:
+        return self.shard.domains
 
 
 def _site_fetch_plan(
@@ -186,7 +126,8 @@ def _site_fetch_plan(
     first spec fetches every site and every later spec only the sites
     whose *served* robots state differs from the previous spec's month
     (see :meth:`~repro.web.site.SimSite.robots_changed_between`).
-    Records for every other site carry forward unchanged: their handlers
+    Every other site keeps its previous record in the shard's columns
+    (:meth:`~repro.web.archive.ShardWriter.add_snapshot`): handlers
     are memoized per effective robots text and serving is
     response-stateless, so refetching would reproduce the same record
     byte for byte.  Blocking/proxy configuration is month-invariant in
@@ -194,10 +135,9 @@ def _site_fetch_plan(
     state is the only time-varying fetch input.
 
     The plan depends only on the sites' evolution schedules -- not on
-    any fetched data -- so delta snapshots stay embarrassingly
-    parallel.  It is a pure per-site filter, so partitioning sites into
-    shards and planning per shard yields exactly the global plan,
-    partitioned.
+    any fetched data.  It is a pure per-site filter, so partitioning
+    sites into shards and planning per shard yields exactly the global
+    plan, partitioned.
     """
     if not use_delta:
         return [list(sites) for _ in specs]
@@ -232,71 +172,66 @@ def _use_delta(specs: Sequence[SnapshotSpec], delta: Optional[bool]) -> bool:
     return use
 
 
-def _crawl_spec(
-    population: WebPopulation, spec: SnapshotSpec, fetch_sites: List["SimSite"]
-) -> Snapshot:
-    """Crawl one spec's fetch subset: the step both collectors share.
+def _crawl_shard(
+    population: WebPopulation,
+    sites: Sequence["SimSite"],
+    specs: Sequence[SnapshotSpec],
+    use_delta: bool,
+    stream_of: Callable[[SnapshotSpec], str],
+) -> ShardWriter:
+    """Crawl *specs* in order over *sites* into one shard's columns.
 
-    A fresh :class:`Network` materializes the sites at the spec's month
-    and the CCBot client fetches their robots.txt.  The span carries
-    both clocks: wall time plus the simulated month the snapshot
-    pertains to (the logical clock).  It is named after the spec, so
-    its id does not depend on the order in which concurrent specs
-    start.
+    Per spec, a fresh :class:`Network` materializes the spec's fetch
+    subset at the spec's month and the CCBot client fetches their
+    robots.txt; the shard carries every other row forward.  The crawl's
+    wide events go to the stream ``stream_of(spec)`` names.  The span
+    carries both clocks: wall time plus the simulated month the
+    snapshot pertains to (the logical clock).  It is named after the
+    spec, so its id names the same work under any schedule.
     """
-    with span(
-        f"collect_snapshot:{spec.snapshot_id}",
-        logical=spec.month_index,
-        snapshot=spec.snapshot_id,
-        n_domains=len(fetch_sites),
-    ):
-        network = Network()
-        population.materialize(network, month=spec.month_index, sites=fetch_sites)
-        crawler = SnapshotCrawler(network)
-        snapshot = crawler.snapshot(spec, [site.domain for site in fetch_sites])
-        network.publish_request_histogram()
-    if metrics_enabled():
-        # In a full crawl every site counts as refetched, so the series
-        # doubles as a live view of how much work delta collection
-        # avoids month over month.  Per-shard counts sum into the same
-        # per-month points, so sharded totals match unsharded ones.
-        shared_series().add(
-            "delta.sites_refetched", spec.month_index, len(fetch_sites)
-        )
-    return snapshot
-
-
-def _carry_forward(snapshots: List[Snapshot], domains: List[str]) -> List[Snapshot]:
-    """Full snapshots, in spec order, from a delta crawl's fetches.
-
-    Each month's records dict lays down every domain in canonical
-    order, taking the freshly fetched record when the site was in the
-    plan and the previous assembled month's record otherwise, so
-    insertion order matches a full crawl exactly.
-    """
-    assembled = [snapshots[0]]
-    for fetched in snapshots[1:]:
-        assembled.append(carry_forward_snapshot(fetched, assembled[-1], domains))
-    return assembled
+    shard = ShardWriter(
+        [site.domain for site in sites],
+        [site.rank for site in sites],
+        [site.tier for site in sites],
+    )
+    for spec, fetch_sites in zip(specs, _site_fetch_plan(sites, specs, use_delta)):
+        with log_stream(stream_of(spec)), span(
+            f"collect_snapshot:{spec.snapshot_id}",
+            logical=spec.month_index,
+            snapshot=spec.snapshot_id,
+            n_domains=len(fetch_sites),
+        ):
+            network = Network()
+            population.materialize(network, month=spec.month_index, sites=fetch_sites)
+            snapshot = SnapshotCrawler(network).snapshot(
+                spec, [site.domain for site in fetch_sites]
+            )
+            network.publish_request_histogram()
+        if metrics_enabled():
+            # In a full crawl every site counts as refetched, so the
+            # series doubles as a live view of how much work delta
+            # collection avoids month over month.  Per-shard counts sum
+            # into the same per-month points, so sharded totals match
+            # unsharded ones.
+            shared_series().add(
+                "delta.sites_refetched", spec.month_index, len(fetch_sites)
+            )
+        shard.add_snapshot(spec, snapshot.records)
+    return shard
 
 
 def collect_snapshots(
     population: WebPopulation,
     specs: Sequence[SnapshotSpec] = tuple(SNAPSHOT_SPECS),
-    workers: Optional[int] = None,
     delta: Optional[bool] = None,
 ) -> SnapshotSeries:
     """Run the snapshot crawler over the population's stable set.
 
-    Each snapshot materializes the population at the snapshot's month
-    and crawls every stable site's robots.txt with the CCBot client.
+    Each spec, in order, materializes the population at the spec's
+    month and crawls the stable sites' robots.txt with the CCBot client
+    into the series' one shard.
 
     Args:
-        workers: Number of snapshots to crawl concurrently, on threads.
-            Each spec builds its own independent :class:`Network`, so
-            snapshots parallelize without shared mutable state; results
-            are assembled in spec order, making the output bit-identical
-            for any worker count (``None``/``1`` = sequential).
         delta: Diff-aware collection: refetch only sites whose robots
             state changed since the previous spec and carry every other
             record forward (bit-identical output, O(changed) work).
@@ -309,42 +244,18 @@ def collect_snapshots(
     For the shard-partitioned crawl, see :func:`collect_shard_archives`.
     """
     specs = list(specs)
-    domains = [site.domain for site in population.stable]
     use_delta = _use_delta(specs, delta)
-    plan = _site_fetch_plan(list(population.stable), specs, use_delta)
-    tasks = list(zip(specs, plan))
-
-    def collect_one(index: int) -> Snapshot:
-        spec, fetch_sites = tasks[index]
-        # The named wide-event stream makes the crawl's log records
-        # land in the same archive position for any worker count.
-        with log_stream(f"collect:{spec.snapshot_id}"):
-            return _crawl_spec(population, spec, fetch_sites)
-
-    with span(
-        "collect_snapshots",
-        n_specs=len(specs),
-        workers=workers or 1,
-        delta=use_delta,
-    ):
-        # Threads only: each unit returns a whole Snapshot, which a fork
-        # worker would have to pickle back to the parent.
-        snapshots = fan_out(collect_one, len(tasks), workers, mode="thread")
-    if use_delta:
-        snapshots = _carry_forward(snapshots, domains)
-
-    # Intern robots bodies across the whole series: fifteen snapshots of
-    # a mostly-unchanged population collapse to one string per distinct
-    # body, and downstream grouping hashes each body once.
-    body_pool: Dict[str, str] = {}
-    for snapshot in snapshots:
-        snapshot.intern_bodies(body_pool)
-
-    return SnapshotSeries(
-        snapshots=snapshots,
-        stable_domains=domains,
-        tiers=[site.tier for site in population.stable],
-    )
+    with span("collect_snapshots", n_specs=len(specs), delta=use_delta):
+        # One wide-event stream per spec: its label, not the schedule,
+        # decides where the spec's records land in the log archive.
+        shard = _crawl_shard(
+            population,
+            population.stable,
+            specs,
+            use_delta,
+            lambda spec: f"collect:{spec.snapshot_id}",
+        )
+    return SnapshotSeries(shard)
 
 
 def collect_shard_archives(
@@ -361,8 +272,8 @@ def collect_shard_archives(
 
     Sites are partitioned by :func:`repro.web.sharding.shard_of`; each
     unit of :func:`repro.fanout.fan_out` crawls *every* spec for one
-    shard (``shards=0`` sizes the shard count automatically) and
-    commits a :class:`~repro.web.archive.ShardWriter` directory under
+    shard (``shards=0`` sizes the shard count automatically) into a
+    :class:`~repro.web.archive.ShardWriter` and commits it under
     *root*.  Records never accumulate in the parent, so peak memory is
     O(largest shard) regardless of population size.  Every record is a
     pure function of ``(site, month)`` -- chaos faults included, they
@@ -400,25 +311,14 @@ def collect_shard_archives(
         # One wide-event stream per shard: the shard crawls all specs
         # sequentially in one worker, so it is single-writer.
         with span(f"collect_shard:{label}", shard=index, n_domains=len(shard_sites)):
-            with log_stream(f"collect-shard:{label}"):
-                plan = _site_fetch_plan(shard_sites, specs, use_delta)
-                snapshots = [
-                    _crawl_spec(population, spec, fetch_sites)
-                    for spec, fetch_sites in zip(specs, plan)
-                ]
-            if use_delta:
-                snapshots = _carry_forward(
-                    snapshots, [site.domain for site in shard_sites]
-                )
-            writer = ShardWriter(root, index, n_shards, config_digest)
-            writer.set_sites(
-                [site.domain for site in shard_sites],
-                [site.rank for site in shard_sites],
-                [site.tier for site in shard_sites],
+            shard = _crawl_shard(
+                population,
+                shard_sites,
+                specs,
+                use_delta,
+                lambda spec: f"collect-shard:{label}",
             )
-            for snapshot in snapshots:
-                writer.add_snapshot(snapshot.spec, snapshot.records)
-            writer.commit()
+            shard.commit(root, index, n_shards, config_digest)
 
     with span(
         "collect_snapshots",
@@ -444,17 +344,18 @@ class ShardAnalysis:
     analysis-set rule lives.
 
     Attributes:
-        reader: The underlying :class:`ShardReader` or
-            :class:`SeriesShard`.
+        reader: The underlying :class:`ShardReader` or the series'
+            :class:`ShardWriter`.
         analysis_rows: Shard-local row indices in the analysis set.
-        eff_bodies: Per spec, the effective body reference per analysis
-            row (resolution applied; always ``>= 0`` for analysis rows).
+        eff_bodies: Per spec, an ``i32`` array of the effective body
+            reference per analysis row (resolution applied; always
+            ``>= 0`` for analysis rows).
         ok_counts: Per spec, resolved rows with a fetched robots.txt.
         present_counts: Per spec, resolved rows that are ok *or*
             affirmatively missing (404) -- Table 3's "sites" column.
     """
 
-    def __init__(self, reader: Union[ShardReader, SeriesShard]):
+    def __init__(self, reader: Union[ShardReader, ShardWriter]):
         self.reader = reader
         n = reader.n_domains
         specs = reader.specs
@@ -497,13 +398,13 @@ class ShardAnalysis:
         self.analysis_rows: List[int] = [
             row for row in range(n) if analysis_mask[row]
         ]
-        self.eff_bodies: List[List[int]] = [
-            [effective[row] for row in self.analysis_rows]
+        self.eff_bodies: List[array] = [
+            array("i", [effective[row] for row in self.analysis_rows])
             for effective in per_spec_eff
         ]
 
     @staticmethod
-    def _variant_rows(reader: Union[ShardReader, SeriesShard]) -> List[int]:
+    def _variant_rows(reader: Union[ShardReader, ShardWriter]) -> List[int]:
         """Per row, the shard-local row of its "www." variant (-1: none)."""
         index = reader.domain_index()
         variant: List[int] = []
@@ -545,7 +446,7 @@ def _shards(
 
 
 def _row_lookup(
-    reader: Union[ShardReader, SeriesShard], cache: PolicyCache
+    reader: Union[ShardReader, ShardWriter], cache: PolicyCache
 ) -> Callable[[int], VerdictRow]:
     return lambda ref: cache.row(reader.body_text(ref), reader.body_digest(ref))
 

@@ -378,7 +378,7 @@ class ShardLogWriter:
             "n_agents": len(self._agents.values),
             "n_outcomes": len(self._outcomes.values),
             "n_categories": len(self._categories.values),
-            "n_uas": len(self._uas.blobs),
+            "n_uas": len(self._uas.texts),
         }
         return _FORMAT.commit(
             self.root / shard_dir_name(self.shard_id), blobs, manifest

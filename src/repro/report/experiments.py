@@ -201,14 +201,9 @@ class LongitudinalBundle:
 
 def build_longitudinal_bundle(
     config: Optional[PopulationConfig] = None,
-    workers: Optional[int] = None,
     store: Optional["WorldStore"] = None,
 ) -> LongitudinalBundle:
     """Build the Section 3 world and crawl all fifteen snapshots.
-
-    *workers* is forwarded to
-    :func:`~repro.measure.longitudinal.collect_snapshots`; any worker
-    count yields a bit-identical series.
 
     When *store* is given, the population and series come from the
     content-addressed :class:`~repro.web.worldstore.WorldStore`: the
@@ -218,11 +213,12 @@ def build_longitudinal_bundle(
     if store is not None:
         return LongitudinalBundle(
             population=store.population(config),
-            series=store.series(config, workers=workers),
+            series=store.series(config),
         )
     population = build_web_population(config or PopulationConfig())
-    series = collect_snapshots(population, workers=workers)
-    return LongitudinalBundle(population=population, series=series)
+    return LongitudinalBundle(
+        population=population, series=collect_snapshots(population)
+    )
 
 
 def run_figure2(source: Source, require_explicit: bool = True) -> ExperimentResult:

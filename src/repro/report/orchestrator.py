@@ -628,9 +628,7 @@ def run_all(
             world_span = span("world_build", world=world_kind)
             with world_span, _phase(profiler, "world_build", world=world_kind):
                 if needs_bundle:
-                    bundle = exp.build_longitudinal_bundle(
-                        config, workers=workers, store=store
-                    )
+                    bundle = exp.build_longitudinal_bundle(config, store=store)
                     population = bundle.population
                 elif needs_population:
                     population = store.population(config)

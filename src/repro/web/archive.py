@@ -118,82 +118,113 @@ def _tier_byte(tier: str) -> int:
 
 
 class ShardWriter:
-    """Accumulates one shard's sites and per-spec records, then commits.
+    """One shard's columns: the crawled corpus in memory.
 
-    Usage: :meth:`set_sites` once, :meth:`add_snapshot` once per spec
-    in time order, :meth:`commit` once.  The commit is atomic at the
-    manifest: a shard directory without a (complete, size-consistent)
-    manifest never opens.
+    Holds the shard's sites (domain, rank, tier), then per snapshot spec
+    one ``u16`` status column and one ``i32`` body-ref column over them,
+    plus each distinct body once, as text, with its SHA-256.  The crawl
+    fills it with :meth:`add_snapshot`, once per spec in time order; it
+    serves the :class:`ShardReader` column surface, so the aggregations
+    read it as a one-shard archive; :meth:`commit` writes it as an
+    archive shard directory, atomic at the manifest: a shard directory
+    without a (complete, size-consistent) manifest never opens.
     """
 
     def __init__(
+        self, domains: Sequence[str], ranks: Sequence[int], tiers: Sequence[str]
+    ):
+        self.domains: List[str] = list(domains)
+        self.n_domains = len(self.domains)
+        self.ranks = array("I", ranks)
+        self.tiers = bytes(_tier_byte(tier) for tier in tiers)
+        self.specs: List[SnapshotSpec] = []
+        self._bodies = BlobTable()
+        self._statuses: List[array] = []
+        self._body_refs: List[array] = []
+        self._domain_index: Optional[Dict[str, int]] = None
+
+    def add_snapshot(
+        self, spec: SnapshotSpec, records: Mapping[str, SiteRecord]
+    ) -> None:
+        """Append one spec's columns from the rows it fetched.
+
+        A row *records* does not cover keeps the previous spec's status
+        and body ref, so a delta crawl passes only the sites it
+        refetched; the first spec must cover every row.  New bodies are
+        interned in row order, as a walk over full rows would intern
+        them.
+        """
+        if self.specs:
+            statuses = array("H", self._statuses[-1])
+            body_refs = array("i", self._body_refs[-1])
+            index = self.domain_index()
+            rows: Sequence[int] = sorted(index[domain] for domain in records)
+        else:
+            statuses = array("H", [0]) * self.n_domains
+            body_refs = array("i", [-1]) * self.n_domains
+            rows = range(self.n_domains)
+        for row in rows:
+            record = records[self.domains[row]]
+            statuses[row] = record.status
+            body = record.robots_txt
+            body_refs[row] = -1 if body is None else self._bodies.ref(body)
+        self.specs.append(spec)
+        self._statuses.append(statuses)
+        self._body_refs.append(body_refs)
+
+    def statuses(self, spec_index: int) -> array:
+        """``u16`` HTTP status per domain for one spec."""
+        return self._statuses[spec_index]
+
+    def body_refs(self, spec_index: int) -> array:
+        """``i32`` body reference per domain (-1 = no body)."""
+        return self._body_refs[spec_index]
+
+    def body_text(self, ref: int) -> str:
+        return self._bodies.texts[ref]
+
+    def body_digest(self, ref: int) -> str:
+        return self._bodies.digests[ref]
+
+    def domain_index(self) -> Dict[str, int]:
+        """domain -> row map (built once)."""
+        if self._domain_index is None:
+            self._domain_index = {d: i for i, d in enumerate(self.domains)}
+        return self._domain_index
+
+    def commit(
         self,
         root: Union[str, Path],
         shard_id: int,
         n_shards: int,
         config_digest: str = "",
-    ):
-        self.root = Path(root)
-        self.shard_id = shard_id
-        self.n_shards = n_shards
-        self.config_digest = config_digest
-        self._domains: List[str] = []
-        self._ranks: List[int] = []
-        self._tiers: List[int] = []
-        self._specs: List[SnapshotSpec] = []
-        self._bodies = BlobTable()
-        self._columns: List[bytes] = []
-
-    def set_sites(
-        self, domains: Sequence[str], ranks: Sequence[int], tiers: Sequence[str]
-    ) -> None:
-        """Declare the shard's site rows (global rank order expected)."""
-        self._domains = list(domains)
-        self._ranks = [int(r) for r in ranks]
-        self._tiers = [_tier_byte(t) for t in tiers]
-
-    def add_snapshot(
-        self, spec: SnapshotSpec, records: Mapping[str, SiteRecord]
-    ) -> None:
-        """Append one spec's records (a full row per declared domain)."""
-        statuses = array("H")
-        body_refs = array("i")
-        for domain in self._domains:
-            record = records[domain]
-            statuses.append(record.status)
-            body = record.robots_txt
-            body_refs.append(-1 if body is None else self._bodies.ref(body))
-        self._specs.append(spec)
-        self._columns.append(
-            array_to_le_bytes(statuses) + array_to_le_bytes(body_refs)
-        )
-
-    def commit(self) -> Path:
+    ) -> Path:
         """Write every file, manifest last; returns the shard directory."""
         bodies, body_index, body_digests = self._bodies.files()
         blobs = {
-            _DOMAINS: table_bytes(self._domains),
-            _RANKS: array_to_le_bytes(array("I", self._ranks)),
-            _TIERS: bytes(self._tiers),
+            _DOMAINS: table_bytes(self.domains),
+            _RANKS: array_to_le_bytes(self.ranks),
+            _TIERS: self.tiers,
             _BODIES: bodies,
             _BODY_IDX: body_index,
             _BODY_SHA: body_digests,
-            _RECORDS: b"".join(self._columns),
+            _RECORDS: b"".join(
+                array_to_le_bytes(statuses) + array_to_le_bytes(body_refs)
+                for statuses, body_refs in zip(self._statuses, self._body_refs)
+            ),
         }
         manifest = {
-            "config_digest": self.config_digest,
-            "shard_id": self.shard_id,
-            "n_shards": self.n_shards,
-            "n_domains": len(self._domains),
-            "n_bodies": len(self._bodies.blobs),
+            "config_digest": config_digest,
+            "shard_id": shard_id,
+            "n_shards": n_shards,
+            "n_domains": self.n_domains,
+            "n_bodies": len(self._bodies.texts),
             "specs": [
                 [spec.snapshot_id, spec.label, spec.month_index]
-                for spec in self._specs
+                for spec in self.specs
             ],
         }
-        return _FORMAT.commit(
-            self.root / shard_dir_name(self.shard_id), blobs, manifest
-        )
+        return _FORMAT.commit(Path(root) / shard_dir_name(shard_id), blobs, manifest)
 
 
 # -- reading -------------------------------------------------------------------
@@ -369,10 +400,12 @@ class ArchiveSet:
         by shard id (and *stratum* when given):
         ``archive.data_bytes``, ``archive.mapped_bytes``,
         ``archive.body_cache_entries``, ``archive.body_cache_chars``,
-        plus an ``archive.open_shards`` total.  Gauges are
-        process-local point-in-time observations -- like the cache
-        stats -- and sit outside the cross-mode identity contract.
-        ``repro stats`` renders them as the archive-probe table.
+        plus an ``archive.open_shards`` total, and the row tallies of
+        :attr:`cache` as ``measure.policy_cache.{hits,misses,
+        persistent_hits,entries}``.  Gauges are process-local
+        point-in-time observations and sit outside the cross-mode
+        identity contract.  ``repro stats`` renders them as the
+        archive-probe table and the cache-effectiveness block.
         """
         registry = registry if registry is not None else shared_registry()
         extra = {} if stratum is None else {"stratum": stratum}
@@ -382,6 +415,8 @@ class ArchiveSet:
             for field, value in probe.items():
                 registry.set_gauge(f"archive.{field}", value, shard=shard, **extra)
         registry.set_gauge("archive.open_shards", len(self.readers), **extra)
+        for name, value in self.cache.stats.items():
+            registry.set_gauge(f"measure.policy_cache.{name}", value, **extra)
 
 
 # -- per-body facts ------------------------------------------------------------

@@ -195,17 +195,11 @@ class WorldStore:
                 self._population_hits.inc()
             return population
 
-    def series(
-        self,
-        config: Optional[PopulationConfig] = None,
-        workers: Optional[int] = None,
-    ) -> "SnapshotSeries":
+    def series(self, config: Optional[PopulationConfig] = None) -> "SnapshotSeries":
         """The crawled snapshot series over the canonical population.
 
-        *workers* parallelizes the first build (any worker count yields
-        a bit-identical series, so it is not part of the cache key).
-        The series is shared read-only: its snapshots are immutable
-        records and its internal memos are value-idempotent.
+        The series is shared read-only: its shard's columns are filled
+        once, by the crawl, and its internal memos are value-idempotent.
         """
         from ..measure.longitudinal import collect_snapshots
 
@@ -214,7 +208,7 @@ class WorldStore:
             series = self._series.get(key)
             if series is None:
                 self._series_misses.inc()
-                series = collect_snapshots(self.population(config), workers=workers)
+                series = collect_snapshots(self.population(config))
                 self._series[key] = series
             else:
                 self._series_hits.inc()

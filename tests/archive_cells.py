@@ -1,9 +1,10 @@
-"""Per-domain record cells of an archive or a crawled series.
+"""Per-domain record cells of a shard source.
 
-A cell is what the archive stores per ``(spec, domain)``: the HTTP
-status and the robots body (None when there is none).  Comparing an
-archive's cells with a series' cells shows that a sharded crawl stored
-what an unsharded one crawled, without rebuilding ``Snapshot`` objects.
+A cell is what a shard stores per ``(spec, domain)``: the HTTP status
+and the robots body (None when there is none).  One column walk reads
+them from an open archive's shards or from a series' one in-memory
+shard, so an archive can be compared with the series an unsharded crawl
+filled, cell for cell.
 """
 
 from typing import Dict, List, Optional, Tuple
@@ -11,11 +12,17 @@ from typing import Dict, List, Optional, Tuple
 Cell = Tuple[int, Optional[str]]
 
 
-def archive_cells(archive) -> Dict[str, List[Cell]]:
+def shards_of(source) -> list:
+    """The shards of an open archive, or a series' one shard."""
+    readers = getattr(source, "readers", None)
+    return readers if readers is not None else [source.shard]
+
+
+def archive_cells(source) -> Dict[str, List[Cell]]:
     """``{domain: [cell per spec]}`` read through each shard's columns,
     with domains in global rank order."""
     rows = []
-    for reader in archive.readers:
+    for reader in shards_of(source):
         columns = [
             (reader.statuses(spec_index), reader.body_refs(spec_index))
             for spec_index in range(len(reader.specs))
@@ -28,12 +35,3 @@ def archive_cells(archive) -> Dict[str, List[Cell]]:
             rows.append((reader.ranks[row], domain, cells))
     rows.sort()
     return {domain: cells for _, domain, cells in rows}
-
-
-def series_cells(snapshots) -> Dict[str, List[Cell]]:
-    """The same cells from crawled snapshots, in their record order."""
-    cells: Dict[str, List[Cell]] = {}
-    for snapshot in snapshots:
-        for domain, record in snapshot.records.items():
-            cells.setdefault(domain, []).append((record.status, record.robots_txt))
-    return cells

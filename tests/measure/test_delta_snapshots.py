@@ -2,15 +2,16 @@
 
 The contract: ``collect_snapshots(..., delta=True)`` refetches only
 sites whose served robots state changed since the previous spec, yet
-every snapshot -- records, insertion order, derived analysis sets --
-is bit-identical to a full crawl.  Chaos plans force full crawls
-because injected transport faults break the carry-forward purity
-argument.
+the series' shard -- every status and body-ref column, the body table,
+the derived analysis set -- is bit-identical to a full crawl's.  A row
+a spec did not fetch keeps the previous spec's status and body ref.
+Chaos plans force full crawls because injected transport faults break
+the carry-forward purity argument.
 """
 
 import pytest
 
-from repro.crawlers.commoncrawl import SNAPSHOT_SPECS, carry_forward_snapshot
+from repro.crawlers.commoncrawl import SNAPSHOT_SPECS, SiteRecord
 from repro.measure.longitudinal import _site_fetch_plan, collect_snapshots
 from repro.net import chaos
 from repro.net.chaos import FaultPlan, FaultRule
@@ -30,14 +31,17 @@ def population():
 
 
 def _series_equal(a, b):
-    assert [s.spec.snapshot_id for s in a.snapshots] == [
-        s.spec.snapshot_id for s in b.snapshots
-    ]
-    for full, delta in zip(a.snapshots, b.snapshots):
-        # Same records, same canonical insertion order.
-        assert list(full.records) == list(delta.records)
-        assert full.records == delta.records
-    assert a.stable_domains == b.stable_domains
+    full, delta = a.shard, b.shard
+    assert full.specs == delta.specs
+    assert full.domains == delta.domains
+    for spec_index in range(len(full.specs)):
+        # Same columns: statuses, and refs into the same body table.
+        assert full.statuses(spec_index) == delta.statuses(spec_index)
+        assert full.body_refs(spec_index) == delta.body_refs(spec_index)
+    n_bodies = 1 + max(max(full.body_refs(i)) for i in range(len(full.specs)))
+    for ref in range(n_bodies):
+        assert full.body_text(ref) == delta.body_text(ref)
+        assert full.body_digest(ref) == delta.body_digest(ref)
     assert a.analysis_domains == b.analysis_domains
 
 
@@ -54,15 +58,14 @@ class TestDeltaEquivalence:
         full = collect_snapshots(population, SPECS, delta=False)
         _series_equal(full, auto)
 
-    def test_workers_do_not_change_delta_results(self, population):
-        serial = collect_snapshots(population, SPECS, delta=True)
-        parallel = collect_snapshots(population, SPECS, workers=4, delta=True)
-        _series_equal(serial, parallel)
-
     def test_single_spec_never_deltas(self, population):
+        registry = shared_series()
+        registry.reset()
         single = collect_snapshots(population, SPECS[:1])
-        assert len(single.snapshots) == 1
-        assert set(single.snapshots[0].records) == set(single.stable_domains)
+        assert single.specs == SPECS[:1]
+        assert single.stable_domains == [site.domain for site in population.stable]
+        points = registry.series("delta.sites_refetched").points()
+        assert points == {SPECS[0].month_index: len(population.stable)}
 
 
 def delta_plan(population):
@@ -123,18 +126,55 @@ class TestChaosForcesFullCrawl:
 
 
 class TestCarryForwardAssembly:
+    """A spec's columns carry every row it did not fetch forward."""
+
+    @staticmethod
+    def _shard(population):
+        full = collect_snapshots(population, SPECS[:1], delta=False)
+        return full.shard
+
     def test_assembled_records_follow_domain_order(self, population):
-        full = collect_snapshots(population, SPECS[:2], delta=False)
-        first, second = full.snapshots
-        domains = full.stable_domains
-        # Rebuild month 2 from an artificially sparse "fetched" delta.
-        sparse = type(second)(
-            spec=second.spec,
-            records={d: second.records[d] for d in domains[:5]},
-        )
-        assembled = carry_forward_snapshot(sparse, first, domains)
-        assert list(assembled.records) == list(domains)
-        for domain in domains[:5]:
-            assert assembled.records[domain] is sparse.records[domain]
-        for domain in domains[5:]:
-            assert assembled.records[domain] is first.records[domain]
+        shard = self._shard(population)
+        domains = shard.domains
+        first_statuses = list(shard.statuses(0))
+        first_refs = list(shard.body_refs(0))
+        # A sparse second spec fetching three rows out of order: one
+        # new body, one 404, one body the first spec already interned.
+        known = next(ref for ref in first_refs if ref >= 0)
+        fetched = {
+            domains[7]: SiteRecord(domains[7], 200, "User-agent: *\nDisallow: /x\n"),
+            domains[2]: SiteRecord(domains[2], 404),
+            domains[5]: SiteRecord(domains[5], 200, shard.body_text(known)),
+        }
+        shard.add_snapshot(SPECS[1], fetched)
+        statuses, refs = shard.statuses(1), shard.body_refs(1)
+        new_ref = 1 + max(first_refs)
+        assert (statuses[2], refs[2]) == (404, -1)
+        assert (statuses[5], refs[5]) == (200, known)
+        assert (statuses[7], refs[7]) == (200, new_ref)
+        assert shard.body_text(new_ref) == "User-agent: *\nDisallow: /x\n"
+        for row in set(range(len(domains))) - {2, 5, 7}:
+            assert (statuses[row], refs[row]) == (first_statuses[row], first_refs[row])
+        # The carried columns are copies: the first spec's are untouched.
+        assert list(shard.statuses(0)) == first_statuses
+        assert list(shard.body_refs(0)) == first_refs
+
+    def test_new_bodies_are_interned_in_row_order(self, population):
+        shard = self._shard(population)
+        domains = shard.domains
+        base = 1 + max(shard.body_refs(0))
+        shard.add_snapshot(SPECS[1], {
+            domains[9]: SiteRecord(domains[9], 200, "# nine\n"),
+            domains[3]: SiteRecord(domains[3], 200, "# three\n"),
+        })
+        assert shard.body_refs(1)[3] == base
+        assert shard.body_refs(1)[9] == base + 1
+
+    def test_first_spec_must_cover_every_row(self, population):
+        shard = self._shard(population)
+        empty = type(shard)(shard.domains, shard.ranks, ["other"] * shard.n_domains)
+        sparse = {
+            domain: SiteRecord(domain, 404) for domain in shard.domains[1:]
+        }
+        with pytest.raises(KeyError):
+            empty.add_snapshot(SPECS[0], sparse)

@@ -30,7 +30,7 @@ def world():
 class TestSeriesConstruction:
     def test_fifteen_snapshots(self, world):
         _, series = world
-        assert len(series.snapshots) == 15
+        assert len(series.specs) == 15
 
     def test_analysis_set_is_subset_of_stable(self, world):
         population, series = world
@@ -39,9 +39,10 @@ class TestSeriesConstruction:
 
     def test_analysis_set_has_robots_everywhere(self, world):
         _, series = world
+        corpus = oracle.from_columns(series)
         for domain in series.analysis_domains[:25]:
-            for snapshot in series.snapshots:
-                assert oracle.record_of(snapshot, domain).ok
+            for spec_index in range(len(corpus.specs)):
+                assert oracle.body_of(corpus, spec_index, domain) is not None
 
     def test_flaky_sites_filtered_out(self, world):
         population, series = world
@@ -80,7 +81,7 @@ class TestFigure2Trend:
         population, series = world
         top5k = {s.domain for s in population.stable_top5k}
         assert [d in top5k for d in series.stable_domains] == [
-            tier == "top5k" for tier in series.tiers
+            tier == 1 for tier in series.shard.tiers
         ]
 
     def test_wildcard_ablation_inflates_rates(self, world):
@@ -174,4 +175,6 @@ class TestTable3:
 class TestStableWithRobots:
     def test_direct(self, world):
         _, series = world
-        assert series.analysis_domains == oracle.analysis_domains(series)
+        assert series.analysis_domains == oracle.analysis_domains(
+            oracle.from_columns(series)
+        )

@@ -22,7 +22,8 @@ from repro.web.population import PopulationConfig, build_web_population
 
 from ..core.test_compiled import ROBOTS_SAMPLES
 from ..core.test_resolver_differential import assert_matches_oracle
-from .oracle import fully_disallows_any, record_of
+from . import oracle
+from .oracle import fully_disallows_any
 
 CONFIG = PopulationConfig(
     universe_size=450, list_size=300, top5k_cut=40, audit_size=80, seed=11
@@ -31,26 +32,20 @@ CONFIG = PopulationConfig(
 AGENTS = ["GPTBot", "CCBot", "anthropic-ai", "ChatGPT-User", "Bytespider"]
 
 
-def _robots(snapshot, domain):
-    """The robots.txt one domain serves in one snapshot (www fallback)."""
-    record = record_of(snapshot, domain)
-    return record.robots_txt if record is not None and record.ok else None
-
-
 @pytest.fixture(scope="module")
 def world():
     population = build_web_population(CONFIG)
     series = collect_snapshots(population)
-    return population, series
+    return oracle.from_columns(series), series
 
 
 class TestCacheAgreesWithUncachedPath:
     def test_every_triple_classifies_identically(self, world):
-        _, series = world
+        corpus, _ = world
         cache = PolicyCache()
-        for snapshot in series.snapshots:
-            for domain in series.stable_domains:
-                text = _robots(snapshot, domain)
+        for spec_index, spec in enumerate(corpus.specs):
+            for domain in corpus.domains:
+                text = oracle.body_of(corpus, spec_index, domain)
                 for agent in AGENTS:
                     for require_explicit in (True, False):
                         cached = cache.row(text).classification(
@@ -59,15 +54,13 @@ class TestCacheAgreesWithUncachedPath:
                         uncached = classify(
                             text, agent, require_explicit=require_explicit
                         )
-                        assert cached == uncached, (domain, snapshot.spec, agent)
+                        assert cached == uncached, (domain, spec, agent)
 
     def test_non_200_and_missing_records_covered(self, world):
         """The population must actually exercise the None-text paths."""
-        _, series = world
+        corpus, _ = world
         statuses = {
-            record.status
-            for snapshot in series.snapshots
-            for record in snapshot.records.values()
+            status for cells in corpus.cells.values() for status, _ in cells
         }
         assert 200 in statuses
         # Missing robots (404) and at least one non-2xx/4xx failure mode
@@ -76,11 +69,11 @@ class TestCacheAgreesWithUncachedPath:
         assert statuses - {200, 404}, statuses
 
     def test_fully_disallows_any_agrees(self, world):
-        _, series = world
+        corpus, series = world
         cache = PolicyCache()
-        final = series.snapshots[-1]
+        final = len(corpus.specs) - 1
         for domain in series.analysis_domains:
-            text = _robots(final, domain)
+            text = oracle.body_of(corpus, final, domain)
             for require_explicit in (True, False):
                 assert cache.row(text).fully_disallows_any(
                     AGENTS, require_explicit=require_explicit
@@ -89,11 +82,11 @@ class TestCacheAgreesWithUncachedPath:
                 )
 
     def test_explicitly_allows_agrees(self, world):
-        _, series = world
+        corpus, series = world
         cache = PolicyCache()
-        for snapshot in series.snapshots[-3:]:
+        for spec_index in range(len(corpus.specs))[-3:]:
             for domain in series.analysis_domains:
-                text = _robots(snapshot, domain)
+                text = oracle.body_of(corpus, spec_index, domain)
                 expected = (
                     RobotsPolicy(text).rules_for("GPTBot").explicit_allow
                     if text is not None
@@ -140,13 +133,13 @@ class TestCacheAgreesWithUncachedPath:
             row.allows_any(["SomeOtherBot"])
 
 
-def _distinct_bodies(series):
+def _distinct_bodies(corpus):
     return sorted(
         {
-            record.robots_txt
-            for snapshot in series.snapshots
-            for record in snapshot.records.values()
-            if record.robots_txt is not None
+            body
+            for cells in corpus.cells.values()
+            for _, body in cells
+            if body is not None
         }
     )
 
@@ -188,8 +181,8 @@ class TestVerdictRowDifferential:
         self._check(text)
 
     def test_every_distinct_body_of_the_world(self, world):
-        _, series = world
-        bodies = _distinct_bodies(series)
+        corpus, _ = world
+        bodies = _distinct_bodies(corpus)
         assert len(bodies) > 50
         for text in bodies:
             self._check(text)
@@ -197,15 +190,15 @@ class TestVerdictRowDifferential:
     def test_every_distinct_body_matches_the_oracles(self, world):
         """The token-indexed resolver and the named-agents-only row
         agree with the group walk and the 25-call row on every body."""
-        _, series = world
-        for text in _distinct_bodies(series):
+        corpus, _ = world
+        for text in _distinct_bodies(corpus):
             assert_matches_oracle(text)
 
     def test_the_world_exercises_every_cell_kind(self, world):
         """Explicit, wildcard-only, allow and full cells all occur, so
         the differential test above is not vacuous for any of them."""
-        _, series = world
-        rows = [VerdictRow.of(RobotsPolicy(text)) for text in _distinct_bodies(series)]
+        corpus, _ = world
+        rows = [VerdictRow.of(RobotsPolicy(text)) for text in _distinct_bodies(corpus)]
         cells = {cell for row in rows for cell in row.cells}
         assert any(cell.explicit and cell.level.name == "FULL" for cell in cells)
         assert any(cell.explicit_allow for cell in cells)
@@ -245,19 +238,24 @@ class TestVerdictRowDifferential:
 
 class TestSeriesBodyInterning:
     def test_identical_bodies_share_one_string(self, world):
-        _, series = world
-        by_value = {}
-        for snapshot in series.snapshots:
-            for record in snapshot.records.values():
-                if record.robots_txt is None:
-                    continue
-                canonical = by_value.setdefault(record.robots_txt, record.robots_txt)
-                assert record.robots_txt is canonical
+        corpus, series = world
+        shard = series.shard
+        refs = {
+            ref
+            for spec_index in range(len(shard.specs))
+            for ref in shard.body_refs(spec_index)
+            if ref >= 0
+        }
+        # One ref per distinct body: the shard keeps each text once.
+        texts = [shard.body_text(ref) for ref in sorted(refs)]
+        assert sorted(refs) == list(range(len(refs)))
+        assert len(set(texts)) == len(texts)
+        assert sorted(texts) == _distinct_bodies(corpus)
 
     def test_body_counts_cover_analysis_set(self, world):
-        _, series = world
+        corpus, series = world
         view = series.analysis
-        for spec_index, snapshot in enumerate(series.snapshots):
+        for spec_index in range(len(series.specs)):
             counts = view.body_counts(spec_index)
             assert sum(counts.values()) == len(series.analysis_domains)
             # One reference per distinct body: the shard view is built
@@ -265,5 +263,6 @@ class TestSeriesBodyInterning:
             bodies = {view.reader.body_text(ref) for ref in counts}
             assert len(bodies) == len(counts)
             assert bodies == {
-                _robots(snapshot, domain) for domain in series.analysis_domains
+                oracle.body_of(corpus, spec_index, domain)
+                for domain in series.analysis_domains
             }

@@ -38,7 +38,7 @@ CONFIG = PopulationConfig(
 @pytest.fixture(scope="module")
 def world(tmp_path_factory):
     population = build_web_population(CONFIG)
-    series = collect_snapshots(population, workers=1)
+    series = collect_snapshots(population)
     root = tmp_path_factory.mktemp("archive")
     collect_shard_archives(population, root, shards=3, workers=1)
     archive = ArchiveSet.open(root)
@@ -49,17 +49,19 @@ def world(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def expected(world):
-    """The oracle's answers, computed once per module (it is slow by
-    design: every cell is parsed and classified afresh)."""
-    _, series, _ = world
+    """The oracle's answers over its own full crawl, computed once per
+    module (it is slow by design: every cell is parsed and classified
+    afresh)."""
+    population, _, _ = world
+    corpus = oracle.crawl(population)
     return {
-        "analysis": oracle.analysis_domains(series),
-        "figure2": oracle.full_disallow_trend(series),
-        "figure2_wildcard": oracle.full_disallow_trend(series, require_explicit=False),
-        "figure3": oracle.per_agent_trend(series),
-        "figure4": oracle.allow_and_removal_trend(series),
-        "table4": oracle.first_allow_table(series),
-        "table3": oracle.snapshot_coverage_table(series),
+        "analysis": oracle.analysis_domains(corpus),
+        "figure2": oracle.full_disallow_trend(corpus),
+        "figure2_wildcard": oracle.full_disallow_trend(corpus, require_explicit=False),
+        "figure3": oracle.per_agent_trend(corpus),
+        "figure4": oracle.allow_and_removal_trend(corpus),
+        "table4": oracle.first_allow_table(corpus),
+        "table3": oracle.snapshot_coverage_table(corpus),
     }
 
 

@@ -3,14 +3,7 @@
 import io
 import json
 
-from repro.crawlers.commoncrawl import SNAPSHOT_SPECS, SiteRecord, Snapshot
-from repro.report.datasets import (
-    dump_respondents,
-    dump_schedules,
-    dump_snapshots,
-    load_respondents,
-    load_snapshots,
-)
+from repro.report.datasets import dump_respondents, dump_schedules, load_respondents
 from repro.report.figures import ascii_chart, series_to_csv
 from repro.report.tables import format_cell, render_table
 from repro.survey.analysis import analyze
@@ -57,35 +50,6 @@ class TestFigures:
 
     def test_empty_series_safe(self):
         assert ascii_chart({"s": []}) is not None
-
-
-class TestSnapshotRoundTrip:
-    def _snapshots(self):
-        snap = Snapshot(spec=SNAPSHOT_SPECS[0])
-        snap.records["a.com"] = SiteRecord("a.com", 200, "User-agent: *\nDisallow: /")
-        snap.records["b.com"] = SiteRecord("b.com", 404)
-        snap.records["c.com"] = SiteRecord("c.com", 0, error="dns failure")
-        later = Snapshot(spec=SNAPSHOT_SPECS[1])
-        later.records["a.com"] = SiteRecord("a.com", 200, "User-agent: *\nDisallow:")
-        return [snap, later]
-
-    def test_roundtrip(self):
-        sink = io.StringIO()
-        n = dump_snapshots(self._snapshots(), sink)
-        assert n == 4
-        loaded = load_snapshots(io.StringIO(sink.getvalue()))
-        assert len(loaded) == 2
-        assert loaded[0].spec.snapshot_id == SNAPSHOT_SPECS[0].snapshot_id
-        assert loaded[0].records["a.com"].ok
-        assert loaded[0].records["b.com"].missing
-        assert loaded[0].records["c.com"].error == "dns failure"
-
-    def test_ordering_by_month(self):
-        sink = io.StringIO()
-        dump_snapshots(reversed(self._snapshots()), sink)
-        loaded = load_snapshots(io.StringIO(sink.getvalue()))
-        months = [s.spec.month_index for s in loaded]
-        assert months == sorted(months)
 
 
 class TestScheduleDump:

@@ -10,6 +10,7 @@ import multiprocessing
 
 import pytest
 
+from repro.measure import incremental
 from repro.measure.incremental import IncrementalStore
 from repro.net.chaos import chaos_active, plan
 from repro.obs.metrics import shared_registry
@@ -120,6 +121,28 @@ class TestInvalidation:
         assert report.incremental["table1"] == "hit"
         for key in ("figure2", "sec62", "taxonomy"):
             assert report.incremental[key] == "run:invalidated"
+
+    def test_code_change_invalidates_every_experiment(
+        self, tmp_path, monkeypatch
+    ):
+        """A stored result names the code that computed it: a run under
+        other code re-runs everything once, then hits again."""
+        root = tmp_path / "cache"
+
+        def run():
+            return run_all(
+                SMALL, workers=1, experiments=SLICE, store=WorldStore(),
+                incremental=root,
+            )
+
+        cold = run()
+        assert set(cold.incremental.values()) == {"run:first"}
+        monkeypatch.setattr(incremental, "code_digest", lambda: "c0de" * 16)
+        changed = run()
+        assert set(changed.incremental.values()) == {"run:invalidated"}
+        again = run()
+        assert set(again.incremental.values()) == {"hit"}
+        assert _texts(again) == _texts(changed) == _texts(cold)
 
     def test_unknown_override_key_raises(self, tmp_path):
         with pytest.raises(KeyError):

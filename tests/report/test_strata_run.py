@@ -8,8 +8,11 @@ import json
 
 import pytest
 
+from repro.cli import main
 from repro.core.classify import VerdictRow
 from repro.measure import longitudinal
+from repro.obs.analyze import select
+from repro.obs.metrics import shared_registry
 from repro.report.orchestrator import run_strata
 from repro.web.population import PopulationConfig
 from repro.web.worldstore import WorldStore
@@ -136,6 +139,33 @@ class TestOneSweepPerFigure:
         run_strata(STRATA, config=BASE, shards=shards, archive_dir=tmp_path,
                    store=WorldStore())
         assert work == {"analyses": 4 * shards, "classified": 0, "unpacked": n_rows}
+
+
+class TestCacheGauges:
+    def test_warm_run_reports_its_persistent_hits(self, tmp_path, capsys):
+        """A reopened stratum reads every row from facts.json, and its
+        telemetry says so: one ``persistent_hits`` gauge per stratum,
+        which ``repro stats`` sums into the cache-effectiveness block."""
+        archive_dir, telemetry = tmp_path / "archives", tmp_path / "telemetry"
+        run_strata(STRATA, config=BASE, shards=2, archive_dir=archive_dir,
+                   store=WorldStore())
+        shared_registry().reset()
+        run_strata(STRATA, config=BASE, shards=2, archive_dir=archive_dir,
+                   store=WorldStore(), telemetry_dir=telemetry)
+        facts = json.loads((archive_dir / "top-10k" / "facts.json").read_text())
+        n_bodies = len(facts["rows"])
+        assert n_bodies > 0
+        gauges = json.loads((telemetry / "METRICS.json").read_text())["gauges"]
+        keys = select(gauges, "measure.policy_cache.persistent_hits")
+        by_stratum = {
+            labels.get("stratum"): gauges[key] for key, labels in keys.items()
+        }
+        assert by_stratum["top-10k"] == n_bodies
+        # Gauges other runs in this process left are zeroed by the reset.
+        assert sum(gauges[key] for key in keys) == n_bodies
+        capsys.readouterr()
+        assert main(["stats", str(telemetry)]) == 0
+        assert f"body verdicts: {n_bodies} persistent hits" in capsys.readouterr().out
 
 
 class TestStreamingMatchesClassic:

@@ -47,8 +47,7 @@ def _write_shards(root, n_shards=2):
         ["c.example", "d.example"],
     ][:n_shards]
     for shard_id, domains in enumerate(per_shard):
-        writer = ShardWriter(root, shard_id, n_shards, config_digest="cfg")
-        writer.set_sites(
+        writer = ShardWriter(
             domains,
             list(range(shard_id * 10, shard_id * 10 + len(domains))),
             ["top5k"] + ["other"] * (len(domains) - 1),
@@ -64,7 +63,7 @@ def _write_shards(root, n_shards=2):
                     body = ROBOTS_A if shard_id == 0 else ROBOTS_B
                     records[domain] = SiteRecord(domain, 200, body)
             writer.add_snapshot(spec, records)
-        writer.commit()
+        writer.commit(root, shard_id, n_shards, config_digest="cfg")
     return root
 
 
@@ -201,10 +200,12 @@ class TestDamage:
         # No manifest -> the shard directory is not a valid archive,
         # regardless of which data blobs made it to disk.
         root = tmp_path / "arch"
-        writer = ShardWriter(root, 0, 1)
-        writer.set_sites(["a.example"], [0], ["other"])
+        writer = ShardWriter(["a.example"], [0], ["other"])
         writer.add_snapshot(SPECS[0], {"a.example": SiteRecord("a.example", 404)})
-        # commit() never called
+        # The commit stopped after the data files, before the manifest.
+        shard = writer.commit(root, 0, 1)
+        (shard / "manifest.json").unlink()
+        assert (shard / "records.bin").exists()
         with pytest.raises(ArchiveError):
             ArchiveSet.open(root)
 

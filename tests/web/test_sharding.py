@@ -34,7 +34,7 @@ from repro.web.sharding import (
     shard_of,
 )
 
-from ..archive_cells import archive_cells, series_cells
+from ..archive_cells import archive_cells
 
 CONFIG = PopulationConfig(
     universe_size=450, list_size=300, top5k_cut=40, audit_size=80, seed=7
@@ -98,8 +98,8 @@ class TestShardedCollectIdentity:
 
     @pytest.fixture(scope="class")
     def unsharded(self, baseline):
-        series = collect_snapshots(baseline, workers=1)
-        return series, series_cells(series.snapshots)
+        series = collect_snapshots(baseline)
+        return series, archive_cells(series)
 
     @staticmethod
     def _archived(population, root, **kwargs):
@@ -111,7 +111,7 @@ class TestShardedCollectIdentity:
     def _assert_same(archived, unsharded):
         series, cells = unsharded
         specs, archived_cells, _ = archived
-        assert specs == [snapshot.spec for snapshot in series.snapshots]
+        assert specs == series.specs
         assert list(archived_cells) == series.stable_domains
         assert archived_cells == cells
 
@@ -159,6 +159,37 @@ class TestShardedCollectIdentity:
             if payload["count"]
         }
         return spans, counters, histograms, series.snapshot()
+
+    def test_one_shard_archive_holds_the_series_columns(
+        self, baseline, unsharded, tmp_path
+    ):
+        """A one-shard archive commits the series' shard as it is: the
+        same sites, the same status and body-ref arrays spec by spec
+        (refs, not only the texts they name) and the same body table."""
+        series, _ = unsharded
+        shard = series.shard
+        collect_shard_archives(baseline, tmp_path, shards=1)
+        with ArchiveSet.open(tmp_path) as archive:
+            (reader,) = archive.readers
+            assert reader.specs == shard.specs
+            assert reader.domains == shard.domains
+            assert reader.ranks == shard.ranks
+            assert reader.tiers == shard.tiers
+            for spec_index in range(len(shard.specs)):
+                assert reader.statuses(spec_index) == shard.statuses(spec_index)
+                assert reader.body_refs(spec_index) == shard.body_refs(spec_index)
+            # Every interned body is some cell's, so the largest ref
+            # bounds the series' body table.
+            n_bodies = reader.n_bodies
+            assert n_bodies == 1 + max(
+                max(shard.body_refs(i)) for i in range(len(shard.specs))
+            )
+            assert [reader.body_digest(ref) for ref in range(n_bodies)] == [
+                shard.body_digest(ref) for ref in range(n_bodies)
+            ]
+            assert [reader.body_text(ref) for ref in range(n_bodies)] == [
+                shard.body_text(ref) for ref in range(n_bodies)
+            ]
 
     def test_traced_collect_identical_across_modes(self, baseline, tmp_path):
         """Every shard crawls under its own span, and fork children ship
