@@ -30,8 +30,7 @@ import time
 
 from repro.net.http import Request
 from repro.net.server import Website, render_page
-from repro.obs.metrics import set_metrics_enabled
-from repro.obs.series import shared_series
+from repro.obs.metrics import set_metrics_enabled, shared_registry, snapshot_delta
 from repro.proxy.behavioral import BehavioralPolicy
 from repro.proxy.reverse_proxy import ReverseProxy
 
@@ -109,7 +108,9 @@ def _cold_battery() -> tuple:
     A fresh small world and a fresh store over the complete experiment
     registry -- the work one ``repro reproduce`` session performs.  The
     assessment count is read from the ``behavioral.verdicts`` series
-    that run really recorded, not a density assumption; the measured
+    that run really recorded (a before/after delta of the shared
+    registry, which other benches read too, so it is never reset), not
+    a density assumption; the measured
     wall clock *includes* the armed hooks, which only makes the implied
     percentage conservative.
     """
@@ -119,17 +120,17 @@ def _cold_battery() -> tuple:
 
     config = PopulationConfig(universe_size=500, list_size=300,
                               top5k_cut=40, audit_size=90, seed=7)
-    shared_series().reset()
+    registry = shared_registry()
+    before = registry.snapshot()
     start = time.perf_counter()
     run_all(config, workers=1, store=WorldStore())
     seconds = time.perf_counter() - start
-    snapshot = shared_series().snapshot()
+    recorded = snapshot_delta(registry.snapshot(), before)["series"]
     n_assessments = int(sum(
         sum(points.values())
-        for (name, _labels), points in snapshot.items()
+        for (name, _labels), points in recorded.items()
         if name == "behavioral.verdicts"
     ))
-    shared_series().reset()
     return n_assessments, seconds
 
 

@@ -41,7 +41,6 @@ from repro.obs.metrics import (
     metrics_enabled,
     set_metrics_enabled,
 )
-from repro.obs.series import SeriesRegistry
 from repro.obs.trace import set_tracing_enabled, span, tracing_enabled
 
 #: Loop length for the per-op microbenches.
@@ -68,7 +67,7 @@ def _measure_disabled_costs() -> dict:
     registry = MetricsRegistry()
     counter = registry.counter("bench.disabled")
     histogram = registry.histogram("bench.disabled.hist")
-    series = SeriesRegistry().series("bench.disabled.series", agent="bench")
+    series = registry.series("bench.disabled.series", agent="bench")
     assert not tracing_enabled()
     set_metrics_enabled(False)
     ops = {

@@ -146,7 +146,6 @@ def test_worker_efficiency_and_scale_report(tmp_path_factory, record_timing):
         root / "parallel",
         shards=shards,
         workers=EFFICIENCY_WORKERS,
-        mode="auto",
     )
     parallel_seconds = time.perf_counter() - start
     record_timing(

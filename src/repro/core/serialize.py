@@ -15,6 +15,7 @@ removals (Section 3.3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .lexer import LineKind, tokenize
@@ -238,12 +239,23 @@ def remove_agent_rules(robots_txt: str, agents: Iterable[str]) -> str:
     return result + "\n" if result else ""
 
 
-def agents_mentioned(robots_txt: str) -> List[str]:
-    """Agent tokens named in any ``User-agent`` line, lowercased, in order."""
+#: How many distinct bodies :func:`agents_mentioned` remembers.  A cold
+#: battery's world build asks about a few hundred distinct bodies.
+AGENTS_MEMO_SIZE = 1024
+
+
+@lru_cache(maxsize=AGENTS_MEMO_SIZE)
+def agents_mentioned(robots_txt: str) -> Tuple[str, ...]:
+    """Agent tokens named in any ``User-agent`` line, lowercased, in order.
+
+    Memoized per body text for the :data:`AGENTS_MEMO_SIZE` most recent
+    distinct bodies (the world build asks about each body several
+    times); the tuple is shared, so callers cannot mutate it.
+    """
     seen: List[str] = []
     for line in tokenize(robots_txt):
         if line.kind is LineKind.USER_AGENT and line.value:
             token = line.value.lower()
             if token not in seen:
                 seen.append(token)
-    return seen
+    return tuple(seen)

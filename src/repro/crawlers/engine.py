@@ -31,7 +31,6 @@ from ..net.http import Headers, Request, Response
 from ..net.server import extract_links
 from ..net.transport import Network
 from ..obs.metrics import shared_registry
-from ..obs.series import shared_series
 from .profiles import CrawlerProfile, RobotsBehavior
 
 __all__ = ["CrawlResult", "Crawler"]
@@ -122,14 +121,13 @@ class Crawler:
         # each agent attempted vs what robots.txt denied it.  Only the
         # crawler can record ``robots_disallowed`` -- a skipped fetch
         # never reaches the server.
-        series = shared_series()
-        self._fetched_series = series.series(
+        self._fetched_series = registry.series(
             "crawl.requests", agent=agent, outcome="fetched"
         )
-        self._denied_series = series.series(
+        self._denied_series = registry.series(
             "crawl.requests", agent=agent, outcome="robots_disallowed"
         )
-        self._error_series = series.series(
+        self._error_series = registry.series(
             "crawl.requests", agent=agent, outcome="error"
         )
 

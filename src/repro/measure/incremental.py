@@ -11,16 +11,19 @@ changed -- O(changed), not O(all).
 
 Three layers live in one store directory (default ``.repro-cache``):
 
-* ``meta.json`` -- a schema fingerprint.  Any format change to the
-  store, the verdict-row layout
-  (:data:`~repro.core.classify.VERDICT_ROW_LAYOUT`, agent order
-  included), or the experiment result shape changes the fingerprint,
-  and a store written by an older layout self-invalidates wholesale on
-  load (stale caches can never leak stale bytes into results).
+* ``meta.json`` -- a schema fingerprint and the :func:`code_digest` of
+  the code that wrote the store.  Any format change to the store, the
+  verdict-row layout (:data:`~repro.core.classify.VERDICT_ROW_LAYOUT`,
+  agent order included), or the experiment result shape changes the
+  fingerprint, and a store written by an older layout self-invalidates
+  wholesale on load (stale caches can never leak stale bytes into
+  results).
 * ``bodies.json`` -- ``{"rows": {body sha256: packed row}}``: one
   :class:`~repro.core.classify.VerdictRow` per robots body, keyed by
   the SHA-256 of its bytes (the content address the snapshot archive's
-  ``bodies.sha`` records).
+  ``bodies.sha`` records).  The rows are adopted only when
+  ``meta.json``'s code digest is this code's: other code may classify
+  a body differently.
 * ``experiments.json`` -- finished
   :class:`~repro.report.experiments.ExperimentResult` payloads keyed by
   experiment key, each guarded by the input digest it was computed
@@ -79,7 +82,8 @@ def code_digest() -> str:
     """SHA-256 over every ``.py`` file of the imported ``repro`` package,
     in relative-path order, each as its path, length and bytes.
 
-    Computed once per process, the first time a store is consulted.
+    Computed once per process, the first time a store or an archive is
+    consulted.
     """
     root = Path(__file__).resolve().parent.parent
     digest = hashlib.sha256()
@@ -164,10 +168,12 @@ class IncrementalStore(BodyFacts):
         if meta.get("schema_fingerprint") != SCHEMA_FINGERPRINT:
             self.schema_invalidated = True
             return
-        try:
-            bodies = json.loads(self.bodies_path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            bodies = {}
+        bodies = {}
+        if meta.get("code_digest") == code_digest():
+            try:
+                bodies = json.loads(self.bodies_path.read_text(encoding="utf-8"))
+            except (OSError, ValueError):
+                pass
         try:
             experiments = json.loads(
                 self.experiments_path.read_text(encoding="utf-8")
@@ -183,7 +189,8 @@ class IncrementalStore(BodyFacts):
             if not self._dirty:
                 return
             self.root.mkdir(parents=True, exist_ok=True)
-            _write_json(self.meta_path, {"schema_fingerprint": SCHEMA_FINGERPRINT})
+            meta = {"schema_fingerprint": SCHEMA_FINGERPRINT, "code_digest": code_digest()}
+            _write_json(self.meta_path, meta)
             _write_json(self.bodies_path, self.facts_payload())
             _write_json(self.experiments_path, self._experiments)
             self._dirty = False

@@ -42,13 +42,12 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Un
 from ..agents.darkvisitors import AI_USER_AGENT_TOKENS
 from ..columnar import prepare_shard_set
 from ..core.classify import RestrictionLevel, VerdictRow
-from ..fanout import fan_out, resolve_mode
+from ..fanout import fan_out
 from ..crawlers.commoncrawl import SNAPSHOT_SPECS, SnapshotCrawler, SnapshotSpec
 from ..net import chaos
 from ..net.logstore import log_stream
 from ..net.transport import Network
-from ..obs.metrics import metrics_enabled
-from ..obs.series import shared_series
+from ..obs.metrics import metrics_enabled, shared_registry
 from ..obs.trace import span
 from ..web.archive import ArchiveSet, ShardReader, ShardWriter
 from ..web.population import WebPopulation
@@ -160,16 +159,14 @@ def _site_fetch_plan(
     return plan
 
 
-def _use_delta(specs: Sequence[SnapshotSpec], delta: Optional[bool]) -> bool:
-    """Whether delta collection is sound (and wanted) for this crawl."""
+def _use_delta(specs: Sequence[SnapshotSpec]) -> bool:
+    """Whether delta collection is sound for this crawl: more than one
+    spec and no armed chaos plan."""
     # Chaos faults are month- and host-windowed at the *transport*
     # layer, invisible to the evolution model the delta plan reads, so
     # carried-forward records could mask injected errors.  Never delta
     # under an armed plan.
-    use = len(specs) > 1 and chaos.active_plan() is None
-    if delta is not None:
-        use = use and delta
-    return use
+    return len(specs) > 1 and chaos.active_plan() is None
 
 
 def _crawl_shard(
@@ -213,7 +210,7 @@ def _crawl_shard(
             # collection avoids month over month.  Per-shard counts sum
             # into the same per-month points, so sharded totals match
             # unsharded ones.
-            shared_series().add(
+            shared_registry().add(
                 "delta.sites_refetched", spec.month_index, len(fetch_sites)
             )
         shard.add_snapshot(spec, snapshot.records)
@@ -223,7 +220,6 @@ def _crawl_shard(
 def collect_snapshots(
     population: WebPopulation,
     specs: Sequence[SnapshotSpec] = tuple(SNAPSHOT_SPECS),
-    delta: Optional[bool] = None,
 ) -> SnapshotSeries:
     """Run the snapshot crawler over the population's stable set.
 
@@ -231,20 +227,19 @@ def collect_snapshots(
     month and crawls the stable sites' robots.txt with the CCBot client
     into the series' one shard.
 
-    Args:
-        delta: Diff-aware collection: refetch only sites whose robots
-            state changed since the previous spec and carry every other
-            record forward (bit-identical output, O(changed) work).
-            ``None`` (the default) enables delta whenever it is sound:
-            more than one spec and no armed chaos plan.  An armed
-            :class:`~repro.net.chaos.FaultPlan` forces a full crawl even
-            when ``delta=True``, because injected faults break the
-            purity argument that makes carry-forward safe.
+    Collection is diff-aware whenever that is sound -- more than one
+    spec and no armed chaos plan: a later spec refetches only the sites
+    whose robots state changed since the previous spec and carries
+    every other record forward (bit-identical output, O(changed) work;
+    see :func:`_site_fetch_plan`).  An armed
+    :class:`~repro.net.chaos.FaultPlan` forces a full crawl, because
+    injected faults break the purity argument that makes carry-forward
+    safe.
 
     For the shard-partitioned crawl, see :func:`collect_shard_archives`.
     """
     specs = list(specs)
-    use_delta = _use_delta(specs, delta)
+    use_delta = _use_delta(specs)
     with span("collect_snapshots", n_specs=len(specs), delta=use_delta):
         # One wide-event stream per spec: its label, not the schedule,
         # decides where the spec's records land in the log archive.
@@ -264,8 +259,6 @@ def collect_shard_archives(
     specs: Sequence[SnapshotSpec] = tuple(SNAPSHOT_SPECS),
     shards: int = 0,
     workers: Optional[int] = None,
-    mode: str = "auto",
-    delta: Optional[bool] = None,
     config_digest: str = "",
 ) -> Path:
     """Crawl the population straight into a columnar shard archive.
@@ -277,8 +270,8 @@ def collect_shard_archives(
     *root*.  Records never accumulate in the parent, so peak memory is
     O(largest shard) regardless of population size.  Every record is a
     pure function of ``(site, month)`` -- chaos faults included, they
-    key on ``(rule, host)`` counters -- so any shards x workers x mode
-    combination archives the records an unsharded
+    key on ``(rule, host)`` counters -- so any shards x workers
+    combination, in line or forked, archives the records an unsharded
     :func:`collect_snapshots` crawls.  The aggregations in this module
     then consume the archive shard by shard.
 
@@ -294,14 +287,12 @@ def collect_shard_archives(
     sites = list(population.stable)
     n_workers = max(1, workers or 1)
     n_shards = shard_count_for(len(sites), shards if shards > 0 else None)
-    # Resolve (and validate) the mode before the old archive is retired.
-    resolved = resolve_mode(mode, min(n_workers, n_shards))
     parts = partition_domains(
         sites, n_shards, key=(site.domain for site in sites)
     )
     record_shard_balance(parts, stage="collect")
     prepare_shard_set(root, n_shards)
-    use_delta = _use_delta(specs, delta)
+    use_delta = _use_delta(specs)
 
     def collect_shard(index: int) -> None:
         shard_sites = parts[index]
@@ -326,9 +317,8 @@ def collect_shard_archives(
         workers=n_workers,
         delta=use_delta,
         shards=n_shards,
-        mode=resolved,
     ):
-        fan_out(collect_shard, n_shards, n_workers, resolved)
+        fan_out(collect_shard, n_shards, n_workers)
     return root
 
 
@@ -508,7 +498,7 @@ def full_disallow_trend(
                 hits[spec_index][1] += shard_hits[1]
                 if metrics_enabled():
                     month = specs[spec_index].month_index
-                    registry = shared_series()
+                    registry = shared_registry()
                     registry.add(
                         "measure.sites_full_disallow", month, shard_hits[0],
                         tier="top5k",
@@ -556,7 +546,7 @@ def per_agent_trend(source: Source) -> Dict[str, List[Tuple[str, float]]]:
                         agent_hits += count
                 hits[agent][spec_index] += agent_hits
                 if metrics_enabled():
-                    shared_series().add(
+                    shared_registry().add(
                         "measure.sites_disallowing",
                         specs[spec_index].month_index,
                         agent_hits,

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional
 
 from ..agents.darkvisitors import AI_USER_AGENT_TOKENS
-from ..obs.metrics import metrics_enabled
-from ..obs.series import shared_series
+from ..obs.metrics import metrics_enabled, shared_registry
 
 __all__ = [
     "LogEntry",
@@ -185,7 +184,7 @@ class AccessLog:
             handle_key = (agent, entry.outcome, category)
             series = _SIM_REQUEST_SERIES.get(handle_key)
             if series is None:
-                series = shared_series().series(
+                series = shared_registry().series(
                     "sim.requests",
                     agent=agent,
                     outcome=entry.outcome,

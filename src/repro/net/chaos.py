@@ -48,7 +48,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
 
 from ..obs.metrics import shared_registry
-from ..obs.series import shared_series
 from . import transport as _transport
 from .errors import ConnectionRefused, ConnectionReset
 from .http import Request, Response
@@ -197,7 +196,7 @@ class ChaosController:
             for kind in FAULT_KINDS
         }
         self._latency_histogram = registry.histogram("chaos.latency_seconds")
-        self._fault_series = shared_series()
+        self._registry = registry
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -228,7 +227,7 @@ class ChaosController:
 
     def _record(self, kind: str) -> None:
         self._fault_counters[kind].inc()
-        self._fault_series.add(
+        self._registry.add(
             "chaos.faults", self.network.month, kind=kind, plan=self.plan.name
         )
 

@@ -13,14 +13,15 @@ one-line :class:`LogStoreError` failures.  This module owns the schema,
 the record layout, and the sink that feeds it.
 
 Determinism contract (the same one METRICS.json/SERIES.json honor):
-the committed archive is **byte-identical across serial/thread/fork
-scheduling at any worker count**.  Two mechanisms deliver it:
+the committed archive is **byte-identical whether a batch runs in
+line or on forked workers, at any worker count**.  Two mechanisms
+deliver it:
 
 * **Named streams.**  Every sequential unit of work (one experiment
-  runner, one snapshot-collection task) emits under a thread-local
-  stream label (:func:`log_stream`).  Each stream is written by exactly
-  one thread, so its internal order is the unit's own deterministic
-  request order.  At commit time streams are concatenated in sorted
+  runner, one snapshot spec or archive shard) emits under a
+  thread-local stream label (:func:`log_stream`).  Each stream is
+  written by exactly one unit, so its internal order is the unit's own
+  deterministic request order.  At commit time streams are concatenated in sorted
   label order and global sequence numbers are stamped over the result
   -- scheduling decides only *when* a stream fills, never what the
   committed bytes look like.

@@ -37,9 +37,10 @@ def set_chaos_factory(
 #: Per-thread simulated-month clock, stamped by :meth:`Network.request`
 #: before dispatch.  Handlers read it via :func:`current_month` instead
 #: of instance state because handler objects are memoized per robots
-#: text and shared across concurrently-collected snapshots -- an
-#: instance attribute would race across months the way ``now`` does
-#: (harmless for append-only logs, fatal for exported series).
+#: text and shared by every network that serves that text -- an
+#: instance attribute would hold whichever month dispatched last.  It
+#: is per thread because :class:`~repro.net.realserver.RealHttpServer`
+#: serves handlers on threads.
 _CLOCK = threading.local()
 
 

@@ -3,16 +3,15 @@
 Import the submodules directly; this package re-exports nothing, so
 importing one of them loads only what it needs.
 
-Three primitives, one process-wide instance of each:
+Two primitives, one process-wide instance of each:
 
 * :mod:`repro.obs.metrics` -- a :class:`~repro.obs.metrics.MetricsRegistry`
-  of counters, gauges, and fixed-bucket histograms, with a
-  snapshot/delta/merge protocol so orchestrator workers (threads *or*
-  forked processes) ship their activity back to the parent.
-* :mod:`repro.obs.series` -- labeled time series on the simulated-month
-  logical clock (the per-agent monthly traffic/block matrix a site
-  operator would see), sharing the metrics enable flag and the same
-  snapshot/delta/merge worker protocol; exported as ``SERIES.json``.
+  of counters, gauges, fixed-bucket histograms and month series on the
+  simulated-month logical clock (the per-agent monthly traffic/block
+  matrix a site operator would see), with a snapshot/delta/merge
+  protocol so forked workers ship their activity back to the parent.
+  It exports as ``METRICS.json`` and, for the series,
+  ``SERIES.json`` (:mod:`repro.obs.series`).
 * :mod:`repro.obs.trace` -- hierarchical spans with deterministic ids
   and wall + logical (simulated month) clocks, exported as JSONL.
 
@@ -33,9 +32,9 @@ already-coarse call sites), tracing **off** (a disabled ``span()``
 call costs one global bool check).  The residual overhead of disabled
 telemetry is benchmarked <1% in ``benchmarks/bench_obs_overhead.py``.
 
-The determinism contract: **counter and histogram totals are identical
-for identical workloads regardless of scheduling mode** (serial /
-thread / fork -- enforced by ``tests/report/test_orchestrator.py``);
+The determinism contract: **counter, histogram and series totals are
+identical for identical workloads whether a batch runs in line or on
+forked workers** (enforced by ``tests/report/test_orchestrator.py``);
 gauges are process-local point-in-time observations with no such
 guarantee (shared-cache hit rates are inherently scheduling-dependent).
 """

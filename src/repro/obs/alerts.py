@@ -60,7 +60,7 @@ except ImportError:  # pragma: no cover - 3.11 is the supported floor
     tomllib = None  # type: ignore[assignment]
 
 from .analyze import request_cells, select
-from .series import OVERFLOW_LABELS
+from .metrics import OVERFLOW_LABELS
 
 __all__ = [
     "RULE_KINDS",

@@ -37,8 +37,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
-from .metrics import METRICS_SCHEMA_VERSION, parse_key
-from .series import SERIES_SCHEMA_VERSION
+from .metrics import METRICS_SCHEMA_VERSION, SERIES_SCHEMA_VERSION, parse_key
 from .trace import TRACE_SCHEMA_VERSION
 
 __all__ = [
@@ -218,7 +217,7 @@ def self_time_tree(
     """Nested ``{name, duration, self, children}`` trees, one per root.
 
     ``self`` is the span's duration minus its direct children's
-    durations (clamped at zero -- overlapping thread-pool children can
+    durations (clamped at zero -- overlapping forked children can
     exceed their parent's wall clock).
     """
     roots, children = _children_index(records)

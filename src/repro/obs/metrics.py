@@ -1,31 +1,39 @@
-"""Process-wide metrics: counters, gauges, and fixed-bucket histograms.
+"""Process-wide metrics: counters, gauges, histograms and month series.
 
 The reproduction pipeline's credibility rests on measurement provenance:
 knowing how many fetches each crawler made, how often the policy caches
-answered from memory, and how request volume distributed over sites.
-Before this module those numbers lived in ad-hoc dicts scattered across
-layers; :class:`MetricsRegistry` gives them one thread-safe, mergeable,
-dependency-free home.
+answered from memory, and how request volume distributed over sites
+and simulated months.  :class:`MetricsRegistry` gives those numbers one
+thread-safe, mergeable, dependency-free home.
 
-Three instrument kinds, all keyed by ``(name, sorted labels)``:
+Four instrument kinds, all keyed by ``(name, sorted labels)``:
 
 * :class:`Counter` -- a monotonically increasing integer.  Counters are
   **deterministic**: for a fixed workload their totals are identical
-  regardless of scheduling (serial / thread / fork), which
-  ``tests/report/test_orchestrator.py`` enforces for the experiment
-  battery.
+  whether :func:`repro.fanout.fan_out` runs in line or on forked
+  workers, which ``tests/report/test_orchestrator.py`` enforces for the
+  experiment battery.
 * :class:`Gauge` -- a point-in-time float.  Gauges are *process-local
   observations* (cache occupancy, hit counts of shared caches) and are
   explicitly excluded from cross-mode identity guarantees.
 * :class:`Histogram` -- fixed upper-bound buckets plus sum/count.
   Bucket counts add under merge, so histograms keep the determinism
   guarantee counters have.
+* :class:`Series` -- month index -> accumulated amount on the
+  simulated-month clock spans carry (the operator's "how many GPTBot
+  requests hit my site in month 18?").  Amounts are integer event
+  counts, so per-month sums are exact under merge; label sets beyond
+  ``max_series_per_name`` per name share one ``{overflow=true}`` series.
 
 Worker support: :meth:`MetricsRegistry.snapshot` produces a picklable
 value tree, :func:`snapshot_delta` subtracts a "before" snapshot from an
 "after" one, and :meth:`MetricsRegistry.merge` folds a snapshot (e.g.
 one a fork-pool unit of :func:`repro.fanout.fan_out` shipped back)
 into the parent registry.
+
+Export: :meth:`MetricsRegistry.to_json` is ``METRICS.json`` (counters,
+gauges, histograms) and :meth:`MetricsRegistry.series_json` is
+``SERIES.json`` (:func:`repro.obs.series.export_series`).
 
 Overhead: every mutation checks a module-global enabled flag first, so
 ``set_metrics_enabled(False)`` reduces each instrument call to a bool
@@ -45,9 +53,13 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
+    "Series",
     "MetricsRegistry",
     "DEFAULT_BUCKETS",
+    "DEFAULT_MAX_SERIES_PER_NAME",
+    "OVERFLOW_LABELS",
     "METRICS_SCHEMA_VERSION",
+    "SERIES_SCHEMA_VERSION",
     "metrics_enabled",
     "metrics_disabled",
     "set_metrics_enabled",
@@ -60,6 +72,16 @@ __all__ = [
 
 #: Schema version stamped into exported METRICS.json payloads.
 METRICS_SCHEMA_VERSION = 1
+
+#: Schema version stamped into exported SERIES.json payloads.
+SERIES_SCHEMA_VERSION = 1
+
+#: Per-name series cardinality ceiling; far above anything the bounded
+#: label vocabularies (agent tokens, site categories, outcomes) produce.
+DEFAULT_MAX_SERIES_PER_NAME = 1024
+
+#: Reserved label set that absorbs series beyond the cardinality cap.
+OVERFLOW_LABELS: Tuple[Tuple[str, str], ...] = (("overflow", "true"),)
 
 #: Default histogram upper bounds (a generic 1-2-5 ladder for counts);
 #: the final implicit bucket is +Inf.
@@ -85,7 +107,7 @@ def set_metrics_enabled(enabled: bool) -> None:
 
 
 class _MetricsDisabled:
-    """Context manager: metrics (and series) off inside the block."""
+    """Context manager: every instrument off inside the block."""
 
     __slots__ = ("_was",)
 
@@ -283,6 +305,56 @@ class Histogram:
             }
 
 
+class Series:
+    """One labeled month series: month index -> accumulated amount.
+
+    Handles are cheap to hold; hot call sites fetch one from the
+    registry once and call :meth:`add` directly, paying a bool check
+    plus one lock per event.
+    """
+
+    __slots__ = ("key", "_lock", "_points")
+
+    def __init__(self, key: InstrumentKey):
+        self.key = key
+        self._lock = threading.Lock()
+        self._points: Dict[int, float] = {}
+
+    def add(self, month: int, amount: float = 1) -> None:
+        """Add *amount* at *month* (no-op while metrics are disabled).
+
+        Zero amounts record nothing: a month with no events is absent
+        from the series, not an explicit zero.  (Were zeros
+        materialized, an in-line run would carry them while a fork
+        worker's :func:`snapshot_delta` drops them, breaking the
+        byte-identical SERIES.json contract.)
+        """
+        if not _ENABLED or amount == 0:
+            return
+        with self._lock:
+            self._points[month] = self._points.get(month, 0) + amount
+
+    def _merge(self, points: Dict[int, float]) -> None:
+        with self._lock:
+            for month, amount in points.items():
+                self._points[month] = self._points.get(month, 0) + amount
+
+    def _reset(self) -> None:
+        with self._lock:
+            self._points = {}
+
+    @property
+    def total(self) -> float:
+        """Sum over all months."""
+        with self._lock:
+            return sum(self._points.values())
+
+    def points(self) -> Dict[int, float]:
+        """A detached month -> amount copy, in ascending month order."""
+        with self._lock:
+            return dict(sorted(self._points.items()))
+
+
 class MetricsRegistry:
     """A thread-safe home for every instrument in a process.
 
@@ -290,13 +362,21 @@ class MetricsRegistry:
     >>> registry.inc("fetches", agent="GPTBot")
     >>> registry.counter_value("fetches", agent="GPTBot")
     1
+    >>> registry.add("sim.requests", month=3, agent="GPTBot")
+    >>> registry.series("sim.requests", agent="GPTBot").points()
+    {3: 1}
     """
 
-    def __init__(self) -> None:
+    def __init__(
+        self, max_series_per_name: int = DEFAULT_MAX_SERIES_PER_NAME
+    ) -> None:
         self._lock = threading.RLock()
         self._counters: Dict[InstrumentKey, Counter] = {}
         self._gauges: Dict[InstrumentKey, Gauge] = {}
         self._histograms: Dict[InstrumentKey, Histogram] = {}
+        self._series: Dict[InstrumentKey, Series] = {}
+        self._series_per_name: Dict[str, int] = {}
+        self._max_series_per_name = max_series_per_name
 
     # -- instrument access ----------------------------------------------------
 
@@ -339,6 +419,28 @@ class MetricsRegistry:
                 self._histograms[key] = instrument
             return instrument
 
+    def series(self, name: str, **labels: object) -> Series:
+        """Get or create the month series for ``(name, labels)``.
+
+        Beyond ``max_series_per_name`` distinct label sets for one
+        *name*, new label sets all resolve to the shared
+        ``{overflow=true}`` series for that name.
+        """
+        key = _make_key(name, labels)
+        with self._lock:
+            instrument = self._series.get(key)
+            if instrument is None:
+                used = self._series_per_name.get(name, 0)
+                if labels and used >= self._max_series_per_name:
+                    key = (name, OVERFLOW_LABELS)
+                    instrument = self._series.get(key)
+                    if instrument is not None:
+                        return instrument
+                instrument = Series(key)
+                self._series[key] = instrument
+                self._series_per_name[name] = used + 1
+            return instrument
+
     # -- one-shot conveniences ------------------------------------------------
 
     def inc(self, name: str, amount: int = 1, **labels: object) -> None:
@@ -358,6 +460,12 @@ class MetricsRegistry:
         if not _ENABLED:
             return
         self.histogram(name, **labels).observe(value)
+
+    def add(self, name: str, month: int, amount: float = 1, **labels: object) -> None:
+        """Add to a month series by name (creates it on first use)."""
+        if not _ENABLED:
+            return
+        self.series(name, **labels).add(month, amount)
 
     def counter_value(self, name: str, **labels: object) -> int:
         """Current counter total (0 when the counter does not exist)."""
@@ -393,10 +501,13 @@ class MetricsRegistry:
             counters = dict(self._counters)
             gauges = dict(self._gauges)
             histograms = dict(self._histograms)
+            series = dict(self._series)
         return {
             "counters": {key: c.value for key, c in counters.items()},
             "gauges": {key: g.value for key, g in gauges.items()},
             "histograms": {key: h.to_payload() for key, h in histograms.items()},
+            # Empty series are left out: only months with events ship.
+            "series": {key: s.points() for key, s in series.items() if s._points},
         }
 
     def merge(
@@ -405,12 +516,13 @@ class MetricsRegistry:
     ) -> None:
         """Fold *other* (a registry or a snapshot) into this registry.
 
-        Counters and histograms add; gauges take the incoming value
-        (last write wins).  Instruments unseen locally are created, even
-        at zero, so an instrument a fork worker created but never
-        touched exists in the parent as it would after a serial run.
-        Merging works even while metrics are disabled -- it ships
-        already-recorded data rather than recording new data.
+        Counters, histograms and per-month series amounts add; gauges
+        take the incoming value (last write wins).  Counters, gauges
+        and histograms unseen locally are created, even at zero, so an
+        instrument a fork worker created but never touched exists in
+        the parent as it would after an in-line run.  Merging works
+        even while metrics are disabled -- it ships already-recorded
+        data rather than recording new data.
         """
         snapshot = other.snapshot() if isinstance(other, MetricsRegistry) else other
         for (name, labels), value in snapshot.get("counters", {}).items():
@@ -421,6 +533,9 @@ class MetricsRegistry:
             self.histogram(
                 name, buckets=payload["bounds"], **dict(labels)
             )._merge(payload)
+        for (name, labels), points in snapshot.get("series", {}).items():
+            if points:
+                self.series(name, **dict(labels))._merge(points)
 
     def reset(self) -> None:
         """Zero every instrument **in place**.
@@ -433,6 +548,7 @@ class MetricsRegistry:
                 list(self._counters.values())
                 + list(self._gauges.values())
                 + list(self._histograms.values())
+                + list(self._series.values())
             )
         for instrument in instruments:
             instrument._reset()
@@ -440,7 +556,10 @@ class MetricsRegistry:
     # -- export ---------------------------------------------------------------
 
     def to_json(self) -> Dict[str, object]:
-        """The METRICS.json payload: schema-versioned, sorted string keys."""
+        """The METRICS.json payload: schema-versioned, sorted string keys.
+
+        Month series are not in it; :meth:`series_json` renders them.
+        """
         snapshot = self.snapshot()
         return {
             "schema_version": METRICS_SCHEMA_VERSION,
@@ -458,6 +577,24 @@ class MetricsRegistry:
             },
         }
 
+    def series_json(self) -> Dict[str, object]:
+        """The SERIES.json payload: every non-empty month series.
+
+        Months and values are parallel arrays in ascending month order
+        (a JSON object keyed by month would sort ``"10" < "2"``), and
+        the outer mapping uses rendered string keys, so dumping with
+        ``sort_keys=True`` is byte-deterministic.
+        """
+        rendered: Dict[str, object] = {}
+        for key, points in sorted(self.snapshot()["series"].items()):
+            months = sorted(points)
+            rendered[render_key(key)] = {
+                "months": months,
+                "values": [points[month] for month in months],
+                "total": sum(points[month] for month in months),
+            }
+        return {"schema_version": SERIES_SCHEMA_VERSION, "series": rendered}
+
 
 def snapshot_delta(
     after: Dict[str, Dict[InstrumentKey, object]],
@@ -468,9 +605,11 @@ def snapshot_delta(
     Counters and histogram counts subtract elementwise; gauges keep the
     *after* values.  A zero result is dropped for an instrument that
     already existed in *before*, and kept for one created since, so the
-    delta also carries instruments created but never touched.  This is
-    how a forked worker ships only the activity it performed, excluding
-    whatever the parent had already recorded at fork time.
+    delta also carries instruments created but never touched.  Series
+    amounts subtract per month, and zero months and empty series are
+    dropped.  This is how a forked worker ships only the activity it
+    performed, excluding whatever the parent had already recorded at
+    fork time.
     """
     prior_counters = before.get("counters", {})
     counters: Dict[InstrumentKey, int] = {}
@@ -493,10 +632,22 @@ def snapshot_delta(
                 "sum": payload["sum"] - prior["sum"],
                 "count": count,
             }
+    series: Dict[InstrumentKey, Dict[int, float]] = {}
+    prior_series = before.get("series", {})
+    for key, points in after.get("series", {}).items():
+        prior = prior_series.get(key, {})
+        diff = {
+            month: amount - prior.get(month, 0)
+            for month, amount in points.items()
+            if amount != prior.get(month, 0)
+        }
+        if diff:
+            series[key] = diff
     return {
         "counters": counters,
         "gauges": dict(after.get("gauges", {})),
         "histograms": histograms,
+        "series": series,
     }
 
 

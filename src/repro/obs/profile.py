@@ -19,10 +19,10 @@ to ``TRACE.jsonl`` (``repro reproduce --profile --telemetry-dir``) and
 opt-in: nothing here runs unless a profiler is passed into the
 orchestrator, so the batch hot path keeps its <1% obs budget.
 
-Caveats, stated rather than hidden: cProfile observes only the thread
-that entered the phase, so thread/fork experiment batteries report
-scheduler-side CPU, not worker internals; tracemalloc numbers include
-the profiler's own bookkeeping (small, but nonzero).
+Caveats, stated rather than hidden: cProfile observes only the process
+and thread that entered the phase, so a forked experiment battery is
+one phase that reports the parent's CPU, not the workers'; tracemalloc
+numbers include the profiler's own bookkeeping (small, but nonzero).
 """
 
 from __future__ import annotations

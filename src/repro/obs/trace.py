@@ -19,7 +19,7 @@ Design constraints:
 
 * **Deterministic ids.**  A span's id is a SHA-1 of
   ``parent_id | name | occurrence-index``, where the occurrence index
-  counts prior same-named siblings.  Two identical serial runs produce
+  counts prior same-named siblings.  Two identical in-line runs produce
   identical id trees (wall-clock fields differ, ids do not).
 * **No-op fast path.**  Tracing is *disabled by default*; a disabled
   :func:`span` call returns a shared no-op context manager without
@@ -27,9 +27,9 @@ Design constraints:
   check (benchmarked <1% in ``benchmarks/bench_obs_overhead.py``).
 * **Worker shipping.**  :func:`repro.fanout.fan_out` marks the buffer
   position before each fork-pool unit (:meth:`Tracer.record_count`),
-  ships :meth:`Tracer.records_since` back with the unit's metrics,
-  series and log-sink deltas, and the parent :meth:`Tracer.absorb`\\ s
-  them in unit order.
+  ships :meth:`Tracer.records_since` back with the unit's metrics and
+  log-sink deltas, and the parent :meth:`Tracer.absorb`\\ s them in
+  unit order.
 """
 
 from __future__ import annotations
@@ -49,8 +49,6 @@ __all__ = [
     "NOOP_SPAN",
     "TRACE_SCHEMA_VERSION",
     "span",
-    "current_span",
-    "adopt_current_span",
     "tracing_enabled",
     "set_tracing_enabled",
     "shared_tracer",
@@ -321,22 +319,6 @@ def span(
     if not _ENABLED:
         return NOOP_SPAN
     return _TRACER.start_span(name, logical=logical, attributes=attributes)
-
-
-def current_span() -> Optional[Span]:
-    """The context's innermost live span, or None."""
-    return _CURRENT.get()
-
-
-def adopt_current_span(parent: Optional[Span]) -> None:
-    """Make *parent* the current span for this thread's context.
-
-    Worker threads start with a fresh context, so spans they open
-    would become roots; a pool initializer calls this with the
-    orchestrator's live root span to keep the tree topology identical
-    across serial, thread, and fork execution.
-    """
-    _CURRENT.set(parent)
 
 
 def write_trace(path, records: List[Dict[str, object]]) -> None:

@@ -12,8 +12,7 @@ item 3 on top of the PR-9 feature substrate:
   -- the exact vocabulary :func:`repro.obs.features.traffic_features`
   computes -- into a :class:`BehavioralVerdict` via deterministic
   integer signal weights and thresholds (no float accumulation, no RNG
-  at score time, so verdicts are byte-identical across scheduling
-  modes).
+  at score time, so verdicts are byte-identical in line and forked).
 * :class:`BehavioralWindow` keeps a sliding window of the most recent
   requests, fed online with each request's final status by the proxy,
   and computes its features with that same function.
@@ -22,7 +21,7 @@ item 3 on top of the PR-9 feature substrate:
   pair does not flip verdicts on the same request index), caches
   verdicts between rescore points to keep the hot path cheap, and
   tallies every verdict into the ``behavioral.verdicts{agent,verdict}``
-  series.
+  month series of the metrics registry.
 * :func:`score_log_store` / :func:`write_verdicts` run the same scorer
   offline over a committed :class:`~repro.net.logstore.LogStore`,
   exporting a schema-versioned ``BEHAVIORAL.json`` next to
@@ -46,8 +45,7 @@ from typing import TYPE_CHECKING, Deque, Dict, Mapping, Optional, Tuple, Union
 from ..columnar import atomic_write
 from ..net.accesslog import LogEntry, agent_label, clock_ticks
 from ..obs.features import extract_features, traffic_features
-from ..obs.metrics import metrics_enabled
-from ..obs.series import shared_series
+from ..obs.metrics import metrics_enabled, shared_registry
 
 if TYPE_CHECKING:  # annotation-only: net.logstore reaches back into proxy
     from ..net.logstore import LogStore
@@ -263,7 +261,7 @@ class BehavioralPolicy:
 
     Policies are plain per-proxy objects, never shared through cached
     world handlers: each experiment builds its own, which is what keeps
-    verdicts identical across serial/thread/fork scheduling.
+    verdicts identical in line and on forked workers.
     """
 
     def __init__(self, config: Optional[BehavioralConfig] = None):
@@ -346,7 +344,7 @@ class BehavioralPolicy:
         if metrics_enabled():
             series = self._series.get(key)
             if series is None:
-                series = shared_series().series(
+                series = shared_registry().series(
                     "behavioral.verdicts", agent=agent, verdict=verdict
                 )
                 self._series[key] = series

@@ -2,8 +2,8 @@
 
 The paper's artifact is ~16 independent measurements over one shared
 world.  This module declares each runner's world dependency in a
-registry and executes any subset of the battery -- sequentially or
-across a worker pool -- on top of the content-addressed
+registry and executes any subset of the battery -- in line or on
+forked workers -- on top of the content-addressed
 :class:`~repro.web.worldstore.WorldStore`:
 
 * the **longitudinal bundle** (population + fifteen crawled snapshots)
@@ -31,11 +31,11 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.compiled import shared_policy_cache
-from ..fanout import fan_out, resolve_mode
+from ..fanout import batch_mode, fan_out
 from ..net import chaos as _chaos
 from ..obs.profile import Profiler
 from ..obs.metrics import MetricsRegistry, export_metrics, shared_registry
-from ..obs.series import SeriesRegistry, export_series
+from ..obs.series import export_series
 from ..obs.trace import (
     shared_tracer,
     span,
@@ -167,8 +167,10 @@ class RunReport:
             ``world_build`` span's duration.
         total_seconds: The ``run_all`` root span's duration.
         workers: Worker count the battery ran with.
-        mode: Execution mode actually used ("serial", "thread",
-            "process").
+        mode: How the experiments ran: "serial" (in line) or
+            "process" (forked workers; see
+            :func:`repro.fanout.batch_mode`), or "strata" for
+            :func:`run_strata`.
         spans: Every span record produced by this run (world build,
             per-experiment, nested pipeline spans), in completion order.
             Exported as ``results/TRACE.jsonl``.
@@ -238,15 +240,14 @@ class RunReport:
         self,
         directory: Union[str, Path],
         registry: Optional[MetricsRegistry] = None,
-        series: Optional[SeriesRegistry] = None,
     ) -> Dict[str, Path]:
         """Write this run's telemetry artifacts into *directory*.
 
         Produces ``METRICS.json`` (the registry rendered via
         :meth:`~repro.obs.metrics.MetricsRegistry.to_json`),
-        ``SERIES.json`` (the simulated-month time series), and
-        ``TRACE.jsonl`` (this run's span records).  Returns the paths
-        keyed by artifact name.
+        ``SERIES.json`` (the same registry's simulated-month series),
+        and ``TRACE.jsonl`` (this run's span records).  Returns the
+        paths keyed by artifact name.
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
@@ -254,7 +255,7 @@ class RunReport:
         series_path = directory / "SERIES.json"
         trace_path = directory / "TRACE.jsonl"
         export_metrics(metrics_path, registry)
-        export_series(series_path, series)
+        export_series(series_path, registry)
         write_trace(trace_path, self.spans)
         return {
             "METRICS.json": metrics_path,
@@ -327,7 +328,6 @@ def run_strata(
     config: Optional[PopulationConfig] = None,
     workers: Optional[int] = None,
     shards: int = 0,
-    mode: str = "auto",
     archive_dir: Optional[Union[str, Path]] = None,
     store: Optional[WorldStore] = None,
     telemetry_dir: Optional[Union[str, Path]] = None,
@@ -352,8 +352,6 @@ def run_strata(
         workers: Shard-crawl parallelism for cold archives (forwarded
             to :func:`~repro.measure.longitudinal.collect_shard_archives`).
         shards: Shard count (0 = sized automatically from the stratum).
-        mode: Shard-crawl execution mode ("auto"/"serial"/"thread"/
-            "process").
         archive_dir: Directory holding one archive per stratum
             (``<archive_dir>/<stratum>/shard-*``).  Defaults to
             ``.repro-archives`` under the working directory.
@@ -402,7 +400,6 @@ def run_strata(
                             archive_root / stratum,
                             shards=shards,
                             workers=workers,
-                            mode=mode,
                         )
                     report.world_seconds += getattr(
                         world_span, "duration_seconds", 0.0
@@ -453,7 +450,6 @@ def run_all(
     workers: Optional[int] = None,
     experiments: Optional[Sequence[str]] = None,
     store: Optional[WorldStore] = None,
-    mode: str = "auto",
     telemetry_dir: Optional[Union[str, Path]] = None,
     incremental: Union[None, bool, str, Path, IncrementalStore] = None,
     param_overrides: Optional[Dict[str, Dict[str, object]]] = None,
@@ -465,26 +461,21 @@ def run_all(
     Tracing is force-enabled for the duration of the run (and restored
     afterwards): the orchestrator's timings *are* its span tree, so
     ``run_all`` always produces one.  The experiments fan out through
-    :func:`repro.fanout.fan_out`, so every worker's counters, series,
+    :func:`repro.fanout.fan_out`, so every unit's counters, series,
     spans and wide events land in the process-wide buffers -- directly
-    in serial/thread mode, as shipped deltas in process mode -- and are
-    identical for any ``workers``/``mode`` combination (enforced by
-    ``tests/report/test_orchestrator.py``).
+    when the battery runs in line, as shipped deltas from forked
+    workers -- and are identical for any ``workers`` count (enforced
+    by ``tests/report/test_orchestrator.py``).
 
     Args:
         config: Population config (None = the paper's default scale).
-        workers: Worker pool size for the experiments and, when the
-            bundle has to be built, for the snapshot crawl (None/1 =
-            sequential).  Results are bit-identical for any worker
-            count.
+        workers: Worker count for the experiments (None/1 = in line;
+            more fork when :func:`repro.fanout.batch_mode` allows).
+            Results are bit-identical for any worker count.
         experiments: Registry keys to run (None = the full battery), in
             any order; results always come back in registry order.
         store: World store to draw from (default: the process-wide
             shared store, so repeated invocations hit the cache).
-        mode: "auto" (processes when forking onto multiple cores is
-            possible, else threads), "serial", "thread", or "process"
-            (see :func:`repro.fanout.resolve_mode`; anything else raises
-            ``ValueError``).
         telemetry_dir: When given, write ``METRICS.json`` and
             ``TRACE.jsonl`` into this directory after the run (see
             :meth:`RunReport.export_telemetry`).
@@ -505,17 +496,17 @@ def run_all(
             experiment.
         profile: ``True`` (or a :class:`~repro.obs.profile.Profiler`)
             attaches memory/CPU samplers to the run's phases: the world
-            build, each experiment in serial mode, or the pooled
-            battery as one phase in thread/process mode (the stdlib
-            CPU profiler cannot follow workers).  Exported as
+            build, and each experiment when the battery runs in line,
+            or the forked battery as one phase (the stdlib CPU
+            profiler cannot follow workers).  Exported as
             ``PROFILE.json`` when *telemetry_dir* is given; also
             returned on :attr:`RunReport.profiler`.
         log_dir: When given, install a wide-event
             :class:`~repro.net.logstore.LogSink` for the run and commit
             the columnar access-log archive here afterwards.  Fork
             workers ship per-stream event deltas back (like metrics
-            deltas), so the committed archive is byte-identical across
-            modes and worker counts.  ``FEATURES.json`` -- the
+            deltas), so the committed archive is byte-identical in line
+            and forked, at any worker count.  ``FEATURES.json`` -- the
             per-(agent, host) traffic features -- is written next to
             the telemetry export when *telemetry_dir* is given, else
             into *log_dir*.
@@ -544,8 +535,8 @@ def run_all(
 
     registry = shared_registry()
 
-    # -- incremental decisions (parent-side, pre-fork: identical for
-    # every mode/worker combination, so the counters stay inside the
+    # -- incremental decisions (parent-side, pre-fork: identical in line
+    # and forked at any worker count, so the counters stay inside the
     # cross-mode determinism contract) -----------------------------------
     inc: Optional[IncrementalStore] = None
     dispositions: Dict[str, str] = {}
@@ -596,7 +587,7 @@ def run_all(
 
     specs = [_BY_KEY[k] for k in to_run]
     n_workers = max(1, workers or 1)
-    resolved = resolve_mode(mode, min(n_workers, len(to_run)))
+    resolved = batch_mode(min(n_workers, len(to_run)))
 
     tracer = shared_tracer()
     run_mark = tracer.record_count()
@@ -649,11 +640,11 @@ def run_all(
                 # Distinct span names per experiment keep ids
                 # deterministic under any schedule.
                 exp_span = span(f"experiment:{key}", key=key, world=spec.world)
-                # Serial is the only mode where per-experiment CPU
-                # attribution is truthful, so only it profiles each key
-                # as a phase.  One named wide-event stream per
-                # experiment: the label, not the scheduling, decides
-                # where its requests land in the committed log archive.
+                # Only in line is per-experiment CPU attribution
+                # truthful, so only then is each key a profile phase.
+                # One named wide-event stream per experiment: the
+                # label, not the scheduling, decides where its requests
+                # land in the committed log archive.
                 with _phase(
                     profiler if resolved == "serial" else None,
                     f"experiment:{key}",
@@ -676,7 +667,7 @@ def run_all(
                 mode=resolved,
                 workers=n_workers,
             ):
-                outcomes = fan_out(run_experiment, len(to_run), n_workers, resolved)
+                outcomes = fan_out(run_experiment, len(to_run), n_workers)
 
     report = RunReport(
         workers=n_workers,

@@ -64,7 +64,11 @@ __all__ = [
     "ShardReader",
     "ArchiveSet",
     "ARCHIVE_SCHEMA_FINGERPRINT",
+    "FACTS_FILE",
 ]
+
+#: The per-body facts file next to an archive's shard directories.
+FACTS_FILE = "facts.json"
 
 #: Bump any entry when the on-disk shape changes; the fingerprint shift
 #: invalidates every existing archive (readers refuse to open it) and
@@ -448,7 +452,7 @@ class ArchiveBodyStore(BodyFacts):
 
     @property
     def facts_path(self) -> Path:
-        return self.root / "facts.json"
+        return self.root / FACTS_FILE
 
     def flush(self) -> None:
         """Persist the facts atomically (no-op when nothing changed)."""

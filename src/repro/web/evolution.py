@@ -28,7 +28,7 @@ import random
 
 from ..util import seeded_rng
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.serialize import (
     RobotsBuilder,
@@ -36,8 +36,7 @@ from ..core.serialize import (
     add_disallow_group,
     remove_agent_rules,
 )
-from ..obs.metrics import metrics_enabled
-from ..obs.series import shared_series
+from ..obs.metrics import metrics_enabled, shared_registry
 from .events import AGENT_ANNOUNCED, EU_AI_ACT, GPTBOT_ANNOUNCEMENT
 from .site import SimSite
 
@@ -218,7 +217,7 @@ class OperatorModel:
         """
         if not metrics_enabled():
             return
-        registry = shared_series()
+        registry = shared_registry()
         for month, _text in site.robots_schedule:
             if month >= 0:
                 registry.add(
@@ -327,11 +326,11 @@ class OperatorModel:
                 text = add_disallow_group(text, extras, paths=paths)
                 site.set_robots(month, text)
 
-    def _agents_blocked(self, site: SimSite) -> List[str]:
+    def _agents_blocked(self, site: SimSite) -> Tuple[str, ...]:
         from ..core.serialize import agents_mentioned
 
         text = site.robots_at(24)
-        return agents_mentioned(text) if text else []
+        return agents_mentioned(text) if text else ()
 
     # -- deal edits (driven by the population builder) -----------------------------
 

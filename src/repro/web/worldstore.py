@@ -96,15 +96,20 @@ def _digest(value: object) -> str:
 def _archive_digest(config: Optional[PopulationConfig]) -> str:
     """The key an archive of *config* is stored and reopened under.
 
+    A SHA-256 over :func:`config_digest` and the package's source
+    digest (:func:`repro.measure.incremental.code_digest`), so an
+    archive crawled by other code is recrawled, never read as current.
     An archive crawled under an armed fault plan holds faulted records,
     so its key also covers the armed ``(plan, seed)``
-    (:func:`repro.net.chaos.active_plan`).  With no plan armed it is
-    :func:`config_digest`.
+    (:func:`repro.net.chaos.active_plan`).
     """
+    from ..measure import incremental
+
+    key = [config_digest(config), incremental.code_digest()]
     armed = chaos.active_plan()
-    if armed is None:
-        return config_digest(config)
-    return _digest([config_digest(config), armed])
+    if armed is not None:
+        key.append(armed)
+    return _digest(key)
 
 
 def freeze_population(population: WebPopulation) -> WebPopulation:
@@ -220,15 +225,16 @@ class WorldStore:
         root,
         shards: int = 0,
         workers: Optional[int] = None,
-        mode: str = "auto",
     ):
         """A columnar shard archive of *config*'s snapshot series.
 
         Opens an existing archive under *root* when its key matches --
-        the config digest, plus the armed fault plan and seed if any
-        (a crawl-free warm start, the scale plane's analogue of a
-        series cache hit); otherwise crawls the population straight
-        into per-shard archives via
+        the config digest and the source digest, plus the armed fault
+        plan and seed if any (a crawl-free warm start, the scale
+        plane's analogue of a series cache hit); otherwise retires the
+        root's ``facts.json`` (rows read from the old archive's bodies,
+        perhaps by other code), crawls the population straight into
+        per-shard archives via
         :func:`~repro.measure.longitudinal.collect_shard_archives` and
         opens the result.  Returns an open
         :class:`~repro.web.archive.ArchiveSet` (caller closes).
@@ -236,7 +242,7 @@ class WorldStore:
         from pathlib import Path
 
         from ..measure.longitudinal import collect_shard_archives
-        from .archive import ArchiveError, ArchiveSet
+        from .archive import FACTS_FILE, ArchiveError, ArchiveSet
 
         root = Path(root)
         digest = _archive_digest(config)
@@ -249,13 +255,13 @@ class WorldStore:
         except ArchiveError:
             pass
         self._archive_misses.inc()
+        (root / FACTS_FILE).unlink(missing_ok=True)
         population = self.population(config)
         collect_shard_archives(
             population,
             root,
             shards=shards,
             workers=workers,
-            mode=mode,
             config_digest=digest,
         )
         return ArchiveSet.open(root)

@@ -141,7 +141,23 @@ class TestAgentsMentioned:
             "User-agent: GPTBot\nDisallow: /\n"
             "User-agent: CCBot\nUser-agent: gptbot\nDisallow: /a\n"
         )
-        assert agents_mentioned(base) == ["gptbot", "ccbot"]
+        assert agents_mentioned(base) == ("gptbot", "ccbot")
 
     def test_empty(self):
-        assert agents_mentioned("") == []
+        assert agents_mentioned("") == ()
+
+    def test_each_body_is_tokenized_once(self, monkeypatch):
+        from repro.core import serialize
+
+        calls = []
+        real = serialize.tokenize
+
+        def counting(text):
+            calls.append(text)
+            return real(text)
+
+        monkeypatch.setattr(serialize, "tokenize", counting)
+        body = "User-agent: MemoBot\nDisallow: /\n"
+        first = agents_mentioned(body)
+        assert agents_mentioned(body) is first == ("memobot",)
+        assert calls == [body]

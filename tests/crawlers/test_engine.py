@@ -316,14 +316,12 @@ class TestFetchTelemetryOnErrors:
 
     def test_errored_fetch_not_counted_as_fetched(self):
         from repro.obs.metrics import shared_registry
-        from repro.obs.series import shared_series
 
         net, site = self._flaky_world(
             FaultRule("reset", hosts=("target.com",), max_per_host=None)
         )
         crawler = Crawler(CrawlerProfile.defiant("ErrBot"), net)
         registry = shared_registry()
-        series = shared_series()
         fetched_before = registry.counter_value("crawler.fetches", agent="other")
         net.month = 3
         result = crawler.fetch("target.com", "/a")
@@ -333,7 +331,7 @@ class TestFetchTelemetryOnErrors:
             == fetched_before
         )
         assert (
-            series.series("crawl.requests", agent="other", outcome="error")
+            registry.series("crawl.requests", agent="other", outcome="error")
             .points().get(3, 0) >= 1
         )
 

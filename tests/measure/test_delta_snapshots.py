@@ -1,12 +1,13 @@
 """Delta-aware snapshot collection must be invisible in the output.
 
-The contract: ``collect_snapshots(..., delta=True)`` refetches only
-sites whose served robots state changed since the previous spec, yet
-the series' shard -- every status and body-ref column, the body table,
-the derived analysis set -- is bit-identical to a full crawl's.  A row
-a spec did not fetch keeps the previous spec's status and body ref.
-Chaos plans force full crawls because injected transport faults break
-the carry-forward purity argument.
+The contract: ``collect_snapshots`` over more than one spec refetches
+only sites whose served robots state changed since the previous spec,
+yet the series' shard holds every cell -- status and robots body per
+(spec, domain) -- and the analysis set that an independent full crawl
+(``tests/measure/oracle.crawl``) fetches.  A row a spec did not fetch
+keeps the previous spec's status and body ref.  Chaos plans force full
+crawls because injected transport faults break the carry-forward
+purity argument.
 """
 
 import pytest
@@ -15,8 +16,10 @@ from repro.crawlers.commoncrawl import SNAPSHOT_SPECS, SiteRecord
 from repro.measure.longitudinal import _site_fetch_plan, collect_snapshots
 from repro.net import chaos
 from repro.net.chaos import FaultPlan, FaultRule
-from repro.obs.series import shared_series
+from repro.obs.metrics import shared_registry
 from repro.web.population import PopulationConfig, build_web_population
+
+from . import oracle
 
 CONFIG = PopulationConfig(
     universe_size=260, list_size=170, top5k_cut=30, audit_size=40, seed=11
@@ -30,36 +33,31 @@ def population():
     return build_web_population(CONFIG)
 
 
-def _series_equal(a, b):
-    full, delta = a.shard, b.shard
-    assert full.specs == delta.specs
-    assert full.domains == delta.domains
-    for spec_index in range(len(full.specs)):
-        # Same columns: statuses, and refs into the same body table.
-        assert full.statuses(spec_index) == delta.statuses(spec_index)
-        assert full.body_refs(spec_index) == delta.body_refs(spec_index)
-    n_bodies = 1 + max(max(full.body_refs(i)) for i in range(len(full.specs)))
-    for ref in range(n_bodies):
-        assert full.body_text(ref) == delta.body_text(ref)
-        assert full.body_digest(ref) == delta.body_digest(ref)
-    assert a.analysis_domains == b.analysis_domains
+@pytest.fixture(scope="module")
+def full_crawl(population):
+    return oracle.crawl(population, SPECS)
 
 
 class TestDeltaEquivalence:
-    def test_delta_matches_full_crawl(self, population):
-        full = collect_snapshots(population, SPECS, delta=False)
-        delta = collect_snapshots(population, SPECS, delta=True)
-        _series_equal(full, delta)
+    def test_delta_matches_full_crawl(self, population, full_crawl):
+        series = collect_snapshots(population, SPECS)
+        collected = oracle.from_columns(series)
+        assert collected.specs == full_crawl.specs
+        assert collected.domains == full_crawl.domains
+        assert collected.cells == full_crawl.cells
+        assert series.analysis_domains == oracle.analysis_domains(full_crawl)
 
     def test_delta_is_the_default(self, population):
-        # Auto mode (delta=None) must produce the same series as an
-        # explicit full crawl.
-        auto = collect_snapshots(population, SPECS)
-        full = collect_snapshots(population, SPECS, delta=False)
-        _series_equal(full, auto)
+        # More than one spec and no armed plan: later specs refetch
+        # only some sites, so the crawl fetches fewer than a full one.
+        registry = shared_registry()
+        registry.reset()
+        collect_snapshots(population, SPECS)
+        fetched = registry.series("delta.sites_refetched").points()
+        assert sum(fetched.values()) < len(population.stable) * len(SPECS)
 
     def test_single_spec_never_deltas(self, population):
-        registry = shared_series()
+        registry = shared_registry()
         registry.reset()
         single = collect_snapshots(population, SPECS[:1])
         assert single.specs == SPECS[:1]
@@ -94,9 +92,9 @@ class TestFetchPlan:
                 )
 
     def test_refetched_series_recorded(self, population):
-        registry = shared_series()
+        registry = shared_registry()
         registry.reset()
-        collect_snapshots(population, SPECS, delta=True)
+        collect_snapshots(population, SPECS)
         by_month = registry.series("delta.sites_refetched").points()
         assert by_month[SPECS[0].month_index] == len(population.stable)
         later = [
@@ -111,11 +109,11 @@ class TestChaosForcesFullCrawl:
             "delta-test",
             (FaultRule(kind="reset", rate=0.2, months=(2, 3)),),
         )
-        registry = shared_series()
+        registry = shared_registry()
         chaos.activate(plan, seed=3)
         try:
             registry.reset()
-            collect_snapshots(population, SPECS, delta=True)
+            collect_snapshots(population, SPECS)
             points = registry.series("delta.sites_refetched").points()
         finally:
             chaos.deactivate()
@@ -130,8 +128,7 @@ class TestCarryForwardAssembly:
 
     @staticmethod
     def _shard(population):
-        full = collect_snapshots(population, SPECS[:1], delta=False)
-        return full.shard
+        return collect_snapshots(population, SPECS[:1]).shard
 
     def test_assembled_records_follow_domain_order(self, population):
         shard = self._shard(population)

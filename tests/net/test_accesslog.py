@@ -9,8 +9,7 @@ from repro.net.accesslog import (
     set_log_sink,
 )
 from repro.net.logstore import LogSink
-from repro.obs.metrics import metrics_disabled, set_metrics_enabled
-from repro.obs.series import shared_series
+from repro.obs.metrics import metrics_disabled, set_metrics_enabled, shared_registry
 
 
 def entry(path="/", ua="GPTBot/1.1", ip="1.2.3.4", status=200, ts=0.0):
@@ -77,12 +76,12 @@ def recording():
     """Metrics on, a fresh ``sim.requests`` registry, and a log sink."""
     sink = LogSink()
     set_metrics_enabled(True)
-    shared_series().reset()
+    shared_registry().reset()
     reset_agent_label_memo()
     previous = set_log_sink(sink)
     yield sink
     set_log_sink(previous)
-    shared_series().reset()
+    shared_registry().reset()
     reset_agent_label_memo()
 
 
@@ -100,7 +99,7 @@ class TestAppend:
             outcome="blocked_403",
         ))
         assert len(log) == 2
-        series = shared_series()
+        series = shared_registry()
         served = series.series("sim.requests", agent="GPTBot", outcome="served",
                                site_category="news")
         assert served.points().get(3, 0) == 1
@@ -121,4 +120,4 @@ class TestAppend:
         with metrics_disabled():
             AccessLog().append(entry())
         assert recording.event_count() == 1
-        assert shared_series().snapshot() == {}
+        assert shared_registry().snapshot()["series"] == {}

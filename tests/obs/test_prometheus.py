@@ -5,18 +5,16 @@ import json
 from repro.net.http import Request
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.prometheus import MetricsHandler, render_prometheus
-from repro.obs.series import SeriesRegistry
 
 
 class TestRenderPrometheus:
     def _payloads(self):
         registry = MetricsRegistry()
-        series = SeriesRegistry()
         registry.inc("net.responses", amount=5, status="200")
         registry.set_gauge("cache.hit_rate", 0.75)
         registry.observe("net.bytes", 10.0)
-        series.add("sim.requests", month=1, amount=2, agent="GPTBot")
-        return registry.to_json(), series.to_json()
+        registry.add("sim.requests", month=1, amount=2, agent="GPTBot")
+        return registry.to_json(), registry.series_json()
 
     def test_counters_render_with_total_suffix_and_labels(self):
         metrics, series = self._payloads()
@@ -57,7 +55,7 @@ class TestMetricsHandler:
         registry = MetricsRegistry()
         registry.inc("net.requests", amount=9)
         return MetricsHandler(
-            registry.to_json(), SeriesRegistry().to_json(), health={"mode": "test"}
+            registry.to_json(), registry.series_json(), health={"mode": "test"}
         )
 
     def _get(self, handler, path):

@@ -7,8 +7,7 @@ import pytest
 from repro.net.http import Request
 from repro.net.logstore import LogSink, LogStore, log_stream
 from repro.net.server import Website, render_page
-from repro.obs.metrics import metrics_disabled
-from repro.obs.series import shared_series
+from repro.obs.metrics import metrics_disabled, shared_registry
 from repro.proxy.behavioral import (
     BEHAVIORAL_SCHEMA_VERSION,
     VERDICT_ALLOW,
@@ -208,26 +207,26 @@ class TestPolicy:
         assert policy.summary() == dict(sorted(policy.verdict_counts.items()))
 
     def test_verdict_series_tallied_when_metrics_enabled(self):
-        shared_series().reset()
+        shared_registry().reset()
         try:
             policy = BehavioralPolicy()
             policy.assess("FastBot/1.0", "h.example", month=2)
-            assert shared_series().series(
+            assert shared_registry().series(
                 "behavioral.verdicts", agent="other", verdict="allow"
             ).points() == {2: 1}
         finally:
-            shared_series().reset()
+            shared_registry().reset()
 
     def test_no_series_when_metrics_disabled(self):
-        shared_series().reset()
+        shared_registry().reset()
         try:
             with metrics_disabled():
                 BehavioralPolicy().assess("FastBot/1.0", "h.example", month=2)
             # reset() keeps handles alive, so check recorded values, not
             # the registered-series count.
-            assert shared_series().snapshot() == {}
+            assert shared_registry().snapshot()["series"] == {}
         finally:
-            shared_series().reset()
+            shared_registry().reset()
 
 
 def _site(host="site.com", pages=30):

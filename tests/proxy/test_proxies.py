@@ -287,8 +287,7 @@ class TestOneRecordPerRequest:
     def test_chain_logs_each_request_once_at_the_terminating_layer(self):
         from repro.net.accesslog import reset_agent_label_memo, set_log_sink
         from repro.net.logstore import LogSink
-        from repro.obs.metrics import set_metrics_enabled
-        from repro.obs.series import shared_series
+        from repro.obs.metrics import set_metrics_enabled, shared_registry
 
         site = origin()
         inner = ReverseProxy(site, RuleSet([
@@ -304,7 +303,7 @@ class TestOneRecordPerRequest:
 
         sink = LogSink()
         set_metrics_enabled(True)
-        shared_series().reset()
+        shared_registry().reset()
         reset_agent_label_memo()
         previous = set_log_sink(sink)
         try:
@@ -317,12 +316,12 @@ class TestOneRecordPerRequest:
                 zone.handle(req("EvilAgent/1.0"))
             series_total = sum(
                 sum(months.values())
-                for (name, _), months in shared_series().snapshot().items()
+                for (name, _), months in shared_registry().snapshot()["series"].items()
                 if name == "sim.requests"
             )
         finally:
             set_log_sink(previous)
-            shared_series().reset()
+            shared_registry().reset()
             reset_agent_label_memo()
 
         expected = ["served", "not_found", "blocked_403", "challenged",

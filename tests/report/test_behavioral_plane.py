@@ -14,7 +14,6 @@ import pytest
 
 from repro.net.logstore import LogStore
 from repro.obs.metrics import shared_registry
-from repro.obs.series import shared_series
 from repro.obs.trace import shared_tracer
 from repro.report.experiments import (
     run_behavioral_equilibrium,
@@ -39,7 +38,6 @@ def store():
 
 def _reset():
     shared_registry().reset()
-    shared_series().reset()
     shared_tracer().reset()
 
 
@@ -48,28 +46,26 @@ class TestCrossModeIdentity:
         "fork" not in multiprocessing.get_all_start_methods(),
         reason="fork start method unavailable",
     )
-    def test_texts_and_verdicts_identical_across_modes(self, store, tmp_path):
+    def test_texts_and_verdicts_identical_across_modes(
+        self, store, tmp_path, force_fork
+    ):
         run_all(SMALL, workers=1, experiments=SLICE, store=store)  # pre-warm
         texts = {}
         verdicts = {}
-        for label, mode, workers in [
-            ("serial", "auto", 1),
-            ("thread2", "thread", 2),
-            ("process3", "process", 3),
-        ]:
+        for workers in (1, 2, 3):
             _reset()
-            log_dir = tmp_path / label
+            log_dir = tmp_path / f"w{workers}"
             report = run_all(SMALL, workers=workers, experiments=SLICE,
-                             store=store, mode=mode, log_dir=log_dir)
-            texts[label] = [(r.experiment_id, r.text, sorted(r.metrics.items()))
-                            for r in report.results]
-            verdicts[label] = (log_dir / "BEHAVIORAL.json").read_bytes()
+                             store=store, log_dir=log_dir)
+            assert report.mode == ("serial" if workers == 1 else "process")
+            texts[workers] = [(r.experiment_id, r.text, sorted(r.metrics.items()))
+                              for r in report.results]
+            verdicts[workers] = (log_dir / "BEHAVIORAL.json").read_bytes()
             with LogStore.open(log_dir) as committed:
                 assert committed.n_records > 0
-        assert texts["thread2"] == texts["serial"]
-        assert texts["process3"] == texts["serial"]
-        assert verdicts["thread2"] == verdicts["serial"]
-        assert verdicts["process3"] == verdicts["serial"]
+        for workers in (2, 3):
+            assert texts[workers] == texts[1], workers
+            assert verdicts[workers] == verdicts[1], workers
 
     def test_verdicts_export_next_to_features(self, store, tmp_path):
         run_all(SMALL, workers=1, experiments=["behavioral"], store=store,

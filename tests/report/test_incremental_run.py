@@ -1,12 +1,15 @@
 """Orchestrator-level incremental recomputation.
 
 The contract under test: a warm ``run_all(incremental=...)`` is
-byte-identical to a cold full run across every scheduling mode and
-worker count; a one-parameter edit invalidates exactly one experiment;
-and chaos runs never read or write the store.
+byte-identical to a cold full run in line and forked, at any worker
+count; a one-parameter edit invalidates exactly one experiment; a code
+change invalidates every experiment and every stored verdict row; and
+chaos runs never read or write the store.
 """
 
+import json
 import multiprocessing
+import shutil
 
 import pytest
 
@@ -26,7 +29,10 @@ SMALL = PopulationConfig(
 #: taxonomy), population (sec62).
 SLICE = ["table1", "figure2", "sec62", "taxonomy"]
 
-HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="fork start method unavailable",
+)
 
 
 def _texts(report):
@@ -58,18 +64,34 @@ class TestWarmEquivalence:
         assert warm.world_seconds < 0.05
 
     @pytest.mark.parametrize(
-        "mode,workers",
-        [("thread", 2), ("thread", 5)]
-        + ([("process", 3)] if HAS_FORK else []),
+        "workers",
+        [
+            pytest.param(2, id="process-2", marks=needs_fork),
+            pytest.param(3, id="process-3", marks=needs_fork),
+        ],
     )
     def test_warm_runs_match_across_modes_and_workers(
-        self, warm_store, mode, workers
+        self, warm_store, tmp_path, force_fork, workers
     ):
         root, cold_texts = warm_store
+        # Drop two stored results from a copy of the warm store: the run
+        # assembles two hits and re-runs the other two on the fork pool,
+        # their verdict rows still read from the store.
+        copy = tmp_path / "cache"
+        shutil.copytree(root, copy)
+        path = copy / "experiments.json"
+        stored = json.loads(path.read_text())
+        for key in ("figure2", "sec62"):
+            del stored[key]
+        path.write_text(json.dumps(stored))
         report = run_all(
             SMALL, workers=workers, experiments=SLICE, store=WorldStore(),
-            mode=mode, incremental=root,
+            incremental=copy,
         )
+        assert report.mode == "process"
+        assert [report.incremental[key] for key in SLICE] == [
+            "hit", "run:first", "run:first", "hit"
+        ]
         assert _texts(report) == cold_texts
 
     def test_cold_incremental_matches_plain_run(self, tmp_path):
@@ -143,6 +165,29 @@ class TestInvalidation:
         again = run()
         assert set(again.incremental.values()) == {"hit"}
         assert _texts(again) == _texts(changed) == _texts(cold)
+
+    def test_code_change_retires_stored_verdict_rows(self, tmp_path, monkeypatch):
+        """A stored verdict row names the code that classified it: a run
+        under other code reads no row from the store and prints what a
+        cold run prints."""
+        root = tmp_path / "cache"
+
+        def run(**overrides):
+            store = WorldStore()
+            report = run_all(
+                SMALL, workers=1, experiments=["figure2"], store=store,
+                incremental=root, param_overrides=overrides,
+            )
+            return _texts(report), store.series(SMALL).cache.stats["persistent_hits"]
+
+        cold, _ = run()
+        # The same code re-running figure2 reads its rows from the store.
+        _, reads = run(figure2={"require_explicit": False})
+        assert reads > 0
+        monkeypatch.setattr(incremental, "code_digest", lambda: "c0de" * 16)
+        changed, reads = run()
+        assert reads == 0
+        assert changed == cold
 
     def test_unknown_override_key_raises(self, tmp_path):
         with pytest.raises(KeyError):

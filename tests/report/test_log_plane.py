@@ -24,7 +24,6 @@ from repro.obs.analyze import (
 )
 from repro.obs.logql import group_by, timelines
 from repro.obs.metrics import parse_key, shared_registry
-from repro.obs.series import shared_series
 from repro.obs.trace import shared_tracer
 from repro.report.orchestrator import run_all
 from repro.web.population import PopulationConfig
@@ -46,7 +45,6 @@ def store():
 
 def _reset():
     shared_registry().reset()
-    shared_series().reset()
     shared_tracer().reset()
 
 
@@ -64,29 +62,25 @@ class TestLogArchiveIdentity:
         "fork" not in multiprocessing.get_all_start_methods(),
         reason="fork start method unavailable",
     )
-    def test_archive_bytes_identical_across_modes(self, store, tmp_path):
-        # Pre-warm the world so every mode measures identical work.
+    def test_archive_bytes_identical_across_modes(self, store, tmp_path, force_fork):
+        # Pre-warm the world so every run measures identical work.
         run_all(SMALL, workers=1, experiments=SLICE, store=store)
         archives = {}
         features = {}
-        for label, mode, workers in [
-            ("serial", "auto", 1),
-            ("thread2", "thread", 2),
-            ("process3", "process", 3),
-        ]:
+        for workers in (1, 2, 3):
             _reset()
-            log_dir = tmp_path / label
-            run_all(SMALL, workers=workers, experiments=SLICE, store=store,
-                    mode=mode, log_dir=log_dir)
-            archives[label] = _archive_bytes(log_dir)
-            features[label] = (log_dir / "FEATURES.json").read_bytes()
+            log_dir = tmp_path / f"w{workers}"
+            report = run_all(SMALL, workers=workers, experiments=SLICE,
+                             store=store, log_dir=log_dir)
+            assert report.mode == ("serial" if workers == 1 else "process")
+            archives[workers] = _archive_bytes(log_dir)
+            features[workers] = (log_dir / "FEATURES.json").read_bytes()
             with LogStore.open(log_dir) as committed:
                 assert committed.n_records > 0
                 committed.verify()
-        assert archives["thread2"] == archives["serial"]
-        assert archives["process3"] == archives["serial"]
-        assert features["thread2"] == features["serial"]
-        assert features["process3"] == features["serial"]
+        for workers in (2, 3):
+            assert archives[workers] == archives[1], workers
+            assert features[workers] == features[1], workers
 
     def test_sink_detached_after_run(self, store, tmp_path):
         run_all(SMALL, workers=1, experiments=["table1"], store=store,

@@ -1,8 +1,8 @@
 """Tests for the dependency-aware experiment orchestrator.
 
 The load-bearing property is scheduling-independence: ``run_all`` must
-produce bit-identical results for any worker count and any execution
-mode, with results always assembled in registry order.
+produce bit-identical results for any worker count, in line or on
+forked workers, with results always assembled in registry order.
 """
 
 import json
@@ -10,8 +10,8 @@ import multiprocessing
 
 import pytest
 
+from repro.fanout import batch_mode
 from repro.obs.metrics import shared_registry
-from repro.obs.series import shared_series
 from repro.obs.trace import shared_tracer, tracing_enabled
 from repro.report.orchestrator import (
     EXPERIMENT_REGISTRY,
@@ -30,6 +30,11 @@ SMALL = PopulationConfig(
 #: A battery slice covering all three world dependencies: bundle
 #: (figure2, taxonomy), population (sec62, sec22), none (table1).
 SLICE = ["table1", "figure2", "sec62", "sec22", "taxonomy"]
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="fork start method unavailable",
+)
 
 
 @pytest.fixture(scope="module")
@@ -51,19 +56,19 @@ class TestRegistry:
 
 
 class TestSchedulingIndependence:
-    def test_workers_do_not_change_results(self, store):
+    @needs_fork
+    def test_workers_do_not_change_results(self, store, force_fork):
         serial = run_all(SMALL, workers=1, experiments=SLICE, store=store)
-        threaded = run_all(
-            SMALL, workers=4, experiments=SLICE, store=store, mode="thread"
-        )
         assert serial.mode == "serial"
-        assert threaded.mode == "thread"
-        assert [r.experiment_id for r in serial.results] == [
-            r.experiment_id for r in threaded.results
-        ]
-        for a, b in zip(serial.results, threaded.results):
-            assert a.text == b.text
-            assert a.metrics == b.metrics
+        for workers in (2, 4):
+            forked = run_all(SMALL, workers=workers, experiments=SLICE, store=store)
+            assert forked.mode == "process"
+            assert [r.experiment_id for r in serial.results] == [
+                r.experiment_id for r in forked.results
+            ]
+            for a, b in zip(serial.results, forked.results):
+                assert a.text == b.text
+                assert a.metrics == b.metrics
 
     def test_results_come_back_in_registry_order(self, store):
         shuffled = ["taxonomy", "table1", "sec62", "figure2"]
@@ -83,19 +88,14 @@ class TestSchedulingIndependence:
         with pytest.raises(KeyError):
             run_all(SMALL, experiments=["nope"], store=store)
 
-    def test_unknown_mode_raises(self, store):
-        with pytest.raises(ValueError, match="auto, serial, thread, process"):
-            run_all(SMALL, workers=2, experiments=["table1"], store=store,
-                    mode="bogus")
-
 
 class TestReport:
-    def test_report_json_shape(self, store):
+    def test_report_json_shape(self, store, force_fork):
         report = run_all(SMALL, workers=2, experiments=["table1", "figure2"],
-                         store=store, mode="thread")
+                         store=store)
         payload = report.to_timings()
         assert payload["schema_version"] == 1
-        assert payload["mode"] == "thread"
+        assert payload["mode"] == batch_mode(2)
         assert payload["workers"] == 2
         assert payload["world_seconds"] >= 0
         assert payload["total_seconds"] > 0
@@ -112,18 +112,17 @@ class TestTelemetry:
     #: (stored population).
     TELEMETRY_SLICE = ["table1", "figure2", "sec62"]
 
-    def _run_and_snapshot(self, store, mode, workers, telemetry_dir=None):
+    def _run_and_snapshot(self, store, workers, telemetry_dir=None):
         shared_registry().reset()
-        shared_series().reset()
         shared_tracer().reset()
         report = run_all(
             SMALL,
             workers=workers,
             experiments=self.TELEMETRY_SLICE,
             store=store,
-            mode=mode,
             telemetry_dir=telemetry_dir,
         )
+        assert report.mode == ("serial" if workers == 1 else "process")
         snap = shared_registry().snapshot()
         histograms = {
             key: (payload["counts"], payload["count"], payload["sum"])
@@ -131,54 +130,37 @@ class TestTelemetry:
         }
         return report, snap["counters"], histograms
 
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(),
-        reason="fork start method unavailable",
-    )
-    def test_counter_totals_identical_across_modes(self, store):
-        # Pre-warm the world so each mode performs identical measured
-        # work, then demand exact counter/histogram identity for
-        # serial, thread-pool, and fork-pool execution.
+    @needs_fork
+    def test_counter_totals_identical_across_modes(self, store, force_fork):
+        # Pre-warm the world so each run performs identical measured
+        # work, then demand exact counter/histogram identity in line
+        # and on fork pools of two sizes.
         run_all(SMALL, workers=1, experiments=["figure2", "sec62"], store=store)
-        serial_report, serial_counters, serial_hists = self._run_and_snapshot(
-            store, "auto", 1
-        )
-        _, thread_counters, thread_hists = self._run_and_snapshot(store, "thread", 3)
-        _, process_counters, process_hists = self._run_and_snapshot(
-            store, "process", 3
-        )
-        assert serial_report.mode == "serial"
+        _, serial_counters, serial_hists = self._run_and_snapshot(store, 1)
         assert serial_counters
-        assert thread_counters == serial_counters
-        assert process_counters == serial_counters
-        assert thread_hists == serial_hists
-        assert process_hists == serial_hists
+        for workers in (2, 3):
+            _, counters, hists = self._run_and_snapshot(store, workers)
+            assert counters == serial_counters, workers
+            assert hists == serial_hists, workers
 
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(),
-        reason="fork start method unavailable",
-    )
-    def test_series_json_byte_identical_across_modes(self, store, tmp_path):
+    @needs_fork
+    def test_series_json_byte_identical_across_modes(
+        self, store, tmp_path, force_fork
+    ):
         # The operator-facing SERIES.json must be byte-for-byte the
-        # same artifact whatever the scheduling mode or worker count:
-        # series amounts are integer event counts, so per-month sums
-        # are exact under any merge order.
+        # same artifact in line or forked, at any worker count: series
+        # amounts are integer event counts, so per-month sums are exact
+        # under any merge order.
         run_all(SMALL, workers=1, experiments=["figure2", "sec62"], store=store)
         exports = {}
-        for label, mode, workers in [
-            ("serial", "auto", 1),
-            ("thread2", "thread", 2),
-            ("thread3", "thread", 3),
-            ("process3", "process", 3),
-        ]:
-            directory = tmp_path / label
-            self._run_and_snapshot(store, mode, workers, telemetry_dir=directory)
-            exports[label] = (directory / "SERIES.json").read_bytes()
-        assert exports["serial"]
-        baseline = exports.pop("serial")
+        for workers in (1, 2, 3):
+            directory = tmp_path / f"w{workers}"
+            self._run_and_snapshot(store, workers, telemetry_dir=directory)
+            exports[workers] = (directory / "SERIES.json").read_bytes()
+        baseline = exports.pop(1)
         assert json.loads(baseline)["series"]  # non-trivial content
-        for label, payload in exports.items():
-            assert payload == baseline, f"SERIES.json diverged in {label} mode"
+        for workers, payload in exports.items():
+            assert payload == baseline, f"SERIES.json diverged at {workers} workers"
 
     def test_run_produces_span_tree(self, store):
         report = run_all(

@@ -10,7 +10,7 @@ import pytest
 
 from repro.cli import main
 from repro.core.classify import VerdictRow
-from repro.measure import longitudinal
+from repro.measure import incremental, longitudinal
 from repro.obs.analyze import select
 from repro.obs.metrics import shared_registry
 from repro.report.orchestrator import run_strata
@@ -166,6 +166,34 @@ class TestCacheGauges:
         capsys.readouterr()
         assert main(["stats", str(telemetry)]) == 0
         assert f"body verdicts: {n_bodies} persistent hits" in capsys.readouterr().out
+
+
+class TestCodeChange:
+    def test_code_change_recrawls_the_archive_and_its_facts(
+        self, tmp_path, monkeypatch
+    ):
+        """An archive and its verdict rows name the code that wrote
+        them: under other code the stratum is recrawled (a
+        ``worldstore.archive`` miss) and no row is read from the old
+        ``facts.json``."""
+
+        def run():
+            store = WorldStore()
+            report = run_strata(STRATA, config=BASE, shards=2,
+                                archive_dir=tmp_path, store=store)
+            reads = shared_registry().gauge(
+                "measure.policy_cache.persistent_hits", stratum="top-10k"
+            ).value
+            return [r.text for r in report.results], store._archive_misses.value, reads
+
+        cold, misses, _ = run()
+        assert misses == 1
+        warm, misses, reads = run()
+        assert (warm, misses) == (cold, 0)
+        assert reads > 0
+        monkeypatch.setattr(incremental, "code_digest", lambda: "c0de" * 16)
+        changed, misses, reads = run()
+        assert (changed, misses, reads) == (cold, 1, 0)
 
 
 class TestStreamingMatchesClassic:

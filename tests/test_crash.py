@@ -34,7 +34,7 @@ from repro.measure.longitudinal import collect_shard_archives
 from repro.net.logstore import LogSink, LogStore, LogStoreError, log_stream
 from repro.obs.metrics import MetricsRegistry, export_metrics
 from repro.obs.profile import PhaseProfile, Profiler
-from repro.obs.series import SeriesRegistry, export_series
+from repro.obs.series import export_series
 from repro.obs.trace import write_trace
 from repro.report.experiments import ExperimentResult
 from repro.web.archive import ArchiveBodyStore, ArchiveError, ArchiveSet
@@ -230,10 +230,9 @@ def _export_commit(value):
     def commit(root):
         registry = MetricsRegistry()
         registry.inc("requests", value, agent="GPTBot")
+        registry.add("traffic", 3, value, agent="GPTBot")
         export_metrics(root / "METRICS.json", registry)
-        series = SeriesRegistry()
-        series.add("traffic", 3, value, agent="GPTBot")
-        export_series(root / "SERIES.json", series)
+        export_series(root / "SERIES.json", registry)
         write_trace(root / "TRACE.jsonl", [{"span": "run", "value": value}])
         profiler = Profiler(memory=False, cpu=False)
         profiler.phases.append(PhaseProfile(name="run", seconds=float(value)))

@@ -1,7 +1,7 @@
 """Sharding must never change what gets crawled -- only where.
 
 Every per-site sampler is keyed ``(seed, domain)``, so any shard count
-x worker count x execution mode must produce byte-identical snapshot
+x worker count, in line or forked, must produce byte-identical snapshot
 archives and telemetry.  These tests pin the assignment function's
 invariants (determinism, www-variant co-residency), the end-to-end
 identity of the sharded snapshot crawl, and the ``shard.sites`` balance
@@ -14,14 +14,13 @@ from collections import Counter
 import pytest
 
 from repro.crawlers.commoncrawl import SNAPSHOT_SPECS
-from repro.fanout import resolve_mode
+from repro.fanout import batch_mode
 from repro.measure.longitudinal import (
     analysis_domains,
     collect_shard_archives,
     collect_snapshots,
 )
 from repro.obs.metrics import shared_registry
-from repro.obs.series import shared_series
 from repro.obs.trace import set_tracing_enabled, shared_tracer, tracing_enabled
 from repro.web.archive import ArchiveSet
 from repro.web.population import PopulationConfig, build_web_population
@@ -35,6 +34,9 @@ from repro.web.sharding import (
 )
 
 from ..archive_cells import archive_cells
+
+HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
+needs_fork = pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
 
 CONFIG = PopulationConfig(
     universe_size=450, list_size=300, top5k_cut=40, audit_size=80, seed=7
@@ -80,10 +82,9 @@ class TestAssignment:
         assert shard_count_for(SITES_PER_SHARD + 1, None) == 2
         assert shard_count_for(10, 4) == 4  # explicit wins
 
-    def test_resolve_mode(self):
-        assert resolve_mode("auto", 1) == "serial"
-        assert resolve_mode("thread", 4) == "thread"
-        assert resolve_mode("process", 2) == "process"
+    def test_resolve_mode(self, force_fork):
+        assert batch_mode(1) == "serial"
+        assert batch_mode(2) == ("process" if HAS_FORK else "serial")
 
 
 @pytest.fixture(scope="module")
@@ -119,32 +120,28 @@ class TestShardedCollectIdentity:
         archived = self._archived(baseline, tmp_path, shards=3, workers=1)
         self._assert_same(archived, unsharded)
 
-    def test_sharded_threaded_collect_identical(self, baseline, unsharded, tmp_path):
-        archived = self._archived(
-            baseline, tmp_path, shards=4, workers=2, mode="thread"
-        )
-        self._assert_same(archived, unsharded)
-        assert archived[2] == unsharded[0].analysis_domains
-
-    def test_sharded_forked_collect_identical(self, baseline, unsharded, tmp_path):
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("no fork start method on this platform")
-        archived = self._archived(
-            baseline, tmp_path, shards=2, workers=2, mode="process"
-        )
-        self._assert_same(archived, unsharded)
+    @needs_fork
+    def test_sharded_forked_collect_identical(
+        self, baseline, unsharded, tmp_path, force_fork
+    ):
+        for shards, workers in ((2, 2), (4, 3)):
+            assert batch_mode(workers) == "process"
+            archived = self._archived(
+                baseline, tmp_path / f"w{workers}", shards=shards, workers=workers
+            )
+            self._assert_same(archived, unsharded)
+            assert archived[2] == unsharded[0].analysis_domains
 
     @staticmethod
-    def _traced_collect(population, root, mode):
+    def _traced_collect(population, root, workers):
         """Span tree and telemetry of one traced three-shard crawl."""
-        registry, series, tracer = shared_registry(), shared_series(), shared_tracer()
+        registry, tracer = shared_registry(), shared_tracer()
         registry.reset()
-        series.reset()
         tracer.reset()
         was_tracing = tracing_enabled()
         set_tracing_enabled(True)
         try:
-            collect_shard_archives(population, root, shards=3, workers=3, mode=mode)
+            collect_shard_archives(population, root, shards=3, workers=workers)
         finally:
             set_tracing_enabled(was_tracing)
         spans = Counter(
@@ -158,7 +155,7 @@ class TestShardedCollectIdentity:
             for key, payload in snap["histograms"].items()
             if payload["count"]
         }
-        return spans, counters, histograms, series.snapshot()
+        return spans, counters, histograms, snap["series"]
 
     def test_one_shard_archive_holds_the_series_columns(
         self, baseline, unsharded, tmp_path
@@ -191,30 +188,29 @@ class TestShardedCollectIdentity:
                 shard.body_text(ref) for ref in range(n_bodies)
             ]
 
-    def test_traced_collect_identical_across_modes(self, baseline, tmp_path):
+    @needs_fork
+    def test_traced_collect_identical_across_modes(
+        self, baseline, tmp_path, force_fork
+    ):
         """Every shard crawls under its own span, and fork children ship
-        their spans home: the trace names the same work in every mode."""
-        modes = ["serial", "thread"]
-        if "fork" in multiprocessing.get_all_start_methods():
-            modes.append("process")
+        their spans home: the trace names the same work in line and
+        forked."""
+        assert batch_mode(2) == "process"
         runs = {
-            mode: self._traced_collect(baseline, tmp_path / mode, mode)
-            for mode in modes
+            workers: self._traced_collect(baseline, tmp_path / f"w{workers}", workers)
+            for workers in (1, 2, 3)
         }
-        spans = runs["serial"][0]
+        spans = runs[1][0]
         assert set(spans.values()) == {1}  # every span id is unique
         names = Counter(name for _, _, name, _ in spans)
         assert names["collect_snapshots"] == 1
         assert names["collect_shard:0000"] == 1
         for spec in SNAPSHOT_SPECS:  # each shard crawls every spec
             assert names[f"collect_snapshot:{spec.snapshot_id}"] == 3, spec
-        for mode in modes[1:]:
-            assert runs[mode][0] == spans, mode
-            assert runs[mode][1:] == runs["serial"][1:], mode
-
-    def test_unknown_mode_raises(self, baseline, tmp_path):
-        with pytest.raises(ValueError, match="auto, serial, thread, process"):
-            collect_shard_archives(baseline, tmp_path, workers=2, mode="proces")
+        assert runs[1][3]  # the crawl's month series
+        for workers in (2, 3):
+            assert runs[workers][0] == spans, workers
+            assert runs[workers][1:] == runs[1][1:], workers
 
     def test_collect_emits_shard_balance_counters(self, baseline, tmp_path):
         registry = shared_registry()
