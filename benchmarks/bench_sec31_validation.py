@@ -28,7 +28,7 @@ def test_sec31_cross_validation(benchmark, longitudinal_bundle, artifact_dir):
     report = benchmark.pedantic(
         cross_validate_snapshot,
         args=(population, snapshot),
-        kwargs={"p_lagged": 0.2, "seed": 42},
+        kwargs={"seed": 42},
         rounds=1, iterations=1,
     )
     result = ExperimentResult(

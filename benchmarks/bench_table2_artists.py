@@ -14,7 +14,7 @@ from repro.report.experiments import run_table2_artists
 
 def test_table2_artist_providers(benchmark, artifact_dir):
     result = benchmark.pedantic(
-        run_table2_artists, kwargs={"seed": 42, "n_artists": 1182},
+        run_table2_artists, kwargs={"seed": 42},
         rounds=1, iterations=1,
     )
     save_artifact(artifact_dir, result)

@@ -17,22 +17,18 @@ the span-derived wall-clock trajectory, and the run's telemetry:
 ``repro stats``), ``results/SERIES.json`` (the simulated-month time
 series behind ``repro dashboard``), plus ``results/TRACE.jsonl`` (the
 hierarchical span records for world build, snapshot crawls, and each
-experiment).
+experiment).  The telemetry holds what this run recorded, world build
+included.
 """
 
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import pathlib
-import time
 
-from repro.obs.trace import set_tracing_enabled, shared_tracer, write_trace
-from repro.report.experiments import build_longitudinal_bundle
 from repro.report.orchestrator import run_all
 from repro.web import PopulationConfig
-from repro.web.worldstore import shared_world_store
 
 RESULTS = pathlib.Path(__file__).resolve().parent.parent / "results"
 
@@ -59,22 +55,9 @@ def main() -> None:
         "",
     ]
 
-    print("building shared world (longitudinal bundle + audit population)...")
-    # Trace the world build too (run_all force-enables tracing only for
-    # its own duration, and the bundle is built here, before it).
-    set_tracing_enabled(True)
-    store = shared_world_store()
-    world_start = time.perf_counter()
-    build_longitudinal_bundle(config, store=store)
-    world_seconds = time.perf_counter() - world_start
-    # The stored world is frozen and pinned for the life of the run, so
-    # exclude it from cycle tracing: without this, every collection
-    # walks millions of dead-weight substrate objects.
-    gc.collect()
-    gc.freeze()
-    report = run_all(config, workers=args.workers, store=store,
-                     telemetry_dir=RESULTS)
-    print(f"world ready in {world_seconds:.1f}s "
+    print("running the battery (world build included)...")
+    report = run_all(config, workers=args.workers, telemetry_dir=RESULTS)
+    print(f"world ready in {report.world_seconds:.1f}s "
           f"[mode={report.mode}, workers={report.workers}]")
 
     timings = report.to_timings()["experiments"]
@@ -91,17 +74,12 @@ def main() -> None:
     (RESULTS / "TIMINGS.json").write_text(
         json.dumps(report.to_timings(), indent=2) + "\n"
     )
-    # run_all exported the spans it scoped; widen TRACE.jsonl to the
-    # whole process so the pre-run world build's snapshot-crawl spans
-    # are part of the artifact too.
-    full_trace = shared_tracer().records_since(0)
-    write_trace(RESULTS / "TRACE.jsonl", full_trace)
     print(f"\nwrote {RESULTS / 'summary.txt'}")
     print(f"wrote {RESULTS / 'TIMINGS.json'} "
           f"(total {report.total_seconds:.1f}s)")
     print(f"wrote {RESULTS / 'METRICS.json'} (render with `repro stats`)")
     print(f"wrote {RESULTS / 'SERIES.json'} (render with `repro dashboard`)")
-    print(f"wrote {RESULTS / 'TRACE.jsonl'} ({len(full_trace)} spans)")
+    print(f"wrote {RESULTS / 'TRACE.jsonl'} ({len(report.spans)} spans)")
 
 
 if __name__ == "__main__":

@@ -43,14 +43,9 @@ class CrawlerRange:
         except ValueError:
             return False
 
-    def address(self, index: int = 0) -> str:
-        """A deterministic host address from the block."""
-        network = ipaddress.ip_network(self.network)
-        hosts = network.num_addresses - 2
-        if hosts < 1:
-            hosts = network.num_addresses
-        offset = 1 + (index % max(hosts, 1))
-        return str(network.network_address + offset)
+    def address(self) -> str:
+        """The block's first host address."""
+        return str(ipaddress.ip_network(self.network).network_address + 1)
 
 
 #: One /24 per crawler out of 100.64.0.0/10 (CGNAT space -- guaranteed
@@ -95,7 +90,7 @@ def range_for(token: str) -> Optional[CrawlerRange]:
     return CRAWLER_RANGES.get(token.lower())
 
 
-def crawler_ip(token: str, index: int = 0) -> str:
+def crawler_ip(token: str) -> str:
     """A deterministic source IP for crawler *token*.
 
     Crawlers without an assigned block fall back to a shared scratch
@@ -103,9 +98,9 @@ def crawler_ip(token: str, index: int = 0) -> str:
     """
     block = range_for(token)
     if block is not None:
-        return block.address(index)
+        return block.address()
     digest = sum(ord(c) for c in token.lower()) % 250
-    return f"100.127.{digest}.{1 + (index % 250)}"
+    return f"100.127.{digest}.1"
 
 
 def ip_in_published_range(token: str, address: str) -> bool:

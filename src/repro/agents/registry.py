@@ -119,14 +119,6 @@ class AgentRegistry:
     def __len__(self) -> int:
         return len(self._agents)
 
-    def tokens(self) -> List[str]:
-        """All registered tokens in registration order (original case)."""
-        return [agent.token for agent in self]
-
-    def by_category(self, category: AgentCategory) -> List[AIUserAgent]:
-        """Agents in *category*, in registration order."""
-        return [agent for agent in self if agent.category is category]
-
     def real_crawlers(self) -> List[AIUserAgent]:
         """Agents that correspond to real crawler traffic (no control tokens)."""
         return [agent for agent in self if not agent.is_control_token]

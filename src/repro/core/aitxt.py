@@ -53,9 +53,9 @@ class AiTxtPolicy:
             group.rules = [self._normalize(rule) for rule in group.rules]
         self._policy = RobotsPolicy(parsed)
 
-    def may_train(self, path: str, agent: str = "*") -> bool:
+    def may_train(self, path: str) -> bool:
         """Whether content at *path* may be used for AI training."""
-        return self._policy.verdict(agent, path).allowed
+        return self._policy.verdict("*", path).allowed
 
     @staticmethod
     def _normalize(rule: Rule) -> Rule:

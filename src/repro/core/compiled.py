@@ -17,9 +17,8 @@ analysis pipelines (:mod:`repro.measure`), the classifier's raw-text
 inputs (:mod:`repro.core.classify`), the linter
 (:mod:`repro.core.diagnostics`) and the crawl testbed
 (:mod:`repro.crawlers.engine`), so the same policy object answers for a
-given body everywhere.  Policies are safe to share across threads; the
-cache itself is lock-protected so parallel snapshot collection can use
-it.
+given body everywhere.  Policies are safe to share across threads, and
+the cache itself is lock-protected.
 """
 
 from __future__ import annotations
@@ -78,14 +77,15 @@ class CompiledPolicyCache:
             # body; both results are equivalent, keep the first.
             return self._by_source.setdefault(source, policy)
 
-    def publish(self, registry=None, prefix: str = "policy_cache") -> None:
-        """Export occupancy and hit/miss tallies as gauges."""
+    def publish(self) -> None:
+        """Export occupancy and hit/miss tallies as ``policy_cache.*``
+        gauges of the shared registry."""
         from ..obs.metrics import shared_registry
 
-        registry = registry if registry is not None else shared_registry()
-        registry.set_gauge(f"{prefix}.hits", self.hits)
-        registry.set_gauge(f"{prefix}.misses", self.misses)
-        registry.set_gauge(f"{prefix}.entries", len(self._by_source))
+        registry = shared_registry()
+        registry.set_gauge("policy_cache.hits", self.hits)
+        registry.set_gauge("policy_cache.misses", self.misses)
+        registry.set_gauge("policy_cache.entries", len(self._by_source))
 
     def clear(self) -> None:
         """Drop every cached policy and reset the hit/miss counters."""

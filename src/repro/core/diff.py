@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from .classify import RestrictionLevel, classify
 from .compiled import shared_policy_cache
@@ -104,17 +104,11 @@ def _wildcard_rules(policy: Optional[RobotsPolicy]) -> Optional[List[Tuple[bool,
     return sorted((rule.allow, rule.path) for rule in policy.wildcard_rules.rules if rule.path)
 
 
-def diff_robots(
-    before: Optional[str],
-    after: Optional[str],
-    agents: Optional[Sequence[str]] = None,
-) -> RobotsDiff:
+def diff_robots(before: Optional[str], after: Optional[str]) -> RobotsDiff:
     """Compute the semantic diff between two robots.txt versions.
 
-    Args:
-        before / after: File contents (None = no robots.txt served).
-        agents: Agents to compare.  Defaults to the union of agents
-            named in either version.
+    *before* and *after* are file contents (None = no robots.txt
+    served).  Every agent either version names is compared.
     """
     # Each version is parsed at most once per process: the shared
     # content-addressed compile cache hands back one memoized policy per
@@ -124,17 +118,12 @@ def diff_robots(
     policy_after = cache.policy(after) if after is not None else None
     named_before = _named(policy_before)
     named_after = _named(policy_after)
-    probe_agents: Iterable[str]
-    if agents is None:
-        probe_agents = sorted(named_before | named_after)
-    else:
-        probe_agents = agents
 
     diff = RobotsDiff()
     diff.agents_added = sorted(named_after - named_before)
     diff.agents_removed = sorted(named_before - named_after)
 
-    for agent in probe_agents:
+    for agent in sorted(named_before | named_after):
         cell_before = classify(policy_before, agent)
         cell_after = classify(policy_after, agent)
         if cell_before.level is not cell_after.level:

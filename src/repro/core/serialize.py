@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from .lexer import LineKind, tokenize
 
@@ -33,7 +33,6 @@ __all__ = [
 class _BuilderGroup:
     agents: List[str]
     rules: List[Tuple[str, str]]  # (directive, value)
-    comment: Optional[str] = None
 
 
 @dataclass
@@ -62,11 +61,11 @@ class RobotsBuilder:
         self._header_comments.append(text)
         return self
 
-    def group(self, *agents: str, comment: Optional[str] = None) -> "RobotsBuilder":
+    def group(self, *agents: str) -> "RobotsBuilder":
         """Start a new group for *agents*; subsequent rules attach to it."""
         if not agents:
             raise ValueError("a group needs at least one user agent")
-        self._groups.append(_BuilderGroup(list(agents), [], comment))
+        self._groups.append(_BuilderGroup(list(agents), []))
         return self
 
     def _current(self) -> _BuilderGroup:
@@ -105,8 +104,6 @@ class RobotsBuilder:
         if self._header_comments:
             chunks.append("")
         for group in self._groups:
-            if group.comment:
-                chunks.append(f"# {group.comment}")
             for agent in group.agents:
                 chunks.append(f"User-agent: {agent}")
             for directive, value in group.rules:

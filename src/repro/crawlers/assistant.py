@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from ..net.transport import Network
 from .engine import Crawler, CrawlResult
@@ -39,6 +39,13 @@ _SERVICE_NAMES = [
     "pagesense", "crawlmate", "linklens", "webscholar", "contentscout",
     "infodiver", "sitewhisper", "webharvest",
 ]
+
+#: Fraction of apps that can retrieve Web content.
+BROWSE_FRACTION = 0.3
+
+#: Of the browsing apps, the fraction that use the built-in
+#: ChatGPT-User crawler rather than a third party.
+BUILTIN_FRACTION = 0.4
 
 
 @dataclass
@@ -89,10 +96,8 @@ class GptApp:
         return self.service.crawler.fetch(host, path)
 
 
-def build_third_party_services(
-    network: Network, seed: int = 7, count: int = 23
-) -> List[ThirdPartyService]:
-    """Build *count* third-party assistant crawler services.
+def build_third_party_services(network: Network, seed: int = 7) -> List[ThirdPartyService]:
+    """Build the 23 third-party assistant crawler services, one per name.
 
     The behavior mix matches Section 5.2.2 exactly: index 0 respects
     robots.txt, index 1 has the buggy fetcher, index 2 fetches
@@ -100,10 +105,7 @@ def build_third_party_services(
     """
     rng = random.Random(seed)
     services: List[ThirdPartyService] = []
-    for index in range(count):
-        name = _SERVICE_NAMES[index % len(_SERVICE_NAMES)]
-        if index >= len(_SERVICE_NAMES):
-            name = f"{name}{index}"
+    for index, name in enumerate(_SERVICE_NAMES):
         if index == 0:
             behavior = RobotsBehavior.FETCH_AND_OBEY
         elif index == 1:
@@ -156,34 +158,24 @@ class GptAppStore:
         return [a for a in self.apps if a.can_browse and a.service is not None]
 
 
-def build_app_store(
-    network: Network,
-    seed: int = 7,
-    n_apps: int = 5000,
-    browse_fraction: float = 0.3,
-    builtin_fraction: float = 0.4,
-    services: Optional[Sequence[ThirdPartyService]] = None,
-) -> GptAppStore:
+def build_app_store(network: Network, seed: int = 7, n_apps: int = 5000) -> GptAppStore:
     """Build a store of *n_apps* apps over the third-party services.
 
-    Args:
-        browse_fraction: Fraction of apps that can retrieve Web content.
-        builtin_fraction: Of browsing apps, fraction that use the
-            built-in ChatGPT-User crawler rather than a third party.
-
-    Multiple apps share each backing service, which is what makes the
-    measurement's merge-by-domain-or-IP step (Section 5.1) necessary
-    and meaningful.
+    A :data:`BROWSE_FRACTION` of apps can retrieve Web content, and a
+    :data:`BUILTIN_FRACTION` of those use the built-in ChatGPT-User
+    crawler rather than a third party.  Multiple apps share each backing
+    service, which is what makes the measurement's merge-by-domain-or-IP
+    step (Section 5.1) necessary and meaningful.
     """
     rng = random.Random(seed)
-    service_list = list(services) if services is not None else build_third_party_services(network, seed=seed)
+    service_list = build_third_party_services(network, seed=seed)
     apps: List[GptApp] = []
     for index in range(n_apps):
         name = f"gpt-app-{index:04d}"
-        if rng.random() >= browse_fraction:
+        if rng.random() >= BROWSE_FRACTION:
             apps.append(GptApp(name=name, can_browse=False))
             continue
-        if rng.random() < builtin_fraction:
+        if rng.random() < BUILTIN_FRACTION:
             apps.append(GptApp(name=name, can_browse=True, uses_builtin=True))
             continue
         service = rng.choice(service_list)

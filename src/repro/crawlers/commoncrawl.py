@@ -6,10 +6,10 @@ site, either the robots.txt content or the fact that the crawl errored
 This module reproduces that data-collection layer:
 
 * the fifteen snapshot specifications of Table 3 (Appendix B.1),
-* a snapshot crawler that visits each site one or more times per
-  snapshot, deduplicates to the most recent non-errored fetch, and does
-  **not** follow redirects (CC's behavior; the analysis layer applies
-  the "www."-variant fallback instead).
+* a snapshot crawler that visits each site once per snapshot, re-visits
+  the sites whose fetch errored, and does **not** follow redirects (CC's
+  behavior; the analysis layer applies the "www."-variant fallback
+  instead).
 """
 
 from __future__ import annotations
@@ -123,33 +123,29 @@ class Snapshot:
     records: Dict[str, SiteRecord] = field(default_factory=dict)
 
 
+#: Passes over the still-errored sites after a snapshot's first pass.
+RETRY_PASSES = 2
+
+
 class SnapshotCrawler:
     """Crawl robots.txt for a site list, Common Crawl style.
 
-    The crawler identifies as CCBot, makes *visits_per_site* requests
-    per site, keeps the most recent non-errored response (the paper's
-    dedup rule), and never follows redirects.
+    The crawler identifies as CCBot, fetches each site once, and never
+    follows redirects.
 
-    After the first pass, up to *retry_errored* additional passes
-    re-visit only the sites whose every visit errored -- transient
-    transport failures (the bulk of CC's per-site errors, Appendix B.1)
-    heal instead of knocking sites out of the longitudinal analysis
-    set.  The passes cost nothing on a clean crawl and are disabled
-    globally by :func:`repro.net.chaos.retries_disabled`.
+    After the first pass, up to :data:`RETRY_PASSES` more passes
+    re-visit only the sites whose fetch errored -- transient transport
+    failures (the bulk of CC's per-site errors, Appendix B.1) heal
+    instead of knocking sites out of the longitudinal analysis set.
+    The passes cost nothing on a clean crawl and are disabled globally
+    by :func:`repro.net.chaos.retries_disabled`.
     """
 
-    def __init__(
-        self,
-        network: Network,
-        visits_per_site: int = 1,
-        retry_errored: int = 2,
-    ):
+    def __init__(self, network: Network):
         self.network = network
-        self.visits_per_site = visits_per_site
-        #: Bounded retry passes over errored sites per snapshot.
-        self.retry_errored = retry_errored
 
-    def _fetch_once(self, domain: str) -> SiteRecord:
+    def crawl_site(self, domain: str) -> SiteRecord:
+        """Fetch one site's robots.txt."""
         request = Request(
             host=domain,
             path="/robots.txt",
@@ -164,43 +160,25 @@ class SnapshotCrawler:
             return SiteRecord(domain=domain, status=200, robots_txt=response.text)
         return SiteRecord(domain=domain, status=response.status)
 
-    def crawl_site(self, domain: str) -> SiteRecord:
-        """Fetch one site's robots.txt with dedup over repeat visits."""
-        best: Optional[SiteRecord] = None
-        for _ in range(self.visits_per_site):
-            record = self._fetch_once(domain)
-            if best is None:
-                best = record
-                continue
-            # Most recent non-errored crawl wins; an errored crawl never
-            # displaces an earlier successful one.  When *every* visit
-            # errors, the latest error stands in -- the paper's dedup
-            # rule ("most recent") applied to the failure modes too.
-            if record.error is None or best.error is not None:
-                best = record
-        assert best is not None
-        return best
-
     def snapshot(self, spec: SnapshotSpec, domains: Iterable[str]) -> Snapshot:
         """Crawl *domains*, heal transient errors, assemble a snapshot.
 
         Builds the first pass, then (retries enabled) makes up to
-        ``retry_errored`` passes over the still-errored sites.
+        :data:`RETRY_PASSES` passes over the still-errored sites.
         """
         snap = Snapshot(spec=spec)
         for domain in domains:
             snap.records[domain] = self.crawl_site(domain)
         errored = [d for d, r in snap.records.items() if r.error is not None]
-        if errored and self.retry_errored > 0 and chaos.retries_enabled():
-            for _ in range(self.retry_errored):
+        if errored and chaos.retries_enabled():
+            for _ in range(RETRY_PASSES):
                 if not errored:
                     break
                 still: List[str] = []
                 for domain in errored:
-                    # The retry outcome replaces the errored record either
-                    # way: healed, or the latest failure mode (the same
-                    # most-recent rule dedup applies within a pass).
-                    record = self._fetch_once(domain)
+                    # The retry outcome replaces the errored record
+                    # either way: healed, or the latest failure mode.
+                    record = self.crawl_site(domain)
                     snap.records[domain] = record
                     if record.error is not None:
                         still.append(domain)

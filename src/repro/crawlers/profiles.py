@@ -129,11 +129,11 @@ class CrawlerProfile:
         return (int(digest[:8], 16) % (self.stealth_gap_jitter_ms + 1)) / 1000.0
 
     @classmethod
-    def respectful(cls, token: str, user_agent: Optional[str] = None, **kwargs) -> "CrawlerProfile":
+    def respectful(cls, token: str, **kwargs) -> "CrawlerProfile":
         """A compliant crawler profile."""
         return cls(
             token=token,
-            user_agent=user_agent or f"{token}/1.0",
+            user_agent=f"{token}/1.0",
             behavior=RobotsBehavior.FETCH_AND_OBEY,
             **kwargs,
         )
@@ -149,40 +149,35 @@ class CrawlerProfile:
         )
 
     @classmethod
-    def oblivious(cls, token: str, user_agent: Optional[str] = None, **kwargs) -> "CrawlerProfile":
+    def oblivious(cls, token: str, **kwargs) -> "CrawlerProfile":
         """A crawler that never looks at robots.txt."""
         return cls(
             token=token,
-            user_agent=user_agent or f"{token}/1.0",
+            user_agent=f"{token}/1.0",
             behavior=RobotsBehavior.NO_FETCH,
             **kwargs,
         )
 
     @classmethod
     def stealth(
-        cls,
-        token: str,
-        user_agent: Optional[str] = None,
-        fetch_interval: float = 1.0,
-        gap_jitter_ms: int = 400,
-        seed: int = 0,
-        **kwargs,
+        cls, token: str, fetch_interval: float = 1.0, seed: int = 0, **kwargs
     ) -> "CrawlerProfile":
         """A paced scraper built to slip past behavioral scoring.
 
         Fetches robots.txt (so server logs show discipline) but ignores
         its rules, keeps one consistent User-Agent, and spaces content
-        fetches by *fetch_interval* plus seeded jitter charged to the
-        simulated clock -- trading crawl time for a human-shaped
-        traffic fingerprint.  Combine with ``ua_pool``/``ip_pool`` via
-        *kwargs* to measure how rotation changes the equilibrium.
+        fetches by *fetch_interval* plus up to 400 ms of seeded jitter
+        charged to the simulated clock -- trading crawl time for a
+        human-shaped traffic fingerprint.  Combine with
+        ``ua_pool``/``ip_pool`` via *kwargs* to measure how rotation
+        changes the equilibrium.
         """
         return cls(
             token=token,
-            user_agent=user_agent or f"{token}/1.0",
+            user_agent=f"{token}/1.0",
             behavior=RobotsBehavior.FETCH_AND_IGNORE,
             default_fetch_interval=fetch_interval,
-            stealth_gap_jitter_ms=gap_jitter_ms,
+            stealth_gap_jitter_ms=400,
             stealth_seed=seed,
             paces_on_clock=True,
             **kwargs,

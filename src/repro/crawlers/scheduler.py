@@ -97,26 +97,9 @@ class CrawlScheduler:
         heapq.heappush(self._heap, (task.start_at, next(self._sequence), task))
         return task
 
-    def schedule(
-        self,
-        crawler: Crawler,
-        host: str,
-        interval: float,
-        max_pages: int = 10,
-        start_at: float = 0.0,
-        repeat: bool = True,
-    ) -> CrawlTask:
-        """Convenience wrapper around :meth:`add`."""
-        return self.add(
-            CrawlTask(
-                crawler=crawler,
-                host=host,
-                interval=interval,
-                max_pages=max_pages,
-                start_at=start_at,
-                repeat=repeat,
-            )
-        )
+    def schedule(self, crawler: Crawler, host: str, interval: float) -> CrawlTask:
+        """Add a task crawling *host* every *interval* seconds from t=0."""
+        return self.add(CrawlTask(crawler=crawler, host=host, interval=interval))
 
     def run_until(self, end_time: float) -> SchedulerReport:
         """Run every task due at or before *end_time*.

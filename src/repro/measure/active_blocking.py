@@ -17,12 +17,11 @@ The detector follows the paper's user-agent-differential methodology:
 A single transient connection reset is indistinguishable from a
 deliberate drop in one observation, so the decision step confirms
 before it accuses: a probe outcome that *would* flip the verdict is
-re-probed per :class:`ConfirmationPolicy` (bounded attempts, fixed
-spacing charged to simulated time).  Only a *repeatable* differential
-yields ``blocks_ai=True`` -- transient faults (exercised by
-``repro.net.chaos`` campaigns) produce zero false positives.  The
-policy used is recorded on every verdict so downstream tables can
-state the confirmation standard their numbers were held to.
+re-probed up to :data:`CONFIRMATION_ATTEMPTS` times, each
+:data:`CONFIRMATION_SPACING_SECONDS` apart on the simulated clock.
+Only a *repeatable* differential yields ``blocks_ai=True`` -- transient
+faults (exercised by ``repro.net.chaos`` campaigns) produce zero false
+positives.
 """
 
 from __future__ import annotations
@@ -40,9 +39,6 @@ from ..proxy.fingerprint import AUTOMATION_HEADER
 __all__ = [
     "ProbeResult",
     "SiteBlockingVerdict",
-    "ConfirmationPolicy",
-    "DEFAULT_CONFIRMATION",
-    "NO_CONFIRMATION",
     "probe",
     "detect_active_blocking",
     "survey_active_blocking",
@@ -56,27 +52,14 @@ AI_PROBE_UAS = ("Claudebot/1.0", "anthropic-ai")
 LENGTH_DELTA_THRESHOLD = 0.30
 
 
-@dataclass(frozen=True)
-class ConfirmationPolicy:
-    """How a verdict-flipping probe outcome must be confirmed.
+#: Re-probes allowed for one verdict-flipping outcome (0 while retries
+#: are disabled via :func:`repro.net.chaos.retries_disabled`).
+CONFIRMATION_ATTEMPTS = 2
 
-    Attributes:
-        attempts: Maximum confirmation re-probes for one suspicious
-            outcome (0 = accept the first observation unconfirmed).
-        spacing_seconds: Simulated seconds between re-probes, charged
-            to ``network.now`` -- real tooling spaces retries so a
-            momentarily-overloaded origin is not re-hit instantly.
-    """
-
-    attempts: int = 2
-    spacing_seconds: float = 5.0
-
-
-#: The default standard: up to two spaced re-probes.
-DEFAULT_CONFIRMATION = ConfirmationPolicy()
-
-#: Single-observation mode (the pre-confirmation behavior).
-NO_CONFIRMATION = ConfirmationPolicy(attempts=0, spacing_seconds=0.0)
+#: Simulated seconds between re-probes, charged to ``network.now`` --
+#: real tooling spaces retries so a momentarily-overloaded origin is
+#: not re-hit instantly.
+CONFIRMATION_SPACING_SECONDS = 5.0
 
 
 @dataclass(frozen=True)
@@ -98,25 +81,18 @@ class ProbeResult:
         return self.error is not None
 
 
-def probe(
-    network: Network,
-    host: str,
-    user_agent: str,
-    as_headless_browser: bool = True,
-    path: str = "/",
-) -> ProbeResult:
-    """Visit ``host`` once with ``user_agent`` and summarize the result.
+def probe(network: Network, host: str, user_agent: str) -> ProbeResult:
+    """Visit ``host``'s homepage once with ``user_agent`` and summarize
+    the result.
 
     The probe client is a headless browser under automation, so it
     carries fingerprint signals regardless of the UA it presents --
     matching the paper's Selenium/Chromium tooling.
     """
-    headers = {"User-Agent": user_agent}
-    if as_headless_browser:
-        headers[AUTOMATION_HEADER] = "webdriver,headless"
+    headers = {"User-Agent": user_agent, AUTOMATION_HEADER: "webdriver,headless"}
     try:
         response = network.request(
-            Request(host=host, path=path, headers=Headers(headers))
+            Request(host=host, path="/", headers=Headers(headers))
         )
     except NetError as exc:
         return ProbeResult(status=0, content_length=0, error=str(exc))
@@ -135,7 +111,6 @@ class SiteBlockingVerdict:
         excluded: The control case failed (site blocks the tool), so no
             inference is made.
         blocks_ai: Whether the site actively blocks based on AI UAs.
-        confirmation: The policy suspicious outcomes were held to.
         probe_attempts: Probes actually issued per case (``"control"``
             plus one entry per AI UA); >1 means confirmation fired.
     """
@@ -145,7 +120,6 @@ class SiteBlockingVerdict:
     ai_probes: Dict[str, ProbeResult] = field(default_factory=dict)
     excluded: bool = False
     blocks_ai: bool = False
-    confirmation: ConfirmationPolicy = NO_CONFIRMATION
     probe_attempts: Dict[str, int] = field(default_factory=dict)
 
 
@@ -160,18 +134,11 @@ def _differs(control: ProbeResult, ai: ProbeResult) -> bool:
     return delta > LENGTH_DELTA_THRESHOLD
 
 
-def detect_active_blocking(
-    network: Network,
-    host: str,
-    ai_user_agents: Sequence[str] = AI_PROBE_UAS,
-    confirmation: Optional[ConfirmationPolicy] = None,
-) -> SiteBlockingVerdict:
+def detect_active_blocking(network: Network, host: str) -> SiteBlockingVerdict:
     """Run the control/AI differential against one site.
 
-    *confirmation* defaults to :data:`DEFAULT_CONFIRMATION` (or
-    :data:`NO_CONFIRMATION` while retries are globally disabled via
-    :func:`repro.net.chaos.retries_disabled`).  Suspicious outcomes are
-    re-probed before they can flip the verdict:
+    Suspicious outcomes are re-probed before they can flip the verdict
+    (not at all while retries are globally disabled):
 
     * A control probe that fails at the *transport* level is retried --
       a transient reset must not exclude the site.  A non-200 HTTP
@@ -182,28 +149,23 @@ def detect_active_blocking(
       and the site is not accused; only a differential that persists
       through every attempt sets ``blocks_ai``.
     """
-    if confirmation is None:
-        confirmation = (
-            DEFAULT_CONFIRMATION if chaos.retries_enabled() else NO_CONFIRMATION
-        )
+    reprobes = CONFIRMATION_ATTEMPTS if chaos.retries_enabled() else 0
     control = probe(network, host, DEFAULT_BROWSER_UA)
     attempts = 1
-    while control.failed and attempts <= confirmation.attempts:
-        network.now += confirmation.spacing_seconds
+    while control.failed and attempts <= reprobes:
+        network.now += CONFIRMATION_SPACING_SECONDS
         control = probe(network, host, DEFAULT_BROWSER_UA)
         attempts += 1
-    verdict = SiteBlockingVerdict(
-        host=host, control=control, confirmation=confirmation
-    )
+    verdict = SiteBlockingVerdict(host=host, control=control)
     verdict.probe_attempts["control"] = attempts
     if control.failed or control.status != 200:
         verdict.excluded = True
         return verdict
-    for user_agent in ai_user_agents:
+    for user_agent in AI_PROBE_UAS:
         result = probe(network, host, user_agent)
         attempts = 1
-        while _differs(control, result) and attempts <= confirmation.attempts:
-            network.now += confirmation.spacing_seconds
+        while _differs(control, result) and attempts <= reprobes:
+            network.now += CONFIRMATION_SPACING_SECONDS
             result = probe(network, host, user_agent)
             attempts += 1
         verdict.ai_probes[user_agent] = result
@@ -241,18 +203,8 @@ class BlockingSurvey:
         return [v.host for v in self.verdicts if v.blocks_ai]
 
 
-def survey_active_blocking(
-    network: Network,
-    hosts: Sequence[str],
-    ai_user_agents: Sequence[str] = AI_PROBE_UAS,
-    confirmation: Optional[ConfirmationPolicy] = None,
-) -> BlockingSurvey:
+def survey_active_blocking(network: Network, hosts: Sequence[str]) -> BlockingSurvey:
     """Run the detector over *hosts* and aggregate."""
-    survey = BlockingSurvey()
-    for host in hosts:
-        survey.verdicts.append(
-            detect_active_blocking(
-                network, host, ai_user_agents, confirmation=confirmation
-            )
-        )
-    return survey
+    return BlockingSurvey(
+        verdicts=[detect_active_blocking(network, host) for host in hosts]
+    )

@@ -15,7 +15,7 @@ over the network (not by peeking at the generator's attributes):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 from ..agents.darkvisitors import AI_USER_AGENT_TOKENS
 from ..net.dns import ProviderInfra
@@ -150,18 +150,13 @@ def _probe_automation_challenge(network: Network, host: str) -> bool:
     return classify_page(response.text) in (PageKind.CAPTCHA, PageKind.CHALLENGE)
 
 
-def measure_artist_sites(
-    population: ArtistPopulation,
-    network: Optional[Network] = None,
-    providers: Sequence[HostingProvider] = tuple(TOP_PROVIDERS),
-) -> ArtistStudy:
+def measure_artist_sites(population: ArtistPopulation) -> ArtistStudy:
     """Run the full Section 4.4 measurement and assemble Table 2."""
-    if network is None:
-        network = Network()
-        population.materialize(network)
+    network = Network()
+    population.materialize(network)
 
-    infra: List[ProviderInfra] = [p.infra for p in providers if p.infra]
-    by_provider: Dict[str, List[str]] = {p.name: [] for p in providers}
+    infra: List[ProviderInfra] = [p.infra for p in TOP_PROVIDERS if p.infra]
+    by_provider: Dict[str, List[str]] = {p.name: [] for p in TOP_PROVIDERS}
     unattributed = 0
     for site in population.sites:
         name = population.zone.attribute(site.host, infra)
@@ -175,7 +170,7 @@ def measure_artist_sites(
     rows: List[ProviderRow] = []
     # One verdict row per distinct body answers every site serving it.
     cache = PolicyCache()
-    for provider in providers:
+    for provider in TOP_PROVIDERS:
         hosts = by_provider.get(provider.name, [])
         n_disallow = sum(
             1 for host in hosts if _site_disallows_ai(network, host, cache)

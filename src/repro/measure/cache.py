@@ -75,8 +75,9 @@ class PolicyCache:
             "entries": len(self._rows),
         }
 
-    def publish(self, registry=None, prefix: str = "measure.policy_cache") -> None:
-        """Export the row tallies to a metrics registry as gauges.
+    def publish(self) -> None:
+        """Export the row tallies as ``measure.policy_cache.*`` gauges
+        of the shared registry.
 
         Gauges, not counters: shared-cache hit/miss splits depend on
         which worker warmed the memo first, so they are process-local
@@ -84,13 +85,14 @@ class PolicyCache:
         """
         from ..obs.metrics import shared_registry
 
-        registry = registry if registry is not None else shared_registry()
+        registry = shared_registry()
         stats = self.stats
         for name, value in stats.items():
-            registry.set_gauge(f"{prefix}.{name}", value)
+            registry.set_gauge(f"measure.policy_cache.{name}", value)
         probes = stats["hits"] + stats["misses"]
         registry.set_gauge(
-            f"{prefix}.hit_rate", stats["hits"] / probes if probes else 0.0
+            "measure.policy_cache.hit_rate",
+            stats["hits"] / probes if probes else 0.0,
         )
 
     def row(

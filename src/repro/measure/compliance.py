@@ -20,7 +20,7 @@ Practice" column plus the Section 5.2.2 third-party breakdown.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..agents.registry import Compliance
 from ..core.compiled import shared_policy_cache
@@ -47,6 +47,9 @@ __all__ = [
 WILDCARD_HOST = "testbed-wildcard.example"
 PER_AGENT_HOST = "testbed-peragent.example"
 
+#: Times each browsing app is asked to fetch its probe URL.
+TRIGGERS_PER_APP = 3
+
 
 @dataclass
 class Testbed:
@@ -57,9 +60,10 @@ class Testbed:
     per_agent_site: Website
 
 
-def build_testbed(agent_tokens: Sequence[str], network: Optional[Network] = None) -> Testbed:
-    """Create the two testbed sites (Section 5.1's experiment setup)."""
-    network = network or Network()
+def build_testbed(agent_tokens: Sequence[str]) -> Testbed:
+    """Create the two testbed sites (Section 5.1's experiment setup) on
+    a fresh network."""
+    network = Network()
 
     wildcard = Website(WILDCARD_HOST)
     _fill_pages(wildcard)
@@ -200,24 +204,22 @@ class ActiveObservation:
 
 
 def run_active_measurement(
-    store: GptAppStore,
-    testbed: Testbed,
-    host: str = WILDCARD_HOST,
-    triggers_per_app: int = 3,
+    store: GptAppStore, testbed: Testbed
 ) -> List[ActiveObservation]:
-    """Trigger every browsing app against per-app probe URLs.
+    """Trigger every browsing app against per-app probe URLs on the
+    wildcard-disallow site.
 
-    Each app is asked *triggers_per_app* times (the paper used two
+    Each app is asked :data:`TRIGGERS_PER_APP` times (the paper used two
     prompt formats; more triggers expose intermittent robots.txt
     fetching), each against a distinct probe path so server log entries
     can be attributed to the app.
     """
-    site = testbed.wildcard_site if host == WILDCARD_HOST else testbed.per_agent_site
+    site = testbed.wildcard_site
     observations: List[ActiveObservation] = []
     for app in store.browsing_apps():
         before = len(site.access_log)
-        for attempt in range(triggers_per_app):
-            app.trigger_fetch(host, f"/probe/{app.name}/{attempt}")
+        for attempt in range(TRIGGERS_PER_APP):
+            app.trigger_fetch(WILDCARD_HOST, f"/probe/{app.name}/{attempt}")
         entries = list(site.access_log)[before:]
         probe_prefix = f"/probe/{app.name}/"
         ips = tuple(dict.fromkeys(e.client_ip for e in entries))

@@ -64,17 +64,18 @@ class MetaTagScan:
         return len(self.noimageai_hosts)
 
 
-def scan_meta_tags(
-    network: Network,
-    hosts: Sequence[str],
-    user_agent: str = DEFAULT_BROWSER_UA,
-) -> MetaTagScan:
-    """Fetch each host's homepage and look for NoAI meta tags."""
+def scan_meta_tags(network: Network, hosts: Sequence[str]) -> MetaTagScan:
+    """Fetch each host's homepage as a browser and look for NoAI meta
+    tags."""
     scan = MetaTagScan()
     for host in hosts:
         try:
             response = network.request(
-                Request(host=host, path="/", headers=Headers({"User-Agent": user_agent}))
+                Request(
+                    host=host,
+                    path="/",
+                    headers=Headers({"User-Agent": DEFAULT_BROWSER_UA}),
+                )
             )
         except NetError:
             scan.unreachable.append(host)

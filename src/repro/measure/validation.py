@@ -17,7 +17,7 @@ change, and unexplained disagreement (which would indicate a data bug
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from ..crawlers.commoncrawl import Snapshot, SnapshotCrawler
 from ..net.transport import Network
@@ -25,6 +25,9 @@ from ..util import seeded_rng
 from ..web.population import WebPopulation
 
 __all__ = ["ValidationReport", "cross_validate_snapshot"]
+
+#: Probability that a site's validation visit lands a month late.
+P_LAGGED = 0.2
 
 
 @dataclass
@@ -57,24 +60,14 @@ class ValidationReport:
 
 
 def cross_validate_snapshot(
-    population: WebPopulation,
-    snapshot: Snapshot,
-    sample_size: Optional[int] = None,
-    p_lagged: float = 0.15,
-    lag_months: int = 1,
-    seed: int = 42,
+    population: WebPopulation, snapshot: Snapshot, seed: int = 42
 ) -> ValidationReport:
     """Re-crawl a snapshot's sites and compare robots.txt contents.
 
-    Args:
-        population: The world the snapshot was taken from.
-        snapshot: The snapshot under validation.
-        sample_size: Sites to validate (None = every site with a
-            retrievable record, like the paper's top-10k own-crawl).
-        p_lagged: Probability a site's validation visit lands
-            *lag_months* after the snapshot month (the "up to multiple
-            weeks later" skew).
-        seed: Sampling/lag randomness seed.
+    Every site with a retrievable record is validated, like the paper's
+    top-10k own-crawl.  With probability :data:`P_LAGGED` a site's
+    validation visit lands a month after the snapshot month (the "up to
+    multiple weeks later" skew); *seed* draws which.
     """
     rng = seeded_rng(seed, "validation", snapshot.spec.snapshot_id)
     month = snapshot.spec.month_index
@@ -84,8 +77,6 @@ def cross_validate_snapshot(
         for domain, record in snapshot.records.items()
         if record.ok
     ]
-    if sample_size is not None and sample_size < len(candidates):
-        candidates = rng.sample(candidates, sample_size)
 
     # Build one network per crawl time, materialized lazily.
     networks = {}
@@ -103,8 +94,8 @@ def cross_validate_snapshot(
         site = population.by_domain.get(domain)
         if site is None:
             continue
-        lagged = rng.random() < p_lagged
-        when = month + lag_months if lagged else month
+        lagged = rng.random() < P_LAGGED
+        when = month + 1 if lagged else month
         if lagged:
             report.lagged_domains.append(domain)
         crawler = SnapshotCrawler(network_for(when))

@@ -132,8 +132,7 @@ class LogEntry:
             serving handler was never clocked.
         outcome: What the client experienced, in the ``sim.requests``
             vocabulary: ``served``/``not_found`` at the origin;
-            ``blocked_403``/``challenged``/``decoy``/``reset``/
-            ``throttled`` at a proxy.
+            ``blocked_403``/``challenged``/``throttled`` at a proxy.
         category: The site's category; ``""`` projects as
             ``uncategorized``.
     """

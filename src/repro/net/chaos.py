@@ -31,8 +31,8 @@ time series on the month clock.
 Activation: :func:`activate` / :func:`chaos_active` arm a plan
 process-wide, so every :class:`Network` constructed while the plan is
 active (experiments build their own networks internally) gets a
-controller automatically, readable as :attr:`Network.chaos`.  This is
-the one way a transport fault enters the network.
+controller automatically.  This is the one way a transport fault
+enters the network.
 :func:`retries_enabled` is the global switch the
 retry/confirmation consumers (snapshot crawler, active-blocking
 detector) consult -- ``repro chaos --no-retries`` flips it to
@@ -156,7 +156,7 @@ class FaultPlan:
 
     >>> plan = FaultPlan("demo", (FaultRule(kind="reset", rate=0.5),))
     >>> with chaos_active(plan, seed=0):  # doctest: +SKIP
-    ...     controller = Network().chaos
+    ...     network = Network()  # faults per the plan
     """
 
     name: str

@@ -14,7 +14,7 @@ from __future__ import annotations
 import threading
 from typing import Callable, Dict, Iterable, Iterator, Optional, Protocol
 
-from ..obs.metrics import MetricsRegistry, metrics_enabled, shared_registry
+from ..obs.metrics import metrics_enabled, shared_registry
 from .errors import DNSFailure
 from .http import Request, Response
 
@@ -73,13 +73,13 @@ class Network:
     200
     """
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
+    def __init__(self) -> None:
         self._handlers: Dict[str, Handler] = {}
         self.now: float = 0.0
         #: Simulated-month index (the series/span logical clock); -1
         #: until a measurement loop or materialization sets it.
         self.month: int = -1
-        self._registry = registry if registry is not None else shared_registry()
+        self._registry = shared_registry()
         # Counter handles cached per status / error kind so the
         # per-request cost is one dict probe plus one locked add.
         self._status_counters: Dict[int, object] = {}
@@ -119,13 +119,6 @@ class Network:
     def __contains__(self, host: str) -> bool:
         return host.lower() in self._handlers
 
-    # -- fault injection ------------------------------------------------------
-
-    @property
-    def chaos(self) -> Optional[object]:
-        """The installed fault-plan controller, or None."""
-        return self._chaos
-
     # -- telemetry ----------------------------------------------------------
 
     def _count_response(self, status: int) -> None:
@@ -142,10 +135,9 @@ class Network:
             self._error_counters[kind] = counter
         counter.inc()
 
-    def publish_request_histogram(
-        self, name: str = "net.requests_per_site"
-    ) -> None:
-        """Observe each host's request count into a registry histogram.
+    def publish_request_histogram(self) -> None:
+        """Observe each host's request count into the
+        ``net.requests_per_site`` histogram.
 
         Call once per network lifetime (e.g. after a snapshot crawl):
         the distribution of per-site request volume is the provenance a
@@ -153,7 +145,7 @@ class Network:
         """
         if not metrics_enabled() or not self._per_host_requests:
             return
-        histogram = self._registry.histogram(name)
+        histogram = self._registry.histogram("net.requests_per_site")
         for count in self._per_host_requests.values():
             histogram.observe(count)
 

@@ -177,10 +177,8 @@ def critical_path(records: List[Dict[str, object]]) -> List[Dict[str, object]]:
     return path
 
 
-def worker_utilization(
-    records: List[Dict[str, object]], prefix: str = "experiment:"
-) -> List[Dict[str, float]]:
-    """Concurrency timeline of spans whose name starts with *prefix*.
+def worker_utilization(records: List[Dict[str, object]]) -> List[Dict[str, float]]:
+    """Concurrency timeline of the ``experiment:`` spans.
 
     Returns intervals ``{"start": s, "end": e, "active": n}`` with
     offsets in seconds from the earliest matching span's start and
@@ -189,7 +187,7 @@ def worker_utilization(
     spans = [
         record
         for record in records
-        if str(record.get("name", "")).startswith(prefix)
+        if str(record.get("name", "")).startswith("experiment:")
     ]
     if not spans:
         return []
@@ -395,9 +393,6 @@ def select(
     return selected
 
 
-#: ``sim.requests`` outcomes counted as blocked in the dashboard.
-BLOCKED_OUTCOMES = frozenset({"blocked_403", "reset"})
-
 #: The dimensions of one request cell.  Every simulated request is one
 #: :meth:`~repro.net.accesslog.AccessLog.append`, which feeds both the
 #: ``sim.requests`` series and the log store, so :func:`request_cells`
@@ -456,7 +451,7 @@ def dashboard_matrix(
             month, {"requests": 0, "blocked": 0, "challenged": 0}
         )
         cell["requests"] += count
-        if outcome in BLOCKED_OUTCOMES:
+        if outcome == "blocked_403":
             cell["blocked"] += count
         elif outcome == "challenged":
             cell["challenged"] += count

@@ -95,14 +95,10 @@ def _dimension_value(record: LogRecord, dimension: str):
     return getattr(record, dimension)
 
 
-def group_by(
-    store: LogStore,
-    dimensions: Tuple[str, ...],
-    where: Optional[LogFilter] = None,
-) -> Dict[tuple, int]:
+def group_by(store: LogStore, dimensions: Tuple[str, ...]) -> Dict[tuple, int]:
     """Request counts grouped by one or more dimensions, sorted by key."""
     counts: Dict[tuple, int] = {}
-    for record in filter_records(store, where):
+    for record in store.records():
         key = tuple(_dimension_value(record, d) for d in dimensions)
         counts[key] = counts.get(key, 0) + 1
     # Each key position holds one dimension's native type (int for

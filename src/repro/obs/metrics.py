@@ -23,7 +23,8 @@ Four instrument kinds, all keyed by ``(name, sorted labels)``:
   simulated-month clock spans carry (the operator's "how many GPTBot
   requests hit my site in month 18?").  Amounts are integer event
   counts, so per-month sums are exact under merge; label sets beyond
-  ``max_series_per_name`` per name share one ``{overflow=true}`` series.
+  :data:`MAX_SERIES_PER_NAME` per name share one ``{overflow=true}``
+  series.
 
 Worker support: :meth:`MetricsRegistry.snapshot` produces a picklable
 value tree, :func:`snapshot_delta` subtracts a "before" snapshot from an
@@ -56,7 +57,7 @@ __all__ = [
     "Series",
     "MetricsRegistry",
     "DEFAULT_BUCKETS",
-    "DEFAULT_MAX_SERIES_PER_NAME",
+    "MAX_SERIES_PER_NAME",
     "OVERFLOW_LABELS",
     "METRICS_SCHEMA_VERSION",
     "SERIES_SCHEMA_VERSION",
@@ -78,7 +79,7 @@ SERIES_SCHEMA_VERSION = 1
 
 #: Per-name series cardinality ceiling; far above anything the bounded
 #: label vocabularies (agent tokens, site categories, outcomes) produce.
-DEFAULT_MAX_SERIES_PER_NAME = 1024
+MAX_SERIES_PER_NAME = 1024
 
 #: Reserved label set that absorbs series beyond the cardinality cap.
 OVERFLOW_LABELS: Tuple[Tuple[str, str], ...] = (("overflow", "true"),)
@@ -199,25 +200,30 @@ class Counter:
 
 
 class Gauge:
-    """A point-in-time float measurement (process-local by contract)."""
+    """A point-in-time float measurement (process-local by contract).
 
-    __slots__ = ("key", "_lock", "_value")
+    It also counts its writes, so :func:`snapshot_delta` can tell a
+    gauge set since a snapshot from one left at its value.
+    """
+
+    __slots__ = ("key", "_lock", "_value", "_writes")
 
     def __init__(self, key: InstrumentKey):
         self.key = key
         self._lock = threading.Lock()
         self._value = 0.0
+        self._writes = 0
 
     def set(self, value: float) -> None:
         """Record the current value (no-op while metrics are disabled)."""
         if not _ENABLED:
             return
-        with self._lock:
-            self._value = float(value)
+        self._merge(value)
 
     def _merge(self, value: float) -> None:
         with self._lock:
             self._value = float(value)
+            self._writes += 1
 
     def _reset(self) -> None:
         with self._lock:
@@ -282,11 +288,6 @@ class Histogram:
     def count(self) -> int:
         """Total observations."""
         return self._count
-
-    @property
-    def sum(self) -> float:
-        """Sum of all observed values."""
-        return self._sum
 
     @property
     def counts(self) -> List[int]:
@@ -367,16 +368,13 @@ class MetricsRegistry:
     {3: 1}
     """
 
-    def __init__(
-        self, max_series_per_name: int = DEFAULT_MAX_SERIES_PER_NAME
-    ) -> None:
+    def __init__(self) -> None:
         self._lock = threading.RLock()
         self._counters: Dict[InstrumentKey, Counter] = {}
         self._gauges: Dict[InstrumentKey, Gauge] = {}
         self._histograms: Dict[InstrumentKey, Histogram] = {}
         self._series: Dict[InstrumentKey, Series] = {}
         self._series_per_name: Dict[str, int] = {}
-        self._max_series_per_name = max_series_per_name
 
     # -- instrument access ----------------------------------------------------
 
@@ -422,7 +420,7 @@ class MetricsRegistry:
     def series(self, name: str, **labels: object) -> Series:
         """Get or create the month series for ``(name, labels)``.
 
-        Beyond ``max_series_per_name`` distinct label sets for one
+        Beyond :data:`MAX_SERIES_PER_NAME` distinct label sets for one
         *name*, new label sets all resolve to the shared
         ``{overflow=true}`` series for that name.
         """
@@ -431,7 +429,7 @@ class MetricsRegistry:
             instrument = self._series.get(key)
             if instrument is None:
                 used = self._series_per_name.get(name, 0)
-                if labels and used >= self._max_series_per_name:
+                if labels and used >= MAX_SERIES_PER_NAME:
                     key = (name, OVERFLOW_LABELS)
                     instrument = self._series.get(key)
                     if instrument is not None:
@@ -443,11 +441,11 @@ class MetricsRegistry:
 
     # -- one-shot conveniences ------------------------------------------------
 
-    def inc(self, name: str, amount: int = 1, **labels: object) -> None:
-        """Increment a counter by name (creates it on first use)."""
+    def inc(self, name: str, **labels: object) -> None:
+        """Increment a counter by one, by name (creates it on first use)."""
         if not _ENABLED:
             return
-        self.counter(name, **labels).inc(amount)
+        self.counter(name, **labels).inc()
 
     def set_gauge(self, name: str, value: float, **labels: object) -> None:
         """Set a gauge by name (creates it on first use)."""
@@ -505,6 +503,7 @@ class MetricsRegistry:
         return {
             "counters": {key: c.value for key, c in counters.items()},
             "gauges": {key: g.value for key, g in gauges.items()},
+            "gauge_writes": {key: g._writes for key, g in gauges.items()},
             "histograms": {key: h.to_payload() for key, h in histograms.items()},
             # Empty series are left out: only months with events ship.
             "series": {key: s.points() for key, s in series.items() if s._points},
@@ -602,14 +601,15 @@ def snapshot_delta(
 ) -> Dict[str, Dict[InstrumentKey, object]]:
     """``after - before`` for two snapshots of the same registry.
 
-    Counters and histogram counts subtract elementwise; gauges keep the
-    *after* values.  A zero result is dropped for an instrument that
-    already existed in *before*, and kept for one created since, so the
-    delta also carries instruments created but never touched.  Series
-    amounts subtract per month, and zero months and empty series are
-    dropped.  This is how a forked worker ships only the activity it
-    performed, excluding whatever the parent had already recorded at
-    fork time.
+    Counters and histogram counts subtract elementwise; a gauge keeps
+    its *after* value when it was set since *before*.  A zero result is
+    dropped for an instrument that already existed in *before*, and kept
+    for one created since, so the delta also carries instruments created
+    but never touched.  Series amounts subtract per month, and zero
+    months and empty series are dropped.  This is how a forked worker
+    ships only the activity it performed, excluding whatever the parent
+    had already recorded at fork time, and how a run exports only what
+    it recorded.
     """
     prior_counters = before.get("counters", {})
     counters: Dict[InstrumentKey, int] = {}
@@ -643,9 +643,16 @@ def snapshot_delta(
         }
         if diff:
             series[key] = diff
+    prior_writes = before.get("gauge_writes", {})
+    writes = after.get("gauge_writes", {})
+    gauges = {
+        key: value
+        for key, value in after.get("gauges", {}).items()
+        if key not in prior_writes or writes.get(key) != prior_writes[key]
+    }
     return {
         "counters": counters,
-        "gauges": dict(after.get("gauges", {})),
+        "gauges": gauges,
         "histograms": histograms,
         "series": series,
     }

@@ -50,6 +50,9 @@ __all__ = [
 #: Schema version stamped into exported PROFILE.json payloads.
 PROFILE_SCHEMA_VERSION = 1
 
+#: Hot functions and allocation sites kept per phase.
+TOP_N = 10
+
 
 @dataclass(frozen=True)
 class PhaseProfile:
@@ -90,11 +93,8 @@ class Profiler:
     'build'
     """
 
-    def __init__(self, memory: bool = True, cpu: bool = True, top_n: int = 10):
+    def __init__(self) -> None:
         self.phases: List[PhaseProfile] = []
-        self._memory = memory
-        self._cpu = cpu
-        self._top_n = top_n
         self._lock = threading.Lock()
         self._cpu_active = False
         self._local = threading.local()
@@ -112,19 +112,15 @@ class Profiler:
         depth = getattr(self._local, "depth", 0)
         self._local.depth = depth + 1
 
-        owns_tracing = False
-        before_current = None
-        snapshot_before = None
-        if self._memory:
-            if not tracemalloc.is_tracing():
-                tracemalloc.start()
-                owns_tracing = True
-            tracemalloc.reset_peak()
-            before_current, _ = tracemalloc.get_traced_memory()
-            snapshot_before = tracemalloc.take_snapshot()
+        owns_tracing = not tracemalloc.is_tracing()
+        if owns_tracing:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        before_current, _ = tracemalloc.get_traced_memory()
+        snapshot_before = tracemalloc.take_snapshot()
 
         profile: Optional[cProfile.Profile] = None
-        if self._cpu and depth == 0:
+        if depth == 0:
             with self._lock:
                 if not self._cpu_active:
                     self._cpu_active = True
@@ -148,19 +144,12 @@ class Profiler:
                 profile.disable()
                 with self._lock:
                     self._cpu_active = False
-                cpu_seconds, cpu_top = _cpu_stats(profile, self._top_n)
+                cpu_seconds, cpu_top = _cpu_stats(profile)
 
-            current = peak = delta = None
-            allocations: List[Dict[str, object]] = []
-            if self._memory and snapshot_before is not None:
-                current, peak = tracemalloc.get_traced_memory()
-                delta = current - (before_current or 0)
-                snapshot_after = tracemalloc.take_snapshot()
-                allocations = _allocation_stats(
-                    snapshot_after, snapshot_before, self._top_n
-                )
-                if owns_tracing:
-                    tracemalloc.stop()
+            current, peak = tracemalloc.get_traced_memory()
+            allocations = _allocation_stats(tracemalloc.take_snapshot(), snapshot_before)
+            if owns_tracing:
+                tracemalloc.stop()
 
             self._local.depth = depth
             record = PhaseProfile(
@@ -169,7 +158,7 @@ class Profiler:
                 attrs=dict(attrs),
                 memory_current_bytes=current,
                 memory_peak_bytes=peak,
-                memory_delta_bytes=delta,
+                memory_delta_bytes=current - before_current,
                 top_allocations=allocations,
                 cpu_seconds=cpu_seconds,
                 cpu_top=cpu_top,
@@ -213,7 +202,7 @@ class Profiler:
         return lines
 
 
-def _cpu_stats(profile: cProfile.Profile, top_n: int):
+def _cpu_stats(profile: cProfile.Profile):
     """Total CPU seconds and the top functions by cumulative time."""
     stats = pstats.Stats(profile)
     total = sum(entry[2] for entry in stats.stats.values())  # tt per function
@@ -227,12 +216,12 @@ def _cpu_stats(profile: cProfile.Profile, top_n: int):
             "cumulative_seconds": round(cumulative, 6),
             "total_seconds": round(internal, 6),
         }
-        for (path, line, func), (calls, _, internal, cumulative, _) in ranked[:top_n]
+        for (path, line, func), (calls, _, internal, cumulative, _) in ranked[:TOP_N]
     ]
     return round(total, 6), top
 
 
-def _allocation_stats(after, before, top_n: int) -> List[Dict[str, object]]:
+def _allocation_stats(after, before) -> List[Dict[str, object]]:
     """The top allocation sites by size growth between two snapshots."""
     diffs = after.compare_to(before, "lineno")
     return [
@@ -241,7 +230,7 @@ def _allocation_stats(after, before, top_n: int) -> List[Dict[str, object]]:
             "size_delta_bytes": stat.size_diff,
             "count_delta": stat.count_diff,
         }
-        for stat in diffs[:top_n]
+        for stat in diffs[:TOP_N]
         if stat.size_diff > 0
     ]
 

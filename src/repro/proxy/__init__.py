@@ -15,7 +15,6 @@ from .challenges import (
     captcha_page,
     challenge_page,
     classify_page,
-    labyrinth_page,
     throttle_page,
 )
 from .cloudflare import CloudflareProxy, CloudflareSettings
@@ -41,7 +40,6 @@ __all__ = [
     "captcha_page",
     "challenge_page",
     "classify_page",
-    "labyrinth_page",
     "throttle_page",
     "CloudflareProxy",
     "CloudflareSettings",

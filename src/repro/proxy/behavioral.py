@@ -392,17 +392,14 @@ def score_log_store(
     }
 
 
-def write_verdicts(
-    store: LogStore,
-    path: Union[str, Path],
-    config: Optional[BehavioralConfig] = None,
-) -> Path:
-    """Write the schema-versioned ``BEHAVIORAL.json`` verdict export.
+def write_verdicts(store: LogStore, path: Union[str, Path]) -> Path:
+    """Write the schema-versioned ``BEHAVIORAL.json`` verdict export,
+    scored at the default :class:`BehavioralConfig`.
 
-    Deterministic bytes for a given store + config (sorted keys, fixed
-    rounding upstream); written atomically like FEATURES.json.
+    Deterministic bytes for a given store (sorted keys, fixed rounding
+    upstream); written atomically like FEATURES.json.
     """
-    config = config or BehavioralConfig()
+    config = BehavioralConfig()
     path = Path(path)
     verdicts: Dict[str, Dict[str, Dict[str, object]]] = {}
     summary: Dict[str, int] = {}

@@ -18,7 +18,6 @@ __all__ = [
     "block_page",
     "challenge_page",
     "captcha_page",
-    "labyrinth_page",
     "throttle_page",
     "classify_page",
 ]
@@ -31,14 +30,12 @@ class PageKind(enum.Enum):
     BLOCK = "block"
     CHALLENGE = "challenge"
     CAPTCHA = "captcha"
-    LABYRINTH = "labyrinth"
     THROTTLE = "throttle"
 
 
 _BLOCK_MARKER = "access-denied-error-1020"
 _CHALLENGE_MARKER = "browser-challenge-interstitial"
 _CAPTCHA_MARKER = "captcha-verification-widget"
-_LABYRINTH_MARKER = "generated-maze-content"
 _THROTTLE_MARKER = "rate-limit-interstitial"
 
 
@@ -78,26 +75,6 @@ def captcha_page(service: str = "origin", host: str = "") -> str:
     )
 
 
-def labyrinth_page(seed: int = 0) -> str:
-    """Decoy content in the style of Cloudflare's AI Labyrinth [110].
-
-    Serves plausible-but-fake generated text to trap misbehaving bots
-    instead of refusing them.
-    """
-    topics = ["migration patterns", "alloy tempering", "tidal modeling",
-              "orchard grafting", "glacial stratigraphy"]
-    topic = topics[seed % len(topics)]
-    return (
-        "<!DOCTYPE html><html><head><title>Further reading</title></head>"
-        f'<body class="{_LABYRINTH_MARKER}">'
-        f"<h1>Notes on {topic}</h1>"
-        f"<p>Continued analysis of {topic} suggests further links below.</p>"
-        f'<a href="/archive/{seed + 1}">next</a>'
-        f'<a href="/archive/{seed + 2}">related</a>'
-        "</body></html>"
-    )
-
-
 def throttle_page(service: str = "Cloudflare", host: str = "") -> str:
     """A 429 rate-limit interstitial (the behavioral throttle verdict)."""
     return (
@@ -118,8 +95,6 @@ def classify_page(html: str) -> PageKind:
     recognizes hand-written lookalikes in tests.
     """
     low = html.lower()
-    if _LABYRINTH_MARKER in low:
-        return PageKind.LABYRINTH
     if _THROTTLE_MARKER in low or "you are being rate limited" in low:
         return PageKind.THROTTLE
     if _CAPTCHA_MARKER in low or "verify you are human" in low:

@@ -13,9 +13,8 @@ characterizes:
   Crawler, DuckAssistbot) pass through, matching footnote 8.
 * **Definitely Automated** -- the managed ruleset blocking automation
   tools (Appendix C.2) with a challenge page.
-* Custom WAF rules and fingerprint-based automation blocking compose
-  with the managed features, in that order, like user-configured rules
-  do on the real service.
+* Custom WAF rules compose with the managed features, ahead of them,
+  like user-configured rules do on the real service.
 
 The proxy keeps a ``dashboard`` log of (user agent, disposition) pairs,
 standing in for the Cloudflare dashboard the paper uses as ground truth.
@@ -35,7 +34,6 @@ from ..agents.ipranges import ip_in_published_range
 from ..agents.useragent import contains_token, matches_any
 from ..net.http import Request, Response
 from ..net.transport import Handler
-from .behavioral import BehavioralPolicy
 from .reverse_proxy import ReverseProxy
 from .rules import Action, RuleSet
 
@@ -44,22 +42,16 @@ __all__ = ["CloudflareSettings", "CloudflareProxy"]
 
 @dataclass(frozen=True)
 class CloudflareSettings:
-    """Per-zone feature toggles.
+    """Per-zone feature toggles.  They behave identically on free and
+    paid plans (validated by the paper on both).
 
     Attributes:
         block_ai_bots: The "Block AI Scrapers and Crawlers" switch.
         definitely_automated: The "Definitely Automated" managed rule.
-        plan: Payment tier label; the features behave identically on
-            free and paid plans (validated by the paper on both).
     """
 
     block_ai_bots: bool = False
     definitely_automated: bool = False
-    #: Serve AI Labyrinth decoy mazes to matched AI crawlers instead of
-    #: a block page [110] -- wastes the crawler's budget on generated
-    #: content rather than refusing it.
-    ai_labyrinth: bool = False
-    plan: str = "free"
 
 
 class CloudflareProxy(ReverseProxy):
@@ -76,19 +68,12 @@ class CloudflareProxy(ReverseProxy):
         origin: Handler,
         settings: Optional[CloudflareSettings] = None,
         custom_rules: Optional[RuleSet] = None,
-        behavioral: Optional[BehavioralPolicy] = None,
     ):
-        super().__init__(
-            origin,
-            ruleset=custom_rules,
-            service_name="Cloudflare",
-            behavioral=behavioral,
-        )
+        super().__init__(origin, ruleset=custom_rules, service_name="Cloudflare")
         self.settings = settings or CloudflareSettings()
         #: Grey-box ground truth: (user_agent, disposition) per request,
         #: dispositions in {"pass", "block-ai", "managed-challenge",
-        #: "spoofed-verified-bot", "custom"} plus "behavioral-<verdict>"
-        #: when a behavioral policy gates the request.
+        #: "spoofed-verified-bot", "custom"}.
         self.dashboard: List[Tuple[str, str]] = []
 
     # -- managed rule predicates ---------------------------------------------
@@ -117,16 +102,6 @@ class CloudflareProxy(ReverseProxy):
     def handle(self, request: Request) -> Response:
         """Evaluate managed features, then forward to the origin."""
         ua = request.user_agent
-
-        # Behavioral scoring outranks every UA-list feature: it is the
-        # layer a UA-rotating crawler cannot talk its way past.
-        if self.behavioral is not None:
-            gated = self._behavioral_decision(request)
-            if gated is not None:
-                verdict, response = gated
-                self.dashboard.append((ua, f"behavioral-{verdict.verdict}"))
-                return response
-
         custom = self.ruleset.decide(request)
         if custom is not None:
             self.dashboard.append((ua, "custom"))
@@ -143,9 +118,6 @@ class CloudflareProxy(ReverseProxy):
             return self._gate(Action.BLOCK, request)
 
         if self.settings.block_ai_bots and self._matches_block_ai(ua):
-            if self.settings.ai_labyrinth:
-                self.dashboard.append((ua, "labyrinth"))
-                return self._gate(Action.FAKE_CONTENT, request)
             self.dashboard.append((ua, "block-ai"))
             return self._gate(Action.BLOCK, request)
 

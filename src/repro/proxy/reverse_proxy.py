@@ -2,12 +2,11 @@
 
 A :class:`ReverseProxy` fronts an origin handler: it evaluates its
 :class:`~repro.proxy.rules.RuleSet` against each request and either
-serves an interstitial (block / challenge / captcha / decoy), raises a
-transport error (connection reset), or forwards to the origin.  It also
-optionally runs the fingerprint detector, modeling bot-management
-products that block *all* automation, which is what makes 15% of
-popular sites unmeasurable for the paper's UA-based detector
-(Section 6.1).
+serves an interstitial (block / challenge / captcha) or forwards to the
+origin.  It also optionally runs the fingerprint detector, modeling
+bot-management products that block *all* automation with a captcha,
+which is what makes 15% of popular sites unmeasurable for the paper's
+UA-based detector (Section 6.1).
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from ..net.accesslog import LogEntry
-from ..net.errors import ConnectionReset
 from ..net.http import Request, Response
 from ..net.transport import Handler, current_month
 from .behavioral import (
@@ -29,7 +27,6 @@ from .challenges import (
     block_page,
     captcha_page,
     challenge_page,
-    labyrinth_page,
     throttle_page,
 )
 from .fingerprint import is_automated
@@ -43,8 +40,6 @@ ACTION_OUTCOMES = {
     Action.BLOCK: "blocked_403",
     Action.CAPTCHA: "blocked_403",
     Action.CHALLENGE: "challenged",
-    Action.FAKE_CONTENT: "decoy",
-    Action.RESET: "reset",
 }
 
 
@@ -56,9 +51,8 @@ class ReverseProxy:
         ruleset: Blocking rules evaluated per request.
         service_name: Name shown on interstitial pages.
         block_all_automation: When True, fingerprint-detected automation
-            is served the automation interstitial regardless of rules
-            (the "inherently blocks our tool" behavior).
-        automation_action: What to serve fingerprint-detected clients.
+            is served a captcha wall regardless of rules (the
+            "inherently blocks our tool" behavior).
         behavioral: Optional :class:`~repro.proxy.behavioral
             .BehavioralPolicy` evaluated *ahead of* the UA-list rules;
             its windows observe every request's final status (the
@@ -78,14 +72,12 @@ class ReverseProxy:
         ruleset: Optional[RuleSet] = None,
         service_name: str = "reverse-proxy",
         block_all_automation: bool = False,
-        automation_action: Action = Action.CAPTCHA,
         behavioral: Optional[BehavioralPolicy] = None,
     ):
         self.origin = origin
         self.ruleset = ruleset or RuleSet()
         self.service_name = service_name
         self.block_all_automation = block_all_automation
-        self.automation_action = automation_action
         self.behavioral = behavioral
         self.access_log = origin.access_log
         self.now: float = 0.0
@@ -108,26 +100,7 @@ class ReverseProxy:
             return Response(status=403, body=block_page(self.service_name, host), url=request.url)
         if action is Action.CHALLENGE:
             return Response(status=403, body=challenge_page(self.service_name, host), url=request.url)
-        if action is Action.CAPTCHA:
-            return Response(status=403, body=captcha_page(self.service_name, host), url=request.url)
-        if action is Action.FAKE_CONTENT:
-            # Path-dependent decoy: every labyrinth page links to two
-            # more, so a crawler that ignored robots.txt wanders an
-            # endless generated maze instead of reaching real content
-            # (Cloudflare's AI Labyrinth [110]).
-            return Response(
-                status=200,
-                body=labyrinth_page(self._labyrinth_seed(request.path_only)),
-                url=request.url,
-            )
-        raise ValueError(f"no interstitial for action {action}")
-
-    @staticmethod
-    def _labyrinth_seed(path: str) -> int:
-        tail = path.rsplit("/", 1)[-1]
-        if tail.isdigit():
-            return int(tail)
-        return sum(path.encode("utf-8")) % 1000
+        return Response(status=403, body=captcha_page(self.service_name, host), url=request.url)
 
     # -- behavioral gate ----------------------------------------------------
 
@@ -170,10 +143,7 @@ class ReverseProxy:
                 return gated[1]
         action = self.ruleset.decide(request)
         if action is None and self.block_all_automation and is_automated(request):
-            action = self.automation_action
-        if action is Action.RESET:
-            self._record(request, ACTION_OUTCOMES[action])
-            raise ConnectionReset(request.host)
+            action = Action.CAPTCHA
         if action is not None:
             return self._gate(action, request)
         return self._forward(request)
@@ -184,12 +154,9 @@ class ReverseProxy:
         self._record(request, ACTION_OUTCOMES[action], response.status)
         return response
 
-    def _record(self, request: Request, outcome: str, status: int = 0) -> None:
-        """Log a request this proxy terminated into the host's log.
-
-        *status* is the interstitial's response status (0 for resets,
-        which never produce a response).
-        """
+    def _record(self, request: Request, outcome: str, status: int) -> None:
+        """Log a request this proxy terminated, answered with *status*,
+        into the host's log."""
         entry = LogEntry(
             timestamp=self.now,
             client_ip=request.client_ip,

@@ -1,7 +1,7 @@
 """Blocking rules: the policy language of active blockers.
 
-A :class:`BlockRule` matches requests on user-agent patterns, source
-networks, and path prefixes, and prescribes an :class:`Action`.  A
+A :class:`BlockRule` matches requests on user-agent patterns and source
+networks, and prescribes an :class:`Action`.  A
 :class:`RuleSet` evaluates rules in order, first match wins -- the same
 discipline as Apache ``.htaccess`` deny rules or a WAF rule list
 (Section 2.2, "Active blocking").
@@ -45,12 +45,6 @@ class Action(enum.Enum):
     CHALLENGE = "challenge"
     #: Return a captcha wall.
     CAPTCHA = "captcha"
-    #: Drop the connection (observable as a transport error).
-    RESET = "reset"
-    #: Serve decoy content (Cloudflare Labyrinth style).
-    FAKE_CONTENT = "fake-content"
-    #: Explicitly allow, short-circuiting later rules.
-    ALLOW = "allow"
 
 
 @dataclass
@@ -66,14 +60,12 @@ class BlockRule:
             (Cloudflare-style; a trailing ``/`` requires the version
             separator).  Empty means "any UA".
         networks: CIDR blocks the client IP must fall into.
-        path_prefix: Required path prefix.
         label: Human-readable rule name for logs and tests.
     """
 
     action: Action
     ua_patterns: Sequence[str] = ()
     networks: Sequence[str] = ()
-    path_prefix: str = ""
     label: str = ""
 
     def matches(self, request: Request) -> bool:
@@ -81,8 +73,6 @@ class BlockRule:
         if self.ua_patterns and not matches_any(request.user_agent, list(self.ua_patterns)):
             return False
         if self.networks and not self._ip_matches(request.client_ip):
-            return False
-        if self.path_prefix and not request.path_only.startswith(self.path_prefix):
             return False
         return True
 
@@ -111,18 +101,11 @@ class RuleSet:
         return self
 
     def decide(self, request: Request) -> Optional[Action]:
-        """The action of the first matching rule, or None.
-
-        An :attr:`Action.ALLOW` match returns None (request passes) and
-        stops evaluation, which is how allowlist-before-blocklist
-        configurations are expressed.
-        """
+        """The action of the first matching rule, or None."""
         for rule in self.rules:
             if rule.matches(request):
                 if metrics_enabled():
                     _count_rule_match(rule.action, rule.label)
-                if rule.action is Action.ALLOW:
-                    return None
                 return rule.action
         return None
 

@@ -342,9 +342,9 @@ def run_table3(source: Source) -> ExperimentResult:
 # ---------------------------------------------------------------- Table 2 ----
 
 
-def run_table2_artists(seed: int = 42, n_artists: int = 1182) -> ExperimentResult:
+def run_table2_artists(seed: int = 42) -> ExperimentResult:
     """Section 4.4 / Table 2: artist hosting providers."""
-    population = build_artist_population(seed=seed, n_artists=n_artists)
+    population = build_artist_population(seed=seed)
     study = measure_artist_sites(population)
     rows = [
         (

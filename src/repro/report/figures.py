@@ -46,12 +46,9 @@ def series_to_csv(series: Dict[str, Series]) -> str:
     return "\n".join(lines)
 
 
-def ascii_chart(
-    series: Dict[str, Series],
-    width: int = 50,
-    label_width: int = 10,
-) -> str:
-    """A horizontal-bar ASCII chart, one row per (x, series) pair.
+def ascii_chart(series: Dict[str, Series]) -> str:
+    """A horizontal-bar ASCII chart, one row per (x, series) pair: bars
+    up to 50 characters, x labels cut or padded to 10.
 
     >>> chart = ascii_chart({"pct": [("2023-01", 5.0), ("2023-02", 10.0)]})
     >>> "2023-02" in chart
@@ -69,6 +66,6 @@ def ascii_chart(
         marker = markers[index % len(markers)]
         lines.append(f"{name} [{marker}] (max {peak:.2f})")
         for x, y in points:
-            bar = marker * int(round(width * float(y) / peak))
-            lines.append(f"  {str(x)[:label_width].ljust(label_width)} |{bar} {float(y):.2f}")
+            bar = marker * int(round(50 * float(y) / peak))
+            lines.append(f"  {str(x)[:10].ljust(10)} |{bar} {float(y):.2f}")
     return "\n".join(lines)

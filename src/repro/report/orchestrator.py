@@ -34,7 +34,12 @@ from ..core.compiled import shared_policy_cache
 from ..fanout import batch_mode, fan_out
 from ..net import chaos as _chaos
 from ..obs.profile import Profiler
-from ..obs.metrics import MetricsRegistry, export_metrics, shared_registry
+from ..obs.metrics import (
+    MetricsRegistry,
+    export_metrics,
+    shared_registry,
+    snapshot_delta,
+)
 from ..obs.series import export_series
 from ..obs.trace import (
     shared_tracer,
@@ -180,8 +185,11 @@ class RunReport:
             (inputs changed), ``"bypassed:chaos"`` (store refused while
             a fault plan was armed).
         profiler: The :class:`~repro.obs.profile.Profiler` that sampled
-            this run, when ``run_all(profile=...)`` asked for one
+            this run, when ``run_all(profile=True)`` asked for one
             (exported as ``PROFILE.json`` alongside the telemetry).
+        metrics_mark: The shared registry's snapshot when the run
+            started: the run's telemetry export holds what was recorded
+            since, as a fork worker ships what its unit recorded.
     """
 
     results: List[ExperimentResult] = field(default_factory=list)
@@ -193,6 +201,7 @@ class RunReport:
     spans: List[Dict[str, object]] = field(default_factory=list)
     incremental: Dict[str, str] = field(default_factory=dict)
     profiler: Optional[Profiler] = None
+    metrics_mark: Dict[str, Dict] = field(default_factory=dict, init=False, repr=False)
 
     def to_timings(self) -> Dict[str, object]:
         """Machine-readable timing payload (for results/TIMINGS.json).
@@ -236,26 +245,27 @@ class RunReport:
             payload["incremental"] = dict(self.incremental)
         return payload
 
-    def export_telemetry(
-        self,
-        directory: Union[str, Path],
-        registry: Optional[MetricsRegistry] = None,
-    ) -> Dict[str, Path]:
+    def export_telemetry(self, directory: Union[str, Path]) -> Dict[str, Path]:
         """Write this run's telemetry artifacts into *directory*.
 
-        Produces ``METRICS.json`` (the registry rendered via
+        Produces ``METRICS.json`` (counters, gauges and histograms, via
         :meth:`~repro.obs.metrics.MetricsRegistry.to_json`),
-        ``SERIES.json`` (the same registry's simulated-month series),
-        and ``TRACE.jsonl`` (this run's span records).  Returns the
-        paths keyed by artifact name.
+        ``SERIES.json`` (the simulated-month series) and
+        ``TRACE.jsonl`` (this run's span records).  The metrics are
+        what the shared registry recorded since :attr:`metrics_mark`:
+        an instrument the run never created or changed, and a gauge it
+        never set, is not in them.  Returns the paths keyed by artifact
+        name.
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         metrics_path = directory / "METRICS.json"
         series_path = directory / "SERIES.json"
         trace_path = directory / "TRACE.jsonl"
-        export_metrics(metrics_path, registry)
-        export_series(series_path, registry)
+        recorded = MetricsRegistry()
+        recorded.merge(snapshot_delta(shared_registry().snapshot(), self.metrics_mark))
+        export_metrics(metrics_path, recorded)
+        export_series(series_path, recorded)
         write_trace(trace_path, self.spans)
         return {
             "METRICS.json": metrics_path,
@@ -288,13 +298,6 @@ def _validated_overrides(
             )
         validated[key] = dict(edits)
     return validated
-
-
-def _resolve_profiler(profile: Union[None, bool, Profiler]) -> Optional[Profiler]:
-    """``True`` -> a fresh profiler, a profiler -> itself, falsy -> None."""
-    if isinstance(profile, Profiler):
-        return profile
-    return Profiler() if profile else None
 
 
 def _phase(profiler: Optional[Profiler], name: str, **attrs: object):
@@ -331,7 +334,7 @@ def run_strata(
     archive_dir: Optional[Union[str, Path]] = None,
     store: Optional[WorldStore] = None,
     telemetry_dir: Optional[Union[str, Path]] = None,
-    profile: Union[None, bool, Profiler] = None,
+    profile: bool = False,
 ) -> RunReport:
     """Run the Section 3 figure battery over one or more top-k strata.
 
@@ -357,8 +360,7 @@ def run_strata(
             ``.repro-archives`` under the working directory.
         store: World store for the backing populations.
         telemetry_dir: When given, export METRICS/SERIES/TRACE here.
-        profile: ``True`` (or a :class:`~repro.obs.profile.Profiler`)
-            samples memory/CPU per stratum; exported as
+        profile: Sample memory/CPU per stratum; exported as
             ``PROFILE.json`` when *telemetry_dir* is given.
 
     Returns:
@@ -381,10 +383,11 @@ def run_strata(
     registry = shared_registry()
     tracer = shared_tracer()
     run_mark = tracer.record_count()
-    profiler = _resolve_profiler(profile)
+    profiler = Profiler() if profile else None
     report = RunReport(
         workers=max(1, workers or 1), mode="strata", profiler=profiler
     )
+    report.metrics_mark = registry.snapshot()
     with tracing_enabled():
         total_span = span("run_strata", n_strata=len(strata), shards=shards)
         with total_span:
@@ -451,9 +454,9 @@ def run_all(
     experiments: Optional[Sequence[str]] = None,
     store: Optional[WorldStore] = None,
     telemetry_dir: Optional[Union[str, Path]] = None,
-    incremental: Union[None, bool, str, Path, IncrementalStore] = None,
+    incremental: Optional[Union[str, Path]] = None,
     param_overrides: Optional[Dict[str, Dict[str, object]]] = None,
-    profile: Union[None, bool, Profiler] = None,
+    profile: bool = False,
     log_dir: Optional[Union[str, Path]] = None,
 ) -> RunReport:
     """Run the experiment battery over one shared world.
@@ -476,13 +479,13 @@ def run_all(
             any order; results always come back in registry order.
         store: World store to draw from (default: the process-wide
             shared store, so repeated invocations hit the cache).
-        telemetry_dir: When given, write ``METRICS.json`` and
-            ``TRACE.jsonl`` into this directory after the run (see
+        telemetry_dir: When given, write ``METRICS.json``,
+            ``SERIES.json`` and ``TRACE.jsonl`` -- what this run
+            recorded -- into this directory after the run (see
             :meth:`RunReport.export_telemetry`).
-        incremental: Persistent O(changed) recomputation.  ``True``
-            uses ``.repro-cache/`` under the working directory; a
-            path or an :class:`~repro.measure.incremental.IncrementalStore`
-            uses that store.  Each experiment is keyed on its config
+        incremental: Persistent O(changed) recomputation in the
+            :class:`~repro.measure.incremental.IncrementalStore` at this
+            directory.  Each experiment is keyed on its config
             digest, world kind, and declared parameters: unchanged
             experiments are assembled from the store without building
             their world, changed ones re-run and overwrite their entry.
@@ -494,8 +497,7 @@ def run_all(
             the runner call and the incremental input key, so editing
             one experiment's parameter invalidates exactly that
             experiment.
-        profile: ``True`` (or a :class:`~repro.obs.profile.Profiler`)
-            attaches memory/CPU samplers to the run's phases: the world
+        profile: Attach memory/CPU samplers to the run's phases: the world
             build, and each experiment when the battery runs in line,
             or the forked battery as one phase (the stdlib CPU
             profiler cannot follow workers).  Exported as
@@ -534,6 +536,7 @@ def run_all(
     overrides = _validated_overrides(param_overrides)
 
     registry = shared_registry()
+    metrics_mark = registry.snapshot()
 
     # -- incremental decisions (parent-side, pre-fork: identical in line
     # and forked at any worker count, so the counters stay inside the
@@ -543,7 +546,7 @@ def run_all(
     cached_results: Dict[str, ExperimentResult] = {}
     input_keys: Dict[str, str] = {}
     to_run = list(ordered)
-    if incremental not in (None, False):
+    if incremental is not None:
         if chaos_armed:
             # A faulted world must never touch the store: no reads (a
             # warm result would mask the faults the run exists to
@@ -551,12 +554,7 @@ def run_all(
             # clean runs).
             dispositions = {key: "bypassed:chaos" for key in ordered}
         else:
-            if isinstance(incremental, IncrementalStore):
-                inc = incremental
-            elif incremental is True:
-                inc = IncrementalStore(Path(".repro-cache"))
-            else:
-                inc = IncrementalStore(Path(incremental))
+            inc = IncrementalStore(Path(incremental))
             world_digest = config_digest(config)
             to_run = []
             tally = {"hit": 0, "miss": 0, "invalidated": 0}
@@ -592,7 +590,7 @@ def run_all(
     tracer = shared_tracer()
     run_mark = tracer.record_count()
     bundle: Optional[LongitudinalBundle] = None
-    profiler = _resolve_profiler(profile)
+    profiler = Profiler() if profile else None
     sink = LogSink() if log_dir is not None else None
     with ExitStack() as planes:
         planes.enter_context(tracing_enabled())
@@ -629,8 +627,17 @@ def run_all(
                 # runs already classified.  Detached when the stack
                 # closes so non-incremental runs over the same cached
                 # bundle never touch the store.
-                bundle.series.cache.attach_store(inc)
-                planes.callback(bundle.series.cache.attach_store, None)
+                series = bundle.series
+                series.cache.attach_store(inc)
+                planes.callback(series.cache.attach_store, None)
+                # Every analysed body gets its row here, in the parent:
+                # forked workers inherit the rows, and the store holds
+                # them whatever the worker count.
+                reader = series.analysis.reader
+                for ref in dict.fromkeys(
+                    ref for refs in series.analysis.eff_bodies for ref in refs
+                ):
+                    series.cache.row(reader.body_text(ref), reader.body_digest(ref))
 
             def run_experiment(index: int) -> Tuple[float, ExperimentResult]:
                 key = to_run[index]
@@ -676,6 +683,7 @@ def run_all(
         incremental=dispositions,
         profiler=profiler,
     )
+    report.metrics_mark = metrics_mark
     executed = dict(zip(to_run, outcomes))
     # Assemble in registry order, interleaving freshly executed results
     # with store hits -- indistinguishable downstream from a full run.
@@ -717,10 +725,6 @@ def run_all(
     return report
 
 
-def run_one(
-    key: str,
-    config: Optional[PopulationConfig] = None,
-    store: Optional[WorldStore] = None,
-) -> ExperimentResult:
+def run_one(key: str, config: Optional[PopulationConfig] = None) -> ExperimentResult:
     """Run a single experiment by registry key over the shared store."""
-    return run_all(config, workers=1, experiments=[key], store=store).results[0]
+    return run_all(config, workers=1, experiments=[key]).results[0]

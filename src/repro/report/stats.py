@@ -18,26 +18,12 @@ from typing import Tuple
 
 __all__ = ["wilson_interval", "proportion_summary"]
 
-#: z-scores for common confidence levels.
-_Z = {0.90: 1.6449, 0.95: 1.9600, 0.99: 2.5758}
+#: The z-score of the 95% level every interval is reported at.
+Z_95 = 1.96
 
 
-def _z_for(confidence: float) -> float:
-    if confidence in _Z:
-        return _Z[confidence]
-    if not 0.5 < confidence < 1.0:
-        raise ValueError(f"confidence must be in (0.5, 1), got {confidence}")
-    # Rational approximation (Abramowitz & Stegun 26.2.23) for other
-    # levels -- accurate to ~4.5e-4, plenty for reporting.
-    p = 1.0 - (1.0 - confidence) / 2.0
-    t = math.sqrt(-2.0 * math.log(1.0 - p))
-    return t - (2.30753 + 0.27061 * t) / (1.0 + 0.99229 * t + 0.04481 * t * t)
-
-
-def wilson_interval(
-    successes: int, total: int, confidence: float = 0.95
-) -> Tuple[float, float]:
-    """Wilson score interval for a binomial proportion.
+def wilson_interval(successes: int, total: int) -> Tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion.
 
     >>> lo, hi = wilson_interval(50, 100)
     >>> 0.40 < lo < 0.5 < hi < 0.60
@@ -47,7 +33,7 @@ def wilson_interval(
         return (0.0, 1.0)
     if not 0 <= successes <= total:
         raise ValueError("successes must be within [0, total]")
-    z = _z_for(confidence)
+    z = Z_95
     p_hat = successes / total
     denom = 1.0 + z * z / total
     center = (p_hat + z * z / (2 * total)) / denom
@@ -67,16 +53,14 @@ def wilson_interval(
     return (lo, hi)
 
 
-def proportion_summary(
-    successes: int, total: int, confidence: float = 0.95
-) -> str:
-    """Format a proportion with its Wilson interval, as percentages.
+def proportion_summary(successes: int, total: int) -> str:
+    """Format a proportion with its 95% Wilson interval, as percentages.
 
     >>> proportion_summary(107, 1875)
     '5.7% [4.7%, 6.8%]'
     """
     if total <= 0:
         return "n/a"
-    lo, hi = wilson_interval(successes, total, confidence)
+    lo, hi = wilson_interval(successes, total)
     pct = 100.0 * successes / total
     return f"{pct:.1f}% [{100 * lo:.1f}%, {100 * hi:.1f}%]"

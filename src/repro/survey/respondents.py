@@ -43,6 +43,12 @@ from .instrument import (
 
 __all__ = ["Respondent", "generate_respondents", "filter_valid"]
 
+#: Responses that pass the quality filter (Appendix D.2).
+N_VALID = 203
+
+#: Generated low-quality responses the filter must reject.
+N_INVALID = 27
+
 
 @dataclass
 class Respondent:
@@ -154,24 +160,23 @@ def _allocation(rng: random.Random, quota: Sequence[Tuple[object, int]], total: 
     return values[:total]
 
 
-def generate_respondents(
-    seed: int = 42, n_valid: int = 203, n_invalid: int = 27
-) -> List[Respondent]:
-    """Generate the respondent pool (valid + low-quality responses)."""
+def generate_respondents(seed: int = 42) -> List[Respondent]:
+    """Generate the respondent pool: :data:`N_VALID` valid and
+    :data:`N_INVALID` low-quality responses."""
     rng = seeded_rng(seed, "survey")
 
     continents = _allocation(
-        rng, [((c, country), n) for c, country, n in _CONTINENT_QUOTA], n_valid
+        rng, [((c, country), n) for c, country, n in _CONTINENT_QUOTA], N_VALID
     )
     durations = _allocation(rng, _DURATION_QUOTA, 176)
 
     # Exactly 176 respondents make money from art; 136 are professional.
-    makes_money = [True] * 176 + [False] * (n_valid - 176)
+    makes_money = [True] * 176 + [False] * (N_VALID - 176)
     rng.shuffle(makes_money)
-    professional = [True] * 136 + [False] * (n_valid - 136)
+    professional = [True] * 136 + [False] * (N_VALID - 136)
     rng.shuffle(professional)
     # 84 heard of robots.txt; exactly 38 of them maintain personal sites.
-    heard = [True] * 84 + [False] * (n_valid - 84)
+    heard = [True] * 84 + [False] * (N_VALID - 84)
     rng.shuffle(heard)
     heard_site_flags = [True] * 38 + [False] * (84 - 38)
     rng.shuffle(heard_site_flags)
@@ -183,7 +188,7 @@ def generate_respondents(
     non_user_quota = 27         # of the 38 aware site owners, 27 do not use it
     no_control_quota = 9        # and 9 report having no control at all
 
-    for rid in range(n_valid):
+    for rid in range(N_VALID):
         r = Respondent(rid=rid)
         a = r.answers
         continent, country = continents[rid]
@@ -345,8 +350,8 @@ def generate_respondents(
         respondents.append(r)
 
     rng.shuffle(respondents)
-    for rid in range(n_invalid):
-        respondents.append(_junk_respondent(rng, n_valid + rid))
+    for rid in range(N_INVALID):
+        respondents.append(_junk_respondent(rng, N_VALID + rid))
     return respondents
 
 

@@ -21,8 +21,8 @@ from __future__ import annotations
 import random
 
 from ..util import seeded_rng
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
 from ..net.dns import DnsZone
 from ..net.server import Website, render_page
@@ -39,6 +39,9 @@ _LONG_TAIL = ["small-provider", "self-hosted", "social-platform"]
 
 #: Fraction of Squarespace artists who enabled the AI toggle.
 SQUARESPACE_TOGGLE_RATE = 0.17
+
+#: Artist sites in the two member directories.
+N_ARTISTS = 1182
 
 
 @dataclass
@@ -93,7 +96,6 @@ class ArtistSite:
                 rules,
                 service_name=self.provider.name,
                 block_all_automation=self.provider.challenges_automation,
-                automation_action=Action.CAPTCHA,
             )
         return origin
 
@@ -104,15 +106,6 @@ class ArtistPopulation:
 
     sites: List[ArtistSite]
     zone: DnsZone
-    providers: List[HostingProvider] = field(default_factory=lambda: list(TOP_PROVIDERS))
-
-    def by_provider(self) -> Dict[str, List[ArtistSite]]:
-        """Sites grouped by provider name (long tail under its bucket)."""
-        groups: Dict[str, List[ArtistSite]] = {}
-        for site in self.sites:
-            key = site.provider.name if site.provider else (site.tail_kind or "other")
-            groups.setdefault(key, []).append(site)
-        return groups
 
     def materialize(self, network: Network) -> None:
         """Register every artist site's handler on *network*."""
@@ -130,8 +123,8 @@ def _assign_provider(rng: random.Random) -> Optional[HostingProvider]:
     return None
 
 
-def build_artist_population(seed: int = 42, n_artists: int = 1182) -> ArtistPopulation:
-    """Build the artist-site population with DNS records.
+def build_artist_population(seed: int = 42) -> ArtistPopulation:
+    """Build the :data:`N_ARTISTS` artist sites with DNS records.
 
     Subdomain-hosting providers put the artist under the provider apex;
     the rest give the artist a custom domain whose DNS points at the
@@ -141,7 +134,7 @@ def build_artist_population(seed: int = 42, n_artists: int = 1182) -> ArtistPopu
     rng = seeded_rng(seed, "artists")
     zone = DnsZone()
     sites: List[ArtistSite] = []
-    for index in range(n_artists):
+    for index in range(N_ARTISTS):
         provider = _assign_provider(rng)
         custom = artist_domain(index)
         if provider is None:

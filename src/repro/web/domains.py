@@ -59,9 +59,9 @@ def domain_name(index: int) -> str:
     return f"{a}{b}{suffix}{tld}"
 
 
-def domain_names(count: int, start: int = 0) -> List[str]:
-    """*count* consecutive domains starting at *start*."""
-    return [domain_name(start + i) for i in range(count)]
+def domain_names(count: int) -> List[str]:
+    """The first *count* domains."""
+    return [domain_name(i) for i in range(count)]
 
 
 def artist_domain(index: int) -> str:

@@ -76,9 +76,8 @@ class ManagedRobotsService:
         text += f"# managed by {self.name}\n"
         return add_disallow_group(text, agents, paths=list(self.block_paths))
 
-    def schedule(
-        self, base_text: str, subscribed_month: int, through: int = 24
-    ) -> List[Tuple[int, str]]:
-        """The full (month, text) schedule from subscription onward."""
-        months = [subscribed_month] + self.update_months(subscribed_month, through)
+    def schedule(self, base_text: str, subscribed_month: int) -> List[Tuple[int, str]]:
+        """The full (month, text) schedule from subscription through
+        October 2024 (month 24)."""
+        months = [subscribed_month] + self.update_months(subscribed_month, 24)
         return [(m, self.managed_text(base_text, m)) for m in months]

@@ -37,7 +37,7 @@ from types import MappingProxyType
 from typing import Dict, Optional, TYPE_CHECKING
 
 from ..net import chaos
-from ..obs.metrics import MetricsRegistry, shared_registry
+from ..obs.metrics import shared_registry
 from .population import PopulationConfig, WebPopulation, build_web_population
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -153,11 +153,11 @@ class WorldStore:
     #: module-level shared store is always ``s0``.
     _ids = itertools.count()
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
+    def __init__(self) -> None:
         self._lock = threading.RLock()
         self._populations: Dict[str, WebPopulation] = {}
         self._series: Dict[str, "SnapshotSeries"] = {}
-        self._registry = registry if registry is not None else shared_registry()
+        self._registry = shared_registry()
         store_id = f"s{next(WorldStore._ids)}"
         # Hits AND misses are counted symmetrically (a miss is a build).
         self._population_hits = self._registry.counter(

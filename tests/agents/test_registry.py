@@ -11,6 +11,11 @@ from repro.agents.registry import (
 )
 
 
+def by_category(registry, category):
+    """The registry's agents in *category*, in registration order."""
+    return [agent for agent in registry if agent.category is category]
+
+
 class TestAIUserAgent:
     def test_default_full_user_agent(self):
         agent = AIUserAgent("TestBot", AgentCategory.AI_DATA, "Test Co")
@@ -51,11 +56,11 @@ class TestAgentRegistry:
 
     def test_by_category(self):
         registry = self._make()
-        tokens = [a.token for a in registry.by_category(AgentCategory.AI_DATA)]
+        tokens = [a.token for a in by_category(registry, AgentCategory.AI_DATA)]
         assert tokens == ["GPTBot", "CCBot"]
 
     def test_iteration_order_is_insertion_order(self):
-        assert self._make().tokens() == ["GPTBot", "OAI-SearchBot", "CCBot"]
+        assert [a.token for a in self._make()] == ["GPTBot", "OAI-SearchBot", "CCBot"]
 
 
 class TestTable1Population:
@@ -68,7 +73,7 @@ class TestTable1Population:
     def test_three_control_tokens(self):
         tokens = [
             a.token
-            for a in self.REGISTRY.by_category(AgentCategory.CONTROL_TOKEN)
+            for a in by_category(self.REGISTRY, AgentCategory.CONTROL_TOKEN)
         ]
         assert sorted(tokens) == [
             "Applebot-Extended",
@@ -106,7 +111,7 @@ class TestTable1Population:
 
     def test_categories_match_table1_counts(self):
         by_cat = {
-            cat: len(self.REGISTRY.by_category(cat)) for cat in AgentCategory
+            cat: len(by_category(self.REGISTRY, cat)) for cat in AgentCategory
         }
         assert by_cat[AgentCategory.AI_DATA] == 11
         assert by_cat[AgentCategory.AI_ASSISTANT] == 2

@@ -213,7 +213,7 @@ class TestCompileOnce:
                 for path in PATHS + ["/x.php", "/private/ok"]:
                     robots.is_allowed(agent, path)
                     legacy.is_allowed(agent, path)
-                    aitxt.may_train(path, agent)
+                    aitxt.may_train(path)
 
         query_everything()
         n_rules = sum(len(group.rules) for group in parse(text).groups)

@@ -45,11 +45,6 @@ class TestDiffRobots:
         assert "gptbot" in diff.agents_added
         assert diff.tightened_agents() == ["gptbot"]
 
-    def test_explicit_agent_list_used(self):
-        diff = diff_robots(BASE, WITH_GPTBOT, agents=["CCBot"])
-        assert diff.changes == []  # CCBot unchanged
-        assert diff.agents_added == ["gptbot"]  # naming still reported
-
     def test_wildcard_edit_beside_a_group_naming_any_agent(self):
         """The ``*`` rules are compared as merged, whatever agent names
         the other groups hold (a group naming ``generic`` used to govern

@@ -40,8 +40,8 @@ class TestRobotsBuilder:
         assert "Crawl-delay: 5" in text
 
     def test_comments_rendered(self):
-        text = RobotsBuilder().comment("top").group("*", comment="grp").disallow("/").build()
-        assert "# top" in text and "# grp" in text
+        text = RobotsBuilder().comment("top").group("*").disallow("/").build()
+        assert text.startswith("# top\n\nUser-agent: *\n")
 
     def test_rules_require_group(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Adversarial crawler knobs: UA/IP rotation and paced stealth fetching."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.crawlers.engine import Crawler
@@ -68,13 +70,13 @@ class TestIdentityRotation:
 
 class TestStealthPacing:
     def test_gap_jitter_is_seeded_and_bounded(self):
-        profile = CrawlerProfile.stealth("Ghost", gap_jitter_ms=400, seed=11)
-        same = CrawlerProfile.stealth("Ghost", gap_jitter_ms=400, seed=11)
+        profile = CrawlerProfile.stealth("Ghost", seed=11)
+        same = CrawlerProfile.stealth("Ghost", seed=11)
         jitters = [profile.gap_jitter_seconds("h.example", i) for i in range(32)]
         assert jitters == [same.gap_jitter_seconds("h.example", i) for i in range(32)]
         assert all(0.0 <= j <= 0.4 for j in jitters)
         assert len(set(jitters)) > 1  # actually jitters
-        other_seed = CrawlerProfile.stealth("Ghost", gap_jitter_ms=400, seed=12)
+        other_seed = CrawlerProfile.stealth("Ghost", seed=12)
         assert jitters != [
             other_seed.gap_jitter_seconds("h.example", i) for i in range(32)
         ]
@@ -85,8 +87,9 @@ class TestStealthPacing:
 
     def test_pacing_charges_the_simulated_clock(self):
         net, site = make_world()
-        profile = CrawlerProfile.stealth(
-            "Ghost", fetch_interval=2.0, gap_jitter_ms=0, seed=0
+        profile = replace(
+            CrawlerProfile.stealth("Ghost", fetch_interval=2.0),
+            stealth_gap_jitter_ms=0,
         )
         Crawler(profile, net).crawl("target.com", max_pages=4)
         # 3 gaps between 4 content fetches (robots fetch is free).

@@ -3,6 +3,7 @@
 from contextlib import nullcontext
 
 from repro.crawlers.commoncrawl import (
+    RETRY_PASSES,
     SNAPSHOT_SPECS,
     SnapshotCrawler,
     month_label,
@@ -103,53 +104,17 @@ class TestSnapshotCrawler:
         assert snap.records["apex.com"].status == 301
         assert not snap.records["apex.com"].ok
 
-    def test_dedup_prefers_latest_non_error(self):
-        crawler = SnapshotCrawler(make_net(), visits_per_site=3)
-        snap = crawler.snapshot(SNAPSHOT_SPECS[0], ["a.com"])
-        assert snap.records["a.com"].ok
-
-
-class TestDedupOnAllErrorVisits:
-    def test_latest_failure_mode_kept(self):
-        # First visit resets, later visits are refused: the record must
-        # report the most recent failure mode.
-        net = make_net(
-            FaultRule("reset", hosts=("a.com",), max_per_host=1),
-            FaultRule("outage", hosts=("a.com",)),
-        )
-        crawler = SnapshotCrawler(net, visits_per_site=3, retry_errored=0)
-        record = crawler.crawl_site("a.com")
-        assert record.status == 0
-        assert "refused" in record.error.lower()
-
-    def test_error_never_displaces_success(self):
-        # The host is down from month 1 on, so only the first visit
-        # (month 0) succeeds.
-        net = make_net(FaultRule("outage", hosts=("a.com",), months=(1, 1)))
-        net.month = 0
-        crawler = SnapshotCrawler(net, visits_per_site=2, retry_errored=0)
-        original_fetch = crawler._fetch_once
-
-        def flaky_fetch(domain):
-            record = original_fetch(domain)
-            net.month = 1
-            return record
-
-        crawler._fetch_once = flaky_fetch
-        record = crawler.crawl_site("a.com")
-        assert record.ok
-
 
 def counted(crawler):
     """*crawler* with its fetches tallied per domain."""
     fetches = {}
-    fetch_once = crawler._fetch_once
+    crawl_site = crawler.crawl_site
 
     def counting(domain):
         fetches[domain] = fetches.get(domain, 0) + 1
-        return fetch_once(domain)
+        return crawl_site(domain)
 
-    crawler._fetch_once = counting
+    crawler.crawl_site = counting
     return fetches
 
 
@@ -159,7 +124,7 @@ class TestRetryPassesAndErrorBudget:
 
     def test_transient_error_healed_by_retry_pass(self):
         net = make_net(FaultRule("reset", hosts=("a.com",), max_per_host=1))
-        crawler = SnapshotCrawler(net, retry_errored=2)
+        crawler = SnapshotCrawler(net)
         fetches = counted(crawler)
         snap = crawler.snapshot(SNAPSHOT_SPECS[0], ["a.com", "b.com"])
         assert snap.records["a.com"].ok
@@ -168,26 +133,28 @@ class TestRetryPassesAndErrorBudget:
         assert fetches == {"a.com": 2, "b.com": 1}
 
     def test_flaky_host_heals_after_exactly_n_failures(self):
-        net = make_net(FaultRule("reset", hosts=("a.com",), max_per_host=2))
-        crawler = SnapshotCrawler(net, retry_errored=3)
+        # Every pass but the last retry errors; the last one heals.
+        net = make_net(
+            FaultRule("reset", hosts=("a.com",), max_per_host=RETRY_PASSES)
+        )
+        crawler = SnapshotCrawler(net)
         fetches = counted(crawler)
         snap = crawler.snapshot(SNAPSHOT_SPECS[0], ["a.com"])
         assert snap.records["a.com"].ok
-        # First pass errored, pass 1 errored (failure #2), pass 2 healed.
-        assert fetches == {"a.com": 3}
+        assert fetches == {"a.com": 1 + RETRY_PASSES}
 
     def test_permanent_error_survives_retries(self):
         net = make_net()
-        crawler = SnapshotCrawler(net, retry_errored=2)
+        crawler = SnapshotCrawler(net)
         fetches = counted(crawler)
         snap = crawler.snapshot(SNAPSHOT_SPECS[0], ["ghost.example", "a.com"])
         assert snap.records["ghost.example"].error
         assert snap.records["ghost.example"].status == 0
         assert snap.records["a.com"].ok
-        assert fetches == {"ghost.example": 3, "a.com": 1}
+        assert fetches == {"ghost.example": 1 + RETRY_PASSES, "a.com": 1}
 
     def test_clean_crawl_costs_no_retry_passes(self):
-        crawler = SnapshotCrawler(make_net(), retry_errored=2)
+        crawler = SnapshotCrawler(make_net())
         fetches = counted(crawler)
         snap = crawler.snapshot(SNAPSHOT_SPECS[0], ["a.com", "b.com"])
         assert all(record.error is None for record in snap.records.values())
@@ -197,7 +164,7 @@ class TestRetryPassesAndErrorBudget:
         from repro.net.chaos import retries_disabled
 
         net = make_net(FaultRule("reset", hosts=("a.com",), max_per_host=1))
-        crawler = SnapshotCrawler(net, retry_errored=2)
+        crawler = SnapshotCrawler(net)
         fetches = counted(crawler)
         with retries_disabled():
             snap = crawler.snapshot(SNAPSHOT_SPECS[0], ["a.com"])
@@ -210,7 +177,7 @@ class TestRetryPassesAndErrorBudget:
         flaky_net = make_net(
             FaultRule("reset", hosts=("a.com",), max_per_host=1)
         )
-        healed = SnapshotCrawler(flaky_net, retry_errored=2).snapshot(
+        healed = SnapshotCrawler(flaky_net).snapshot(
             spec, ["a.com", "b.com"]
         )
         # A healed snapshot is the same measurement as a fault-free one.

@@ -44,8 +44,8 @@ class TestScheduling:
         net, _ = make_world()
         scheduler = CrawlScheduler(net)
         crawler = Crawler(CrawlerProfile.respectful("OnceBot"), net)
-        scheduler.schedule(crawler, "sched.example", interval=0, repeat=False,
-                           start_at=DAY)
+        scheduler.add(CrawlTask(crawler, "sched.example", interval=0, repeat=False,
+                                start_at=DAY))
         report = scheduler.run_until(10 * DAY)
         assert report.crawls[("OnceBot", "sched.example")] == 1
         assert not scheduler._heap  # nothing left queued
@@ -54,7 +54,7 @@ class TestScheduling:
         net, _ = make_world()
         scheduler = CrawlScheduler(net)
         crawler = Crawler(CrawlerProfile.respectful("LateBot"), net)
-        scheduler.schedule(crawler, "sched.example", interval=DAY, start_at=5 * DAY)
+        scheduler.add(CrawlTask(crawler, "sched.example", interval=DAY, start_at=5 * DAY))
         report = scheduler.run_until(2 * DAY)
         assert not report.crawls
         assert len(scheduler._heap) == 1
@@ -83,7 +83,7 @@ class TestScheduling:
         net, _ = make_world()
         scheduler = CrawlScheduler(net)
         crawler = Crawler(CrawlerProfile.respectful("GhostBot"), net)
-        scheduler.schedule(crawler, "missing.example", interval=DAY, repeat=False)
+        scheduler.add(CrawlTask(crawler, "missing.example", interval=DAY, repeat=False))
         report = scheduler.run_until(DAY)
         assert report.errors
         assert report.errors[0][0] == "GhostBot"

@@ -13,7 +13,7 @@ from repro.web.providers import provider_by_name
 
 @pytest.fixture(scope="module")
 def study():
-    population = build_artist_population(seed=42, n_artists=1182)
+    population = build_artist_population(seed=42)
     return measure_artist_sites(population)
 
 

@@ -57,11 +57,13 @@ class TestDetectActiveBlocking:
         assert verdict.excluded
 
     def test_transport_error_counts_as_blocking(self):
-        net = Network()
-        site = plain_site("reset.com")
-        rules = RuleSet([BlockRule(Action.RESET, ua_patterns=["Claudebot"])])
-        net.register(ReverseProxy(site, rules))
+        # Every ClaudeBot connection is dropped, re-probes included.
+        net = armed_network(FaultPlan("drop", (FaultRule(
+            "reset", agent_contains="claudebot", max_per_host=None
+        ),)))
+        net.register(plain_site("reset.com"))
         verdict = detect_active_blocking(net, "reset.com")
+        assert verdict.ai_probes["Claudebot/1.0"].failed
         assert verdict.blocks_ai
 
     def test_block_page_with_same_status_detected_via_length(self):
@@ -254,7 +256,8 @@ class TestConfirmationProbes:
         with retries_disabled():
             verdict = detect_active_blocking(net, "open.com")
         assert verdict.blocks_ai
-        assert verdict.confirmation.attempts == 0
+        # No re-probe: every case was observed once.
+        assert set(verdict.probe_attempts.values()) == {1}
 
     def test_persistent_blocker_still_detected_under_chaos(self):
         net = armed_network(NAMED_PLANS["flaky-resets"])
@@ -277,25 +280,15 @@ class TestConfirmationProbes:
         # An HTTP answer is accepted at face value -- no re-probe.
         assert verdict.probe_attempts["control"] == 1
 
-    def test_confirmation_policy_recorded_on_verdict(self):
-        from repro.measure.active_blocking import (
-            ConfirmationPolicy,
-            DEFAULT_CONFIRMATION,
-        )
-
-        verdict = detect_active_blocking(self._open_net(), "open.com")
-        assert verdict.confirmation == DEFAULT_CONFIRMATION
-        custom = ConfirmationPolicy(attempts=4, spacing_seconds=1.0)
-        verdict = detect_active_blocking(
-            self._open_net(), "open.com", confirmation=custom
-        )
-        assert verdict.confirmation == custom
-
     def test_spacing_charged_to_simulated_clock(self):
-        from repro.measure.active_blocking import ConfirmationPolicy
+        from repro.measure.active_blocking import (
+            CONFIRMATION_ATTEMPTS,
+            CONFIRMATION_SPACING_SECONDS,
+        )
 
-        net = self._open_net(flaky_control(2))
-        policy = ConfirmationPolicy(attempts=3, spacing_seconds=5.0)
-        verdict = detect_active_blocking(net, "open.com", confirmation=policy)
+        net = self._open_net(flaky_control(CONFIRMATION_ATTEMPTS))
+        verdict = detect_active_blocking(net, "open.com")
         assert not verdict.excluded
-        assert net.now == 10.0  # two spaced control re-probes
+        # Every allowed control re-probe ran, each spaced on the clock.
+        assert verdict.probe_attempts["control"] == 1 + CONFIRMATION_ATTEMPTS
+        assert net.now == CONFIRMATION_ATTEMPTS * CONFIRMATION_SPACING_SECONDS

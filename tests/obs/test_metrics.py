@@ -44,7 +44,7 @@ class TestCounter:
     def test_labels_address_distinct_instruments(self):
         registry = MetricsRegistry()
         registry.inc("fetches", agent="GPTBot")
-        registry.inc("fetches", agent="CCBot", amount=2)
+        registry.counter("fetches", agent="CCBot").inc(2)
         assert registry.counter_value("fetches", agent="GPTBot") == 1
         assert registry.counter_value("fetches", agent="CCBot") == 2
         assert registry.counter_value("fetches") == 0
@@ -93,7 +93,7 @@ class TestHistogram:
         # 1000 -> the overflow bucket.
         assert hist.counts == [2, 2, 1, 1]
         assert hist.count == 6
-        assert hist.sum == 1115.0
+        assert hist.to_payload()["sum"] == 1115.0
 
     def test_default_bucket_ladder(self):
         registry = MetricsRegistry()
@@ -150,7 +150,7 @@ class TestMergeAndShipping:
         serial_hist = serial.histogram("latency", site="a.example")
         merged_hist = parent.histogram("latency", site="a.example")
         assert merged_hist.counts == serial_hist.counts
-        assert merged_hist.sum == serial_hist.sum
+        assert merged_hist.to_payload()["sum"] == serial_hist.to_payload()["sum"]
         # Gauges are last-write-wins, not summed.
         assert parent.gauge("cache.entries").value == 9.0
 
@@ -165,7 +165,7 @@ class TestMergeAndShipping:
 
     def test_merge_accepts_registry_and_works_while_disabled(self):
         source = MetricsRegistry()
-        source.inc("n", amount=4)
+        source.counter("n").inc(4)
         target = MetricsRegistry()
         set_metrics_enabled(False)
         try:

@@ -10,7 +10,7 @@ from repro.obs.profile import PROFILE_SCHEMA_VERSION, Profiler, load_profile
 
 class TestPhases:
     def test_phase_records_wall_time_and_attrs(self):
-        profiler = Profiler(memory=False, cpu=False)
+        profiler = Profiler()
         with profiler.phase("world_build", world="seeded"):
             pass
         (phase,) = profiler.phases
@@ -19,7 +19,7 @@ class TestPhases:
         assert phase.seconds >= 0.0
 
     def test_memory_sampler_sees_allocations(self):
-        profiler = Profiler(memory=True, cpu=False)
+        profiler = Profiler()
         with profiler.phase("alloc"):
             blob = [str(i) * 100 for i in range(2000)]
         del blob
@@ -28,7 +28,7 @@ class TestPhases:
         assert phase.memory_peak_bytes > 100_000
 
     def test_memory_peaks_are_per_phase(self):
-        profiler = Profiler(memory=True, cpu=False)
+        profiler = Profiler()
         with profiler.phase("big"):
             blob = [str(i) * 100 for i in range(5000)]
             del blob
@@ -40,7 +40,7 @@ class TestPhases:
         assert small.memory_peak_bytes < big.memory_peak_bytes
 
     def test_cpu_sampler_captures_hot_functions(self):
-        profiler = Profiler(memory=False, cpu=True)
+        profiler = Profiler()
         with profiler.phase("spin"):
             sum(i * i for i in range(200_000))
         (phase,) = profiler.phases
@@ -49,7 +49,7 @@ class TestPhases:
         assert all("function" in entry for entry in phase.cpu_top)
 
     def test_nested_phases_record_independently(self):
-        profiler = Profiler(memory=False, cpu=True)
+        profiler = Profiler()
         with profiler.phase("outer"):
             with profiler.phase("inner"):
                 pass
@@ -59,7 +59,7 @@ class TestPhases:
         assert outer.cpu_seconds is not None  # only the outermost samples CPU
 
     def test_phase_survives_exceptions(self):
-        profiler = Profiler(memory=False, cpu=False)
+        profiler = Profiler()
         with pytest.raises(RuntimeError):
             with profiler.phase("doomed"):
                 raise RuntimeError("boom")
@@ -68,7 +68,7 @@ class TestPhases:
 
 class TestExport:
     def test_export_writes_schema_versioned_profile(self, tmp_path):
-        profiler = Profiler(memory=False, cpu=False)
+        profiler = Profiler()
         with profiler.phase("only"):
             pass
         path = profiler.export(tmp_path)
@@ -78,7 +78,7 @@ class TestExport:
         assert [phase["name"] for phase in payload["phases"]] == ["only"]
 
     def test_load_round_trips(self, tmp_path):
-        profiler = Profiler(memory=True, cpu=False)
+        profiler = Profiler()
         with profiler.phase("p", key="figure2"):
             pass
         profiler.export(tmp_path)
@@ -100,7 +100,7 @@ class TestExport:
             load_profile(path)
 
     def test_summary_lines_one_per_phase(self):
-        profiler = Profiler(memory=False, cpu=False)
+        profiler = Profiler()
         with profiler.phase("a"):
             pass
         with profiler.phase("b"):

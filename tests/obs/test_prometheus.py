@@ -10,7 +10,7 @@ from repro.obs.prometheus import MetricsHandler, render_prometheus
 class TestRenderPrometheus:
     def _payloads(self):
         registry = MetricsRegistry()
-        registry.inc("net.responses", amount=5, status="200")
+        registry.counter("net.responses", status="200").inc(5)
         registry.set_gauge("cache.hit_rate", 0.75)
         registry.observe("net.bytes", 10.0)
         registry.add("sim.requests", month=1, amount=2, agent="GPTBot")
@@ -53,7 +53,7 @@ class TestRenderPrometheus:
 class TestMetricsHandler:
     def _handler(self):
         registry = MetricsRegistry()
-        registry.inc("net.requests", amount=9)
+        registry.counter("net.requests").inc(9)
         return MetricsHandler(
             registry.to_json(), registry.series_json(), health={"mode": "test"}
         )

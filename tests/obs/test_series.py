@@ -12,8 +12,9 @@ byte-deterministic and kept out of METRICS.json.
 import json
 import threading
 
+from repro.obs import metrics
 from repro.obs.metrics import (
-    DEFAULT_MAX_SERIES_PER_NAME,
+    MAX_SERIES_PER_NAME,
     OVERFLOW_LABELS,
     SERIES_SCHEMA_VERSION,
     MetricsRegistry,
@@ -139,8 +140,9 @@ class TestShippingProtocol:
 
 
 class TestCardinality:
-    def test_overflow_collapses_into_reserved_bucket(self):
-        registry = MetricsRegistry(max_series_per_name=3)
+    def test_overflow_collapses_into_reserved_bucket(self, monkeypatch):
+        monkeypatch.setattr(metrics, "MAX_SERIES_PER_NAME", 3)
+        registry = MetricsRegistry()
         for i in range(10):
             registry.add("x", month=0, agent=f"ua-{i}")
         assert len(registry.snapshot()["series"]) <= 4
@@ -148,7 +150,7 @@ class TestCardinality:
         assert overflow.total == 7  # the 7 sets beyond the cap
 
     def test_default_cap_is_generous(self):
-        assert DEFAULT_MAX_SERIES_PER_NAME >= 1024
+        assert MAX_SERIES_PER_NAME >= 1024
 
 
 class TestExport:

@@ -22,7 +22,6 @@ from repro.proxy.behavioral import (
     write_verdicts,
 )
 from repro.proxy.challenges import PageKind, classify_page
-from repro.proxy.cloudflare import CloudflareProxy, CloudflareSettings
 from repro.proxy.reverse_proxy import ReverseProxy
 from repro.proxy.rules import Action, BlockRule, RuleSet
 
@@ -307,16 +306,6 @@ class TestProxyGating:
                 )
         assert statuses == [200] * 12
         assert proxy.behavioral.gated() == 0
-
-    def test_cloudflare_dashboard_rows(self):
-        with metrics_disabled():
-            zone = CloudflareProxy(
-                _site(), CloudflareSettings(), behavioral=BehavioralPolicy()
-            )
-            for i in range(16):
-                zone.handle(_req("ScrapeBot/1.0", f"/p{i}"))
-        dispositions = {d for _, d in zone.dashboard}
-        assert any(d.startswith("behavioral-") for d in dispositions)
 
 
 class TestOfflineScoring:

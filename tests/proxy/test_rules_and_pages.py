@@ -7,7 +7,6 @@ from repro.proxy.challenges import (
     captcha_page,
     challenge_page,
     classify_page,
-    labyrinth_page,
 )
 from repro.proxy.fingerprint import (
     AUTOMATION_HEADER,
@@ -30,7 +29,6 @@ class TestPageClassification:
         assert classify_page(block_page()) is PageKind.BLOCK
         assert classify_page(challenge_page()) is PageKind.CHALLENGE
         assert classify_page(captcha_page()) is PageKind.CAPTCHA
-        assert classify_page(labyrinth_page()) is PageKind.LABYRINTH
 
     def test_ordinary_content(self):
         assert classify_page("<html><body>hello art</body></html>") is PageKind.CONTENT
@@ -44,9 +42,6 @@ class TestPageClassification:
     def test_host_embedded_in_pages(self):
         assert "example.net" in block_page(host="example.net")
         assert "example.net" in challenge_page(host="example.net")
-
-    def test_labyrinth_links_onward(self):
-        assert "/archive/" in labyrinth_page(3)
 
 
 class TestBlockRule:
@@ -64,11 +59,6 @@ class TestBlockRule:
         rule = BlockRule(Action.BLOCK, networks=["100.64.5.0/24"])
         assert rule.matches(req("x", ip="100.64.5.77"))
         assert not rule.matches(req("x", ip="100.64.6.1"))
-
-    def test_path_prefix(self):
-        rule = BlockRule(Action.BLOCK, path_prefix="/private/")
-        assert rule.matches(req("x", path="/private/a"))
-        assert not rule.matches(req("x", path="/public"))
 
     def test_conditions_are_anded(self):
         rule = BlockRule(
@@ -90,11 +80,11 @@ class TestRuleSet:
     def test_first_match_wins(self):
         rules = RuleSet(
             [
-                BlockRule(Action.ALLOW, ua_patterns=["GoodBot"]),
+                BlockRule(Action.CHALLENGE, ua_patterns=["GoodBot"]),
                 BlockRule(Action.BLOCK, ua_patterns=["Bot"]),
             ]
         )
-        assert rules.decide(req("GoodBot/1.0")) is None
+        assert rules.decide(req("GoodBot/1.0")) is Action.CHALLENGE
         assert rules.decide(req("BadBot/1.0")) is Action.BLOCK
 
     def test_no_match_returns_none(self):

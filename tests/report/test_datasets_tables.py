@@ -44,9 +44,10 @@ class TestFigures:
         assert lines[2].startswith("t1,3.0,")
 
     def test_ascii_chart_scales_to_peak(self):
-        chart = ascii_chart({"s": [("x", 5.0), ("y", 10.0)]}, width=10)
-        assert "##########" in chart  # peak bar at full width
-        assert "#####" in chart
+        chart = ascii_chart({"s": [("x", 5.0), ("y", 10.0)]})
+        lines = chart.splitlines()
+        assert lines[2].endswith("|" + "#" * 50 + " 10.00")  # peak: full width
+        assert lines[1].endswith("|" + "#" * 25 + " 5.00")
 
     def test_empty_series_safe(self):
         assert ascii_chart({"s": []}) is not None

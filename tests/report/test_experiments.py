@@ -221,7 +221,7 @@ class TestStandaloneRunners:
         assert result.metrics["n_visited"] == 9
 
     def test_table2(self):
-        result = run_table2_artists(n_artists=400)
+        result = run_table2_artists()
         assert "Squarespace" in result.text
         assert "ToS on AI training" in result.text
 

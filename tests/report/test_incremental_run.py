@@ -94,6 +94,24 @@ class TestWarmEquivalence:
         ]
         assert _texts(report) == cold_texts
 
+    @needs_fork
+    def test_forked_cold_run_stores_the_rows_an_in_line_run_stores(
+        self, tmp_path, force_fork
+    ):
+        """The rows are built in the parent before the battery forks, so
+        the store keeps them whatever the worker count."""
+        rows = {}
+        for workers in (1, 2):
+            root = tmp_path / f"cache-{workers}"
+            report = run_all(
+                SMALL, workers=workers, experiments=["figure2", "figure3", "taxonomy"],
+                store=WorldStore(), incremental=root,
+            )
+            assert report.mode == ("serial" if workers == 1 else "process")
+            rows[workers] = json.loads((root / "bodies.json").read_text())["rows"]
+        assert rows[1]
+        assert rows[2] == rows[1]
+
     def test_cold_incremental_matches_plain_run(self, tmp_path):
         plain = run_all(SMALL, workers=1, experiments=["figure2"],
                         store=WorldStore())

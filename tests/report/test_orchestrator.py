@@ -212,22 +212,44 @@ class TestTelemetry:
         ]
         assert [r["name"] for r in records] == [r["name"] for r in report.spans]
 
+    def test_each_run_exports_what_it_recorded(self, tmp_path):
+        """Two equal runs in one process export equal telemetry: the
+        second holds its own counters, not the first's on top."""
+        exports = []
+        for run in ("first", "second"):
+            run_all(SMALL, workers=1, experiments=["figure2"], store=WorldStore(),
+                    telemetry_dir=tmp_path / run)
+            metrics = json.loads((tmp_path / run / "METRICS.json").read_text())
+            counters = {
+                key: value for key, value in metrics["counters"].items()
+                # Each fresh store labels its counters with its own id.
+                if not key.startswith("worldstore.")
+            }
+            series = (tmp_path / run / "SERIES.json").read_bytes()
+            exports.append((counters, metrics["histograms"], series))
+        first, second = exports
+        assert first[0]["net.responses{status=200}"] > 0
+        assert second == first
+
 
 class TestRunOne:
     def test_run_one_matches_batch(self, store):
-        single = run_one("figure2", config=SMALL, store=store)
+        single = run_one("figure2", config=SMALL)
         batch = run_all(SMALL, workers=1, experiments=["figure2"], store=store)
         assert single.text == batch.results[0].text
 
     def test_standalone_experiment_needs_no_world(self):
-        # A fresh store stays empty: table1 must not trigger a build.
-        from repro.obs.metrics import MetricsRegistry
+        # table1 must not trigger a build in the shared store.
+        from repro.obs.metrics import shared_registry, snapshot_delta
 
-        registry = MetricsRegistry()
-        store = WorldStore(registry=registry)
-        run_one("table1", config=SMALL, store=store)
-        totals = registry.counter_totals("worldstore.population")
-        assert sum(v for k, v in totals.items() if "event=miss" in k) == 0
+        registry = shared_registry()
+        before = registry.snapshot()
+        run_one("table1", config=SMALL)
+        counted = snapshot_delta(registry.snapshot(), before)["counters"]
+        assert not any(
+            name.startswith("worldstore.") and value
+            for (name, _), value in counted.items()
+        )
 
 
 class TestOneFrozenWorld:

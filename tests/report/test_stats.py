@@ -31,18 +31,6 @@ class TestWilsonInterval:
         large = wilson_interval(500, 1000)
         assert (large[1] - large[0]) < (small[1] - small[0])
 
-    def test_higher_confidence_is_wider(self):
-        narrow = wilson_interval(30, 100, confidence=0.90)
-        wide = wilson_interval(30, 100, confidence=0.99)
-        assert (wide[1] - wide[0]) > (narrow[1] - narrow[0])
-
-    def test_custom_confidence_level(self):
-        lo, hi = wilson_interval(30, 100, confidence=0.93)
-        lo90, hi90 = wilson_interval(30, 100, confidence=0.90)
-        lo95, hi95 = wilson_interval(30, 100, confidence=0.95)
-        assert lo95 < lo < lo90
-        assert hi90 < hi < hi95
-
     def test_empty_total(self):
         assert wilson_interval(0, 0) == (0.0, 1.0)
 

@@ -229,12 +229,12 @@ def _read_incremental(root):
 def _export_commit(value):
     def commit(root):
         registry = MetricsRegistry()
-        registry.inc("requests", value, agent="GPTBot")
+        registry.counter("requests", agent="GPTBot").inc(value)
         registry.add("traffic", 3, value, agent="GPTBot")
         export_metrics(root / "METRICS.json", registry)
         export_series(root / "SERIES.json", registry)
         write_trace(root / "TRACE.jsonl", [{"span": "run", "value": value}])
-        profiler = Profiler(memory=False, cpu=False)
+        profiler = Profiler()
         profiler.phases.append(PhaseProfile(name="run", seconds=float(value)))
         profiler.export(root)
 

@@ -10,12 +10,25 @@ whole ``__init__``: a re-export alone does not make a module used.
 
 The same holds one level down: every top-level function and class and
 every non-dunder method must be named somewhere in ``src/repro`` or a
-root directory, outside its own definition.  A name counts when it is
-read (``f``), an attribute (``obj.f``), an imported name, or part of a
-``"repro.module:Qual.name"`` target string (the ``perf/`` ledger wraps
-those).  ``__all__`` entries and package ``__init__`` re-exports do not
-count.  Matching is by bare name, so the check is conservative: a
-method shares credit with any other attribute of the same name.
+root directory, outside its own definition.  A function or class counts
+as named when it is read (``f``), an attribute (``obj.f``), an imported
+name, or part of a ``"repro.module:Qual.name"`` target string (the
+``perf/`` ledger wraps those); a method only as an attribute or a target
+string part, since a local variable or a builtin of the same bare name
+says nothing about it.  ``__all__`` entries and package ``__init__``
+re-exports do not count.  Matching is by bare name, so the check is
+conservative: a method shares credit with any other attribute of the
+same name.
+
+And one level further down: every defaulted parameter of a checked
+function or method (``__init__`` included) must be passed, by keyword or
+by position, by some call in ``src/repro`` or a root directory, outside
+its own definition.  A function counts as called through its bare name
+or an attribute, a method only through an attribute, and a constructor
+through its class name (or ``super().__init__``).  A call that spreads
+``**kwargs`` passes every parameter, and one that spreads ``*args``
+every positional one.  An option no run sets is a constant with a
+branch that never runs.
 """
 
 import ast
@@ -183,58 +196,75 @@ def _target_parts(value):
 
 
 def _definitions(tree):
-    """``(qualname, first line, last line)`` of every checked definition."""
+    """``(qualname, node, enclosing class name or None)`` of every
+    top-level function and class and of every definition in a class
+    body, at any depth."""
     found = []
 
-    def visit(body, prefix):
+    def visit(body, prefix, owner):
         for node in body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                name = node.name
-                if not (name.startswith("__") and name.endswith("__")):
-                    found.append((prefix + name, node.lineno, node.end_lineno))
+                found.append((prefix + node.name, node, owner))
                 if isinstance(node, ast.ClassDef):
-                    visit(node.body, prefix + name + ".")
+                    visit(node.body, prefix + node.name + ".", node.name)
 
-    visit(tree.body, "")
+    visit(tree.body, "", None)
     return found
 
 
-def _references(path, package, refs):
-    """Add ``(path, line)`` to *refs* under every bare name *path* names."""
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    for node in ast.walk(tree):
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _references(path, package, names, attributes):
+    """Add ``(path, line)`` under every bare name *path* names: to
+    *names* for a read or an imported name, to *attributes* for an
+    attribute, and to both for a target string part."""
+    for node in ast.walk(_tree(path)):
         if isinstance(node, ast.Name):
-            refs[node.id].append((path, node.lineno))
+            names[node.id].append((path, node.lineno))
         elif isinstance(node, ast.Attribute):
-            refs[node.attr].append((path, node.lineno))
+            attributes[node.attr].append((path, node.lineno))
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             for part in _target_parts(node.value):
-                refs[part].append((path, node.lineno))
+                names[part].append((path, node.lineno))
+                attributes[part].append((path, node.lineno))
     if path.name != "__init__.py":
-        for _, names in _imports(path, package):
-            for name, _ in names:
-                refs[name].append((path, 0))
+        for _, imported in _imports(path, package):
+            for name, _ in imported:
+                names[name].append((path, 0))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _scanned_paths():
+    """``(path, package)`` for every file whose uses count."""
+    for module, path in MODULES.items():
+        yield path, _package_of(module)
+    for directory in ROOT_DIRS:
+        for path in sorted((REPO / directory).rglob("*.py")):
+            yield path, ""
 
 
 @lru_cache(maxsize=None)
 def unreferenced_definitions():
     """``("path:Qual.name", line)`` for every definition no one names."""
-    refs = defaultdict(list)
-    for module, path in MODULES.items():
-        _references(path, _package_of(module), refs)
-    for directory in ROOT_DIRS:
-        for path in sorted((REPO / directory).rglob("*.py")):
-            _references(path, "", refs)
+    names, attributes = defaultdict(list), defaultdict(list)
+    for path, package in _scanned_paths():
+        _references(path, package, names, attributes)
     offenders = []
     for module, path in sorted(MODULES.items()):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for qualname, first, last in _definitions(tree):
-            named = any(
-                not (where == path and first <= line <= last)
-                for where, line in refs[qualname.rpartition(".")[2]]
-            )
-            if not named:
-                offenders.append((f"{path.relative_to(SRC)}:{qualname}", first))
+        for qualname, node, owner in _definitions(_tree(path)):
+            if _dunder(node.name):
+                continue
+            uses = attributes[node.name] + ([] if owner else names[node.name])
+            if not any(
+                not (where == path and node.lineno <= line <= node.end_lineno)
+                for where, line in uses
+            ):
+                offenders.append((f"{path.relative_to(SRC)}:{qualname}", node.lineno))
     return tuple(offenders)
 
 
@@ -261,3 +291,160 @@ def test_allowlist_is_short_justified_and_current():
     unreferenced = {key for key, _ in unreferenced_definitions()}
     stale = sorted(set(ALLOWED_UNREFERENCED) - unreferenced)
     assert not stale, f"allowlisted but named (or gone): {', '.join(stale)}"
+
+
+#: Defaulted parameters no call sets, kept on purpose (at most 12), as
+#: ``"path/under/src:Qual.name(parameter)": reason``.
+ALLOWED_UNSET = {
+    "repro/net/realserver.py:RealHttpServer.__init__(host)": (
+        "deployment setting: the interface the TCP bridge binds"
+    ),
+    "repro/net/realserver.py:fetch_real(timeout)": (
+        "deployment setting: how long a genuine socket fetch may wait"
+    ),
+    "repro/net/server.py:Website.from_directory(host)": (
+        "deployment setting: the virtual host a served directory answers for"
+    ),
+    "repro/core/legacy.py:LegacyPolicy.__init__(quirks)": (
+        "the quirk-free legacy parser is the reference its tests hold "
+        "against RFC 9309 (see LegacyQuirks.none)"
+    ),
+    "repro/measure/longitudinal.py:collect_snapshots(specs)": (
+        "input data, not an option: tests crawl two or three specs to stay fast"
+    ),
+    "repro/measure/longitudinal.py:collect_shard_archives(specs)": (
+        "input data, not an option (see collect_snapshots)"
+    ),
+    "repro/measure/validation.py:cross_validate_snapshot(seed)": (
+        "a seed: the seed sweep of the paper-claims ledger varies it"
+    ),
+    "repro/report/experiments.py:run_table2_artists(seed)": (
+        "a seed: the seed sweep of the paper-claims ledger varies it"
+    ),
+    "repro/report/experiments.py:run_survey_tables(seed)": (
+        "a seed: the seed sweep of the paper-claims ledger varies it"
+    ),
+    "repro/report/experiments.py:run_tables9_12_codebooks(seed)": (
+        "a seed: the seed sweep of the paper-claims ledger varies it"
+    ),
+    "repro/report/experiments.py:run_survey_crosstabs(seed)": (
+        "a seed: the seed sweep of the paper-claims ledger varies it"
+    ),
+}
+
+
+def _defaulted(function, method):
+    """``(name, position)`` per defaulted parameter of *function*; the
+    position counts call arguments (``None`` for keyword-only)."""
+    args = function.args
+    positional = args.posonlyargs + args.args
+    static = any(
+        isinstance(d, ast.Name) and d.id == "staticmethod"
+        for d in function.decorator_list
+    )
+    shift = 1 if method and not static else 0
+    first = len(positional) - len(args.defaults)
+    found = [(arg.arg, index - shift) for index, arg in enumerate(positional) if index >= first]
+    found += [
+        (arg.arg, None)
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+        if default is not None
+    ]
+    return found
+
+
+def _signatures(tree):
+    """``(qualname, node, class name or None)`` per checked callable:
+    top-level functions, and the non-dunder methods and ``__init__`` of
+    classes at any depth."""
+    return [
+        (qualname, node, owner)
+        for qualname, node, owner in _definitions(tree)
+        if not isinstance(node, ast.ClassDef)
+        and (not _dunder(node.name) or (owner and node.name == "__init__"))
+    ]
+
+
+@lru_cache(maxsize=None)
+def _calls():
+    """``("name" or "attr", callee) -> [(path, line, n positional,
+    spreads *args, keywords, spreads **kwargs)]`` over every scanned file."""
+    calls = defaultdict(list)
+    for path, _ in _scanned_paths():
+        for node in ast.walk(_tree(path)):
+            if not isinstance(node, ast.Call):
+                continue
+            record = (
+                path,
+                node.lineno,
+                sum(1 for arg in node.args if not isinstance(arg, ast.Starred)),
+                any(isinstance(arg, ast.Starred) for arg in node.args),
+                {keyword.arg for keyword in node.keywords if keyword.arg},
+                any(keyword.arg is None for keyword in node.keywords),
+            )
+            if isinstance(node.func, ast.Name):
+                calls["name", node.func.id].append(record)
+            elif isinstance(node.func, ast.Attribute):
+                calls["attr", node.func.attr].append(record)
+    return calls
+
+
+@lru_cache(maxsize=None)
+def unset_parameters():
+    """``("path:Qual.name(parameter)", line)`` for every defaulted
+    parameter no call passes."""
+    calls = _calls()
+    offenders = []
+    for module, path in sorted(MODULES.items()):
+        for qualname, node, owner in _signatures(_tree(path)):
+            if node.name == "__init__":
+                callers = calls["name", owner] + calls["attr", owner] + calls["attr", "__init__"]
+            elif owner:
+                callers = calls["attr", node.name]
+            else:
+                callers = calls["name", node.name] + calls["attr", node.name]
+            callers = [
+                call for call in callers
+                if not (call[0] == path and node.lineno <= call[1] <= node.end_lineno)
+            ]
+            for name, position in _defaulted(node, owner is not None):
+                if not any(
+                    spreads_kwargs
+                    or name in keywords
+                    or (position is not None and (spreads_args or n_positional > position))
+                    for _, _, n_positional, spreads_args, keywords, spreads_kwargs in callers
+                ):
+                    offenders.append(
+                        (f"{path.relative_to(SRC)}:{qualname}({name})", node.lineno)
+                    )
+    return tuple(offenders)
+
+
+def test_parameter_positions_skip_the_receiver():
+    tree = ast.parse(
+        "class C:\n"
+        "    def m(self, a, b=1, *, c=2): ...\n"
+        "    @staticmethod\n"
+        "    def s(a, b=1): ...\n"
+        "def f(a, b=1): ...\n"
+    )
+    found = {qualname: _defaulted(node, owner is not None)
+             for qualname, node, owner in _signatures(tree)}
+    assert found == {"C.m": [("b", 1), ("c", None)], "C.s": [("b", 1)], "f": [("b", 1)]}
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller():
+    offenders = [
+        f"src/{key.partition(':')[0]}:{line} {key.partition(':')[2]}"
+        for key, line in unset_parameters()
+        if key not in ALLOWED_UNSET
+    ]
+    assert not offenders, "no call outside tests sets:\n" + "\n".join(offenders)
+
+
+def test_unset_allowlist_is_short_justified_and_current():
+    assert len(ALLOWED_UNSET) <= 12
+    assert all(reason.strip() for reason in ALLOWED_UNSET.values())
+    unset = {key for key, _ in unset_parameters()}
+    stale = sorted(set(ALLOWED_UNSET) - unset)
+    assert not stale, f"allowlisted but set (or gone): {', '.join(stale)}"

@@ -7,7 +7,7 @@ from repro.net.http import Request
 from repro.net.transport import Network
 from repro.proxy.challenges import PageKind, classify_page
 from repro.proxy.fingerprint import AUTOMATION_HEADER
-from repro.web.artists import SQUARESPACE_TOGGLE_RATE, build_artist_population
+from repro.web.artists import N_ARTISTS, SQUARESPACE_TOGGLE_RATE, build_artist_population
 from repro.web.providers import TOP_PROVIDERS, RobotsControl, provider_by_name
 
 
@@ -53,14 +53,23 @@ class TestProviders:
             provider_by_name("GeoCities")
 
 
+def by_provider(population):
+    """The population's provider-hosted sites, grouped by provider name."""
+    groups = {}
+    for site in population.sites:
+        if site.provider is not None:
+            groups.setdefault(site.provider.name, []).append(site)
+    return groups
+
+
 class TestArtistPopulation:
-    POP = build_artist_population(seed=42, n_artists=1182)
+    POP = build_artist_population(seed=42)
 
     def test_population_size(self):
-        assert len(self.POP.sites) == 1182
+        assert len(self.POP.sites) == N_ARTISTS == 1182
 
     def test_provider_shares_approximate_table2(self):
-        groups = self.POP.by_provider()
+        groups = by_provider(self.POP)
         share = len(groups.get("Squarespace", [])) / 1182
         assert 0.16 < share < 0.26
         share = len(groups.get("Artstation", [])) / 1182
@@ -71,7 +80,7 @@ class TestArtistPopulation:
         assert 0.55 < on_top8 / 1182 < 0.75
 
     def test_squarespace_toggle_rate(self):
-        squarespace = self.POP.by_provider()["Squarespace"]
+        squarespace = by_provider(self.POP)["Squarespace"]
         enabled = sum(1 for s in squarespace if s.ai_toggle_on)
         rate = enabled / len(squarespace)
         assert abs(rate - SQUARESPACE_TOGGLE_RATE) < 0.07
@@ -82,7 +91,7 @@ class TestArtistPopulation:
                 assert not site.ai_toggle_on
 
     def test_carbonmade_sites_are_subdomains(self):
-        for site in self.POP.by_provider().get("Carbonmade", []):
+        for site in by_provider(self.POP).get("Carbonmade", []):
             assert site.host.endswith(".carbonmade.com")
 
     def test_dns_attribution_recovers_providers(self):
@@ -105,15 +114,15 @@ class TestArtistPopulation:
             assert self.POP.zone.attribute(site.host, infra) is None
 
     def test_deterministic(self):
-        again = build_artist_population(seed=42, n_artists=1182)
+        again = build_artist_population(seed=42)
         assert [s.host for s in again.sites] == [s.host for s in self.POP.sites]
 
 
 class TestArtistServing:
     def test_weebly_edge_blocks_claudebot(self):
-        pop = build_artist_population(seed=1, n_artists=400)
-        weebly_sites = pop.by_provider().get("Weebly", [])
-        assert weebly_sites, "expected some Weebly sites at n=400"
+        pop = build_artist_population(seed=1)
+        weebly_sites = by_provider(pop).get("Weebly", [])
+        assert weebly_sites, "expected some Weebly sites"
         net = Network()
         site = weebly_sites[0]
         net.register(site.build_handler(), host=site.host)
@@ -123,8 +132,8 @@ class TestArtistServing:
         assert response.status == 403
 
     def test_artstation_captchas_automation(self):
-        pop = build_artist_population(seed=1, n_artists=200)
-        artstation = pop.by_provider().get("Artstation", [])[0]
+        pop = build_artist_population(seed=1)
+        artstation = by_provider(pop).get("Artstation", [])[0]
         handler = artstation.build_handler()
         response = handler.handle(
             Request(
@@ -138,7 +147,7 @@ class TestArtistServing:
         assert classify_page(response.text) is PageKind.CAPTCHA
 
     def test_plain_browser_gets_content_everywhere(self):
-        pop = build_artist_population(seed=1, n_artists=120)
+        pop = build_artist_population(seed=1)
         net = Network()
         pop.materialize(net)
         from repro.agents.useragent import DEFAULT_BROWSER_UA

@@ -61,16 +61,23 @@ class TestConfigDigest:
 
 class TestStoreCaching:
     def test_population_cache_hit_returns_same_object(self):
-        from repro.obs.metrics import MetricsRegistry
+        from repro.obs.metrics import shared_registry, snapshot_delta
 
-        registry = MetricsRegistry()
-        private = WorldStore(registry=registry)
+        registry = shared_registry()
+        before = registry.snapshot()
+        private = WorldStore()
         first = private.population(SMALL)
         second = private.population(SMALL)
         assert first is second
-        totals = registry.counter_totals("worldstore.population")
-        assert sum(v for k, v in totals.items() if "event=miss" in k) == 1
-        assert sum(v for k, v in totals.items() if "event=hit" in k) >= 1
+        counted = snapshot_delta(registry.snapshot(), before)["counters"]
+        events = [
+            dict(labels)["event"]
+            for (name, labels), value in counted.items()
+            if name == "worldstore.population"
+            for _ in range(value)
+        ]
+        assert events.count("miss") == 1
+        assert events.count("hit") >= 1
 
     def test_equal_config_different_instance_still_hits(self, store):
         again = dataclasses.replace(SMALL)
