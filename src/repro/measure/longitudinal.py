@@ -126,12 +126,12 @@ def _site_fetch_plan(
     whose *served* robots state differs from the previous spec's month
     (see :meth:`~repro.web.site.SimSite.robots_changed_between`).
     Every other site keeps its previous record in the shard's columns
-    (:meth:`~repro.web.archive.ShardWriter.add_snapshot`): handlers
-    are memoized per effective robots text and serving is
-    response-stateless, so refetching would reproduce the same record
-    byte for byte.  Blocking/proxy configuration is month-invariant in
-    this world model (it is not keyed by month anywhere), so robots
-    state is the only time-varying fetch input.
+    (:meth:`~repro.web.archive.ShardWriter.add_snapshot`): a site's
+    handler depends on the month only through its robots text, and
+    serving is response-stateless, so refetching would reproduce the
+    same record byte for byte.  Blocking/proxy configuration is
+    month-invariant in this world model (it is not keyed by month
+    anywhere), so robots state is the only time-varying fetch input.
 
     The plan depends only on the sites' evolution schedules -- not on
     any fetched data.  It is a pure per-site filter, so partitioning

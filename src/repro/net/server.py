@@ -173,6 +173,11 @@ class Website:
         """All registered page paths, sorted."""
         return sorted(self.pages)
 
+    def page(self, path: str) -> Optional[Page]:
+        """The page served at *path*, or None (a 404).  A subclass may
+        render it on request instead of storing it in :attr:`pages`."""
+        return self.pages.get(path)
+
     # -- request handling ---------------------------------------------------
 
     def handle(self, request: Request) -> Response:
@@ -232,7 +237,7 @@ class Website:
                 ),
                 url=request.url,
             )
-        page = self.pages.get(path)
+        page = self.page(path)
         if page is None:
             return Response(status=404, body="<h1>404 Not Found</h1>", url=request.url)
         body = b"" if request.method == "HEAD" else page.body

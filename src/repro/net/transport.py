@@ -35,12 +35,12 @@ def set_chaos_factory(
     _CHAOS_FACTORY = factory
 
 #: Per-thread simulated-month clock, stamped by :meth:`Network.request`
-#: before dispatch.  Handlers read it via :func:`current_month` instead
-#: of instance state because handler objects are memoized per robots
-#: text and shared by every network that serves that text -- an
-#: instance attribute would hold whichever month dispatched last.  It
-#: is per thread because :class:`~repro.net.realserver.RealHttpServer`
-#: serves handlers on threads.
+#: before dispatch.  Handlers read it via :func:`current_month`, so the
+#: month a request is logged under is always its network's, which
+#: drivers advance as simulated time passes.  It is per thread only
+#: because :class:`~repro.net.realserver.RealHttpServer` serves
+#: handlers on a thread per request; with one serving thread it could
+#: be plain module state.
 _CLOCK = threading.local()
 
 

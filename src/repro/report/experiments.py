@@ -864,9 +864,9 @@ def _crawl_against_policy(
 ) -> Tuple[BehavioralPolicy, CrawlResult, float]:
     """Crawl a fresh behaviorally-defended site with one profile.
 
-    Every profile gets its own network, site, proxy, and policy --
-    never a shared cached handler -- so windows cannot bleed between
-    adversaries and the run is identical in every scheduling mode.
+    Every profile gets its own network, site, proxy, and policy, so
+    windows cannot bleed between adversaries and the run is identical
+    in every scheduling mode.
     Returns ``(policy, crawl result, simulated seconds consumed)``.
     """
     network = Network()

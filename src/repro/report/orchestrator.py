@@ -148,6 +148,10 @@ EXPERIMENT_REGISTRY: Tuple[ExperimentSpec, ...] = (
 
 _BY_KEY: Dict[str, ExperimentSpec] = {spec.key: spec for spec in EXPERIMENT_REGISTRY}
 
+#: The bundle experiments that read the series' verdict rows: an
+#: incremental run builds the rows up front only for these.
+_ROW_READERS = frozenset({"figure2", "figure3", "figure4", "category"})
+
 
 def experiment_keys() -> List[str]:
     """Registry keys in canonical (report) order."""
@@ -621,7 +625,7 @@ def run_all(
                     population = bundle.population
                 elif needs_population:
                     population = store.population(config)
-            if inc is not None and bundle is not None:
+            if inc is not None and not _ROW_READERS.isdisjoint(to_run):
                 # Back the series' verdict rows with the persistent
                 # store: invalidated re-runs skip the bodies earlier
                 # runs already classified.  Detached when the stack

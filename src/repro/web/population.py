@@ -109,11 +109,10 @@ class WebPopulation:
     ) -> None:
         """Register handlers for *sites* (default: all stable) at *month*.
 
-        Only the network is written.  Handlers come from each site's
-        per-robots-state cache (see :meth:`SimSite.build_handler`), so
-        repeated materializations -- across snapshots and across the
-        runners that read one stored world -- reconstruct
-        ``Website``/proxy objects only for states never served before.
+        Only the network is written: each site builds a fresh handler
+        (see :meth:`SimSite.build_handler`) that the network alone
+        holds, so the handlers go when the network goes -- per spec in
+        the snapshot crawl, per runner in the audit experiments.
         """
         network.month = month
         network.register_many(
@@ -349,8 +348,6 @@ def _assign_audit_attributes(site: SimSite, config: PopulationConfig) -> None:
 
 
 def _site_has_ai_robots(site: SimSite) -> bool:
-    # robots_at is memoized per (site, month), so the final-month text is
-    # resolved once per site no matter how many passes scan it.
     text = (site.robots_at(24) or "").lower()
     return any(
         token in text

@@ -5,18 +5,22 @@ whole study window: how its robots.txt evolved month by month, whether
 it sits behind Cloudflare and with which toggles, whether it runs its
 own UA-based blocking, whether it blocks automation wholesale, and
 whether its pages carry NoAI meta tags.  :meth:`SimSite.build_handler`
-materializes the site as a servable handler (origin website, possibly
-wrapped in a proxy) for a given month, which is how the measurement
-pipelines interact with it -- over HTTP, not by reading attributes.
+builds the site as a servable handler (origin website, possibly wrapped
+in a proxy) for a given month, which is how the measurement pipelines
+interact with it -- over HTTP, not by reading attributes.
+
+A site keeps no derived state.  Each :meth:`SimSite.build_handler` call
+builds a fresh handler that lives as long as the network registering
+it, and its origin renders a page only when a request asks for one
+(the snapshot crawl fetches robots.txt alone).
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 from typing import FrozenSet, List, Optional, Tuple
 
-from ..net.server import Website, render_page
+from ..net.server import Page, Website, render_page
 from ..net.transport import Handler
 from ..proxy.cloudflare import CloudflareProxy, CloudflareSettings
 from ..proxy.reverse_proxy import ReverseProxy
@@ -27,16 +31,6 @@ __all__ = ["BlockingConfig", "SimSite"]
 #: UA patterns a self-managed WAF blocks when a site "actively blocks
 #: Anthropic's crawlers" (the Section 6.2 population).
 ANTHROPIC_UA_PATTERNS = ("Claudebot", "anthropic-ai")
-
-#: Rebinding any of these fields invalidates the robots.txt lookup
-#: caches (key array + per-month memo) and the handler cache.
-_ROBOTS_FIELDS = frozenset({"robots_schedule", "missing_months"})
-#: Rebinding any of these fields invalidates only the handler cache
-#: (the served robots text is unaffected, the blocking layers are not).
-_HANDLER_FIELDS = frozenset({"blocking", "meta_noai", "meta_noimageai"})
-
-#: Cache-miss sentinel (``None`` is a legitimate cache key).
-_HANDLER_MISS = object()
 
 
 @dataclass(frozen=True)
@@ -109,7 +103,7 @@ class SimSite:
         )
         self.missing_months = frozenset(self.missing_months)
 
-    # -- immutability and cache discipline ------------------------------------
+    # -- immutability ---------------------------------------------------------
 
     def __setattr__(self, name: str, value: object) -> None:
         state = self.__dict__
@@ -118,12 +112,6 @@ class SimSite:
                 f"SimSite {state.get('domain', '?')!r} is frozen; "
                 f"cannot set {name!r}"
             )
-        if name in _ROBOTS_FIELDS:
-            state.pop("_robots_keys", None)
-            state.pop("_robots_memo", None)
-            state.pop("_handler_cache", None)
-        elif name in _HANDLER_FIELDS:
-            state.pop("_handler_cache", None)
         object.__setattr__(self, name, value)
 
     def freeze(self) -> "SimSite":
@@ -131,10 +119,9 @@ class SimSite:
 
         The world store freezes every population it holds.  The field
         values are immutable too (a tuple schedule, a frozenset of
-        missing months, a frozen :class:`BlockingConfig`), so no write
-        reaches a stored site.  Lazy caches (robots key array,
-        per-month memo, built handlers) still populate on frozen sites
-        -- they are derived, not state.
+        missing months, a frozen :class:`BlockingConfig`), and a site
+        caches nothing it derives from them, so a frozen site's state
+        never changes.
         """
         self.__dict__["_frozen"] = True
         return self
@@ -145,18 +132,11 @@ class SimSite:
         """The robots.txt text in effect at *month* (None = absent)."""
         if month in self.missing_months:
             return None
-        state = self.__dict__
-        memo = state.get("_robots_memo")
-        if memo is None:
-            memo = state["_robots_memo"] = {}
-        elif month in memo:
-            return memo[month]
-        keys = state.get("_robots_keys")
-        if keys is None:
-            keys = state["_robots_keys"] = [m for m, _ in self.robots_schedule]
-        index = bisect.bisect_right(keys, month) - 1
-        text = None if index < 0 else self.robots_schedule[index][1]
-        memo[month] = text
+        text = None
+        for changed, candidate in self.robots_schedule:
+            if changed > month:
+                break
+            text = candidate
         return text
 
     def robots_changed_between(self, earlier: int, later: int) -> bool:
@@ -165,11 +145,10 @@ class SimSite:
         This is the delta predicate behind incremental snapshot
         collection: a site whose effective robots.txt (including
         missing-month unavailability) is identical at both months will
-        produce a byte-identical snapshot record, because handlers are
-        memoized per effective robots text (see :meth:`build_handler`)
-        and serving is response-stateless.  Comparisons reuse the
-        ``robots_at`` memos, so a whole-population delta plan costs one
-        bisect per (site, month) at most once.
+        produce a byte-identical snapshot record, because the month
+        reaches a handler only through that text (see
+        :meth:`build_handler`) and serving is response-stateless.  Most
+        schedules hold one entry, so each ``robots_at`` scan is short.
         """
         return self.robots_at(later) != self.robots_at(earlier)
 
@@ -178,8 +157,6 @@ class SimSite:
         schedule = [(m, t) for m, t in self.robots_schedule if m != month]
         schedule.append((month, text))
         schedule.sort(key=lambda pair: pair[0])
-        # Single rebind so the cache-invalidation hook fires exactly
-        # once, after the new schedule is fully assembled.
         self.robots_schedule = tuple(schedule)
 
     def change_months(self) -> List[int]:
@@ -198,53 +175,21 @@ class SimSite:
 
     def build_origin(self, month: int) -> Website:
         """The origin website as it stood at *month* (no proxies)."""
-        site = Website(self.domain)
-        site.category = self.category
-        site.add_page(
-            "/",
-            render_page(
-                f"{self.domain} home",
-                paragraphs=[f"{self.category} content from {self.domain}."],
-                links=["/about", "/news/latest"],
-                meta_robots=self._meta_content(),
-            ),
-        )
-        site.add_page(
-            "/about",
-            render_page(f"About {self.domain}", paragraphs=["About page."]),
-        )
-        site.add_page(
-            "/news/latest",
-            render_page("Latest", paragraphs=["Fresh content."]),
-        )
-        site.set_robots_txt(self.robots_at(month))
-        return site
+        return _SiteOrigin(self, month)
 
     def build_handler(self, month: int) -> Handler:
-        """The servable handler at *month*: origin plus blocking layers.
+        """A fresh servable handler at *month*: origin plus blocking layers.
 
-        Handlers are memoized per effective robots.txt text: two months
-        serving the same text share one handler object, and repeated
-        materializations of the same month reuse it outright.  Serving
-        is response-stateless (logs and dashboards are append-only and
-        never read back by the population measurements), so every
-        runner and thread reading the one stored world shares the
-        handler a site built first.  Rebinding any field the handler
-        depends on (possible only before :meth:`freeze`) invalidates
-        the cache (see :meth:`__setattr__`).
+        Every call builds new objects and the site keeps none of them,
+        so a handler lives as long as the network that registers it
+        (see :meth:`~repro.web.population.WebPopulation.materialize`).
+        The month reaches the handler only through its robots text, and
+        serving is response-stateless (logs and dashboards are
+        append-only and never read back by the population
+        measurements), so handlers built for two months that serve the
+        same text answer every request alike.
         """
-        cache = self.__dict__.setdefault("_handler_cache", {})
-        key = self.robots_at(month)
-        handler = cache.get(key, _HANDLER_MISS)
-        if handler is not _HANDLER_MISS:
-            return handler
-        handler = self._build_handler_uncached(month)
-        cache[key] = handler
-        return handler
-
-    def _build_handler_uncached(self, month: int) -> Handler:
-        origin = self.build_origin(month)
-        handler: Handler = origin
+        handler: Handler = self.build_origin(month)
 
         needs_origin_waf = (
             self.blocking.waf_blocks_anthropic
@@ -302,3 +247,34 @@ class SimSite:
                 handler, self.blocking.cloudflare, custom_rules=custom
             )
         return handler
+
+
+class _SiteOrigin(Website):
+    """A :class:`SimSite`'s origin server at one month.
+
+    It serves the month's robots.txt and renders the home, about and
+    latest-news pages only when a request asks for one of them.
+    """
+
+    def __init__(self, site: SimSite, month: int) -> None:
+        super().__init__(site.domain)
+        self._site = site
+        self.category = site.category
+        self.set_robots_txt(site.robots_at(month))
+
+    def page(self, path: str) -> Optional[Page]:
+        site = self._site
+        if path == "/":
+            body = render_page(
+                f"{site.domain} home",
+                paragraphs=[f"{site.category} content from {site.domain}."],
+                links=["/about", "/news/latest"],
+                meta_robots=site._meta_content(),
+            )
+        elif path == "/about":
+            body = render_page(f"About {site.domain}", paragraphs=["About page."])
+        elif path == "/news/latest":
+            body = render_page("Latest", paragraphs=["Fresh content."])
+        else:
+            return None
+        return Page(body=body)

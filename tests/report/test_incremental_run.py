@@ -13,6 +13,8 @@ import shutil
 
 import pytest
 
+from repro.core import policy
+from repro.core.compiled import shared_policy_cache
 from repro.measure import incremental
 from repro.measure.incremental import IncrementalStore
 from repro.net.chaos import chaos_active, plan
@@ -111,6 +113,29 @@ class TestWarmEquivalence:
             rows[workers] = json.loads((root / "bodies.json").read_text())["rows"]
         assert rows[1]
         assert rows[2] == rows[1]
+
+    def test_run_without_row_readers_builds_no_rows(self, tmp_path, monkeypatch):
+        """table3 reads no verdict row: a cold incremental table3 run
+        parses as many bodies as a run without the store, and stores no
+        row."""
+        parsed = []
+        parse = policy.parse
+
+        def counting(source):
+            parsed.append(source)
+            return parse(source)
+
+        monkeypatch.setattr(policy, "parse", counting)
+        counts = {}
+        for root in (None, tmp_path / "cache"):
+            shared_policy_cache().clear()
+            parsed.clear()
+            run_all(SMALL, workers=1, experiments=["table3"], store=WorldStore(),
+                    incremental=root)
+            counts[root] = len(parsed)
+        assert counts[tmp_path / "cache"] == counts[None]
+        stored = json.loads((tmp_path / "cache" / "bodies.json").read_text())
+        assert stored["rows"] == {}
 
     def test_cold_incremental_matches_plain_run(self, tmp_path):
         plain = run_all(SMALL, workers=1, experiments=["figure2"],

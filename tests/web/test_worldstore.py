@@ -3,23 +3,32 @@
 The store's whole contract is: a cached world is observationally
 identical to a fresh build, and a stored world rejects every write, so
 no consumer can observe another's.  These tests pin both halves, plus
-the digest keying and the site-level fast paths (robots_at
-memoization, handler caching) the store relies on.
+the digest keying and the site-level paths the store relies on: a
+stored site holds no derived state, the handlers it builds live only as
+long as their network, and its pages render only on request.
 """
 
 import dataclasses
+import gc
 import operator
+import weakref
 
 import pytest
 
+from repro.measure.longitudinal import collect_snapshots
+from repro.net.http import Request
+from repro.net.server import render_page
+from repro.net.transport import Network
+from repro.proxy.cloudflare import CloudflareSettings
 from repro.report.experiments import (
     build_longitudinal_bundle,
     run_figure2,
     run_table3,
 )
+from repro.web import site as site_module
 from repro.web.evolution import EvolutionParams
 from repro.web.population import PopulationConfig
-from repro.web.site import SimSite
+from repro.web.site import BlockingConfig, SimSite
 from repro.web.worldstore import WorldStore, config_digest, shared_world_store
 
 SMALL = PopulationConfig(
@@ -144,18 +153,92 @@ class TestFrozenSubstrate:
 
 
 class TestSiteFastPaths:
-    def test_handler_shared_across_months_with_same_robots(self):
-        site = SimSite(domain="cache.example", rank=10)
-        site.set_robots(0, "User-agent: *\nDisallow: /private/")
-        assert site.build_handler(3) is site.build_handler(9)
+    def test_materialized_handlers_die_with_their_network(self, store, monkeypatch):
+        built = []
+        build_handler = SimSite.build_handler
 
-    def test_handler_cache_invalidated_by_set_robots(self):
-        site = SimSite(domain="cache.example", rank=10)
-        site.set_robots(0, "User-agent: *\nDisallow: /a/")
-        before = site.build_handler(3)
-        site.set_robots(2, "User-agent: *\nDisallow: /b/")
-        after = site.build_handler(3)
-        assert after is not before
+        def recording(site, month):
+            handler = build_handler(site, month)
+            built.append(weakref.ref(handler))
+            return handler
+
+        monkeypatch.setattr(SimSite, "build_handler", recording)
+        population = store.population(SMALL)
+        network = Network()
+        population.materialize(network, month=24, sites=population.audit_sites)
+        for site in population.audit_sites:
+            network.request(Request(host=site.domain, path="/robots.txt"))
+        assert len(built) == len(population.audit_sites)
+        assert all(ref() is not None for ref in built)
+        del network
+        gc.collect()
+        assert all(ref() is None for ref in built)
+
+    def test_frozen_site_gains_no_state(self):
+        site = SimSite(
+            domain="state.example",
+            rank=1,
+            blocking=BlockingConfig(
+                cloudflare=CloudflareSettings(block_ai_bots=True),
+                waf_blocks_anthropic=True,
+            ),
+        )
+        site.set_robots(-1, "User-agent: *\nDisallow: /a/")
+        site.set_robots(12, "User-agent: GPTBot\nDisallow: /")
+        site.freeze()
+        before = dict(site.__dict__)
+        for month in (0, 12, 12, 24):
+            site.robots_at(month)
+            site.robots_changed_between(0, month)
+            site.build_handler(month)
+        assert site.__dict__ == before
+
+    @pytest.mark.parametrize(
+        "noai, noimageai, meta",
+        [(False, False, None), (True, False, "noai"), (True, True, "noai, noimageai")],
+    )
+    def test_pages_render_on_request_as_eager_pages_did(self, noai, noimageai, meta):
+        site = SimSite(domain="pages.example", rank=3, category="news",
+                       meta_noai=noai, meta_noimageai=noimageai)
+        site.set_robots(0, "User-agent: *\nDisallow: /private/")
+        expected = {
+            "/": render_page(
+                "pages.example home",
+                paragraphs=["news content from pages.example."],
+                links=["/about", "/news/latest"],
+                meta_robots=meta,
+            ),
+            "/about": render_page("About pages.example", paragraphs=["About page."]),
+            "/news/latest": render_page("Latest", paragraphs=["Fresh content."]),
+        }
+        origin = site.build_origin(5)
+        for path, body in expected.items():
+            response = origin.handle(Request(host=site.domain, path=path))
+            assert response.status == 200
+            assert response.text == body
+            assert response.headers.get("Content-Type") == "text/html; charset=utf-8"
+        for path in ("/private/x", "/news", "/about/"):
+            assert origin.handle(Request(host=site.domain, path=path)).status == 404
+        robots = origin.handle(Request(host=site.domain, path="/robots.txt"))
+        assert robots.text == site.robots_at(5)
+        assert origin.pages == {}
+
+    def test_snapshot_crawl_renders_no_page(self, store, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return render_page(*args, **kwargs)
+
+        monkeypatch.setattr(site_module, "render_page", counting)
+        population = store.population(SMALL)
+        series = collect_snapshots(population)
+        assert series.stable_domains
+        assert calls == []
+        # The counter sees a page that a request does ask for.
+        site = population.stable[0]
+        site.build_origin(24).handle(Request(host=site.domain, path="/"))
+        assert len(calls) == 1
 
     def test_robots_at_agrees_with_linear_scan_after_memoization(self):
         site = SimSite(domain="memo.example", rank=10)
@@ -164,7 +247,8 @@ class TestSiteFastPaths:
         expected = {0: "v0", 4: "v1", 10: "v1", 11: None, 17: None, 18: "v3", 24: "v3"}
         for month, text in expected.items():
             assert site.robots_at(month) == text
-        # Second pass hits the memo; answers must not drift.
+        # A second pass must answer the same: a lookup leaves nothing
+        # behind that could change a later one.
         for month, text in expected.items():
             assert site.robots_at(month) == text
 
