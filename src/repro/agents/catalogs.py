@@ -13,9 +13,9 @@ This module records the concrete user-agent lists the paper documents:
   IP; spoofed requests claiming these UAs from wrong IPs are blocked.
 * :data:`CARBONMADE_DEFAULT_BLOCKED` -- agents Carbonmade's default
   robots.txt disallows (Section 4.4).
-* :func:`generic_crawler_user_agents` -- a 590-entry stand-in for the
-  public crawler-user-agents list [79] used to probe Cloudflare's
-  coverage.
+* :func:`generic_crawler_user_agents` -- a stand-in of
+  :data:`N_GENERIC_CRAWLERS` (590) entries for the public
+  crawler-user-agents list [79] used to probe Cloudflare's coverage.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ __all__ = [
     "CLOUDFLARE_VERIFIED_BOTS",
     "CLOUDFLARE_VERIFIED_AI_BOTS_BLOCKED",
     "CARBONMADE_DEFAULT_BLOCKED",
+    "N_GENERIC_CRAWLERS",
     "generic_crawler_user_agents",
 ]
 
@@ -167,16 +168,21 @@ _GENERIC_NAMES = [
 ]
 
 
-def generic_crawler_user_agents(count: int = 590) -> List[str]:
-    """Synthesize *count* distinct full crawler user-agent strings.
+#: Entries in the crawler-user-agents list [79] the paper probes
+#: Cloudflare's UA coverage with (Section 6.3).
+N_GENERIC_CRAWLERS = 590
+
+
+def generic_crawler_user_agents() -> List[str]:
+    """Synthesize :data:`N_GENERIC_CRAWLERS` distinct full crawler
+    user-agent strings.
 
     Stand-in for the monperrus/crawler-user-agents list [79] the paper
-    uses to probe Cloudflare's UA coverage.  Deterministic: the same
-    count always yields the same list.
+    uses to probe Cloudflare's UA coverage.  Deterministic: every call
+    yields the same list.
     """
     out: List[str] = []
-    index = 0
-    while len(out) < count:
+    for index in range(N_GENERIC_CRAWLERS):
         name = _GENERIC_NAMES[index % len(_GENERIC_NAMES)]
         family = _GENERIC_FAMILIES[(index // len(_GENERIC_NAMES)) % len(_GENERIC_FAMILIES)]
         major = 1 + (index % 9)
@@ -184,5 +190,4 @@ def generic_crawler_user_agents(count: int = 590) -> List[str]:
         serial = index // (len(_GENERIC_NAMES) * len(_GENERIC_FAMILIES))
         suffix = f"-{serial}" if serial else ""
         out.append(family.format(name=name + suffix, major=major, minor=minor))
-        index += 1
-    return out[:count]
+    return out

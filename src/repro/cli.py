@@ -915,22 +915,19 @@ def _cmd_dashboard(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import time
-
     from .net.realserver import RealHttpServer
     from .net.server import Website
 
     site = Website.from_directory(args.directory)
-    with RealHttpServer(site, port=args.port) as server:
-        print(f"serving {args.directory} at http://{server.address}/ "
-              f"({len(site.pages)} pages)", flush=True)
-        try:
-            while True:
-                if args.requests is not None and len(site.access_log) >= args.requests:
-                    break
-                time.sleep(0.05)
-        except KeyboardInterrupt:
-            pass
+    server = RealHttpServer(site, port=args.port)
+    print(f"serving {args.directory} at http://{server.address}/ "
+          f"({len(site.pages)} pages)", flush=True)
+    try:
+        server.serve(
+            lambda: args.requests is not None and len(site.access_log) >= args.requests
+        )
+    except KeyboardInterrupt:
+        pass
     print(f"served {len(site.access_log)} request(s)")
     return 0
 
@@ -946,8 +943,6 @@ def _cmd_serve_metrics(args: argparse.Namespace) -> int:
     Serves the directory's METRICS.json/SERIES.json exactly as written:
     the rendered counter totals are byte-for-byte the export's.
     """
-    import time
-
     from .net.realserver import RealHttpServer
     from .obs.prometheus import MetricsHandler
 
@@ -955,15 +950,16 @@ def _cmd_serve_metrics(args: argparse.Namespace) -> int:
     handler = MetricsHandler(
         *_export(directory), health={"mode": "static", "telemetry": str(directory)}
     )
-    with RealHttpServer(handler, port=args.port) as server:
-        url = f"http://{server.address}"
-        print(f"serving static export from {directory} at {url}/metrics "
-              f"(health: {url}/healthz)", flush=True)
-        try:
-            while args.requests is None or handler.requests < args.requests:
-                time.sleep(0.05)
-        except KeyboardInterrupt:
-            pass
+    server = RealHttpServer(handler, port=args.port)
+    url = f"http://{server.address}"
+    print(f"serving static export from {directory} at {url}/metrics "
+          f"(health: {url}/healthz)", flush=True)
+    try:
+        server.serve(
+            lambda: args.requests is not None and handler.requests >= args.requests
+        )
+    except KeyboardInterrupt:
+        pass
     print(f"handled {handler.requests} request(s)")
     return 0
 

@@ -51,7 +51,6 @@ from array import array
 from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
-from threading import Lock
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, Type, TypeVar, Union
 
 __all__ = [
@@ -462,11 +461,10 @@ class BodyFacts:
     per body, stored and returned as written (the cache unpacks it and
     treats a malformed row as a miss).  Subclasses persist
     :meth:`facts_payload` to their own file and pass what they read
-    back to :meth:`load_facts`.  Thread-safe; puts set ``_dirty``.
+    back to :meth:`load_facts`.  Puts set ``_dirty``.
     """
 
     def __init__(self) -> None:
-        self._lock = Lock()
         self._dirty = False
         self._rows: Dict[str, object] = {}
 
@@ -483,6 +481,5 @@ class BodyFacts:
         return self._rows.get(body_digest)
 
     def put_row(self, body_digest: str, packed: str) -> None:
-        with self._lock:
-            self._rows[body_digest] = packed
-            self._dirty = True
+        self._rows[body_digest] = packed
+        self._dirty = True

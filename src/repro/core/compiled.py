@@ -17,14 +17,12 @@ analysis pipelines (:mod:`repro.measure`), the classifier's raw-text
 inputs (:mod:`repro.core.classify`), the linter
 (:mod:`repro.core.diagnostics`) and the crawl testbed
 (:mod:`repro.crawlers.engine`), so the same policy object answers for a
-given body everywhere.  Policies are safe to share across threads, and
-the cache itself is lock-protected.
+given body everywhere.
 """
 
 from __future__ import annotations
 
 import hashlib
-import threading
 from typing import Dict, Union
 
 from .policy import RobotsPolicy
@@ -46,7 +44,7 @@ class CompiledPolicyCache:
     is the source itself: CPython caches ``str`` hashes and the crawl
     pipelines intern bodies, so a hit is one dict probe with no digest.
     A ``str`` and a ``bytes`` copy of one body are two keys, so they may
-    parse twice, into policies that answer alike.  Thread-safe.
+    parse twice, into policies that answer alike.
 
     Hit/miss tallies are kept as plain ints on the hot path -- they are
     scheduling-dependent for shared caches, so :meth:`publish` exports
@@ -55,7 +53,6 @@ class CompiledPolicyCache:
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._by_source: Dict[Union[str, bytes], RobotsPolicy] = {}
         self.hits = 0
         self.misses = 0
@@ -65,17 +62,13 @@ class CompiledPolicyCache:
 
     def policy(self, source: Union[str, bytes]) -> RobotsPolicy:
         """The policy for *source*, parsing it on first sight."""
-        with self._lock:
-            cached = self._by_source.get(source)
-            if cached is not None:
-                self.hits += 1
-                return cached
-            self.misses += 1
-        policy = RobotsPolicy(source)
-        with self._lock:
-            # setdefault: a racing thread may have parsed the same
-            # body; both results are equivalent, keep the first.
-            return self._by_source.setdefault(source, policy)
+        cached = self._by_source.get(source)
+        if cached is not None:
+            self.hits += 1
+            return cached
+        self.misses += 1
+        policy = self._by_source[source] = RobotsPolicy(source)
+        return policy
 
     def publish(self) -> None:
         """Export occupancy and hit/miss tallies as ``policy_cache.*``
@@ -89,10 +82,9 @@ class CompiledPolicyCache:
 
     def clear(self) -> None:
         """Drop every cached policy and reset the hit/miss counters."""
-        with self._lock:
-            self._by_source.clear()
-            self.hits = 0
-            self.misses = 0
+        self._by_source.clear()
+        self.hits = 0
+        self.misses = 0
 
 
 _SHARED_CACHE = CompiledPolicyCache()

@@ -226,9 +226,7 @@ class RobotsPolicy:
     agents no group names share :attr:`wildcard_rules`), so a rule set
     is merged and classified once however many agents it governs.
     :meth:`rules_for` is memoized and each rule compiles its pattern
-    once, so repeated queries only normalize the request path.  Answers
-    are fixed at parse, so one policy may be shared across threads: a
-    race on a memo only resolves the same rules twice.
+    once, so repeated queries only normalize the request path.
 
     >>> policy = RobotsPolicy("User-agent: GPTBot\\nDisallow: /")
     >>> policy.is_allowed("GPTBot", "/page")
@@ -317,9 +315,8 @@ class RobotsPolicy:
         rules = self._rules_by_groups.get(matched)
         if rules is None:
             groups = self._parsed.groups
-            # setdefault: racing threads keep one shared object.
-            rules = self._rules_by_groups.setdefault(
-                matched, _merged((groups[i] for i in matched), explicit=True)
+            rules = self._rules_by_groups[matched] = _merged(
+                (groups[i] for i in matched), explicit=True
             )
         return rules
 

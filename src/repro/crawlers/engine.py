@@ -101,7 +101,7 @@ class Crawler:
         # adversarial profiles (a plain attribute read otherwise).
         self._requests_sent = 0
         # Counter handles are resolved once per crawler; each increment
-        # on the crawl hot path is then a bool check plus a locked add.
+        # on the crawl hot path is then a bool check plus an add.
         agent = profile.token if profile.token in _KNOWN_AGENT_LABELS else "other"
         registry = shared_registry()
         self._fetches_counter = registry.counter("crawler.fetches", agent=agent)

@@ -130,9 +130,9 @@ class IncrementalStore(BodyFacts):
     """On-disk memo for body verdicts and finished experiment results.
 
     The body layer is a :class:`~repro.columnar.BodyFacts` table, the
-    same one the snapshot archive's ``facts.json`` persists.
-    Thread-safe; all mutation happens in memory and persists on
-    :meth:`flush` (atomic per file).  A store whose on-disk schema
+    same one the snapshot archive's ``facts.json`` persists.  All
+    mutation happens in memory and persists on :meth:`flush` (atomic
+    per file).  A store whose on-disk schema
     fingerprint does not match :data:`SCHEMA_FINGERPRINT` loads as
     empty and is rewritten in the current format on the next flush.
     """
@@ -185,15 +185,14 @@ class IncrementalStore(BodyFacts):
 
     def flush(self) -> None:
         """Persist every layer (no-op when nothing changed)."""
-        with self._lock:
-            if not self._dirty:
-                return
-            self.root.mkdir(parents=True, exist_ok=True)
-            meta = {"schema_fingerprint": SCHEMA_FINGERPRINT, "code_digest": code_digest()}
-            _write_json(self.meta_path, meta)
-            _write_json(self.bodies_path, self.facts_payload())
-            _write_json(self.experiments_path, self._experiments)
-            self._dirty = False
+        if not self._dirty:
+            return
+        self.root.mkdir(parents=True, exist_ok=True)
+        meta = {"schema_fingerprint": SCHEMA_FINGERPRINT, "code_digest": code_digest()}
+        _write_json(self.meta_path, meta)
+        _write_json(self.bodies_path, self.facts_payload())
+        _write_json(self.experiments_path, self._experiments)
+        self._dirty = False
 
     # -- experiment results ----------------------------------------------------
 
@@ -220,16 +219,15 @@ class IncrementalStore(BodyFacts):
         )
 
     def record_experiment(self, key: str, input_key: str, result) -> None:
-        with self._lock:
-            self._experiments[key] = {
-                "input_key": input_key,
-                "result": {
-                    "experiment_id": result.experiment_id,
-                    "title": result.title,
-                    "text": result.text,
-                    "metrics": dict(result.metrics),
-                },
-            }
-            self._dirty = True
+        self._experiments[key] = {
+            "input_key": input_key,
+            "result": {
+                "experiment_id": result.experiment_id,
+                "title": result.title,
+                "text": result.text,
+                "metrics": dict(result.metrics),
+            },
+        }
+        self._dirty = True
 
     # -- introspection ---------------------------------------------------------

@@ -42,7 +42,6 @@ demonstrate what the fault plan does to an unhardened pipeline.
 from __future__ import annotations
 
 import hashlib
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
@@ -177,7 +176,6 @@ class ChaosController:
         self.plan = plan
         self.network = network
         self.seed = seed
-        self._lock = threading.Lock()
         #: Faults already injected, keyed ``(rule_index, host)``.
         self._injected: Dict[Tuple[int, str], int] = {}
         #: Memoized ``matches_host`` verdicts -- the decision is pure in
@@ -188,7 +186,7 @@ class ChaosController:
         #: the fault-free majority of traffic is one set lookup.
         self._immune: set = set()
         #: ``(rule_index, host)`` slots already exhausted -- checked
-        #: before the lock so healed hosts stop paying for it.
+        #: first, so healed hosts skip the counters.
         self._spent: set = set()
         registry = shared_registry()
         self._fault_counters = {
@@ -207,14 +205,13 @@ class ChaosController:
         key = (rule_index, host)
         if key in self._spent:
             return False
-        with self._lock:
-            used = self._injected.get(key, 0)
-            if used >= rule.max_per_host:
-                self._spent.add(key)
-                return False
-            self._injected[key] = used + 1
-            if used + 1 >= rule.max_per_host:
-                self._spent.add(key)
+        used = self._injected.get(key, 0)
+        if used >= rule.max_per_host:
+            self._spent.add(key)
+            return False
+        self._injected[key] = used + 1
+        if used + 1 >= rule.max_per_host:
+            self._spent.add(key)
         return True
 
     def _host_matches(self, index: int, rule: FaultRule, host: str) -> bool:

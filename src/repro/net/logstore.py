@@ -19,7 +19,7 @@ deliver it:
 
 * **Named streams.**  Every sequential unit of work (one experiment
   runner, one snapshot spec or archive shard) emits under a
-  thread-local stream label (:func:`log_stream`).  Each stream is
+  stream label (:func:`log_stream`).  Each stream is
   written by exactly one unit, so its internal order is the unit's own
   deterministic request order.  At commit time streams are concatenated in sorted
   label order and global sequence numbers are stamped over the result
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import threading
 from array import array
 from contextlib import contextmanager
 from pathlib import Path
@@ -167,45 +166,40 @@ class LogRecord(NamedTuple):
 
 # -- collection ----------------------------------------------------------------
 
-_STREAM_LOCAL = threading.local()
-
 #: Stream label for work not wrapped in :func:`log_stream` (module-level
 #: crawls, tests, ad-hoc driving).
 DEFAULT_STREAM = "main"
 
-
-def current_log_stream() -> str:
-    """The calling thread's active stream label."""
-    return getattr(_STREAM_LOCAL, "label", DEFAULT_STREAM)
+#: The active stream label, set by :func:`log_stream`.
+_STREAM = DEFAULT_STREAM
 
 
 @contextmanager
 def log_stream(label: str):
-    """Emit this thread's wide events under *label* while active.
+    """Emit wide events under *label* while active.
 
     One stream per sequential unit of work is the determinism unit:
     labels must be unique per unit and identical across scheduling
     modes (e.g. ``experiment:figure2``, ``collect:2024-01``).
     """
-    previous = current_log_stream()
-    _STREAM_LOCAL.label = label
+    global _STREAM
+    previous, _STREAM = _STREAM, label
     try:
         yield
     finally:
-        _STREAM_LOCAL.label = previous
+        _STREAM = previous
 
 
 class LogSink:
     """In-memory wide-event collector, committed to a columnar archive.
 
-    Emission appends to the calling thread's named stream; commit
-    orders streams by label, stamps global sequence numbers, partitions
-    by host shard, and writes one :class:`ShardLogWriter` per shard.
+    Emission appends to the active named stream; commit orders streams
+    by label, stamps global sequence numbers, partitions by host shard,
+    and writes one :class:`ShardLogWriter` per shard.
     """
 
     def __init__(self) -> None:
         self._streams: Dict[str, List[tuple]] = {}
-        self._lock = threading.Lock()
 
     def emit(
         self,
@@ -221,11 +215,9 @@ class LogSink:
         robots_fetch: bool,
     ) -> None:
         """Record one request event into the active stream."""
-        label = current_log_stream()
-        events = self._streams.get(label)
+        events = self._streams.get(_STREAM)
         if events is None:
-            with self._lock:
-                events = self._streams.setdefault(label, [])
+            events = self._streams[_STREAM] = []
         events.append(
             (host, path, user_agent, agent, outcome, category,
              month, status, ticks, robots_fetch)
@@ -257,9 +249,8 @@ class LogSink:
 
     def merge(self, delta: Mapping[str, Sequence[tuple]]) -> None:
         """Fold a shipped worker delta into this sink."""
-        with self._lock:
-            for label, events in delta.items():
-                self._streams.setdefault(label, []).extend(events)
+        for label, events in delta.items():
+            self._streams.setdefault(label, []).extend(events)
 
     # -- commit --------------------------------------------------------
 

@@ -4,18 +4,27 @@ The paper's Section 5 testbed is two real websites on a cloud host with
 request logging.  For integration-level fidelity, this module exposes
 any in-memory :class:`~repro.net.transport.Handler` (a website or a
 reverse proxy stack) on a localhost socket using the standard library's
-threading HTTP server, plus a matching blocking client built on
-``http.client``.  The compliance experiment's integration tests run the
-crawler fleet over genuine TCP through this bridge; the large sweeps use
-the in-memory transport with identical semantics.
+HTTP server, plus a matching blocking client built on ``http.client``.
+The compliance experiment's integration tests run the crawler fleet over
+genuine TCP through this bridge; the large sweeps use the in-memory
+transport with identical semantics.
+
+The bridge answers one request at a time and closes each connection
+after its response, on one thread: the caller's
+(:meth:`RealHttpServer.serve`, which ``repro serve`` and ``repro
+serve-metrics`` run), or the one the context manager starts for an
+in-process caller, which waits on its own requests.  So the serving
+thread runs handlers only while its caller waits, nothing else in the
+package runs concurrently, and this is the one module that imports
+:mod:`threading`.
 """
 
 from __future__ import annotations
 
 import http.client
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional
+from http.server import BaseHTTPRequestHandler, HTTPServer
+from typing import Callable, Optional
 
 from .http import Headers, Request, Response
 from .transport import Handler
@@ -24,12 +33,17 @@ __all__ = ["RealHttpServer", "fetch_real"]
 
 
 class RealHttpServer:
-    """Expose a handler on a localhost TCP port.
+    """Expose a handler on a localhost TCP port, one request at a time.
 
-    Use as a context manager::
+    In process, use it as a context manager, which serves on one
+    background thread while the caller makes its requests::
 
         with RealHttpServer(site) as server:
             response = fetch_real(f"http://{server.address}/robots.txt")
+
+    A command serves on its own thread instead, until a budget is met::
+
+        RealHttpServer(site).serve(lambda: len(site.access_log) >= 10)
 
     The ``Host`` header (minus port) is used as the virtual-host routing
     key, falling back to the handler's own host, so a single socket can
@@ -83,6 +97,9 @@ class RealHttpServer:
                 if not sent_type:
                     self.send_header("Content-Type", "text/html; charset=utf-8")
                 self.send_header("Content-Length", str(len(response.body)))
+                # One request per connection: a kept-alive client would
+                # hold the one serving thread.
+                self.send_header("Connection", "close")
                 self.end_headers()
                 if method != "HEAD":
                     self.wfile.write(response.body)
@@ -96,7 +113,7 @@ class RealHttpServer:
             def log_message(self, *args) -> None:  # silence stderr
                 pass
 
-        self._server = ThreadingHTTPServer((host, port), _RequestBridge)
+        self._server = HTTPServer((host, port), _RequestBridge)
         self._thread: Optional[threading.Thread] = None
 
     @property
@@ -110,8 +127,23 @@ class RealHttpServer:
         """The bound TCP port."""
         return self._server.server_address[1]
 
+    def serve(self, done: Callable[[], bool]) -> None:
+        """Answer requests on the calling thread until ``done()`` holds,
+        then release the socket.
+
+        Each response is written and its connection closed before
+        *done* is asked again, so a budget the handler counts (such as
+        access-log entries) never ends the loop before its client has
+        the whole answer.
+        """
+        try:
+            while not done():
+                self._server.handle_request()
+        finally:
+            self._server.server_close()
+
     def start(self) -> "RealHttpServer":
-        """Start serving on a background thread."""
+        """Start serving on one background thread."""
         self._thread = threading.Thread(
             target=self._server.serve_forever, name="repro-http", daemon=True
         )
@@ -119,12 +151,13 @@ class RealHttpServer:
         return self
 
     def stop(self) -> None:
-        """Stop serving and release the socket."""
-        self._server.shutdown()
-        self._server.server_close()
+        """Stop the serving thread, if one was started, and release the
+        socket."""
         if self._thread is not None:
+            self._server.shutdown()
             self._thread.join(timeout=5)
             self._thread = None
+        self._server.server_close()
 
     def __enter__(self) -> "RealHttpServer":
         return self.start()

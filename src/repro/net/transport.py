@@ -11,7 +11,6 @@ seconds.
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, Dict, Iterable, Iterator, Optional, Protocol
 
 from ..obs.metrics import metrics_enabled, shared_registry
@@ -34,23 +33,22 @@ def set_chaos_factory(
     global _CHAOS_FACTORY
     _CHAOS_FACTORY = factory
 
-#: Per-thread simulated-month clock, stamped by :meth:`Network.request`
-#: before dispatch.  Handlers read it via :func:`current_month`, so the
-#: month a request is logged under is always its network's, which
-#: drivers advance as simulated time passes.  It is per thread only
-#: because :class:`~repro.net.realserver.RealHttpServer` serves
-#: handlers on a thread per request; with one serving thread it could
-#: be plain module state.
-_CLOCK = threading.local()
+#: The simulated-month clock of the dispatch in progress:
+#: :meth:`Network.request` sets it to its network's month for the
+#: handler call and restores the previous value after.  Handlers read it
+#: via :func:`current_month`, so the month a request is logged under is
+#: always its network's, which drivers advance as simulated time passes.
+_MONTH = -1
 
 
 def current_month() -> int:
     """The simulated-month index of the request being dispatched.
 
-    Returns -1 outside a clocked :meth:`Network.request` dispatch
-    (e.g. direct ``handler.handle`` calls in tests).
+    Returns -1 outside a :meth:`Network.request` dispatch (a direct
+    ``handler.handle`` call, or a request the TCP bridge hands straight
+    to a website).
     """
-    return getattr(_CLOCK, "month", -1)
+    return _MONTH
 
 
 class Handler(Protocol):
@@ -81,7 +79,7 @@ class Network:
         self.month: int = -1
         self._registry = shared_registry()
         # Counter handles cached per status / error kind so the
-        # per-request cost is one dict probe plus one locked add.
+        # per-request cost is one dict probe plus one add.
         self._status_counters: Dict[int, object] = {}
         self._error_counters: Dict[str, object] = {}
         # Per-host request tallies, kept as a plain dict (cheap) and
@@ -158,6 +156,7 @@ class Network:
             DNSFailure: No handler is registered for the host.
             NetError: The armed fault plan injected a transport error.
         """
+        global _MONTH
         key = request.host.lower()
         metered = metrics_enabled()
         if metered:
@@ -177,11 +176,14 @@ class Network:
                     self._count_error(type(exc).__name__)
                 raise exc
         # Propagate the simulation clocks: ``now`` to handlers that
-        # keep logs, the month to this thread's dispatch clock.
+        # keep logs, the month to the dispatch clock.
         if hasattr(handler, "now"):
             handler.now = self.now
-        _CLOCK.month = self.month
-        response = handler.handle(request)
+        previous, _MONTH = _MONTH, self.month
+        try:
+            response = handler.handle(request)
+        finally:
+            _MONTH = previous
         if chaos is not None:
             response = chaos.mutate_response(request, response)
         if metered:

@@ -27,8 +27,8 @@ logs``, ``repro dashboard`` of a log-store directory,
 tracemalloc/cProfile samplers to pipeline phases
 (``repro reproduce --profile``).
 
-Defaults: metrics **on** (cheap: one lock per increment on
-already-coarse call sites), tracing **off** (a disabled ``span()``
+Defaults: metrics **on** (cheap: one bool check and one add per
+increment on already-coarse call sites), tracing **off** (a disabled ``span()``
 call costs one global bool check).  The residual overhead of disabled
 telemetry is benchmarked <1% in ``benchmarks/bench_obs_overhead.py``.
 

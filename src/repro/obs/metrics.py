@@ -4,7 +4,7 @@ The reproduction pipeline's credibility rests on measurement provenance:
 knowing how many fetches each crawler made, how often the policy caches
 answered from memory, and how request volume distributed over sites
 and simulated months.  :class:`MetricsRegistry` gives those numbers one
-thread-safe, mergeable, dependency-free home.
+mergeable, dependency-free home.
 
 Four instrument kinds, all keyed by ``(name, sorted labels)``:
 
@@ -44,7 +44,6 @@ test (benchmarked in ``benchmarks/bench_obs_overhead.py``).
 from __future__ import annotations
 
 import json
-import threading
 from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -168,30 +167,25 @@ class Counter:
 
     Handles are cheap to hold: hot call sites fetch one from the
     registry once and call :meth:`inc` directly, paying a bool check
-    plus one lock per increment.
+    plus one add per increment.
     """
 
-    __slots__ = ("key", "_lock", "_value")
+    __slots__ = ("key", "_value")
 
     def __init__(self, key: InstrumentKey):
         self.key = key
-        self._lock = threading.Lock()
         self._value = 0
 
     def inc(self, amount: int = 1) -> None:
         """Add *amount* (no-op while metrics are disabled)."""
-        if not _ENABLED:
-            return
-        with self._lock:
+        if _ENABLED:
             self._value += amount
 
     def _merge(self, amount: int) -> None:
-        with self._lock:
-            self._value += amount
+        self._value += amount
 
     def _reset(self) -> None:
-        with self._lock:
-            self._value = 0
+        self._value = 0
 
     @property
     def value(self) -> int:
@@ -206,28 +200,24 @@ class Gauge:
     gauge set since a snapshot from one left at its value.
     """
 
-    __slots__ = ("key", "_lock", "_value", "_writes")
+    __slots__ = ("key", "_value", "_writes")
 
     def __init__(self, key: InstrumentKey):
         self.key = key
-        self._lock = threading.Lock()
         self._value = 0.0
         self._writes = 0
 
     def set(self, value: float) -> None:
         """Record the current value (no-op while metrics are disabled)."""
-        if not _ENABLED:
-            return
-        self._merge(value)
+        if _ENABLED:
+            self._merge(value)
 
     def _merge(self, value: float) -> None:
-        with self._lock:
-            self._value = float(value)
-            self._writes += 1
+        self._value = float(value)
+        self._writes += 1
 
     def _reset(self) -> None:
-        with self._lock:
-            self._value = 0.0
+        self._value = 0.0
 
     @property
     def value(self) -> float:
@@ -244,14 +234,13 @@ class Histogram:
     addition.
     """
 
-    __slots__ = ("key", "bounds", "_lock", "_counts", "_sum", "_count")
+    __slots__ = ("key", "bounds", "_counts", "_sum", "_count")
 
     def __init__(self, key: InstrumentKey, bounds: Sequence[float] = DEFAULT_BUCKETS):
         self.key = key
         self.bounds: Tuple[float, ...] = tuple(sorted(bounds))
         if not self.bounds:
             raise ValueError("histogram needs at least one bucket bound")
-        self._lock = threading.Lock()
         self._counts = [0] * (len(self.bounds) + 1)
         self._sum = 0.0
         self._count = 0
@@ -260,29 +249,22 @@ class Histogram:
         """Record one observation (no-op while metrics are disabled)."""
         if not _ENABLED:
             return
-        index = bisect_left(self.bounds, value)
-        with self._lock:
-            self._counts[index] += 1
-            self._sum += value
-            self._count += 1
+        self._counts[bisect_left(self.bounds, value)] += 1
+        self._sum += value
+        self._count += 1
 
     def _merge(self, payload: Dict[str, object]) -> None:
-        counts = payload["counts"]
-        with self._lock:
-            if tuple(payload["bounds"]) != self.bounds:
-                raise ValueError(
-                    f"histogram bucket mismatch for {render_key(self.key)}"
-                )
-            for index, amount in enumerate(counts):
-                self._counts[index] += amount
-            self._sum += payload["sum"]
-            self._count += payload["count"]
+        if tuple(payload["bounds"]) != self.bounds:
+            raise ValueError(f"histogram bucket mismatch for {render_key(self.key)}")
+        for index, amount in enumerate(payload["counts"]):
+            self._counts[index] += amount
+        self._sum += payload["sum"]
+        self._count += payload["count"]
 
     def _reset(self) -> None:
-        with self._lock:
-            self._counts = [0] * (len(self.bounds) + 1)
-            self._sum = 0.0
-            self._count = 0
+        self._counts = [0] * (len(self.bounds) + 1)
+        self._sum = 0.0
+        self._count = 0
 
     @property
     def count(self) -> int:
@@ -292,18 +274,16 @@ class Histogram:
     @property
     def counts(self) -> List[int]:
         """Per-bucket counts (last entry is the overflow bucket)."""
-        with self._lock:
-            return list(self._counts)
+        return list(self._counts)
 
     def to_payload(self) -> Dict[str, object]:
         """A picklable/JSON-able value snapshot of this histogram."""
-        with self._lock:
-            return {
-                "bounds": list(self.bounds),
-                "counts": list(self._counts),
-                "sum": self._sum,
-                "count": self._count,
-            }
+        return {
+            "bounds": list(self.bounds),
+            "counts": list(self._counts),
+            "sum": self._sum,
+            "count": self._count,
+        }
 
 
 class Series:
@@ -311,14 +291,13 @@ class Series:
 
     Handles are cheap to hold; hot call sites fetch one from the
     registry once and call :meth:`add` directly, paying a bool check
-    plus one lock per event.
+    plus one dict update per event.
     """
 
-    __slots__ = ("key", "_lock", "_points")
+    __slots__ = ("key", "_points")
 
     def __init__(self, key: InstrumentKey):
         self.key = key
-        self._lock = threading.Lock()
         self._points: Dict[int, float] = {}
 
     def add(self, month: int, amount: float = 1) -> None:
@@ -332,32 +311,27 @@ class Series:
         """
         if not _ENABLED or amount == 0:
             return
-        with self._lock:
-            self._points[month] = self._points.get(month, 0) + amount
+        self._points[month] = self._points.get(month, 0) + amount
 
     def _merge(self, points: Dict[int, float]) -> None:
-        with self._lock:
-            for month, amount in points.items():
-                self._points[month] = self._points.get(month, 0) + amount
+        for month, amount in points.items():
+            self._points[month] = self._points.get(month, 0) + amount
 
     def _reset(self) -> None:
-        with self._lock:
-            self._points = {}
+        self._points = {}
 
     @property
     def total(self) -> float:
         """Sum over all months."""
-        with self._lock:
-            return sum(self._points.values())
+        return sum(self._points.values())
 
     def points(self) -> Dict[int, float]:
         """A detached month -> amount copy, in ascending month order."""
-        with self._lock:
-            return dict(sorted(self._points.items()))
+        return dict(sorted(self._points.items()))
 
 
 class MetricsRegistry:
-    """A thread-safe home for every instrument in a process.
+    """The home of every instrument in a process.
 
     >>> registry = MetricsRegistry()
     >>> registry.inc("fetches", agent="GPTBot")
@@ -369,7 +343,6 @@ class MetricsRegistry:
     """
 
     def __init__(self) -> None:
-        self._lock = threading.RLock()
         self._counters: Dict[InstrumentKey, Counter] = {}
         self._gauges: Dict[InstrumentKey, Gauge] = {}
         self._histograms: Dict[InstrumentKey, Histogram] = {}
@@ -381,22 +354,18 @@ class MetricsRegistry:
     def counter(self, name: str, **labels: object) -> Counter:
         """Get or create the counter for ``(name, labels)``."""
         key = _make_key(name, labels)
-        with self._lock:
-            instrument = self._counters.get(key)
-            if instrument is None:
-                instrument = Counter(key)
-                self._counters[key] = instrument
-            return instrument
+        instrument = self._counters.get(key)
+        if instrument is None:
+            instrument = self._counters[key] = Counter(key)
+        return instrument
 
     def gauge(self, name: str, **labels: object) -> Gauge:
         """Get or create the gauge for ``(name, labels)``."""
         key = _make_key(name, labels)
-        with self._lock:
-            instrument = self._gauges.get(key)
-            if instrument is None:
-                instrument = Gauge(key)
-                self._gauges[key] = instrument
-            return instrument
+        instrument = self._gauges.get(key)
+        if instrument is None:
+            instrument = self._gauges[key] = Gauge(key)
+        return instrument
 
     def histogram(
         self,
@@ -410,12 +379,10 @@ class MetricsRegistry:
         existing instrument regardless of the bounds they pass.
         """
         key = _make_key(name, labels)
-        with self._lock:
-            instrument = self._histograms.get(key)
-            if instrument is None:
-                instrument = Histogram(key, bounds=buckets)
-                self._histograms[key] = instrument
-            return instrument
+        instrument = self._histograms.get(key)
+        if instrument is None:
+            instrument = self._histograms[key] = Histogram(key, bounds=buckets)
+        return instrument
 
     def series(self, name: str, **labels: object) -> Series:
         """Get or create the month series for ``(name, labels)``.
@@ -425,19 +392,17 @@ class MetricsRegistry:
         ``{overflow=true}`` series for that name.
         """
         key = _make_key(name, labels)
-        with self._lock:
-            instrument = self._series.get(key)
-            if instrument is None:
-                used = self._series_per_name.get(name, 0)
-                if labels and used >= MAX_SERIES_PER_NAME:
-                    key = (name, OVERFLOW_LABELS)
-                    instrument = self._series.get(key)
-                    if instrument is not None:
-                        return instrument
-                instrument = Series(key)
-                self._series[key] = instrument
-                self._series_per_name[name] = used + 1
-            return instrument
+        instrument = self._series.get(key)
+        if instrument is None:
+            used = self._series_per_name.get(name, 0)
+            if labels and used >= MAX_SERIES_PER_NAME:
+                key = (name, OVERFLOW_LABELS)
+                instrument = self._series.get(key)
+                if instrument is not None:
+                    return instrument
+            instrument = self._series[key] = Series(key)
+            self._series_per_name[name] = used + 1
+        return instrument
 
     # -- one-shot conveniences ------------------------------------------------
 
@@ -478,11 +443,9 @@ class MetricsRegistry:
         campaign recorded under ``chaos.``), sorted by rendered key so
         output is stable.
         """
-        with self._lock:
-            counters = dict(self._counters)
         return {
             render_key(key): instrument.value
-            for key, instrument in sorted(counters.items())
+            for key, instrument in sorted(self._counters.items())
             if key[0].startswith(prefix)
         }
 
@@ -495,18 +458,14 @@ class MetricsRegistry:
         across processes) and is the input format :meth:`merge` and
         :func:`snapshot_delta` consume.
         """
-        with self._lock:
-            counters = dict(self._counters)
-            gauges = dict(self._gauges)
-            histograms = dict(self._histograms)
-            series = dict(self._series)
+        gauges = self._gauges
         return {
-            "counters": {key: c.value for key, c in counters.items()},
+            "counters": {key: c.value for key, c in self._counters.items()},
             "gauges": {key: g.value for key, g in gauges.items()},
             "gauge_writes": {key: g._writes for key, g in gauges.items()},
-            "histograms": {key: h.to_payload() for key, h in histograms.items()},
+            "histograms": {key: h.to_payload() for key, h in self._histograms.items()},
             # Empty series are left out: only months with events ship.
-            "series": {key: s.points() for key, s in series.items() if s._points},
+            "series": {key: s.points() for key, s in self._series.items() if s._points},
         }
 
     def merge(
@@ -542,15 +501,9 @@ class MetricsRegistry:
         Long-lived handles held by hot call sites stay valid -- they
         simply start counting from zero again.
         """
-        with self._lock:
-            instruments = (
-                list(self._counters.values())
-                + list(self._gauges.values())
-                + list(self._histograms.values())
-                + list(self._series.values())
-            )
-        for instrument in instruments:
-            instrument._reset()
+        for instruments in (self._counters, self._gauges, self._histograms, self._series):
+            for instrument in instruments.values():
+                instrument._reset()
 
     # -- export ---------------------------------------------------------------
 

@@ -9,9 +9,8 @@ stdlib profilers:
 * :mod:`tracemalloc` -- allocation delta, end-of-phase current size,
   window peak, and the top allocation sites, per phase;
 * :mod:`cProfile` -- total CPU and the hottest functions by
-  cumulative time, for the **outermost** phase on its thread (the
-  stdlib profiler is process-global, so nested or concurrent phases
-  record memory only).
+  cumulative time, for the **outermost** phase (the stdlib profiler is
+  process-global, so nested phases record memory only).
 
 Profiles export as ``PROFILE.json`` into the telemetry directory next
 to ``TRACE.jsonl`` (``repro reproduce --profile --telemetry-dir``) and
@@ -20,8 +19,8 @@ opt-in: nothing here runs unless a profiler is passed into the
 orchestrator, so the batch hot path keeps its <1% obs budget.
 
 Caveats, stated rather than hidden: cProfile observes only the process
-and thread that entered the phase, so a forked experiment battery is
-one phase that reports the parent's CPU, not the workers'; tracemalloc
+that entered the phase, so a forked experiment battery is one phase
+that reports the parent's CPU, not the workers'; tracemalloc
 numbers include the profiler's own bookkeeping (small, but nonzero).
 """
 
@@ -30,7 +29,6 @@ from __future__ import annotations
 import cProfile
 import json
 import pstats
-import threading
 import time
 import tracemalloc
 from contextlib import contextmanager
@@ -95,9 +93,7 @@ class Profiler:
 
     def __init__(self) -> None:
         self.phases: List[PhaseProfile] = []
-        self._lock = threading.Lock()
-        self._cpu_active = False
-        self._local = threading.local()
+        self._depth = 0
 
     @contextmanager
     def phase(self, name: str, **attrs: object) -> Iterator[None]:
@@ -109,8 +105,8 @@ class Profiler:
         phase resets the shared peak counter -- window-local peaks,
         by design).
         """
-        depth = getattr(self._local, "depth", 0)
-        self._local.depth = depth + 1
+        depth = self._depth
+        self._depth = depth + 1
 
         owns_tracing = not tracemalloc.is_tracing()
         if owns_tracing:
@@ -121,17 +117,11 @@ class Profiler:
 
         profile: Optional[cProfile.Profile] = None
         if depth == 0:
-            with self._lock:
-                if not self._cpu_active:
-                    self._cpu_active = True
-                    profile = cProfile.Profile()
-            if profile is not None:
-                try:
-                    profile.enable()
-                except ValueError:  # another profiler owns the hook
-                    with self._lock:
-                        self._cpu_active = False
-                    profile = None
+            profile = cProfile.Profile()
+            try:
+                profile.enable()
+            except ValueError:  # another profiler owns the hook
+                profile = None
 
         started = time.perf_counter()
         try:
@@ -142,8 +132,6 @@ class Profiler:
             cpu_top: List[Dict[str, object]] = []
             if profile is not None:
                 profile.disable()
-                with self._lock:
-                    self._cpu_active = False
                 cpu_seconds, cpu_top = _cpu_stats(profile)
 
             current, peak = tracemalloc.get_traced_memory()
@@ -151,7 +139,7 @@ class Profiler:
             if owns_tracing:
                 tracemalloc.stop()
 
-            self._local.depth = depth
+            self._depth = depth
             record = PhaseProfile(
                 name=name,
                 seconds=seconds,
@@ -163,18 +151,15 @@ class Profiler:
                 cpu_seconds=cpu_seconds,
                 cpu_top=cpu_top,
             )
-            with self._lock:
-                self.phases.append(record)
+            self.phases.append(record)
 
     # -- export ----------------------------------------------------------------
 
     def to_json(self) -> Dict[str, object]:
         """A schema-versioned, JSON-able rendering of every phase."""
-        with self._lock:
-            phases = list(self.phases)
         return {
             "schema_version": PROFILE_SCHEMA_VERSION,
-            "phases": [phase.to_json() for phase in phases],
+            "phases": [phase.to_json() for phase in self.phases],
         }
 
     def export(self, directory: Union[str, Path]) -> Path:
@@ -187,10 +172,8 @@ class Profiler:
 
     def summary_lines(self) -> List[str]:
         """Human-oriented one-liners, for the CLI."""
-        with self._lock:
-            phases = list(self.phases)
         lines = []
-        for phase in phases:
+        for phase in self.phases:
             parts = [f"{phase.name:<28} {phase.seconds:8.3f}s"]
             if phase.memory_peak_bytes is not None:
                 parts.append(f"peak {phase.memory_peak_bytes / 1e6:8.2f} MB")

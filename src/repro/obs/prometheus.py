@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import re
-import threading
 from typing import Dict, List, Optional
 
 from ..net.http import Headers, Request, Response
@@ -146,20 +145,17 @@ class MetricsHandler:
     ):
         self._metrics_text = render_prometheus(metrics_payload, series_payload)
         self._health = dict(health or {})
-        self._lock = threading.Lock()
         self.requests = 0
 
     def handle(self, request: Request) -> Response:
         """Serve one request; every route counts toward ``requests``."""
-        with self._lock:
-            self.requests += 1
-            count = self.requests
+        self.requests += 1
         if request.path == "/metrics":
             return _reply(
                 200, self._metrics_text, "text/plain; version=0.0.4; charset=utf-8"
             )
         if request.path == "/healthz":
-            payload = {"status": "ok", "requests": count, **self._health}
+            payload = {"status": "ok", "requests": self.requests, **self._health}
             return _reply(
                 200, json.dumps(payload, sort_keys=True) + "\n", "application/json"
             )

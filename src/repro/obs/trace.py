@@ -21,6 +21,10 @@ Design constraints:
   ``parent_id | name | occurrence-index``, where the occurrence index
   counts prior same-named siblings.  Two identical in-line runs produce
   identical id trees (wall-clock fields differ, ids do not).
+* **One span stack.**  The innermost live span is module state, which
+  :meth:`Span.__enter__` pushes and :meth:`Span.__exit__` pops: the
+  package runs on one thread (see :mod:`repro.net.realserver`), and a
+  forked worker inherits the span its batch was opened under.
 * **No-op fast path.**  Tracing is *disabled by default*; a disabled
   :func:`span` call returns a shared no-op context manager without
   touching the tracer, so instrumented hot paths cost one global bool
@@ -36,9 +40,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import threading
 import time
-from contextvars import ContextVar
 from typing import Dict, List, Optional
 
 from ..columnar import atomic_write
@@ -60,9 +62,8 @@ TRACE_SCHEMA_VERSION = 1
 
 _ENABLED = False
 
-_CURRENT: ContextVar[Optional["Span"]] = ContextVar(
-    "repro_obs_current_span", default=None
-)
+#: The innermost live span: the parent of the next span opened.
+_CURRENT: Optional["Span"] = None
 
 
 class _TracingEnabled:
@@ -158,7 +159,7 @@ class Span:
         "status",
         "_tracer",
         "_child_counts",
-        "_token",
+        "_previous",
         "_start",
     )
 
@@ -181,7 +182,7 @@ class Span:
         self.status = "ok"
         self._tracer = tracer
         self._child_counts: Dict[str, int] = {}
-        self._token = None
+        self._previous: Optional[Span] = None
         self._start = 0.0
 
     def _next_child_index(self, name: str) -> int:
@@ -190,19 +191,19 @@ class Span:
         return index
 
     def __enter__(self) -> "Span":
+        global _CURRENT
         self.start_unix = time.time()
         self._start = time.perf_counter()
-        self._token = _CURRENT.set(self)
+        self._previous, _CURRENT = _CURRENT, self
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
+        global _CURRENT
         self.duration_seconds = time.perf_counter() - self._start
         if exc_type is not None:
             self.status = "error"
             self.attributes.setdefault("error", exc_type.__name__)
-        if self._token is not None:
-            _CURRENT.reset(self._token)
-            self._token = None
+        _CURRENT, self._previous = self._previous, None
         self._tracer._record(self)
         return False
 
@@ -228,10 +229,9 @@ class Span:
 
 
 class Tracer:
-    """Buffers finished span records; thread-safe."""
+    """Buffers finished span records."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._records: List[Dict[str, object]] = []
         self._root_counts: Dict[str, int] = {}
 
@@ -241,20 +241,15 @@ class Tracer:
         logical: Optional[int] = None,
         attributes: Optional[Dict[str, object]] = None,
     ) -> Span:
-        """Create a child of the context's current span (or a root)."""
-        parent = _CURRENT.get()
+        """Create a child of the innermost live span (or a root)."""
+        parent = _CURRENT
         if parent is not None:
             parent_id = parent.span_id
-            # The tracer lock serializes sibling counting: same-named
-            # children opened from parallel workers still get unique
-            # occurrence indices.
-            with self._lock:
-                index = parent._next_child_index(name)
+            index = parent._next_child_index(name)
         else:
             parent_id = ""
-            with self._lock:
-                index = self._root_counts.get(name, 0)
-                self._root_counts[name] = index + 1
+            index = self._root_counts.get(name, 0)
+            self._root_counts[name] = index + 1
         return Span(
             tracer=self,
             name=name,
@@ -265,42 +260,30 @@ class Tracer:
         )
 
     def _record(self, finished: Span) -> None:
-        with self._lock:
-            self._records.append(finished.to_record())
+        self._records.append(finished.to_record())
 
     # -- buffer access --------------------------------------------------------
 
     def record_count(self) -> int:
         """Current buffer length (a mark for :meth:`records_since`)."""
-        with self._lock:
-            return len(self._records)
+        return len(self._records)
 
     def records_since(self, mark: int) -> List[Dict[str, object]]:
         """Records appended after *mark* (for worker shipping)."""
-        with self._lock:
-            return list(self._records[mark:])
+        return self._records[mark:]
 
     def absorb(self, records: List[Dict[str, object]]) -> None:
         """Append records shipped from a worker."""
-        with self._lock:
-            self._records.extend(records)
+        self._records.extend(records)
 
-    def drain(self, reset_ids: bool = True) -> List[Dict[str, object]]:
-        """Return and clear every buffered record.
-
-        With *reset_ids* (the default) root occurrence counters reset
-        too, so the next identical run reproduces the same id tree.
-        """
-        with self._lock:
-            records = self._records
-            self._records = []
-            if reset_ids:
-                self._root_counts = {}
-            return records
-
-    def reset(self) -> None:
-        """Drop all buffered records and id counters."""
-        self.drain(reset_ids=True)
+    def drain(self) -> List[Dict[str, object]]:
+        """Return and clear every buffered record, and reset the root
+        occurrence counters, so the next identical run reproduces the
+        same id tree."""
+        records = self._records
+        self._records = []
+        self._root_counts = {}
+        return records
 
 
 def span(

@@ -176,8 +176,8 @@ class ReverseProxy:
         """Hand *request* to the origin, which logs it.
 
         The wall clock is propagated first; the month needs no
-        forwarding, since it rides the per-thread dispatch clock
-        (:func:`repro.net.transport.current_month`).  The behavioral
+        forwarding, since this runs inside the dispatch that set the
+        month clock (:func:`repro.net.transport.current_month`).  The behavioral
         window then observes the response this proxy returns.
         """
         if hasattr(self.origin, "now"):

@@ -435,7 +435,7 @@ def run_sec63_cloudflare(population: WebPopulation) -> ExperimentResult:
         return network
 
     candidates = [a.full_user_agent for a in registry.real_crawlers()]
-    candidates += generic_crawler_user_agents(590)
+    candidates += generic_crawler_user_agents()
     flipped = infer_blocked_agents(zone_factory, candidates, "own.example")
 
     # Adoption audit over the population's Cloudflare sites.

@@ -456,14 +456,13 @@ class ArchiveBodyStore(BodyFacts):
 
     def flush(self) -> None:
         """Persist the facts atomically (no-op when nothing changed)."""
-        with self._lock:
-            if not self._dirty:
-                return
-            self.root.mkdir(parents=True, exist_ok=True)
-            payload = self.facts_payload()
-            payload["schema_fingerprint"] = ARCHIVE_SCHEMA_FINGERPRINT
-            atomic_write(
-                self.facts_path,
-                json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n",
-            )
-            self._dirty = False
+        if not self._dirty:
+            return
+        self.root.mkdir(parents=True, exist_ok=True)
+        payload = self.facts_payload()
+        payload["schema_fingerprint"] = ARCHIVE_SCHEMA_FINGERPRINT
+        atomic_write(
+            self.facts_path,
+            json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n",
+        )
+        self._dirty = False

@@ -360,16 +360,14 @@ class OperatorModel:
         # Surgical removal: the rest of the file stays unchanged.
         site.set_robots(month, remove_agent_rules(prior, agents))
 
-    def apply_explicit_allow(
-        self, site: SimSite, month: int, agents: Sequence[str] = ("GPTBot",)
-    ) -> None:
-        """Add an explicit ``Allow: /`` group for *agents* at *month*.
+    def apply_explicit_allow(self, site: SimSite, month: int) -> None:
+        """Add an explicit ``Allow: /`` group for GPTBot at *month*.
 
-        Any existing restrictions on the agents are removed first so the
+        Any existing restrictions on GPTBot are removed first so the
         file expresses the Section 3.4 reverse intent unambiguously.
         """
         prior = site.robots_at(month)
         if prior is None:
             prior = ""
-        cleaned = remove_agent_rules(prior, agents)
-        site.set_robots(month, add_allow_group(cleaned, list(agents)))
+        cleaned = remove_agent_rules(prior, ("GPTBot",))
+        site.set_robots(month, add_allow_group(cleaned, ["GPTBot"]))

@@ -227,7 +227,7 @@ def build_web_population(config: Optional[PopulationConfig] = None) -> WebPopula
             site.publisher = deal.publisher
             operator.apply_deal_removal(site, deal.month, deal.agents_unblocked)
             if deal.adds_explicit_allow:
-                operator.apply_explicit_allow(site, deal.month, ("GPTBot",))
+                operator.apply_explicit_allow(site, deal.month)
         deal_domains[deal.publisher] = [s.domain for s in chosen]
 
     # -- independent removers (smaller publishers, private deals) ----------------

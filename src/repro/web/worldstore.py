@@ -32,7 +32,6 @@ import dataclasses
 import hashlib
 import itertools
 import json
-import threading
 from types import MappingProxyType
 from typing import Dict, Optional, TYPE_CHECKING
 
@@ -154,7 +153,6 @@ class WorldStore:
     _ids = itertools.count()
 
     def __init__(self) -> None:
-        self._lock = threading.RLock()
         self._populations: Dict[str, WebPopulation] = {}
         self._series: Dict[str, "SnapshotSeries"] = {}
         self._registry = shared_registry()
@@ -188,17 +186,16 @@ class WorldStore:
         (see :func:`freeze_population`).
         """
         key = config_digest(config)
-        with self._lock:
-            population = self._populations.get(key)
-            if population is None:
-                self._population_misses.inc()
-                population = freeze_population(
-                    build_web_population(config or PopulationConfig())
-                )
-                self._populations[key] = population
-            else:
-                self._population_hits.inc()
-            return population
+        population = self._populations.get(key)
+        if population is None:
+            self._population_misses.inc()
+            population = freeze_population(
+                build_web_population(config or PopulationConfig())
+            )
+            self._populations[key] = population
+        else:
+            self._population_hits.inc()
+        return population
 
     def series(self, config: Optional[PopulationConfig] = None) -> "SnapshotSeries":
         """The crawled snapshot series over the canonical population.
@@ -209,15 +206,14 @@ class WorldStore:
         from ..measure.longitudinal import collect_snapshots
 
         key = config_digest(config)
-        with self._lock:
-            series = self._series.get(key)
-            if series is None:
-                self._series_misses.inc()
-                series = collect_snapshots(self.population(config))
-                self._series[key] = series
-            else:
-                self._series_hits.inc()
-            return series
+        series = self._series.get(key)
+        if series is None:
+            self._series_misses.inc()
+            series = collect_snapshots(self.population(config))
+            self._series[key] = series
+        else:
+            self._series_hits.inc()
+        return series
 
     def archive(
         self,
@@ -270,9 +266,8 @@ class WorldStore:
 
     def clear(self) -> None:
         """Drop every cached world (frees the substrate memory)."""
-        with self._lock:
-            self._populations.clear()
-            self._series.clear()
+        self._populations.clear()
+        self._series.clear()
 
 
 _SHARED_STORE = WorldStore()

@@ -5,6 +5,7 @@ from repro.agents.catalogs import (
     CLOUDFLARE_DEFINITELY_AUTOMATED,
     CLOUDFLARE_VERIFIED_AI_BOTS_BLOCKED,
     CLOUDFLARE_VERIFIED_BOTS,
+    N_GENERIC_CRAWLERS,
     SQUARESPACE_BLOCKED_AGENTS,
     generic_crawler_user_agents,
 )
@@ -47,15 +48,12 @@ class TestCatalogContents:
 
 class TestGenericUserAgents:
     def test_count_and_uniqueness(self):
-        agents = generic_crawler_user_agents(590)
-        assert len(agents) == 590
+        agents = generic_crawler_user_agents()
+        assert len(agents) == N_GENERIC_CRAWLERS == 590
         assert len(set(agents)) == 590
 
     def test_deterministic(self):
-        assert generic_crawler_user_agents(50) == generic_crawler_user_agents(50)
-
-    def test_prefix_property(self):
-        assert generic_crawler_user_agents(10) == generic_crawler_user_agents(590)[:10]
+        assert generic_crawler_user_agents() == generic_crawler_user_agents()
 
 
 class TestProductTokens:

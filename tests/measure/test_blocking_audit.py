@@ -137,7 +137,7 @@ class TestGreyBox:
     def test_recovers_cloudflare_ai_list(self):
         registry = build_registry()
         candidates = [a.full_user_agent for a in registry.real_crawlers()]
-        candidates += generic_crawler_user_agents(100)
+        candidates += generic_crawler_user_agents()[:100]
         flipped = infer_blocked_agents(self._zone_factory, candidates, "own.example")
         # Every flipped UA matches a documented pattern and vice versa
         # for the Table 1 crawlers present in the list.

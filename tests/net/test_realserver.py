@@ -1,7 +1,14 @@
 """Integration tests: serving simulated sites over real TCP sockets."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from repro.net.http import Request
 from repro.net.realserver import RealHttpServer, fetch_real
 from repro.net.server import Website, render_page
+from repro.net.transport import Network, current_month
 
 
 def make_site():
@@ -54,3 +61,68 @@ class TestRealHttpServer:
             for _ in range(5):
                 assert fetch_real(f"http://{server.address}/").ok
         assert len(site.access_log) == 5
+
+
+#: Serves a site with a budget of one access-log entry, through a
+#: handler that stalls after the origin has logged the request, and
+#: exits as soon as ``serve`` returns.
+STALLING_SERVER = """
+import time
+from repro.net.realserver import RealHttpServer
+from repro.net.server import Website
+
+class LogsThenStalls:
+    host = "testbed.local"
+
+    def handle(self, request):
+        response = site.handle(request)
+        time.sleep(0.3)
+        return response
+
+site = Website("testbed.local")
+site.add_page("/big", "x" * 200_000)
+server = RealHttpServer(LogsThenStalls())
+print(server.address, flush=True)
+server.serve(lambda: len(site.access_log) >= 1)
+"""
+
+
+class TestServe:
+    def test_budget_ends_serving_only_after_the_answer_is_sent(self):
+        # The budget counts access-log entries, which the origin appends
+        # before the bridge writes its response.  A loop that checked
+        # the budget while the response was still being written would
+        # let the child exit mid-body.
+        src = Path(__file__).resolve().parents[2] / "src"
+        proc = subprocess.Popen(
+            [sys.executable, "-c", STALLING_SERVER],
+            stdout=subprocess.PIPE,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        try:
+            address = proc.stdout.readline().strip()
+            response = fetch_real(f"http://{address}/big")
+            assert proc.wait(timeout=30) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert response.ok and response.text == "x" * 200_000
+        assert response.headers.get("Connection") == "close"
+
+
+class TestMonthClock:
+    def test_only_a_dispatch_reads_its_network_month(self):
+        site = make_site()
+        network = Network()
+        network.register(site)
+        network.month = 5
+        network.request(Request(host="testbed.local", path="/page1"))
+        # The dispatch restores the clock, so a direct call and a
+        # request the bridge hands straight to the site are unclocked.
+        assert current_month() == -1
+        site.handle(Request(host="testbed.local", path="/page1"))
+        with RealHttpServer(site) as server:
+            assert fetch_real(f"http://{server.address}/page1").ok
+        assert [entry.month for entry in site.access_log] == [5, -1, -1]

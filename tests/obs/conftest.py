@@ -21,11 +21,11 @@ def clean_telemetry_state():
     set_metrics_enabled(True)
     set_tracing_enabled(False)
     shared_registry().reset()
-    shared_tracer().reset()
+    shared_tracer().drain()
     reset_agent_label_memo()
     yield
     set_metrics_enabled(True)
     set_tracing_enabled(False)
     shared_registry().reset()
-    shared_tracer().reset()
+    shared_tracer().drain()
     reset_agent_label_memo()

@@ -3,11 +3,9 @@
 The load-bearing properties: counter/histogram totals are exact and
 mergeable (the fork-worker shipping protocol depends on
 ``snapshot`` / ``snapshot_delta`` / ``merge`` composing to the serial
-totals), mutation is thread-safe, and the disabled path records
-nothing while leaving reads and merges functional.
+totals), and the disabled path records nothing while leaving reads
+and merges functional.
 """
-
-import threading
 
 import pytest
 
@@ -103,27 +101,6 @@ class TestHistogram:
     def test_empty_bounds_rejected(self):
         with pytest.raises(ValueError):
             MetricsRegistry().histogram("h", buckets=())
-
-
-class TestThreadSafety:
-    def test_concurrent_increments_are_exact(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("hot")
-        hist = registry.histogram("obs", buckets=(10,))
-        n_threads, per_thread = 8, 2500
-
-        def work():
-            for _ in range(per_thread):
-                counter.inc()
-                hist.observe(1)
-
-        threads = [threading.Thread(target=work) for _ in range(n_threads)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert counter.value == n_threads * per_thread
-        assert hist.count == n_threads * per_thread
 
 
 class TestMergeAndShipping:

@@ -4,13 +4,12 @@ SERIES.json export (repro.obs.series).
 The load-bearing properties mirror the other instruments: per-month
 sums are exact and mergeable (snapshot / snapshot_delta / merge compose
 to the in-line totals, which the cross-mode SERIES.json identity test
-depends on), mutation is thread-safe, the disabled path records
-nothing, cardinality is bounded, and the JSON rendering is
-byte-deterministic and kept out of METRICS.json.
+depends on), the disabled path records nothing, cardinality is bounded,
+and the JSON rendering is byte-deterministic and kept out of
+METRICS.json.
 """
 
 import json
-import threading
 
 from repro.obs import metrics
 from repro.obs.metrics import (
@@ -84,22 +83,6 @@ class TestSeries:
             registry.add("x", month=1)
         registry.add("x", month=1)
         assert registry.series("x").points().get(1, 0) == 1
-
-    def test_thread_safety(self):
-        registry = MetricsRegistry()
-        series = registry.series("x")
-
-        def hammer():
-            for i in range(1000):
-                series.add(i % 5)
-
-        threads = [threading.Thread(target=hammer) for _ in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert series.total == 8000
-        assert series.points().get(0, 0) == 1600
 
 
 class TestShippingProtocol:

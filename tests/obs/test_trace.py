@@ -2,7 +2,8 @@
 
 The load-bearing properties: span ids are a pure function of tree
 position (two identical runs produce identical id trees), nesting is
-tracked through the context, and the disabled path allocates nothing.
+tracked through the innermost live span, and the disabled path
+allocates nothing.
 """
 
 import json
@@ -23,19 +24,19 @@ from repro.obs.trace import (
 
 
 def current_span():
-    """The context's innermost live span, as :func:`span` nests them."""
-    return trace._CURRENT.get()
+    """The innermost live span, as :func:`span` nests them."""
+    return trace._CURRENT
 
 
 @pytest.fixture()
 def tracing():
     """Enable tracing on a clean shared tracer; restore the default."""
     tracer = shared_tracer()
-    tracer.reset()
+    tracer.drain()
     set_tracing_enabled(True)
     yield tracer
     set_tracing_enabled(False)
-    tracer.reset()
+    tracer.drain()
 
 
 class TestNesting:
@@ -66,7 +67,7 @@ class TestDeterministicIds:
                 pass
         with span("run"):
             pass
-        return tracer.drain(reset_ids=True)
+        return tracer.drain()
 
     def test_identical_runs_produce_identical_id_trees(self, tracing):
         first = self._run_tree(tracing)

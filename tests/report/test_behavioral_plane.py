@@ -38,7 +38,7 @@ def store():
 
 def _reset():
     shared_registry().reset()
-    shared_tracer().reset()
+    shared_tracer().drain()
 
 
 class TestCrossModeIdentity:

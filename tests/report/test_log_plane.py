@@ -45,7 +45,7 @@ def store():
 
 def _reset():
     shared_registry().reset()
-    shared_tracer().reset()
+    shared_tracer().drain()
 
 
 def _archive_bytes(root):

@@ -114,7 +114,7 @@ class TestTelemetry:
 
     def _run_and_snapshot(self, store, workers, telemetry_dir=None):
         shared_registry().reset()
-        shared_tracer().reset()
+        shared_tracer().drain()
         report = run_all(
             SMALL,
             workers=workers,

@@ -57,7 +57,7 @@ def clean_buffers():
     """Fresh shared buffers, tracing on and a fresh installed sink."""
     registry, tracer = shared_registry(), shared_tracer()
     registry.reset()
-    tracer.reset()
+    tracer.drain()
     set_tracing_enabled(True)
     sink = LogSink()
     previous = set_log_sink(sink)
@@ -65,7 +65,7 @@ def clean_buffers():
     set_log_sink(previous)
     set_tracing_enabled(False)
     registry.reset()
-    tracer.reset()
+    tracer.drain()
 
 
 def _run(workers: int, sink: LogSink):

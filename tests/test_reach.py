@@ -23,12 +23,14 @@ same name.
 And one level further down: every defaulted parameter of a checked
 function or method (``__init__`` included) must be passed, by keyword or
 by position, by some call in ``src/repro`` or a root directory, outside
-its own definition.  A function counts as called through its bare name
-or an attribute, a method only through an attribute, and a constructor
-through its class name (or ``super().__init__``).  A call that spreads
-``**kwargs`` passes every parameter, and one that spreads ``*args``
-every positional one.  An option no run sets is a constant with a
-branch that never runs.
+its own definition, as an expression other than its default (compared
+by ``ast.dump``; a name or any other expression counts, even one that
+evaluates to the default).  A function counts as called through its
+bare name or an attribute, a method only through an attribute, and a
+constructor through its class name (or ``super().__init__``).  A call
+that spreads ``**kwargs`` passes every parameter, and one that spreads
+``*args`` every positional one.  An option no run sets, or sets only to
+its default, is a constant with a branch that never runs.
 """
 
 import ast
@@ -166,6 +168,14 @@ ALLOWED_UNREFERENCED = {
     "repro/net/accesslog.py:reset_agent_label_memo": (
         "test isolation: fixtures that reset the shared registries must also "
         "drop the process-wide agent-label memo and cached series handles"
+    ),
+    "repro/obs/metrics.py:MetricsRegistry.reset": (
+        "test isolation: zeroes the shared registry in place between tests, "
+        "so the handles hot call sites hold stay valid"
+    ),
+    "repro/obs/trace.py:Tracer.drain": (
+        "test isolation: returns and clears the shared tracer's buffer and "
+        "root id counters, so each test starts a fresh id tree"
     ),
     "repro/obs/metrics.py:metrics_disabled": (
         "test isolation: runs a block with recording off and restores the flag"
@@ -334,8 +344,9 @@ ALLOWED_UNSET = {
 
 
 def _defaulted(function, method):
-    """``(name, position)`` per defaulted parameter of *function*; the
-    position counts call arguments (``None`` for keyword-only)."""
+    """``(name, position, default)`` per defaulted parameter of
+    *function*; the position counts call arguments (``None`` for
+    keyword-only), and the default is its expression's ``ast.dump``."""
     args = function.args
     positional = args.posonlyargs + args.args
     static = any(
@@ -344,9 +355,12 @@ def _defaulted(function, method):
     )
     shift = 1 if method and not static else 0
     first = len(positional) - len(args.defaults)
-    found = [(arg.arg, index - shift) for index, arg in enumerate(positional) if index >= first]
+    found = [
+        (arg.arg, index - shift, ast.dump(default))
+        for index, (arg, default) in enumerate(zip(positional[first:], args.defaults), first)
+    ]
     found += [
-        (arg.arg, None)
+        (arg.arg, None, ast.dump(default))
         for arg, default in zip(args.kwonlyargs, args.kw_defaults)
         if default is not None
     ]
@@ -365,23 +379,42 @@ def _signatures(tree):
     ]
 
 
+def _call_record(path, node):
+    """``(path, line, positional argument dumps, spreads *args,
+    {keyword: argument dump}, spreads **kwargs)`` of one call."""
+    return (
+        path,
+        node.lineno,
+        tuple(ast.dump(arg) for arg in node.args if not isinstance(arg, ast.Starred)),
+        any(isinstance(arg, ast.Starred) for arg in node.args),
+        {keyword.arg: ast.dump(keyword.value) for keyword in node.keywords if keyword.arg},
+        any(keyword.arg is None for keyword in node.keywords),
+    )
+
+
+def _passes(call, name, position, default):
+    """Whether *call* passes parameter *name* an expression other than
+    its *default*."""
+    _, _, positional, spreads_args, keywords, spreads_kwargs = call
+    if spreads_kwargs or keywords.get(name, default) != default:
+        return True
+    if position is None:
+        return False
+    if position < len(positional):
+        return positional[position] != default
+    return spreads_args
+
+
 @lru_cache(maxsize=None)
 def _calls():
-    """``("name" or "attr", callee) -> [(path, line, n positional,
-    spreads *args, keywords, spreads **kwargs)]`` over every scanned file."""
+    """``("name" or "attr", callee) -> [call record]`` (see
+    :func:`_call_record`) over every scanned file."""
     calls = defaultdict(list)
     for path, _ in _scanned_paths():
         for node in ast.walk(_tree(path)):
             if not isinstance(node, ast.Call):
                 continue
-            record = (
-                path,
-                node.lineno,
-                sum(1 for arg in node.args if not isinstance(arg, ast.Starred)),
-                any(isinstance(arg, ast.Starred) for arg in node.args),
-                {keyword.arg for keyword in node.keywords if keyword.arg},
-                any(keyword.arg is None for keyword in node.keywords),
-            )
+            record = _call_record(path, node)
             if isinstance(node.func, ast.Name):
                 calls["name", node.func.id].append(record)
             elif isinstance(node.func, ast.Attribute):
@@ -407,13 +440,8 @@ def unset_parameters():
                 call for call in callers
                 if not (call[0] == path and node.lineno <= call[1] <= node.end_lineno)
             ]
-            for name, position in _defaulted(node, owner is not None):
-                if not any(
-                    spreads_kwargs
-                    or name in keywords
-                    or (position is not None and (spreads_args or n_positional > position))
-                    for _, _, n_positional, spreads_args, keywords, spreads_kwargs in callers
-                ):
+            for name, position, default in _defaulted(node, owner is not None):
+                if not any(_passes(call, name, position, default) for call in callers):
                     offenders.append(
                         (f"{path.relative_to(SRC)}:{qualname}({name})", node.lineno)
                     )
@@ -428,9 +456,26 @@ def test_parameter_positions_skip_the_receiver():
         "    def s(a, b=1): ...\n"
         "def f(a, b=1): ...\n"
     )
-    found = {qualname: _defaulted(node, owner is not None)
+    found = {qualname: [entry[:2] for entry in _defaulted(node, owner is not None)]
              for qualname, node, owner in _signatures(tree)}
     assert found == {"C.m": [("b", 1), ("c", None)], "C.s": [("b", 1)], "f": [("b", 1)]}
+
+
+def test_passing_the_default_expression_sets_nothing():
+    (function,) = ast.parse("def f(a, b=1, *, c=None): ...").body
+    (b, c) = _defaulted(function, False)
+
+    def call(source):
+        return _call_record(None, ast.parse(source).body[0].value)
+
+    assert not _passes(call("f(0, 1)"), *b)
+    assert not _passes(call("f(0, b=1)"), *b)
+    assert not _passes(call("f(0, c=None)"), *c)
+    assert _passes(call("f(0, 2)"), *b)
+    assert _passes(call("f(0, b=ONE)"), *b)
+    assert _passes(call("f(0, c=value)"), *c)
+    assert _passes(call("f(0, *rest)"), *b)
+    assert _passes(call("f(0, **options)"), *c)
 
 
 def test_every_defaulted_parameter_is_set_by_a_caller():

@@ -3,6 +3,11 @@
 ``pyproject.toml`` declares ``dependencies = []``, and no output may
 depend on which optional packages happen to be installed.  Every import
 counts, including those inside functions and ``try`` blocks.
+
+The package also runs on one thread: the TCP bridge's serving thread
+(``repro.net.realserver``) runs handlers only while its caller waits,
+so no other module may import :mod:`threading` or :mod:`contextvars`,
+and a lock, a thread-local or a context variable fails here.
 """
 
 import ast
@@ -14,14 +19,10 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 
-@pytest.mark.skipif(
-    sys.version_info < (3, 10), reason="sys.stdlib_module_names is new in 3.10"
-)
-def test_src_imports_only_the_standard_library():
-    allowed = set(sys.stdlib_module_names) | {"repro"}
+def _imports():
+    """``(path, line, module)`` for every absolute import under ``src/repro``."""
     sources = sorted(PACKAGE.rglob("*.py"))
     assert sources
-    outside = []
     for path in sources:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in ast.walk(tree):
@@ -31,9 +32,27 @@ def test_src_imports_only_the_standard_library():
                 modules = [node.module]
             else:
                 continue
-            outside += [
-                f"{path.relative_to(PACKAGE.parent)}:{node.lineno}: {module}"
-                for module in modules
-                if module.split(".")[0] not in allowed
-            ]
+            for module in modules:
+                yield path, node.lineno, module
+
+
+@pytest.mark.skipif(
+    sys.version_info < (3, 10), reason="sys.stdlib_module_names is new in 3.10"
+)
+def test_src_imports_only_the_standard_library():
+    allowed = set(sys.stdlib_module_names) | {"repro"}
+    outside = [
+        f"{path.relative_to(PACKAGE.parent)}:{line}: {module}"
+        for path, line, module in _imports()
+        if module.split(".")[0] not in allowed
+    ]
     assert outside == []
+
+
+def test_only_the_tcp_bridge_imports_threading():
+    importers = {
+        str(path.relative_to(PACKAGE))
+        for path, _, module in _imports()
+        if module.split(".")[0] in ("threading", "contextvars")
+    }
+    assert importers == {"net/realserver.py"}

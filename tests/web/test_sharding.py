@@ -137,7 +137,7 @@ class TestShardedCollectIdentity:
         """Span tree and telemetry of one traced three-shard crawl."""
         registry, tracer = shared_registry(), shared_tracer()
         registry.reset()
-        tracer.reset()
+        tracer.drain()
         was_tracing = tracing_enabled()
         set_tracing_enabled(True)
         try:
