@@ -31,9 +31,12 @@ each of the 24 AI user agents, so a body's verdicts are computed once,
 into a :class:`VerdictRow`: one explicit-only :class:`Classification`
 per agent of ``AI_USER_AGENT_TOKENS`` plus the body's wildcard level, from
 which every per-agent, any-agent, explicit-allow and
-``require_explicit=False`` answer derives.  A row packs into 25 hex
-digits (:data:`VERDICT_ROW_LAYOUT`), the form the on-disk body-facts
-stores persist under the body's SHA-256.
+``require_explicit=False`` answer derives.  Most bodies name no AI
+agent, so a row classifies only the agents the body's own tokens name,
+found through :func:`~repro.core.policy.naming_tokens` inverted once
+over the vocabulary; every other cell is the unnamed cell.  A row packs
+into 25 hex digits (:data:`VERDICT_ROW_LAYOUT`), the form the on-disk
+body-facts stores persist under the body's SHA-256.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from typing import Dict, Iterable, Optional, Tuple, Union
 
 from ..agents.darkvisitors import AI_USER_AGENT_TOKENS
 from .compiled import shared_policy_cache
-from .policy import RestrictionLevel, RobotsPolicy, classify_rules
+from .policy import RestrictionLevel, RobotsPolicy, classify_rules, naming_tokens
 
 __all__ = [
     "RestrictionLevel",
@@ -85,6 +88,10 @@ _CELLS: Tuple[Classification, ...] = tuple(
 )
 
 
+#: The explicit-only answer for an agent no group names.
+_UNNAMED = _CELLS[RestrictionLevel.NO_RESTRICTIONS]
+
+
 def _digit(cell: Classification) -> int:
     return int(cell.level) | cell.explicit << 2 | cell.explicit_allow << 3
 
@@ -120,7 +127,7 @@ def classify(
         return _CELLS[RestrictionLevel.NO_ROBOTS]
     agent_rules = _policy(robots_txt).rules_for(user_agent)
     if require_explicit and not agent_rules.explicit:
-        return _CELLS[RestrictionLevel.NO_RESTRICTIONS]
+        return _UNNAMED
     # The rule set's level and explicit allow are computed once per
     # distinct set of matched groups, not once per agent.
     return _CELLS[
@@ -147,6 +154,19 @@ _AGENT_INDEX: Dict[str, int] = {
 }
 
 
+def _agents_named_by() -> Dict[str, Tuple[int, ...]]:
+    """:func:`naming_tokens` inverted over the vocabulary: each token
+    that names an AI user agent, to the indices of the agents it names."""
+    named_by: Dict[str, Tuple[int, ...]] = {}
+    for index, agent in enumerate(AI_USER_AGENT_TOKENS):
+        for token in naming_tokens(agent):
+            named_by[token] = named_by.get(token, ()) + (index,)
+    return named_by
+
+
+_AGENTS_NAMED_BY = _agents_named_by()
+
+
 def _agent_index(agent: str) -> int:
     index = _AGENT_INDEX.get(agent)
     if index is None:
@@ -171,9 +191,17 @@ class VerdictRow:
 
     @classmethod
     def of(cls, policy: RobotsPolicy) -> "VerdictRow":
-        """Classify *policy* for each AI user agent, plus its wildcard
-        level."""
-        cells = tuple(classify(policy, agent) for agent in AI_USER_AGENT_TOKENS)
+        """Classify *policy* for each AI user agent a group names, plus
+        its wildcard level; every other agent gets the unnamed cell."""
+        named = {
+            index
+            for token in policy.named_agents()
+            for index in _AGENTS_NAMED_BY.get(token, ())
+        }
+        cells = tuple(
+            classify(policy, agent) if index in named else _UNNAMED
+            for index, agent in enumerate(AI_USER_AGENT_TOKENS)
+        )
         return cls(cells, policy.wildcard_rules.level)
 
     def classification(

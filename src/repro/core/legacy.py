@@ -27,9 +27,10 @@ live in :meth:`LegacyPolicy._parse` and :meth:`LegacyPolicy._match_agent`
 almost nothing with :class:`~repro.core.policy.RobotsPolicy`.  A legacy
 policy may group an existing token stream (a compliant parse's
 ``source_lines``), so comparing the two parsers tokenizes a body once.
-Path matching goes through the compliant matcher's :class:`Rule`
-objects, so each rule compiles once per policy, not once per query,
-and per-agent resolution is memoized as in ``RobotsPolicy``.
+Path matching goes through the compliant parser's shared :class:`Rule`
+objects (:func:`~repro.core.parser.shared_rule`), so each rule line
+compiles once for both parsers, not once per policy or query, and
+per-agent resolution is memoized as in ``RobotsPolicy``.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .lexer import Line, LineKind, tokenize
 from .matcher import Rule, Verdict, evaluate, first_match
+from .parser import shared_rule
 
 __all__ = ["LegacyQuirks", "LegacyPolicy"]
 
@@ -125,11 +127,7 @@ class LegacyPolicy:
                     current.agents.append(line.value)
                 collecting = True
                 continue
-            rule = Rule(
-                allow=line.kind is LineKind.ALLOW,
-                path=line.value,
-                line_number=line.number,
-            )
+            rule = shared_rule(line)
             if current is not None:
                 current.rules.append(rule)
                 collecting = False

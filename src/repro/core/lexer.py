@@ -12,13 +12,20 @@ The lexer is forgiving by design: *every* input line produces exactly one
 :class:`Line`, even malformed ones.  Classification into directive
 kinds happens here; deciding what a directive *means* is the parser's
 job.
+
+Lines are shared: while any token stream holds a :class:`Line`, every
+body with the same text on the same line number gets that one object
+(a weak-valued table keyed by ``(number, raw)``), so the thousands of
+bodies a policy cache keeps hold one object per distinct line, and a
+stream nothing keeps leaves nothing behind.
 """
 
 from __future__ import annotations
 
 import enum
+import weakref
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Union
+from typing import List, Tuple, Union
 
 __all__ = [
     "LineKind",
@@ -118,6 +125,12 @@ def _split_comment(line: str) -> str:
     return line[:idx]
 
 
+#: Every live :class:`Line`, keyed by ``(number, raw)``.
+_LINES: "weakref.WeakValueDictionary[Tuple[int, str], Line]" = (
+    weakref.WeakValueDictionary()
+)
+
+
 def tokenize(source: Union[str, bytes]) -> List[Line]:
     """Tokenize robots.txt text into a list of :class:`Line` records.
 
@@ -131,28 +144,29 @@ def tokenize(source: Union[str, bytes]) -> List[Line]:
     if isinstance(source, bytes):
         source = source.decode("utf-8", errors="replace")
     source = _strip_bom(source)
-    return list(_tokenize_lines(source.splitlines()))
+    lines = []
+    for number, raw in enumerate(source.splitlines(), start=1):
+        line = _LINES.get((number, raw))
+        if line is None:
+            line = _LINES[number, raw] = _lex(number, raw)
+        lines.append(line)
+    return lines
 
 
-def _tokenize_lines(lines: Iterable[str]) -> Iterator[Line]:
-    for number, raw in enumerate(lines, start=1):
-        stripped = raw.strip()
-        if not stripped:
-            yield Line(number, LineKind.BLANK, "", "", raw)
-            continue
-        if stripped.startswith("#"):
-            yield Line(number, LineKind.COMMENT, "", stripped[1:].strip(), raw)
-            continue
-        content = _split_comment(raw).strip()
-        if not content:
-            # The line was nothing but an inline comment.
-            yield Line(number, LineKind.COMMENT, "", stripped.lstrip("#").strip(), raw)
-            continue
-        key, sep, value = content.partition(":")
-        if not sep:
-            yield Line(number, LineKind.MALFORMED, "", content, raw)
-            continue
-        key = key.strip()
-        value = value.strip()
-        kind = KNOWN_DIRECTIVES.get(canonical_directive(key), LineKind.UNKNOWN_DIRECTIVE)
-        yield Line(number, kind, key, value, raw)
+def _lex(number: int, raw: str) -> Line:
+    stripped = raw.strip()
+    if not stripped:
+        return Line(number, LineKind.BLANK, "", "", raw)
+    if stripped.startswith("#"):
+        return Line(number, LineKind.COMMENT, "", stripped[1:].strip(), raw)
+    content = _split_comment(raw).strip()
+    if not content:
+        # The line was nothing but an inline comment.
+        return Line(number, LineKind.COMMENT, "", stripped.lstrip("#").strip(), raw)
+    key, sep, value = content.partition(":")
+    if not sep:
+        return Line(number, LineKind.MALFORMED, "", content, raw)
+    key = key.strip()
+    value = value.strip()
+    kind = KNOWN_DIRECTIVES.get(canonical_directive(key), LineKind.UNKNOWN_DIRECTIVE)
+    return Line(number, kind, key, value, raw)

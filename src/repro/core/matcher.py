@@ -24,9 +24,11 @@ normalizes once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 from urllib.parse import quote, unquote
+
+from ..util import computed_once
 
 __all__ = [
     "Rule",
@@ -87,7 +89,7 @@ class Rule:
         """An empty pattern matches nothing; ``Disallow:`` means allow all."""
         return self.path == ""
 
-    @cached_property
+    @computed_once
     def pattern(self) -> Optional[CompiledPattern]:
         """The compiled pattern (None when empty), built on first use.
 

@@ -16,20 +16,40 @@ between compliant and home-grown parsers:
 The parser also records extension directives (sitemaps, crawl delays)
 and everything it had to ignore, so that :mod:`repro.core.diagnostics`
 can lint files without re-parsing.
+
+Like the lexer's lines, rules are shared: while any parse holds a
+:class:`Rule`, every rule line with the same kind, path and line number
+gets that one object (:func:`shared_rule`, a weak-valued table), so its
+pattern compiles once for every body and every parser that holds it.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
 from .lexer import Line, LineKind, tokenize
 from .matcher import Rule
 
-__all__ = ["Group", "ParsedRobots", "parse"]
+__all__ = ["Group", "ParsedRobots", "parse", "shared_rule"]
 
 #: Product tokens are matched case-insensitively per RFC 9309.
 WILDCARD_AGENT = "*"
+
+#: Every live :class:`Rule` a parse built, keyed by its fields.
+_RULES: "weakref.WeakValueDictionary[Tuple[bool, str, int], Rule]" = (
+    weakref.WeakValueDictionary()
+)
+
+
+def shared_rule(line: Line) -> Rule:
+    """The one live :class:`Rule` for an ``Allow`` or ``Disallow`` *line*."""
+    key = (line.kind is LineKind.ALLOW, line.value, line.number)
+    rule = _RULES.get(key)
+    if rule is None:
+        rule = _RULES[key] = Rule(*key)
+    return rule
 
 
 @dataclass
@@ -166,11 +186,7 @@ def parse(source: Union[str, bytes]) -> ParsedRobots:
             continue
 
         # Allow / Disallow rule lines.
-        rule = Rule(
-            allow=line.kind is LineKind.ALLOW,
-            path=line.value,
-            line_number=line.number,
-        )
+        rule = shared_rule(line)
         if current is None:
             result.orphan_rules.append(rule)
         else:

@@ -23,9 +23,9 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
+from ..util import computed_once
 from .matcher import Rule, Verdict, evaluate, normalize_path
 from .parser import Group, ParsedRobots, parse
 
@@ -35,6 +35,7 @@ __all__ = [
     "RobotsPolicy",
     "classify_rules",
     "extract_product_token",
+    "naming_tokens",
 ]
 
 _PRODUCT_TOKEN = re.compile(r"[A-Za-z0-9_-]*")
@@ -60,6 +61,29 @@ def extract_product_token(user_agent: str) -> str:
     'GPTBot'
     """
     return _PRODUCT_TOKEN.match(user_agent).group()
+
+
+def naming_tokens(user_agent: str) -> Iterator[str]:
+    """Every lowercased group token that names *user_agent*, shortest
+    first, each once: every non-empty prefix of its product token, then
+    the whole stripped string unless it was one of those.
+
+    The whole string covers agent names with characters outside the
+    product-token alphabet ("Kangaroo Bot", "ICC Crawler").  A UA whose
+    product token is empty (a leading space) is its own token.  A
+    generator rather than a tuple: CPython keeps up to 2,000 finished
+    tuples of each small size on a free list, so a tuple per resolution
+    would leave a few hundred KiB parked there after a sweep of rows.
+
+    >>> list(naming_tokens("CCBot/2.0"))
+    ['c', 'cc', 'ccb', 'ccbo', 'ccbot', 'ccbot/2.0']
+    """
+    token = (extract_product_token(user_agent) or user_agent).lower()
+    for end in range(1, len(token) + 1):
+        yield token[:end]
+    full = user_agent.strip().lower()
+    if not (full and token.startswith(full)):
+        yield full
 
 
 class RestrictionLevel(enum.IntEnum):
@@ -183,12 +207,12 @@ class AgentRules:
     explicit: bool
     crawl_delay: Optional[float] = None
 
-    @cached_property
+    @computed_once
     def level(self) -> RestrictionLevel:
         """:func:`classify_rules` of :attr:`rules`."""
         return classify_rules(self.rules)
 
-    @cached_property
+    @computed_once
     def explicit_allow(self) -> bool:
         """Section 3.4's reverse intent: the rules come from a group
         naming the agent, an ``Allow`` rule covers the root, and nothing
@@ -221,8 +245,8 @@ class RobotsPolicy:
     :class:`~repro.core.parser.ParsedRobots` via :meth:`from_parsed`.
     Construction indexes the groups by the agent tokens they name and
     merges the ``User-agent: *`` groups once, so resolving an agent
-    scans the file's distinct named tokens only.  Every agent that
-    resolves to the same groups shares one :class:`AgentRules` (all
+    probes that index with its :func:`naming_tokens` only.  Every agent
+    that resolves to the same groups shares one :class:`AgentRules` (all
     agents no group names share :attr:`wildcard_rules`), so a rule set
     is merged and classified once however many agents it governs.
     :meth:`rules_for` is memoized and each rule compiles its pattern
@@ -290,24 +314,18 @@ class RobotsPolicy:
         return cached
 
     def _resolve(self, user_agent: str) -> AgentRules:
-        # A group token matches when it is a non-empty prefix of the
-        # crawler's product token.  Some agent names contain characters
-        # outside the product-token alphabet ("Kangaroo Bot", "ICC
-        # Crawler"); an exact full-string comparison covers those.
-        token = (extract_product_token(user_agent) or user_agent).lower()
-        full = user_agent.strip().lower()
         best_len = -1
         matched: Tuple[int, ...] = ()
-        for agent_token, indices in self._groups_by_token.items():
-            prefix = agent_token and token.startswith(agent_token)
-            if not prefix and agent_token != full:
+        for token in naming_tokens(user_agent):
+            indices = self._groups_by_token.get(token)
+            if indices is None:
                 continue
             # A group may list several tokens that match this crawler
             # (e.g. "foo" and "foobot"); its specificity is the longest.
-            if len(agent_token) > best_len:
-                best_len = len(agent_token)
+            if len(token) > best_len:
+                best_len = len(token)
                 matched = indices
-            elif len(agent_token) == best_len:
+            elif len(token) == best_len:
                 # Two distinct tokens of one length match only when a
                 # token starts with whitespace, which a parsed file never
                 # holds; merge both tokens' groups in file order.

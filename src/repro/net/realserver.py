@@ -31,6 +31,11 @@ from .transport import Handler
 
 __all__ = ["RealHttpServer", "fetch_real"]
 
+#: Seconds the bridge waits on a connection's socket before dropping
+#: it.  With one serving thread, a client that connects and sends
+#: nothing would otherwise hold the bridge from every later client.
+READ_TIMEOUT_S = 3.0
+
 
 class RealHttpServer:
     """Expose a handler on a localhost TCP port, one request at a time.
@@ -57,6 +62,7 @@ class RealHttpServer:
 
         class _RequestBridge(BaseHTTPRequestHandler):
             protocol_version = "HTTP/1.1"
+            timeout = READ_TIMEOUT_S
 
             def _serve(self, method: str) -> None:
                 host_header = self.headers.get("Host", "")

@@ -14,9 +14,8 @@ walks every group's tokens per query, where
 agent's resolved rules afresh, where a policy computes them once per
 shared :class:`~repro.core.policy.AgentRules`, and :func:`verdict_row`
 classifies all 24 AI user agents plus ``*`` afresh, where
-:meth:`~repro.core.classify.VerdictRow.of` reads those shared answers
-through :func:`~repro.core.classify.classify` and the policy's
-``wildcard_rules``.
+:meth:`~repro.core.classify.VerdictRow.of` classifies only the agents
+the body's tokens name and reads the policy's ``wildcard_rules``.
 """
 
 import re

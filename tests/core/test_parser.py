@@ -1,5 +1,9 @@
 """Tests for repro.core.parser, including the Appendix B.2 edge cases."""
 
+import gc
+
+from repro.core import lexer, parser
+from repro.core.legacy import LegacyPolicy
 from repro.core.parser import parse
 from repro.core.policy import RobotsPolicy
 
@@ -167,3 +171,37 @@ class TestGroupQueries:
     def test_wildcard_groups(self):
         parsed = parse("User-agent: *\nDisallow: /\nUser-agent: a\nAllow: /")
         assert len(parsed.wildcard_groups()) == 1
+
+
+class TestSharedLinesAndRules:
+    """Live parses share one object per distinct line and rule; the line
+    number is part of the key, and a parse nothing keeps leaves nothing
+    in either table."""
+
+    def test_equal_lines_and_rules_are_one_object(self):
+        first = parse("User-agent: *\nDisallow: /x\n")
+        second = parse("User-agent: *\nDisallow: /x\nDisallow: /y\n")
+        assert first.source_lines[1] is second.source_lines[1]
+        assert first.groups[0].rules[0] is second.groups[0].rules[0]
+
+    def test_the_legacy_parser_holds_the_same_rules(self):
+        compliant = RobotsPolicy("User-agent: *\nDisallow: /x\n")
+        legacy = LegacyPolicy(compliant.parsed.source_lines)
+        assert legacy.rules_for("GPTBot")[0] is compliant.rules_for("GPTBot").rules[0]
+
+    def test_each_body_keeps_its_own_line_numbers(self):
+        early = RobotsPolicy("User-agent: *\nDisallow: /x\n")
+        late = RobotsPolicy("User-agent: *\n# one\n\n# two\nDisallow: /x\n")
+        assert early.verdict("GPTBot", "/x").rule.line_number == 2
+        assert late.verdict("GPTBot", "/x").rule.line_number == 5
+
+    def test_dropped_parses_leave_nothing_behind(self):
+        for index in range(300):
+            policy = RobotsPolicy(
+                f"User-agent: dropbot-{index}\nDisallow: /dropped-{index}\n"
+            )
+            assert not policy.is_allowed(f"dropbot-{index}", f"/dropped-{index}")
+        del policy
+        gc.collect()
+        assert not [raw for _, raw in list(lexer._LINES) if "drop" in raw]
+        assert not [path for _, path, _ in list(parser._RULES) if "drop" in path]

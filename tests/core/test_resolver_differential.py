@@ -6,9 +6,11 @@ tokens; :func:`oracle.resolve` walks every group's tokens per query.
 and the explicit allow an :class:`AgentRules` computes once for every agent
 sharing it; :func:`oracle.classification` and
 :func:`oracle.explicitly_allows` classify each agent's rules afresh.
-:meth:`VerdictRow.of` reads those shared answers through
-:func:`classify` and ``wildcard_rules``; :func:`oracle.verdict_row`
-classifies all 24 AI user agents plus ``*`` afresh.
+:meth:`VerdictRow.of` classifies only the AI user agents the body's
+tokens name, found through the inverted
+:func:`~repro.core.policy.naming_tokens`, and reads ``wildcard_rules``;
+:func:`oracle.verdict_row` classifies all 24 AI user agents plus ``*``
+afresh.
 Each pair must agree on every body: the ``ROBOTS_SAMPLES``, a
 hypothesis corpus built around the matching rule's corner cases, and
 (in ``tests/measure/test_policy_cache.py``) every distinct body of a
@@ -137,7 +139,10 @@ class TestSharedWildcardAnswer:
 
 
 #: Agent values for the corpus: prefix-related tokens in three cases,
-#: ``*``, the empty value, and names that only a full-UA match reaches.
+#: ``*``, the empty value, names that only a full-UA match reaches, and
+#: tokens that each name two AI agents at once (``applebot``, ``claude``,
+#: ``meta-external``) beside the longer names of one of them, where the
+#: longest match must still choose per agent.
 _CORPUS_AGENTS = [
     "gpt",
     "GPTBot",
@@ -155,6 +160,11 @@ _CORPUS_AGENTS = [
     "anthropic",
     "ClaudeBot",
     "Google-Extended",
+    "applebot",
+    "Applebot-Extended",
+    "claude",
+    "Claude-Web",
+    "meta-external",
 ]
 
 #: Lines that may follow the agents: rules, the empty disallow, crawl

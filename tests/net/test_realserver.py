@@ -1,10 +1,14 @@
 """Integration tests: serving simulated sites over real TCP sockets."""
 
 import os
+import socket
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
+from repro.net import realserver
 from repro.net.http import Request
 from repro.net.realserver import RealHttpServer, fetch_real
 from repro.net.server import Website, render_page
@@ -110,6 +114,33 @@ class TestServe:
                 proc.wait()
         assert response.ok and response.text == "x" * 200_000
         assert response.headers.get("Connection") == "close"
+
+
+class TestIdleClient:
+    def test_an_idle_connection_holds_the_bridge_only_until_its_timeout(
+        self, monkeypatch
+    ):
+        # A client that connects and sends nothing (a browser's
+        # speculative preconnect) is dropped after the read timeout, so
+        # the next client is answered, and the dropped connection logs
+        # nothing toward the serving budget.
+        monkeypatch.setattr(realserver, "READ_TIMEOUT_S", 0.5)
+        site = make_site()
+        server = RealHttpServer(site)
+        serving = threading.Thread(
+            target=server.serve, args=(lambda: len(site.access_log) >= 1,), daemon=True
+        )
+        serving.start()
+        host, port = server.address.split(":")
+        with socket.create_connection((host, int(port))):
+            started = time.monotonic()
+            response = fetch_real(f"http://{server.address}/page1")
+            elapsed = time.monotonic() - started
+            serving.join(timeout=10)
+        assert response.ok
+        assert elapsed < realserver.READ_TIMEOUT_S + 2.0
+        assert not serving.is_alive()
+        assert [entry.path for entry in site.access_log] == ["/page1"]
 
 
 class TestMonthClock:
