@@ -15,7 +15,7 @@ from repro.measure.active_blocking import survey_active_blocking
 from repro.net.errors import NetError
 from repro.net.http import Headers, Request
 from repro.net.transport import Network
-from repro.report.experiments import ExperimentResult
+from repro.report.longitudinal import ExperimentResult
 from repro.report.tables import render_table
 
 

@@ -11,7 +11,7 @@ from conftest import save_artifact
 
 from repro.core.matcher import evaluate, first_match
 from repro.core.policy import RobotsPolicy
-from repro.report.experiments import ExperimentResult
+from repro.report.longitudinal import ExperimentResult
 from repro.report.tables import render_table
 
 PROBES = ["/", "/page", "/images/a.png", "/blog/2024/post", "/admin/x"]

@@ -14,7 +14,7 @@ from repro.crawlers.engine import Crawler
 from repro.crawlers.profiles import CrawlerProfile
 from repro.net.server import Website, render_page
 from repro.net.transport import Network
-from repro.report.experiments import ExperimentResult
+from repro.report.longitudinal import ExperimentResult
 from repro.report.tables import render_table
 
 DAY = 86_400.0

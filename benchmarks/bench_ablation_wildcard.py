@@ -11,7 +11,7 @@ the "reaction to AI crawlers" signal).
 
 from conftest import save_artifact
 
-from repro.report.experiments import ExperimentResult, run_figure2
+from repro.report.longitudinal import ExperimentResult, run_figure2
 
 
 def test_ablation_wildcard_counting(benchmark, longitudinal_bundle, artifact_dir):

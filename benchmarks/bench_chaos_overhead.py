@@ -30,7 +30,7 @@ from repro.net.http import Request
 from repro.net.server import Website
 from repro.net.transport import Network
 from repro.obs.metrics import shared_registry
-from repro.report.experiments import build_longitudinal_bundle
+from repro.report.longitudinal import build_longitudinal_bundle
 from repro.web.population import PopulationConfig
 from repro.web.worldstore import WorldStore
 

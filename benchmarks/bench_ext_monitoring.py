@@ -15,7 +15,7 @@ from repro.crawlers.engine import Crawler
 from repro.crawlers.profiles import CrawlerProfile, RobotsBehavior
 from repro.crawlers.scheduler import CrawlScheduler
 from repro.measure.compliance import WILDCARD_HOST, build_testbed
-from repro.report.experiments import ExperimentResult
+from repro.report.longitudinal import ExperimentResult
 from repro.report.tables import render_table
 
 MONTH = 30 * 86_400.0

@@ -8,7 +8,7 @@ with the top tier consistently above the rest.
 
 from conftest import save_artifact
 
-from repro.report.experiments import run_figure2
+from repro.report.longitudinal import run_figure2
 
 
 def test_figure2_full_disallow_trend(benchmark, longitudinal_bundle, artifact_dir):

@@ -7,7 +7,7 @@ a secondary uptick follows the EU AI Act (August 2024).
 
 from conftest import save_artifact
 
-from repro.report.experiments import run_figure3
+from repro.report.longitudinal import run_figure3
 
 
 def test_figure3_per_agent_trend(benchmark, longitudinal_bundle, artifact_dir):

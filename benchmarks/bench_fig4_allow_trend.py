@@ -10,7 +10,7 @@ those totals.
 
 from conftest import save_artifact
 
-from repro.report.experiments import run_figure4
+from repro.report.longitudinal import run_figure4
 
 
 def test_figure4_allows_and_removals(benchmark, longitudinal_bundle, artifact_dir):

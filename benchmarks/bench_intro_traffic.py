@@ -8,7 +8,7 @@ Bytespider in particular) produce DDoS-like load on small sites.
 from conftest import save_artifact
 
 from repro.net.server import Website, render_page
-from repro.report.experiments import ExperimentResult
+from repro.report.longitudinal import ExperimentResult
 from repro.report.tables import render_table
 from repro.web.traffic import TrafficMix, analyze_traffic, simulate_traffic
 

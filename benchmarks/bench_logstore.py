@@ -107,7 +107,7 @@ def _instrumented_collection() -> tuple:
     measured wall clock *includes* the sink cost, which only makes the
     implied percentage conservative.
     """
-    from repro.report.experiments import build_longitudinal_bundle
+    from repro.report.longitudinal import build_longitudinal_bundle
     from repro.web.population import PopulationConfig
     from repro.web.worldstore import WorldStore
 

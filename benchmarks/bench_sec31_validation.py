@@ -11,7 +11,7 @@ from conftest import save_artifact
 from repro.crawlers.commoncrawl import SNAPSHOT_SPECS, SnapshotCrawler
 from repro.measure.validation import cross_validate_snapshot
 from repro.net.transport import Network
-from repro.report.experiments import ExperimentResult
+from repro.report.longitudinal import ExperimentResult
 from repro.report.tables import render_table
 
 

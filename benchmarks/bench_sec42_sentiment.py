@@ -21,7 +21,7 @@ def run_sentiment(seed: int = 42):
 def test_sec42_sentiment(benchmark, artifact_dir):
     analysis = benchmark.pedantic(run_sentiment, rounds=1, iterations=1)
 
-    from repro.report.experiments import ExperimentResult
+    from repro.report.longitudinal import ExperimentResult
     from repro.report.tables import render_table
 
     rows = [

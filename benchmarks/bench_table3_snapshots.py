@@ -7,7 +7,7 @@ each, roughly 76-78% of the stable sites have a retrievable robots.txt
 
 from conftest import save_artifact
 
-from repro.report.experiments import run_table3
+from repro.report.longitudinal import run_table3
 
 
 def test_table3_snapshot_coverage(benchmark, longitudinal_bundle, artifact_dir):

@@ -23,7 +23,7 @@ import time
 
 import pytest
 
-from repro.report.experiments import (
+from repro.report.longitudinal import (
     ExperimentResult,
     LongitudinalBundle,
     build_longitudinal_bundle,

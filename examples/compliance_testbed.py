@@ -11,9 +11,11 @@ apps, then derives every verdict *from the server logs* -- the same
 evidence the paper uses.
 """
 
-from repro.agents import AI_USER_AGENT_TOKENS, Compliance, build_registry
-from repro.crawlers import build_app_store, build_builtin_assistants, build_fleet
-from repro.measure import (
+from repro.agents.darkvisitors import AI_USER_AGENT_TOKENS, build_registry
+from repro.agents.registry import Compliance
+from repro.crawlers.assistant import build_app_store
+from repro.crawlers.fleet import build_builtin_assistants, build_fleet
+from repro.measure.compliance import (
     analyze_passive,
     build_testbed,
     classify_merged_crawler,
@@ -21,7 +23,7 @@ from repro.measure import (
     run_active_measurement,
     run_passive_measurement,
 )
-from repro.report import render_table
+from repro.report.tables import render_table
 
 
 def main() -> None:

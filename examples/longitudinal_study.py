@@ -11,14 +11,14 @@ the Figure 3 per-agent table, and the Figure 4 allow/removal series.
 
 import sys
 
-from repro.report import (
+from repro.report.longitudinal import (
     build_longitudinal_bundle,
     run_figure2,
     run_figure3,
     run_figure4,
     run_table3,
 )
-from repro.web import PopulationConfig
+from repro.web.population import PopulationConfig
 
 
 def main() -> None:

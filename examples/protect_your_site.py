@@ -14,12 +14,14 @@ actually sending crawler traffic at a simulated portfolio site:
    but dual-purpose and unlisted crawlers remain).
 """
 
-from repro.agents import SQUARESPACE_BLOCKED_AGENTS
-from repro.core import RobotsBuilder, add_disallow_group
-from repro.crawlers import Crawler, CrawlerProfile
-from repro.net import Network, Website, render_page
-from repro.proxy import CloudflareProxy, CloudflareSettings
-from repro.web import provider_by_name
+from repro.agents.catalogs import SQUARESPACE_BLOCKED_AGENTS
+from repro.core.serialize import RobotsBuilder, add_disallow_group
+from repro.crawlers.engine import Crawler
+from repro.crawlers.profiles import CrawlerProfile
+from repro.net.server import Website, render_page
+from repro.net.transport import Network
+from repro.proxy.cloudflare import CloudflareProxy, CloudflareSettings
+from repro.web.providers import provider_by_name
 
 
 def portfolio() -> Website:

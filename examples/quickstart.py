@@ -13,16 +13,14 @@ Demonstrates the core public API in five minutes:
    and a defiant crawler behave differently in its access log.
 """
 
-from repro.core import (
-    RestrictionLevel,
-    RobotsBuilder,
-    RobotsPolicy,
-    add_disallow_group,
-    classify,
-    remove_agent_rules,
-)
-from repro.crawlers import Crawler, CrawlerProfile
-from repro.net import Network, RealHttpServer, Website, fetch_real, render_page
+from repro.core.classify import classify
+from repro.core.policy import RestrictionLevel, RobotsPolicy
+from repro.core.serialize import RobotsBuilder, add_disallow_group, remove_agent_rules
+from repro.crawlers.engine import Crawler
+from repro.crawlers.profiles import CrawlerProfile
+from repro.net.realserver import RealHttpServer, fetch_real
+from repro.net.server import Website, render_page
+from repro.net.transport import Network
 
 
 def robots_basics() -> None:

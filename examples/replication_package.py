@@ -15,7 +15,7 @@ semantic differ on a real deal-driven robots.txt change.
 
 import pathlib
 
-from repro.agents import AI_USER_AGENT_TOKENS
+from repro.agents.darkvisitors import AI_USER_AGENT_TOKENS
 from repro.core.diff import classify_change, diff_robots
 from repro.measure.longitudinal import (
     collect_shard_archives,
@@ -23,8 +23,9 @@ from repro.measure.longitudinal import (
     full_disallow_trend,
 )
 from repro.report.datasets import dump_respondents, dump_schedules, load_respondents
-from repro.survey import analyze, filter_valid, generate_respondents
-from repro.web import PopulationConfig, build_web_population
+from repro.survey.analysis import analyze
+from repro.survey.respondents import filter_valid, generate_respondents
+from repro.web.population import PopulationConfig, build_web_population
 from repro.web.archive import ArchiveSet
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "results"

@@ -28,7 +28,7 @@ import json
 import pathlib
 
 from repro.report.orchestrator import run_all
-from repro.web import PopulationConfig
+from repro.web.population import PopulationConfig
 
 RESULTS = pathlib.Path(__file__).resolve().parent.parent / "results"
 

@@ -9,13 +9,14 @@ population whose robots.txt files evolve over October 2022-October
 measurement pipelines that regenerate every table and figure in the
 paper's evaluation.
 
-Quick start::
+Quick start (the packages re-export nothing; import from the module
+that defines a name)::
 
-    from repro.core import RobotsPolicy, classify
+    from repro.core.policy import RobotsPolicy
     policy = RobotsPolicy("User-agent: GPTBot\\nDisallow: /")
     policy.is_allowed("GPTBot", "/art/")        # False
 
-    from repro.report import run_table1_compliance
+    from repro.report.experiments import run_table1_compliance
     print(run_table1_compliance().text)
 
 Subpackages: ``core`` (robots.txt engine), ``agents`` (UA registry),

@@ -1,44 +1,5 @@
-"""AI user-agent registry, catalogs, and UA-string utilities."""
+"""AI user-agent registry, catalogs, and UA-string utilities.
 
-from .catalogs import (
-    CARBONMADE_DEFAULT_BLOCKED,
-    CLOUDFLARE_AI_BOTS_BLOCKED,
-    CLOUDFLARE_DEFINITELY_AUTOMATED,
-    CLOUDFLARE_VERIFIED_AI_BOTS_BLOCKED,
-    CLOUDFLARE_VERIFIED_BOTS,
-    SQUARESPACE_BLOCKED_AGENTS,
-    generic_crawler_user_agents,
-)
-from .darkvisitors import AI_USER_AGENT_TOKENS, TABLE1_ROWS, build_registry
-from .registry import AgentCategory, AgentRegistry, AIUserAgent, Compliance
-from .useragent import (
-    DEFAULT_BROWSER_UA,
-    contains_token,
-    looks_like_browser,
-    matches_any,
-    primary_product,
-    product_tokens,
-)
-
-__all__ = [
-    "CARBONMADE_DEFAULT_BLOCKED",
-    "CLOUDFLARE_AI_BOTS_BLOCKED",
-    "CLOUDFLARE_DEFINITELY_AUTOMATED",
-    "CLOUDFLARE_VERIFIED_AI_BOTS_BLOCKED",
-    "CLOUDFLARE_VERIFIED_BOTS",
-    "SQUARESPACE_BLOCKED_AGENTS",
-    "generic_crawler_user_agents",
-    "AI_USER_AGENT_TOKENS",
-    "TABLE1_ROWS",
-    "build_registry",
-    "AgentCategory",
-    "AgentRegistry",
-    "AIUserAgent",
-    "Compliance",
-    "DEFAULT_BROWSER_UA",
-    "contains_token",
-    "looks_like_browser",
-    "matches_any",
-    "primary_product",
-    "product_tokens",
-]
+Import the submodules directly; this package re-exports nothing, so
+importing one of them loads only what it needs.
+"""

@@ -23,13 +23,14 @@ trees and log streams come out as an in-line run writes them.
 The unit callable never crosses the pipe: it sits in a module global
 while the pool forks, so children inherit the world it closes over
 (populations, bundles, stores) and only the unit index is pickled.
+
+:mod:`multiprocessing` and :mod:`concurrent.futures` load only on the
+fork path, so a run that never forks never imports them.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, List, Optional, TypeVar
 
 from .net.accesslog import active_log_sink
@@ -51,12 +52,11 @@ def batch_mode(workers: int) -> str:
     Forks only with more than one worker, more than one CPU and the
     fork start method.
     """
-    if (
-        workers > 1
-        and (os.cpu_count() or 1) > 1
-        and "fork" in multiprocessing.get_all_start_methods()
-    ):
-        return "process"
+    if workers > 1 and (os.cpu_count() or 1) > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            return "process"
     return "serial"
 
 
@@ -70,6 +70,9 @@ def fan_out(unit: Callable[[int], T], n: int, workers: Optional[int]) -> List[T]
     n_workers = min(max(1, workers or 1), n)
     if batch_mode(n_workers) == "serial":
         return [unit(index) for index in range(n)]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     global _UNIT
     _UNIT = unit
     try:

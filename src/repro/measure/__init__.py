@@ -1,91 +1,5 @@
-"""The paper's measurement pipelines (Sections 2-6)."""
+"""The paper's measurement pipelines (Sections 2-6).
 
-from .active_blocking import (
-    AI_PROBE_UAS,
-    BlockingSurvey,
-    ProbeResult,
-    SiteBlockingVerdict,
-    detect_active_blocking,
-    probe,
-    survey_active_blocking,
-)
-from .artists import ArtistStudy, ProviderRow, edit_option_label, measure_artist_sites
-from .cache import PolicyCache
-from .cloudflare_audit import (
-    BlockAISetting,
-    CloudflareAuditSummary,
-    SiteAudit,
-    audit_cloudflare_sites,
-    infer_blocked_agents,
-    infer_site_setting,
-)
-from .compliance import (
-    ActiveObservation,
-    PassiveObservation,
-    Testbed,
-    analyze_passive,
-    build_testbed,
-    classify_merged_crawler,
-    merge_third_party_crawlers,
-    run_active_measurement,
-    run_passive_measurement,
-)
-from .longitudinal import (
-    FIGURE3_AGENTS,
-    AllowRemovalTrend,
-    FullDisallowTrend,
-    SnapshotSeries,
-    allow_and_removal_trend,
-    analysis_domains,
-    collect_snapshots,
-    full_disallow_trend,
-    per_agent_trend,
-    snapshot_coverage_table,
-)
-from .validation import ValidationReport, cross_validate_snapshot
-from .meta_tags import MetaTagScan, extract_robots_meta, scan_meta_tags
-
-__all__ = [
-    "AI_PROBE_UAS",
-    "BlockingSurvey",
-    "ProbeResult",
-    "SiteBlockingVerdict",
-    "detect_active_blocking",
-    "probe",
-    "survey_active_blocking",
-    "ArtistStudy",
-    "ProviderRow",
-    "edit_option_label",
-    "measure_artist_sites",
-    "PolicyCache",
-    "BlockAISetting",
-    "CloudflareAuditSummary",
-    "SiteAudit",
-    "audit_cloudflare_sites",
-    "infer_blocked_agents",
-    "infer_site_setting",
-    "ActiveObservation",
-    "PassiveObservation",
-    "Testbed",
-    "analyze_passive",
-    "build_testbed",
-    "classify_merged_crawler",
-    "merge_third_party_crawlers",
-    "run_active_measurement",
-    "run_passive_measurement",
-    "FIGURE3_AGENTS",
-    "AllowRemovalTrend",
-    "FullDisallowTrend",
-    "SnapshotSeries",
-    "allow_and_removal_trend",
-    "analysis_domains",
-    "collect_snapshots",
-    "full_disallow_trend",
-    "per_agent_trend",
-    "snapshot_coverage_table",
-    "ValidationReport",
-    "cross_validate_snapshot",
-    "MetaTagScan",
-    "extract_robots_meta",
-    "scan_meta_tags",
-]
+Import the submodules directly; this package re-exports nothing, so
+importing one of them loads only what it needs.
+"""

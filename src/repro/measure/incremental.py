@@ -25,7 +25,7 @@ Three layers live in one store directory (default ``.repro-cache``):
   ``meta.json``'s code digest is this code's: other code may classify
   a body differently.
 * ``experiments.json`` -- finished
-  :class:`~repro.report.experiments.ExperimentResult` payloads keyed by
+  :class:`~repro.report.longitudinal.ExperimentResult` payloads keyed by
   experiment key, each guarded by the input digest it was computed
   under (config digest + world kind + declared parameters + the
   :func:`code_digest` of the ``repro`` package that ran it).
@@ -209,7 +209,7 @@ class IncrementalStore(BodyFacts):
         if entry.get("input_key") != input_key:
             return "invalidated", None
         payload = entry["result"]
-        from ..report.experiments import ExperimentResult
+        from ..report.longitudinal import ExperimentResult
 
         return "hit", ExperimentResult(
             experiment_id=payload["experiment_id"],

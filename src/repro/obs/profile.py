@@ -22,15 +22,13 @@ Caveats, stated rather than hidden: cProfile observes only the process
 that entered the phase, so a forked experiment battery is one phase
 that reports the parent's CPU, not the workers'; tracemalloc
 numbers include the profiler's own bookkeeping (small, but nonzero).
+Both profilers, and :mod:`pstats`, load only when a phase is profiled.
 """
 
 from __future__ import annotations
 
-import cProfile
 import json
-import pstats
 import time
-import tracemalloc
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -105,6 +103,9 @@ class Profiler:
         phase resets the shared peak counter -- window-local peaks,
         by design).
         """
+        import cProfile
+        import tracemalloc
+
         depth = self._depth
         self._depth = depth + 1
 
@@ -185,8 +186,11 @@ class Profiler:
         return lines
 
 
-def _cpu_stats(profile: cProfile.Profile):
-    """Total CPU seconds and the top functions by cumulative time."""
+def _cpu_stats(profile):
+    """Total CPU seconds and the top functions by cumulative time of
+    one :class:`cProfile.Profile`."""
+    import pstats
+
     stats = pstats.Stats(profile)
     total = sum(entry[2] for entry in stats.stats.values())  # tt per function
     ranked = sorted(

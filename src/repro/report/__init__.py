@@ -1,68 +1,8 @@
-"""Reporting: ASCII tables, text figures, experiment runners."""
+"""Reporting: ASCII tables, text figures, experiment runners.
 
-from .experiments import (
-    ExperimentResult,
-    run_change_taxonomy,
-    run_survey_crosstabs,
-    run_ext_adoption_by_category,
-    LongitudinalBundle,
-    build_longitudinal_bundle,
-    run_appb2_parser_comparison,
-    run_figure2,
-    run_figure3,
-    run_figure4,
-    run_sec22_meta_tags,
-    run_sec62_active_blocking,
-    run_sec63_cloudflare,
-    run_sec81_mistakes,
-    run_survey_tables,
-    run_table1_compliance,
-    run_tables9_12_codebooks,
-    run_table2_artists,
-    run_table3,
-)
-from .figures import ascii_chart, series_to_csv
-from .orchestrator import (
-    EXPERIMENT_REGISTRY,
-    ExperimentSpec,
-    RunReport,
-    experiment_keys,
-    run_all,
-    run_one,
-)
-from .stats import proportion_summary, wilson_interval
-from .tables import format_cell, render_table
-
-__all__ = [
-    "ExperimentResult",
-    "run_change_taxonomy",
-    "run_survey_crosstabs",
-    "run_ext_adoption_by_category",
-    "LongitudinalBundle",
-    "build_longitudinal_bundle",
-    "run_appb2_parser_comparison",
-    "run_figure2",
-    "run_figure3",
-    "run_figure4",
-    "run_sec22_meta_tags",
-    "run_sec62_active_blocking",
-    "run_sec63_cloudflare",
-    "run_sec81_mistakes",
-    "run_survey_tables",
-    "run_tables9_12_codebooks",
-    "run_table1_compliance",
-    "run_table2_artists",
-    "run_table3",
-    "EXPERIMENT_REGISTRY",
-    "ExperimentSpec",
-    "RunReport",
-    "experiment_keys",
-    "run_all",
-    "run_one",
-    "proportion_summary",
-    "wilson_interval",
-    "ascii_chart",
-    "series_to_csv",
-    "format_cell",
-    "render_table",
-]
+Import the submodules directly; this package re-exports nothing, so
+importing one of them loads only what it needs.  The Section 3 runners
+(:mod:`repro.report.longitudinal`) are apart from the rest
+(:mod:`repro.report.experiments`), so a strata run never loads the
+survey, the audits or the testbed.
+"""

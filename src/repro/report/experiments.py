@@ -1,18 +1,20 @@
-"""Experiment registry: one runner per paper table/figure.
+"""Every runner outside Section 3: one per paper table or figure.
 
 Each ``run_*`` function executes a full experiment -- building the
 simulated world, running the measurement pipeline over HTTP, and
 rendering the paper's artifact -- and returns an
-:class:`ExperimentResult` carrying rendered text plus headline metrics.
-The benchmark harness (``benchmarks/``) times these runners and asserts
+:class:`~repro.report.longitudinal.ExperimentResult` carrying rendered
+text plus headline metrics.  The Section 3 runners (Figures 2-4 and
+Table 3) live in :mod:`repro.report.longitudinal`, so a run of only
+those, such as every strata run, never imports this module.  The
+benchmark harness (``benchmarks/``) times these runners and asserts
 the metrics fall in the paper's bands; ``examples/reproduce_all.py``
 uses them to regenerate EXPERIMENTS.md data.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, TYPE_CHECKING, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..agents.catalogs import generic_crawler_user_agents
 from ..agents.darkvisitors import AI_USER_AGENT_TOKENS, build_registry
@@ -36,16 +38,6 @@ from ..measure.compliance import (
     run_passive_measurement,
 )
 from ..measure.cache import PolicyCache
-from ..measure.longitudinal import (
-    FIGURE3_AGENTS,
-    SnapshotSeries,
-    Source,
-    allow_and_removal_trend,
-    collect_snapshots,
-    full_disallow_trend,
-    per_agent_trend,
-    snapshot_coverage_table,
-)
 from ..measure.meta_tags import scan_meta_tags
 from ..net.server import Website, render_page
 from ..net.transport import Network
@@ -55,22 +47,12 @@ from ..proxy.reverse_proxy import ReverseProxy
 from ..survey.analysis import analyze
 from ..survey.respondents import filter_valid, generate_respondents
 from ..web.artists import build_artist_population
-from ..web.population import PopulationConfig, WebPopulation, build_web_population
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..web.worldstore import WorldStore
-from .figures import ascii_chart, series_to_csv
+from ..web.population import WebPopulation
+from .longitudinal import ExperimentResult, LongitudinalBundle
 from .tables import render_table
 
 __all__ = [
-    "ExperimentResult",
-    "LongitudinalBundle",
-    "build_longitudinal_bundle",
     "run_table1_compliance",
-    "run_figure2",
-    "run_figure3",
-    "run_figure4",
-    "run_table3",
     "run_table2_artists",
     "run_sec62_active_blocking",
     "run_sec63_cloudflare",
@@ -84,23 +66,6 @@ __all__ = [
     "run_behavioral_equilibrium",
     "run_selective_compliance",
 ]
-
-
-@dataclass
-class ExperimentResult:
-    """The outcome of one experiment runner.
-
-    Attributes:
-        experiment_id: Stable identifier ("figure2", "table1", ...).
-        title: Human-readable title.
-        text: Rendered tables / chart / CSV output.
-        metrics: Headline numbers for band assertions.
-    """
-
-    experiment_id: str
-    title: str
-    text: str
-    metrics: Dict[str, float] = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------- Table 1 ----
@@ -186,157 +151,6 @@ def run_table1_compliance(seed: int = 42, months: int = 6, n_apps: int = 2000) -
         "table1", "AI crawler compliance (Table 1, Section 5)",
         text + "\n\n" + "\n".join(third_party_lines), metrics
     )
-
-
-# ------------------------------------------------------- Figures 2-4, T3 ----
-
-
-@dataclass
-class LongitudinalBundle:
-    """A built population plus its crawled snapshot series."""
-
-    population: WebPopulation
-    series: SnapshotSeries
-
-
-def build_longitudinal_bundle(
-    config: Optional[PopulationConfig] = None,
-    store: Optional["WorldStore"] = None,
-) -> LongitudinalBundle:
-    """Build the Section 3 world and crawl all fifteen snapshots.
-
-    When *store* is given, the population and series come from the
-    content-addressed :class:`~repro.web.worldstore.WorldStore`: the
-    world is built at most once per config digest and shared (frozen)
-    across every consumer, with bit-identical outputs.
-    """
-    if store is not None:
-        return LongitudinalBundle(
-            population=store.population(config),
-            series=store.series(config),
-        )
-    population = build_web_population(config or PopulationConfig())
-    return LongitudinalBundle(
-        population=population, series=collect_snapshots(population)
-    )
-
-
-def run_figure2(source: Source, require_explicit: bool = True) -> ExperimentResult:
-    """Figure 2: % fully disallowing >= 1 AI UA, Top-5K vs the rest.
-
-    *source* is a bundle's :class:`SnapshotSeries` or an open
-    :class:`~repro.web.archive.ArchiveSet`; both render identically
-    for the same world.  Verdict rows come from ``source.cache``, backed
-    by whatever store the caller attached to it.
-    """
-    trend = full_disallow_trend(source, require_explicit=require_explicit)
-    rows = trend.rows
-    series = {
-        "top5k": [(sid, pct) for sid, pct, _ in rows],
-        "other": [(sid, pct) for sid, _, pct in rows],
-    }
-    text = (
-        render_table(
-            ["snapshot", "% top5k", "% other"],
-            [(sid, a, b) for sid, a, b in rows],
-            title="Figure 2: sites fully disallowing at least one AI crawler",
-        )
-        + "\n\n"
-        + ascii_chart(series)
-        + "\n\nCSV:\n"
-        + series_to_csv(series)
-    )
-    metrics = {
-        "final_top5k_pct": rows[-1][1],
-        "final_other_pct": rows[-1][2],
-        "initial_other_pct": rows[0][2],
-        "n_analysis_sites": float(trend.n_analysis),
-    }
-    return ExperimentResult("figure2", "Full-disallow trend (Figure 2)", text, metrics)
-
-
-def run_figure3(source: Source) -> ExperimentResult:
-    """Figure 3: per-agent partial-or-full disallow trend (*source* as in
-    :func:`run_figure2`)."""
-    trends = per_agent_trend(source)
-    series = {agent: list(points) for agent, points in trends.items()}
-    snapshot_ids = [sid for sid, _ in next(iter(series.values()))]
-    rows = []
-    for index, sid in enumerate(snapshot_ids):
-        rows.append([sid] + [series[a][index][1] for a in FIGURE3_AGENTS])
-    text = (
-        render_table(
-            ["snapshot"] + list(FIGURE3_AGENTS),
-            rows,
-            title="Figure 3: sites partially/fully disallowing each AI agent (%)",
-        )
-        + "\n\nCSV:\n"
-        + series_to_csv(series)
-    )
-    finals = {agent: points[-1][1] for agent, points in trends.items()}
-    metrics = {f"final_{agent}": value for agent, value in finals.items()}
-    metrics["gptbot_is_max"] = 1.0 if finals["GPTBot"] == max(finals.values()) else 0.0
-    return ExperimentResult("figure3", "Per-agent disallow trend (Figure 3)", text, metrics)
-
-
-def run_figure4(source: Source) -> ExperimentResult:
-    """Figure 4 + Table 4: explicit allows, removals, first-allow list
-    (*source* as in :func:`run_figure2`)."""
-    trend = allow_and_removal_trend(source)
-    table4 = trend.first_allows
-    series = {
-        "explicit_allows": [(sid, float(n)) for sid, n in trend.explicit_allow_counts],
-        "removals": [(sid, float(n)) for sid, n in trend.removals_per_period],
-    }
-    text = (
-        render_table(
-            ["snapshot", "# explicit allows", "# removals in period"],
-            [
-                (sid, allows, removals)
-                for (sid, allows), (_, removals) in zip(
-                    trend.explicit_allow_counts, trend.removals_per_period
-                )
-            ],
-            title="Figure 4: explicit allows and restriction removals",
-        )
-        + "\n\n"
-        + render_table(
-            ["domain", "first snapshot allowing GPTBot"],
-            table4,
-            title="Table 4: domains explicitly allowing GPTBot",
-        )
-        + "\n\nCSV:\n"
-        + series_to_csv(series)
-    )
-    total_removals = sum(n for _, n in trend.removals_per_period)
-    # Normalize by the analysis population (the paper's 484 removers and
-    # 79 allowers are counts over its 40,455 analysis sites).
-    n_analysis = max(trend.n_analysis, 1)
-    metrics = {
-        "final_explicit_allows": float(trend.explicit_allow_counts[-1][1]),
-        "total_removals": float(total_removals),
-        "removals_paper_equivalent": total_removals * 40_455 / n_analysis,
-        "allows_paper_equivalent": trend.explicit_allow_counts[-1][1] * 40_455 / n_analysis,
-        "n_table4_domains": float(len(table4)),
-    }
-    return ExperimentResult("figure4", "Explicit allows & removals (Figure 4, Table 4)", text, metrics)
-
-
-def run_table3(source: Source) -> ExperimentResult:
-    """Table 3: snapshot coverage statistics (*source* as in
-    :func:`run_figure2`)."""
-    rows = snapshot_coverage_table(source)
-    text = render_table(
-        ["snapshot", "months", "# sites", "# with robots.txt"],
-        rows,
-        title="Table 3: snapshot coverage",
-    )
-    metrics = {
-        "n_snapshots": float(len(rows)),
-        "min_with_robots": float(min(r[3] for r in rows)),
-        "max_sites": float(max(r[2] for r in rows)),
-    }
-    return ExperimentResult("table3", "Snapshot coverage (Table 3)", text, metrics)
 
 
 # ---------------------------------------------------------------- Table 2 ----

@@ -14,6 +14,11 @@ forked workers -- on top of the content-addressed
   stored world rejects every write, so no runner can observe another's,
 * **standalone** runners (survey, Table 1/2) need no world at all.
 
+The four Section 3 runners come from :mod:`repro.report.longitudinal`;
+every other runner lives in :mod:`repro.report.experiments`, which a
+run imports only when it is about to call one (in the parent, before
+any fork), so a strata run or an all-hit incremental run never loads it.
+
 Scheduling never affects results: runners draw everything from seeded
 inputs and the one immutable world, results are assembled in registry
 order regardless of completion order, and ``workers=1`` vs
@@ -52,8 +57,15 @@ from ..net.accesslog import set_log_sink
 from ..net.logstore import LogSink, LogStore, log_stream
 from ..web.population import PopulationConfig
 from ..web.worldstore import WorldStore, config_digest, shared_world_store
-from . import experiments as exp
-from .experiments import ExperimentResult, LongitudinalBundle
+from .longitudinal import (
+    ExperimentResult,
+    LongitudinalBundle,
+    build_longitudinal_bundle,
+    run_figure2,
+    run_figure3,
+    run_figure4,
+    run_table3,
+)
 
 __all__ = [
     "ExperimentSpec",
@@ -100,49 +112,62 @@ class ExperimentSpec:
     params: Tuple[Tuple[str, object], ...] = ()
 
 
+def _runners():
+    """:mod:`repro.report.experiments`, imported on first use."""
+    from . import experiments
+
+    return experiments
+
+
 EXPERIMENT_REGISTRY: Tuple[ExperimentSpec, ...] = (
     ExperimentSpec("table1", "table1", "AI crawler compliance (Table 1)",
-                   WORLD_NONE, lambda **kw: exp.run_table1_compliance(**kw),
+                   WORLD_NONE, lambda **kw: _runners().run_table1_compliance(**kw),
                    params=(("seed", 42), ("months", 6), ("n_apps", 2000))),
     ExperimentSpec("figure2", "figure2", "Full-disallow trend (Figure 2)",
                    WORLD_BUNDLE,
-                   lambda bundle, **kw: exp.run_figure2(bundle.series, **kw),
+                   lambda bundle, **kw: run_figure2(bundle.series, **kw),
                    params=(("require_explicit", True),)),
     ExperimentSpec("figure3", "figure3", "Per-agent disallow trend (Figure 3)",
-                   WORLD_BUNDLE, lambda bundle: exp.run_figure3(bundle.series)),
+                   WORLD_BUNDLE, lambda bundle: run_figure3(bundle.series)),
     ExperimentSpec("figure4", "figure4", "Explicit allows & removals (Figure 4)",
-                   WORLD_BUNDLE, lambda bundle: exp.run_figure4(bundle.series)),
+                   WORLD_BUNDLE, lambda bundle: run_figure4(bundle.series)),
     ExperimentSpec("table3", "table3", "Snapshot coverage (Table 3)",
-                   WORLD_BUNDLE, lambda bundle: exp.run_table3(bundle.series)),
+                   WORLD_BUNDLE, lambda bundle: run_table3(bundle.series)),
     ExperimentSpec("table2", "table2", "Artist hosting providers (Table 2)",
-                   WORLD_NONE, lambda: exp.run_table2_artists()),
+                   WORLD_NONE, lambda: _runners().run_table2_artists()),
     ExperimentSpec("sec62", "sec62", "Active blocking prevalence (Section 6.2)",
-                   WORLD_POPULATION, exp.run_sec62_active_blocking),
+                   WORLD_POPULATION,
+                   lambda population: _runners().run_sec62_active_blocking(population)),
     ExperimentSpec("sec63", "sec63", "Cloudflare Block AI Bots (Section 6.3)",
-                   WORLD_POPULATION, exp.run_sec63_cloudflare),
+                   WORLD_POPULATION,
+                   lambda population: _runners().run_sec63_cloudflare(population)),
     ExperimentSpec("sec22", "sec22", "NoAI meta tags (Section 2.2)",
-                   WORLD_POPULATION, exp.run_sec22_meta_tags),
+                   WORLD_POPULATION,
+                   lambda population: _runners().run_sec22_meta_tags(population)),
     ExperimentSpec("survey", "survey", "Artist survey (Tables 5-8)",
-                   WORLD_NONE, lambda: exp.run_survey_tables()),
+                   WORLD_NONE, lambda: _runners().run_survey_tables()),
     ExperimentSpec("appb2", "appb2", "Parser comparison (Appendix B.2)",
-                   WORLD_POPULATION, exp.run_appb2_parser_comparison),
+                   WORLD_POPULATION,
+                   lambda population: _runners().run_appb2_parser_comparison(population)),
     ExperimentSpec("sec81", "sec81", "robots.txt mistakes (Section 8.1)",
-                   WORLD_POPULATION, exp.run_sec81_mistakes),
+                   WORLD_POPULATION,
+                   lambda population: _runners().run_sec81_mistakes(population)),
     ExperimentSpec("tables9_12", "tables9_12", "Thematic codebooks (Tables 9-12)",
-                   WORLD_NONE, lambda: exp.run_tables9_12_codebooks()),
+                   WORLD_NONE, lambda: _runners().run_tables9_12_codebooks()),
     ExperimentSpec("crosstabs", "survey_crosstabs", "Survey association tests",
-                   WORLD_NONE, lambda: exp.run_survey_crosstabs()),
+                   WORLD_NONE, lambda: _runners().run_survey_crosstabs()),
     ExperimentSpec("taxonomy", "change_taxonomy", "robots.txt change taxonomy",
-                   WORLD_BUNDLE, exp.run_change_taxonomy),
+                   WORLD_BUNDLE, lambda bundle: _runners().run_change_taxonomy(bundle)),
     ExperimentSpec("category", "ext_adoption_by_category", "Adoption by category",
-                   WORLD_BUNDLE, exp.run_ext_adoption_by_category),
+                   WORLD_BUNDLE,
+                   lambda bundle: _runners().run_ext_adoption_by_category(bundle)),
     ExperimentSpec("behavioral", "behavioral_equilibrium",
                    "Behavioral detection equilibrium",
-                   WORLD_NONE, lambda **kw: exp.run_behavioral_equilibrium(**kw),
+                   WORLD_NONE, lambda **kw: _runners().run_behavioral_equilibrium(**kw),
                    params=(("seed", 7), ("pages", 24))),
     ExperimentSpec("selective", "selective_compliance",
                    "Selective compliance per directive",
-                   WORLD_NONE, lambda **kw: exp.run_selective_compliance(**kw),
+                   WORLD_NONE, lambda **kw: _runners().run_selective_compliance(**kw),
                    params=(("seed", 7),)),
 )
 
@@ -151,6 +176,15 @@ _BY_KEY: Dict[str, ExperimentSpec] = {spec.key: spec for spec in EXPERIMENT_REGI
 #: The bundle experiments that read the series' verdict rows: an
 #: incremental run builds the rows up front only for these.
 _ROW_READERS = frozenset({"figure2", "figure3", "figure4", "category"})
+
+#: The Section 3 runners by key, in report order: the only ones a
+#: strata run calls, and the only ones that need no :func:`_runners`.
+_SECTION3 = {
+    "figure2": run_figure2,
+    "figure3": run_figure3,
+    "figure4": run_figure4,
+    "table3": run_table3,
+}
 
 
 def experiment_keys() -> List[str]:
@@ -416,12 +450,7 @@ def run_strata(
                         # facts.json: each body is parsed or read once.
                         body = archive.body_store()
                         archive.cache.attach_store(body)
-                        for key, runner in (
-                            ("figure2", exp.run_figure2),
-                            ("figure3", exp.run_figure3),
-                            ("figure4", exp.run_figure4),
-                            ("table3", exp.run_table3),
-                        ):
+                        for key, runner in _SECTION3.items():
                             run_key = f"{key}@{stratum}"
                             exp_span = span(
                                 f"experiment:{run_key}", key=key, stratum=stratum
@@ -621,7 +650,7 @@ def run_all(
             world_span = span("world_build", world=world_kind)
             with world_span, _phase(profiler, "world_build", world=world_kind):
                 if needs_bundle:
-                    bundle = exp.build_longitudinal_bundle(config, store=store)
+                    bundle = build_longitudinal_bundle(config, store=store)
                     population = bundle.population
                 elif needs_population:
                     population = store.population(config)
@@ -672,6 +701,10 @@ def run_all(
                         result = spec.run(**params)
                 return getattr(exp_span, "duration_seconds", 0.0), result
 
+            if any(key not in _SECTION3 for key in to_run):
+                # Imported here, in the parent: forked workers inherit
+                # the module instead of each compiling it.
+                _runners()
             with _phase(
                 None if resolved == "serial" else profiler,
                 "experiments",

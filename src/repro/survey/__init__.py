@@ -1,54 +1,5 @@
-"""The artist user study: instrument, respondents, coding, analysis."""
+"""The artist user study: instrument, respondents, coding, analysis.
 
-from .analysis import SurveyAnalysis, analyze
-from .crosstabs import (
-    ContingencyTable,
-    actions_by_impact,
-    awareness_by_professional,
-    build_contingency,
-    chi_square,
-    intent_by_familiarity,
-)
-from .coding import (
-    ACTIONS_CODEBOOK,
-    DISTRUST_CODEBOOK,
-    ENABLE_CODEBOOK,
-    NO_ADOPT_CODEBOOK,
-    Codebook,
-    Theme,
-    code_response,
-)
-from .instrument import (
-    ROBOTS_EXPLAINER,
-    SURVEY,
-    Question,
-    QuestionType,
-    question,
-)
-from .respondents import Respondent, filter_valid, generate_respondents
-
-__all__ = [
-    "SurveyAnalysis",
-    "analyze",
-    "ContingencyTable",
-    "actions_by_impact",
-    "awareness_by_professional",
-    "build_contingency",
-    "chi_square",
-    "intent_by_familiarity",
-    "ACTIONS_CODEBOOK",
-    "DISTRUST_CODEBOOK",
-    "ENABLE_CODEBOOK",
-    "NO_ADOPT_CODEBOOK",
-    "Codebook",
-    "Theme",
-    "code_response",
-    "ROBOTS_EXPLAINER",
-    "SURVEY",
-    "Question",
-    "QuestionType",
-    "question",
-    "Respondent",
-    "filter_valid",
-    "generate_respondents",
-]
+Import the submodules directly; this package re-exports nothing, so
+importing one of them loads only what it needs.
+"""

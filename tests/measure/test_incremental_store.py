@@ -15,7 +15,7 @@ from repro.measure.incremental import (
     experiment_input_key,
     params_digest,
 )
-from repro.report.experiments import ExperimentResult
+from repro.report.longitudinal import ExperimentResult
 
 ROBOTS = "User-agent: GPTBot\nDisallow: /\n"
 ALLOWS = "User-agent: CCBot\nAllow: /\n"

@@ -210,7 +210,7 @@ class _CountingStore:
 
 class TestStreamingRunners:
     def test_experiment_results_identical(self, world):
-        from repro.report.experiments import (
+        from repro.report.longitudinal import (
             run_figure2,
             run_figure3,
             run_figure4,

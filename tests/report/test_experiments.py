@@ -17,13 +17,9 @@ from repro.core.diagnostics import has_mistakes
 from repro.core.legacy import LegacyPolicy
 from repro.core.policy import RobotsPolicy
 from repro.report.experiments import (
-    build_longitudinal_bundle,
     run_appb2_parser_comparison,
     run_change_taxonomy,
     run_ext_adoption_by_category,
-    run_figure2,
-    run_figure3,
-    run_figure4,
     run_sec22_meta_tags,
     run_sec62_active_blocking,
     run_sec63_cloudflare,
@@ -32,8 +28,14 @@ from repro.report.experiments import (
     run_survey_tables,
     run_table1_compliance,
     run_table2_artists,
-    run_table3,
     run_tables9_12_codebooks,
+)
+from repro.report.longitudinal import (
+    build_longitudinal_bundle,
+    run_figure2,
+    run_figure3,
+    run_figure4,
+    run_table3,
 )
 from repro.report.tables import render_table
 from repro.web.population import PopulationConfig, build_web_population

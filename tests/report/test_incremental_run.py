@@ -9,7 +9,11 @@ chaos runs never read or write the store.
 
 import json
 import multiprocessing
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +24,7 @@ from repro.measure.incremental import IncrementalStore
 from repro.net.chaos import chaos_active, plan
 from repro.obs.metrics import shared_registry
 from repro.report.orchestrator import run_all
-from repro.web.population import PopulationConfig
+from repro.web.population import PopulationConfig, stratum_config
 from repro.web.worldstore import WorldStore
 
 SMALL = PopulationConfig(
@@ -143,6 +147,33 @@ class TestWarmEquivalence:
         cold = run_all(SMALL, workers=1, experiments=["figure2"],
                        store=WorldStore(), incremental=tmp_path / "cache")
         assert _texts(cold) == _texts(plain)
+
+    def test_all_hit_run_loads_no_runner(self, tmp_path):
+        """A fresh interpreter assembles a fully warm battery from the
+        store alone: the same texts, and no runner module loaded."""
+        config = stratum_config("top-1k", PopulationConfig(seed=42))
+        root = tmp_path / "cache"
+        cold = run_all(config, workers=1, store=WorldStore(), incremental=root)
+        script = (
+            "import json, sys\n"
+            "from repro.report.orchestrator import run_all\n"
+            "from repro.web.population import PopulationConfig, stratum_config\n"
+            "report = run_all(stratum_config('top-1k', PopulationConfig(seed=42)),\n"
+            "                 workers=1, incremental=sys.argv[1])\n"
+            "print(json.dumps({'dispositions': sorted(set(report.incremental.values())),\n"
+            "                  'texts': [[r.experiment_id, r.text] for r in report.results],\n"
+            "                  'runners_loaded': 'repro.report.experiments' in sys.modules}))\n"
+        )
+        src = Path(__file__).resolve().parents[2] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(root)], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        warm = json.loads(proc.stdout.splitlines()[-1])
+        assert warm["dispositions"] == ["hit"]
+        assert warm["texts"] == [[r.experiment_id, r.text] for r in cold.results]
+        assert warm["runners_loaded"] is False
 
     def test_counters_record_decisions(self, warm_store):
         root, _ = warm_store

@@ -5,11 +5,14 @@ produce bit-identical results for any worker count, in line or on
 forked workers, with results always assembled in registry order.
 """
 
+import concurrent.futures
 import json
 import multiprocessing
+import sys
 
 import pytest
 
+import repro.report.experiments
 from repro.fanout import batch_mode
 from repro.obs.metrics import shared_registry
 from repro.obs.trace import shared_tracer, tracing_enabled
@@ -269,3 +272,27 @@ class TestOneFrozenWorld:
         report = run_all(SMALL, workers=1, experiments=keys, store=store)
         assert len(report.results) == len(keys)
         assert built == []
+
+
+class TestRunnerImports:
+    @needs_fork
+    def test_forked_run_imports_the_runners_before_the_pool_starts(
+        self, store, force_fork, monkeypatch
+    ):
+        """The parent imports :mod:`repro.report.experiments` before it
+        forks, so the workers inherit the module instead of each
+        compiling it."""
+        monkeypatch.delitem(sys.modules, "repro.report.experiments")
+        monkeypatch.delattr(repro.report, "experiments")
+        loaded_at_fork = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                loaded_at_fork.append("repro.report.experiments" in sys.modules)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        report = run_all(SMALL, workers=2, experiments=["tables9_12", "selective"],
+                         store=store)
+        assert report.mode == "process"
+        assert loaded_at_fork == [True]

@@ -201,15 +201,15 @@ class TestStreamingMatchesClassic:
         """Each archive-backed result equals the same runner over the
         in-memory series of the same stratum config (modulo the
         stratum-suffixed id)."""
-        from repro.report import experiments as exp
+        from repro.report import longitudinal as sec3
         from repro.web.population import stratum_config
 
         report, _, store = first_run
-        bundle = exp.build_longitudinal_bundle(
+        bundle = sec3.build_longitudinal_bundle(
             stratum_config("top-10k", BASE), store=store
         )
-        for runner in (exp.run_figure2, exp.run_figure3, exp.run_figure4,
-                       exp.run_table3):
+        for runner in (sec3.run_figure2, sec3.run_figure3, sec3.run_figure4,
+                       sec3.run_table3):
             in_memory = runner(bundle.series)
             streamed = next(
                 r for r in report.results

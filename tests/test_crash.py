@@ -36,7 +36,7 @@ from repro.obs.metrics import MetricsRegistry, export_metrics
 from repro.obs.profile import PhaseProfile, Profiler
 from repro.obs.series import export_series
 from repro.obs.trace import write_trace
-from repro.report.experiments import ExperimentResult
+from repro.report.longitudinal import ExperimentResult
 from repro.web.archive import ArchiveBodyStore, ArchiveError, ArchiveSet
 from repro.web.population import PopulationConfig, build_web_population, stratum_config
 from repro.web.worldstore import config_digest

@@ -3,10 +3,12 @@
 A module that only its own tests import serves no run, so it is a
 candidate for deletion.  The roots are the orchestrator, the CLI, and
 every ``repro`` import in ``benchmarks/``, ``examples/``, ``scripts/``
-and ``perf/``.  Imports count at any depth, inside functions too.  A
-package-level import (``from repro.net import Network``) counts only the
-submodule the package ``__init__`` re-exports that name from, never the
-whole ``__init__``: a re-export alone does not make a module used.
+and ``perf/``.  Imports count at any depth, inside functions too, so a
+module imported only on first use still counts as reached.  Package
+``__init__`` modules re-export nothing, so a package-level import counts
+only a submodule it names (``from repro.net import chaos``); a name the
+package does not define (``from repro.net import Network``) reaches
+nothing.
 
 The same holds one level down: every top-level function and class and
 every non-dunder method must be named somewhere in ``src/repro`` or a
@@ -15,10 +17,9 @@ as named when it is read (``f``), an attribute (``obj.f``), an imported
 name, or part of a ``"repro.module:Qual.name"`` target string (the
 ``perf/`` ledger wraps those); a method only as an attribute or a target
 string part, since a local variable or a builtin of the same bare name
-says nothing about it.  ``__all__`` entries and package ``__init__``
-re-exports do not count.  Matching is by bare name, so the check is
-conservative: a method shares credit with any other attribute of the
-same name.
+says nothing about it.  ``__all__`` entries do not count.  Matching is
+by bare name, so the check is conservative: a method shares credit with
+any other attribute of the same name.
 
 And one level further down: every defaulted parameter of a checked
 function or method (``__init__`` included) must be passed, by keyword or
@@ -82,21 +83,6 @@ def _imports(path, package=""):
             )
 
 
-def _reexports():
-    """Package -> {bound name: (source module, source name)}."""
-    table = {}
-    for package in PACKAGES:
-        table[package] = {
-            bound: (module, name)
-            for module, names in _imports(MODULES[package], package)
-            for name, bound in names
-        }
-    return table
-
-
-REEXPORTS = _reexports()
-
-
 def _resolve(module, name=None):
     """The non-package modules that importing *name* from *module* reaches."""
     if module not in MODULES:
@@ -105,9 +91,6 @@ def _resolve(module, name=None):
         return {module}
     if name is None:
         return set()
-    source = REEXPORTS[module].get(name)
-    if source is not None:
-        return _resolve(*source)
     return _resolve(f"{module}.{name}")
 
 
@@ -144,7 +127,7 @@ def reached_modules():
 
 
 def test_package_import_counts_only_the_reexporting_submodule():
-    assert _resolve("repro.net", "Network") == {"repro.net.transport"}
+    assert _resolve("repro.net", "Network") == set()
     assert _resolve("repro.net", "chaos") == {"repro.net.chaos"}
     assert _resolve("repro.net") == set()
 
@@ -239,10 +222,9 @@ def _references(path, package, names, attributes):
             for part in _target_parts(node.value):
                 names[part].append((path, node.lineno))
                 attributes[part].append((path, node.lineno))
-    if path.name != "__init__.py":
-        for _, imported in _imports(path, package):
-            for name, _ in imported:
-                names[name].append((path, 0))
+    for _, imported in _imports(path, package):
+        for name, _ in imported:
+            names[name].append((path, 0))
 
 
 def _tree(path):

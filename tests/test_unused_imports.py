@@ -1,8 +1,7 @@
 """Every name a ``src/`` module imports is used in that module.
 
-A package ``__init__`` imports to re-export, so it is exempt.  In any
-other module an imported name must occur as a name in the code, inside
-a quoted annotation (``Optional["WorldStore"]``), or in ``__all__``.
+An imported name must occur as a name in the code, inside a quoted
+annotation (``Optional["WorldStore"]``), or in ``__all__``.
 """
 
 import ast
@@ -61,9 +60,7 @@ def _unused_imports(source):
 
 
 def test_every_imported_name_is_used():
-    sources = [
-        path for path in sorted(PACKAGE.rglob("*.py")) if path.name != "__init__.py"
-    ]
+    sources = sorted(PACKAGE.rglob("*.py"))
     assert sources
     unused = [
         f"{path.relative_to(PACKAGE.parent)}:{line}: {name}"

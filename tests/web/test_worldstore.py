@@ -20,11 +20,7 @@ from repro.net.http import Request
 from repro.net.server import render_page
 from repro.net.transport import Network
 from repro.proxy.cloudflare import CloudflareSettings
-from repro.report.experiments import (
-    build_longitudinal_bundle,
-    run_figure2,
-    run_table3,
-)
+from repro.report.longitudinal import build_longitudinal_bundle, run_figure2, run_table3
 from repro.web import site as site_module
 from repro.web.evolution import EvolutionParams
 from repro.web.population import PopulationConfig
